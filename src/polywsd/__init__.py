@@ -1,10 +1,11 @@
 """Desk-scale word sense disambiguation by gloss matching.
 
-A target word's contextual embedding is fused with its whole sentence
-through poly-code multi-head attention and compared against encoded sense
-glosses; training contrasts each item's gold gloss against the other gold
-glosses in the batch, so one step costs one gloss encode per item instead
-of one per candidate sense.
+A target word's contextual embedding attends over its whole sentence through
+multi-head attention, giving one code row per word; each encoded sense gloss
+gives one code row too, and a pair scores the inner product of its rows.
+Training contrasts each item's gold gloss against the other gold glosses in
+the batch, so one step costs one gloss encode per item instead of one per
+candidate sense.
 """
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -16,8 +17,6 @@ from .data import (
     build_vocab,
     load_corpus,
     load_inventory,
-    tokenize,
-    tokenize_context,
 )
 from .encoder import EncoderConfig, cls_representation, encode, init_encoder, target_representation
 from .errors import PolyWsdError
@@ -28,8 +27,6 @@ from .fusion import (
     fuse_context,
     fuse_gloss,
     fuse_heads,
-    replicate_gloss,
-    replicate_query,
     score_pair,
 )
 from .model import WsdModel, build_model, context_codes, gloss_codes

@@ -20,7 +20,7 @@ from .data import (
     save_predictions,
 )
 from .encoder import EncoderConfig
-from .errors import DataError, PolyWsdError
+from .errors import ConfigError, DataError, PolyWsdError
 from .evaluation import compare_costs, config_fingerprint, save_metrics, score_f1
 from .fusion import FusionConfig
 from .model import build_model, randomize_parameters
@@ -64,6 +64,8 @@ def _file_digest(path) -> str:
 
 
 def _build_world(args, config):
+    if args.device_count < 1:
+        raise ConfigError(f"--device-count must be >= 1, got {args.device_count}")
     corpus = load_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
     vocab = build_vocab(corpus, inventory, min_freq=config["train"].get("min_freq", 1))

@@ -1,4 +1,4 @@
-"""Corpus, sense-inventory, and vocabulary ingestion, plus the word tokenizer.
+"""Corpus, sense-inventory, and vocabulary ingestion, plus the word-to-id mapping.
 
 File formats (all UTF-8):
 
@@ -310,32 +310,3 @@ def content_ids_around(
         raise DataError(f"target_index {target_index} out of range for {len(words)} words")
     start, stop = _window(len(words), target_index, capacity)
     return lookup_ids(words[start:stop], vocab), target_index - start
-
-
-def tokenize(
-    words: list[str], vocab: Vocab, max_len: int, target_index: int | None = None
-) -> list[int]:
-    """Wrap word ids in start/end markers, truncated to fit ``max_len``.
-
-    With ``target_index`` the truncation window is centered so the target word
-    is always retained; otherwise the tail is dropped. Use ``tokenize_context``
-    when the target's post-truncation position is needed.
-    """
-    if max_len < 3:
-        raise DataError(f"max_len must be >= 3, got {max_len}")
-    if target_index is None:
-        inner = content_ids(words, vocab, max_len - 2)
-    else:
-        inner, _ = content_ids_around(words, target_index, vocab, max_len - 2)
-    return [CLS_ID] + inner + [SEP_ID]
-
-
-def tokenize_context(
-    words: list[str], target_index: int, vocab: Vocab, max_len: int
-) -> tuple[list[int], int]:
-    """As ``tokenize`` with central truncation; also reports the target's new
-    word-level index inside the kept window."""
-    if max_len < 3:
-        raise DataError(f"max_len must be >= 3, got {max_len}")
-    inner, new_target = content_ids_around(words, target_index, vocab, max_len - 2)
-    return [CLS_ID] + inner + [SEP_ID], new_target

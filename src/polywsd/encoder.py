@@ -108,47 +108,6 @@ class EncoderParams:
         yield f"{prefix}out_bias", self.out_bias
 
 
-def rebind_encoder(params: EncoderParams, supply: Iterator[Tensor]) -> EncoderParams:
-    """Rebuild the structure drawing tensors from ``supply`` in named_tensors order.
-
-    Used to re-express all parameters as views of one flat vector so whole-model
-    gradients can be checked against finite differences.
-    """
-    tok_emb, pos_emb = next(supply), next(supply)
-    layers = []
-    for layer in params.layers:
-        attn_gain, attn_bias = next(supply), next(supply)
-        wq, wk, wv = [], [], []
-        for _ in layer.wq:
-            wq.append(next(supply))
-            wk.append(next(supply))
-            wv.append(next(supply))
-        layers.append(
-            LayerParams(
-                attn_gain=attn_gain,
-                attn_bias=attn_bias,
-                wq=wq,
-                wk=wk,
-                wv=wv,
-                wo=next(supply),
-                ffn_gain=next(supply),
-                ffn_bias=next(supply),
-                w1=next(supply),
-                b1=next(supply),
-                w2=next(supply),
-                b2=next(supply),
-            )
-        )
-    return EncoderParams(
-        config=params.config,
-        tok_emb=tok_emb,
-        pos_emb=pos_emb,
-        layers=layers,
-        out_gain=next(supply),
-        out_bias=next(supply),
-    )
-
-
 def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
     """Fresh encoder parameters: Glorot projections, uniform embedding tables."""
     d, dh, dff = config.d_model, config.head_dim, config.d_ff

@@ -1,13 +1,16 @@
-"""Poly-code attention fusion of a target word's local and global semantics.
+"""Attention fusion of a target word's local and global semantics.
 
-The target-word row is replicated into ``poly_m`` query codes which attend
-over the full context embedding through multi-head scaled dot-product
-attention, yielding a fixed ``poly_m x d_model`` representation. A gloss is
-represented by replicating its start-marker row into the same shape, so
-word and gloss sides are directly comparable: their match score is the
-Frobenius inner product of the two code matrices divided by ``poly_m``
-(invariant to the ``poly_m`` setting; any constant factor leaves every
-argmax unchanged).
+The target-word row is the single query of a multi-head scaled dot-product
+attention over the full context embedding, which yields one
+``1 x d_model`` code row for the word. A gloss is represented by its
+start-marker row in the same shape, so both sides are directly comparable:
+their match score is the inner product of the two code rows.
+
+``FusionConfig.poly_m`` is accepted so existing configs and checkpoints
+load, but it has no effect: copies of one query attend identically, so any
+number of replicated codes gives the same scores as one. The poly-encoder
+of Humeau et al. 2020 (arXiv:1905.01969) instead learns ``m`` distinct
+context codes; adding those would be a model change.
 """
 
 from __future__ import annotations
@@ -65,14 +68,6 @@ class FusionParams:
         yield f"{prefix}w_o", self.w_o
 
 
-def rebind_fusion(params: FusionParams, supply: Iterator[Tensor]) -> FusionParams:
-    """Rebuild the structure drawing tensors from ``supply`` in named_tensors order."""
-    heads = [
-        HeadParams(wq=next(supply), wk=next(supply), wv=next(supply)) for _ in params.heads
-    ]
-    return FusionParams(heads=heads, w_o=next(supply))
-
-
 def init_fusion(config: FusionConfig, rng: np.random.Generator) -> FusionParams:
     from .encoder import glorot  # shared initializer
 
@@ -87,16 +82,6 @@ def init_fusion(config: FusionConfig, rng: np.random.Generator) -> FusionParams:
     ]
     w_o = Tensor(glorot(rng, config.n_heads * dh, d), requires_grad=True)
     return FusionParams(heads=heads, w_o=w_o)
-
-
-def replicate_query(r: Tensor, poly_m: int) -> Tensor:
-    """Stack poly_m copies of the target-word vector into query codes."""
-    return T.replicate_rows(r, poly_m)
-
-
-def replicate_gloss(r_gloss: Tensor, poly_m: int) -> Tensor:
-    """Stack poly_m copies of the gloss vector to match the word-side shape."""
-    return T.replicate_rows(r_gloss, poly_m)
 
 
 def attention_head(queries: Tensor, keys: Tensor, values: Tensor, head: HeadParams) -> Tensor:
@@ -132,23 +117,25 @@ def fuse_heads(heads: Sequence[Tensor], w_o: Tensor) -> Tensor:
     return T.matmul(T.concat(list(heads), axis=1), w_o)
 
 
-def fuse_context(encoded: Tensor, target: Tensor, params: FusionParams, config: FusionConfig) -> Tensor:
-    """Full word-side fusion: replicated target queries attend over the context."""
-    queries = replicate_query(target, config.poly_m)
-    outputs = [attention_head(queries, encoded, encoded, head) for head in params.heads]
+def fuse_context(encoded: Tensor, target: Tensor, params: FusionParams) -> Tensor:
+    """Word-side code row: the target row, as the only query, attends over the context."""
+    query = T.reshape(target, (1, target.size))
+    outputs = [attention_head(query, encoded, encoded, head) for head in params.heads]
     return fuse_heads(outputs, params.w_o)
 
 
-def fuse_gloss(cls_vector: Tensor, config: FusionConfig) -> Tensor:
-    """Gloss-side counterpart: replication only, no attention."""
-    return replicate_gloss(cls_vector, config.poly_m)
+def fuse_gloss(cls_vector: Tensor) -> Tensor:
+    """Gloss-side code row: the start-marker row itself, no attention."""
+    return T.reshape(cls_vector, (1, cls_vector.size))
 
 
-def score_pair(word_codes: Tensor, gloss_codes: Tensor) -> Tensor:
-    """Match score: mean over codes of the per-code inner product (scalar tensor)."""
-    if word_codes.shape != gloss_codes.shape:
-        raise ShapeError(
-            f"code shapes differ: {word_codes.shape} vs {gloss_codes.shape}"
-        )
-    poly_m = word_codes.shape[0]
-    return T.scale(T.sum_all(T.mul(word_codes, gloss_codes)), 1.0 / poly_m)
+def score_pair(word_code: Tensor, gloss_code: Tensor) -> Tensor:
+    """Match score: the inner product of the two code rows (scalar tensor)."""
+    if word_code.shape != gloss_code.shape:
+        raise ShapeError(f"code shapes differ: {word_code.shape} vs {gloss_code.shape}")
+    return T.sum_all(T.mul(word_code, gloss_code))
+
+
+def score_rows(word_codes: Tensor, gloss_codes: Tensor) -> Tensor:
+    """All-pairs scores of stacked code rows: cell (i, j) = word row i . gloss row j."""
+    return T.matmul(word_codes, T.transpose(gloss_codes))

@@ -1,9 +1,10 @@
 """The full model: two independent encoders plus the fusion projections.
 
 The context side encodes the whole sentence and fuses the target-word row
-with its context into poly_m codes; the gloss side encodes a definition and
-replicates its start-marker row. Both phases (training and prediction) use
-the same full-context path.
+with its context into one code row; the gloss side encodes a definition and
+takes its start-marker row as its code row. A pair scores the inner product
+of the two rows. Both phases (training and prediction) use the same
+full-context path.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .data import Vocab, content_ids, content_ids_around
 from .encoder import (
     EncoderConfig,
@@ -20,7 +20,6 @@ from .encoder import (
     cls_representation,
     encode,
     init_encoder,
-    rebind_encoder,
     target_representation,
 )
 from .errors import ConfigError
@@ -30,7 +29,6 @@ from .fusion import (
     fuse_context,
     fuse_gloss,
     init_fusion,
-    rebind_fusion,
 )
 from .tensor import Tensor
 
@@ -88,20 +86,20 @@ def build_model(
 
 
 def context_codes(model: WsdModel, tokens: list[str], target_index: int) -> Tensor:
-    """Fused poly_m x d_model codes for a target word in its context."""
+    """Fused 1 x d_model code row for a target word in its context."""
     ids, window_target = content_ids_around(
         tokens, target_index, model.vocab, model.context_config.max_seq_len - 2
     )
     encoded = encode(model.context, ids)
     target = target_representation(encoded, window_target)
-    return fuse_context(encoded, target, model.fusion, model.fusion_config)
+    return fuse_context(encoded, target, model.fusion)
 
 
 def gloss_codes(model: WsdModel, gloss_tokens: list[str]) -> Tensor:
-    """Replicated poly_m x d_model codes for a sense gloss."""
+    """1 x d_model code row for a sense gloss."""
     ids = content_ids(gloss_tokens, model.vocab, model.gloss_config.max_seq_len - 2)
     encoded = encode(model.gloss, ids)
-    return fuse_gloss(cls_representation(encoded), model.fusion_config)
+    return fuse_gloss(cls_representation(encoded))
 
 
 def randomize_parameters(model: WsdModel, seed: int, scale: float = 0.2) -> None:
@@ -115,33 +113,3 @@ def randomize_parameters(model: WsdModel, seed: int, scale: float = 0.2) -> None
     rng = np.random.default_rng(seed)
     for _, tensor in model.named_parameters():
         tensor.data = rng.normal(scale=scale, size=tensor.shape)
-
-
-def flat_parameter_vector(model: WsdModel) -> np.ndarray:
-    """All parameters concatenated into one float64 vector (named order)."""
-    return np.concatenate([t.data.ravel() for t in model.parameters()])
-
-
-def bind_flat(model: WsdModel, flat: Tensor) -> WsdModel:
-    """A structural copy of ``model`` whose parameters are carved out of ``flat``.
-
-    Gradients of anything computed through the copy flow back to ``flat``,
-    which is what the whole-model finite-difference check needs.
-    """
-    offset = 0
-    carved: list[Tensor] = []
-    for tensor in model.parameters():
-        carved.append(T.reshape(T.segment(flat, offset, offset + tensor.size), tensor.shape))
-        offset += tensor.size
-    if offset != flat.size:
-        raise ConfigError(f"flat vector has {flat.size} entries, model needs {offset}")
-    supply = iter(carved)
-    return WsdModel(
-        context_config=model.context_config,
-        gloss_config=model.gloss_config,
-        fusion_config=model.fusion_config,
-        vocab=model.vocab,
-        context=rebind_encoder(model.context, supply),
-        gloss=rebind_encoder(model.gloss, supply),
-        fusion=rebind_fusion(model.fusion, supply),
-    )

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import CorpusInstance, SenseInventory
+from .data import CorpusInstance, SenseEntry, SenseInventory
 from .errors import ContractError
 from .fusion import score_pair
 from .model import WsdModel, context_codes, gloss_codes
@@ -25,9 +25,13 @@ class CandidateScores:
     """Per-sense match scores, inventory-ordered; chosen_index is the argmax
     with ties broken toward the lowest index."""
 
-    sense_ids: list[str]
+    senses: list[SenseEntry]
     scores: list[float]
     chosen_index: int
+
+    @property
+    def sense_ids(self) -> list[str]:
+        return [s.id for s in self.senses]
 
 
 @dataclass
@@ -50,13 +54,12 @@ def score_candidates(
     if not all(np.isfinite(scores)):
         raise ContractError(f"instance {instance.id!r}: non-finite candidate score")
     chosen = int(np.argmax(scores))  # argmax returns the first maximum
-    return CandidateScores(sense_ids=[s.id for s in senses], scores=scores, chosen_index=chosen)
+    return CandidateScores(senses=senses, scores=scores, chosen_index=chosen)
 
 
 def predict(instance: CorpusInstance, inventory: SenseInventory, model: WsdModel) -> Prediction:
     ranked = score_candidates(instance, inventory, model)
-    senses = inventory.candidates(instance.lemma, instance.pos)
-    best = senses[ranked.chosen_index]
+    best = ranked.senses[ranked.chosen_index]
     return Prediction(
         instance_id=instance.id,
         sense_id=best.id,

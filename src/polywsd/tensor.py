@@ -9,8 +9,8 @@ sum of both contributions.
 
 A tape and its tensors belong to one execution; run independent tapes for
 parallel work. Tensors are treated as immutable after creation except for
-the ``grad`` slot (the optimizer mutates parameter ``data`` between tapes,
-never during one).
+the ``grad`` slot (the optimizer and the gradient check mutate parameter
+``data`` between tapes, never during one).
 """
 
 from __future__ import annotations
@@ -350,30 +350,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _emit(out, tuple(parts), vjp)
 
 
-def replicate_rows(v: Tensor, m: int) -> Tensor:
-    """Stack ``m`` copies of a rank-1 tensor into an (m, d) tensor."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"replicate_rows needs rank 1, got shape {v.shape}")
-    if m < 1:
-        raise ContractError(f"replication count must be >= 1, got {m}")
-    return _emit(np.tile(v.data, (m, 1)), (v,), lambda g: (g.sum(axis=0),))
-
-
-def segment(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start, stop) of a rank-1 tensor."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"segment needs rank 1, got shape {a.shape}")
-    if not 0 <= start < stop <= a.shape[0]:
-        raise ShapeError(f"segment [{start}, {stop}) invalid for length {a.shape[0]}")
-
-    def vjp(g: np.ndarray):
-        da = np.zeros_like(a.data)
-        da[start:stop] = g
-        return (da,)
-
-    return _emit(a.data[start:stop].copy(), (a,), vjp)
-
-
 def diagonal(m: Tensor) -> Tensor:
     """Main diagonal of a square rank-2 tensor."""
     if m.data.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -401,40 +377,54 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def finite_diff_check(
-    f: Callable[[Tensor], Tensor],
-    params: Tensor,
+    f: Callable[[], Tensor],
+    params: Sequence[Tensor],
     h: float = 1e-4,
 ) -> float:
     """Compare tape gradients of a scalar function against central differences.
 
-    Returns max over coordinates of |analytic - numeric| / max(1, |analytic|),
-    with numeric = (f(p + h e_i) - f(p - h e_i)) / (2h). ``f`` must be
-    deterministic; two evaluations at identical params that disagree raise
-    OracleError.
+    ``f`` takes no arguments and reads the leaf tensors ``params``. Each entry
+    is bumped in place to p_i + h and p_i - h, ``f`` re-evaluated, and the
+    entry restored, also when ``f`` raises; grads are cleared for the
+    backward pass and restored afterwards. Returns max over entries of
+    |analytic - numeric| / max(1, |analytic|), with numeric =
+    (f(p + h e_i) - f(p - h e_i)) / (2h). ``f`` must be deterministic; two
+    evaluations at identical params that disagree raise OracleError.
     """
     if h <= 0:
         raise ContractError(f"finite-difference step must be positive, got {h}")
-    probe_a = f(Tensor(params.data.copy())).item()
-    probe_b = f(Tensor(params.data.copy())).item()
+    if not all(p.requires_grad for p in params):
+        raise ContractError("finite_diff_check needs leaf tensors with requires_grad")
+    probe_a = f().item()
+    probe_b = f().item()
     if probe_a != probe_b and not (math.isnan(probe_a) and math.isnan(probe_b)):
         raise OracleError(f"function is not deterministic: {probe_a!r} != {probe_b!r}")
 
-    base = Tensor(params.data.copy(), requires_grad=True)
-    tape = Tape()
-    with tape:
-        loss = f(base)
-    backward(loss, tape)
-    analytic = (base.grad if base.grad is not None else np.zeros_like(base.data)).ravel()
+    saved = [p.grad for p in params]
+    try:
+        for p in params:
+            p.grad = None
+        tape = Tape()
+        with tape:
+            loss = f()
+        backward(loss, tape)
+        analytic = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    finally:
+        for p, grad in zip(params, saved):
+            p.grad = grad
 
-    flat = params.data.ravel()
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + h
-        f_plus = f(Tensor(bumped.reshape(params.shape))).item()
-        bumped[i] = flat[i] - h
-        f_minus = f(Tensor(bumped.reshape(params.shape))).item()
-        numeric[i] = (f_plus - f_minus) / (2.0 * h)
-
-    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-    return float(rel.max()) if rel.size else 0.0
+    rel = []
+    for p, grad in zip(params, analytic):
+        numeric = np.zeros_like(grad)
+        for index in np.ndindex(p.shape):
+            original = p.data[index]
+            try:
+                p.data[index] = original + h
+                f_plus = f().item()
+                p.data[index] = original - h
+                f_minus = f().item()
+            finally:
+                p.data[index] = original
+            numeric[index] = (f_plus - f_minus) / (2.0 * h)
+        rel.append((np.abs(grad - numeric) / np.maximum(1.0, np.abs(grad))).ravel())
+    return float(np.concatenate(rel).max()) if any(r.size for r in rel) else 0.0

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import tensor as T
 from .data import CorpusInstance, SenseInventory
-from .errors import BatchError, ConfigError, DataError, TrainingError
-from .model import WsdModel, bind_flat, context_codes, flat_parameter_vector, gloss_codes
+from .errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
+from .fusion import score_rows
+from .model import WsdModel, context_codes, gloss_codes
 from .tensor import Tape, Tensor, backward, finite_diff_check
 
 MODE_CONTRASTIVE = "bcl"
@@ -161,11 +162,10 @@ def fusion_matrix(
         )
     if not word_codes_list:
         raise BatchError("empty batch")
-    poly_m, d = word_codes_list[0].shape
-    flat = poly_m * d
-    words = T.concat([T.reshape(c, (1, flat)) for c in word_codes_list], axis=0)
-    glosses = T.concat([T.reshape(c, (1, flat)) for c in gloss_codes_list], axis=0)
-    scores = T.scale(T.matmul(words, T.transpose(glosses)), 1.0 / poly_m)
+    shapes = {c.shape for c in word_codes_list + gloss_codes_list}
+    if len(shapes) != 1 or next(iter(shapes))[0] != 1:
+        raise ShapeError(f"fusion_matrix needs code rows of one (1, d) shape, got {shapes}")
+    scores = score_rows(T.concat(word_codes_list, axis=0), T.concat(gloss_codes_list, axis=0))
     b = len(word_codes_list)
     if mask is None:
         mask = np.zeros((b, b), dtype=bool)
@@ -281,8 +281,6 @@ def all_candidates_forward(
     batch: Batch, inventory: SenseInventory, model: WsdModel
 ) -> tuple[LossValue, ForwardCounts]:
     """Score every candidate sense per item; cross-entropy against the gold index."""
-    poly_m = model.fusion_config.poly_m
-    flat = poly_m * model.fusion_config.d_model
     per_losses = []
     gloss_count = 0
     for inst in batch.instances:
@@ -293,12 +291,10 @@ def all_candidates_forward(
                 f"instance {inst.id!r}: gold sense {inst.gold!r} not in its candidate set"
             )
         gold_index = sense_ids.index(inst.gold)
-        word = T.reshape(context_codes(model, inst.tokens, inst.target_index), (1, flat))
-        gloss_stack = T.concat(
-            [T.reshape(gloss_codes(model, s.gloss), (1, flat)) for s in senses], axis=0
-        )
+        word = context_codes(model, inst.tokens, inst.target_index)
+        gloss_stack = T.concat([gloss_codes(model, s.gloss) for s in senses], axis=0)
         gloss_count += len(senses)
-        scores = T.scale(T.matmul(word, T.transpose(gloss_stack)), 1.0 / poly_m)
+        scores = score_rows(word, gloss_stack)
         log_probs = T.row_log_softmax(scores)
         one_hot = np.zeros((1, len(senses)))
         one_hot[0, gold_index] = 1.0
@@ -330,15 +326,9 @@ def train_all_candidates_step(
 
 def check_bcl_gradients(batch: Batch, model: WsdModel, h: float = 1e-4) -> float:
     """Max relative error of the full contrastive-loss gradient against central
-    differences, taken over every model parameter."""
-    flat = flat_parameter_vector(model)
-
-    def f(p: Tensor) -> Tensor:
-        bound = bind_flat(model, p)
-        _, loss, _ = bcl_forward(batch, bound)
-        return loss.total
-
-    return finite_diff_check(f, Tensor(flat), h=h)
+    differences, taken over every model parameter; each is bumped in place and
+    restored, so the model's data and grads are left as they were."""
+    return finite_diff_check(lambda: bcl_forward(batch, model)[1].total, model.parameters(), h=h)
 
 
 def make_batches(

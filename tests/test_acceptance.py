@@ -199,8 +199,8 @@ def test_invariance_suite():
 
         for _ in range(100):
             b = int(rng.integers(2, 6))
-            words = [Tensor(rng.normal(size=(2, 5))) for _ in range(b)]
-            glosses = [Tensor(rng.normal(size=(2, 5))) for _ in range(b)]
+            words = [Tensor(rng.normal(size=(1, 5))) for _ in range(b)]
+            glosses = [Tensor(rng.normal(size=(1, 5))) for _ in range(b)]
             perm = rng.permutation(b)
             base = bcl_loss(fusion_matrix(words, glosses))
             permuted = bcl_loss(

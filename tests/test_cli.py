@@ -98,6 +98,26 @@ def test_bench_reports_exact_reduction(workspace, capsys):
     assert (out_dir / "metrics_all-candidates.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "bench"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_device_count_below_one_rejected(workspace, capsys, command, count):
+    out = ["--out", str(workspace / "never.ckpt")] if command == "train" else [
+        "--out-dir", str(workspace / "never")
+    ]
+    code = main(
+        [
+            command,
+            "--corpus", str(workspace / "corpus.jsonl"),
+            "--inventory", str(workspace / "inventory.jsonl"),
+            "--device-count", count,
+            *out,
+        ]
+    )
+    assert code == 1
+    assert f"error: --device-count must be >= 1, got {count}" in capsys.readouterr().err
+    assert not (workspace / "never.ckpt").exists() and not (workspace / "never").exists()
+
+
 def test_gradcheck_exits_zero(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
     assert "passed" in capsys.readouterr().out

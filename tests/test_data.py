@@ -1,4 +1,4 @@
-"""Corpus/inventory/vocab loading and the word-level tokenizer."""
+"""Corpus/inventory/vocab loading and the word-to-id mapping."""
 
 import json
 
@@ -14,11 +14,11 @@ from polywsd.data import (
     SenseInventory,
     Vocab,
     build_vocab,
+    content_ids,
+    content_ids_around,
     load_corpus,
     load_inventory,
     save_inventory,
-    tokenize,
-    tokenize_context,
 )
 from polywsd.errors import DataError, InventoryError, ScoringError
 
@@ -147,7 +147,7 @@ class TestVocab:
     def test_min_freq_two_excludes_rare(self):
         vocab = build_vocab(self._corpus(["a", "a", "b"]), SenseInventory(), min_freq=2)
         assert "b" not in vocab
-        assert tokenize(["b"], vocab, max_len=8) == [CLS_ID, UNK_ID, SEP_ID]
+        assert content_ids(["b"], vocab, capacity=6) == [UNK_ID]
 
     def test_deterministic(self):
         corpus = self._corpus(["c", "a", "b", "a"])
@@ -178,14 +178,16 @@ class TestTokenize:
         return Vocab.from_tokens(["the", "bank", "w0", "w1", "w2", "w3", "w4", "w5"])
 
     def test_known_words(self, vocab):
-        ids = tokenize(["the", "bank"], vocab, max_len=8)
-        assert ids == [CLS_ID, vocab.id("the"), vocab.id("bank"), SEP_ID]
+        ids = content_ids(["the", "bank"], vocab, capacity=6)
+        assert ids == [vocab.id("the"), vocab.id("bank")]
 
     def test_oov_maps_to_unk(self, vocab):
-        ids = tokenize(["the", "xyzzy"], vocab, max_len=8)
-        assert ids == [CLS_ID, vocab.id("the"), UNK_ID, SEP_ID]
+        ids = content_ids(["the", "xyzzy"], vocab, capacity=6)
+        assert ids == [vocab.id("the"), UNK_ID]
 
     def test_never_exceeds_max_len_with_single_markers(self, vocab):
+        # content ids fill at most max_len - 2 slots and never hold a marker,
+        # so encode's wrapped sequence has exactly one start and one end marker
         import numpy as np
 
         rng = np.random.default_rng(21)
@@ -193,10 +195,9 @@ class TestTokenize:
         for _ in range(100):
             max_len = int(rng.integers(3, 20))
             n = int(rng.integers(1, len(words) + 1))
-            ids = tokenize(words[:n], vocab, max_len=max_len)
-            assert len(ids) <= max_len
-            assert ids.count(CLS_ID) == 1 and ids[0] == CLS_ID
-            assert ids.count(SEP_ID) == 1 and ids[-1] == SEP_ID
+            ids = content_ids(words[:n], vocab, capacity=max_len - 2)
+            assert len(ids) == min(n, max_len - 2)
+            assert CLS_ID not in ids and SEP_ID not in ids
 
     def test_central_truncation_keeps_target(self, vocab):
         import numpy as np
@@ -208,21 +209,17 @@ class TestTokenize:
             max_len = int(rng.integers(3, 40))
             words = [f"w{k % 6}" for k in range(n)]
             words[target] = "bank"
-            ids, new_target = tokenize_context(words, target, vocab, max_len=max_len)
-            assert len(ids) <= max_len
-            assert ids[1 + new_target] == vocab.id("bank")
+            ids, new_target = content_ids_around(words, target, vocab, capacity=max_len - 2)
+            assert len(ids) <= max_len - 2
+            assert ids[new_target] == vocab.id("bank")
 
     def test_windowing_case_from_tail(self, vocab):
         # 60 words, window of 30 content slots, target deep in the tail
         words = [f"w{k % 6}" for k in range(60)]
         words[50] = "bank"
-        ids, new_target = tokenize_context(words, 50, vocab, max_len=32)
-        assert len(ids) == 32
-        assert ids[1 + new_target] == vocab.id("bank")
-
-    def test_max_len_too_small_rejected(self, vocab):
-        with pytest.raises(DataError):
-            tokenize(["the"], vocab, max_len=2)
+        ids, new_target = content_ids_around(words, 50, vocab, capacity=30)
+        assert len(ids) == 30
+        assert ids[new_target] == vocab.id("bank")
 
 
 class TestKeyFiles:

@@ -1,4 +1,4 @@
-"""Poly-code fusion: replication, per-head attention, scoring."""
+"""Attention fusion: code rows, per-head attention, scoring."""
 
 import numpy as np
 import pytest
@@ -13,32 +13,43 @@ from polywsd.fusion import (
     fuse_gloss,
     fuse_heads,
     init_fusion,
-    rebind_fusion,
-    replicate_gloss,
-    replicate_query,
     score_pair,
 )
+from polywsd.model import context_codes, gloss_codes
+from polywsd.synthetic import synthetic_corpus
 from polywsd.tensor import Tensor, finite_diff_check
 
+from conftest import tiny_model
 
-class TestReplication:
-    def test_definition(self):
-        out = replicate_query(Tensor([1.0, 2.0]), 3)
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0]] * 3)
 
-    def test_single_copy(self):
-        out = replicate_query(Tensor([4.0, 5.0]), 1)
-        np.testing.assert_array_equal(out.data, [[4.0, 5.0]])
-
-    def test_rows_pairwise_equal(self):
-        out = replicate_gloss(Tensor([5.0]), 2)
-        np.testing.assert_array_equal(out.data, [[5.0], [5.0]])
-        np.testing.assert_array_equal(out.data[0] - out.data[1], [0.0])
+class TestCodeRows:
+    def test_gloss_code_is_cls_row(self):
+        out = fuse_gloss(Tensor([1.0, 2.0]))
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
     def test_word_and_gloss_sides_share_shape(self):
-        word = replicate_query(Tensor(np.zeros(6)), 4)
-        gloss = replicate_gloss(Tensor(np.ones(6)), 4)
-        assert word.shape == gloss.shape
+        config = FusionConfig(d_model=6, poly_m=4, n_heads=2)
+        params = init_fusion(config, np.random.default_rng(0))
+        word = fuse_context(Tensor(np.ones((3, 6))), Tensor(np.zeros(6)), params)
+        gloss = fuse_gloss(Tensor(np.ones(6)))
+        assert word.shape == gloss.shape == (1, 6)
+
+    def test_poly_m_has_no_effect(self):
+        """Same seed at every poly_m: bit-identical word codes, gloss codes and scores."""
+        corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=6, seed=4)
+        outputs = []
+        for poly_m in (1, 2, 3, 5):
+            model = tiny_model(corpus, inventory, seed=3, poly_m=poly_m)
+            parts = []
+            for inst in corpus:
+                word = context_codes(model, inst.tokens, inst.target_index)
+                parts.append(word.data.tobytes())
+                for sense in inventory.candidates(inst.lemma, inst.pos):
+                    gloss = gloss_codes(model, sense.gloss)
+                    parts.append(gloss.data.tobytes())
+                    parts.append(score_pair(word, gloss).data.tobytes())
+            outputs.append(parts)
+        assert all(out == outputs[0] for out in outputs[1:])
 
 
 class TestAttentionHead:
@@ -114,13 +125,14 @@ class TestFuseHeads:
 
 class TestScorePair:
     def test_hand_case(self):
-        word = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        gloss = replicate_gloss(Tensor([2.0, 3.0]), 2)
-        assert score_pair(word, gloss).item() == pytest.approx(2.5, abs=1e-12)
+        # [1, -2] . [2, 3] = 2 - 6
+        word = Tensor([[1.0, -2.0]])
+        gloss = fuse_gloss(Tensor([2.0, 3.0]))
+        assert score_pair(word, gloss).item() == pytest.approx(-4.0, abs=1e-12)
 
     def test_zero_side(self):
-        word = Tensor(np.zeros((2, 3)))
-        gloss = Tensor(np.ones((2, 3)))
+        word = Tensor(np.zeros((1, 3)))
+        gloss = Tensor(np.ones((1, 3)))
         assert score_pair(word, gloss).item() == 0.0
 
     def test_single_code_reduces_to_dot_product(self):
@@ -131,8 +143,8 @@ class TestScorePair:
 
     def test_linear_in_gloss(self):
         rng = np.random.default_rng(5)
-        word = Tensor(rng.normal(size=(3, 4)))
-        g1, g2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        word = Tensor(rng.normal(size=(1, 4)))
+        g1, g2 = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         a, b = 0.7, -1.3
         combined = score_pair(word, Tensor(a * g1 + b * g2)).item()
         split = a * score_pair(word, Tensor(g1)).item() + b * score_pair(word, Tensor(g2)).item()
@@ -140,19 +152,19 @@ class TestScorePair:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            score_pair(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+            score_pair(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))))
 
 
 class TestFullFusion:
     def test_single_code_path_matches_hand_oracle(self):
-        """With poly_m=1 the fusion collapses to single-query attention."""
+        """The fusion is single-query attention followed by the output projection."""
         config = FusionConfig(d_model=6, poly_m=1, n_heads=2)
         rng = np.random.default_rng(6)
         params = init_fusion(config, rng)
         encoded = Tensor(rng.normal(size=(5, 6)))
         target = Tensor(rng.normal(size=6))
 
-        got = fuse_context(encoded, target, params, config)
+        got = fuse_context(encoded, target, params)
 
         # independent single-query oracle in plain numpy
         pieces = []
@@ -167,7 +179,7 @@ class TestFullFusion:
         assert got.shape == (1, 6)
         np.testing.assert_allclose(got.data, expected, atol=1e-9)
 
-        gloss = fuse_gloss(Tensor(rng.normal(size=config.d_model)), config)
+        gloss = fuse_gloss(Tensor(rng.normal(size=config.d_model)))
         want = float(got.data[0] @ gloss.data[0])
         assert score_pair(got, gloss).item() == pytest.approx(want, abs=1e-9)
 
@@ -178,17 +190,10 @@ class TestFullFusion:
         encoded = rng.normal(size=(4, 4))
         target = rng.normal(size=4)
         gloss_vec = rng.normal(size=4)
-        flat = np.concatenate([t.data.ravel() for _, t in params.named_tensors()])
 
-        def f(p):
-            offset = 0
-            carved = []
-            for _, t in params.named_tensors():
-                carved.append(T.reshape(T.segment(p, offset, offset + t.size), t.shape))
-                offset += t.size
-            bound = rebind_fusion(params, iter(carved))
-            codes = fuse_context(Tensor(encoded), Tensor(target), bound, config)
-            return score_pair(codes, fuse_gloss(Tensor(gloss_vec), config))
+        def f():
+            codes = fuse_context(Tensor(encoded), Tensor(target), params)
+            return score_pair(codes, fuse_gloss(Tensor(gloss_vec)))
 
-        err = finite_diff_check(f, Tensor(flat), h=1e-4)
+        err = finite_diff_check(f, [t for _, t in params.named_tensors()], h=1e-4)
         assert err < 1e-4, f"rel error {err}"

@@ -67,7 +67,8 @@ class TestScoreCandidates:
 class TestPredict:
     def test_argmax(self, small_world):
         corpus, inventory, model = small_world
-        ranked = CandidateScores(sense_ids=["a", "b", "c"], scores=[0.2, 0.9, 0.1], chosen_index=0)
+        senses = [SenseEntry(s, ["gloss"]) for s in ("a", "b", "c")]
+        ranked = CandidateScores(senses=senses, scores=[0.2, 0.9, 0.1], chosen_index=0)
         assert int(np.argmax(ranked.scores)) == 1
 
     def test_tie_breaks_to_first(self):
@@ -89,7 +90,7 @@ class TestPredict:
 
     def test_word_side_scaling_keeps_choice(self, small_world):
         """score_pair is linear in the word side, so scaling the fused word
-        codes by c > 0 scales every candidate score equally."""
+        code by c > 0 scales every candidate score equally."""
         corpus, inventory, model = small_world
         rng = np.random.default_rng(8)
         for inst in corpus[:5]:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from polywsd.data import CorpusInstance, SenseEntry, SenseInventory
-from polywsd.errors import BatchError, ConfigError, DataError, TrainingError
+from polywsd.errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
 from polywsd.fusion import score_pair
+from polywsd.model import randomize_parameters
 from polywsd.tensor import Tensor
 from polywsd.training import (
     Adam,
@@ -17,6 +18,7 @@ from polywsd.training import (
     all_candidates_forward,
     bcl_forward,
     bcl_loss,
+    check_bcl_gradients,
     duplicate_gloss_mask,
     fusion_matrix,
     make_batches,
@@ -30,8 +32,8 @@ from conftest import tiny_model
 from polywsd.synthetic import synthetic_corpus
 
 
-def _codes(rng, b, poly_m=2, d=4):
-    return [Tensor(rng.normal(size=(poly_m, d))) for _ in range(b)]
+def _codes(rng, b, d=4):
+    return [Tensor(rng.normal(size=(1, d))) for _ in range(b)]
 
 
 def _score_matrix(raw, mask=None):
@@ -43,14 +45,14 @@ def _score_matrix(raw, mask=None):
 
 class TestFusionMatrix:
     def test_zero_representations(self):
-        zeros = [Tensor(np.zeros((2, 3))) for _ in range(3)]
+        zeros = [Tensor(np.zeros((1, 3))) for _ in range(3)]
         sm = fusion_matrix(zeros, zeros)
         np.testing.assert_array_equal(sm.scores.data, np.zeros((3, 3)))
 
     def test_orthogonal_pairs_give_diagonal_matrix(self):
-        # word i lives on axis i; gloss j replicates axis j, so cross terms vanish
-        words = [Tensor(np.eye(2) * 0.0 + np.eye(2)[i][None, :].repeat(2, axis=0)) for i in range(2)]
-        glosses = [Tensor(np.eye(2)[j][None, :].repeat(2, axis=0) * 3.0) for j in range(2)]
+        # word i lives on axis i and so does gloss i, so cross terms vanish
+        words = [Tensor(np.eye(2)[i][None, :]) for i in range(2)]
+        glosses = [Tensor(np.eye(2)[j][None, :] * 3.0) for j in range(2)]
         sm = fusion_matrix(words, glosses)
         expected = np.array(
             [
@@ -76,12 +78,17 @@ class TestFusionMatrix:
         with pytest.raises(BatchError):
             fusion_matrix(_codes(rng, 3), _codes(rng, 2))
 
+    def test_multi_row_codes_rejected(self):
+        codes = [Tensor(np.zeros((2, 3))) for _ in range(2)]
+        with pytest.raises(ShapeError):
+            fusion_matrix(codes, codes)
+
 
 class TestBclLoss:
     def test_uniform_scores_give_log_b(self):
         sm = fusion_matrix(
-            [Tensor(np.zeros((2, 3))) for _ in range(2)],
-            [Tensor(np.zeros((2, 3))) for _ in range(2)],
+            [Tensor(np.zeros((1, 3))) for _ in range(2)],
+            [Tensor(np.zeros((1, 3))) for _ in range(2)],
         )
         loss = bcl_loss(sm)
         np.testing.assert_allclose(sm.diag_probs.data, [0.5, 0.5], atol=1e-12)
@@ -223,6 +230,21 @@ class TestTrainStep:
         with pytest.raises(TrainingError) as err:
             train_step(batch, model, opt)
         assert "parameter norm" in str(err.value)
+
+
+class TestGradientCheck:
+    def test_model_data_and_grads_left_bit_identical(self):
+        corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=6, seed=0)
+        model = tiny_model(corpus, inventory, seed=0, d_model=4)
+        randomize_parameters(model, seed=1)
+        batch = make_batches(corpus, inventory, batch_size=3, seed=0, epoch=0)[0]
+        params = model.parameters()
+        for i, p in enumerate(params[::2]):
+            p.grad = np.full(p.shape, float(i))
+        before = [(p.data.tobytes(), None if p.grad is None else p.grad.tobytes()) for p in params]
+        assert check_bcl_gradients(batch, model) < 1e-4
+        after = [(p.data.tobytes(), None if p.grad is None else p.grad.tobytes()) for p in params]
+        assert after == before
 
 
 class TestAllCandidates:
