@@ -21,14 +21,7 @@ from .data import (
 from .encoder import EncoderConfig, cls_representation, encode, init_encoder, target_representation
 from .errors import PolyWsdError
 from .evaluation import EvalReport, compare_costs, score_f1, score_keys
-from .fusion import (
-    FusionConfig,
-    attention_head,
-    fuse_context,
-    fuse_gloss,
-    fuse_heads,
-    score_pair,
-)
+from .fusion import FusionConfig, fuse_context, fuse_gloss, score_pair
 from .model import WsdModel, build_model, context_codes, gloss_codes
 from .predict import first_sense_predictor, mfs_predictor, predict, score_candidates
 from .synthetic import synthetic_corpus

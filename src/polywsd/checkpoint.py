@@ -128,6 +128,11 @@ def load_checkpoint(path) -> Checkpoint:
                 f"supported version {FORMAT_VERSION}"
             )
         (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if hlen > remaining:
+            raise CheckpointError(
+                f"header length {hlen} exceeds the {remaining} bytes left in the file"
+            )
         try:
             header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -147,15 +152,17 @@ def load_checkpoint(path) -> Checkpoint:
 
         model = build_model(context_config, gloss_config, fusion_config, vocab, seed=seed)
         named = model.named_parameters()
-        if [entry["name"] for entry in manifest] != [name for name, _ in named]:
+        if not isinstance(manifest, list) or not all(isinstance(e, dict) for e in manifest):
+            raise CheckpointError("checkpoint parameter manifest is not a list of objects")
+        if [entry.get("name") for entry in manifest] != [name for name, _ in named]:
             raise CheckpointError("checkpoint parameter manifest does not match the model")
         for entry, (name, tensor) in zip(manifest, named):
-            arr = _read_blob(fh, tuple(entry["shape"]), f"parameter {name}")
-            if arr.shape != tensor.shape:
+            if entry.get("shape") != list(tensor.shape):
                 raise CheckpointError(
-                    f"parameter {name}: stored shape {arr.shape}, model has {tensor.shape}"
+                    f"parameter {name}: stored shape {entry.get('shape')}, "
+                    f"model has {list(tensor.shape)}"
                 )
-            tensor.data = np.ascontiguousarray(arr)
+            tensor.data = np.ascontiguousarray(_read_blob(fh, tensor.shape, f"parameter {name}"))
 
         optimizer = None
         if optimizer_header is not None:

@@ -45,14 +45,45 @@ DEFAULT_CONFIG = {
 
 
 def _load_config(path) -> dict:
-    if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+    """The default config, overlaid section by section with the JSON file at ``path``."""
     merged = json.loads(json.dumps(DEFAULT_CONFIG))
-    for section in ("encoder", "fusion", "train"):
-        merged[section].update(config.get(section, {}))
+    if path is None:
+        return merged
+    with open(path, encoding="utf-8") as fh:
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed config JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    for section, values in config.items():
+        if section not in merged:
+            raise ConfigError(
+                f"{path}: unknown section {section!r}, expected one of {list(merged)}"
+            )
+        if not isinstance(values, dict):
+            raise ConfigError(f"{path}: section {section!r} must be a JSON object")
+        merged[section].update(values)
     return merged
+
+
+def _section(cls, source, section: str, values: dict, **fixed):
+    """One config dataclass from a config section; bad keys and values name the section."""
+    try:
+        return cls(**fixed, **values)
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError(f"{source or 'default config'}: section {section!r}: {exc}") from None
+
+
+def _model_configs(config: dict, source, vocab_size: int) -> tuple[EncoderConfig, FusionConfig]:
+    encoder_section = {k: v for k, v in config["encoder"].items() if k != "vocab_size"}
+    encoder_config = _section(
+        EncoderConfig, source, "encoder", encoder_section, vocab_size=vocab_size
+    )
+    fusion_config = _section(
+        FusionConfig, source, "fusion", config["fusion"], d_model=encoder_config.d_model
+    )
+    return encoder_config, fusion_config
 
 
 def _file_digest(path) -> str:
@@ -69,14 +100,11 @@ def _build_world(args, config):
     corpus = load_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
     vocab = build_vocab(corpus, inventory, min_freq=config["train"].get("min_freq", 1))
-    encoder_section = dict(config["encoder"])
-    encoder_section.pop("vocab_size", None)
-    encoder_config = EncoderConfig(vocab_size=vocab.size, **encoder_section)
-    fusion_config = FusionConfig(d_model=encoder_config.d_model, **config["fusion"])
+    encoder_config, fusion_config = _model_configs(config, args.config, vocab.size)
     train_section = {
         k: v for k, v in config["train"].items() if k not in ("min_freq",) and v is not None
     }
-    train_config = TrainConfig(seed=args.seed, **train_section)
+    train_config = _section(TrainConfig, args.config, "train", train_section, seed=args.seed)
     fingerprint = config_fingerprint(
         asdict(encoder_config),
         asdict(fusion_config),
@@ -203,17 +231,14 @@ def _cmd_bench(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     config = _load_config(args.config)
-    encoder_section = dict(config["encoder"])
     if args.config is None:
         # small default so the check stays quick
-        encoder_section.update({"d_model": 8, "d_ff": 16, "max_seq_len": 12})
+        config["encoder"].update({"d_model": 8, "d_ff": 16, "max_seq_len": 12})
     corpus, inventory = synthetic_corpus(
         n_lemmas=3, senses_per_lemma=2, n_instances=6, seed=args.seed
     )
     vocab = build_vocab(corpus, inventory, min_freq=1)
-    encoder_section.pop("vocab_size", None)
-    enc_cfg = EncoderConfig(vocab_size=vocab.size, **encoder_section)
-    fus_cfg = FusionConfig(d_model=enc_cfg.d_model, **config["fusion"])
+    enc_cfg, fus_cfg = _model_configs(config, args.config, vocab.size)
     model = build_model(enc_cfg, enc_cfg, fus_cfg, vocab, seed=args.seed)
     randomize_parameters(model, seed=args.seed)
     batch = make_batches(corpus, inventory, batch_size=3, seed=args.seed, epoch=0)[0]

@@ -149,6 +149,19 @@ def _read_records(path) -> list[tuple[int, dict]]:
     return records
 
 
+def _strings(value, field: str) -> list[str]:
+    """A JSON array field as strings; a bare string would split into characters."""
+    if not isinstance(value, list):
+        raise DataError(f"{field} must be an array of strings, got {type(value).__name__}")
+    return [str(t) for t in value]
+
+
+def _integer(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def load_corpus(path) -> list[CorpusInstance]:
     instances = []
     for lineno, obj in _read_records(path):
@@ -156,8 +169,8 @@ def load_corpus(path) -> list[CorpusInstance]:
             instances.append(
                 CorpusInstance(
                     id=str(obj["id"]),
-                    tokens=[str(t) for t in obj["tokens"]],
-                    target_index=int(obj["target_index"]),
+                    tokens=_strings(obj["tokens"], "tokens"),
+                    target_index=_integer(obj["target_index"], "target_index"),
                     lemma=str(obj["lemma"]),
                     pos=str(obj["pos"]),
                     gold=None if obj.get("gold") is None else str(obj["gold"]),
@@ -189,8 +202,12 @@ def load_inventory(path) -> SenseInventory:
     inventory = SenseInventory()
     for lineno, obj in _read_records(path):
         try:
+            if not isinstance(obj["senses"], list) or not all(
+                isinstance(s, dict) for s in obj["senses"]
+            ):
+                raise DataError("senses must be an array of objects")
             senses = [
-                SenseEntry(id=str(s["id"]), gloss=[str(w) for w in s["gloss"]])
+                SenseEntry(id=str(s["id"]), gloss=_strings(s["gloss"], "gloss"))
                 for s in obj["senses"]
             ]
             inventory.add(str(obj["lemma"]), str(obj["pos"]), senses)

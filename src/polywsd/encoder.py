@@ -143,16 +143,24 @@ def _affine_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return T.add(T.mul(T.layer_norm(x), gain), bias)
 
 
-def _self_attention(x: Tensor, layer: LayerParams, head_dim: int) -> Tensor:
-    inv_sqrt_dk = 1.0 / np.sqrt(head_dim)
+def multi_head_attention(
+    queries: Tensor,
+    context: Tensor,
+    wq: list[Tensor],
+    wk: list[Tensor],
+    wv: list[Tensor],
+    wo: Tensor,
+) -> Tensor:
+    """Scaled dot-product attention of ``queries`` over ``context`` rows, one head per
+    ``wq[h], wk[h], wv[h]``; the concatenated head outputs are projected by ``wo``."""
     heads = []
-    for wq, wk, wv in zip(layer.wq, layer.wk, layer.wv):
-        q = T.matmul(x, wq)
-        k = T.matmul(x, wk)
-        v = T.matmul(x, wv)
-        weights = T.row_softmax(T.scale(T.matmul(q, T.transpose(k)), inv_sqrt_dk))
-        heads.append(T.matmul(weights, v))
-    return T.matmul(T.concat(heads, axis=1), layer.wo)
+    for q_proj, k_proj, v_proj in zip(wq, wk, wv):
+        q = T.matmul(queries, q_proj)
+        k = T.matmul(context, k_proj)
+        v = T.matmul(context, v_proj)
+        logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q_proj.shape[1]))
+        heads.append(T.matmul(T.row_softmax(logits), v))
+    return T.matmul(T.concat(heads, axis=1), wo)
 
 
 def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:
@@ -177,10 +185,8 @@ def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:
 
     x = T.add(T.embed(params.tok_emb, full), T.embed(params.pos_emb, range(len(full))))
     for layer in params.layers:
-        attended = _self_attention(
-            _affine_norm(x, layer.attn_gain, layer.attn_bias), layer, config.head_dim
-        )
-        x = T.add(x, attended)
+        normed = _affine_norm(x, layer.attn_gain, layer.attn_bias)
+        x = T.add(x, multi_head_attention(normed, normed, layer.wq, layer.wk, layer.wv, layer.wo))
         normed = _affine_norm(x, layer.ffn_gain, layer.ffn_bias)
         hidden = T.gelu(T.add(T.matmul(normed, layer.w1), layer.b1))
         x = T.add(x, T.add(T.matmul(hidden, layer.w2), layer.b2))

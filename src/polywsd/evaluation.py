@@ -206,31 +206,41 @@ def load_metrics(path) -> RunMetrics:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ComparisonError(f"{path}:{lineno}: malformed record: {exc.msg}") from None
+            if not isinstance(record, dict):
+                raise ComparisonError(f"{path}:{lineno}: record is not an object")
             kind = record.get("kind")
-            if kind == "run":
-                metrics = RunMetrics(
-                    mode=record["mode"],
-                    fingerprint=record["fingerprint"],
-                    device_count=record["device_count"],
-                )
-            elif kind == "step":
-                if metrics is None:
-                    raise ComparisonError(f"{path}:{lineno}: step record before run header")
-                metrics.records.append(
-                    StepRecord(
-                        step=record["step"],
-                        epoch=record["epoch"],
-                        loss=record["loss"],
-                        context_forwards=record["context_forwards"],
-                        gloss_forwards=record["gloss_forwards"],
-                        elapsed=record["elapsed"],
+            try:
+                if kind == "run":
+                    metrics = RunMetrics(
+                        mode=record["mode"],
+                        fingerprint=record["fingerprint"],
+                        device_count=record["device_count"],
                     )
-                )
-            elif kind == "summary":
-                if metrics is None:
-                    raise ComparisonError(f"{path}:{lineno}: summary before run header")
-                metrics.wall_seconds = record["wall_seconds"]
+                elif kind == "step":
+                    if metrics is None:
+                        raise ComparisonError(f"{path}:{lineno}: step record before run header")
+                    metrics.records.append(
+                        StepRecord(
+                            step=record["step"],
+                            epoch=record["epoch"],
+                            loss=record["loss"],
+                            context_forwards=record["context_forwards"],
+                            gloss_forwards=record["gloss_forwards"],
+                            elapsed=record["elapsed"],
+                        )
+                    )
+                elif kind == "summary":
+                    if metrics is None:
+                        raise ComparisonError(f"{path}:{lineno}: summary before run header")
+                    metrics.wall_seconds = record["wall_seconds"]
+            except KeyError as exc:
+                raise ComparisonError(
+                    f"{path}:{lineno}: {kind} record is missing field {exc.args[0]!r}"
+                ) from None
     if metrics is None:
         raise ComparisonError(f"{path}: no run header found")
     return metrics

@@ -16,11 +16,12 @@ context codes; adding those would be a model change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from . import tensor as T
+from .encoder import glorot, multi_head_attention
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
@@ -47,81 +48,38 @@ class FusionConfig:
 
 
 @dataclass
-class HeadParams:
-    """Query/key/value projections for one attention head."""
-
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-
-
-@dataclass
 class FusionParams:
-    heads: list[HeadParams]
+    """Per-head query/key/value projections and the output projection."""
+
+    wq: list[Tensor]
+    wk: list[Tensor]
+    wv: list[Tensor]
     w_o: Tensor
 
     def named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for i, head in enumerate(self.heads):
-            yield f"{prefix}head{i}.wq", head.wq
-            yield f"{prefix}head{i}.wk", head.wk
-            yield f"{prefix}head{i}.wv", head.wv
+        for i in range(len(self.wq)):
+            yield f"{prefix}head{i}.wq", self.wq[i]
+            yield f"{prefix}head{i}.wk", self.wk[i]
+            yield f"{prefix}head{i}.wv", self.wv[i]
         yield f"{prefix}w_o", self.w_o
 
 
 def init_fusion(config: FusionConfig, rng: np.random.Generator) -> FusionParams:
-    from .encoder import glorot  # shared initializer
-
     d, dh = config.d_model, config.head_dim
-    heads = [
-        HeadParams(
-            wq=Tensor(glorot(rng, d, dh), requires_grad=True),
-            wk=Tensor(glorot(rng, d, dh), requires_grad=True),
-            wv=Tensor(glorot(rng, d, dh), requires_grad=True),
-        )
-        for _ in range(config.n_heads)
-    ]
+    wq: list[Tensor] = []
+    wk: list[Tensor] = []
+    wv: list[Tensor] = []
+    for _ in range(config.n_heads):  # per-head draw order: query, key, value
+        for weights in (wq, wk, wv):
+            weights.append(Tensor(glorot(rng, d, dh), requires_grad=True))
     w_o = Tensor(glorot(rng, config.n_heads * dh, d), requires_grad=True)
-    return FusionParams(heads=heads, w_o=w_o)
-
-
-def attention_head(queries: Tensor, keys: Tensor, values: Tensor, head: HeadParams) -> Tensor:
-    """One head of scaled dot-product attention over the context rows.
-
-    Each query row's attention weights sum to 1.
-    """
-    if keys.shape != values.shape:
-        raise ShapeError(f"keys {keys.shape} and values {values.shape} must match")
-    d_model = queries.shape[1]
-    if head.wq.shape[0] != d_model or head.wk.shape[0] != d_model or head.wv.shape[0] != d_model:
-        raise ShapeError(
-            f"head projections expect width {head.wq.shape[0]}, inputs have {d_model}"
-        )
-    d_k = head.wq.shape[1]
-    logits = T.scale(
-        T.matmul(T.matmul(queries, head.wq), T.transpose(T.matmul(keys, head.wk))),
-        1.0 / np.sqrt(d_k),
-    )
-    return T.matmul(T.row_softmax(logits), T.matmul(values, head.wv))
-
-
-def fuse_heads(heads: Sequence[Tensor], w_o: Tensor) -> Tensor:
-    """Concatenate head outputs along the feature axis and project to d_model."""
-    if not heads:
-        raise ConfigError("fuse_heads needs at least one head")
-    width = sum(h.shape[1] for h in heads)
-    if width != w_o.shape[0]:
-        raise ConfigError(
-            f"{len(heads)} heads concatenate to width {width}, "
-            f"but the output projection expects {w_o.shape[0]}"
-        )
-    return T.matmul(T.concat(list(heads), axis=1), w_o)
+    return FusionParams(wq=wq, wk=wk, wv=wv, w_o=w_o)
 
 
 def fuse_context(encoded: Tensor, target: Tensor, params: FusionParams) -> Tensor:
     """Word-side code row: the target row, as the only query, attends over the context."""
     query = T.reshape(target, (1, target.size))
-    outputs = [attention_head(query, encoded, encoded, head) for head in params.heads]
-    return fuse_heads(outputs, params.w_o)
+    return multi_head_attention(query, encoded, params.wq, params.wk, params.wv, params.w_o)
 
 
 def fuse_gloss(cls_vector: Tensor) -> Tensor:

@@ -350,18 +350,21 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _emit(out, tuple(parts), vjp)
 
 
-def diagonal(m: Tensor) -> Tensor:
-    """Main diagonal of a square rank-2 tensor."""
-    if m.data.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"diagonal needs a square matrix, got shape {m.shape}")
-    n = m.shape[0]
+def pick(m: Tensor, cols: Sequence[int]) -> Tensor:
+    """Cell (i, cols[i]) of each row i of a rank-2 tensor, as a rank-1 tensor."""
+    idx = np.asarray(cols, dtype=np.intp)
+    if m.data.ndim != 2 or idx.shape != (m.shape[0],):
+        raise ShapeError(f"pick needs one column per row of a rank-2 tensor, got {m.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= m.shape[1]):
+        raise IndexError(f"pick column out of range for {m.shape[1]} columns")
+    rows = np.arange(m.shape[0])
 
     def vjp(g: np.ndarray):
         dm = np.zeros_like(m.data)
-        dm[np.arange(n), np.arange(n)] = g
+        dm[rows, idx] = g
         return (dm,)
 
-    return _emit(m.data.diagonal().copy(), (m,), vjp)
+    return _emit(m.data[rows, idx], (m,), vjp)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

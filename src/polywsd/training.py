@@ -1,15 +1,15 @@
-"""Batch contrastive training and the all-candidates ablation regime.
+"""Batch contrastive training and the all-candidates baseline: one loss for both.
 
-The contrastive step encodes each batch item's context and its gold gloss
-only; the gold glosses of the other items serve as that item's negatives.
-Stacking both sides gives a b x b score matrix whose diagonal holds the
-correct-pair scores; the loss is the mean negative log of the row-softmaxed
-diagonal. Off-diagonal cells whose gloss text is identical to the row's own
-gloss are false negatives and are masked out of the softmax.
-
-The ablation regime scores every candidate sense of every item instead,
-which costs sum(m_i) gloss encodes per step against b for the contrastive
-step; both report their encoder-forward counts for cost accounting.
+Both minimise one masked cross-entropy (``bcl_loss``): each item is a row of
+scores over gloss columns, and the loss is the mean negative log-probability
+of each row's target cell under the masked row softmax. Contrastive (BCL)
+training scores the b gold glosses of the batch, so the other items' gold
+glosses are each row's negatives and the targets lie on the diagonal;
+off-diagonal cells whose gloss text equals the row's own are false negatives
+and are masked. The all-candidates baseline scores the sum(m_i) candidate
+glosses of all items, and row i masks every column but its own candidates.
+A step costs b context encodes either way, and b gloss encodes against
+sum(m_i); both report their encoder-forward counts for cost accounting.
 """
 
 from __future__ import annotations
@@ -77,12 +77,21 @@ class Batch:
 
 @dataclass
 class ScoreMatrix:
-    """b x b word-vs-gloss scores with the derived softmax views."""
+    """Word-vs-gloss scores, one row per item, with the derived softmax views.
+
+    ``targets[i]`` is the column of row i's correct cell; omitted, it is the
+    diagonal. ``diag_probs`` holds the probability of each target cell.
+    """
 
     scores: Tensor
     mask: np.ndarray
     probs: Tensor | None = None
     diag_probs: Tensor | None = None
+    targets: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.targets is None:
+            self.targets = np.arange(self.scores.shape[0])
 
 
 @dataclass
@@ -173,18 +182,18 @@ def fusion_matrix(
 
 
 def bcl_loss(sm: ScoreMatrix) -> LossValue:
-    """Mean negative log-probability of the diagonal under the masked row softmax.
+    """Mean negative log-probability of each row's target cell under the masked softmax.
 
     Fills ``sm.probs`` and ``sm.diag_probs`` as a side effect.
     """
-    if sm.mask.diagonal().any():
-        raise RuntimeError("internal error: a diagonal cell is masked")
+    if sm.mask[np.arange(len(sm.targets)), sm.targets].any():
+        raise RuntimeError("internal error: a target cell is masked")
     log_probs = T.row_log_softmax(sm.scores, mask=sm.mask)
     sm.probs = T.row_softmax(sm.scores, mask=sm.mask)
-    sm.diag_probs = T.diagonal(sm.probs)
-    diag_log = T.diagonal(log_probs)
-    total = T.neg(T.mean_all(diag_log))
-    return LossValue(total=total, per_example=-diag_log.data.copy())
+    sm.diag_probs = T.pick(sm.probs, sm.targets)
+    target_log = T.pick(log_probs, sm.targets)
+    total = T.neg(T.mean_all(target_log))
+    return LossValue(total=total, per_example=-target_log.data.copy())
 
 
 class Adam:
@@ -258,17 +267,13 @@ def bcl_forward(batch: Batch, model: WsdModel) -> tuple[ScoreMatrix, LossValue, 
     return sm, loss, ForwardCounts(context=len(batch), gloss=len(batch))
 
 
-def train_step(
-    batch: Batch,
-    model: WsdModel,
-    optimizer: Adam,
-    clip_norm: float | None = None,
-    context: str = "step",
+def _update(
+    forward, model: WsdModel, optimizer: Adam, clip_norm: float | None, context: str
 ) -> tuple[LossValue, ForwardCounts]:
-    """One contrastive step: forward, backward, Adam update (params mutate in place)."""
+    """Record ``forward()`` on a fresh tape, then backward, clip and one Adam step."""
     tape = Tape()
     with tape:
-        _, loss, counts = bcl_forward(batch, model)
+        loss, counts = forward()
     _check_finite(loss, model, context)
     optimizer.zero_grad()
     backward(loss.total, tape)
@@ -277,32 +282,37 @@ def train_step(
     return loss, counts
 
 
+def train_step(
+    batch: Batch,
+    model: WsdModel,
+    optimizer: Adam,
+    clip_norm: float | None = None,
+    context: str = "step",
+) -> tuple[LossValue, ForwardCounts]:
+    """One contrastive step: forward, backward, Adam update (params mutate in place)."""
+    return _update(lambda: bcl_forward(batch, model)[1:], model, optimizer, clip_norm, context)
+
+
 def all_candidates_forward(
     batch: Batch, inventory: SenseInventory, model: WsdModel
 ) -> tuple[LossValue, ForwardCounts]:
-    """Score every candidate sense per item; cross-entropy against the gold index."""
-    per_losses = []
-    gloss_count = 0
-    for inst in batch.instances:
+    """Score every candidate sense of every item; row i keeps only its own candidates."""
+    words, glosses, owners, targets = [], [], [], []
+    for i, inst in enumerate(batch.instances):
         senses = inventory.candidates(inst.lemma, inst.pos)
         sense_ids = [s.id for s in senses]
         if inst.gold is None or inst.gold not in sense_ids:
             raise DataError(
                 f"instance {inst.id!r}: gold sense {inst.gold!r} not in its candidate set"
             )
-        gold_index = sense_ids.index(inst.gold)
-        word = context_codes(model, inst.tokens, inst.target_index)
-        gloss_stack = T.concat([gloss_codes(model, s.gloss) for s in senses], axis=0)
-        gloss_count += len(senses)
-        scores = score_rows(word, gloss_stack)
-        log_probs = T.row_log_softmax(scores)
-        one_hot = np.zeros((1, len(senses)))
-        one_hot[0, gold_index] = 1.0
-        per_losses.append(T.neg(T.sum_all(T.mul(log_probs, Tensor(one_hot)))))
-    stacked = T.concat([T.reshape(nll, (1,)) for nll in per_losses], axis=0)
-    total = T.mean_all(stacked)
-    counts = ForwardCounts(context=len(batch), gloss=gloss_count)
-    return LossValue(total=total, per_example=stacked.data.copy()), counts
+        targets.append(len(glosses) + sense_ids.index(inst.gold))
+        owners.extend([i] * len(senses))
+        words.append(context_codes(model, inst.tokens, inst.target_index))
+        glosses.extend(gloss_codes(model, s.gloss) for s in senses)
+    mask = np.arange(len(words))[:, None] != np.array(owners)[None, :]
+    scores = score_rows(T.concat(words, axis=0), T.concat(glosses, axis=0))
+    loss = bcl_loss(ScoreMatrix(scores=scores, mask=mask, targets=np.array(targets)))
+    return loss, ForwardCounts(context=len(batch), gloss=len(glosses))
 
 
 def train_all_candidates_step(
@@ -313,15 +323,11 @@ def train_all_candidates_step(
     clip_norm: float | None = None,
     context: str = "step",
 ) -> tuple[LossValue, ForwardCounts]:
-    tape = Tape()
-    with tape:
-        loss, counts = all_candidates_forward(batch, inventory, model)
-    _check_finite(loss, model, context)
-    optimizer.zero_grad()
-    backward(loss.total, tape)
-    _clip_gradients(optimizer.params, clip_norm)
-    optimizer.step()
-    return loss, counts
+    """One all-candidates step: forward, backward, Adam update."""
+    return _update(
+        lambda: all_candidates_forward(batch, inventory, model),
+        model, optimizer, clip_norm, context,
+    )
 
 
 def check_bcl_gradients(batch: Batch, model: WsdModel, h: float = 1e-4) -> float:

@@ -1,5 +1,6 @@
 """Checkpoint format: bit-exact round trips, version gating, resume parity."""
 
+import json
 import struct
 
 import numpy as np
@@ -20,6 +21,16 @@ def _trained_world(steps=3):
     optimizer = Adam.from_config(model.parameters(), config)
     train(model, optimizer, corpus, inventory, config, max_steps=steps)
     return corpus, inventory, model, optimizer, config
+
+
+def _edit_header(path, edit):
+    """Rewrite a saved checkpoint's JSON header through ``edit(header)``."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    edit(header)
+    body = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(body)) + body + raw[16 + hlen :])
 
 
 class TestRoundTrip:
@@ -88,6 +99,39 @@ class TestRejection:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_huge_header_length_rejected(self, tmp_path):
+        _, _, model, optimizer, config = _trained_world()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = struct.pack("<Q", 2**40)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "header length" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [5, "params", [1, 2], None],
+        ids=["number", "string", "entries-not-objects", "null"],
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, manifest):
+        _, _, model, optimizer, config = _trained_world()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+        _edit_header(path, lambda header: header.update(params=manifest))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_manifest_shape_mismatch_rejected(self, tmp_path):
+        _, _, model, optimizer, config = _trained_world()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+        _edit_header(path, lambda header: header["params"][0].update(shape="ab"))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "stored shape" in str(err.value)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         _, _, model, optimizer, config = _trained_world()

@@ -170,3 +170,60 @@ def test_missing_file_is_reported(workspace, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,located",
+    [
+        (json.dumps({"fusion": {"bogus": 1}}), "section 'fusion'"),
+        (json.dumps({"encoder": {"d_model": "16"}}), "section 'encoder'"),
+        (json.dumps({"train": {"learning_rate": "0.1"}}), "section 'train'"),
+        (json.dumps({"trian": {"epochs": 1}}), "unknown section 'trian'"),
+        (json.dumps({"train": [1]}), "section 'train' must be a JSON object"),
+        ("{not json", "malformed config JSON"),
+    ],
+    ids=["unknown-key", "encoder-type", "train-type", "unknown-section", "section-type", "json"],
+)
+def test_bad_config_is_a_located_error(workspace, tmp_path, capsys, text, located):
+    config = tmp_path / "bad.json"
+    config.write_text(text, encoding="utf-8")
+    code = main(
+        [
+            "train",
+            "--corpus", str(workspace / "corpus.jsonl"),
+            "--inventory", str(workspace / "inventory.jsonl"),
+            "--config", str(config),
+            "--out", str(tmp_path / "never.ckpt"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {config}: ") and located in err
+    assert not (tmp_path / "never.ckpt").exists()
+
+
+def test_gradcheck_bad_config_is_a_located_error(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"fusion": {"bogus": 1}}), encoding="utf-8")
+    assert main(["gradcheck", "--config", str(config)]) == 1
+    assert f"error: {config}: section 'fusion'" in capsys.readouterr().err
+
+
+def test_non_integer_target_index_is_a_located_error(workspace, tmp_path, capsys):
+    lines = (workspace / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record["target_index"] = "x"
+    lines[1] = json.dumps(record)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(
+        [
+            "baseline",
+            "--method", "s1",
+            "--corpus", str(corpus),
+            "--inventory", str(workspace / "inventory.jsonl"),
+            "--out", str(tmp_path / "s1.tsv"),
+        ]
+    )
+    assert code == 1
+    assert f"error: {corpus}:2: target_index" in capsys.readouterr().err

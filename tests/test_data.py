@@ -81,6 +81,23 @@ class TestLoadCorpus:
             load_corpus(path)
         assert "lemma" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["x", "1", 1.5, None, True])
+    def test_non_integer_target_index_rejected_with_line(self, tmp_path, value):
+        path = tmp_path / "corpus.jsonl"
+        _write_lines(path, [_corpus_record(0), _corpus_record(1, target=value)])
+        with pytest.raises(DataError) as err:
+            load_corpus(path)
+        assert f"{path}:2: " in str(err.value) and "target_index" in str(err.value)
+
+    def test_string_tokens_rejected_not_split(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        rec = _corpus_record(0, target=0)
+        rec["tokens"] = "riverbank"
+        _write_lines(path, [rec])
+        with pytest.raises(DataError) as err:
+            load_corpus(path)
+        assert f"{path}:1: " in str(err.value) and "tokens" in str(err.value)
+
 
 class TestInventory:
     def _record(self, lemma="bank", pos="NOUN", n=3):
@@ -119,6 +136,25 @@ class TestInventory:
         save_inventory(second, inv)
         again = load_inventory(second)
         assert list(inv.items()) == list(again.items())
+
+    def test_string_gloss_rejected_not_split(self, tmp_path):
+        path = tmp_path / "inventory.jsonl"
+        rec = self._record()
+        rec["senses"][2]["gloss"] = "riverbank"
+        _write_lines(path, [self._record(lemma="run"), rec])
+        with pytest.raises(DataError) as err:
+            load_inventory(path)
+        assert f"{path}:2: " in str(err.value) and "gloss" in str(err.value)
+
+    @pytest.mark.parametrize("senses", ["bank%0", [3]])
+    def test_senses_not_an_array_of_objects_rejected(self, tmp_path, senses):
+        path = tmp_path / "inventory.jsonl"
+        rec = self._record()
+        rec["senses"] = senses
+        _write_lines(path, [rec])
+        with pytest.raises(DataError) as err:
+            load_inventory(path)
+        assert f"{path}:1: " in str(err.value)
 
     def test_missing_key_raises_inventory_error(self):
         inv = SenseInventory()

@@ -1,5 +1,7 @@
 """F1 scorer fixtures and the cost-accounting arithmetic."""
 
+import json
+
 import pytest
 
 from polywsd.data import CorpusInstance, save_gold_keys, save_predictions
@@ -156,6 +158,30 @@ class TestMetricsIO:
         path.write_text("", encoding="utf-8")
         with pytest.raises(ComparisonError):
             load_metrics(path)
+
+    def _saved_lines(self, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        save_metrics(path, _metrics("bcl", config_fingerprint("lines"), 4, 3, wall=0.5))
+        return path, path.read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("bad", ["{not json", "[1, 2]"])
+    def test_malformed_line_names_path_and_line(self, tmp_path, bad):
+        path, lines = self._saved_lines(tmp_path)
+        lines[2] = bad
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ComparisonError) as err:
+            load_metrics(path)
+        assert f"{path}:3: " in str(err.value)
+
+    def test_step_missing_field_names_path_line_and_field(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        record = json.loads(lines[2])
+        del record["gloss_forwards"]
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ComparisonError) as err:
+            load_metrics(path)
+        assert f"{path}:3: " in str(err.value) and "gloss_forwards" in str(err.value)
 
 
 def test_fingerprint_is_stable_and_sensitive():

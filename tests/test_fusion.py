@@ -1,20 +1,12 @@
-"""Attention fusion: code rows, per-head attention, scoring."""
+"""Attention fusion: code rows, multi-head attention, scoring."""
 
 import numpy as np
 import pytest
 
 from polywsd import tensor as T
-from polywsd.errors import ConfigError, ShapeError
-from polywsd.fusion import (
-    FusionConfig,
-    HeadParams,
-    attention_head,
-    fuse_context,
-    fuse_gloss,
-    fuse_heads,
-    init_fusion,
-    score_pair,
-)
+from polywsd.encoder import multi_head_attention
+from polywsd.errors import ShapeError
+from polywsd.fusion import FusionConfig, fuse_context, fuse_gloss, init_fusion, score_pair
 from polywsd.model import context_codes, gloss_codes
 from polywsd.synthetic import synthetic_corpus
 from polywsd.tensor import Tensor, finite_diff_check
@@ -52,41 +44,43 @@ class TestCodeRows:
         assert all(out == outputs[0] for out in outputs[1:])
 
 
-class TestAttentionHead:
-    def _head(self, d_model, d_k, rng):
-        return HeadParams(
-            wq=Tensor(rng.normal(size=(d_model, d_k))),
-            wk=Tensor(rng.normal(size=(d_model, d_k))),
-            wv=Tensor(rng.normal(size=(d_model, d_k))),
-        )
+def _projections(d_model, d_k, rng):
+    return [Tensor(rng.normal(size=(d_model, d_k))) for _ in range(3)]
 
+
+def _one_head(queries, context, wq, wk, wv):
+    """A single head with an identity output projection: the head's own output."""
+    return multi_head_attention(queries, context, [wq], [wk], [wv], Tensor(np.eye(wv.shape[1])))
+
+
+class TestAttentionHead:
     def test_single_context_row_broadcasts_projected_value(self):
         rng = np.random.default_rng(0)
-        head = self._head(4, 2, rng)
+        wq, wk, wv = _projections(4, 2, rng)
         context = Tensor(rng.normal(size=(1, 4)))
         queries = Tensor(rng.normal(size=(3, 4)))
-        out = attention_head(queries, context, context, head)
-        expected = context.data @ head.wv.data  # weight over one key is exactly 1
+        out = _one_head(queries, context, wq, wk, wv)
+        expected = context.data @ wv.data  # weight over one key is exactly 1
         np.testing.assert_allclose(out.data, np.tile(expected, (3, 1)), atol=1e-12)
 
     def test_zero_query_projection_means_uniform_weights(self):
         rng = np.random.default_rng(1)
-        head = self._head(4, 2, rng)
-        head.wq.data[...] = 0.0
+        wq, wk, wv = _projections(4, 2, rng)
+        wq.data[...] = 0.0
         context = Tensor(rng.normal(size=(5, 4)))
         queries = Tensor(rng.normal(size=(2, 4)))
-        out = attention_head(queries, context, context, head)
-        expected = np.tile((context.data @ head.wv.data).mean(axis=0), (2, 1))
+        out = _one_head(queries, context, wq, wk, wv)
+        expected = np.tile((context.data @ wv.data).mean(axis=0), (2, 1))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_weight_rows_sum_to_one_under_query_scaling(self):
         rng = np.random.default_rng(2)
-        head = self._head(4, 2, rng)
+        wq, wk, _ = _projections(4, 2, rng)
         context = Tensor(rng.normal(size=(5, 4)))
         queries = Tensor(rng.normal(size=(2, 4)))
         for q in (queries, T.scale(queries, 2.0)):
             logits = T.scale(
-                T.matmul(T.matmul(q, head.wq), T.transpose(T.matmul(context, head.wk))),
+                T.matmul(T.matmul(q, wq), T.transpose(T.matmul(context, wk))),
                 1.0 / np.sqrt(2),
             )
             sums = T.row_softmax(logits).data.sum(axis=1)
@@ -94,33 +88,45 @@ class TestAttentionHead:
 
     def test_mismatched_projection_rejected(self):
         rng = np.random.default_rng(3)
-        head = self._head(6, 2, rng)
+        wq, wk, wv = _projections(6, 2, rng)
         context = Tensor(rng.normal(size=(4, 4)))
         with pytest.raises(ShapeError):
-            attention_head(Tensor(rng.normal(size=(2, 4))), context, context, head)
+            _one_head(Tensor(rng.normal(size=(2, 4))), context, wq, wk, wv)
 
 
 class TestFuseHeads:
+    """Head outputs are concatenated along the feature axis, then projected."""
+
+    def _single_key(self, values):
+        # one context row: every head attends to it with weight 1, so head h
+        # outputs the context row times wv[h]
+        return Tensor(np.ones((2, len(values)))), Tensor([values])
+
     def test_identity_projection_single_head(self):
-        head = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = fuse_heads([head], Tensor(np.eye(2)))
-        np.testing.assert_array_equal(out.data, head.data)
+        queries, context = self._single_key([1.0, 2.0])
+        eye = Tensor(np.eye(2))
+        out = multi_head_attention(queries, context, [eye], [eye], [eye], eye)
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0], [1.0, 2.0]])
 
     def test_zero_projection(self):
-        head = Tensor(np.ones((2, 2)))
-        out = fuse_heads([head], Tensor(np.zeros((2, 2))))
+        queries, context = self._single_key([1.0, 2.0])
+        eye = Tensor(np.eye(2))
+        out = multi_head_attention(queries, context, [eye], [eye], [eye], Tensor(np.zeros((2, 2))))
         np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
     def test_hand_concat_two_heads(self):
-        a = Tensor([[1.0], [2.0]])
-        b = Tensor([[3.0], [4.0]])
-        out = fuse_heads([a, b], Tensor(np.eye(2)))
-        np.testing.assert_array_equal(out.data, [[1.0, 3.0], [2.0, 4.0]])
+        queries, context = self._single_key([3.0, 4.0])
+        first, second = Tensor([[1.0], [0.0]]), Tensor([[0.0], [1.0]])
+        out = multi_head_attention(
+            queries, context, [first, second], [first, second], [second, first], Tensor(np.eye(2))
+        )
+        np.testing.assert_array_equal(out.data, [[4.0, 3.0], [4.0, 3.0]])
 
     def test_wrong_head_count_rejected(self):
-        heads = [Tensor(np.ones((2, 2)))]  # one head of width 2, projection wants 4
-        with pytest.raises(ConfigError):
-            fuse_heads(heads, Tensor(np.eye(4)))
+        queries, context = self._single_key([1.0, 2.0])
+        eye = Tensor(np.eye(2))  # one head of width 2, projection wants 4
+        with pytest.raises(ShapeError):
+            multi_head_attention(queries, context, [eye], [eye], [eye], Tensor(np.eye(4)))
 
 
 class TestScorePair:
@@ -168,10 +174,10 @@ class TestFullFusion:
 
         # independent single-query oracle in plain numpy
         pieces = []
-        for head in params.heads:
-            q = target.data[None, :] @ head.wq.data
-            k = encoded.data @ head.wk.data
-            v = encoded.data @ head.wv.data
+        for wq, wk, wv in zip(params.wq, params.wk, params.wv):
+            q = target.data[None, :] @ wq.data
+            k = encoded.data @ wk.data
+            v = encoded.data @ wv.data
             logits = (q @ k.T) / np.sqrt(config.head_dim)
             e = np.exp(logits - logits.max())
             pieces.append((e / e.sum()) @ v)

@@ -243,7 +243,7 @@ def _projection(rng, shape):
             ),
             (3, 4),
         ),
-        ("diagonal", lambda p, rng: T.mul(T.diagonal(p), _projection(rng, (4,))), (4, 4)),
+        ("pick", lambda p, rng: T.mul(T.pick(p, [3, 0, 0, 2]), _projection(rng, (4,))), (4, 4)),
         ("mul_reused", lambda p, rng: T.mul(T.mul(p, p), _projection(rng, (3, 4))), (3, 4)),
         ("reshape", lambda p, rng: T.mul(T.reshape(p, (2, 6)), _projection(rng, (2, 6))), (3, 4)),
         ("mean_all", lambda p, rng: T.scale(T.mean_all(p), 3.3), (3, 4)),
@@ -264,8 +264,8 @@ def test_op_gradients_match_finite_differences(name, fn, shape):
 
 
 def test_masked_log_softmax_gradient():
-    # Masked entries are -inf and must not be consumed; read the diagonal,
-    # matching how the contrastive loss uses this op.
+    # Masked entries are -inf and must not be consumed; pick one unmasked
+    # target cell per row, matching how the shared loss uses this op.
     rng = np.random.default_rng(99)
     mask = np.zeros((4, 4), dtype=bool)
     mask[0, 2] = mask[2, 0] = mask[3, 1] = True
@@ -273,7 +273,7 @@ def test_masked_log_softmax_gradient():
     p = _leaf(rng.normal(size=(4, 4)))
 
     def f():
-        return T.sum_all(T.mul(T.diagonal(T.row_log_softmax(p, mask=mask)), proj))
+        return T.sum_all(T.mul(T.pick(T.row_log_softmax(p, mask=mask), [1, 3, 2, 0]), proj))
 
     err = finite_diff_check(f, [p], h=1e-4)
     assert err < 1e-4

@@ -8,7 +8,7 @@ import pytest
 from polywsd.data import CorpusInstance, SenseEntry, SenseInventory
 from polywsd.errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
 from polywsd.fusion import score_pair
-from polywsd.model import randomize_parameters
+from polywsd.model import context_codes, gloss_codes, randomize_parameters
 from polywsd.tensor import Tensor
 from polywsd.training import (
     Adam,
@@ -272,7 +272,7 @@ class TestAllCandidates:
         assert counts.gloss == 12  # 4 instances x 3 candidates
         assert counts.context == 4
 
-    def test_forward_count_with_mixed_candidate_sets(self):
+    def _mixed_world(self, gold_index=0):
         # candidate counts [3, 2, 4, 1] sum to 10 gloss encodes
         inventory = SenseInventory()
         instances = []
@@ -285,15 +285,36 @@ class TestAllCandidates:
             instances.append(
                 CorpusInstance(
                     id=f"m{i}", tokens=["the", lemma, "here"], target_index=1,
-                    lemma=lemma, pos="NOUN", gold=f"{lemma}%0",
+                    lemma=lemma, pos="NOUN", gold=f"{lemma}%{min(gold_index, n_senses - 1)}",
                 )
             )
         model = tiny_model(instances, inventory, seed=4)
         glosses = [inventory.gloss_of(i.lemma, i.pos, i.gold) for i in instances]
-        batch = Batch(instances=instances, gold_glosses=glosses)
+        return inventory, model, Batch(instances=instances, gold_glosses=glosses)
+
+    def test_forward_count_with_mixed_candidate_sets(self):
+        inventory, model, batch = self._mixed_world()
         _, counts = all_candidates_forward(batch, inventory, model)
         assert counts.gloss == 10
         assert counts.context == 4
+
+    def test_stacked_loss_matches_per_item_reference(self):
+        """Each row of the stacked b x sum(m_i) matrix is a softmax over its own item's
+        candidates only: per_example equals a per-item score_pair + log-softmax."""
+        inventory, model, batch = self._mixed_world(gold_index=1)
+        randomize_parameters(model, seed=8)
+        loss, _ = all_candidates_forward(batch, inventory, model)
+        expected = []
+        for inst in batch.instances:
+            word = context_codes(model, inst.tokens, inst.target_index)
+            senses = inventory.candidates(inst.lemma, inst.pos)
+            scores = np.array(
+                [score_pair(word, gloss_codes(model, s.gloss)).item() for s in senses]
+            )
+            log_probs = scores - scores.max() - np.log(np.exp(scores - scores.max()).sum())
+            expected.append(-log_probs[[s.id for s in senses].index(inst.gold)])
+        np.testing.assert_allclose(loss.per_example, expected, rtol=0, atol=1e-12)
+        assert loss.value == pytest.approx(np.mean(expected), abs=1e-12)
 
     def test_missing_gold_names_instance(self, small_world):
         corpus, inventory, model = small_world
