@@ -117,6 +117,20 @@ def _read_blob(fh, shape, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
+def _check_optimizer_header(header) -> None:
+    """Each Adam hyperparameter must be a number and the step counter ``t`` a
+    non-negative integer; a missing or mistyped field is a CheckpointError."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint optimizer header is not an object: {header!r}")
+    for name in ("learning_rate", "beta1", "beta2", "eps", "t"):
+        if name not in header:
+            raise CheckpointError(f"incomplete checkpoint header: no optimizer field {name!r}")
+        value = header[name]
+        kinds = int if name == "t" else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds) or (name == "t" and value < 0):
+            raise CheckpointError(f"checkpoint optimizer field {name!r} has bad value {value!r}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != MAGIC:
@@ -149,6 +163,8 @@ def load_checkpoint(path) -> Checkpoint:
             optimizer_header = header["optimizer"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"incomplete checkpoint header: {exc}") from None
+        if optimizer_header is not None:
+            _check_optimizer_header(optimizer_header)
 
         model = build_model(context_config, gloss_config, fusion_config, vocab, seed=seed)
         named = model.named_parameters()

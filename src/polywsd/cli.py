@@ -20,7 +20,7 @@ from .data import (
     save_predictions,
 )
 from .encoder import EncoderConfig
-from .errors import ConfigError, DataError, PolyWsdError
+from .errors import ConfigError, DataError, PolyWsdError, check_positive_ints
 from .evaluation import compare_costs, config_fingerprint, save_metrics, score_f1
 from .fusion import FusionConfig
 from .model import build_model, randomize_parameters
@@ -67,10 +67,11 @@ def _load_config(path) -> dict:
     return merged
 
 
-def _section(cls, source, section: str, values: dict, **fixed):
-    """One config dataclass from a config section; bad keys and values name the section."""
+def _section(build, source, section: str, values: dict, **fixed):
+    """``build`` (a config dataclass or check) applied to a config section's values;
+    bad keys and values name the file and the section."""
     try:
-        return cls(**fixed, **values)
+        return build(**fixed, **values)
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{source or 'default config'}: section {section!r}: {exc}") from None
 
@@ -99,7 +100,9 @@ def _build_world(args, config):
         raise ConfigError(f"--device-count must be >= 1, got {args.device_count}")
     corpus = load_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
-    vocab = build_vocab(corpus, inventory, min_freq=config["train"].get("min_freq", 1))
+    min_freq = config["train"].get("min_freq", 1)
+    _section(check_positive_ints, args.config, "train", {"min_freq": min_freq})
+    vocab = build_vocab(corpus, inventory, min_freq=min_freq)
     encoder_config, fusion_config = _model_configs(config, args.config, vocab.size)
     train_section = {
         k: v for k, v in config["train"].items() if k not in ("min_freq",) and v is not None

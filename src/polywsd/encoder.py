@@ -1,11 +1,16 @@
 """A miniature transformer encoder trained from scratch.
 
 Two independent instances back the model: one embeds the target word with
-its surrounding context, the other embeds sense glosses. ``encode`` takes
-bare content token ids, prepends the start marker and appends the end
-marker itself, and returns one embedding row per position, so the output
-always has (input length + 2) rows. Blocks are pre-LayerNorm self-attention
-plus a GELU feed-forward, both with residual connections.
+its surrounding context, the other embeds sense glosses. ``encode_batch``
+takes b bare content-id sequences, wraps each in the start and end markers,
+pads them with ``PAD_ID`` to the longest, L = n_max + 2 positions, and runs
+the stack once on the (b, L, d) batch. Self-attention masks padded keys,
+which get exactly zero weight, so a real position never sees padding and a
+padded position passes no gradient back into the real ones: each item's
+real rows equal those of encoding it alone. ``encode`` runs the same stack
+on one sequence, which needs no padding, and returns its (n + 2, d) rows.
+Blocks are pre-LayerNorm self-attention plus a GELU feed-forward, both
+with residual connections.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import tensor as T
-from .data import CLS_ID, SEP_ID
-from .errors import ConfigError, ContractError
+from .data import CLS_ID, PAD_ID, SEP_ID
+from .errors import ConfigError, ContractError, check_positive_ints
 from .tensor import Tensor
 
 _EMBED_INIT_BOUND = 0.05
@@ -33,9 +38,14 @@ class EncoderConfig:
     max_seq_len: int
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        check_positive_ints(
+            vocab_size=self.vocab_size,
+            d_model=self.d_model,
+            n_layers=self.n_layers,
+            n_heads=self.n_heads,
+            d_ff=self.d_ff,
+            max_seq_len=self.max_seq_len,
+        )
         if self.vocab_size < 4:
             raise ConfigError("vocab_size must cover the four reserved ids")
         if self.d_model % self.n_heads != 0:
@@ -150,26 +160,29 @@ def multi_head_attention(
     wk: list[Tensor],
     wv: list[Tensor],
     wo: Tensor,
+    key_mask: np.ndarray | None = None,
 ) -> Tensor:
     """Scaled dot-product attention of ``queries`` over ``context`` rows, one head per
-    ``wq[h], wk[h], wv[h]``; the concatenated head outputs are projected by ``wo``."""
+    ``wq[h], wk[h], wv[h]``; the concatenated head outputs are projected by ``wo``.
+
+    Takes one sequence, (n_q, d) over (n, d), or a batch, (b, n_q, d) over
+    (b, n, d). ``key_mask`` (b, n) is True at padded context positions, which
+    get exactly zero attention weight.
+    """
+    mask = None
+    if key_mask is not None:
+        mask = np.broadcast_to(key_mask[:, None, :], queries.shape[:-1] + key_mask.shape[-1:])
     heads = []
     for q_proj, k_proj, v_proj in zip(wq, wk, wv):
         q = T.matmul(queries, q_proj)
         k = T.matmul(context, k_proj)
         v = T.matmul(context, v_proj)
         logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q_proj.shape[1]))
-        heads.append(T.matmul(T.row_softmax(logits), v))
-    return T.matmul(T.concat(heads, axis=1), wo)
+        heads.append(T.matmul(T.row_softmax(logits, mask=mask), v))
+    return T.matmul(T.concat(heads, axis=-1), wo)
 
 
-def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:
-    """Embed a bare token-id sequence; rows 0 and n+1 are the start/end markers.
-
-    The caller is responsible for truncation: sequences longer than
-    max_seq_len - 2 are rejected, never silently shortened.
-    """
-    config = params.config
+def _check_ids(config: EncoderConfig, token_ids: Sequence[int]) -> None:
     n = len(token_ids)
     if n < 1:
         raise ContractError("encode needs at least one token")
@@ -178,29 +191,91 @@ def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:
             f"sequence of {n} tokens exceeds capacity {config.max_seq_len - 2}; "
             "truncate before encoding"
         )
-    ids = list(token_ids)
-    if any(i < 0 or i >= config.vocab_size for i in ids):
+    if any(i < 0 or i >= config.vocab_size for i in token_ids):
         raise ContractError(f"token id out of range for vocab of {config.vocab_size}")
-    full = [CLS_ID] + ids + [SEP_ID]
 
-    x = T.add(T.embed(params.tok_emb, full), T.embed(params.pos_emb, range(len(full))))
+
+def _encoder_stack(params: EncoderParams, ids: np.ndarray, key_mask: np.ndarray | None) -> Tensor:
+    """The encoder on marker-wrapped ids: (L,) ids give (L, d) rows, (b, L) ids give
+    (b, L, d); ``key_mask`` (b, L) masks padded keys out of self-attention."""
+    positions = ids * 0 + np.arange(ids.shape[-1])
+    x = T.add(T.embed(params.tok_emb, ids), T.embed(params.pos_emb, positions))
     for layer in params.layers:
         normed = _affine_norm(x, layer.attn_gain, layer.attn_bias)
-        x = T.add(x, multi_head_attention(normed, normed, layer.wq, layer.wk, layer.wv, layer.wo))
+        attended = multi_head_attention(
+            normed, normed, layer.wq, layer.wk, layer.wv, layer.wo, key_mask=key_mask
+        )
+        x = T.add(x, attended)
         normed = _affine_norm(x, layer.ffn_gain, layer.ffn_bias)
         hidden = T.gelu(T.add(T.matmul(normed, layer.w1), layer.b1))
         x = T.add(x, T.add(T.matmul(hidden, layer.w2), layer.b2))
     return _affine_norm(x, params.out_gain, params.out_bias)
 
 
-def target_representation(encoded: Tensor, target_index: int) -> Tensor:
-    """Row for the target word; word index t maps to row t+1 past the start marker."""
-    n_words = encoded.shape[0] - 2
-    if not 0 <= target_index < n_words:
-        raise IndexError(f"target index {target_index} out of range for {n_words} words")
-    return T.row(encoded, target_index + 1)
+def encode_batch(
+    params: EncoderParams, sequences: Sequence[Sequence[int]]
+) -> tuple[Tensor, np.ndarray]:
+    """Embed b bare token-id sequences in one padded pass.
+
+    Returns the (b, L, d) encodings, L = longest sequence + 2, and the (b, L)
+    padding mask, True past each sequence's end marker. Item i's rows 0 and
+    n_i + 1 are its start/end markers; its rows past n_i + 1 are padding and
+    hold no meaning. The caller is responsible for truncation: sequences
+    longer than max_seq_len - 2 are rejected, never silently shortened.
+    """
+    if not sequences:
+        raise ContractError("encode_batch needs at least one sequence")
+    for token_ids in sequences:
+        _check_ids(params.config, token_ids)
+    lengths = np.array([len(token_ids) + 2 for token_ids in sequences])
+    width = int(lengths.max())
+    ids = np.array(
+        [[CLS_ID, *seq, SEP_ID] + [PAD_ID] * (width - 2 - len(seq)) for seq in sequences],
+        dtype=np.intp,
+    )
+    padding = np.arange(width) >= lengths[:, None]
+    return _encoder_stack(params, ids, padding), padding
+
+
+def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:
+    """Embed one bare token-id sequence as its (n + 2, d) rows; rows 0 and n+1 are
+    the start/end markers. The stack of ``encode_batch``, run without a batch
+    axis, which costs a single sequence less than a batch of one."""
+    _check_ids(params.config, token_ids)
+    return _encoder_stack(params, np.array([CLS_ID, *token_ids, SEP_ID], dtype=np.intp), None)
+
+
+def target_representation(
+    encoded: Tensor, target_index: int | Sequence[int], padding: np.ndarray | None = None
+) -> Tensor:
+    """Row for the target word; word index t maps to row t+1 past the start marker.
+
+    One sequence's (n + 2, d) rows and an int give a (d,) row. A batch from
+    ``encode_batch``, its (b, L, d) rows, one word index per item and its
+    (b, L) ``padding`` mask, gives (b, d); each index is checked against its
+    own item's words.
+    """
+    if encoded.data.ndim == 2:
+        n_words = encoded.shape[0] - 2
+        if not 0 <= target_index < n_words:
+            raise IndexError(f"target index {target_index} out of range for {n_words} words")
+        return T.row(encoded, target_index + 1)
+    if padding is None:
+        padding = np.zeros(encoded.shape[:2], dtype=bool)
+    n_words = encoded.shape[1] - 2 - padding.sum(axis=1)
+    targets = np.asarray(target_index)
+    bad = (targets < 0) | (targets >= n_words)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise IndexError(
+            f"item {i}: target index {int(targets[i])} out of range for {int(n_words[i])} words"
+        )
+    return T.pick(encoded, targets + 1)
 
 
 def cls_representation(encoded: Tensor) -> Tensor:
-    """Row 0, the start-marker embedding used as the whole-sequence representation."""
-    return T.row(encoded, 0)
+    """Row 0, the start-marker embedding used as the whole-sequence representation:
+    (d,) for one sequence's (n + 2, d) rows, (b, d) for a (b, L, d) batch."""
+    if encoded.data.ndim == 2:
+        return T.row(encoded, 0)
+    return T.pick(encoded, [0] * encoded.shape[0])

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check configs share."""
+
+import numbers
 
 
 class PolyWsdError(Exception):
@@ -19,6 +21,16 @@ class OracleError(PolyWsdError):
 
 class ConfigError(PolyWsdError):
     """Invalid model or training configuration."""
+
+
+def check_positive_ints(**values) -> None:
+    """Raise ConfigError unless each value is an integer >= 1; bools, floats and
+    strings are rejected, not converted."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ConfigError(f"{name} must be positive, got {value}")
 
 
 class DataError(PolyWsdError):

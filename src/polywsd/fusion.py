@@ -4,7 +4,10 @@ The target-word row is the single query of a multi-head scaled dot-product
 attention over the full context embedding, which yields one
 ``1 x d_model`` code row for the word. A gloss is represented by its
 start-marker row in the same shape, so both sides are directly comparable:
-their match score is the inner product of the two code rows.
+their match score is the inner product of the two code rows. For a padded
+batch of b contexts, the b target rows form one (b, 1, d) query batch for
+the same attention, each masked to its own context's real positions, and
+give b code rows at once.
 
 ``FusionConfig.poly_m`` is accepted so existing configs and checkpoints
 load, but it has no effect: copies of one query attend identically, so any
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import glorot, multi_head_attention
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_positive_ints
 from .tensor import Tensor
 
 
@@ -33,11 +36,8 @@ class FusionConfig:
     n_heads: int
 
     def __post_init__(self):
-        if self.poly_m < 1:
-            raise ConfigError(f"poly_m must be >= 1, got {self.poly_m}")
-        if self.n_heads < 1:
-            raise ConfigError(f"n_heads must be >= 1, got {self.n_heads}")
-        if self.d_model < 1 or self.d_model % self.n_heads != 0:
+        check_positive_ints(d_model=self.d_model, poly_m=self.poly_m, n_heads=self.n_heads)
+        if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
@@ -76,15 +76,28 @@ def init_fusion(config: FusionConfig, rng: np.random.Generator) -> FusionParams:
     return FusionParams(wq=wq, wk=wk, wv=wv, w_o=w_o)
 
 
-def fuse_context(encoded: Tensor, target: Tensor, params: FusionParams) -> Tensor:
-    """Word-side code row: the target row, as the only query, attends over the context."""
-    query = T.reshape(target, (1, target.size))
-    return multi_head_attention(query, encoded, params.wq, params.wk, params.wv, params.w_o)
+def fuse_context(
+    encoded: Tensor, target: Tensor, params: FusionParams, key_mask: np.ndarray | None = None
+) -> Tensor:
+    """Word-side code rows: each target row, as the only query, attends over its context.
+
+    One context (n, d) with its target row (d,) gives one (1, d) code row; a
+    padded batch (b, L, d) with target rows (b, d) and its (b, L) padding
+    ``key_mask`` gives (b, d).
+    """
+    d = target.shape[-1]
+    query = T.reshape(target, target.shape[:-1] + (1, d))
+    fused = multi_head_attention(
+        query, encoded, params.wq, params.wk, params.wv, params.w_o, key_mask=key_mask
+    )
+    return T.reshape(fused, (fused.size // d, d))
 
 
 def fuse_gloss(cls_vector: Tensor) -> Tensor:
-    """Gloss-side code row: the start-marker row itself, no attention."""
-    return T.reshape(cls_vector, (1, cls_vector.size))
+    """Gloss-side code rows: the start-marker rows themselves, no attention; one
+    (d,) row gives (1, d), stacked (b, d) rows stay (b, d)."""
+    d = cls_vector.shape[-1]
+    return T.reshape(cls_vector, (cls_vector.size // d, d))
 
 
 def score_pair(word_code: Tensor, gloss_code: Tensor) -> Tensor:

@@ -4,7 +4,14 @@ The context side encodes the whole sentence and fuses the target-word row
 with its context into one code row; the gloss side encodes a definition and
 takes its start-marker row as its code row. A pair scores the inner product
 of the two rows. Both phases (training and prediction) use the same
-full-context path.
+full-context path through the same encoder stack and fusion attention.
+
+Training builds each side of a batch in one padded pass
+(``context_code_rows``, ``gloss_code_rows``), so its tape holds one record
+per layer op however many sequences the batch has; padded positions are
+masked out of attention and change no real row. Prediction encodes one
+sequence per call (``context_codes``, ``gloss_codes``). Either way, encoder
+forwards are counted per sequence, not per pass.
 """
 
 from __future__ import annotations
@@ -13,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Vocab, content_ids, content_ids_around
+from .data import CorpusInstance, Vocab, content_ids, content_ids_around
 from .encoder import (
     EncoderConfig,
     EncoderParams,
     cls_representation,
     encode,
+    encode_batch,
     init_encoder,
     target_representation,
 )
@@ -85,11 +93,20 @@ def build_model(
     )
 
 
+def _context_window(
+    model: WsdModel, tokens: list[str], target_index: int
+) -> tuple[list[int], int]:
+    limit = model.context_config.max_seq_len - 2
+    return content_ids_around(tokens, target_index, model.vocab, limit)
+
+
+def _gloss_ids(model: WsdModel, gloss_tokens: list[str]) -> list[int]:
+    return content_ids(gloss_tokens, model.vocab, model.gloss_config.max_seq_len - 2)
+
+
 def context_codes(model: WsdModel, tokens: list[str], target_index: int) -> Tensor:
     """Fused 1 x d_model code row for a target word in its context."""
-    ids, window_target = content_ids_around(
-        tokens, target_index, model.vocab, model.context_config.max_seq_len - 2
-    )
+    ids, window_target = _context_window(model, tokens, target_index)
     encoded = encode(model.context, ids)
     target = target_representation(encoded, window_target)
     return fuse_context(encoded, target, model.fusion)
@@ -97,8 +114,23 @@ def context_codes(model: WsdModel, tokens: list[str], target_index: int) -> Tens
 
 def gloss_codes(model: WsdModel, gloss_tokens: list[str]) -> Tensor:
     """1 x d_model code row for a sense gloss."""
-    ids = content_ids(gloss_tokens, model.vocab, model.gloss_config.max_seq_len - 2)
-    encoded = encode(model.gloss, ids)
+    encoded = encode(model.gloss, _gloss_ids(model, gloss_tokens))
+    return fuse_gloss(cls_representation(encoded))
+
+
+def context_code_rows(model: WsdModel, instances: list[CorpusInstance]) -> Tensor:
+    """b x d_model code rows, row i equal to ``context_codes`` of instance i, from
+    one padded context-encoder pass and one fusion pass."""
+    windows = [_context_window(model, inst.tokens, inst.target_index) for inst in instances]
+    encoded, padding = encode_batch(model.context, [ids for ids, _ in windows])
+    targets = target_representation(encoded, [target for _, target in windows], padding)
+    return fuse_context(encoded, targets, model.fusion, key_mask=padding)
+
+
+def gloss_code_rows(model: WsdModel, glosses: list[list[str]]) -> Tensor:
+    """n x d_model code rows, row j equal to ``gloss_codes`` of gloss j, from one
+    padded gloss-encoder pass."""
+    encoded, _ = encode_batch(model.gloss, [_gloss_ids(model, g) for g in glosses])
     return fuse_gloss(cls_representation(encoded))
 
 

@@ -115,17 +115,20 @@ def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: _Vjp) -> Tensor
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
-    ``loss`` must be a scalar produced through ``tape``. Adjoints accumulate
-    additively; existing ``grad`` values are added to, not replaced.
+    ``loss`` must be a scalar produced through ``tape``. A leaf is a tensor no
+    record of ``tape`` produced, such as a parameter; the intermediate outputs
+    of the tape get no ``grad``. Adjoints accumulate additively; existing
+    ``grad`` values are added to, not replaced.
     """
     if loss.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones(())}
     owners: dict[int, Tensor] = {id(loss): loss}
     for out, inputs, vjp in reversed(tape._records):
-        out_adj = adjoints.get(id(out))
+        # every consumer of ``out`` ran after it, so its adjoint is complete here
+        out_adj = adjoints.pop(id(out), None)
         if out_adj is None:
             continue
         for tensor, adj in zip(inputs, vjp(out_adj)):
@@ -137,9 +140,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
             else:
                 adjoints[key] = adj
                 owners[key] = tensor
-    for key, tensor in owners.items():
+    for key, adj in adjoints.items():
+        tensor = owners[key]
         if tensor.requires_grad:
-            adj = adjoints[key]
             tensor.grad = adj.copy() if tensor.grad is None else tensor.grad + adj
 
 
@@ -149,34 +152,52 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes.
+
+    Takes (n, k) @ (k, m), a batch (B, n, k) @ (B, k, m), or a batch against
+    one shared matrix, (B, n, k) @ (k, m); the shared matrix's gradient sums
+    over the batch.
+    """
+    x, y = a.data, b.data
+    shared = x.ndim == 3 and y.ndim == 2
+    if (
+        not (shared or (x.ndim == y.ndim and x.ndim in (2, 3)))
+        or x.shape[-1] != y.shape[-2]
+        or (not shared and x.shape[:-2] != y.shape[:-2])
+    ):
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = a.data @ b.data
 
     def vjp(g: np.ndarray):
-        return g @ b.data.T, a.data.T @ g
+        if shared:  # one product over all the batch's rows
+            return g @ y.T, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g
 
-    return _emit(out, (a, b), vjp)
+    return _emit(x @ y, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs rank 2, got shape {a.shape}")
-    return _emit(a.data.T, (a,), lambda g: (g.T,))
+    """Swap the last two axes of a rank-2 or rank-3 tensor."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose needs rank 2 or 3, got shape {a.shape}")
+    return _emit(a.data.swapaxes(-1, -2), (a,), lambda g: (g.swapaxes(-1, -2),))
 
 
 def _broadcast_pair(a: Tensor, b: Tensor) -> bool:
-    """True if b (rank 1) broadcasts over the rows of a (rank 2)."""
-    return a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]
+    """True if b (rank 1) broadcasts over the last axis of a (rank 2 or 3)."""
+    return a.data.ndim in (2, 3) and b.data.ndim == 1 and a.shape[-1] == b.shape[0]
+
+
+def _rows_sum(g: np.ndarray) -> np.ndarray:
+    """Adjoint of a rank-1 operand broadcast over the last axis: sum over all other axes."""
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a rank-1 ``b`` broadcasts over the rows of a rank-2 ``a``."""
+    """Elementwise sum; a rank-1 ``b`` broadcasts over the last axis of ``a``."""
     if a.shape == b.shape:
         return _emit(a.data + b.data, (a, b), lambda g: (g, g))
     if _broadcast_pair(a, b):
-        return _emit(a.data + b.data[None, :], (a, b), lambda g: (g, g.sum(axis=0)))
+        return _emit(a.data + b.data, (a, b), lambda g: (g, _rows_sum(g)))
     raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
 
 
@@ -184,19 +205,19 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
         return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
     if _broadcast_pair(a, b):
-        return _emit(a.data - b.data[None, :], (a, b), lambda g: (g, -g.sum(axis=0)))
+        return _emit(a.data - b.data, (a, b), lambda g: (g, -_rows_sum(g)))
     raise ShapeError(f"sub shape mismatch: {a.shape} - {b.shape}")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard product; a rank-1 ``b`` broadcasts over the rows of a rank-2 ``a``."""
+    """Hadamard product; a rank-1 ``b`` broadcasts over the last axis of ``a``."""
     if a.shape == b.shape:
         return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
     if _broadcast_pair(a, b):
-        out = a.data * b.data[None, :]
+        out = a.data * b.data
 
         def vjp(g: np.ndarray):
-            return g * b.data[None, :], (g * a.data).sum(axis=0)
+            return g * b.data, _rows_sum(g * a.data)
 
         return _emit(out, (a, b), vjp)
     raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}")
@@ -217,24 +238,25 @@ def _masked_shift_exp(x: np.ndarray, mask: np.ndarray | None):
         if mask.shape != x.shape:
             raise ShapeError(f"mask shape {mask.shape} does not match {x.shape}")
         x = np.where(mask, -np.inf, x)
-    mx = x.max(axis=1, keepdims=True)
+    mx = x.max(axis=-1, keepdims=True)
     e = np.exp(x - mx)
-    return x, mx, e, e.sum(axis=1, keepdims=True)
+    return x, mx, e, e.sum(axis=-1, keepdims=True)
 
 
 def row_softmax(m: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over each row, stabilized by per-row max subtraction.
+    """Softmax over the last axis, stabilized by per-row max subtraction.
 
-    Entries where ``mask`` is True are excluded from the distribution and
-    get probability 0; every row must keep at least one unmasked entry.
+    Entries where ``mask`` (the shape of ``m``) is True are excluded from the
+    distribution and get probability exactly 0, so they also get no gradient;
+    every row must keep at least one unmasked entry.
     """
-    if m.data.ndim != 2 or m.data.size == 0:
-        raise ShapeError(f"row_softmax needs a non-empty rank-2 tensor, got shape {m.shape}")
+    if m.data.ndim not in (2, 3) or m.data.size == 0:
+        raise ShapeError(f"row_softmax needs a non-empty rank-2 or 3 tensor, got shape {m.shape}")
     _, _, e, s = _masked_shift_exp(m.data, mask)
     p = e / s
 
     def vjp(g: np.ndarray):
-        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
+        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
 
     return _emit(p, (m,), vjp)
 
@@ -281,36 +303,38 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean and unit variance (no affine part)."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"layer_norm needs rank 2, got shape {a.shape}")
-    mu = a.data.mean(axis=1, keepdims=True)
-    var = ((a.data - mu) ** 2).mean(axis=1, keepdims=True)
+    """Normalize each last-axis row to zero mean and unit variance (no affine part)."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"layer_norm needs rank 2 or 3, got shape {a.shape}")
+    # sum / n is what ndarray.mean computes, without its Python-level wrapper
+    n = a.shape[-1]
+    mu = a.data.sum(axis=-1, keepdims=True) / n
+    var = ((a.data - mu) ** 2).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     y = (a.data - mu) * inv
 
     def vjp(g: np.ndarray):
-        gm = g.mean(axis=1, keepdims=True)
-        gym = (g * y).mean(axis=1, keepdims=True)
+        gm = g.sum(axis=-1, keepdims=True) / n
+        gym = (g * y).sum(axis=-1, keepdims=True) / n
         return (inv * (g - gm - y * gym),)
 
     return _emit(y, (a,), vjp)
 
 
-def embed(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows of ``table`` by integer id."""
+def embed(table: Tensor, ids) -> Tensor:
+    """Gather rows of ``table`` by integer id: (n,) ids give (n, d), (B, L) ids give (B, L, d)."""
     if table.data.ndim != 2:
         raise ShapeError(f"embed needs a rank-2 table, got shape {table.shape}")
-    idx = np.asarray(list(ids), dtype=np.intp)
-    if idx.size == 0:
-        raise ShapeError("embed needs at least one id")
+    idx = np.asarray(ids, dtype=np.intp)
+    if idx.ndim not in (1, 2) or idx.size == 0:
+        raise ShapeError(f"embed needs a non-empty rank-1 or 2 id array, got shape {idx.shape}")
     if idx.min() < 0 or idx.max() >= table.shape[0]:
         raise ContractError(f"id out of range for table with {table.shape[0]} rows")
     out = table.data[idx]
 
     def vjp(g: np.ndarray):
         dt = np.zeros_like(table.data)
-        np.add.at(dt, idx, g)
+        np.add.at(dt, idx.ravel(), g.reshape(-1, table.shape[1]))
         return (dt,)
 
     return _emit(out, (table,), vjp)
@@ -332,11 +356,11 @@ def row(a: Tensor, i: int) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate rank-1 or rank-2 tensors along ``axis``."""
+    """Concatenate tensors of rank 1 to 3 along ``axis``."""
     if not parts:
         raise ShapeError("concat needs at least one tensor")
     ndim = parts[0].data.ndim
-    if ndim not in (1, 2) or axis >= ndim:
+    if ndim not in (1, 2, 3) or not -ndim <= axis < ndim:
         raise ShapeError(f"concat on axis {axis} unsupported for rank {ndim}")
     if any(p.data.ndim != ndim for p in parts):
         raise ShapeError("concat parts must share rank")
@@ -351,12 +375,16 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def pick(m: Tensor, cols: Sequence[int]) -> Tensor:
-    """Cell (i, cols[i]) of each row i of a rank-2 tensor, as a rank-1 tensor."""
+    """Entry ``m[i, cols[i]]`` of each item i along the first axis.
+
+    On a rank-2 tensor that is one cell per row, as a rank-1 tensor; on a
+    rank-3 batch (B, L, d) it is one row per item, as a (B, d) tensor.
+    """
     idx = np.asarray(cols, dtype=np.intp)
-    if m.data.ndim != 2 or idx.shape != (m.shape[0],):
-        raise ShapeError(f"pick needs one column per row of a rank-2 tensor, got {m.shape}")
+    if m.data.ndim not in (2, 3) or idx.shape != (m.shape[0],):
+        raise ShapeError(f"pick needs one index per item of a rank-2 or 3 tensor, got {m.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= m.shape[1]):
-        raise IndexError(f"pick column out of range for {m.shape[1]} columns")
+        raise IndexError(f"pick index out of range for {m.shape[1]} entries")
     rows = np.arange(m.shape[0])
 
     def vjp(g: np.ndarray):
@@ -368,7 +396,7 @@ def pick(m: Tensor, cols: Sequence[int]) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     old = a.shape
     return _emit(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))

@@ -9,7 +9,10 @@ off-diagonal cells whose gloss text equals the row's own are false negatives
 and are masked. The all-candidates baseline scores the sum(m_i) candidate
 glosses of all items, and row i masks every column but its own candidates.
 A step costs b context encodes either way, and b gloss encodes against
-sum(m_i); both report their encoder-forward counts for cost accounting.
+sum(m_i); both report these per-sequence encoder-forward counts for cost
+accounting. Each side of a step is encoded as one padded batch
+(``context_code_rows``, ``gloss_code_rows``), so the tape records one op per
+layer op, not one per sequence; the counts stay per sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from . import tensor as T
 from .data import CorpusInstance, SenseInventory
 from .errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
 from .fusion import score_rows
-from .model import WsdModel, context_codes, gloss_codes
+from .model import WsdModel, context_code_rows, gloss_code_rows
+from .model import context_codes, gloss_codes  # noqa: F401  per-instance forms, importable here
 from .tensor import Tape, Tensor, backward, finite_diff_check
 
 MODE_CONTRASTIVE = "bcl"
@@ -197,7 +201,13 @@ def bcl_loss(sm: ScoreMatrix) -> LossValue:
 
 
 class Adam:
-    """Standard Adam with bias correction; deterministic given grads."""
+    """Standard Adam with bias correction; deterministic given grads.
+
+    The moments of all parameters live in two flat buffers, so a step is a
+    handful of whole-buffer numpy calls plus one in-place update per
+    parameter. ``m`` and ``v`` read as per-parameter views of those buffers;
+    assigning a list of per-parameter arrays copies it in.
+    """
 
     def __init__(
         self,
@@ -213,8 +223,32 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        ends = np.cumsum([p.data.size for p in self.params], dtype=int)
+        self._slices = [slice(end - p.data.size, end) for p, end in zip(self.params, ends)]
+        size = int(ends[-1]) if len(ends) else 0
+        self._m_flat = np.zeros(size)
+        self._v_flat = np.zeros(size)
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[sl].reshape(p.data.shape) for p, sl in zip(self.params, self._slices)]
+
+    @property
+    def m(self) -> list[np.ndarray]:
+        return self._views(self._m_flat)
+
+    @m.setter
+    def m(self, arrays: list[np.ndarray]) -> None:
+        for view, arr in zip(self._views(self._m_flat), arrays, strict=True):
+            view[...] = arr
+
+    @property
+    def v(self) -> list[np.ndarray]:
+        return self._views(self._v_flat)
+
+    @v.setter
+    def v(self, arrays: list[np.ndarray]) -> None:
+        for view, arr in zip(self._views(self._v_flat), arrays, strict=True):
+            view[...] = arr
 
     @classmethod
     def from_config(cls, params: list[Tensor], config: TrainConfig) -> "Adam":
@@ -228,13 +262,17 @@ class Adam:
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        g = np.concatenate(
+            [(p.grad if p.grad is not None else np.zeros_like(p.data)).ravel() for p in self.params]
+        )
+        m, v = self._m_flat, self._v_flat
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        update = self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        for p, u in zip(self.params, self._views(update)):
+            p.data -= u
 
 
 def _clip_gradients(params: list[Tensor], clip_norm: float | None) -> None:
@@ -259,10 +297,13 @@ def _check_finite(loss: LossValue, model: WsdModel, context: str) -> None:
 
 
 def bcl_forward(batch: Batch, model: WsdModel) -> tuple[ScoreMatrix, LossValue, ForwardCounts]:
-    """Contrastive forward pass: b context encodes, b gloss encodes."""
-    words = [context_codes(model, inst.tokens, inst.target_index) for inst in batch.instances]
-    glosses = [gloss_codes(model, g) for g in batch.gold_glosses]
-    sm = fusion_matrix(words, glosses, mask=duplicate_gloss_mask(batch.gold_glosses))
+    """Contrastive forward pass: b context encodes and b gloss encodes, one padded
+    pass per side; cell (i, j) scores word i against gloss j, as ``fusion_matrix``."""
+    words = context_code_rows(model, batch.instances)
+    glosses = gloss_code_rows(model, batch.gold_glosses)
+    sm = ScoreMatrix(
+        scores=score_rows(words, glosses), mask=duplicate_gloss_mask(batch.gold_glosses)
+    )
     loss = bcl_loss(sm)
     return sm, loss, ForwardCounts(context=len(batch), gloss=len(batch))
 
@@ -296,8 +337,10 @@ def train_step(
 def all_candidates_forward(
     batch: Batch, inventory: SenseInventory, model: WsdModel
 ) -> tuple[LossValue, ForwardCounts]:
-    """Score every candidate sense of every item; row i keeps only its own candidates."""
-    words, glosses, owners, targets = [], [], [], []
+    """Score every candidate sense of every item; row i keeps only its own candidates.
+
+    The b contexts form one padded pass and the sum(m_i) candidate glosses another."""
+    glosses, owners, targets = [], [], []
     for i, inst in enumerate(batch.instances):
         senses = inventory.candidates(inst.lemma, inst.pos)
         sense_ids = [s.id for s in senses]
@@ -307,10 +350,9 @@ def all_candidates_forward(
             )
         targets.append(len(glosses) + sense_ids.index(inst.gold))
         owners.extend([i] * len(senses))
-        words.append(context_codes(model, inst.tokens, inst.target_index))
-        glosses.extend(gloss_codes(model, s.gloss) for s in senses)
-    mask = np.arange(len(words))[:, None] != np.array(owners)[None, :]
-    scores = score_rows(T.concat(words, axis=0), T.concat(glosses, axis=0))
+        glosses.extend(s.gloss for s in senses)
+    mask = np.arange(len(batch))[:, None] != np.array(owners)[None, :]
+    scores = score_rows(context_code_rows(model, batch.instances), gloss_code_rows(model, glosses))
     loss = bcl_loss(ScoreMatrix(scores=scores, mask=mask, targets=np.array(targets)))
     return loss, ForwardCounts(context=len(batch), gloss=len(glosses))
 

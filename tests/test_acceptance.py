@@ -8,6 +8,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
 """
 
 import math
+import statistics
 import time
 from contextlib import contextmanager
 
@@ -121,10 +122,21 @@ def test_overfit_capacity():
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
 
 
+# BCL's lead over all-candidates at this fixture's size is about a tenth of
+# a step, and two back-to-back identical runs on a busy host differ by more
+# than that about one time in ten. The wall-clock criterion therefore takes
+# the median over interleaved repeats: each repeat runs both regimes back to
+# back, in alternating order, and compares their wall clocks, so a slow
+# spell of the host and the warm-up of whichever regime runs first fall on
+# both sides alike.
+_COST_REPEATS = 11
+
+
 def test_cost_reduction():
-    """Three candidates everywhere: gloss-forward reduction exactly 2/3 and the
-    contrastive run's wall clock strictly below the all-candidates run's."""
-    with criterion("cost reduction (exactly 2/3 gloss forwards; faster wall clock)"):
+    """Three candidates everywhere: gloss-forward reduction exactly 2/3 and, in
+    the median of interleaved repeats, the contrastive run's wall clock strictly
+    below the all-candidates run's."""
+    with criterion("cost reduction (exactly 2/3 gloss forwards; faster in the median repeat)"):
         corpus, inventory, _ = _world(
             6, 3, 24, seed=2,
             d_model=16, n_heads=2, d_ff=32, max_seq_len=16,
@@ -132,25 +144,29 @@ def test_cost_reduction():
         )
         config = TrainConfig(batch_size=4, epochs=4, learning_rate=1e-3, seed=2)
         fingerprint = config_fingerprint("cost-reduction-fixture")
-        runs = {}
-        for mode in ("bcl", "all-candidates"):
-            _, _, model = _world(
-                6, 3, 24, seed=2,
-                d_model=16, n_heads=2, d_ff=32, max_seq_len=16,
-                poly_m=2, fusion_heads=2, model_seed=2,
-            )
-            optimizer = Adam.from_config(model.parameters(), config)
-            runs[mode] = train(
-                model, optimizer, corpus, inventory, config, mode=mode,
-                fingerprint=fingerprint,
-            )
-        comparison = compare_costs(runs["bcl"], runs["all-candidates"])
-        bcl_gloss = comparison.run.gloss_forwards
-        all_gloss = comparison.baseline.gloss_forwards
-        assert all_gloss == 3 * bcl_gloss  # exact count arithmetic
-        assert comparison.gloss_forward_reduction == 1.0 - bcl_gloss / all_gloss
-        assert abs(comparison.gloss_forward_reduction - 2.0 / 3.0) < 1e-15
-        assert comparison.run.wall_seconds < comparison.baseline.wall_seconds
+        ratios = []
+        for repeat in range(_COST_REPEATS):
+            runs = {}
+            order = ("bcl", "all-candidates") if repeat % 2 == 0 else ("all-candidates", "bcl")
+            for mode in order:
+                _, _, model = _world(
+                    6, 3, 24, seed=2,
+                    d_model=16, n_heads=2, d_ff=32, max_seq_len=16,
+                    poly_m=2, fusion_heads=2, model_seed=2,
+                )
+                optimizer = Adam.from_config(model.parameters(), config)
+                runs[mode] = train(
+                    model, optimizer, corpus, inventory, config, mode=mode,
+                    fingerprint=fingerprint,
+                )
+            comparison = compare_costs(runs["bcl"], runs["all-candidates"])
+            bcl_gloss = comparison.run.gloss_forwards
+            all_gloss = comparison.baseline.gloss_forwards
+            assert all_gloss == 3 * bcl_gloss  # exact count arithmetic
+            assert comparison.gloss_forward_reduction == 1.0 - bcl_gloss / all_gloss
+            assert abs(comparison.gloss_forward_reduction - 2.0 / 3.0) < 1e-15
+            ratios.append(comparison.run.wall_seconds / comparison.baseline.wall_seconds)
+        assert statistics.median(ratios) < 1.0, sorted(ratios)
 
 
 def test_scoring_oracle(tmp_path):

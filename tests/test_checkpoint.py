@@ -133,6 +133,35 @@ class TestRejection:
             load_checkpoint(path)
         assert "stored shape" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda opt: opt.pop("beta1"),
+            lambda opt: opt.update(beta1="0.9"),
+            lambda opt: opt.update(eps=None),
+            lambda opt: opt.update(learning_rate=True),
+            lambda opt: opt.update(t=1.5),
+            lambda opt: opt.update(t=-1),
+        ],
+        ids=["beta1-missing", "beta1-string", "eps-null", "lr-bool", "t-float", "t-negative"],
+    )
+    def test_bad_optimizer_field_rejected(self, tmp_path, edit):
+        _, _, model, optimizer, config = _trained_world()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+        _edit_header(path, lambda header: edit(header["optimizer"]))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "optimizer field" in str(err.value)
+
+    def test_optimizer_header_not_an_object_rejected(self, tmp_path):
+        _, _, model, optimizer, config = _trained_world()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+        _edit_header(path, lambda header: header.update(optimizer=[1]))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
     def test_no_temp_files_left_behind(self, tmp_path):
         _, _, model, optimizer, config = _trained_world()
         save_checkpoint(tmp_path / "model.ckpt", model, optimizer, seed=config.seed, step=3)

@@ -1,6 +1,7 @@
 """CLI: end-to-end pipeline, bench, gradcheck, baselines, failure modes."""
 
 import json
+import struct
 
 import pytest
 
@@ -181,8 +182,19 @@ def test_missing_file_is_reported(workspace, capsys):
         (json.dumps({"trian": {"epochs": 1}}), "unknown section 'trian'"),
         (json.dumps({"train": [1]}), "section 'train' must be a JSON object"),
         ("{not json", "malformed config JSON"),
+        (json.dumps({"encoder": {"d_model": 16.0}}), "section 'encoder'"),
+        (json.dumps({"encoder": {"n_layers": True}}), "section 'encoder'"),
+        (json.dumps({"fusion": {"n_heads": 2.0}}), "section 'fusion'"),
+        (json.dumps({"fusion": {"poly_m": "2"}}), "section 'fusion'"),
+        (json.dumps({"train": {"min_freq": "2"}}), "section 'train'"),
+        (json.dumps({"train": {"min_freq": 1.5}}), "section 'train'"),
+        (json.dumps({"train": {"min_freq": 0}}), "section 'train'"),
     ],
-    ids=["unknown-key", "encoder-type", "train-type", "unknown-section", "section-type", "json"],
+    ids=[
+        "unknown-key", "encoder-type", "train-type", "unknown-section", "section-type", "json",
+        "encoder-float", "encoder-bool", "fusion-float", "fusion-string",
+        "min-freq-string", "min-freq-float", "min-freq-zero",
+    ],
 )
 def test_bad_config_is_a_located_error(workspace, tmp_path, capsys, text, located):
     config = tmp_path / "bad.json"
@@ -200,6 +212,40 @@ def test_bad_config_is_a_located_error(workspace, tmp_path, capsys, text, locate
     assert code == 1
     assert err.startswith(f"error: {config}: ") and located in err
     assert not (tmp_path / "never.ckpt").exists()
+
+
+def test_checkpoint_missing_optimizer_field_is_an_error(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    corpus, inventory = workspace / "corpus.jsonl", workspace / "inventory.jsonl"
+    assert main(
+        [
+            "train",
+            "--corpus", str(corpus),
+            "--inventory", str(inventory),
+            "--config", str(workspace / "config.json"),
+            "--out", str(ckpt),
+        ]
+    ) == 0
+    raw = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    del header["optimizer"]["beta1"]
+    body = json.dumps(header, sort_keys=True).encode("utf-8")
+    ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(body)) + body + raw[16 + hlen :])
+    capsys.readouterr()
+    code = main(
+        [
+            "predict",
+            "--checkpoint", str(ckpt),
+            "--corpus", str(corpus),
+            "--inventory", str(inventory),
+            "--out", str(tmp_path / "pred.tsv"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "'beta1'" in err
+    assert not (tmp_path / "pred.tsv").exists()
 
 
 def test_gradcheck_bad_config_is_a_located_error(tmp_path, capsys):

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from polywsd import tensor as T
+from polywsd.data import PAD_ID
 from polywsd.encoder import (
     EncoderConfig,
     cls_representation,
     encode,
+    encode_batch,
     init_encoder,
     target_representation,
 )
 from polywsd.errors import ConfigError, ContractError
+from polywsd.fusion import FusionConfig
 from polywsd.tensor import Tape, Tensor, backward
 
 
@@ -63,6 +66,70 @@ class TestEncode:
         base = target_representation(encode(params, [4, 5, 6, 7, 8]), 0)
         swapped = target_representation(encode(params, [4, 5, 7, 6, 8]), 0)
         assert np.abs(base.data - swapped.data).max() > 1e-9
+
+
+class TestEncodeBatch:
+    SEQUENCES = [[4], [5, 6, 7, 8, 9, 4, 5, 6], [7, 8, 9]]
+
+    def test_padding_mask_and_shape(self, params):
+        encoded, padding = encode_batch(params, self.SEQUENCES)
+        assert encoded.shape == (3, 10, CONFIG.d_model)
+        np.testing.assert_array_equal(padding.sum(axis=1), [7, 0, 5])
+        assert not padding[:, :3].any()
+
+    def test_real_rows_match_single_encodes(self, params):
+        encoded, _ = encode_batch(params, self.SEQUENCES)
+        for i, ids in enumerate(self.SEQUENCES):
+            alone = encode(params, ids).data
+            np.testing.assert_allclose(encoded.data[i, : len(ids) + 2], alone, rtol=0, atol=1e-12)
+
+    def test_padded_keys_get_exactly_zero_weight(self, params, monkeypatch):
+        weights = []
+        real_softmax = T.row_softmax
+
+        def recorded(m, mask=None):
+            out = real_softmax(m, mask=mask)
+            weights.append(out.data)
+            return out
+
+        monkeypatch.setattr(T, "row_softmax", recorded)
+        _, padding = encode_batch(params, self.SEQUENCES)
+        assert len(weights) == CONFIG.n_layers * CONFIG.n_heads
+        for w in weights:
+            assert w.shape == (3, 10, 10)
+            keys = np.broadcast_to(padding[:, None, :], w.shape)
+            assert np.all(w[keys] == 0.0)
+            assert np.all(w[~keys] > 0.0)
+
+    def test_pad_embedding_changes_no_real_row(self, params):
+        before, padding = encode_batch(params, self.SEQUENCES)
+        params.tok_emb.data[PAD_ID] += 5.0
+        after, _ = encode_batch(params, self.SEQUENCES)
+        real = ~padding
+        assert after.data[real].tobytes() == before.data[real].tobytes()
+        assert not np.array_equal(after.data[padding], before.data[padding])
+
+    def test_batch_representations_pick_each_items_rows(self, params):
+        encoded, padding = encode_batch(params, self.SEQUENCES)
+        targets = target_representation(encoded, [0, 7, 2], padding)
+        np.testing.assert_array_equal(targets.data, encoded.data[[0, 1, 2], [1, 8, 3]])
+        np.testing.assert_array_equal(cls_representation(encoded).data, encoded.data[:, 0])
+
+    def test_batch_target_checked_against_its_own_words(self, params):
+        encoded, padding = encode_batch(params, self.SEQUENCES)
+        # index 1 is inside the padded width but past item 0's single word
+        with pytest.raises(IndexError) as err:
+            target_representation(encoded, [1, 0, 0], padding)
+        assert "item 0" in str(err.value)
+        with pytest.raises(IndexError):
+            target_representation(encoded, [0, 0, -1], padding)
+
+    def test_empty_batch_and_bad_items_rejected(self, params):
+        with pytest.raises(ContractError):
+            encode_batch(params, [])
+        for bad in ([], list(range(4, 4 + CONFIG.max_seq_len - 1)), [CONFIG.vocab_size]):
+            with pytest.raises(ContractError):
+                encode_batch(params, [[4, 5], bad])
 
 
 class TestRepresentations:
@@ -128,6 +195,18 @@ class TestConfig:
     def test_min_sequence_budget(self):
         with pytest.raises(ConfigError):
             EncoderConfig(vocab_size=10, d_model=8, n_layers=1, n_heads=2, d_ff=8, max_seq_len=2)
+
+    @pytest.mark.parametrize("value", [16.0, True, "16", None])
+    def test_integer_fields_reject_other_types(self, value):
+        with pytest.raises(ConfigError) as err:
+            EncoderConfig(
+                vocab_size=10, d_model=value, n_layers=1, n_heads=2, d_ff=8, max_seq_len=8
+            )
+        assert "d_model must be an integer" in str(err.value)
+        with pytest.raises(ConfigError):
+            FusionConfig(d_model=8, poly_m=value, n_heads=2)
+        with pytest.raises(ConfigError):
+            FusionConfig(d_model=8, poly_m=2, n_heads=value)
 
     def test_reserved_vocab_floor(self):
         with pytest.raises(ConfigError):

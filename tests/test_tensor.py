@@ -9,6 +9,11 @@ from polywsd import tensor as T
 from polywsd.errors import ContractError, OracleError, ShapeError
 from polywsd.tensor import Tape, Tensor, backward, finite_diff_check
 
+# item 0 pads keys 1 and 3, item 1 keys 0-2, as one mask row per query
+_KEY_PADDING = np.broadcast_to(
+    np.array([[False, True, False, True], [True, True, True, False]])[:, None, :], (2, 3, 4)
+)
+
 
 class TestMatmul:
     def test_identity(self):
@@ -29,6 +34,21 @@ class TestMatmul:
         with pytest.raises(ShapeError) as err:
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         assert "(2, 3)" in str(err.value)
+
+    def test_batched_and_shared_weight_match_per_item_products(self):
+        rng = np.random.default_rng(8)
+        a, b, w = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5)), rng.normal(size=(4, 5))
+        batched = T.matmul(Tensor(a), Tensor(b)).data
+        shared = T.matmul(Tensor(a), Tensor(w)).data
+        for i in range(3):
+            np.testing.assert_allclose(batched[i], a[i] @ b[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(shared[i], a[i] @ w, rtol=0, atol=1e-12)
+
+    def test_batch_size_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))))
 
     def test_associativity_on_random_chains(self):
         rng = np.random.default_rng(7)
@@ -72,6 +92,11 @@ class TestRowSoftmax:
         out = T.row_softmax(Tensor([[1.0, 100.0, 1.0]]), mask=mask)
         np.testing.assert_allclose(out.data, [[0.5, 0.0, 0.5]], atol=1e-12)
 
+    def test_batched_mask_gives_exactly_zero(self):
+        out = T.row_softmax(Tensor(np.random.default_rng(4).normal(size=(2, 3, 4))), _KEY_PADDING)
+        assert np.all(out.data[_KEY_PADDING] == 0.0)
+        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
+
 
 class TestBackward:
     def test_linear_sum(self):
@@ -97,6 +122,16 @@ class TestBackward:
             loss = T.add(T.sum_all(x), T.sum_all(x))
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_only_leaves_get_grad(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        tape = Tape()
+        with tape:
+            y = T.mul(x, x)
+            loss = T.sum_all(y)
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        assert y.grad is None and loss.grad is None
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -247,6 +282,54 @@ def _projection(rng, shape):
         ("mul_reused", lambda p, rng: T.mul(T.mul(p, p), _projection(rng, (3, 4))), (3, 4)),
         ("reshape", lambda p, rng: T.mul(T.reshape(p, (2, 6)), _projection(rng, (2, 6))), (3, 4)),
         ("mean_all", lambda p, rng: T.scale(T.mean_all(p), 3.3), (3, 4)),
+        (
+            "matmul_batched_left",
+            lambda p, rng: T.matmul(p, _projection(rng, (2, 4, 3))),
+            (2, 3, 4),
+        ),
+        (
+            "matmul_batched_right",
+            lambda p, rng: T.matmul(_projection(rng, (2, 3, 4)), p),
+            (2, 4, 3),
+        ),
+        ("matmul_shared_left", lambda p, rng: T.matmul(p, _projection(rng, (4, 3))), (2, 3, 4)),
+        ("matmul_shared_right", lambda p, rng: T.matmul(_projection(rng, (2, 3, 4)), p), (4, 3)),
+        (
+            "transpose_batched",
+            lambda p, rng: T.mul(T.transpose(p), _projection(rng, (2, 4, 3))),
+            (2, 3, 4),
+        ),
+        ("add_bias_batched", lambda p, rng: T.add(_projection(rng, (2, 3, 4)), p), (4,)),
+        ("mul_gain_batched", lambda p, rng: T.mul(_projection(rng, (2, 3, 4)), p), (4,)),
+        (
+            "row_softmax_masked_batched",
+            lambda p, rng: T.mul(
+                T.row_softmax(p, mask=_KEY_PADDING), _projection(rng, (2, 3, 4))
+            ),
+            (2, 3, 4),
+        ),
+        (
+            "layer_norm_batched",
+            lambda p, rng: T.mul(T.layer_norm(p), _projection(rng, (2, 3, 4))),
+            (2, 3, 4),
+        ),
+        (
+            "embed_batched",
+            lambda p, rng: T.mul(T.embed(p, [[0, 2, 2], [1, 0, 2]]), _projection(rng, (2, 3, 4))),
+            (3, 4),
+        ),
+        (
+            "concat_last_batched",
+            lambda p, rng: T.mul(
+                T.concat([_projection(rng, (2, 3, 2)), p], axis=-1), _projection(rng, (2, 3, 6))
+            ),
+            (2, 3, 4),
+        ),
+        (
+            "pick_rows_batched",
+            lambda p, rng: T.mul(T.pick(p, [2, 0]), _projection(rng, (2, 4))),
+            (2, 3, 4),
+        ),
     ],
 )
 def test_op_gradients_match_finite_differences(name, fn, shape):

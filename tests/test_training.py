@@ -5,11 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from polywsd.data import CorpusInstance, SenseEntry, SenseInventory
+from polywsd.data import PAD_ID, CorpusInstance, SenseEntry, SenseInventory
 from polywsd.errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
 from polywsd.fusion import score_pair
-from polywsd.model import context_codes, gloss_codes, randomize_parameters
-from polywsd.tensor import Tensor
+from polywsd.model import (
+    context_code_rows,
+    context_codes,
+    gloss_code_rows,
+    gloss_codes,
+    randomize_parameters,
+)
+from polywsd.tensor import Tape, Tensor, backward
 from polywsd.training import (
     Adam,
     ScoreMatrix,
@@ -184,6 +190,42 @@ class TestAdam:
         opt.step()
         np.testing.assert_array_equal(p.data, [3.0])
 
+    def test_flat_steps_match_per_parameter_reference_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        shapes = [(3, 4), (4,), (2, 2), (5, 1)]
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        ref_data = [p.data.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        opt = Adam(params, learning_rate=0.01)
+        for t in range(1, 6):
+            grads = [rng.normal(size=s) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = None if t == 3 and g.ndim == 1 else g
+            opt.step()
+            b1, b2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for i, (p, g) in enumerate(zip(params, grads)):
+                g = np.zeros_like(g) if p.grad is None else g
+                ref_m[i] = ref_m[i] * 0.9 + (1.0 - 0.9) * g
+                ref_v[i] = ref_v[i] * 0.999 + (1.0 - 0.999) * g * g
+                ref_data[i] = ref_data[i] - 0.01 * (ref_m[i] / b1) / (np.sqrt(ref_v[i] / b2) + 1e-8)
+                assert p.data.tobytes() == ref_data[i].tobytes()
+                assert opt.m[i].tobytes() == ref_m[i].tobytes()
+                assert opt.v[i].tobytes() == ref_v[i].tobytes()
+
+    def test_assigned_moments_are_the_ones_stepped(self):
+        p, q = Tensor(np.zeros((2, 2)), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        opt = Adam([p, q], learning_rate=0.1)
+        opt.m = [np.full((2, 2), 2.0), np.full(3, -1.0)]
+        opt.v = [np.full((2, 2), 4.0), np.full(3, 9.0)]
+        assert [m.shape for m in opt.m] == [(2, 2), (3,)]
+        opt.step()  # no grads: m and v only decay
+        np.testing.assert_array_equal(opt.m[0], np.full((2, 2), 1.8))
+        np.testing.assert_array_equal(opt.v[1], np.full(3, 9.0 * 0.999))
+        assert p.data[0, 0] < 0.0 < q.data[0]
+        with pytest.raises(ValueError):
+            opt.m = [np.zeros((2, 2))]
+
 
 class TestTrainConfig:
     def test_batch_of_one_rejected(self):
@@ -351,6 +393,99 @@ class TestAllCandidates:
         all_cand, _ = all_candidates_forward(batch, inventory, model)
         assert all_cand.value == pytest.approx(bcl.value, abs=1e-9)
         np.testing.assert_allclose(all_cand.per_example, bcl.per_example, atol=1e-9)
+
+
+def _ragged_world(b, d_model=8):
+    """b instances whose contexts (1 to 10 words) and gold glosses (1 to 5 words)
+    differ in length, so both sides of a batch are padded; lemma i has i % 3 + 1
+    senses, so the candidate totals differ between batch sizes."""
+    inventory = SenseInventory()
+    instances = []
+    for i in range(b):
+        lemma = f"rag{i}"
+        senses = [
+            SenseEntry(f"{lemma}%{k}", [f"def{i}x{k}"] + ["word"] * ((i + k) % 5))
+            for k in range(i % 3 + 1)
+        ]
+        inventory.add(lemma, "NOUN", senses)
+        n_words = (3 * i) % 10 + 1
+        tokens = [f"w{j % 4}" for j in range(n_words)]
+        target = (7 * i) % n_words
+        tokens[target] = lemma
+        instances.append(
+            CorpusInstance(
+                id=f"r{i}", tokens=tokens, target_index=target,
+                lemma=lemma, pos="NOUN", gold=f"{lemma}%0",
+            )
+        )
+    model = tiny_model(instances, inventory, seed=5, d_model=d_model)
+    glosses = [inventory.gloss_of(i.lemma, i.pos, i.gold) for i in instances]
+    return inventory, model, Batch(instances=instances, gold_glosses=glosses)
+
+
+class TestBatchedPath:
+    """Each side of a step is one padded encoder pass; padding must change nothing."""
+
+    def test_code_rows_match_per_instance_codes(self):
+        inventory, model, batch = _ragged_world(8)
+        randomize_parameters(model, seed=3)
+        words = context_code_rows(model, batch.instances)
+        for i, inst in enumerate(batch.instances):
+            single = context_codes(model, inst.tokens, inst.target_index)
+            np.testing.assert_allclose(words.data[i : i + 1], single.data, rtol=0, atol=1e-12)
+        glosses = [
+            s.gloss for inst in batch.instances for s in inventory.candidates(inst.lemma, inst.pos)
+        ]
+        rows = gloss_code_rows(model, glosses)
+        assert rows.shape == (len(glosses), model.gloss_config.d_model)
+        for j, gloss in enumerate(glosses):
+            single = gloss_codes(model, gloss)
+            np.testing.assert_allclose(rows.data[j : j + 1], single.data, rtol=0, atol=1e-12)
+
+    def test_pad_embedding_gets_exactly_zero_gradient(self):
+        inventory, model, batch = _ragged_world(8)
+        randomize_parameters(model, seed=4)
+        for forward in (
+            lambda: bcl_forward(batch, model)[1],
+            lambda: all_candidates_forward(batch, inventory, model)[0],
+        ):
+            for p in model.parameters():
+                p.grad = None
+            tape = Tape()
+            with tape:
+                loss = forward()
+            backward(loss.total, tape)
+            for encoder in (model.context, model.gloss):
+                assert np.abs(encoder.tok_emb.grad).max() > 0
+                assert np.all(encoder.tok_emb.grad[PAD_ID] == 0.0)
+
+    def test_gradient_check_on_mixed_lengths(self):
+        _, model, batch = _ragged_world(4, d_model=4)
+        randomize_parameters(model, seed=6)
+        assert check_bcl_gradients(batch, model) < 1e-4
+
+    def test_tape_length_does_not_grow_with_the_batch(self):
+        """One record per layer op, not per sequence: a per-item loop would grow the tape."""
+        inventory, model, batch = _ragged_world(8)
+
+        def records(forward):
+            tape = Tape()
+            with tape:
+                forward()
+            return len(tape)
+
+        small = Batch(instances=batch.instances[:2], gold_glosses=batch.gold_glosses[:2])
+        assert records(lambda: bcl_forward(small, model)) == records(
+            lambda: bcl_forward(batch, model)
+        )
+        totals = [
+            sum(len(inventory.candidates(i.lemma, i.pos)) for i in b.instances)
+            for b in (small, batch)
+        ]
+        assert totals[0] < totals[1]
+        assert records(lambda: all_candidates_forward(small, inventory, model)) == records(
+            lambda: all_candidates_forward(batch, inventory, model)
+        )
 
 
 class TestBatching:
