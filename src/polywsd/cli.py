@@ -31,6 +31,7 @@ from .training import (
     MODE_CONTRASTIVE,
     MODES,
     Adam,
+    RunMetrics,
     TrainConfig,
     check_bcl_gradients,
     make_batches,
@@ -111,16 +112,16 @@ def _build_world(args, config):
     fingerprint = config_fingerprint(
         asdict(encoder_config),
         asdict(fusion_config),
-        {k: v for k, v in asdict(train_config).items()},
+        asdict(train_config),
         _file_digest(args.corpus),
         _file_digest(args.inventory),
     )
     return corpus, inventory, vocab, encoder_config, fusion_config, train_config, fingerprint
 
 
-def _cmd_train(args) -> int:
-    config = _load_config(args.config)
-    corpus, inventory, vocab, enc_cfg, fus_cfg, train_cfg, fingerprint = _build_world(args, config)
+def _train_and_save(args, world, mode: str, checkpoint_path, metrics_path) -> RunMetrics:
+    """Build a fresh model, train it in ``mode``, and save its checkpoint and metrics log."""
+    corpus, inventory, vocab, enc_cfg, fus_cfg, train_cfg, fingerprint = world
     model = build_model(enc_cfg, enc_cfg, fus_cfg, vocab, seed=train_cfg.seed)
     optimizer = Adam.from_config(model.parameters(), train_cfg)
     metrics = train(
@@ -129,14 +130,32 @@ def _cmd_train(args) -> int:
         corpus,
         inventory,
         train_cfg,
-        mode=args.mode,
+        mode=mode,
         fingerprint=fingerprint,
         device_count=args.device_count,
     )
     steps = len(metrics.records)
-    save_checkpoint(args.out, model, optimizer, seed=train_cfg.seed, step=steps)
-    metrics_path = args.metrics if args.metrics else f"{args.out}.metrics.jsonl"
+    save_checkpoint(checkpoint_path, model, optimizer, seed=train_cfg.seed, step=steps)
     save_metrics(metrics_path, metrics)
+    return metrics
+
+
+def _write_predictions(path, pairs) -> int:
+    """Save (instance id, sense id) pairs; a repeated instance id is a DataError."""
+    out = {}
+    for instance_id, sense_id in pairs:
+        if instance_id in out:
+            raise DataError(f"duplicate instance id {instance_id!r} in corpus")
+        out[instance_id] = sense_id
+    save_predictions(path, out)
+    return len(out)
+
+
+def _cmd_train(args) -> int:
+    world = _build_world(args, _load_config(args.config))
+    metrics_path = args.metrics if args.metrics else f"{args.out}.metrics.jsonl"
+    metrics = _train_and_save(args, world, args.mode, args.out, metrics_path)
+    steps = len(metrics.records)
     final_loss = metrics.records[-1].loss if metrics.records else float("nan")
     print(
         f"trained {steps} steps ({args.mode}); final loss {final_loss:.6f}; "
@@ -151,13 +170,8 @@ def _cmd_predict(args) -> int:
     corpus = load_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
     predictions = predict_corpus(corpus, inventory, loaded.model)
-    out = {}
-    for pred in predictions:
-        if pred.instance_id in out:
-            raise DataError(f"duplicate instance id {pred.instance_id!r} in corpus")
-        out[pred.instance_id] = pred.sense_id
-    save_predictions(args.out, out)
-    print(f"wrote {len(out)} predictions -> {args.out}")
+    n = _write_predictions(args.out, ((p.instance_id, p.sense_id) for p in predictions))
+    print(f"wrote {n} predictions -> {args.out}")
     return 0
 
 
@@ -194,38 +208,24 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _load_config(args.config)
-    corpus, inventory, vocab, enc_cfg, fus_cfg, train_cfg, fingerprint = _build_world(args, config)
+    world = _build_world(args, _load_config(args.config))
     os.makedirs(args.out_dir, exist_ok=True)
-    runs = {}
-    for mode in (MODE_CONTRASTIVE, MODE_ALL_CANDIDATES):
-        model = build_model(enc_cfg, enc_cfg, fus_cfg, vocab, seed=train_cfg.seed)
-        optimizer = Adam.from_config(model.parameters(), train_cfg)
-        metrics = train(
-            model,
-            optimizer,
-            corpus,
-            inventory,
-            train_cfg,
-            mode=mode,
-            fingerprint=fingerprint,
-            device_count=args.device_count,
-        )
-        save_metrics(os.path.join(args.out_dir, f"metrics_{mode}.jsonl"), metrics)
-        save_checkpoint(
+    runs = [
+        _train_and_save(
+            args,
+            world,
+            mode,
             os.path.join(args.out_dir, f"model_{mode}.ckpt"),
-            model,
-            optimizer,
-            seed=train_cfg.seed,
-            step=len(metrics.records),
+            os.path.join(args.out_dir, f"metrics_{mode}.jsonl"),
         )
-        runs[mode] = metrics
-    comparison = compare_costs(runs[MODE_CONTRASTIVE], runs[MODE_ALL_CANDIDATES])
-    for report in (comparison.run, comparison.baseline):
+        for mode in (MODE_CONTRASTIVE, MODE_ALL_CANDIDATES)
+    ]
+    comparison = compare_costs(*runs)
+    for run in (comparison.run, comparison.baseline):
         print(
-            f"{report.mode}: gloss forwards {report.gloss_forwards}, "
-            f"context forwards {report.context_forwards}, "
-            f"wall {report.wall_seconds:.2f}s, device-hours {report.device_hours:.6f}"
+            f"{run.mode}: gloss forwards {run.gloss_forwards}, "
+            f"context forwards {run.context_forwards}, "
+            f"wall {run.wall_seconds:.2f}s, device-hours {run.device_hours:.6f}"
         )
     print(f"gloss-forward reduction: {comparison.gloss_forward_reduction:.4%}")
     print(f"wall-clock reduction: {comparison.wall_clock_reduction:.4%}")
@@ -263,13 +263,8 @@ def _cmd_baseline(args) -> int:
         predictor = mfs_predictor(load_corpus(train_path), inventory)
     else:
         predictor = first_sense_predictor(inventory)
-    out = {}
-    for inst in corpus:
-        if inst.id in out:
-            raise DataError(f"duplicate instance id {inst.id!r} in corpus")
-        out[inst.id] = predictor(inst).sense_id
-    save_predictions(args.out, out)
-    print(f"wrote {len(out)} {args.method} predictions -> {args.out}")
+    n = _write_predictions(args.out, ((inst.id, predictor(inst).sense_id) for inst in corpus))
+    print(f"wrote {n} {args.method} predictions -> {args.out}")
     return 0
 
 

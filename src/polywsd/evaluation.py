@@ -1,9 +1,10 @@
 """All-words F1 scoring with a per-POS breakdown, and training-cost accounting.
 
 Every prediction must name a gold instance; with full coverage, micro F1
-equals plain accuracy. Cost accounting treats encoder-forward counts as the
-primary hardware-independent metric and also reports device-hours
-(device_count x wall-hours) for each run.
+equals plain accuracy. Cost accounting compares two runs' ``RunMetrics``
+directly: encoder-forward counts are the primary hardware-independent
+metric, next to wall clock and each run's ``device_hours`` (device_count x
+wall-hours).
 """
 
 from __future__ import annotations
@@ -99,37 +100,11 @@ def score_f1(predictions_path, gold_path, corpus: list[CorpusInstance] | None = 
 
 
 @dataclass
-class CostReport:
-    """Cost of one training run; device_hours mirrors N x duration."""
-
-    mode: str
-    gloss_forwards: int
-    context_forwards: int
-    wall_seconds: float
-    device_count: int
-    reduction_vs_baseline: float | None = None
-
-    @property
-    def device_hours(self) -> float:
-        return self.device_count * self.wall_seconds / 3600.0
-
-
-@dataclass
 class CostComparison:
-    run: CostReport
-    baseline: CostReport
+    run: RunMetrics
+    baseline: RunMetrics
     gloss_forward_reduction: float
     wall_clock_reduction: float
-
-
-def cost_report(metrics: RunMetrics) -> CostReport:
-    return CostReport(
-        mode=metrics.mode,
-        gloss_forwards=metrics.gloss_forwards,
-        context_forwards=metrics.context_forwards,
-        wall_seconds=metrics.wall_seconds,
-        device_count=metrics.device_count,
-    )
 
 
 def compare_costs(run: RunMetrics, baseline: RunMetrics) -> CostComparison:
@@ -145,16 +120,11 @@ def compare_costs(run: RunMetrics, baseline: RunMetrics) -> CostComparison:
         )
     if baseline.gloss_forwards == 0 or baseline.wall_seconds == 0.0:
         raise ComparisonError("baseline run recorded no work")
-    report = cost_report(run)
-    base_report = cost_report(baseline)
-    gloss_reduction = 1.0 - run.gloss_forwards / baseline.gloss_forwards
-    wall_reduction = 1.0 - run.wall_seconds / baseline.wall_seconds
-    report.reduction_vs_baseline = gloss_reduction
     return CostComparison(
-        run=report,
-        baseline=base_report,
-        gloss_forward_reduction=gloss_reduction,
-        wall_clock_reduction=wall_reduction,
+        run=run,
+        baseline=baseline,
+        gloss_forward_reduction=1.0 - run.gloss_forwards / baseline.gloss_forwards,
+        wall_clock_reduction=1.0 - run.wall_seconds / baseline.wall_seconds,
     )
 
 

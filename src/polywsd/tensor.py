@@ -60,27 +60,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; scalars multiply via `scale`.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 # A record is (output, inputs, vjp) where vjp maps the output adjoint to
 # one adjoint (or None) per input, in input order.
@@ -199,14 +178,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if _broadcast_pair(a, b):
         return _emit(a.data + b.data, (a, b), lambda g: (g, _rows_sum(g)))
     raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape == b.shape:
-        return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
-    if _broadcast_pair(a, b):
-        return _emit(a.data - b.data, (a, b), lambda g: (g, -_rows_sum(g)))
-    raise ShapeError(f"sub shape mismatch: {a.shape} - {b.shape}")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

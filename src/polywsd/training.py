@@ -8,15 +8,17 @@ glosses are each row's negatives and the targets lie on the diagonal;
 off-diagonal cells whose gloss text equals the row's own are false negatives
 and are masked. The all-candidates baseline scores the sum(m_i) candidate
 glosses of all items, and row i masks every column but its own candidates.
-A step costs b context encodes either way, and b gloss encodes against
-sum(m_i); both report these per-sequence encoder-forward counts for cost
-accounting. Each side of a step is encoded as one padded batch
-(``context_code_rows``, ``gloss_code_rows``), so the tape records one op per
-layer op, not one per sequence; the counts stay per sequence.
+Both regimes run one scored forward (``_scored_forward``): the b contexts as
+one padded encoder pass, the glosses as another, then the score matrix and
+the loss, so the tape records one op per layer op, not one per sequence, and
+only ops the loss's gradient flows through. A step costs b context encodes
+either way, and b gloss encodes against sum(m_i); ``ForwardCounts`` reports
+these per-sequence counts, and ``RunMetrics`` sums them for cost accounting.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +27,7 @@ import numpy as np
 from . import tensor as T
 from .data import CorpusInstance, SenseInventory
 from .errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
+from .errors import check_positive_ints
 from .fusion import score_rows
 from .model import WsdModel, context_code_rows, gloss_code_rows
 from .model import context_codes, gloss_codes  # noqa: F401  per-instance forms, importable here
@@ -47,17 +50,19 @@ class TrainConfig:
     clip_norm: float | None = None
 
     def __post_init__(self):
+        check_positive_ints(batch_size=self.batch_size, epochs=self.epochs)
         if self.batch_size < 2:
             raise ConfigError(
                 f"batch_size must be >= 2 for contrastive training, got {self.batch_size}"
             )
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be positive, got {self.epochs}")
-        for name in ("learning_rate", "beta1", "beta2", "eps"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        for name in ("learning_rate", "beta1", "beta2", "eps", "clip_norm"):
+            value = getattr(self, name)
+            if value is None and name == "clip_norm":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -81,16 +86,15 @@ class Batch:
 
 @dataclass
 class ScoreMatrix:
-    """Word-vs-gloss scores, one row per item, with the derived softmax views.
+    """Word-vs-gloss scores, one row per item, and the cells each row's softmax skips.
 
     ``targets[i]`` is the column of row i's correct cell; omitted, it is the
-    diagonal. ``diag_probs`` holds the probability of each target cell.
+    diagonal. The probability of each target cell is ``exp(-per_example)`` of
+    the ``bcl_loss`` over it.
     """
 
     scores: Tensor
     mask: np.ndarray
-    probs: Tensor | None = None
-    diag_probs: Tensor | None = None
     targets: np.ndarray | None = None
 
     def __post_init__(self):
@@ -115,9 +119,6 @@ class ForwardCounts:
     context: int = 0
     gloss: int = 0
 
-    def __add__(self, other: "ForwardCounts") -> "ForwardCounts":
-        return ForwardCounts(self.context + other.context, self.gloss + other.gloss)
-
 
 @dataclass
 class StepRecord:
@@ -131,7 +132,7 @@ class StepRecord:
 
 @dataclass
 class RunMetrics:
-    """Per-step records of one training run, consumed by the cost accounting."""
+    """Per-step records of one training run: the cost accounting reads it directly."""
 
     mode: str
     fingerprint: str
@@ -146,6 +147,11 @@ class RunMetrics:
     @property
     def gloss_forwards(self) -> int:
         return sum(r.gloss_forwards for r in self.records)
+
+    @property
+    def device_hours(self) -> float:
+        """device_count x wall-clock hours of the run."""
+        return self.device_count * self.wall_seconds / 3600.0
 
 
 def duplicate_gloss_mask(gold_glosses: list[list[str]]) -> np.ndarray:
@@ -186,16 +192,10 @@ def fusion_matrix(
 
 
 def bcl_loss(sm: ScoreMatrix) -> LossValue:
-    """Mean negative log-probability of each row's target cell under the masked softmax.
-
-    Fills ``sm.probs`` and ``sm.diag_probs`` as a side effect.
-    """
+    """Mean negative log-probability of each row's target cell under the masked softmax."""
     if sm.mask[np.arange(len(sm.targets)), sm.targets].any():
         raise RuntimeError("internal error: a target cell is masked")
-    log_probs = T.row_log_softmax(sm.scores, mask=sm.mask)
-    sm.probs = T.row_softmax(sm.scores, mask=sm.mask)
-    sm.diag_probs = T.pick(sm.probs, sm.targets)
-    target_log = T.pick(log_probs, sm.targets)
+    target_log = T.pick(T.row_log_softmax(sm.scores, mask=sm.mask), sm.targets)
     total = T.neg(T.mean_all(target_log))
     return LossValue(total=total, per_example=-target_log.data.copy())
 
@@ -296,16 +296,23 @@ def _check_finite(loss: LossValue, model: WsdModel, context: str) -> None:
         )
 
 
-def bcl_forward(batch: Batch, model: WsdModel) -> tuple[ScoreMatrix, LossValue, ForwardCounts]:
-    """Contrastive forward pass: b context encodes and b gloss encodes, one padded
-    pass per side; cell (i, j) scores word i against gloss j, as ``fusion_matrix``."""
-    words = context_code_rows(model, batch.instances)
-    glosses = gloss_code_rows(model, batch.gold_glosses)
-    sm = ScoreMatrix(
-        scores=score_rows(words, glosses), mask=duplicate_gloss_mask(batch.gold_glosses)
-    )
+def _scored_forward(
+    model: WsdModel, batch: Batch, glosses: list[list[str]], mask: np.ndarray, targets=None
+) -> tuple[ScoreMatrix, LossValue, ForwardCounts]:
+    """Encode the batch's contexts, then ``glosses``, one padded pass per side;
+    score every (context, gloss) pair and take the masked loss."""
+    scores = score_rows(context_code_rows(model, batch.instances), gloss_code_rows(model, glosses))
+    sm = ScoreMatrix(scores=scores, mask=mask, targets=targets)
     loss = bcl_loss(sm)
-    return sm, loss, ForwardCounts(context=len(batch), gloss=len(batch))
+    return sm, loss, ForwardCounts(context=len(batch), gloss=len(glosses))
+
+
+def bcl_forward(batch: Batch, model: WsdModel) -> tuple[ScoreMatrix, LossValue, ForwardCounts]:
+    """Contrastive forward pass: b context encodes and b gloss encodes; cell (i, j)
+    scores word i against gloss j, as ``fusion_matrix``."""
+    return _scored_forward(
+        model, batch, batch.gold_glosses, duplicate_gloss_mask(batch.gold_glosses)
+    )
 
 
 def _update(
@@ -339,7 +346,7 @@ def all_candidates_forward(
 ) -> tuple[LossValue, ForwardCounts]:
     """Score every candidate sense of every item; row i keeps only its own candidates.
 
-    The b contexts form one padded pass and the sum(m_i) candidate glosses another."""
+    b context encodes and sum(m_i) gloss encodes."""
     glosses, owners, targets = [], [], []
     for i, inst in enumerate(batch.instances):
         senses = inventory.candidates(inst.lemma, inst.pos)
@@ -352,9 +359,7 @@ def all_candidates_forward(
         owners.extend([i] * len(senses))
         glosses.extend(s.gloss for s in senses)
     mask = np.arange(len(batch))[:, None] != np.array(owners)[None, :]
-    scores = score_rows(context_code_rows(model, batch.instances), gloss_code_rows(model, glosses))
-    loss = bcl_loss(ScoreMatrix(scores=scores, mask=mask, targets=np.array(targets)))
-    return loss, ForwardCounts(context=len(batch), gloss=len(glosses))
+    return _scored_forward(model, batch, glosses, mask, np.array(targets))[1:]
 
 
 def train_all_candidates_step(

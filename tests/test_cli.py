@@ -189,11 +189,17 @@ def test_missing_file_is_reported(workspace, capsys):
         (json.dumps({"train": {"min_freq": "2"}}), "section 'train'"),
         (json.dumps({"train": {"min_freq": 1.5}}), "section 'train'"),
         (json.dumps({"train": {"min_freq": 0}}), "section 'train'"),
+        (json.dumps({"train": {"batch_size": 2.5}}), "section 'train'"),
+        (json.dumps({"train": {"epochs": 1.5}}), "section 'train'"),
+        (json.dumps({"train": {"epochs": True}}), "section 'train'"),
+        (json.dumps({"train": {"learning_rate": True}}), "section 'train'"),
+        (json.dumps({"train": {"learning_rate": float("nan")}}), "section 'train'"),
     ],
     ids=[
         "unknown-key", "encoder-type", "train-type", "unknown-section", "section-type", "json",
         "encoder-float", "encoder-bool", "fusion-float", "fusion-string",
         "min-freq-string", "min-freq-float", "min-freq-zero",
+        "batch-size-float", "epochs-float", "epochs-bool", "learning-rate-bool", "learning-rate-nan",
     ],
 )
 def test_bad_config_is_a_located_error(workspace, tmp_path, capsys, text, located):
@@ -273,3 +279,22 @@ def test_non_integer_target_index_is_a_located_error(workspace, tmp_path, capsys
     )
     assert code == 1
     assert f"error: {corpus}:2: target_index" in capsys.readouterr().err
+
+
+def test_duplicate_instance_id_is_an_error(workspace, tmp_path, capsys):
+    lines = (workspace / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+    code = main(
+        [
+            "baseline",
+            "--method", "s1",
+            "--corpus", str(corpus),
+            "--inventory", str(workspace / "inventory.jsonl"),
+            "--out", str(tmp_path / "s1.tsv"),
+        ]
+    )
+    assert code == 1
+    first_id = json.loads(lines[0])["id"]
+    assert f"error: duplicate instance id {first_id!r} in corpus" in capsys.readouterr().err
+    assert not (tmp_path / "s1.tsv").exists()

@@ -9,7 +9,6 @@ from polywsd.errors import ComparisonError, ScoringError
 from polywsd.evaluation import (
     compare_costs,
     config_fingerprint,
-    cost_report,
     load_metrics,
     save_metrics,
     score_f1,
@@ -137,7 +136,7 @@ class TestCosts:
         fp = config_fingerprint("x")
         metrics = _metrics("bcl", fp, 4, 5, wall=7200.0)
         metrics.device_count = 2
-        assert cost_report(metrics).device_hours == pytest.approx(4.0)
+        assert metrics.device_hours == pytest.approx(4.0)
 
 
 class TestMetricsIO:

@@ -241,8 +241,10 @@ def _projection(rng, shape):
         ("transpose", lambda p, rng: T.mul(T.transpose(p), _projection(rng, (4, 3))), (3, 4)),
         ("add", lambda p, rng: T.add(p, _projection(rng, (3, 4))), (3, 4)),
         ("add_bias", lambda p, rng: T.add(_projection(rng, (3, 4)), p), (4,)),
-        ("sub", lambda p, rng: T.sub(_projection(rng, (3, 4)), p), (3, 4)),
-        ("sub_bias", lambda p, rng: T.sub(_projection(rng, (3, 4)), p), (4,)),
+        # the batched encoder's residual add and FFN activation at rank 3, in rows 5 and 6
+        # so that every later row keeps its generated id (shape<N> counts rows)
+        ("add_batched", lambda p, rng: T.add(p, _projection(rng, (2, 3, 4))), (2, 3, 4)),
+        ("gelu_batched", lambda p, rng: T.mul(T.gelu(p), _projection(rng, (2, 3, 4))), (2, 3, 4)),
         ("mul", lambda p, rng: T.mul(p, _projection(rng, (3, 4))), (3, 4)),
         ("mul_gain", lambda p, rng: T.mul(_projection(rng, (3, 4)), p), (4,)),
         ("scale", lambda p, rng: T.scale(p, -1.7), (3, 4)),

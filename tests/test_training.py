@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from polywsd import tensor as T
 from polywsd.data import PAD_ID, CorpusInstance, SenseEntry, SenseInventory
 from polywsd.errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
 from polywsd.fusion import score_pair
@@ -97,14 +98,14 @@ class TestBclLoss:
             [Tensor(np.zeros((1, 3))) for _ in range(2)],
         )
         loss = bcl_loss(sm)
-        np.testing.assert_allclose(sm.diag_probs.data, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(np.exp(-loss.per_example), [0.5, 0.5], atol=1e-12)
         assert loss.value == pytest.approx(math.log(2), abs=1e-12)
 
     def test_reference_two_by_two(self):
         # scores [[2,0],[0,2]]: P_ii = 0.8807970779778824 per the mpmath script
         sm = _score_matrix([[2.0, 0.0], [0.0, 2.0]])
         loss = bcl_loss(sm)
-        np.testing.assert_allclose(sm.diag_probs.data, 0.8807970779778824, atol=1e-12)
+        np.testing.assert_allclose(np.exp(-loss.per_example), 0.8807970779778824, atol=1e-12)
         assert loss.value == pytest.approx(0.1269280110429725, abs=1e-12)
 
     def test_duplicate_gloss_masking_matches_hand_oracle(self):
@@ -126,8 +127,9 @@ class TestBclLoss:
             expected_rows.append(-math.log(p[keep.index(i)]))
         np.testing.assert_allclose(loss.per_example, expected_rows, atol=1e-12)
         # row 0 softmax ran over 2 entries only
-        assert sm.probs.data[0, 2] == 0.0
-        np.testing.assert_allclose(sm.probs.data.sum(axis=1), 1.0, atol=1e-9)
+        probs = T.row_softmax(sm.scores, mask=sm.mask)
+        assert probs.data[0, 2] == 0.0
+        np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_masked_diagonal_is_an_internal_error(self):
         mask = np.zeros((2, 2), dtype=bool)
@@ -272,6 +274,49 @@ class TestTrainStep:
         with pytest.raises(TrainingError) as err:
             train_step(batch, model, opt)
         assert "parameter norm" in str(err.value)
+
+
+class TestClipNorm:
+    """``clip_norm`` rescales the whole gradient to that global norm when it is above it."""
+
+    def _world_and_raw_grads(self):
+        corpus, inventory = synthetic_corpus(n_lemmas=4, senses_per_lemma=3, n_instances=8, seed=2)
+        model = tiny_model(corpus, inventory, seed=0)
+        randomize_parameters(model, seed=3)
+        batch = make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)[0]
+        tape = Tape()
+        with tape:
+            loss = bcl_forward(batch, model)[1]
+        backward(loss.total, tape)
+        grads = [p.grad for p in model.parameters()]
+        return model, batch, grads, _global_norm(grads)
+
+    def test_norm_above_the_bound_is_scaled_to_it(self):
+        model, batch, grads, raw_norm = self._world_and_raw_grads()
+        clip = raw_norm / 4.0
+        params = model.parameters()
+        reference = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+        for r, g in zip(reference, grads):
+            r.grad = None if g is None else g * (clip / raw_norm)
+        Adam(reference, learning_rate=1e-2).step()
+
+        train_step(batch, model, Adam(params, learning_rate=1e-2), clip_norm=clip)
+        assert _global_norm([p.grad for p in params]) == pytest.approx(clip, rel=0, abs=1e-12)
+        for p, r in zip(params, reference):
+            assert p.data.tobytes() == r.data.tobytes()
+
+    def test_norm_below_the_bound_is_left_alone(self):
+        model, batch, grads, raw_norm = self._world_and_raw_grads()
+        params = model.parameters()
+        train_step(batch, model, Adam(params, learning_rate=1e-2), clip_norm=2.0 * raw_norm)
+        for p, g in zip(params, grads):
+            assert (p.grad is None) == (g is None)
+            if g is not None:
+                assert p.grad.tobytes() == g.tobytes()
+
+
+def _global_norm(grads):
+    return float(np.sqrt(sum(float((g**2).sum()) for g in grads if g is not None)))
 
 
 class TestGradientCheck:
@@ -463,6 +508,26 @@ class TestBatchedPath:
         _, model, batch = _ragged_world(4, d_model=4)
         randomize_parameters(model, seed=6)
         assert check_bcl_gradients(batch, model) < 1e-4
+
+    def test_every_record_reaches_the_loss(self):
+        """The tape holds only the loss's gradient path: walked in reverse from the
+        loss, every record's output feeds a record that reaches the loss."""
+        inventory, model, batch = _ragged_world(8)
+        for forward in (
+            lambda: bcl_forward(batch, model)[1],
+            lambda: all_candidates_forward(batch, inventory, model)[0],
+        ):
+            tape = Tape()
+            with tape:
+                loss = forward()
+            live, dead = {id(loss.total)}, []
+            for out, inputs, _ in reversed(tape._records):
+                if id(out) in live:
+                    live.update(id(t) for t in inputs)
+                else:
+                    dead.append(out.shape)
+            assert tape._records[-1][0] is loss.total
+            assert dead == []
 
     def test_tape_length_does_not_grow_with_the_batch(self):
         """One record per layer op, not per sequence: a per-item loop would grow the tape."""
