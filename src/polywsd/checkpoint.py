@@ -13,6 +13,9 @@ Layout (all integers little-endian):
                      is present) the first- and second-moment blobs in the
                      same order
 
+Version 2 stores each attention projection as one tensor, its heads in
+column blocks; version 1 files, with one tensor per head, are rejected.
+
 Writes go to a temp file in the target directory and are renamed into
 place, so a crash never leaves a half-written checkpoint at the final path.
 """
@@ -35,7 +38,7 @@ from .model import WsdModel, build_model
 from .training import Adam
 
 MAGIC = b"PWCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -118,8 +121,8 @@ def _read_blob(fh, shape, what: str) -> np.ndarray:
 
 
 def _check_optimizer_header(header) -> None:
-    """Each Adam hyperparameter must be a number and the step counter ``t`` a
-    non-negative integer; a missing or mistyped field is a CheckpointError."""
+    """Each Adam hyperparameter must be a number, each beta in (0, 1), and the step
+    counter ``t`` a non-negative integer; a missing or bad field is a CheckpointError."""
     if not isinstance(header, dict):
         raise CheckpointError(f"checkpoint optimizer header is not an object: {header!r}")
     for name in ("learning_rate", "beta1", "beta2", "eps", "t"):
@@ -127,7 +130,8 @@ def _check_optimizer_header(header) -> None:
             raise CheckpointError(f"incomplete checkpoint header: no optimizer field {name!r}")
         value = header[name]
         kinds = int if name == "t" else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds) or (name == "t" and value < 0):
+        bad = isinstance(value, bool) or not isinstance(value, kinds)
+        if bad or (name == "t" and value < 0) or (name.startswith("beta") and not 0 < value < 1):
             raise CheckpointError(f"checkpoint optimizer field {name!r} has bad value {value!r}")
 
 
@@ -190,14 +194,10 @@ def load_checkpoint(path) -> Checkpoint:
                 eps=optimizer_header["eps"],
             )
             optimizer.t = int(optimizer_header["t"])
-            optimizer.m = [
-                np.ascontiguousarray(_read_blob(fh, t.shape, f"first moment of {n}"))
-                for n, t in named
-            ]
-            optimizer.v = [
-                np.ascontiguousarray(_read_blob(fh, t.shape, f"second moment of {n}"))
-                for n, t in named
-            ]
+            optimizer.m, optimizer.v = (
+                [_read_blob(fh, t.shape, f"{which} moment of {n}") for n, t in named]
+                for which in ("first", "second")
+            )
         if fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
     return Checkpoint(model=model, optimizer=optimizer, seed=seed, step=step)

@@ -10,11 +10,14 @@ padded position passes no gradient back into the real ones: each item's
 real rows equal those of encoding it alone. ``encode`` runs the same stack
 on one sequence, which needs no padding, and returns its (n + 2, d) rows.
 Blocks are pre-LayerNorm self-attention plus a GELU feed-forward, both
-with residual connections.
+with residual connections. Each attention projection is one (d, d) matrix
+whose column blocks are the heads (Vaswani et al. 2017, arXiv:1706.03762);
+the heads are folded into the batch axis for the softmax and back out of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -60,9 +63,10 @@ class EncoderConfig:
         return self.d_model // self.n_heads
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+def glorot(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Glorot-uniform draws of ``shape``, a stack of (fan_in, fan_out) matrices."""
+    bound = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def _param(arr) -> Tensor:
@@ -75,9 +79,9 @@ class LayerParams:
 
     attn_gain: Tensor
     attn_bias: Tensor
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wv: list[Tensor]
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
     wo: Tensor
     ffn_gain: Tensor
     ffn_bias: Tensor
@@ -103,10 +107,9 @@ class EncoderParams:
             base = f"{prefix}layer{i}."
             yield base + "attn_gain", layer.attn_gain
             yield base + "attn_bias", layer.attn_bias
-            for h in range(len(layer.wq)):
-                yield base + f"wq{h}", layer.wq[h]
-                yield base + f"wk{h}", layer.wk[h]
-                yield base + f"wv{h}", layer.wv[h]
+            yield base + "wq", layer.wq
+            yield base + "wk", layer.wk
+            yield base + "wv", layer.wv
             yield base + "wo", layer.wo
             yield base + "ffn_gain", layer.ffn_gain
             yield base + "ffn_bias", layer.ffn_bias
@@ -119,17 +122,20 @@ class EncoderParams:
 
 
 def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
-    """Fresh encoder parameters: Glorot projections, uniform embedding tables."""
+    """Fresh encoder parameters: Glorot projections, uniform embedding tables. A
+    layer's query, key and value projections are each n_heads (d, d / n_heads)
+    draws side by side, every query head drawn first, then the keys, the values."""
     d, dh, dff = config.d_model, config.head_dim, config.d_ff
     layers = []
     for _ in range(config.n_layers):
+        wq, wk, wv = (_param(np.hstack(w)) for w in glorot(rng, 3, config.n_heads, d, dh))
         layers.append(
             LayerParams(
                 attn_gain=_param(np.ones(d)),
                 attn_bias=_param(np.zeros(d)),
-                wq=[_param(glorot(rng, d, dh)) for _ in range(config.n_heads)],
-                wk=[_param(glorot(rng, d, dh)) for _ in range(config.n_heads)],
-                wv=[_param(glorot(rng, d, dh)) for _ in range(config.n_heads)],
+                wq=wq,
+                wk=wk,
+                wv=wv,
                 wo=_param(glorot(rng, d, d)),
                 ffn_gain=_param(np.ones(d)),
                 ffn_bias=_param(np.zeros(d)),
@@ -156,30 +162,41 @@ def _affine_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def multi_head_attention(
     queries: Tensor,
     context: Tensor,
-    wq: list[Tensor],
-    wk: list[Tensor],
-    wv: list[Tensor],
+    wq: Tensor,
+    wk: Tensor,
+    wv: Tensor,
     wo: Tensor,
+    n_heads: int,
     key_mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Scaled dot-product attention of ``queries`` over ``context`` rows, one head per
-    ``wq[h], wk[h], wv[h]``; the concatenated head outputs are projected by ``wo``.
+    """Scaled dot-product attention of ``queries`` over ``context`` rows in
+    ``n_heads`` heads; head i uses column block i of ``wq``, ``wk`` and ``wv``,
+    and the heads' outputs, side by side, are projected by ``wo``.
 
     Takes one sequence, (n_q, d) over (n, d), or a batch, (b, n_q, d) over
     (b, n, d). ``key_mask`` (b, n) is True at padded context positions, which
     get exactly zero attention weight.
     """
+    lead, n_q, n = queries.shape[:-2], queries.shape[-2], context.shape[-2]
+    width, rows, r = wq.shape[1], math.prod(lead) * n_heads, len(lead)
+    dh = width // n_heads
+    # (..., n, h, dh) <-> (..., h, n, dh): each head of each item is one batch entry
+    axes = tuple(range(r)) + (r + 1, r, r + 2)
+
+    def split(x: Tensor, length: int) -> Tensor:
+        return T.regroup(x, lead + (length, n_heads, dh), axes, (rows, length, dh))
+
+    q = split(T.matmul(queries, wq), n_q)
+    k = split(T.matmul(context, wk), n)
+    v = split(T.matmul(context, wv), n)
     mask = None
     if key_mask is not None:
-        mask = np.broadcast_to(key_mask[:, None, :], queries.shape[:-1] + key_mask.shape[-1:])
-    heads = []
-    for q_proj, k_proj, v_proj in zip(wq, wk, wv):
-        q = T.matmul(queries, q_proj)
-        k = T.matmul(context, k_proj)
-        v = T.matmul(context, v_proj)
-        logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q_proj.shape[1]))
-        heads.append(T.matmul(T.row_softmax(logits, mask=mask), v))
-    return T.matmul(T.concat(heads, axis=-1), wo)
+        per_head = np.repeat(key_mask.reshape(-1, n), n_heads, axis=0)
+        mask = np.broadcast_to(per_head[:, None, :], (rows, n_q, n))
+    logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(dh))
+    heads = T.matmul(T.row_softmax(logits, mask=mask), v)
+    merged = T.regroup(heads, lead + (n_heads, n_q, dh), axes, lead + (n_q, width))
+    return T.matmul(merged, wo)
 
 
 def _check_ids(config: EncoderConfig, token_ids: Sequence[int]) -> None:
@@ -203,7 +220,7 @@ def _encoder_stack(params: EncoderParams, ids: np.ndarray, key_mask: np.ndarray 
     for layer in params.layers:
         normed = _affine_norm(x, layer.attn_gain, layer.attn_bias)
         attended = multi_head_attention(
-            normed, normed, layer.wq, layer.wk, layer.wv, layer.wo, key_mask=key_mask
+            normed, normed, layer.wq, layer.wk, layer.wv, layer.wo, params.config.n_heads, key_mask
         )
         x = T.add(x, attended)
         normed = _affine_norm(x, layer.ffn_gain, layer.ffn_bias)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .data import POS_TAGS, CorpusInstance, load_gold_keys, load_predictions
 from .errors import ComparisonError, ScoringError
@@ -139,35 +139,19 @@ def config_fingerprint(*parts) -> str:
 # ---------------------------------------------------------------------------
 
 
+_RUN_FIELDS = ("mode", "fingerprint", "device_count")
+
+
 def save_metrics(path, metrics: RunMetrics) -> None:
+    """One JSON object per line: the run header, one line per step, the summary."""
+    header = {k: getattr(metrics, k) for k in _RUN_FIELDS}
+    lines = [
+        {"kind": "run", **header},
+        *({"kind": "step", **asdict(r)} for r in metrics.records),
+        {"kind": "summary", "wall_seconds": metrics.wall_seconds},
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps(
-                {
-                    "kind": "run",
-                    "mode": metrics.mode,
-                    "fingerprint": metrics.fingerprint,
-                    "device_count": metrics.device_count,
-                }
-            )
-            + "\n"
-        )
-        for r in metrics.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "step",
-                        "step": r.step,
-                        "epoch": r.epoch,
-                        "loss": r.loss,
-                        "context_forwards": r.context_forwards,
-                        "gloss_forwards": r.gloss_forwards,
-                        "elapsed": r.elapsed,
-                    }
-                )
-                + "\n"
-            )
-        fh.write(json.dumps({"kind": "summary", "wall_seconds": metrics.wall_seconds}) + "\n")
+        fh.writelines(json.dumps(line) + "\n" for line in lines)
 
 
 def load_metrics(path) -> RunMetrics:
@@ -185,24 +169,12 @@ def load_metrics(path) -> RunMetrics:
             kind = record.get("kind")
             try:
                 if kind == "run":
-                    metrics = RunMetrics(
-                        mode=record["mode"],
-                        fingerprint=record["fingerprint"],
-                        device_count=record["device_count"],
-                    )
+                    metrics = RunMetrics(**{k: record[k] for k in _RUN_FIELDS})
                 elif kind == "step":
                     if metrics is None:
                         raise ComparisonError(f"{path}:{lineno}: step record before run header")
-                    metrics.records.append(
-                        StepRecord(
-                            step=record["step"],
-                            epoch=record["epoch"],
-                            loss=record["loss"],
-                            context_forwards=record["context_forwards"],
-                            gloss_forwards=record["gloss_forwards"],
-                            elapsed=record["elapsed"],
-                        )
-                    )
+                    step = {f.name: record[f.name] for f in fields(StepRecord)}
+                    metrics.records.append(StepRecord(**step))
                 elif kind == "summary":
                     if metrics is None:
                         raise ComparisonError(f"{path}:{lineno}: summary before run header")

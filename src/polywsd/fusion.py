@@ -7,13 +7,14 @@ start-marker row in the same shape, so both sides are directly comparable:
 their match score is the inner product of the two code rows. For a padded
 batch of b contexts, the b target rows form one (b, 1, d) query batch for
 the same attention, each masked to its own context's real positions, and
-give b code rows at once.
+give b code rows at once. Like the encoders' self-attention, the fusion
+holds one (d, d) matrix per projection, its heads in column blocks.
 
-``FusionConfig.poly_m`` is accepted so existing configs and checkpoints
-load, but it has no effect: copies of one query attend identically, so any
-number of replicated codes gives the same scores as one. The poly-encoder
-of Humeau et al. 2020 (arXiv:1905.01969) instead learns ``m`` distinct
-context codes; adding those would be a model change.
+``FusionConfig.poly_m`` is accepted so existing configs load, but it has
+no effect: copies of one query attend identically, so any number of
+replicated codes gives the same scores as one. The poly-encoder of Humeau
+et al. 2020 (arXiv:1905.01969) instead learns ``m`` distinct context
+codes; adding those would be a model change.
 """
 
 from __future__ import annotations
@@ -49,31 +50,30 @@ class FusionConfig:
 
 @dataclass
 class FusionParams:
-    """Per-head query/key/value projections and the output projection."""
+    """The (d, d) query, key and value projections, head i in column block i of
+    each, and the output projection; ``config`` gives the head count."""
 
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wv: list[Tensor]
+    config: FusionConfig
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
     w_o: Tensor
 
     def named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for i in range(len(self.wq)):
-            yield f"{prefix}head{i}.wq", self.wq[i]
-            yield f"{prefix}head{i}.wk", self.wk[i]
-            yield f"{prefix}head{i}.wv", self.wv[i]
+        yield f"{prefix}wq", self.wq
+        yield f"{prefix}wk", self.wk
+        yield f"{prefix}wv", self.wv
         yield f"{prefix}w_o", self.w_o
 
 
 def init_fusion(config: FusionConfig, rng: np.random.Generator) -> FusionParams:
+    """Glorot projections; the per-head (d, d / n_heads) blocks are drawn head by
+    head, each head's query, key and value in turn."""
     d, dh = config.d_model, config.head_dim
-    wq: list[Tensor] = []
-    wk: list[Tensor] = []
-    wv: list[Tensor] = []
-    for _ in range(config.n_heads):  # per-head draw order: query, key, value
-        for weights in (wq, wk, wv):
-            weights.append(Tensor(glorot(rng, d, dh), requires_grad=True))
+    draws = glorot(rng, config.n_heads, 3, d, dh)
+    wq, wk, wv = (Tensor(np.hstack(draws[:, i]), requires_grad=True) for i in range(3))
     w_o = Tensor(glorot(rng, config.n_heads * dh, d), requires_grad=True)
-    return FusionParams(wq=wq, wk=wk, wv=wv, w_o=w_o)
+    return FusionParams(config=config, wq=wq, wk=wk, wv=wv, w_o=w_o)
 
 
 def fuse_context(
@@ -88,7 +88,7 @@ def fuse_context(
     d = target.shape[-1]
     query = T.reshape(target, target.shape[:-1] + (1, d))
     fused = multi_head_attention(
-        query, encoded, params.wq, params.wk, params.wv, params.w_o, key_mask=key_mask
+        query, encoded, params.wq, params.wk, params.wv, params.w_o, params.config.n_heads, key_mask
     )
     return T.reshape(fused, (fused.size // d, d))
 

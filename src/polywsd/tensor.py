@@ -8,14 +8,16 @@ accumulates adjoints additively, so a tensor consumed twice receives the
 sum of both contributions.
 
 A tape and its tensors belong to one execution; run independent tapes for
-parallel work. Tensors are treated as immutable after creation except for
-the ``grad`` slot (the optimizer and the gradient check mutate parameter
-``data`` between tapes, never during one).
+parallel work. The active tape is a context variable, so each thread records
+onto the tape it opened. Tensors are treated as immutable after creation
+except for the ``grad`` slot (the optimizer and the gradient check mutate
+parameter ``data`` between tapes, never during one).
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,8 +38,6 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         # asarray keeps 0-d shapes; ascontiguousarray would promote them to 1-d.
         arr = np.asarray(data, dtype=np.float64, order="C")
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
         if arr.ndim > _MAX_RANK:
             raise ShapeError(f"rank {arr.ndim} exceeds supported rank {_MAX_RANK}")
         self.data = arr
@@ -76,20 +76,20 @@ class Tape:
         return len(self._records)
 
     def __enter__(self) -> "Tape":
-        _ACTIVE.append(self)
+        self._token = _ACTIVE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _ACTIVE.pop()
+        _ACTIVE.reset(self._token)
 
 
-_ACTIVE: list[Tape] = []
+_ACTIVE: ContextVar[Tape | None] = ContextVar("active_tape", default=None)
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: _Vjp) -> Tensor:
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    if _ACTIVE and out.requires_grad:
-        _ACTIVE[-1]._records.append((out, inputs, vjp))
+    if out.requires_grad and (tape := _ACTIVE.get()) is not None:
+        tape._records.append((out, inputs, vjp))
     return out
 
 
@@ -326,23 +326,16 @@ def row(a: Tensor, i: int) -> Tensor:
     return _emit(a.data[i].copy(), (a,), vjp)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors of rank 1 to 3 along ``axis``."""
-    if not parts:
-        raise ShapeError("concat needs at least one tensor")
-    ndim = parts[0].data.ndim
-    if ndim not in (1, 2, 3) or not -ndim <= axis < ndim:
-        raise ShapeError(f"concat on axis {axis} unsupported for rank {ndim}")
-    if any(p.data.ndim != ndim for p in parts):
-        raise ShapeError("concat parts must share rank")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Stack rank-2 tensors of one width along their rows."""
+    if not parts or any(p.data.ndim != 2 for p in parts):
+        raise ShapeError("concat needs at least one tensor, all of rank 2")
+    splits = np.cumsum([p.shape[0] for p in parts])[:-1]
 
     def vjp(g: np.ndarray):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits))
 
-    return _emit(out, tuple(parts), vjp)
+    return _emit(np.concatenate([p.data for p in parts]), tuple(parts), vjp)
 
 
 def pick(m: Tensor, cols: Sequence[int]) -> Tensor:
@@ -371,6 +364,21 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     old = a.shape
     return _emit(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+
+
+def regroup(a: Tensor, grouped: Sequence[int], axes: Sequence[int], shape: Sequence[int]) -> Tensor:
+    """Reshape ``a`` to ``grouped``, permute its axes by ``axes``, reshape to ``shape``.
+
+    Folds attention heads into the batch axis and back out of it; ``grouped``
+    may be rank 4, as it only shapes an intermediate numpy view.
+    """
+    try:
+        permuted = a.data.reshape(grouped).transpose(axes)
+        out = permuted.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"cannot regroup {a.shape} as {grouped} by {axes} into {shape}") from None
+    inverse, old = np.argsort(axes), a.shape
+    return _emit(out, (a,), lambda g: (g.reshape(permuted.shape).transpose(inverse).reshape(old),))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,8 @@ class TrainConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            if name.startswith("beta") and not 0 < value < 1:
+                raise ConfigError(f"{name} must lie in (0, 1), got {value}")
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
 
@@ -184,7 +186,7 @@ def fusion_matrix(
     shapes = {c.shape for c in word_codes_list + gloss_codes_list}
     if len(shapes) != 1 or next(iter(shapes))[0] != 1:
         raise ShapeError(f"fusion_matrix needs code rows of one (1, d) shape, got {shapes}")
-    scores = score_rows(T.concat(word_codes_list, axis=0), T.concat(gloss_codes_list, axis=0))
+    scores = score_rows(T.concat(word_codes_list), T.concat(gloss_codes_list))
     b = len(word_codes_list)
     if mask is None:
         mask = np.zeros((b, b), dtype=bool)

@@ -84,6 +84,17 @@ class TestRejection:
             load_checkpoint(path)
         assert "version" in str(err.value)
 
+    def test_per_head_version_1_file_rejected(self, tmp_path):
+        _, _, model, optimizer, config = _trained_world()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "version 1 is incompatible with supported version 2" in str(err.value)
+
     def test_truncated_file_rejected(self, tmp_path):
         _, _, model, optimizer, config = _trained_world()
         path = tmp_path / "model.ckpt"
@@ -142,8 +153,16 @@ class TestRejection:
             lambda opt: opt.update(learning_rate=True),
             lambda opt: opt.update(t=1.5),
             lambda opt: opt.update(t=-1),
+            *(
+                lambda opt, name=name, value=value: opt.update({name: value})
+                for name in ("beta1", "beta2")
+                for value in (1.5, 1.0, 0.0)
+            ),
         ],
-        ids=["beta1-missing", "beta1-string", "eps-null", "lr-bool", "t-float", "t-negative"],
+        ids=[
+            "beta1-missing", "beta1-string", "eps-null", "lr-bool", "t-float", "t-negative",
+            *(f"{name}-{value}" for name in ("beta1", "beta2") for value in (1.5, 1.0, 0.0)),
+        ],
     )
     def test_bad_optimizer_field_rejected(self, tmp_path, edit):
         _, _, model, optimizer, config = _trained_world()

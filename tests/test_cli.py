@@ -194,12 +194,18 @@ def test_missing_file_is_reported(workspace, capsys):
         (json.dumps({"train": {"epochs": True}}), "section 'train'"),
         (json.dumps({"train": {"learning_rate": True}}), "section 'train'"),
         (json.dumps({"train": {"learning_rate": float("nan")}}), "section 'train'"),
+        *(
+            (json.dumps({"train": {name: value}}), "section 'train'")
+            for name in ("beta1", "beta2")
+            for value in (1.5, 1.0, 0.0)
+        ),
     ],
     ids=[
         "unknown-key", "encoder-type", "train-type", "unknown-section", "section-type", "json",
         "encoder-float", "encoder-bool", "fusion-float", "fusion-string",
         "min-freq-string", "min-freq-float", "min-freq-zero",
         "batch-size-float", "epochs-float", "epochs-bool", "learning-rate-bool", "learning-rate-nan",
+        *(f"{name}-{value}" for name in ("beta1", "beta2") for value in (1.5, 1.0, 0.0)),
     ],
 )
 def test_bad_config_is_a_located_error(workspace, tmp_path, capsys, text, located):

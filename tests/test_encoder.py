@@ -15,7 +15,10 @@ from polywsd.encoder import (
 )
 from polywsd.errors import ConfigError, ContractError
 from polywsd.fusion import FusionConfig
+from polywsd.synthetic import synthetic_corpus
 from polywsd.tensor import Tape, Tensor, backward
+
+from conftest import tiny_model
 
 
 CONFIG = EncoderConfig(vocab_size=20, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=10)
@@ -94,10 +97,11 @@ class TestEncodeBatch:
 
         monkeypatch.setattr(T, "row_softmax", recorded)
         _, padding = encode_batch(params, self.SEQUENCES)
-        assert len(weights) == CONFIG.n_layers * CONFIG.n_heads
+        # one softmax per layer, the heads of item i in rows i * n_heads onwards
+        assert len(weights) == CONFIG.n_layers
         for w in weights:
-            assert w.shape == (3, 10, 10)
-            keys = np.broadcast_to(padding[:, None, :], w.shape)
+            assert w.shape == (3 * CONFIG.n_heads, 10, 10)
+            keys = np.broadcast_to(np.repeat(padding, CONFIG.n_heads, axis=0)[:, None, :], w.shape)
             assert np.all(w[keys] == 0.0)
             assert np.all(w[~keys] > 0.0)
 
@@ -211,3 +215,55 @@ class TestConfig:
     def test_reserved_vocab_floor(self):
         with pytest.raises(ConfigError):
             EncoderConfig(vocab_size=3, d_model=8, n_layers=1, n_heads=2, d_ff=8, max_seq_len=8)
+
+
+def _per_head_values(model):
+    """Every Glorot-drawn parameter of ``model``'s seed, drawn one (d, d / h) head
+    at a time in the per-head order (per layer: every query head, every key head,
+    every value head; in the fusion: each head's query, key and value), with
+    each projection's heads then placed side by side."""
+    rng = np.random.default_rng(0)
+
+    def glorot(fan_in, fan_out):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    values = {}
+    for side, config in (("context", model.context_config), ("gloss", model.gloss_config)):
+        d, dh, h = config.d_model, config.head_dim, config.n_heads
+        for i in range(config.n_layers):
+            for proj in ("wq", "wk", "wv"):
+                values[f"{side}.layer{i}.{proj}"] = np.hstack([glorot(d, dh) for _ in range(h)])
+            values[f"{side}.layer{i}.wo"] = glorot(d, d)
+            values[f"{side}.layer{i}.w1"] = glorot(d, config.d_ff)
+            values[f"{side}.layer{i}.w2"] = glorot(config.d_ff, d)
+        values[f"{side}.tok_emb"] = rng.uniform(-0.05, 0.05, (config.vocab_size, d))
+        values[f"{side}.pos_emb"] = rng.uniform(-0.05, 0.05, (config.max_seq_len, d))
+    config = model.fusion_config
+    d, dh = config.d_model, config.head_dim
+    heads = [[glorot(d, dh) for _ in range(3)] for _ in range(config.n_heads)]
+    for j, proj in enumerate(("wq", "wk", "wv")):
+        values[f"fusion.{proj}"] = np.hstack([head[j] for head in heads])
+    values["fusion.w_o"] = glorot(d, d)
+    return values
+
+
+class TestStackedHeads:
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_init_matches_per_head_draws_bit_for_bit(self, n_heads):
+        corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=6, seed=4)
+        model = tiny_model(corpus, inventory, seed=0, n_heads=n_heads)
+        named = dict(model.named_parameters())
+        expected = _per_head_values(model)
+        for name, value in expected.items():
+            assert named[name].data.tobytes() == value.tobytes(), name
+        # the rest are the layer-norm gains and the biases, at their constant inits
+        for name in named.keys() - expected.keys():
+            assert np.all(named[name].data == (1.0 if name.endswith("gain") else 0.0)), name
+
+    def test_parameter_count_does_not_depend_on_heads(self):
+        corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=6, seed=4)
+        models = [tiny_model(corpus, inventory, n_heads=h) for h in (1, 2, 4, 8)]
+        shapes = [[(name, t.shape) for name, t in m.named_parameters()] for m in models]
+        assert all(s == shapes[0] for s in shapes[1:])
+        assert len(shapes[0]) == 2 * 16 + 4  # two one-layer encoders, then the fusion

@@ -50,7 +50,7 @@ def _projections(d_model, d_k, rng):
 
 def _one_head(queries, context, wq, wk, wv):
     """A single head with an identity output projection: the head's own output."""
-    return multi_head_attention(queries, context, [wq], [wk], [wv], Tensor(np.eye(wv.shape[1])))
+    return multi_head_attention(queries, context, wq, wk, wv, Tensor(np.eye(wv.shape[1])), 1)
 
 
 class TestAttentionHead:
@@ -95,38 +95,37 @@ class TestAttentionHead:
 
 
 class TestFuseHeads:
-    """Head outputs are concatenated along the feature axis, then projected."""
+    """Head outputs sit side by side along the feature axis, then are projected."""
 
     def _single_key(self, values):
         # one context row: every head attends to it with weight 1, so head h
-        # outputs the context row times wv[h]
+        # outputs the context row times column block h of wv
         return Tensor(np.ones((2, len(values)))), Tensor([values])
 
     def test_identity_projection_single_head(self):
         queries, context = self._single_key([1.0, 2.0])
         eye = Tensor(np.eye(2))
-        out = multi_head_attention(queries, context, [eye], [eye], [eye], eye)
+        out = multi_head_attention(queries, context, eye, eye, eye, eye, 1)
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [1.0, 2.0]])
 
     def test_zero_projection(self):
         queries, context = self._single_key([1.0, 2.0])
         eye = Tensor(np.eye(2))
-        out = multi_head_attention(queries, context, [eye], [eye], [eye], Tensor(np.zeros((2, 2))))
+        out = multi_head_attention(queries, context, eye, eye, eye, Tensor(np.zeros((2, 2))), 1)
         np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
     def test_hand_concat_two_heads(self):
         queries, context = self._single_key([3.0, 4.0])
-        first, second = Tensor([[1.0], [0.0]]), Tensor([[0.0], [1.0]])
-        out = multi_head_attention(
-            queries, context, [first, second], [first, second], [second, first], Tensor(np.eye(2))
-        )
+        # head 0 reads feature 1 and head 1 feature 0: the value blocks are swapped
+        eye, swap = Tensor(np.eye(2)), Tensor([[0.0, 1.0], [1.0, 0.0]])
+        out = multi_head_attention(queries, context, eye, eye, swap, eye, 2)
         np.testing.assert_array_equal(out.data, [[4.0, 3.0], [4.0, 3.0]])
 
     def test_wrong_head_count_rejected(self):
         queries, context = self._single_key([1.0, 2.0])
         eye = Tensor(np.eye(2))  # one head of width 2, projection wants 4
         with pytest.raises(ShapeError):
-            multi_head_attention(queries, context, [eye], [eye], [eye], Tensor(np.eye(4)))
+            multi_head_attention(queries, context, eye, eye, eye, Tensor(np.eye(4)), 1)
 
 
 class TestScorePair:
@@ -174,10 +173,11 @@ class TestFullFusion:
 
         # independent single-query oracle in plain numpy
         pieces = []
-        for wq, wk, wv in zip(params.wq, params.wk, params.wv):
-            q = target.data[None, :] @ wq.data
-            k = encoded.data @ wk.data
-            v = encoded.data @ wv.data
+        for h in range(config.n_heads):
+            block = slice(h * config.head_dim, (h + 1) * config.head_dim)
+            q = target.data[None, :] @ params.wq.data[:, block]
+            k = encoded.data @ params.wk.data[:, block]
+            v = encoded.data @ params.wv.data[:, block]
             logits = (q @ k.T) / np.sqrt(config.head_dim)
             e = np.exp(logits - logits.max())
             pieces.append((e / e.sum()) @ v)

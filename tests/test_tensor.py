@@ -1,6 +1,8 @@
 """Tensor core: forward values, tape gradients, and the finite-difference oracle."""
 
 import math
+import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -262,14 +264,17 @@ def _projection(rng, shape):
         (
             "concat_rows",
             lambda p, rng: T.mul(
-                T.concat([p, _projection(rng, (2, 4))], axis=0), _projection(rng, (5, 4))
+                T.concat([p, _projection(rng, (2, 4))]), _projection(rng, (5, 4))
             ),
             (3, 4),
         ),
+        # the regroup rows fold 2 heads into the batch axis (split) and back (merge),
+        # rank 2 for one sequence and rank 3 for a batch of two; the split rows sit
+        # in the slots of two deleted concat rows, so every later row keeps its id
         (
-            "concat_cols",
+            "regroup_split",
             lambda p, rng: T.mul(
-                T.concat([_projection(rng, (3, 2)), p], axis=1), _projection(rng, (3, 6))
+                T.regroup(p, (3, 2, 2), (1, 0, 2), (2, 3, 2)), _projection(rng, (2, 3, 2))
             ),
             (3, 4),
         ),
@@ -321,9 +326,9 @@ def _projection(rng, shape):
             (3, 4),
         ),
         (
-            "concat_last_batched",
+            "regroup_split_batched",
             lambda p, rng: T.mul(
-                T.concat([_projection(rng, (2, 3, 2)), p], axis=-1), _projection(rng, (2, 3, 6))
+                T.regroup(p, (2, 3, 2, 2), (0, 2, 1, 3), (4, 3, 2)), _projection(rng, (4, 3, 2))
             ),
             (2, 3, 4),
         ),
@@ -332,11 +337,25 @@ def _projection(rng, shape):
             lambda p, rng: T.mul(T.pick(p, [2, 0]), _projection(rng, (2, 4))),
             (2, 3, 4),
         ),
+        (
+            "regroup_merge",
+            lambda p, rng: T.mul(
+                T.regroup(p, (2, 3, 2), (1, 0, 2), (3, 4)), _projection(rng, (3, 4))
+            ),
+            (2, 3, 2),
+        ),
+        (
+            "regroup_merge_batched",
+            lambda p, rng: T.mul(
+                T.regroup(p, (2, 2, 3, 2), (0, 2, 1, 3), (2, 3, 4)), _projection(rng, (2, 3, 4))
+            ),
+            (4, 3, 2),
+        ),
     ],
 )
 def test_op_gradients_match_finite_differences(name, fn, shape):
     """Every differentiable op passes the central-difference check at h=1e-4."""
-    rng = np.random.default_rng(hash(name) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     params = _leaf(rng.normal(size=shape))
 
     def scalar_f():
@@ -389,3 +408,57 @@ def test_grad_matches_data_length_when_present():
         loss = T.sum_all(x)
     backward(loss, tape)
     assert x.grad.size == x.data.size
+
+
+class TestRegroup:
+    def test_heads_fold_into_the_batch_axis_and_back(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        split = T.regroup(Tensor(x), (2, 3, 2, 2), (0, 2, 1, 3), (4, 3, 2))
+        for i in range(2):
+            for h in range(2):
+                np.testing.assert_array_equal(split.data[2 * i + h], x[i, :, 2 * h : 2 * h + 2])
+        merged = T.regroup(split, (2, 2, 3, 2), (0, 2, 1, 3), (2, 3, 4))
+        np.testing.assert_array_equal(merged.data, x)
+
+    def test_one_sequence_splits_by_column_blocks(self):
+        x = np.arange(12.0).reshape(3, 4)
+        split = T.regroup(Tensor(x), (3, 2, 2), (1, 0, 2), (2, 3, 2))
+        np.testing.assert_array_equal(split.data, [x[:, :2], x[:, 2:]])
+
+    @pytest.mark.parametrize(
+        "grouped,axes,shape",
+        [
+            ((3, 2, 3), (1, 0, 2), (2, 3, 2)),  # grouped size differs
+            ((3, 2, 2), (1, 0, 2), (2, 3, 3)),  # output size differs
+            ((3, 2, 2), (1, 1, 2), (2, 3, 2)),  # axes are not a permutation
+        ],
+    )
+    def test_bad_layout_rejected(self, grouped, axes, shape):
+        with pytest.raises(ShapeError):
+            T.regroup(Tensor(np.ones((3, 4))), grouped, axes, shape)
+
+
+def test_tapes_in_two_threads_record_separately():
+    """Each thread's ops go onto the tape that thread opened, even while both are open."""
+    barrier = threading.Barrier(2, timeout=30)
+    results = {}
+
+    def run(k):
+        x = Tensor(np.full(3, k + 1.0), requires_grad=True)
+        tape = Tape()
+        with tape:
+            barrier.wait()  # both tapes are open before either thread records
+            loss = T.sum_all(T.mul(x, x))
+            barrier.wait()  # both threads have recorded before either tape closes
+        backward(loss, tape)
+        results[k] = (len(tape), x.grad)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for k in range(2):
+        records, grad = results[k]
+        assert records == 2
+        np.testing.assert_array_equal(grad, np.full(3, 2.0 * (k + 1)))
