@@ -10,13 +10,16 @@ Training builds each side of a batch in one padded pass
 (``context_code_rows``, ``gloss_code_rows``), so its tape holds one record
 per layer op however many sequences the batch has; padded positions are
 masked out of attention and change no real row. Prediction encodes one
-sequence per call (``context_codes``, ``gloss_codes``). Either way, encoder
-forwards are counted per sequence, not per pass.
+sequence per call (``context_codes``, ``gloss_codes``), and each distinct
+gloss only once per model: ``predict.score_candidates`` keeps the gloss
+code rows in the model's ``_gloss_rows`` until the gloss encoder's
+parameter bytes change. Either way, encoder forwards are counted per
+sequence, not per pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +53,11 @@ class WsdModel:
     context: EncoderParams
     gloss: EncoderParams
     fusion: FusionParams
+    # Prediction's gloss-row cache (see ``predict.score_candidates``): not a
+    # parameter, so never saved, compared or shown.
+    _gloss_rows: tuple[bytes, dict] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         named = list(self.context.named_tensors("context."))

@@ -1,9 +1,19 @@
 """Sense prediction: score every candidate gloss and pick the argmax.
 
 The context is encoded once per instance (full context, target row sliced
-out), each candidate gloss is encoded once, and the highest-scoring sense
-wins. Ties break toward the lowest inventory index, which is the
-first-sense prior. The frequency and first-sense baselines live here too.
+out) and the highest-scoring sense wins. Ties break toward the lowest
+inventory index, which is the first-sense prior. The frequency and
+first-sense baselines live here too.
+
+A gloss's code row depends on the gloss encoder alone, never on the
+context, so each distinct gloss is encoded once per model and its row kept
+on the model (``WsdModel._gloss_rows``). The cache is stamped with the
+gloss encoder's parameter bytes and dropped whenever they differ, so an
+optimizer step, ``randomize_parameters`` or an in-place write to a
+parameter never leaves a stale row; a second model, even one loaded from
+the same checkpoint, starts with an empty cache. Threads may share a
+model for prediction (a race at worst encodes a gloss twice), but not
+while it is being trained. Training never reads the cache.
 """
 
 from __future__ import annotations
@@ -16,7 +26,6 @@ import numpy as np
 
 from .data import CorpusInstance, SenseEntry, SenseInventory
 from .errors import ContractError
-from .fusion import score_pair
 from .model import WsdModel, context_codes, gloss_codes
 
 
@@ -45,16 +54,33 @@ class Prediction:
 Predictor = Callable[[CorpusInstance], Prediction]
 
 
+def _candidate_rows(model: WsdModel, senses: list[SenseEntry]) -> np.ndarray:
+    """The senses' gloss code rows stacked (m, d_model), each gloss encoded by
+    ``gloss_codes`` only if the model has no row for it under its current
+    gloss-encoder bytes."""
+    stamp = b"".join(t.data.tobytes() for _, t in model.gloss.named_tensors())
+    cache = model._gloss_rows
+    if cache is None or cache[0] != stamp:
+        cache = model._gloss_rows = (stamp, {})
+    rows = cache[1]
+    keys = [tuple(s.gloss) for s in senses]
+    for key, sense in zip(keys, senses):
+        if key not in rows:
+            rows[key] = gloss_codes(model, sense.gloss).data[0].copy()
+    return np.array([rows[key] for key in keys])
+
+
 def score_candidates(
     instance: CorpusInstance, inventory: SenseInventory, model: WsdModel
 ) -> CandidateScores:
     senses = inventory.candidates(instance.lemma, instance.pos)
     word = context_codes(model, instance.tokens, instance.target_index)
-    scores = [score_pair(word, gloss_codes(model, s.gloss)).item() for s in senses]
-    if not all(np.isfinite(scores)):
+    # products summed row by row are bit-equal to score_pair per sense; a matmul is not
+    scores = (_candidate_rows(model, senses) * word.data).sum(axis=1)
+    if not np.isfinite(scores).all():
         raise ContractError(f"instance {instance.id!r}: non-finite candidate score")
     chosen = int(np.argmax(scores))  # argmax returns the first maximum
-    return CandidateScores(senses=senses, scores=scores, chosen_index=chosen)
+    return CandidateScores(senses=senses, scores=scores.tolist(), chosen_index=chosen)
 
 
 def predict(instance: CorpusInstance, inventory: SenseInventory, model: WsdModel) -> Prediction:

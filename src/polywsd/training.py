@@ -21,6 +21,7 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -260,13 +261,20 @@ class Adam:
         for p in self.params:
             p.grad = None
 
-    def step(self) -> None:
-        self.t += 1
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
+    def step(self) -> bool:
+        """One update from the current grads; a missing grad counts as zero.
+
+        Returns False, and changes no parameter, moment or step count, if
+        any grad is non-finite.
+        """
         g = np.concatenate(
             [(p.grad if p.grad is not None else np.zeros_like(p.data)).ravel() for p in self.params]
         )
+        if not np.isfinite(g).all():
+            return False
+        self.t += 1
+        bias1 = 1.0 - self.beta1**self.t
+        bias2 = 1.0 - self.beta2**self.t
         m, v = self._m_flat, self._v_flat
         m *= self.beta1
         m += (1.0 - self.beta1) * g
@@ -275,6 +283,7 @@ class Adam:
         update = self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
         for p, u in zip(self.params, self._views(update)):
             p.data -= u
+        return True
 
 
 def _clip_gradients(params: list[Tensor], clip_norm: float | None) -> None:
@@ -296,6 +305,17 @@ def _check_finite(loss: LossValue, model: WsdModel, context: str) -> None:
             f"non-finite loss at {context}: per-example terms {loss.per_example.tolist()}, "
             f"parameter norm {model.parameter_norm():.6g}"
         )
+
+
+def _raise_non_finite(model: WsdModel, what: str, array_of, context: str) -> NoReturn:
+    """Raise TrainingError naming the first parameter whose ``array_of`` is non-finite."""
+    name = next(
+        (n for n, t in model.named_parameters() if not np.isfinite(array_of(t)).all()), "?"
+    )
+    raise TrainingError(
+        f"non-finite {what} of parameter {name} at {context}, "
+        f"parameter norm {model.parameter_norm():.6g}"
+    )
 
 
 def _scored_forward(
@@ -320,7 +340,12 @@ def bcl_forward(batch: Batch, model: WsdModel) -> tuple[ScoreMatrix, LossValue, 
 def _update(
     forward, model: WsdModel, optimizer: Adam, clip_norm: float | None, context: str
 ) -> tuple[LossValue, ForwardCounts]:
-    """Record ``forward()`` on a fresh tape, then backward, clip and one Adam step."""
+    """Record ``forward()`` on a fresh tape, then backward, clip and one Adam step.
+
+    A non-finite loss or grad stops the step before any parameter changes; a
+    non-finite parameter value after it stops training. Each raises
+    TrainingError, the last two naming the first parameter at fault.
+    """
     tape = Tape()
     with tape:
         loss, counts = forward()
@@ -328,7 +353,10 @@ def _update(
     optimizer.zero_grad()
     backward(loss.total, tape)
     _clip_gradients(optimizer.params, clip_norm)
-    optimizer.step()
+    if not optimizer.step():
+        _raise_non_finite(model, "gradient", lambda t: 0.0 if t.grad is None else t.grad, context)
+    if not np.isfinite(np.concatenate([p.data.ravel() for p in optimizer.params])).all():
+        _raise_non_finite(model, "value", lambda t: t.data, context)
     return loss, counts
 
 

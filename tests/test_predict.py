@@ -1,10 +1,16 @@
-"""Prediction path: candidate scoring, argmax rules, baselines."""
+"""Prediction path: candidate scoring, argmax rules, the gloss-row cache, baselines."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import polywsd.model
+from polywsd.checkpoint import load_checkpoint, save_checkpoint
 from polywsd.data import CorpusInstance, SenseEntry, SenseInventory
 from polywsd.errors import InventoryError
+from polywsd.fusion import score_pair
 from polywsd.predict import (
     CandidateScores,
     first_sense_predictor,
@@ -14,8 +20,8 @@ from polywsd.predict import (
     score_candidates,
 )
 from polywsd.synthetic import synthetic_corpus
-from polywsd.training import fusion_matrix
-from polywsd.model import context_codes, gloss_codes
+from polywsd.training import Adam, fusion_matrix, make_batches, train_step
+from polywsd.model import context_codes, gloss_codes, randomize_parameters
 
 from conftest import tiny_model
 
@@ -186,3 +192,108 @@ def test_cross_path_consistency_on_random_fixtures():
         ]
         sm = fusion_matrix([word] * len(glosses), glosses)
         np.testing.assert_allclose(np.diag(sm.scores.data), ranked.scores, atol=1e-12)
+
+
+def _assert_scores_equal_uncached_reference(corpus, inventory, model):
+    """Per-sense reference: one gloss encode and one ``score_pair`` per candidate."""
+    for inst in corpus:
+        word = context_codes(model, inst.tokens, inst.target_index)
+        reference = [
+            score_pair(word, gloss_codes(model, s.gloss)).item()
+            for s in inventory.candidates(inst.lemma, inst.pos)
+        ]
+        assert score_candidates(inst, inventory, model).scores == reference
+
+
+def _acceptance_world():
+    """The acceptance suite's overfit fixture: 10 lemmas x 3 senses, 50 instances."""
+    corpus, inventory = synthetic_corpus(n_lemmas=10, senses_per_lemma=3, n_instances=50, seed=0)
+    return corpus, inventory, tiny_model(corpus, inventory, seed=0, d_model=16, max_seq_len=16)
+
+
+def _counting_encode(monkeypatch, gloss_params):
+    """Patch ``polywsd.model.encode`` as the benchmark does; count gloss encodes by ids."""
+    counts: dict[tuple, int] = {}
+    original = polywsd.model.encode
+
+    def counted(params, token_ids):
+        if params is gloss_params():
+            counts[tuple(token_ids)] = counts.get(tuple(token_ids), 0) + 1
+        return original(params, token_ids)
+
+    monkeypatch.setattr(polywsd.model, "encode", counted)
+    return counts
+
+
+class TestGlossRowCache:
+    """Each distinct gloss is encoded once per model, and a cached row is never stale."""
+
+    @pytest.mark.parametrize("world", ["synth", "acceptance"])
+    def test_cached_scores_equal_the_uncached_reference_exactly(self, world, small_world):
+        corpus, inventory, model = small_world if world == "synth" else _acceptance_world()
+        predict_corpus(corpus, inventory, model)  # every row now comes from the cache
+        _assert_scores_equal_uncached_reference(corpus, inventory, model)
+
+    def test_each_distinct_gloss_encoded_once_per_model(self, monkeypatch, tmp_path, small_world):
+        corpus, inventory, model = small_world
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, None, seed=0, step=0)
+        loaded = load_checkpoint(path).model
+        counts = _counting_encode(monkeypatch, lambda: loaded.gloss)
+        predict_corpus(corpus, inventory, loaded)
+        predict_corpus(corpus, inventory, loaded)
+        distinct = {
+            tuple(s.gloss) for inst in corpus for s in inventory.candidates(inst.lemma, inst.pos)
+        }
+        assert len(counts) == len(distinct) and set(counts.values()) == {1}
+
+        loaded = load_checkpoint(path).model  # a second model keeps no rows of the first
+        counts.clear()
+        predict_corpus(corpus, inventory, loaded)
+        assert len(counts) == len(distinct) and set(counts.values()) == {1}
+
+    @pytest.mark.parametrize("change", ["in_place_write", "train_step", "randomize"])
+    def test_parameter_change_between_predictions_is_seen(self, change, small_world):
+        corpus, inventory, model = small_world
+        predict_corpus(corpus, inventory, model)
+        if change == "in_place_write":
+            model.gloss.tok_emb.data[...] += 0.25
+        elif change == "train_step":
+            batch = make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)[0]
+            train_step(batch, model, Adam(model.parameters(), learning_rate=1e-2))
+        else:
+            randomize_parameters(model, seed=7)
+        _assert_scores_equal_uncached_reference(corpus, inventory, model)
+
+    def test_checkpoint_bytes_unchanged_by_prediction(self, tmp_path, small_world):
+        corpus, inventory, model = small_world
+        save_checkpoint(tmp_path / "before.ckpt", model, None, seed=0, step=0)
+        predict_corpus(corpus, inventory, model)
+        save_checkpoint(tmp_path / "after.ckpt", model, None, seed=0, step=0)
+        assert (tmp_path / "before.ckpt").read_bytes() == (tmp_path / "after.ckpt").read_bytes()
+
+    def test_two_threads_sharing_a_model_match_one_thread(self):
+        corpus, inventory, model = _acceptance_world()
+        expected = [score_candidates(inst, inventory, model) for inst in corpus]
+        model._gloss_rows = None  # both threads start from an empty cache
+        barrier = threading.Barrier(2, timeout=30)
+        results: dict[int, list] = {}
+
+        def run(k):
+            barrier.wait()
+            results[k] = [score_candidates(inst, inventory, model) for inst in corpus]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(2):
+            assert [r.scores for r in results[k]] == [r.scores for r in expected]
+            assert [r.chosen_index for r in results[k]] == [r.chosen_index for r in expected]

@@ -1,6 +1,9 @@
 """Tensor core: forward values, tape gradients, and the finite-difference oracle."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import zlib
 
@@ -394,6 +397,55 @@ def test_forward_ops_keep_finite_values():
         T.matmul(a, Tensor(rng.normal(size=(6, 2)))),
     ):
         assert np.all(np.isfinite(out.data))
+
+
+class TestErf:
+    """The numpy erf behind ``gelu``, against the C library's ``math.erf``."""
+
+    def test_dense_grid_within_4e16_of_math_erf(self):
+        grid = np.linspace(-8.0, 8.0, 200_001)
+        reference = np.array([math.erf(x) for x in grid])
+        assert np.abs(T.erf(grid) - reference).max() <= 4e-16
+
+    @pytest.mark.parametrize(
+        "x", [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 0.0), 6.0, -6.0, math.inf, -math.inf]
+    )
+    def test_special_points(self, x):
+        got = float(T.erf(np.array([x]))[0])
+        assert abs(got - math.erf(x)) <= 4e-16
+        assert math.copysign(1.0, got) == math.copysign(1.0, x)  # erf(-0) is -0
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(T.erf(np.array([np.nan, 0.5]))[0])
+
+    def test_odd_exactly(self):
+        x = np.random.default_rng(3).normal(scale=3.0, size=10_000)
+        np.testing.assert_array_equal(T.erf(-x), -T.erf(x))
+
+
+def test_package_loads_no_scipy():
+    """``import polywsd`` and a forward through the model pull in no SciPy module."""
+    code = (
+        "import sys\n"
+        "from polywsd.synthetic import synthetic_corpus\n"
+        "from polywsd.data import build_vocab\n"
+        "from polywsd.encoder import EncoderConfig\n"
+        "from polywsd.fusion import FusionConfig\n"
+        "from polywsd.model import build_model, context_codes\n"
+        "corpus, inventory = synthetic_corpus(n_lemmas=2, senses_per_lemma=2, n_instances=2, seed=0)\n"
+        "vocab = build_vocab(corpus, inventory, min_freq=1)\n"
+        "enc = EncoderConfig(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=12)\n"
+        "model = build_model(enc, enc, FusionConfig(d_model=8, poly_m=1, n_heads=2), vocab, seed=0)\n"
+        "context_codes(model, corpus[0].tokens, corpus[0].target_index)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_rank_limit_enforced():

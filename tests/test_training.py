@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from polywsd import tensor as T
-from polywsd.data import PAD_ID, CorpusInstance, SenseEntry, SenseInventory
+import polywsd.training
+from polywsd.data import PAD_ID, UNK_ID, CorpusInstance, SenseEntry, SenseInventory
 from polywsd.errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
 from polywsd.fusion import score_pair
 from polywsd.model import (
@@ -186,6 +187,13 @@ class TestAdam:
         opt.step()
         assert p.data[0] == pytest.approx(-0.09999999900000001, abs=1e-12)
 
+    def test_non_finite_grad_is_refused_whole(self):
+        p, q = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
+        opt = Adam([p, q], learning_rate=0.5)
+        p.grad, q.grad = np.ones(1), np.array([np.inf])
+        assert opt.step() is False
+        assert opt.t == 0 and p.data[0] == 1.0 and not opt.m[0].any()
+
     def test_missing_grad_treated_as_zero(self):
         p = Tensor([3.0], requires_grad=True)
         opt = Adam([p])
@@ -274,6 +282,32 @@ class TestTrainStep:
         with pytest.raises(TrainingError) as err:
             train_step(batch, model, opt)
         assert "parameter norm" in str(err.value)
+
+    def test_non_finite_grad_names_its_parameter_and_changes_nothing(self, monkeypatch, small_world):
+        corpus, inventory, model = small_world
+        batch = make_batches(corpus[:4], inventory, batch_size=4, seed=0, epoch=0)[0]
+        opt = Adam(model.parameters())
+        real_backward = polywsd.training.backward
+
+        def poisoned(loss, tape):
+            real_backward(loss, tape)
+            model.gloss.layers[0].w1.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(polywsd.training, "backward", poisoned)
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(TrainingError) as err:
+            train_step(batch, model, opt, context="epoch 0 step 0")
+        assert "gradient of parameter gloss.layer0.w1 at epoch 0 step 0" in str(err.value)
+        assert opt.t == 0
+        assert all(np.array_equal(a, p.data) for a, p in zip(before, model.parameters()))
+
+    def test_non_finite_value_after_the_step_names_its_parameter(self, small_world):
+        corpus, inventory, model = small_world
+        batch = make_batches(corpus[:4], inventory, batch_size=4, seed=0, epoch=0)[0]
+        model.context.tok_emb.data[UNK_ID] = np.nan  # no known token embeds it: the loss stays finite
+        with pytest.raises(TrainingError) as err:
+            train_step(batch, model, Adam(model.parameters()))
+        assert "value of parameter context.tok_emb" in str(err.value)
 
 
 class TestClipNorm:
