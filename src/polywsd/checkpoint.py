@@ -23,6 +23,7 @@ place, so a crash never leaves a half-written checkpoint at the final path.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -32,7 +33,7 @@ import numpy as np
 
 from .data import Vocab
 from .encoder import EncoderConfig
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .fusion import FusionConfig
 from .model import WsdModel, build_model
 from .training import Adam
@@ -120,18 +121,39 @@ def _read_blob(fh, shape, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
+def _is_count(value) -> bool:
+    """A non-negative int; bools, floats and strings are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_positive_finite(value) -> bool:
+    try:
+        return _is_number(value) and math.isfinite(value) and value > 0
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _check_optimizer_header(header) -> None:
-    """Each Adam hyperparameter must be a number, each beta in (0, 1), and the step
-    counter ``t`` a non-negative integer; a missing or bad field is a CheckpointError."""
+    """The learning rate and ``eps`` must be finite and > 0, each beta in (0, 1),
+    and the step counter ``t`` a non-negative int; a missing or bad field is a
+    CheckpointError."""
     if not isinstance(header, dict):
         raise CheckpointError(f"checkpoint optimizer header is not an object: {header!r}")
     for name in ("learning_rate", "beta1", "beta2", "eps", "t"):
         if name not in header:
             raise CheckpointError(f"incomplete checkpoint header: no optimizer field {name!r}")
         value = header[name]
-        kinds = int if name == "t" else (int, float)
-        bad = isinstance(value, bool) or not isinstance(value, kinds)
-        if bad or (name == "t" and value < 0) or (name.startswith("beta") and not 0 < value < 1):
+        if name == "t":
+            good = _is_count(value)
+        elif name.startswith("beta"):
+            good = _is_number(value) and 0 < value < 1
+        else:
+            good = _is_positive_finite(value)
+        if not good:
             raise CheckpointError(f"checkpoint optimizer field {name!r} has bad value {value!r}")
 
 
@@ -160,17 +182,29 @@ def load_checkpoint(path) -> Checkpoint:
             context_config = EncoderConfig(**header["context_config"])
             gloss_config = EncoderConfig(**header["gloss_config"])
             fusion_config = FusionConfig(**header["fusion_config"])
-            vocab = Vocab.from_tokens(header["vocab"])
+            tokens = header["vocab"]
             manifest = header["params"]
-            seed = int(header["seed"])
-            step = int(header["step"])
+            seed = header["seed"]
+            step = header["step"]
             optimizer_header = header["optimizer"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"incomplete checkpoint header: {exc}") from None
+        except ConfigError as exc:
+            raise CheckpointError(f"bad checkpoint config: {exc}") from None
+        for name, value in (("seed", seed), ("step", step)):
+            if not _is_count(value):
+                raise CheckpointError(f"checkpoint header field {name!r} has bad value {value!r}")
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise CheckpointError("checkpoint vocab is not a list of strings")
         if optimizer_header is not None:
             _check_optimizer_header(optimizer_header)
 
-        model = build_model(context_config, gloss_config, fusion_config, vocab, seed=seed)
+        try:
+            model = build_model(
+                context_config, gloss_config, fusion_config, Vocab.from_tokens(tokens), seed=seed
+            )
+        except ConfigError as exc:
+            raise CheckpointError(f"bad checkpoint config: {exc}") from None
         named = model.named_parameters()
         if not isinstance(manifest, list) or not all(isinstance(e, dict) for e in manifest):
             raise CheckpointError("checkpoint parameter manifest is not a list of objects")
@@ -193,7 +227,7 @@ def load_checkpoint(path) -> Checkpoint:
                 beta2=optimizer_header["beta2"],
                 eps=optimizer_header["eps"],
             )
-            optimizer.t = int(optimizer_header["t"])
+            optimizer.t = optimizer_header["t"]
             optimizer.m, optimizer.v = (
                 [_read_blob(fh, t.shape, f"{which} moment of {n}") for n, t in named]
                 for which in ("first", "second")

@@ -7,8 +7,14 @@ pads them with ``PAD_ID`` to the longest, L = n_max + 2 positions, and runs
 the stack once on the (b, L, d) batch. Self-attention masks padded keys,
 which get exactly zero weight, so a real position never sees padding and a
 padded position passes no gradient back into the real ones: each item's
-real rows equal those of encoding it alone. ``encode`` runs the same stack
-on one sequence, which needs no padding, and returns its (n + 2, d) rows.
+real rows equal those of encoding it alone. A gloss's code is its
+start-marker row, so the gloss side asks ``encode_batch`` for that row
+alone: the last layer then runs its query, residual, feed-forward and
+output norm on one row per sequence, and only its keys and values span
+every row. ``encode`` runs the same stack on one sequence, which needs no
+padding, and always returns all its (n + 2, d) rows; prediction encodes
+each gloss through it, and callers that count encoder forwards wrap it by
+name, so it keeps its two-argument form.
 Blocks are pre-LayerNorm self-attention plus a GELU feed-forward, both
 with residual connections. Each attention projection is one (d, d) matrix
 whose column blocks are the heads (Vaswani et al. 2017, arXiv:1706.03762);
@@ -212,15 +218,28 @@ def _check_ids(config: EncoderConfig, token_ids: Sequence[int]) -> None:
         raise ContractError(f"token id out of range for vocab of {config.vocab_size}")
 
 
-def _encoder_stack(params: EncoderParams, ids: np.ndarray, key_mask: np.ndarray | None) -> Tensor:
+def _encoder_stack(
+    params: EncoderParams,
+    ids: np.ndarray,
+    key_mask: np.ndarray | None,
+    first_row_only: bool = False,
+) -> Tensor:
     """The encoder on marker-wrapped ids: (L,) ids give (L, d) rows, (b, L) ids give
-    (b, L, d); ``key_mask`` (b, L) masks padded keys out of self-attention."""
+    (b, L, d); ``key_mask`` (b, L) masks padded keys out of self-attention.
+
+    ``first_row_only`` (batches only) gives (b, 1, d), each item's start-marker
+    row: the last layer projects keys and values from every row, but runs the
+    query, residual, feed-forward and output norm on row 0 alone.
+    """
     positions = ids * 0 + np.arange(ids.shape[-1])
     x = T.add(T.embed(params.tok_emb, ids), T.embed(params.pos_emb, positions))
+    last = params.layers[-1]
     for layer in params.layers:
-        normed = _affine_norm(x, layer.attn_gain, layer.attn_bias)
+        normed = queries = _affine_norm(x, layer.attn_gain, layer.attn_bias)
+        if first_row_only and layer is last:
+            queries, x = T.first_row(normed), T.first_row(x)
         attended = multi_head_attention(
-            normed, normed, layer.wq, layer.wk, layer.wv, layer.wo, params.config.n_heads, key_mask
+            queries, normed, layer.wq, layer.wk, layer.wv, layer.wo, params.config.n_heads, key_mask
         )
         x = T.add(x, attended)
         normed = _affine_norm(x, layer.ffn_gain, layer.ffn_bias)
@@ -230,15 +249,17 @@ def _encoder_stack(params: EncoderParams, ids: np.ndarray, key_mask: np.ndarray 
 
 
 def encode_batch(
-    params: EncoderParams, sequences: Sequence[Sequence[int]]
+    params: EncoderParams, sequences: Sequence[Sequence[int]], first_row_only: bool = False
 ) -> tuple[Tensor, np.ndarray]:
     """Embed b bare token-id sequences in one padded pass.
 
     Returns the (b, L, d) encodings, L = longest sequence + 2, and the (b, L)
     padding mask, True past each sequence's end marker. Item i's rows 0 and
     n_i + 1 are its start/end markers; its rows past n_i + 1 are padding and
-    hold no meaning. The caller is responsible for truncation: sequences
-    longer than max_seq_len - 2 are rejected, never silently shortened.
+    hold no meaning. With ``first_row_only`` the encodings are (b, 1, d), the
+    start-marker rows alone, equal to row 0 of the full pass up to rounding.
+    The caller is responsible for truncation: sequences longer than
+    max_seq_len - 2 are rejected, never silently shortened.
     """
     if not sequences:
         raise ContractError("encode_batch needs at least one sequence")
@@ -251,7 +272,7 @@ def encode_batch(
         dtype=np.intp,
     )
     padding = np.arange(width) >= lengths[:, None]
-    return _encoder_stack(params, ids, padding), padding
+    return _encoder_stack(params, ids, padding, first_row_only), padding
 
 
 def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:

@@ -9,8 +9,11 @@ full-context path through the same encoder stack and fusion attention.
 Training builds each side of a batch in one padded pass
 (``context_code_rows``, ``gloss_code_rows``), so its tape holds one record
 per layer op however many sequences the batch has; padded positions are
-masked out of attention and change no real row. Prediction encodes one
-sequence per call (``context_codes``, ``gloss_codes``), and each distinct
+masked out of attention and change no real row. Only the start-marker row
+of a gloss is read, so ``gloss_code_rows`` has the last encoder layer compute
+that row alone; the context side keeps every row, since fusion attends over
+them. Prediction encodes one sequence per call (``context_codes``,
+``gloss_codes``, through the full-row ``encode``), and each distinct
 gloss only once per model: ``predict.score_candidates`` keeps the gloss
 code rows in the model's ``_gloss_rows`` until the gloss encoder's
 parameter bytes change. Either way, encoder forwards are counted per
@@ -136,9 +139,11 @@ def context_code_rows(model: WsdModel, instances: list[CorpusInstance]) -> Tenso
 
 
 def gloss_code_rows(model: WsdModel, glosses: list[list[str]]) -> Tensor:
-    """n x d_model code rows, row j equal to ``gloss_codes`` of gloss j, from one
-    padded gloss-encoder pass."""
-    encoded, _ = encode_batch(model.gloss, [_gloss_ids(model, g) for g in glosses])
+    """n x d_model code rows, row j equal to ``gloss_codes`` of gloss j up to
+    rounding, from one padded gloss-encoder pass whose last layer computes only
+    the start-marker rows."""
+    ids = [_gloss_ids(model, g) for g in glosses]
+    encoded, _ = encode_batch(model.gloss, ids, first_row_only=True)
     return fuse_gloss(cls_representation(encoded))
 
 

@@ -386,6 +386,19 @@ def row(a: Tensor, i: int) -> Tensor:
     return _emit(a.data[i].copy(), (a,), vjp)
 
 
+def first_row(a: Tensor) -> Tensor:
+    """Row 0 of each item of a rank-3 batch, axis kept: (B, L, d) -> (B, 1, d)."""
+    if a.data.ndim != 3:
+        raise ShapeError(f"first_row needs rank 3, got shape {a.shape}")
+
+    def vjp(g: np.ndarray):
+        da = np.zeros_like(a.data)
+        da[:, :1] = g
+        return (da,)
+
+    return _emit(a.data[:, :1], (a,), vjp)
+
+
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Stack rank-2 tensors of one width along their rows."""
     if not parts or any(p.data.ndim != 2 for p in parts):

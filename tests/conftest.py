@@ -9,12 +9,14 @@ from polywsd.model import build_model
 from polywsd.synthetic import synthetic_corpus
 
 
-def tiny_model(corpus, inventory, seed=0, d_model=8, poly_m=2, n_heads=2, max_seq_len=12):
+def tiny_model(
+    corpus, inventory, seed=0, d_model=8, poly_m=2, n_heads=2, max_seq_len=12, n_layers=1
+):
     vocab = build_vocab(corpus, inventory, min_freq=1)
     encoder_config = EncoderConfig(
         vocab_size=vocab.size,
         d_model=d_model,
-        n_layers=1,
+        n_layers=n_layers,
         n_heads=n_heads,
         d_ff=2 * d_model,
         max_seq_len=max_seq_len,

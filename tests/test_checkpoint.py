@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywsd.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from polywsd.errors import CheckpointError
@@ -153,6 +155,11 @@ class TestRejection:
             lambda opt: opt.update(learning_rate=True),
             lambda opt: opt.update(t=1.5),
             lambda opt: opt.update(t=-1),
+            lambda opt: opt.update(learning_rate=-1),
+            lambda opt: opt.update(learning_rate=float("nan")),
+            lambda opt: opt.update(learning_rate=float("inf")),
+            lambda opt: opt.update(eps=0),
+            lambda opt: opt.update(eps=10**400),
             *(
                 lambda opt, name=name, value=value: opt.update({name: value})
                 for name in ("beta1", "beta2")
@@ -161,6 +168,7 @@ class TestRejection:
         ],
         ids=[
             "beta1-missing", "beta1-string", "eps-null", "lr-bool", "t-float", "t-negative",
+            "lr-negative", "lr-nan", "lr-inf", "eps-zero", "eps-huge-int",
             *(f"{name}-{value}" for name in ("beta1", "beta2") for value in (1.5, 1.0, 0.0)),
         ],
     )
@@ -172,6 +180,19 @@ class TestRejection:
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert "optimizer field" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("seed", "abc"), ("seed", -1), ("seed", 1.5), ("seed", True), ("step", "x"), ("step", -3)],
+    )
+    def test_bad_seed_or_step_rejected(self, tmp_path, name, value):
+        _, _, model, optimizer, config = _trained_world()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+        _edit_header(path, lambda header: header.update({name: value}))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert f"header field {name!r}" in str(err.value)
 
     def test_optimizer_header_not_an_object_rejected(self, tmp_path):
         _, _, model, optimizer, config = _trained_world()
@@ -214,3 +235,47 @@ class TestResume:
         assert len(metrics_b.records) == 1
         resumed_loss = metrics_b.records[0].loss
         assert np.float64(resumed_loss).tobytes() == np.float64(uninterrupted_loss).tobytes()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+_TOP_FIELDS = (
+    "context_config", "gloss_config", "fusion_config", "vocab", "seed", "step", "params",
+    "optimizer",
+)
+_OPTIMIZER_FIELDS = ("learning_rate", "beta1", "beta2", "eps", "t")
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    _, _, model, optimizer, config = _trained_world()
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+    return path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from(
+        [(name,) for name in _TOP_FIELDS] + [("optimizer", name) for name in _OPTIMIZER_FIELDS]
+    ),
+    value=_JSON,
+)
+def test_fuzzed_header_field_fails_only_as_checkpoint_error(saved_checkpoint, field, value):
+    """Any JSON value in place of one header field loads or raises CheckpointError."""
+    path = saved_checkpoint.with_name("fuzzed.ckpt")
+    path.write_bytes(saved_checkpoint.read_bytes())
+
+    def edit(header):
+        *outer, name = field
+        (header[outer[0]] if outer else header)[name] = value
+
+    _edit_header(path, edit)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

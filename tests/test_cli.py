@@ -226,7 +226,9 @@ def test_bad_config_is_a_located_error(workspace, tmp_path, capsys, text, locate
     assert not (tmp_path / "never.ckpt").exists()
 
 
-def test_checkpoint_missing_optimizer_field_is_an_error(workspace, tmp_path, capsys):
+def _predict_on_edited_checkpoint(workspace, tmp_path, capsys, edit):
+    """Train, rewrite the checkpoint's JSON header through ``edit``, then predict;
+    returns the exit code and stderr, and checks no predictions were written."""
     ckpt = tmp_path / "model.ckpt"
     corpus, inventory = workspace / "corpus.jsonl", workspace / "inventory.jsonl"
     assert main(
@@ -241,7 +243,7 @@ def test_checkpoint_missing_optimizer_field_is_an_error(workspace, tmp_path, cap
     raw = ckpt.read_bytes()
     (hlen,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16 : 16 + hlen])
-    del header["optimizer"]["beta1"]
+    edit(header)
     body = json.dumps(header, sort_keys=True).encode("utf-8")
     ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(body)) + body + raw[16 + hlen :])
     capsys.readouterr()
@@ -254,10 +256,24 @@ def test_checkpoint_missing_optimizer_field_is_an_error(workspace, tmp_path, cap
             "--out", str(tmp_path / "pred.tsv"),
         ]
     )
-    err = capsys.readouterr().err
+    assert not (tmp_path / "pred.tsv").exists()
+    return code, capsys.readouterr().err
+
+
+def test_checkpoint_missing_optimizer_field_is_an_error(workspace, tmp_path, capsys):
+    code, err = _predict_on_edited_checkpoint(
+        workspace, tmp_path, capsys, lambda header: header["optimizer"].pop("beta1")
+    )
     assert code == 1
     assert err.startswith("error: ") and "'beta1'" in err
-    assert not (tmp_path / "pred.tsv").exists()
+
+
+def test_checkpoint_non_integer_seed_is_an_error(workspace, tmp_path, capsys):
+    code, err = _predict_on_edited_checkpoint(
+        workspace, tmp_path, capsys, lambda header: header.update(seed="abc")
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "'seed'" in err
 
 
 def test_gradcheck_bad_config_is_a_located_error(tmp_path, capsys):

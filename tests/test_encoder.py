@@ -128,6 +128,34 @@ class TestEncodeBatch:
         with pytest.raises(IndexError):
             target_representation(encoded, [0, 0, -1], padding)
 
+    def test_first_row_only_matches_row_zero_of_the_full_pass(self):
+        config = EncoderConfig(
+            vocab_size=20, d_model=8, n_layers=2, n_heads=2, d_ff=16, max_seq_len=10
+        )
+        params = init_encoder(config, np.random.default_rng(1))
+        full, padding = encode_batch(params, self.SEQUENCES)
+        first, first_padding = encode_batch(params, self.SEQUENCES, first_row_only=True)
+        assert first.shape == (3, 1, config.d_model)
+        np.testing.assert_array_equal(first_padding, padding)
+        np.testing.assert_allclose(first.data[:, 0], full.data[:, 0], rtol=0, atol=1e-12)
+
+    def test_first_row_only_queries_every_real_key_once(self, params, monkeypatch):
+        weights = []
+        real_softmax = T.row_softmax
+
+        def recorded(m, mask=None):
+            out = real_softmax(m, mask=mask)
+            weights.append(out.data)
+            return out
+
+        monkeypatch.setattr(T, "row_softmax", recorded)
+        _, padding = encode_batch(params, self.SEQUENCES, first_row_only=True)
+        # the last layer's logits are (b * n_heads, 1, L): one start-marker query per head
+        (w,) = weights
+        assert w.shape == (3 * CONFIG.n_heads, 1, 10)
+        keys = np.repeat(padding, CONFIG.n_heads, axis=0)[:, None, :]
+        assert np.all(w[keys] == 0.0) and np.all(w[~keys] > 0.0)
+
     def test_empty_batch_and_bad_items_rejected(self, params):
         with pytest.raises(ContractError):
             encode_batch(params, [])

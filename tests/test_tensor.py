@@ -354,6 +354,11 @@ def _projection(rng, shape):
             ),
             (4, 3, 2),
         ),
+        (
+            "first_row",
+            lambda p, rng: T.mul(T.first_row(p), _projection(rng, (2, 1, 4))),
+            (2, 3, 4),
+        ),
     ],
 )
 def test_op_gradients_match_finite_differences(name, fn, shape):
@@ -446,6 +451,13 @@ def test_package_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_first_row_keeps_the_axis():
+    a = Tensor(np.arange(24.0).reshape(2, 3, 4))
+    np.testing.assert_array_equal(T.first_row(a).data, a.data[:, :1])
+    with pytest.raises(ShapeError):
+        T.first_row(Tensor(np.zeros((3, 4))))
 
 
 def test_rank_limit_enforced():

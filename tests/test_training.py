@@ -474,10 +474,11 @@ class TestAllCandidates:
         np.testing.assert_allclose(all_cand.per_example, bcl.per_example, atol=1e-9)
 
 
-def _ragged_world(b, d_model=8):
+def _ragged_world(b, d_model=8, **model_options):
     """b instances whose contexts (1 to 10 words) and gold glosses (1 to 5 words)
     differ in length, so both sides of a batch are padded; lemma i has i % 3 + 1
-    senses, so the candidate totals differ between batch sizes."""
+    senses, so the candidate totals differ between batch sizes. ``model_options``
+    go to ``tiny_model``."""
     inventory = SenseInventory()
     instances = []
     for i in range(b):
@@ -497,7 +498,7 @@ def _ragged_world(b, d_model=8):
                 lemma=lemma, pos="NOUN", gold=f"{lemma}%0",
             )
         )
-    model = tiny_model(instances, inventory, seed=5, d_model=d_model)
+    model = tiny_model(instances, inventory, seed=5, d_model=d_model, **model_options)
     glosses = [inventory.gloss_of(i.lemma, i.pos, i.gold) for i in instances]
     return inventory, model, Batch(instances=instances, gold_glosses=glosses)
 
@@ -585,6 +586,56 @@ class TestBatchedPath:
         assert records(lambda: all_candidates_forward(small, inventory, model)) == records(
             lambda: all_candidates_forward(batch, inventory, model)
         )
+
+
+def _candidate_glosses(inventory, instances):
+    return [s.gloss for inst in instances for s in inventory.candidates(inst.lemma, inst.pos)]
+
+
+class TestTruncatedGlossPass:
+    """The gloss pass's last layer computes only the start-marker rows, the code
+    rows; every other row of that layer is read by nothing."""
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_code_rows_match_full_row_encodes_at_two_layers(self, n_heads):
+        inventory, model, batch = _ragged_world(8, n_layers=2, n_heads=n_heads)
+        randomize_parameters(model, seed=7)
+        glosses = _candidate_glosses(inventory, batch.instances)
+        rows = gloss_code_rows(model, glosses)
+        for j, gloss in enumerate(glosses):
+            single = gloss_codes(model, gloss)
+            np.testing.assert_allclose(rows.data[j : j + 1], single.data, rtol=0, atol=1e-12)
+
+    def test_gradient_checks_at_two_layers(self):
+        """Layer 0 reaches the code rows only through the last layer's keys and
+        values at every real position; central differences see any row cut off."""
+        inventory, model, batch = _ragged_world(3, d_model=4, n_layers=2)
+        randomize_parameters(model, seed=8)
+        assert check_bcl_gradients(batch, model) < 1e-4
+        err = T.finite_diff_check(
+            lambda: all_candidates_forward(batch, inventory, model)[0].total,
+            [tensor for _, tensor in model.gloss.named_tensors()],
+        )
+        assert err < 1e-4
+
+    def test_last_layer_feed_forward_sees_one_row_per_gloss(self):
+        """On the tape, the gloss side's last feed-forward input is (n, 1, d), while
+        its earlier layers and every context layer keep all (n, L, d) rows."""
+        inventory, model, batch = _ragged_world(8, n_layers=2)
+        tape = Tape()
+        with tape:
+            all_candidates_forward(batch, inventory, model)
+        # the shape of the input that each encoder's first FFN weight w1 multiplies
+        ffn_input = {
+            id(inputs[1]): inputs[0].shape for _, inputs, _ in tape._records if len(inputs) == 2
+        }
+        n, d = len(_candidate_glosses(inventory, batch.instances)), model.gloss_config.d_model
+        first, last = (ffn_input[id(layer.w1)] for layer in model.gloss.layers)
+        assert last == (n, 1, d)
+        assert first[0] == n and first[1] > 1
+        width = max(len(inst.tokens) for inst in batch.instances) + 2
+        for layer in model.context.layers:
+            assert ffn_input[id(layer.w1)] == (len(batch), width, d)
 
 
 class TestBatching:
