@@ -23,7 +23,6 @@ place, so a crash never leaves a half-written checkpoint at the final path.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 import tempfile
@@ -31,15 +30,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Vocab
+from .data import Vocab, parse_json
 from .encoder import EncoderConfig
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, check_optimizer_settings, is_count
 from .fusion import FusionConfig
 from .model import WsdModel, build_model
 from .training import Adam
 
 MAGIC = b"PWCK"
 FORMAT_VERSION = 2
+_OPTIMIZER_SETTINGS = ("learning_rate", "beta1", "beta2", "eps")
 
 
 @dataclass
@@ -70,13 +70,7 @@ def save_checkpoint(
         ],
         "optimizer": None
         if optimizer is None
-        else {
-            "learning_rate": optimizer.learning_rate,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-            "t": optimizer.t,
-        },
+        else {name: getattr(optimizer, name) for name in (*_OPTIMIZER_SETTINGS, "t")},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
 
@@ -121,40 +115,20 @@ def _read_blob(fh, shape, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def _is_count(value) -> bool:
-    """A non-negative int; bools, floats and strings are not counts."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_positive_finite(value) -> bool:
-    try:
-        return _is_number(value) and math.isfinite(value) and value > 0
-    except OverflowError:  # an int past the float range
-        return False
-
-
 def _check_optimizer_header(header) -> None:
-    """The learning rate and ``eps`` must be finite and > 0, each beta in (0, 1),
-    and the step counter ``t`` a non-negative int; a missing or bad field is a
-    CheckpointError."""
+    """The hyperparameters must pass ``check_optimizer_settings`` and the step
+    counter ``t`` be a non-negative int; a missing or bad field is a CheckpointError."""
     if not isinstance(header, dict):
         raise CheckpointError(f"checkpoint optimizer header is not an object: {header!r}")
-    for name in ("learning_rate", "beta1", "beta2", "eps", "t"):
+    for name in (*_OPTIMIZER_SETTINGS, "t"):
         if name not in header:
             raise CheckpointError(f"incomplete checkpoint header: no optimizer field {name!r}")
-        value = header[name]
-        if name == "t":
-            good = _is_count(value)
-        elif name.startswith("beta"):
-            good = _is_number(value) and 0 < value < 1
-        else:
-            good = _is_positive_finite(value)
-        if not good:
-            raise CheckpointError(f"checkpoint optimizer field {name!r} has bad value {value!r}")
+    if not is_count(header["t"]):
+        raise CheckpointError(f"checkpoint optimizer field 't' has bad value {header['t']!r}")
+    try:
+        check_optimizer_settings(**{name: header[name] for name in _OPTIMIZER_SETTINGS})
+    except ConfigError as exc:
+        raise CheckpointError(f"bad checkpoint optimizer field: {exc}") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -173,10 +147,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(
                 f"header length {hlen} exceeds the {remaining} bytes left in the file"
             )
-        try:
-            header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
+        header = parse_json(
+            _read_exact(fh, hlen, "header"), path, CheckpointError, "checkpoint header"
+        )
 
         try:
             context_config = EncoderConfig(**header["context_config"])
@@ -187,22 +160,18 @@ def load_checkpoint(path) -> Checkpoint:
             seed = header["seed"]
             step = header["step"]
             optimizer_header = header["optimizer"]
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"incomplete checkpoint header: {exc}") from None
-        except ConfigError as exc:
-            raise CheckpointError(f"bad checkpoint config: {exc}") from None
-        for name, value in (("seed", seed), ("step", step)):
-            if not _is_count(value):
-                raise CheckpointError(f"checkpoint header field {name!r} has bad value {value!r}")
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise CheckpointError("checkpoint vocab is not a list of strings")
-        if optimizer_header is not None:
-            _check_optimizer_header(optimizer_header)
-
-        try:
+            for name, value in (("seed", seed), ("step", step)):
+                if not is_count(value):
+                    raise CheckpointError(f"bad checkpoint header field {name!r}: {value!r}")
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise CheckpointError("checkpoint vocab is not a list of strings")
+            if optimizer_header is not None:
+                _check_optimizer_header(optimizer_header)
             model = build_model(
                 context_config, gloss_config, fusion_config, Vocab.from_tokens(tokens), seed=seed
             )
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"incomplete checkpoint header: {exc}") from None
         except ConfigError as exc:
             raise CheckpointError(f"bad checkpoint config: {exc}") from None
         named = model.named_parameters()
@@ -221,11 +190,7 @@ def load_checkpoint(path) -> Checkpoint:
         optimizer = None
         if optimizer_header is not None:
             optimizer = Adam(
-                model.parameters(),
-                learning_rate=optimizer_header["learning_rate"],
-                beta1=optimizer_header["beta1"],
-                beta2=optimizer_header["beta2"],
-                eps=optimizer_header["eps"],
+                model.parameters(), **{k: optimizer_header[k] for k in _OPTIMIZER_SETTINGS}
             )
             optimizer.t = optimizer_header["t"]
             optimizer.m, optimizer.v = (

@@ -14,6 +14,7 @@ from .data import (
     build_vocab,
     load_corpus,
     load_inventory,
+    parse_json,
     save_corpus,
     save_gold_keys,
     save_inventory,
@@ -47,14 +48,11 @@ DEFAULT_CONFIG = {
 
 def _load_config(path) -> dict:
     """The default config, overlaid section by section with the JSON file at ``path``."""
-    merged = json.loads(json.dumps(DEFAULT_CONFIG))
+    merged = {section: dict(values) for section, values in DEFAULT_CONFIG.items()}
     if path is None:
         return merged
-    with open(path, encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed config JSON: {exc}") from None
+    with open(path, "rb") as fh:
+        config = parse_json(fh.read(), path, ConfigError, "config JSON")
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     for section, values in config.items():
@@ -105,9 +103,7 @@ def _build_world(args, config):
     _section(check_positive_ints, args.config, "train", {"min_freq": min_freq})
     vocab = build_vocab(corpus, inventory, min_freq=min_freq)
     encoder_config, fusion_config = _model_configs(config, args.config, vocab.size)
-    train_section = {
-        k: v for k, v in config["train"].items() if k not in ("min_freq",) and v is not None
-    }
+    train_section = {k: v for k, v in config["train"].items() if k != "min_freq" and v is not None}
     train_config = _section(TrainConfig, args.config, "train", train_section, seed=args.seed)
     fingerprint = config_fingerprint(
         asdict(encoder_config),

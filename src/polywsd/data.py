@@ -9,6 +9,13 @@ File formats (all UTF-8):
   order encodes first-sense priority.
 * gold keys: lines of ``instance_id<SPACE>sense_id``.
 * predictions: lines of ``instance_id<TAB>sense_id``.
+
+Every file the package reads goes through the readers here, each given the
+caller's error class: ``read_lines`` (non-blank lines of UTF-8 text),
+``parse_json`` (one JSON value) and ``read_records`` (one JSON object per
+line). Bytes that are not UTF-8, malformed or too deeply nested JSON, and a
+line that is not an object become that error at ``path:line`` (or ``path``),
+which the CLI reports with exit code 1, not a traceback.
 """
 
 from __future__ import annotations
@@ -133,20 +140,44 @@ class Vocab:
 # ---------------------------------------------------------------------------
 
 
-def _read_records(path) -> list[tuple[int, dict]]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
+def read_lines(path, error):
+    """(line number, line) for each non-blank line of the UTF-8 text file at ``path``,
+    with newlines translated as in text mode; bytes that are not UTF-8 raise ``error``."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed record: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: record is not an object")
-            records.append((lineno, obj))
-    return records
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:  # an undecodable byte, kept as a lone surrogate
+                    raise error(f"{path}:{lineno}: bytes that are not UTF-8") from None
+            if line.strip():
+                yield lineno, line
+
+
+def parse_json(text, where, error, what: str = "JSON"):
+    """One JSON value from ``text`` (str, or bytes decoded as UTF-8); malformed JSON,
+    bytes that are not UTF-8 and nesting too deep to parse raise ``error`` at ``where``."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: malformed {what}: {exc}") from None
+
+
+def read_records(path, error, build) -> list:
+    """``build`` applied to each object of a JSON-lines file, one per non-blank line;
+    a field it finds missing, or an ``error`` it raises, is located at ``path:line``."""
+    built = []
+    for lineno, line in read_lines(path, error):
+        record = parse_json(line, f"{path}:{lineno}", error, "record")
+        if not isinstance(record, dict):
+            raise error(f"{path}:{lineno}: record is not an object")
+        try:
+            built.append(build(record))
+        except KeyError as exc:
+            raise error(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
+        except error as exc:
+            raise error(f"{path}:{lineno}: {exc}") from None
+    return built
 
 
 def _strings(value, field: str) -> list[str]:
@@ -162,25 +193,19 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _instance(obj: dict) -> CorpusInstance:
+    return CorpusInstance(
+        id=str(obj["id"]),
+        tokens=_strings(obj["tokens"], "tokens"),
+        target_index=_integer(obj["target_index"], "target_index"),
+        lemma=str(obj["lemma"]),
+        pos=str(obj["pos"]),
+        gold=None if obj.get("gold") is None else str(obj["gold"]),
+    )
+
+
 def load_corpus(path) -> list[CorpusInstance]:
-    instances = []
-    for lineno, obj in _read_records(path):
-        try:
-            instances.append(
-                CorpusInstance(
-                    id=str(obj["id"]),
-                    tokens=_strings(obj["tokens"], "tokens"),
-                    target_index=_integer(obj["target_index"], "target_index"),
-                    lemma=str(obj["lemma"]),
-                    pos=str(obj["pos"]),
-                    gold=None if obj.get("gold") is None else str(obj["gold"]),
-                )
-            )
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    return instances
+    return read_records(path, DataError, _instance)
 
 
 def save_corpus(path, instances: list[CorpusInstance]) -> None:
@@ -200,21 +225,18 @@ def save_corpus(path, instances: list[CorpusInstance]) -> None:
 
 def load_inventory(path) -> SenseInventory:
     inventory = SenseInventory()
-    for lineno, obj in _read_records(path):
-        try:
-            if not isinstance(obj["senses"], list) or not all(
-                isinstance(s, dict) for s in obj["senses"]
-            ):
-                raise DataError("senses must be an array of objects")
-            senses = [
-                SenseEntry(id=str(s["id"]), gloss=_strings(s["gloss"], "gloss"))
-                for s in obj["senses"]
-            ]
-            inventory.add(str(obj["lemma"]), str(obj["pos"]), senses)
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
+
+    def add(obj: dict) -> None:
+        if not isinstance(obj["senses"], list) or not all(
+            isinstance(s, dict) for s in obj["senses"]
+        ):
+            raise DataError("senses must be an array of objects")
+        senses = [
+            SenseEntry(id=str(s["id"]), gloss=_strings(s["gloss"], "gloss")) for s in obj["senses"]
+        ]
+        inventory.add(str(obj["lemma"]), str(obj["pos"]), senses)
+
+    read_records(path, DataError, add)
     return inventory
 
 
@@ -229,19 +251,21 @@ def save_inventory(path, inventory: SenseInventory) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _read_pairs(path, sep, layout: str, kind: str) -> dict[str, str]:
+    """A two-column key file as {id: sense_id}; ``sep`` None splits on any whitespace."""
+    pairs: dict[str, str] = {}
+    for lineno, line in read_lines(path, ScoringError):
+        parts = line.rstrip("\n").split(sep)
+        if len(parts) != 2:
+            raise ScoringError(f"{path}:{lineno}: expected {layout!r}")
+        if parts[0] in pairs:
+            raise ScoringError(f"{path}:{lineno}: duplicate {kind} id {parts[0]!r}")
+        pairs[parts[0]] = parts[1]
+    return pairs
+
+
 def load_gold_keys(path) -> dict[str, str]:
-    gold: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ScoringError(f"{path}:{lineno}: expected 'id sense_id'")
-            if parts[0] in gold:
-                raise ScoringError(f"{path}:{lineno}: duplicate gold id {parts[0]!r}")
-            gold[parts[0]] = parts[1]
-    return gold
+    return _read_pairs(path, None, "id sense_id", "gold")
 
 
 def save_gold_keys(path, gold: dict[str, str]) -> None:
@@ -251,18 +275,7 @@ def save_gold_keys(path, gold: dict[str, str]) -> None:
 
 
 def load_predictions(path) -> dict[str, str]:
-    preds: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise ScoringError(f"{path}:{lineno}: expected 'id<TAB>sense_id'")
-            if parts[0] in preds:
-                raise ScoringError(f"{path}:{lineno}: duplicate prediction id {parts[0]!r}")
-            preds[parts[0]] = parts[1]
-    return preds
+    return _read_pairs(path, "\t", "id<TAB>sense_id", "prediction")
 
 
 def save_predictions(path, predictions: dict[str, str]) -> None:

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer check configs share."""
+"""Exception types shared across the package, and the value checks configs share."""
 
+import math
 import numbers
 
 
@@ -31,6 +32,29 @@ def check_positive_ints(**values) -> None:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ConfigError(f"{name} must be positive, got {value}")
+
+
+def is_count(value) -> bool:
+    """A non-negative int; bools, floats and strings are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def is_finite_number(value) -> bool:
+    """An int or float (not a bool) that is finite as a float."""
+    try:
+        return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def check_optimizer_settings(**values) -> None:
+    """Raise ConfigError unless each value is a finite number > 0, and each one
+    named ``beta*`` lies in (0, 1); bools and strings are rejected."""
+    for name, value in values.items():
+        if not (is_finite_number(value) and value > 0):
+            raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+        if name.startswith("beta") and not value < 1:
+            raise ConfigError(f"{name} must lie in (0, 1), got {value}")
 
 
 class DataError(PolyWsdError):

@@ -13,9 +13,9 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .data import POS_TAGS, CorpusInstance, load_gold_keys, load_predictions
-from .errors import ComparisonError, ScoringError
-from .training import RunMetrics, StepRecord
+from .data import POS_TAGS, CorpusInstance, load_gold_keys, load_predictions, read_records
+from .errors import ComparisonError, ScoringError, is_count, is_finite_number
+from .training import MODES, RunMetrics, StepRecord
 
 
 @dataclass
@@ -154,35 +154,41 @@ def save_metrics(path, metrics: RunMetrics) -> None:
         fh.writelines(json.dumps(line) + "\n" for line in lines)
 
 
+_FIELD_CHECKS = {
+    "mode": (lambda v: isinstance(v, str) and v in MODES, f"one of {MODES}"),
+    "fingerprint": (lambda v: isinstance(v, str), "a string"),
+    "device_count": (lambda v: is_count(v) and v >= 1, "an integer >= 1"),
+    **dict.fromkeys(
+        ("step", "epoch", "context_forwards", "gloss_forwards"), (is_count, "an integer >= 0")
+    ),
+    **dict.fromkeys(("loss", "elapsed", "wall_seconds"), (is_finite_number, "a finite number")),
+}
+
+
+def _checked(record: dict, name: str):
+    """``record[name]`` once it passes its check in ``_FIELD_CHECKS``."""
+    check, wanted = _FIELD_CHECKS[name]
+    if not check(record[name]):
+        raise ComparisonError(f"field {name!r} must be {wanted}, got {record[name]!r}")
+    return record[name]
+
+
 def load_metrics(path) -> RunMetrics:
-    metrics: RunMetrics | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ComparisonError(f"{path}:{lineno}: malformed record: {exc.msg}") from None
-            if not isinstance(record, dict):
-                raise ComparisonError(f"{path}:{lineno}: record is not an object")
-            kind = record.get("kind")
-            try:
-                if kind == "run":
-                    metrics = RunMetrics(**{k: record[k] for k in _RUN_FIELDS})
-                elif kind == "step":
-                    if metrics is None:
-                        raise ComparisonError(f"{path}:{lineno}: step record before run header")
-                    step = {f.name: record[f.name] for f in fields(StepRecord)}
-                    metrics.records.append(StepRecord(**step))
-                elif kind == "summary":
-                    if metrics is None:
-                        raise ComparisonError(f"{path}:{lineno}: summary before run header")
-                    metrics.wall_seconds = record["wall_seconds"]
-            except KeyError as exc:
-                raise ComparisonError(
-                    f"{path}:{lineno}: {kind} record is missing field {exc.args[0]!r}"
-                ) from None
-    if metrics is None:
+    runs: list[RunMetrics] = []
+
+    def add(record: dict) -> None:
+        kind = record.get("kind")
+        if kind in ("step", "summary") and not runs:
+            raise ComparisonError(f"{kind} record before run header")
+        if kind == "run":
+            runs.append(RunMetrics(**{k: _checked(record, k) for k in _RUN_FIELDS}))
+        elif kind == "step":
+            step = {f.name: _checked(record, f.name) for f in fields(StepRecord)}
+            runs[-1].records.append(StepRecord(**step))
+        elif kind == "summary":
+            runs[-1].wall_seconds = _checked(record, "wall_seconds")
+
+    read_records(path, ComparisonError, add)
+    if not runs:
         raise ComparisonError(f"{path}: no run header found")
-    return metrics
+    return runs[-1]

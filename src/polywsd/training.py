@@ -18,7 +18,6 @@ these per-sequence counts, and ``RunMetrics`` sums them for cost accounting.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NoReturn
@@ -28,10 +27,11 @@ import numpy as np
 from . import tensor as T
 from .data import CorpusInstance, SenseInventory
 from .errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
-from .errors import check_positive_ints
+from .errors import check_optimizer_settings, check_positive_ints
 from .fusion import score_rows
 from .model import WsdModel, context_code_rows, gloss_code_rows
-from .model import context_codes, gloss_codes  # noqa: F401  per-instance forms, importable here
+# unused here, but the benchmark's probes patch polywsd.training.context_codes/gloss_codes
+from .model import context_codes, gloss_codes  # noqa: F401
 from .tensor import Tape, Tensor, backward, finite_diff_check
 
 MODE_CONTRASTIVE = "bcl"
@@ -56,16 +56,11 @@ class TrainConfig:
             raise ConfigError(
                 f"batch_size must be >= 2 for contrastive training, got {self.batch_size}"
             )
-        for name in ("learning_rate", "beta1", "beta2", "eps", "clip_norm"):
-            value = getattr(self, name)
-            if value is None and name == "clip_norm":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            if name.startswith("beta") and not 0 < value < 1:
-                raise ConfigError(f"{name} must lie in (0, 1), got {value}")
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+        check_optimizer_settings(
+            learning_rate=self.learning_rate, beta1=self.beta1, beta2=self.beta2, eps=self.eps
+        )
+        if self.clip_norm is not None:
+            check_optimizer_settings(clip_norm=self.clip_norm)
 
 
 @dataclass

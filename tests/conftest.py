@@ -1,12 +1,22 @@
 """Shared model/corpus builders for the test suite."""
 
 import pytest
+from hypothesis import strategies as st
 
 from polywsd.data import build_vocab
 from polywsd.encoder import EncoderConfig
 from polywsd.fusion import FusionConfig
 from polywsd.model import build_model
 from polywsd.synthetic import synthetic_corpus
+
+
+# any JSON value, kept small so fuzz tests stay quick
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
 
 
 def tiny_model(

@@ -5,15 +5,15 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from polywsd.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
-from polywsd.errors import CheckpointError
+from polywsd.errors import CheckpointError, ConfigError
 from polywsd.synthetic import synthetic_corpus
 from polywsd.training import Adam, TrainConfig, train
 
-from conftest import tiny_model
+from conftest import JSON_VALUES, tiny_model
 
 
 def _trained_world(steps=3):
@@ -237,12 +237,6 @@ class TestResume:
         assert np.float64(resumed_loss).tobytes() == np.float64(uninterrupted_loss).tobytes()
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=8), children, max_size=4),
-    max_leaves=8,
-)
 _TOP_FIELDS = (
     "context_config", "gloss_config", "fusion_config", "vocab", "seed", "step", "params",
     "optimizer",
@@ -263,7 +257,7 @@ def saved_checkpoint(tmp_path_factory):
     field=st.sampled_from(
         [(name,) for name in _TOP_FIELDS] + [("optimizer", name) for name in _OPTIMIZER_FIELDS]
     ),
-    value=_JSON,
+    value=JSON_VALUES,
 )
 def test_fuzzed_header_field_fails_only_as_checkpoint_error(saved_checkpoint, field, value):
     """Any JSON value in place of one header field loads or raises CheckpointError."""
@@ -279,3 +273,71 @@ def test_fuzzed_header_field_fails_only_as_checkpoint_error(saved_checkpoint, fi
         load_checkpoint(path)
     except CheckpointError:
         pass
+
+
+def _damaged(saved_checkpoint, raw: bytes):
+    path = saved_checkpoint.with_name("damaged.ckpt")
+    path.write_bytes(raw)
+    return path
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_truncated_checkpoint_is_always_a_checkpoint_error(saved_checkpoint, data):
+    raw = saved_checkpoint.read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(_damaged(saved_checkpoint, raw[:cut]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), mask=st.integers(1, 255))
+def test_flipped_byte_loads_or_fails_as_checkpoint_error(saved_checkpoint, data, mask):
+    raw = bytearray(saved_checkpoint.read_bytes())
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    # half the flips land in the magic, lengths or JSON header, the rest anywhere
+    raw[data.draw(st.integers(0, 16 + hlen - 1) | st.integers(0, len(raw) - 1))] ^= mask
+    try:
+        load_checkpoint(_damaged(saved_checkpoint, bytes(raw)))
+    except CheckpointError:
+        pass
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(extra=st.binary(min_size=1, max_size=64))
+def test_appended_bytes_are_always_a_checkpoint_error(saved_checkpoint, extra):
+    with pytest.raises(CheckpointError):
+        load_checkpoint(_damaged(saved_checkpoint, saved_checkpoint.read_bytes() + extra))
+
+
+@pytest.fixture(scope="module")
+def trained_model():
+    return _trained_world()[2]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    learning_rate=st.floats(min_value=0.0, exclude_min=True) | st.integers(1),
+    eps=st.floats(min_value=0.0, exclude_min=True) | st.integers(1),
+    beta1=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    beta2=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+@example(learning_rate=float("inf"), eps=1e-8, beta1=0.9, beta2=0.999)
+@example(learning_rate=1e-3, eps=float("inf"), beta1=0.9, beta2=0.999)
+def test_checkpoint_of_any_accepted_train_config_loads(
+    saved_checkpoint, trained_model, learning_rate, eps, beta1, beta2
+):
+    """What TrainConfig accepts, the checkpoint loader accepts too, value for value."""
+    try:
+        config = TrainConfig(
+            batch_size=4, epochs=1, learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps
+        )
+    except ConfigError:
+        reject()  # infinite, or an int past the float range
+    optimizer = Adam.from_config(trained_model.parameters(), config)
+    path = saved_checkpoint.with_name("settings.ckpt")
+    save_checkpoint(path, trained_model, optimizer, seed=0, step=0)
+    loaded = load_checkpoint(path).optimizer
+    assert (loaded.learning_rate, loaded.beta1, loaded.beta2, loaded.eps) == (
+        learning_rate, beta1, beta2, eps
+    )

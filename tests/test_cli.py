@@ -199,6 +199,13 @@ def test_missing_file_is_reported(workspace, capsys):
             for name in ("beta1", "beta2")
             for value in (1.5, 1.0, 0.0)
         ),
+        ("[" * 100_000, "malformed config JSON"),
+        (b'{"train": {"eps": \xff}}', "malformed config JSON"),
+        *(
+            (json.dumps({"train": {name: value}}), "section 'train'")
+            for name in ("eps", "learning_rate", "clip_norm")
+            for value in (float("inf"), 10**400)
+        ),
     ],
     ids=[
         "unknown-key", "encoder-type", "train-type", "unknown-section", "section-type", "json",
@@ -206,11 +213,17 @@ def test_missing_file_is_reported(workspace, capsys):
         "min-freq-string", "min-freq-float", "min-freq-zero",
         "batch-size-float", "epochs-float", "epochs-bool", "learning-rate-bool", "learning-rate-nan",
         *(f"{name}-{value}" for name in ("beta1", "beta2") for value in (1.5, 1.0, 0.0)),
+        "deeply-nested", "not-utf8",
+        *(
+            f"{name}-{value}"
+            for name in ("eps", "learning-rate", "clip-norm")
+            for value in ("inf", "huge-int")
+        ),
     ],
 )
 def test_bad_config_is_a_located_error(workspace, tmp_path, capsys, text, located):
     config = tmp_path / "bad.json"
-    config.write_text(text, encoding="utf-8")
+    config.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     code = main(
         [
             "train",
@@ -226,9 +239,10 @@ def test_bad_config_is_a_located_error(workspace, tmp_path, capsys, text, locate
     assert not (tmp_path / "never.ckpt").exists()
 
 
-def _predict_on_edited_checkpoint(workspace, tmp_path, capsys, edit):
-    """Train, rewrite the checkpoint's JSON header through ``edit``, then predict;
-    returns the exit code and stderr, and checks no predictions were written."""
+def _predict_on_edited_checkpoint(workspace, tmp_path, capsys, edit, body=None):
+    """Train, rewrite the checkpoint's JSON header through ``edit`` (or replace it by
+    ``body``), then predict; returns the exit code and stderr, and checks no
+    predictions were written."""
     ckpt = tmp_path / "model.ckpt"
     corpus, inventory = workspace / "corpus.jsonl", workspace / "inventory.jsonl"
     assert main(
@@ -244,7 +258,7 @@ def _predict_on_edited_checkpoint(workspace, tmp_path, capsys, edit):
     (hlen,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16 : 16 + hlen])
     edit(header)
-    body = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = body or json.dumps(header, sort_keys=True).encode("utf-8")
     ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(body)) + body + raw[16 + hlen :])
     capsys.readouterr()
     code = main(
@@ -320,3 +334,68 @@ def test_duplicate_instance_id_is_an_error(workspace, tmp_path, capsys):
     first_id = json.loads(lines[0])["id"]
     assert f"error: duplicate instance id {first_id!r} in corpus" in capsys.readouterr().err
     assert not (tmp_path / "s1.tsv").exists()
+
+
+def _assert_located_error(capsys, argv, location):
+    code = main([str(arg) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {location}") and "Traceback" not in err
+
+
+def _with_bad_byte(path, tmp_path):
+    """A copy of ``path`` with byte 0xff inserted into its second line."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+    bad = tmp_path / f"bad-{path.name}"
+    bad.write_bytes(b"".join(lines))
+    return bad
+
+
+def test_corpus_byte_that_is_not_utf8_is_a_located_error(workspace, tmp_path, capsys):
+    corpus = _with_bad_byte(workspace / "corpus.jsonl", tmp_path)
+    argv = [
+        "baseline", "--method", "s1", "--corpus", corpus,
+        "--inventory", workspace / "inventory.jsonl", "--out", tmp_path / "s1.tsv",
+    ]
+    _assert_located_error(capsys, argv, f"{corpus}:2: ")
+    assert not (tmp_path / "s1.tsv").exists()
+
+
+def test_inventory_byte_that_is_not_utf8_is_a_located_error(workspace, tmp_path, capsys):
+    inventory = _with_bad_byte(workspace / "inventory.jsonl", tmp_path)
+    argv = [
+        "train", "--corpus", workspace / "corpus.jsonl", "--inventory", inventory,
+        "--out", tmp_path / "never.ckpt",
+    ]
+    _assert_located_error(capsys, argv, f"{inventory}:2: ")
+    assert not (tmp_path / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize("bad_file", ["predictions", "gold"])
+def test_key_file_byte_that_is_not_utf8_is_a_located_error(workspace, tmp_path, capsys, bad_file):
+    gold = workspace / "gold.key"
+    predictions = tmp_path / "pred.tsv"
+    predictions.write_bytes(gold.read_bytes().replace(b" ", b"\t"))
+    paths = {"predictions": predictions, "gold": gold}
+    paths[bad_file] = _with_bad_byte(paths[bad_file], tmp_path)
+    argv = ["eval", "--predictions", paths["predictions"], "--gold", paths["gold"]]
+    _assert_located_error(capsys, argv, f"{paths[bad_file]}:2: ")
+
+
+def test_deeply_nested_corpus_line_is_a_located_error(workspace, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((workspace / "corpus.jsonl").read_bytes() + b"[" * 100_000 + b"\n")
+    argv = [
+        "baseline", "--method", "s1", "--corpus", corpus,
+        "--inventory", workspace / "inventory.jsonl", "--out", tmp_path / "s1.tsv",
+    ]
+    _assert_located_error(capsys, argv, f"{corpus}:17: malformed record")
+
+
+def test_deeply_nested_checkpoint_header_is_an_error(workspace, tmp_path, capsys):
+    code, err = _predict_on_edited_checkpoint(
+        workspace, tmp_path, capsys, lambda header: None, body=b"[" * 100_000
+    )
+    assert code == 1
+    assert err.startswith(f"error: {tmp_path / 'model.ckpt'}: malformed checkpoint header")

@@ -280,3 +280,27 @@ class TestKeyFiles:
         path.write_text("d0\ta\nd0\tb\n", encoding="utf-8")
         with pytest.raises(ScoringError):
             data.load_predictions(path)
+
+
+class TestLineEnds:
+    """CRLF line ends and blank lines read as they do in text mode."""
+
+    def test_corpus_with_crlf_and_blank_lines_loads_like_plain_lines(self, tmp_path):
+        records = [_corpus_record(i) for i in range(3)]
+        plain, crlf = tmp_path / "plain.jsonl", tmp_path / "crlf.jsonl"
+        _write_lines(plain, records)
+        body = "\r\n".join(json.dumps(r) for r in records)
+        crlf.write_bytes(("\r\n" + body + "\r\n  \r\n").encode("utf-8"))
+        assert load_corpus(crlf) == load_corpus(plain)
+
+    @pytest.mark.parametrize(
+        "load,text",
+        [
+            (data.load_gold_keys, "d0 a\r\n\r\nd1 b\r\n"),
+            (data.load_predictions, "d0\ta\r\n\r\nd1\tb\r\n"),
+        ],
+    )
+    def test_key_file_with_crlf_and_blank_lines(self, tmp_path, load, text):
+        path = tmp_path / "keys"
+        path.write_bytes(text.encode("utf-8"))
+        assert load(path) == {"d0": "a", "d1": "b"}

@@ -182,6 +182,58 @@ class TestMetricsIO:
             load_metrics(path)
         assert f"{path}:3: " in str(err.value) and "gloss_forwards" in str(err.value)
 
+    def test_byte_that_is_not_utf8_names_path_and_line(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        raw = "\n".join(lines).encode("utf-8").replace(b'"loss"', b'"lo\xffss"', 1)
+        path.write_bytes(raw + b"\n")
+        with pytest.raises(ComparisonError) as err:
+            load_metrics(path)
+        assert f"{path}:2: " in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("mode", "fast"),
+            ("mode", ["bcl"]),
+            ("fingerprint", 7),
+            ("device_count", "many"),
+            ("device_count", 0),
+            ("device_count", True),
+        ],
+    )
+    def test_bad_run_value_names_path_line_and_field(self, tmp_path, field, value):
+        self._assert_bad_value(tmp_path, 0, field, value)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("loss", "x"),
+            ("loss", float("nan")),
+            ("elapsed", None),
+            ("gloss_forwards", "b"),
+            ("gloss_forwards", 1.5),
+            ("context_forwards", -1),
+            ("step", True),
+            ("epoch", [0]),
+        ],
+    )
+    def test_bad_step_value_names_path_line_and_field(self, tmp_path, field, value):
+        self._assert_bad_value(tmp_path, 2, field, value)
+
+    @pytest.mark.parametrize("value", ["z", float("inf"), False, {"s": 1}])
+    def test_bad_summary_value_names_path_line_and_field(self, tmp_path, value):
+        self._assert_bad_value(tmp_path, 4, "wall_seconds", value)
+
+    def _assert_bad_value(self, tmp_path, line, field, value):
+        path, lines = self._saved_lines(tmp_path)
+        record = json.loads(lines[line])
+        record[field] = value
+        lines[line] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ComparisonError) as err:
+            load_metrics(path)
+        assert f"{path}:{line + 1}: " in str(err.value) and repr(field) in str(err.value)
+
 
 def test_fingerprint_is_stable_and_sensitive():
     a = config_fingerprint({"d_model": 8}, "hash1")

@@ -242,6 +242,27 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1, epochs=1)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            (name, value)
+            for name in ("learning_rate", "eps", "clip_norm")
+            for value in (math.inf, math.nan, 10**400, 0, -1.0, True, "0.1")
+        ]
+        + [(name, value) for name in ("beta1", "beta2") for value in (0.0, 1.0, math.inf, 1)],
+    )
+    def test_bad_optimizer_setting_rejected(self, name, value):
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(batch_size=2, epochs=1, **{name: value})
+        assert name in str(err.value)
+
+    def test_settings_at_their_limits_accepted(self):
+        config = TrainConfig(
+            batch_size=2, epochs=1, learning_rate=1, eps=1e308, beta1=5e-324, beta2=1 - 2**-53,
+            clip_norm=None,
+        )
+        assert config.learning_rate == 1 and config.clip_norm is None
+
     def test_batch_object_of_one_rejected(self):
         inst = CorpusInstance(id="a", tokens=["x"], target_index=0, lemma="x", pos="NOUN")
         with pytest.raises(BatchError):
