@@ -181,26 +181,30 @@ def read_records(path, error, build) -> list:
 
 
 def _strings(value, field: str) -> list[str]:
-    """A JSON array field as strings; a bare string would split into characters."""
+    """A JSON array of strings; a bare string is rejected, not split into characters."""
     if not isinstance(value, list):
         raise DataError(f"{field} must be an array of strings, got {type(value).__name__}")
-    return [str(t) for t in value]
+    for item in value:  # a plain loop: this runs once per token of every file
+        if type(item) is not str:
+            _typed(item, f"{field}[{value.index(item)}]")
+    return value
 
 
-def _integer(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError(f"{field} must be an integer, got {value!r}")
+def _typed(value, field: str, kind: type = str):
+    """``value`` if its type is exactly ``kind`` (so a bool is no int); nothing is converted."""
+    if type(value) is not kind:
+        raise DataError(f"{field} must be of type {kind.__name__}, got {value!r}")
     return value
 
 
 def _instance(obj: dict) -> CorpusInstance:
     return CorpusInstance(
-        id=str(obj["id"]),
+        id=_typed(obj["id"], "id"),
         tokens=_strings(obj["tokens"], "tokens"),
-        target_index=_integer(obj["target_index"], "target_index"),
-        lemma=str(obj["lemma"]),
-        pos=str(obj["pos"]),
-        gold=None if obj.get("gold") is None else str(obj["gold"]),
+        target_index=_typed(obj["target_index"], "target_index", int),
+        lemma=_typed(obj["lemma"], "lemma"),
+        pos=_typed(obj["pos"], "pos"),
+        gold=None if obj.get("gold") is None else _typed(obj["gold"], "gold"),
     )
 
 
@@ -232,9 +236,10 @@ def load_inventory(path) -> SenseInventory:
         ):
             raise DataError("senses must be an array of objects")
         senses = [
-            SenseEntry(id=str(s["id"]), gloss=_strings(s["gloss"], "gloss")) for s in obj["senses"]
+            SenseEntry(id=_typed(s["id"], "sense id"), gloss=_strings(s["gloss"], "gloss"))
+            for s in obj["senses"]
         ]
-        inventory.add(str(obj["lemma"]), str(obj["pos"]), senses)
+        inventory.add(_typed(obj["lemma"], "lemma"), _typed(obj["pos"], "pos"), senses)
 
     read_records(path, DataError, add)
     return inventory

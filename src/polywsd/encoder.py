@@ -263,14 +263,16 @@ def encode_batch(
     """
     if not sequences:
         raise ContractError("encode_batch needs at least one sequence")
-    for token_ids in sequences:
-        _check_ids(params.config, token_ids)
     lengths = np.array([len(token_ids) + 2 for token_ids in sequences])
     width = int(lengths.max())
-    ids = np.array(
-        [[CLS_ID, *seq, SEP_ID] + [PAD_ID] * (width - 2 - len(seq)) for seq in sequences],
-        dtype=np.intp,
-    )
+    rows = [[CLS_ID, *seq, SEP_ID] + [PAD_ID] * (width - 2 - len(seq)) for seq in sequences]
+    ids = np.array(rows)
+    # one check of the padded batch; only a batch that fails it is checked item by item
+    fits = ids.dtype == np.intp and lengths.min() > 2 and width <= params.config.max_seq_len
+    if not (fits and ids.min() >= 0 and ids.max() < params.config.vocab_size):
+        for token_ids in sequences:
+            _check_ids(params.config, token_ids)
+        ids = np.array(rows, dtype=np.intp)
     padding = np.arange(width) >= lengths[:, None]
     return _encoder_stack(params, ids, padding, first_row_only), padding
 

@@ -13,6 +13,10 @@ onto the tape it opened. Tensors are treated as immutable after creation
 except for the ``grad`` slot (the optimizer and the gradient check mutate
 parameter ``data`` between tapes, never during one).
 
+Row sums in ``layer_norm`` and the softmaxes are BLAS products with a constant
+column, equal to ``sum(axis=-1)`` up to a few ulp at any buffer alignment; row
+maxima and the embedding gradient (``np.bincount``) are bit-equal to plain numpy.
+
 ``gelu`` needs erf, which numpy lacks; ``erf`` here is the rational
 approximation of Cephes' ``ndtr.c`` (S. Moshier), ``x T(x^2) / U(x^2)``
 below |x| = 1 and ``1 - exp(-x^2) P(|x|) / Q(|x|)`` above it, with the
@@ -175,6 +179,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g: np.ndarray):
         if shared:  # one product over all the batch's rows
             return g @ y.T, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        if x.shape[-2] == 1:  # a one-term contraction is an outer product, exactly
+            return g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) * g
         return g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g
 
     return _emit(x @ y, (a, b), vjp)
@@ -229,15 +235,23 @@ def neg(a: Tensor) -> Tensor:
     return _emit(-a.data, (a,), lambda g: (-g,))
 
 
+def _row_dot(x: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """The last-axis rows of ``x`` times an (n, 1) column, in one BLAS call: (..., 1)."""
+    if x.ndim == 2:
+        return x.dot(col)
+    return x.reshape(-1, x.shape[-1]).dot(col).reshape(x.shape[:-1] + (1,))
+
+
 def _masked_shift_exp(x: np.ndarray, mask: np.ndarray | None):
     """Shared stable-softmax plumbing: masked x, per-row max, exp, row sums."""
     if mask is not None:
         if mask.shape != x.shape:
             raise ShapeError(f"mask shape {mask.shape} does not match {x.shape}")
         x = np.where(mask, -np.inf, x)
-    mx = x.max(axis=-1, keepdims=True)
+    # reducing across contiguous rows vectorizes where a last-axis max does not
+    mx = np.maximum.reduce(np.ascontiguousarray(x.swapaxes(-1, -2)), axis=-2)[..., None]
     e = np.exp(x - mx)
-    return x, mx, e, e.sum(axis=-1, keepdims=True)
+    return x, mx, e, _row_dot(e, np.ones((x.shape[-1], 1)))
 
 
 def row_softmax(m: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -253,7 +267,7 @@ def row_softmax(m: Tensor, mask: np.ndarray | None = None) -> Tensor:
     p = e / s
 
     def vjp(g: np.ndarray):
-        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+        return (p * (g - _row_dot(g * p, np.ones((p.shape[-1], 1)))),)
 
     return _emit(p, (m,), vjp)
 
@@ -337,17 +351,13 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each last-axis row to zero mean and unit variance (no affine part)."""
     if a.data.ndim not in (2, 3):
         raise ShapeError(f"layer_norm needs rank 2 or 3, got shape {a.shape}")
-    # sum / n is what ndarray.mean computes, without its Python-level wrapper
-    n = a.shape[-1]
-    mu = a.data.sum(axis=-1, keepdims=True) / n
-    var = ((a.data - mu) ** 2).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (a.data - mu) * inv
+    w = np.full((a.shape[-1], 1), 1.0 / a.shape[-1])  # row means as BLAS products
+    centred = a.data - _row_dot(a.data, w)
+    inv = 1.0 / np.sqrt(_row_dot(centred * centred, w) + eps)
+    y = centred * inv
 
     def vjp(g: np.ndarray):
-        gm = g.sum(axis=-1, keepdims=True) / n
-        gym = (g * y).sum(axis=-1, keepdims=True) / n
-        return (inv * (g - gm - y * gym),)
+        return (inv * (g - _row_dot(g, w) - y * _row_dot(g * y, w)),)
 
     return _emit(y, (a,), vjp)
 
@@ -364,11 +374,21 @@ def embed(table: Tensor, ids) -> Tensor:
     out = table.data[idx]
 
     def vjp(g: np.ndarray):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, idx.ravel(), g.reshape(-1, table.shape[1]))
-        return (dt,)
+        rows, d = table.shape  # bincount adds in id order, as np.add.at does
+        cells = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+        return (np.bincount(cells, weights=g.ravel(), minlength=rows * d).reshape(rows, d),)
 
     return _emit(out, (table,), vjp)
+
+
+def _gather(a: Tensor, index) -> Tensor:
+    """``a.data[index]``, whose adjoint is scattered back into zeros shaped like ``a``."""
+    def vjp(g: np.ndarray):
+        da = np.zeros_like(a.data)
+        da[index] = g
+        return (da,)
+
+    return _emit(a.data[index], (a,), vjp)
 
 
 def row(a: Tensor, i: int) -> Tensor:
@@ -377,26 +397,14 @@ def row(a: Tensor, i: int) -> Tensor:
         raise ShapeError(f"row needs rank 2, got shape {a.shape}")
     if not 0 <= i < a.shape[0]:
         raise IndexError(f"row {i} out of range for {a.shape[0]} rows")
-
-    def vjp(g: np.ndarray):
-        da = np.zeros_like(a.data)
-        da[i] = g
-        return (da,)
-
-    return _emit(a.data[i].copy(), (a,), vjp)
+    return _gather(a, i)
 
 
 def first_row(a: Tensor) -> Tensor:
     """Row 0 of each item of a rank-3 batch, axis kept: (B, L, d) -> (B, 1, d)."""
     if a.data.ndim != 3:
         raise ShapeError(f"first_row needs rank 3, got shape {a.shape}")
-
-    def vjp(g: np.ndarray):
-        da = np.zeros_like(a.data)
-        da[:, :1] = g
-        return (da,)
-
-    return _emit(a.data[:, :1], (a,), vjp)
+    return _gather(a, np.s_[:, :1])
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -404,11 +412,8 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     if not parts or any(p.data.ndim != 2 for p in parts):
         raise ShapeError("concat needs at least one tensor, all of rank 2")
     splits = np.cumsum([p.shape[0] for p in parts])[:-1]
-
-    def vjp(g: np.ndarray):
-        return tuple(np.split(g, splits))
-
-    return _emit(np.concatenate([p.data for p in parts]), tuple(parts), vjp)
+    out = np.concatenate([p.data for p in parts])
+    return _emit(out, tuple(parts), lambda g: tuple(np.split(g, splits)))
 
 
 def pick(m: Tensor, cols: Sequence[int]) -> Tensor:
@@ -422,14 +427,7 @@ def pick(m: Tensor, cols: Sequence[int]) -> Tensor:
         raise ShapeError(f"pick needs one index per item of a rank-2 or 3 tensor, got {m.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= m.shape[1]):
         raise IndexError(f"pick index out of range for {m.shape[1]} entries")
-    rows = np.arange(m.shape[0])
-
-    def vjp(g: np.ndarray):
-        dm = np.zeros_like(m.data)
-        dm[rows, idx] = g
-        return (dm,)
-
-    return _emit(m.data[rows, idx], (m,), vjp)
+    return _gather(m, (np.arange(m.shape[0]), idx))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -157,14 +157,9 @@ def duplicate_gloss_mask(gold_glosses: list[list[str]]) -> np.ndarray:
 
     Those cells would penalize a correct match if left in the softmax.
     """
-    b = len(gold_glosses)
-    keys = [tuple(g) for g in gold_glosses]
-    mask = np.zeros((b, b), dtype=bool)
-    for i in range(b):
-        for j in range(b):
-            if i != j and keys[i] == keys[j]:
-                mask[i, j] = True
-    return mask
+    index: dict[tuple[str, ...], int] = {}
+    ids = np.array([index.setdefault(tuple(g), len(index)) for g in gold_glosses])
+    return (ids[:, None] == ids) & ~np.eye(len(ids), dtype=bool)
 
 
 def fusion_matrix(

@@ -99,6 +99,40 @@ class TestLoadCorpus:
         assert f"{path}:1: " in str(err.value) and "tokens" in str(err.value)
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("id", ["a"]),
+            ("id", 7),
+            ("id", None),
+            ("lemma", 5),
+            ("pos", ["NOUN"]),
+            ("gold", [1, 2]),
+            ("gold", 3),
+            ("tokens", ["the", {"k": 1}, "closed"]),
+            ("tokens", ["the", 2, "closed"]),
+        ],
+    )
+    def test_non_string_field_rejected_with_line(self, tmp_path, field, value):
+        path = tmp_path / "corpus.jsonl"
+        rec = _corpus_record(1)
+        rec[field] = value
+        _write_lines(path, [_corpus_record(0), rec])
+        with pytest.raises(DataError) as err:
+            load_corpus(path)
+        assert f"{path}:2: " in str(err.value) and field in str(err.value)
+
+    def test_valid_records_load_as_given(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        no_gold = _corpus_record(1, gold=None)
+        del no_gold["gold"]
+        _write_lines(path, [_corpus_record(0), no_gold, _corpus_record(2, gold=None)])
+        assert load_corpus(path) == [
+            CorpusInstance("d0", ["the", "bank", "closed"], 1, "bank", "NOUN", "bank%1"),
+            CorpusInstance("d1", ["the", "bank", "closed"], 1, "bank", "NOUN", None),
+            CorpusInstance("d2", ["the", "bank", "closed"], 1, "bank", "NOUN", None),
+        ]
+
 class TestInventory:
     def _record(self, lemma="bank", pos="NOUN", n=3):
         return {
@@ -145,6 +179,38 @@ class TestInventory:
         with pytest.raises(DataError) as err:
             load_inventory(path)
         assert f"{path}:2: " in str(err.value) and "gloss" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "where, value, field",
+        [
+            ((), {"lemma": 5}, "lemma"),
+            ((), {"pos": None}, "pos"),
+            (("senses", 1), {"id": 1}, "sense id"),
+            (("senses", 1), {"id": ["bank%1"]}, "sense id"),
+            (("senses", 2), {"gloss": ["gloss", 3]}, "gloss"),
+        ],
+    )
+    def test_non_string_field_rejected_with_line(self, tmp_path, where, value, field):
+        path = tmp_path / "inventory.jsonl"
+        rec = self._record()
+        target = rec
+        for key in where:
+            target = target[key]
+        target.update(value)
+        _write_lines(path, [self._record(lemma="run"), rec])
+        with pytest.raises(DataError) as err:
+            load_inventory(path)
+        assert f"{path}:2: " in str(err.value) and field in str(err.value)
+
+    def test_valid_records_load_as_given(self, tmp_path):
+        path = tmp_path / "inventory.jsonl"
+        _write_lines(path, [self._record(n=2)])
+        assert list(load_inventory(path).items()) == [
+            (
+                ("bank", "NOUN"),
+                [SenseEntry("bank%0", ["gloss", "s0"]), SenseEntry("bank%1", ["gloss", "s1"])],
+            )
+        ]
 
     @pytest.mark.parametrize("senses", ["bank%0", [3]])
     def test_senses_not_an_array_of_objects_rejected(self, tmp_path, senses):

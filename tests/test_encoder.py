@@ -163,6 +163,18 @@ class TestEncodeBatch:
             with pytest.raises(ContractError):
                 encode_batch(params, [[4, 5], bad])
 
+    @pytest.mark.parametrize(
+        "bad", [[], list(range(4, 4 + CONFIG.max_seq_len - 1)), [4, -1], [4, 2**70], [9, 4.5, -0.5]]
+    )
+    def test_bad_item_fails_as_it_does_alone(self, params, bad):
+        """The one check of the padded batch falls back to the per-item check, so a
+        bad item raises the error ``encode`` raises for it."""
+        with pytest.raises(ContractError) as alone:
+            encode(params, bad)
+        with pytest.raises(ContractError) as batched:
+            encode_batch(params, [[4, 5], bad, [6]])
+        assert str(batched.value) == str(alone.value)
+
 
 class TestRepresentations:
     def test_target_offset_first_word(self, params):

@@ -359,6 +359,13 @@ def _projection(rng, shape):
             lambda p, rng: T.mul(T.first_row(p), _projection(rng, (2, 1, 4))),
             (2, 3, 4),
         ),
+        # a one-row left operand makes the right operand's adjoint an outer product
+        ("matmul_one_row_right", lambda p, rng: T.matmul(_projection(rng, (1, 3)), p), (3, 4)),
+        (
+            "matmul_one_row_batched_right",
+            lambda p, rng: T.matmul(_projection(rng, (2, 1, 3)), p),
+            (2, 3, 4),
+        ),
     ],
 )
 def test_op_gradients_match_finite_differences(name, fn, shape):
@@ -526,3 +533,119 @@ def test_tapes_in_two_threads_record_separately():
         records, grad = results[k]
         assert records == 2
         np.testing.assert_array_equal(grad, np.full(3, 2.0 * (k + 1)))
+
+
+# ---------------------------------------------------------------------------
+# Row kernels against their plain numpy forms
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _row_tol(n):
+    """BLAS row sums and numpy's pairwise sums differ by rounding alone: a few ulp
+    per term of an n-wide row, on values of order one."""
+    return 4 * n * _EPS
+
+
+def _layer_norm_ref(x, g, eps=1e-5):
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / n
+    var = ((x - mu) ** 2).sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    y = (x - mu) * inv
+    gm = g.sum(axis=-1, keepdims=True) / n
+    gym = (g * y).sum(axis=-1, keepdims=True) / n
+    return y, inv * (g - gm - y * gym)
+
+
+def _softmax_ref(x, g, mask):
+    x = np.where(mask, -np.inf, x)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p, p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def _forward_and_vjp(op, x, g, **kwargs):
+    """The op's output on ``x`` and its recorded VJP applied to ``g``."""
+    tape = Tape()
+    with tape:
+        out = op(Tensor(x, requires_grad=True), **kwargs)
+    (dx,) = tape._records[-1][2](g)
+    return out.data, dx
+
+
+def _key_mask(rng, shape):
+    """A padded-key mask: True past a random length >= 1 in each row."""
+    lengths = rng.integers(1, shape[-1] + 1, size=shape[:-1] + (1,))
+    return np.arange(shape[-1]) >= lengths
+
+
+_ROW_SHAPES = [(5, 16), (3, 7, 16), (73, 16, 16), (20, 13, 13), (4, 9, 33)]
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("shape", _ROW_SHAPES)
+    def test_layer_norm_matches_pairwise_sum_reference(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        x, g = rng.normal(scale=3.0, size=shape), rng.normal(size=shape)
+        y, dx = _forward_and_vjp(T.layer_norm, x, g)
+        y_ref, dx_ref = _layer_norm_ref(x, g)
+        tol = _row_tol(shape[-1])
+        np.testing.assert_allclose(y, y_ref, rtol=tol, atol=tol)
+        np.testing.assert_allclose(dx, dx_ref, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("shape", _ROW_SHAPES)
+    def test_row_softmax_matches_pairwise_sum_reference(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        x, g = rng.normal(scale=3.0, size=shape), rng.normal(size=shape)
+        mask = _key_mask(rng, shape)
+        p, dx = _forward_and_vjp(T.row_softmax, x, g, mask=mask)
+        p_ref, dx_ref = _softmax_ref(x, g, mask)
+        tol = _row_tol(shape[-1])
+        np.testing.assert_allclose(p, p_ref, rtol=tol, atol=tol)
+        np.testing.assert_allclose(dx, dx_ref, rtol=tol, atol=tol)
+        assert np.all(p[mask] == 0.0) and np.all(dx[mask] == 0.0)
+
+    @pytest.mark.parametrize("shape", [(73, 16, 16), (20, 1, 13), (4, 9, 33)])
+    def test_rank3_row_max_is_exact(self, shape):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=shape)
+        x[0, 0, -1] = np.nan
+        mask = _key_mask(rng, shape)
+        masked, mx, _, _ = T._masked_shift_exp(x, mask)
+        np.testing.assert_array_equal(mx, masked.max(axis=-1, keepdims=True))
+        assert np.isnan(mx[0, 0, 0]) == (not mask[0, 0, -1])
+
+    @pytest.mark.parametrize("ids", [[3, 0, 3, 3, 1, 0, 3, 3], [[2, 2, 0, 2], [4, 2, 2, 2]]])
+    def test_embed_gradient_is_bit_equal_to_add_at(self, ids):
+        rng = np.random.default_rng(8)
+        table = rng.normal(size=(5, 4))
+        idx = np.asarray(ids)
+        # terms of mixed magnitudes, so that any other summation order shows in the bits
+        g = rng.normal(size=idx.shape + (4,)) * np.exp(rng.uniform(-20, 20, idx.shape + (4,)))
+        _, dt = _forward_and_vjp(T.embed, table, g, ids=ids)
+        ref = np.zeros_like(table)
+        np.add.at(ref, idx.ravel(), g.reshape(-1, 4))
+        assert dt.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("op", [T.layer_norm, T.row_softmax])
+    def test_results_do_not_depend_on_buffer_alignment(self, op):
+        """Bit-exact resume needs the same bits wherever numpy puts the operands."""
+        rng = np.random.default_rng(9)
+        x, g = rng.normal(size=(6, 13, 13)), rng.normal(size=(6, 13, 13))
+
+        def at_offset(values, offset):
+            buffer = np.empty(values.size + 8)
+            view = buffer[offset : offset + values.size].reshape(values.shape)
+            view[...] = values
+            return view
+
+        runs = {
+            offset: _forward_and_vjp(op, at_offset(x, offset), at_offset(g, offset))
+            for offset in range(8)
+        }
+        out, dx = runs[0]
+        for offset, (out_k, dx_k) in runs.items():
+            assert out_k.tobytes() == out.tobytes(), offset
+            assert dx_k.tobytes() == dx.tobytes(), offset
