@@ -24,7 +24,7 @@ the heads are folded into the batch axis for the softmax and back out of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -79,6 +79,15 @@ def _param(arr) -> Tensor:
     return Tensor(arr, requires_grad=True)
 
 
+def tensor_fields(params, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    """A parameter dataclass's Tensor fields as (prefix + field name, tensor), in
+    declaration order, which is the order of the checkpoint manifest."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if isinstance(value, Tensor):
+            yield prefix + field.name, value
+
+
 @dataclass
 class LayerParams:
     """One transformer block: normed self-attention and normed feed-forward."""
@@ -110,19 +119,7 @@ class EncoderParams:
         yield f"{prefix}tok_emb", self.tok_emb
         yield f"{prefix}pos_emb", self.pos_emb
         for i, layer in enumerate(self.layers):
-            base = f"{prefix}layer{i}."
-            yield base + "attn_gain", layer.attn_gain
-            yield base + "attn_bias", layer.attn_bias
-            yield base + "wq", layer.wq
-            yield base + "wk", layer.wk
-            yield base + "wv", layer.wv
-            yield base + "wo", layer.wo
-            yield base + "ffn_gain", layer.ffn_gain
-            yield base + "ffn_bias", layer.ffn_bias
-            yield base + "w1", layer.w1
-            yield base + "b1", layer.b1
-            yield base + "w2", layer.w2
-            yield base + "b2", layer.b2
+            yield from tensor_fields(layer, f"{prefix}layer{i}.")
         yield f"{prefix}out_gain", self.out_gain
         yield f"{prefix}out_bias", self.out_bias
 
@@ -159,10 +156,6 @@ def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderPara
         out_gain=_param(np.ones(d)),
         out_bias=_param(np.zeros(d)),
     )
-
-
-def _affine_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return T.add(T.mul(T.layer_norm(x), gain), bias)
 
 
 def multi_head_attention(
@@ -235,17 +228,17 @@ def _encoder_stack(
     x = T.add(T.embed(params.tok_emb, ids), T.embed(params.pos_emb, positions))
     last = params.layers[-1]
     for layer in params.layers:
-        normed = queries = _affine_norm(x, layer.attn_gain, layer.attn_bias)
+        normed = queries = T.layer_norm(x, layer.attn_gain, layer.attn_bias)
         if first_row_only and layer is last:
             queries, x = T.first_row(normed), T.first_row(x)
         attended = multi_head_attention(
             queries, normed, layer.wq, layer.wk, layer.wv, layer.wo, params.config.n_heads, key_mask
         )
         x = T.add(x, attended)
-        normed = _affine_norm(x, layer.ffn_gain, layer.ffn_bias)
+        normed = T.layer_norm(x, layer.ffn_gain, layer.ffn_bias)
         hidden = T.gelu(T.add(T.matmul(normed, layer.w1), layer.b1))
         x = T.add(x, T.add(T.matmul(hidden, layer.w2), layer.b2))
-    return _affine_norm(x, params.out_gain, params.out_bias)
+    return T.layer_norm(x, params.out_gain, params.out_bias)
 
 
 def encode_batch(

@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor as T
-from .encoder import glorot, multi_head_attention
+from .encoder import glorot, multi_head_attention, tensor_fields
 from .errors import ConfigError, ShapeError, check_positive_ints
 from .tensor import Tensor
 
@@ -60,10 +60,7 @@ class FusionParams:
     w_o: Tensor
 
     def named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}wq", self.wq
-        yield f"{prefix}wk", self.wk
-        yield f"{prefix}wv", self.wv
-        yield f"{prefix}w_o", self.w_o
+        return tensor_fields(self, prefix)
 
 
 def init_fusion(config: FusionConfig, rng: np.random.Generator) -> FusionParams:

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import ContractError, OracleError, ShapeError
 
 _MAX_RANK = 3
+_LAYER_NORM_EPS = 1e-5
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -213,17 +214,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard product; a rank-1 ``b`` broadcasts over the last axis of ``a``."""
-    if a.shape == b.shape:
-        return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-    if _broadcast_pair(a, b):
-        out = a.data * b.data
-
-        def vjp(g: np.ndarray):
-            return g * b.data, _rows_sum(g * a.data)
-
-        return _emit(out, (a, b), vjp)
-    raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}")
+    """Hadamard product of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}")
+    return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -347,19 +341,25 @@ def gelu(a: Tensor) -> Tensor:
     return _emit(out, (a,), vjp)
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each last-axis row to zero mean and unit variance (no affine part)."""
-    if a.data.ndim not in (2, 3):
-        raise ShapeError(f"layer_norm needs rank 2 or 3, got shape {a.shape}")
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize each last-axis row to zero mean and unit variance, then scale it
+    by ``gain`` and shift it by ``bias``, both (d,) and shared by every row."""
+    if a.data.ndim not in (2, 3) or not gain.shape == bias.shape == a.shape[-1:]:
+        raise ShapeError(
+            f"layer_norm needs rank 2 or 3 and a (d,) gain and bias, got {a.shape}, "
+            f"{gain.shape}, {bias.shape}"
+        )
     w = np.full((a.shape[-1], 1), 1.0 / a.shape[-1])  # row means as BLAS products
     centred = a.data - _row_dot(a.data, w)
-    inv = 1.0 / np.sqrt(_row_dot(centred * centred, w) + eps)
+    inv = 1.0 / np.sqrt(_row_dot(centred * centred, w) + _LAYER_NORM_EPS)
     y = centred * inv
 
     def vjp(g: np.ndarray):
-        return (inv * (g - _row_dot(g, w) - y * _row_dot(g * y, w)),)
+        gy = g * gain.data
+        dx = inv * (gy - _row_dot(gy, w) - y * _row_dot(gy * y, w))
+        return dx, _rows_sum(g * y), _rows_sum(g)
 
-    return _emit(y, (a,), vjp)
+    return _emit(y * gain.data + bias.data, (a, gain, bias), vjp)
 
 
 def embed(table: Tensor, ids) -> Tensor:
@@ -448,7 +448,8 @@ def regroup(a: Tensor, grouped: Sequence[int], axes: Sequence[int], shape: Seque
         out = permuted.reshape(shape)
     except ValueError:
         raise ShapeError(f"cannot regroup {a.shape} as {grouped} by {axes} into {shape}") from None
-    inverse, old = np.argsort(axes), a.shape
+    # the inverse permutation, an argsort of a few axes in plain Python
+    inverse, old = sorted(range(len(axes)), key=axes.__getitem__), a.shape
     return _emit(out, (a,), lambda g: (g.reshape(permuted.shape).transpose(inverse).reshape(old),))
 
 

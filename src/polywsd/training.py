@@ -432,11 +432,6 @@ def make_batches(
     return batches
 
 
-def steps_per_epoch(corpus_size: int, batch_size: int) -> int:
-    full, remainder = divmod(corpus_size, batch_size)
-    return full + (1 if remainder >= 2 else 0)
-
-
 def train(
     model: WsdModel,
     optimizer: Adam,

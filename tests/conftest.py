@@ -1,5 +1,8 @@
 """Shared model/corpus builders for the test suite."""
 
+import struct
+import zlib
+
 import pytest
 from hypothesis import strategies as st
 
@@ -17,6 +20,13 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=8,
 )
+
+
+def restamp_checksum(raw: bytes) -> bytes:
+    """Checkpoint bytes with the CRC32 trailer recomputed over the rest, so that a
+    deliberately edited header reaches the header checks."""
+    body = raw[:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def tiny_model(

@@ -9,11 +9,16 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from polywsd.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
+from polywsd.cli import DEFAULT_CONFIG
+from polywsd.data import build_vocab
+from polywsd.encoder import EncoderConfig
 from polywsd.errors import CheckpointError, ConfigError
+from polywsd.fusion import FusionConfig
+from polywsd.model import build_model
 from polywsd.synthetic import synthetic_corpus
 from polywsd.training import Adam, TrainConfig, train
 
-from conftest import JSON_VALUES, tiny_model
+from conftest import JSON_VALUES, restamp_checksum, tiny_model
 
 
 def _trained_world(steps=3):
@@ -32,7 +37,9 @@ def _edit_header(path, edit):
     header = json.loads(raw[16 : 16 + hlen])
     edit(header)
     body = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<Q", len(body)) + body + raw[16 + hlen :])
+    path.write_bytes(
+        restamp_checksum(raw[:8] + struct.pack("<Q", len(body)) + body + raw[16 + hlen :])
+    )
 
 
 class TestRoundTrip:
@@ -67,6 +74,25 @@ class TestRoundTrip:
         save_checkpoint(p2, model, optimizer, seed=config.seed, step=3)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_manifest_names_at_the_default_config(self, tmp_path):
+        corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=10, seed=2)
+        vocab = build_vocab(corpus, inventory, min_freq=1)
+        encoder = EncoderConfig(vocab_size=vocab.size, **DEFAULT_CONFIG["encoder"])
+        fusion = FusionConfig(d_model=encoder.d_model, **DEFAULT_CONFIG["fusion"])
+        path = tmp_path / "model.ckpt"
+        model = build_model(encoder, encoder, fusion, vocab, seed=0)
+        save_checkpoint(path, model, None, seed=0, step=0)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        encoder_names = ["tok_emb", "pos_emb"]
+        encoder_names += [f"layer0.{n}" for n in ("attn_gain", "attn_bias", "wq", "wk", "wv", "wo")]
+        encoder_names += [f"layer0.{n}" for n in ("ffn_gain", "ffn_bias", "w1", "b1", "w2", "b2")]
+        encoder_names += ["out_gain", "out_bias"]
+        expected = [f"{side}.{n}" for side in ("context", "gloss") for n in encoder_names]
+        expected += ["fusion.wq", "fusion.wk", "fusion.wv", "fusion.w_o"]
+        assert len(expected) == 36
+        assert [entry["name"] for entry in json.loads(raw[16 : 16 + hlen])["params"]] == expected
+
     def test_without_optimizer(self, tmp_path):
         _, _, model, _, config = _trained_world()
         path = tmp_path / "model.ckpt"
@@ -95,7 +121,46 @@ class TestRejection:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
-        assert "version 1 is incompatible with supported version 2" in str(err.value)
+        assert "version 1 is incompatible with supported version 3" in str(err.value)
+
+    def test_version_2_file_rejected(self, tmp_path):
+        _, _, model, optimizer, config = _trained_world()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "version 2 is incompatible with supported version 3" in str(err.value)
+
+    def test_flipped_exponent_bit_of_first_weight_rejected(self, tmp_path):
+        """One flipped bit turns the first token embedding value x into x * 2**-256."""
+        _, _, model, optimizer, config = _trained_world()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+        raw = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        first = 16 + hlen  # the payload opens with context.tok_emb
+        assert raw[first : first + 8] == model.context.tok_emb.data[0, :1].tobytes()
+        raw[first + 7] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "checksum" in str(err.value)
+
+    def test_header_edit_without_new_checksum_rejected(self, tmp_path):
+        _, _, model, optimizer, config = _trained_world()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+        saved_crc = path.read_bytes()[-4:]
+        _edit_header(path, lambda header: header["context_config"].update(n_heads=8))
+        # with its checksum renewed, the edit loads as a different model of the same shapes
+        assert load_checkpoint(path).model.context_config.n_heads == 8
+        path.write_bytes(path.read_bytes()[:-4] + saved_crc)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "checksum" in str(err.value)
 
     def test_truncated_file_rejected(self, tmp_path):
         _, _, model, optimizer, config = _trained_world()
@@ -292,15 +357,13 @@ def test_truncated_checkpoint_is_always_a_checkpoint_error(saved_checkpoint, dat
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), mask=st.integers(1, 255))
-def test_flipped_byte_loads_or_fails_as_checkpoint_error(saved_checkpoint, data, mask):
+def test_flipped_byte_is_always_a_checkpoint_error(saved_checkpoint, data, mask):
     raw = bytearray(saved_checkpoint.read_bytes())
     (hlen,) = struct.unpack("<Q", raw[8:16])
     # half the flips land in the magic, lengths or JSON header, the rest anywhere
     raw[data.draw(st.integers(0, 16 + hlen - 1) | st.integers(0, len(raw) - 1))] ^= mask
-    try:
+    with pytest.raises(CheckpointError):
         load_checkpoint(_damaged(saved_checkpoint, bytes(raw)))
-    except CheckpointError:
-        pass
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -9,6 +9,8 @@ from polywsd.cli import main
 from polywsd.data import load_predictions
 from polywsd.evaluation import score_f1
 
+from conftest import restamp_checksum
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -259,7 +261,9 @@ def _predict_on_edited_checkpoint(workspace, tmp_path, capsys, edit, body=None):
     header = json.loads(raw[16 : 16 + hlen])
     edit(header)
     body = body or json.dumps(header, sort_keys=True).encode("utf-8")
-    ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(body)) + body + raw[16 + hlen :])
+    ckpt.write_bytes(
+        restamp_checksum(raw[:8] + struct.pack("<Q", len(body)) + body + raw[16 + hlen :])
+    )
     capsys.readouterr()
     code = main(
         [

@@ -238,6 +238,12 @@ def _projection(rng, shape):
     return Tensor(rng.normal(size=shape))
 
 
+def _bare_layer_norm(x):
+    """``layer_norm`` with unit gain and zero bias: the normalization alone."""
+    d = x.shape[-1]
+    return T.layer_norm(x, Tensor(np.ones(d)), Tensor(np.zeros(d)))
+
+
 @pytest.mark.parametrize(
     "name,fn,shape",
     [
@@ -251,7 +257,14 @@ def _projection(rng, shape):
         ("add_batched", lambda p, rng: T.add(p, _projection(rng, (2, 3, 4))), (2, 3, 4)),
         ("gelu_batched", lambda p, rng: T.mul(T.gelu(p), _projection(rng, (2, 3, 4))), (2, 3, 4)),
         ("mul", lambda p, rng: T.mul(p, _projection(rng, (3, 4))), (3, 4)),
-        ("mul_gain", lambda p, rng: T.mul(_projection(rng, (3, 4)), p), (4,)),
+        # the mul_gain rows pass p as both gain and bias of layer_norm, checking both adjoints
+        (
+            "mul_gain",
+            lambda p, rng: T.mul(
+                T.layer_norm(_projection(rng, (3, 4)), p, p), _projection(rng, (3, 4))
+            ),
+            (4,),
+        ),
         ("scale", lambda p, rng: T.scale(p, -1.7), (3, 4)),
         ("neg", lambda p, rng: T.neg(p), (3, 4)),
         ("row_softmax", lambda p, rng: T.mul(T.row_softmax(p), _projection(rng, (3, 4))), (3, 4)),
@@ -260,7 +273,14 @@ def _projection(rng, shape):
             lambda p, rng: T.mul(T.row_log_softmax(p), _projection(rng, (3, 4))),
             (3, 4),
         ),
-        ("layer_norm", lambda p, rng: T.mul(T.layer_norm(p), _projection(rng, (3, 4))), (3, 4)),
+        (
+            "layer_norm",
+            lambda p, rng: T.mul(
+                T.layer_norm(p, _projection(rng, (4,)), _projection(rng, (4,))),
+                _projection(rng, (3, 4)),
+            ),
+            (3, 4),
+        ),
         ("gelu", lambda p, rng: T.mul(T.gelu(p), _projection(rng, (3, 4))), (3, 4)),
         ("embed", lambda p, rng: T.mul(T.embed(p, [0, 2, 2, 1]), _projection(rng, (4, 3))), (3, 3)),
         ("row", lambda p, rng: T.mul(T.row(p, 1), _projection(rng, (4,))), (3, 4)),
@@ -310,7 +330,13 @@ def _projection(rng, shape):
             (2, 3, 4),
         ),
         ("add_bias_batched", lambda p, rng: T.add(_projection(rng, (2, 3, 4)), p), (4,)),
-        ("mul_gain_batched", lambda p, rng: T.mul(_projection(rng, (2, 3, 4)), p), (4,)),
+        (
+            "mul_gain_batched",
+            lambda p, rng: T.mul(
+                T.layer_norm(_projection(rng, (2, 3, 4)), p, p), _projection(rng, (2, 3, 4))
+            ),
+            (4,),
+        ),
         (
             "row_softmax_masked_batched",
             lambda p, rng: T.mul(
@@ -320,7 +346,10 @@ def _projection(rng, shape):
         ),
         (
             "layer_norm_batched",
-            lambda p, rng: T.mul(T.layer_norm(p), _projection(rng, (2, 3, 4))),
+            lambda p, rng: T.mul(
+                T.layer_norm(p, _projection(rng, (4,)), _projection(rng, (4,))),
+                _projection(rng, (2, 3, 4)),
+            ),
             (2, 3, 4),
         ),
         (
@@ -404,7 +433,7 @@ def test_forward_ops_keep_finite_values():
     for out in (
         T.row_softmax(a),
         T.row_log_softmax(a),
-        T.layer_norm(a),
+        _bare_layer_norm(a),
         T.gelu(a),
         T.matmul(a, Tensor(rng.normal(size=(6, 2)))),
     ):
@@ -567,12 +596,11 @@ def _softmax_ref(x, g, mask):
 
 
 def _forward_and_vjp(op, x, g, **kwargs):
-    """The op's output on ``x`` and its recorded VJP applied to ``g``."""
+    """The op's output on ``x`` and the adjoint of ``x`` from its recorded VJP of ``g``."""
     tape = Tape()
     with tape:
         out = op(Tensor(x, requires_grad=True), **kwargs)
-    (dx,) = tape._records[-1][2](g)
-    return out.data, dx
+    return out.data, tape._records[-1][2](g)[0]
 
 
 def _key_mask(rng, shape):
@@ -589,7 +617,7 @@ class TestRowKernels:
     def test_layer_norm_matches_pairwise_sum_reference(self, shape):
         rng = np.random.default_rng(shape[-1])
         x, g = rng.normal(scale=3.0, size=shape), rng.normal(size=shape)
-        y, dx = _forward_and_vjp(T.layer_norm, x, g)
+        y, dx = _forward_and_vjp(_bare_layer_norm, x, g)
         y_ref, dx_ref = _layer_norm_ref(x, g)
         tol = _row_tol(shape[-1])
         np.testing.assert_allclose(y, y_ref, rtol=tol, atol=tol)
@@ -629,7 +657,9 @@ class TestRowKernels:
         np.add.at(ref, idx.ravel(), g.reshape(-1, 4))
         assert dt.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("op", [T.layer_norm, T.row_softmax])
+    @pytest.mark.parametrize(
+        "op", [_bare_layer_norm, T.row_softmax], ids=["layer_norm", "row_softmax"]
+    )
     def test_results_do_not_depend_on_buffer_alignment(self, op):
         """Bit-exact resume needs the same bits wherever numpy puts the operands."""
         rng = np.random.default_rng(9)
