@@ -21,7 +21,7 @@ from .data import (
     save_predictions,
 )
 from .encoder import EncoderConfig
-from .errors import ConfigError, DataError, PolyWsdError, check_positive_ints
+from .errors import ConfigError, DataError, PolyWsdError, check_positive_ints, is_count
 from .evaluation import compare_costs, config_fingerprint, save_metrics, score_f1
 from .fusion import FusionConfig
 from .model import build_model, randomize_parameters
@@ -104,6 +104,10 @@ def _build_world(args, config):
     vocab = build_vocab(corpus, inventory, min_freq=min_freq)
     encoder_config, fusion_config = _model_configs(config, args.config, vocab.size)
     train_section = {k: v for k, v in config["train"].items() if k != "min_freq" and v is not None}
+    if "seed" in train_section:
+        raise ConfigError(
+            f"{args.config}: section 'train': the seed is set by --seed, not the config"
+        )
     train_config = _section(TrainConfig, args.config, "train", train_section, seed=args.seed)
     fingerprint = config_fingerprint(
         asdict(encoder_config),
@@ -265,6 +269,8 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    sizes = {"--lemmas": args.lemmas, "--senses": args.senses, "--instances": args.instances}
+    check_positive_ints(**sizes)
     os.makedirs(args.out_dir, exist_ok=True)
     corpus, inventory = synthetic_corpus(
         n_lemmas=args.lemmas,
@@ -353,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not is_count(getattr(args, "seed", 0)):
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.handler(args)
     except (PolyWsdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -326,7 +326,10 @@ def _window(n: int, target_index: int, capacity: int) -> tuple[int, int]:
 
 
 def lookup_ids(words: list[str], vocab: Vocab) -> list[int]:
-    return [vocab.id(w) for w in words]
+    """``vocab.id`` of each word; the dict's bound ``get`` and the unknown id are
+    locals, so no Python-level call or global lookup runs per word."""
+    get, unk = vocab.token_to_id.get, UNK_ID
+    return [get(w, unk) for w in words]
 
 
 def content_ids(words: list[str], vocab: Vocab, capacity: int) -> list[int]:

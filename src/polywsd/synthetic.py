@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import POS_TAGS, CorpusInstance, SenseEntry, SenseInventory
+from .errors import check_positive_ints
 
 _FILLERS = ["the", "a", "very", "old", "new", "small", "quiet", "bright"]
 _GLOSS_PADDING = ["quality", "of", "being"]
@@ -25,7 +26,12 @@ def synthetic_corpus(
     n_instances: int = 50,
     seed: int = 0,
 ) -> tuple[list[CorpusInstance], SenseInventory]:
-    """Corpus plus matching inventory; every instance has senses_per_lemma candidates."""
+    """Corpus plus matching inventory; every instance has senses_per_lemma candidates.
+
+    Each size must be a positive integer, else ConfigError."""
+    check_positive_ints(
+        n_lemmas=n_lemmas, senses_per_lemma=senses_per_lemma, n_instances=n_instances
+    )
     rng = np.random.default_rng(seed)
     inventory = SenseInventory()
     for i in range(n_lemmas):

@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .data import CorpusInstance, SenseInventory
 from .errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
-from .errors import check_optimizer_settings, check_positive_ints
+from .errors import check_optimizer_settings, check_positive_ints, is_count
 from .fusion import score_rows
 from .model import WsdModel, context_code_rows, gloss_code_rows
 # unused here, but the benchmark's probes patch polywsd.training.context_codes/gloss_codes
@@ -52,6 +52,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_positive_ints(batch_size=self.batch_size, epochs=self.epochs)
+        if not is_count(self.seed):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.batch_size < 2:
             raise ConfigError(
                 f"batch_size must be >= 2 for contrastive training, got {self.batch_size}"

@@ -121,6 +121,42 @@ def test_device_count_below_one_rejected(workspace, capsys, command, count):
     assert not (workspace / "never.ckpt").exists() and not (workspace / "never").exists()
 
 
+@pytest.mark.parametrize(
+    "command,flags,message",
+    [
+        *(
+            (command, ["--seed", "-1"], "--seed must be a non-negative integer, got -1")
+            for command in ("train", "bench", "gradcheck", "synth")
+        ),
+        ("synth", ["--lemmas", "0"], "--lemmas must be positive, got 0"),
+        ("synth", ["--senses", "0"], "--senses must be positive, got 0"),
+        ("synth", ["--instances", "0"], "--instances must be positive, got 0"),
+        ("synth", ["--instances", "-5"], "--instances must be positive, got -5"),
+    ],
+    ids=[
+        "train-seed", "bench-seed", "gradcheck-seed", "synth-seed",
+        "synth-lemmas-zero", "synth-senses-zero", "synth-instances-zero",
+        "synth-instances-negative",
+    ],
+)
+def test_bad_flag_value_is_a_located_error(workspace, tmp_path, capsys, command, flags, message):
+    out = tmp_path / "never"
+    argv = {
+        "train": ["--out", str(out)],
+        "bench": ["--out-dir", str(out)],
+        "gradcheck": [],
+        "synth": ["--out-dir", str(out)],
+    }[command]
+    if command in ("train", "bench"):
+        argv += [
+            "--corpus", str(workspace / "corpus.jsonl"),
+            "--inventory", str(workspace / "inventory.jsonl"),
+        ]
+    assert main([command, *argv, *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_gradcheck_exits_zero(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
     assert "passed" in capsys.readouterr().out
@@ -194,6 +230,7 @@ def test_missing_file_is_reported(workspace, capsys):
         (json.dumps({"train": {"batch_size": 2.5}}), "section 'train'"),
         (json.dumps({"train": {"epochs": 1.5}}), "section 'train'"),
         (json.dumps({"train": {"epochs": True}}), "section 'train'"),
+        (json.dumps({"train": {"seed": -1}}), "section 'train': the seed is set by --seed"),
         (json.dumps({"train": {"learning_rate": True}}), "section 'train'"),
         (json.dumps({"train": {"learning_rate": float("nan")}}), "section 'train'"),
         *(
@@ -213,7 +250,8 @@ def test_missing_file_is_reported(workspace, capsys):
         "unknown-key", "encoder-type", "train-type", "unknown-section", "section-type", "json",
         "encoder-float", "encoder-bool", "fusion-float", "fusion-string",
         "min-freq-string", "min-freq-float", "min-freq-zero",
-        "batch-size-float", "epochs-float", "epochs-bool", "learning-rate-bool", "learning-rate-nan",
+        "batch-size-float", "epochs-float", "epochs-bool", "seed-in-config",
+        "learning-rate-bool", "learning-rate-nan",
         *(f"{name}-{value}" for name in ("beta1", "beta2") for value in (1.5, 1.0, 0.0)),
         "deeply-nested", "not-utf8",
         *(

@@ -1,7 +1,10 @@
 """Tensor core: forward values, tape gradients, and the finite-difference oracle."""
 
+import ctypes
 import math
 import os
+import platform
+import statistics
 import subprocess
 import sys
 import threading
@@ -480,13 +483,79 @@ def test_package_loads_no_scipy():
         "context_codes(model, corpus[0].tokens, corpus[0].target_index)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
+    assert _run_fresh(code) == "[]"
+
+
+def _run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports the package
+    from this checkout; the run must succeed."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the heap policy and the fault count are glibc's",
+)
+def test_backward_keeps_freed_pages_mapped():
+    """Steady-state all-candidates steps fault in (almost) no fresh pages.
+
+    8 items x 9 senses with 14-word glosses make each all-row gloss array
+    72 x 16 x 16 floats (147 KB), above glibc's default 128 KB mmap threshold;
+    with the defaults every step faults ~300-600 pages back in. The median
+    step is asserted, because the heap still grows by a block (~35-40 faults)
+    in an occasional step while its layout settles, at steps that depend on
+    the interpreter's earlier allocations. A fresh process, so that no earlier
+    test's allocations raised the thresholds."""
+    code = (
+        "import resource\n"
+        "from polywsd.data import CorpusInstance, SenseEntry, SenseInventory, build_vocab\n"
+        "from polywsd.encoder import EncoderConfig\n"
+        "from polywsd.fusion import FusionConfig\n"
+        "from polywsd.model import build_model\n"
+        "from polywsd.training import Adam, Batch, train_all_candidates_step\n"
+        "inventory, instances = SenseInventory(), []\n"
+        "for i in range(8):\n"
+        "    lemma = f'lemma{i}'\n"
+        "    inventory.add(lemma, 'NOUN', [\n"
+        "        SenseEntry(id=f'{lemma}%{k + 1}', gloss=[f'g{i}x{k}x{j}' for j in range(14)])\n"
+        "        for k in range(9)\n"
+        "    ])\n"
+        "    instances.append(CorpusInstance(\n"
+        "        id=f'i{i}', tokens=[f'c{i}x{j}' for j in range(30)], target_index=15,\n"
+        "        lemma=lemma, pos='NOUN', gold=f'{lemma}%{i + 1}',\n"
+        "    ))\n"
+        "glosses = [inventory.gloss_of(x.lemma, x.pos, x.gold) for x in instances]\n"
+        "batch = Batch(instances=instances, gold_glosses=glosses)\n"
+        "vocab = build_vocab(instances, inventory, min_freq=1)\n"
+        "enc = EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1, n_heads=2, d_ff=32,\n"
+        "                    max_seq_len=32)\n"
+        "fusion = FusionConfig(d_model=16, poly_m=1, n_heads=2)\n"
+        "model = build_model(enc, enc, fusion, vocab, seed=0)\n"
+        "optimizer = Adam(model.parameters())\n"
+        "for _ in range(3):\n"
+        "    train_all_candidates_step(batch, inventory, model, optimizer)\n"
+        "for _ in range(10):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    train_all_candidates_step(batch, inventory, model, optimizer)\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    faults = [int(n) for n in _run_fresh(code).split()]
+    assert statistics.median(faults) <= 10, f"minor faults per step: {faults}"
+
+
+@pytest.mark.parametrize("failure", [OSError, AttributeError])
+def test_heap_policy_is_quiet_without_mallopt(monkeypatch, failure):
+    def no_mallopt(name):
+        raise failure("mallopt not found")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_mallopt)
+    assert T._keep_freed_pages.__wrapped__() is None
 
 
 def test_first_row_keeps_the_axis():

@@ -255,6 +255,11 @@ class TestTrainConfig:
             TrainConfig(batch_size=2, epochs=1, **{name: value})
         assert name in str(err.value)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            TrainConfig(batch_size=2, epochs=1, seed=seed)
+
     def test_settings_at_their_limits_accepted(self):
         config = TrainConfig(
             batch_size=2, epochs=1, learning_rate=1, eps=1e308, beta1=5e-324, beta2=1 - 2**-53,
@@ -266,6 +271,15 @@ class TestTrainConfig:
         inst = CorpusInstance(id="a", tokens=["x"], target_index=0, lemma="x", pos="NOUN")
         with pytest.raises(BatchError):
             Batch(instances=[inst], gold_glosses=[["g"]])
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("n_lemmas", 0), ("senses_per_lemma", 0), ("n_instances", 0), ("n_instances", -5)],
+)
+def test_synthetic_corpus_rejects_non_positive_sizes(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be positive, got {value}"):
+        synthetic_corpus(**{name: value})
 
 
 class TestTrainStep:
