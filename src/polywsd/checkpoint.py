@@ -58,9 +58,9 @@ def save_checkpoint(
 ) -> None:
     named = model.named_parameters()
     header = {
-        "context_config": asdict(model.context_config),
-        "gloss_config": asdict(model.gloss_config),
-        "fusion_config": asdict(model.fusion_config),
+        "context_config": asdict(model.context.config),
+        "gloss_config": asdict(model.gloss.config),
+        "fusion_config": asdict(model.fusion.config),
         "vocab": model.vocab.tokens_in_id_order(),
         "seed": int(seed),
         "step": int(step),
@@ -175,5 +175,6 @@ def load_checkpoint(path) -> Checkpoint:
         settings = {name: optimizer_header[name] for name in _OPTIMIZER_SETTINGS}
         optimizer = Adam(model.parameters(), **settings)
         optimizer.t = optimizer_header["t"]
-        optimizer.m, optimizer.v = values[len(named) : 2 * len(named)], values[2 * len(named) :]
+        for view, value in zip(optimizer.m + optimizer.v, values[len(named) :]):
+            view[...] = value
     return Checkpoint(model=model, optimizer=optimizer, seed=seed, step=step)

@@ -66,22 +66,26 @@ def _load_config(path) -> dict:
     return merged
 
 
-def _section(build, source, section: str, values: dict, **fixed):
-    """``build`` (a config dataclass or check) applied to a config section's values;
-    bad keys and values name the file and the section."""
+def _section(build, source, section: str, values: dict, origin: str = "", **fixed):
+    """``build`` (a config dataclass or check) applied to a config section's values
+    and the ``fixed`` ones, which come from ``origin``, not the section; bad keys
+    and values, and a fixed key set in the section, name the file and the section."""
+    where = f"{source or 'default config'}: section {section!r}"
+    if clash := sorted(fixed.keys() & values.keys()):
+        raise ConfigError(f"{where}: the {clash[0]} is set by {origin}, not the config")
     try:
         return build(**fixed, **values)
     except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"{source or 'default config'}: section {section!r}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _model_configs(config: dict, source, vocab_size: int) -> tuple[EncoderConfig, FusionConfig]:
-    encoder_section = {k: v for k, v in config["encoder"].items() if k != "vocab_size"}
     encoder_config = _section(
-        EncoderConfig, source, "encoder", encoder_section, vocab_size=vocab_size
+        EncoderConfig, source, "encoder", config["encoder"], "the vocabulary", vocab_size=vocab_size
     )
     fusion_config = _section(
-        FusionConfig, source, "fusion", config["fusion"], d_model=encoder_config.d_model
+        FusionConfig, source, "fusion", config["fusion"], "the encoder section",
+        d_model=encoder_config.d_model,
     )
     return encoder_config, fusion_config
 
@@ -103,12 +107,10 @@ def _build_world(args, config):
     _section(check_positive_ints, args.config, "train", {"min_freq": min_freq})
     vocab = build_vocab(corpus, inventory, min_freq=min_freq)
     encoder_config, fusion_config = _model_configs(config, args.config, vocab.size)
-    train_section = {k: v for k, v in config["train"].items() if k != "min_freq" and v is not None}
-    if "seed" in train_section:
-        raise ConfigError(
-            f"{args.config}: section 'train': the seed is set by --seed, not the config"
-        )
-    train_config = _section(TrainConfig, args.config, "train", train_section, seed=args.seed)
+    train_section = {k: v for k, v in config["train"].items() if k != "min_freq"}
+    train_config = _section(
+        TrainConfig, args.config, "train", train_section, "--seed", seed=args.seed
+    )
     fingerprint = config_fingerprint(
         asdict(encoder_config),
         asdict(fusion_config),

@@ -95,12 +95,6 @@ class SenseInventory:
         except KeyError:
             raise InventoryError(f"no senses for lemma {lemma!r} with pos {pos!r}") from None
 
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def items(self):
         return self._entries.items()
 
@@ -123,9 +117,6 @@ class Vocab:
 
     def id(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
 
     def tokens_in_id_order(self) -> list[str]:
         return sorted(self.token_to_id, key=self.token_to_id.__getitem__)

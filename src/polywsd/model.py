@@ -49,9 +49,6 @@ from .tensor import Tensor
 
 @dataclass
 class WsdModel:
-    context_config: EncoderConfig
-    gloss_config: EncoderConfig
-    fusion_config: FusionConfig
     vocab: Vocab
     context: EncoderParams
     gloss: EncoderParams
@@ -94,9 +91,6 @@ def build_model(
         )
     rng = np.random.default_rng(seed)
     return WsdModel(
-        context_config=context_config,
-        gloss_config=gloss_config,
-        fusion_config=fusion_config,
         vocab=vocab,
         context=init_encoder(context_config, rng),
         gloss=init_encoder(gloss_config, rng),
@@ -107,12 +101,12 @@ def build_model(
 def _context_window(
     model: WsdModel, tokens: list[str], target_index: int
 ) -> tuple[list[int], int]:
-    limit = model.context_config.max_seq_len - 2
+    limit = model.context.config.max_seq_len - 2
     return content_ids_around(tokens, target_index, model.vocab, limit)
 
 
 def _gloss_ids(model: WsdModel, gloss_tokens: list[str]) -> list[int]:
-    return content_ids(gloss_tokens, model.vocab, model.gloss_config.max_seq_len - 2)
+    return content_ids(gloss_tokens, model.vocab, model.gloss.config.max_seq_len - 2)
 
 
 def context_codes(model: WsdModel, tokens: list[str], target_index: int) -> Tensor:

@@ -13,9 +13,14 @@ onto the tape it opened. Tensors are treated as immutable after creation
 except for the ``grad`` slot (the optimizer and the gradient check mutate
 parameter ``data`` between tapes, never during one).
 
-Row sums in ``layer_norm`` and the softmaxes are BLAS products with a constant
-column, equal to ``sum(axis=-1)`` up to a few ulp at any buffer alignment; row
-maxima and the embedding gradient (``np.bincount``) are bit-equal to plain numpy.
+Row sums in ``layer_norm``, the softmaxes and ``cross_entropy`` are BLAS
+products with a constant column, equal to ``sum(axis=-1)`` up to a few ulp at
+any buffer alignment; row maxima and the embedding gradient (``np.bincount``)
+are bit-equal to plain numpy.
+
+The training loss is one op, ``cross_entropy``: each row's masked
+log-softmax at its target cell, averaged over rows and negated, with the
+VJP written out by hand, so the loss takes one tape record.
 
 The first ``backward`` of a process sets two glibc allocator thresholds once
 (``mallopt``): blocks of up to 32 MiB come from the heap rather than from
@@ -263,10 +268,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _emit(a.data * c, (a,), lambda g: (g * c,))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _emit(-a.data, (a,), lambda g: (-g,))
-
-
 def _row_dot(x: np.ndarray, col: np.ndarray) -> np.ndarray:
     """The last-axis rows of ``x`` times an (n, 1) column, in one BLAS call: (..., 1)."""
     if x.ndim == 2:
@@ -304,33 +305,33 @@ def row_softmax(m: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _emit(p, (m,), vjp)
 
 
-def row_log_softmax(m: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Fused log of row_softmax; avoids log(0) for saturated rows.
-
-    Masked entries come out as -inf and carry no gradient; consumers must
-    only read unmasked positions.
-    """
-    if m.data.ndim != 2 or m.data.size == 0:
-        raise ShapeError(f"row_log_softmax needs a non-empty rank-2 tensor, got shape {m.shape}")
-    x, mx, e, s = _masked_shift_exp(m.data, mask)
-    logp = (x - mx) - np.log(s)
+def cross_entropy(scores: Tensor, mask: np.ndarray | None, targets) -> tuple[Tensor, np.ndarray]:
+    """Mean negative log-probability of cell ``targets[i]`` of each row i of rank-2
+    ``scores`` under the row softmax that skips the cells where ``mask`` is True,
+    and the per-row terms as an array. Target cells must be unmasked."""
+    idx = np.asarray(targets, dtype=np.intp)
+    if scores.data.ndim != 2 or scores.data.size == 0 or idx.shape != scores.shape[:1]:
+        raise ShapeError(f"cross_entropy needs one target per row, got {idx.shape}, {scores.shape}")
+    if idx.min() < 0 or idx.max() >= scores.shape[1]:
+        raise ContractError(f"target column out of range for {scores.shape[1]} columns")
+    x, mx, e, s = _masked_shift_exp(scores.data, mask)
+    rows, n = np.arange(len(idx)), len(idx)
+    if mask is not None and (masked := np.flatnonzero(mask[rows, idx])).size:
+        raise ContractError(f"the target cells of rows {masked.tolist()} are masked")
+    target_log = (x[rows, idx] - mx[:, 0]) - np.log(s[:, 0])
     p = e / s
 
     def vjp(g: np.ndarray):
-        gu = np.where(mask, 0.0, g) if mask is not None else g
+        gu = np.zeros_like(p)
+        gu[rows, idx] = float(-g) / n
         return (gu - p * gu.sum(axis=1, keepdims=True),)
 
-    return _emit(logp, (m,), vjp)
+    return _emit(-target_log.mean(), (scores,), vjp), -target_log
 
 
 def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
     return _emit(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    shape, n = a.shape, a.data.size
-    return _emit(a.data.mean(), (a,), lambda g: (np.full(shape, float(g) / n),))
 
 
 def _horner(x: np.ndarray, coeffs: tuple[float, ...], monic: bool) -> np.ndarray:

@@ -1,19 +1,20 @@
 """Batch contrastive training and the all-candidates baseline: one loss for both.
 
-Both minimise one masked cross-entropy (``bcl_loss``): each item is a row of
-scores over gloss columns, and the loss is the mean negative log-probability
-of each row's target cell under the masked row softmax. Contrastive (BCL)
-training scores the b gold glosses of the batch, so the other items' gold
-glosses are each row's negatives and the targets lie on the diagonal;
-off-diagonal cells whose gloss text equals the row's own are false negatives
-and are masked. The all-candidates baseline scores the sum(m_i) candidate
-glosses of all items, and row i masks every column but its own candidates.
-Both regimes run one scored forward (``_scored_forward``): the b contexts as
-one padded encoder pass, the glosses as another, then the score matrix and
-the loss, so the tape records one op per layer op, not one per sequence, and
-only ops the loss's gradient flows through. A step costs b context encodes
-either way, and b gloss encodes against sum(m_i); ``ForwardCounts`` reports
-these per-sequence counts, and ``RunMetrics`` sums them for cost accounting.
+Both minimise one masked cross-entropy (``bcl_loss``, one tape op,
+``tensor.cross_entropy``): each item is a row of scores over gloss columns,
+and the loss is the mean negative log-probability of each row's target cell
+under the masked row softmax. Contrastive (BCL) training scores the b gold
+glosses of the batch, so the other items' gold glosses are each row's
+negatives and the targets lie on the diagonal; off-diagonal cells whose gloss
+text equals the row's own are false negatives and are masked. The
+all-candidates baseline scores the sum(m_i) candidate glosses of all items,
+and row i masks every column but its own candidates. Both regimes run one
+scored forward (``_scored_forward``): the b contexts as one padded encoder
+pass, the glosses as another, then the score matrix and the loss, so the tape
+records one op per layer op, not one per sequence, and only ops the loss's
+gradient flows through. A step costs b context encodes either way, and b
+gloss encodes against sum(m_i); ``ForwardCounts`` reports these per-sequence
+counts, and ``RunMetrics`` sums them for cost accounting.
 """
 
 from __future__ import annotations
@@ -187,12 +188,10 @@ def fusion_matrix(
 
 
 def bcl_loss(sm: ScoreMatrix) -> LossValue:
-    """Mean negative log-probability of each row's target cell under the masked softmax."""
-    if sm.mask[np.arange(len(sm.targets)), sm.targets].any():
-        raise RuntimeError("internal error: a target cell is masked")
-    target_log = T.pick(T.row_log_softmax(sm.scores, mask=sm.mask), sm.targets)
-    total = T.neg(T.mean_all(target_log))
-    return LossValue(total=total, per_example=-target_log.data.copy())
+    """Mean negative log-probability of each row's target cell under the masked
+    softmax, one tape op (``tensor.cross_entropy``); a masked target cell is a
+    ContractError."""
+    return LossValue(*T.cross_entropy(sm.scores, sm.mask, sm.targets))
 
 
 class Adam:
@@ -200,8 +199,8 @@ class Adam:
 
     The moments of all parameters live in two flat buffers, so a step is a
     handful of whole-buffer numpy calls plus one in-place update per
-    parameter. ``m`` and ``v`` read as per-parameter views of those buffers;
-    assigning a list of per-parameter arrays copies it in.
+    parameter. ``m`` and ``v`` read as per-parameter views of those buffers,
+    so writing into a view sets that moment.
     """
 
     def __init__(
@@ -231,19 +230,9 @@ class Adam:
     def m(self) -> list[np.ndarray]:
         return self._views(self._m_flat)
 
-    @m.setter
-    def m(self, arrays: list[np.ndarray]) -> None:
-        for view, arr in zip(self._views(self._m_flat), arrays, strict=True):
-            view[...] = arr
-
     @property
     def v(self) -> list[np.ndarray]:
         return self._views(self._v_flat)
-
-    @v.setter
-    def v(self, arrays: list[np.ndarray]) -> None:
-        for view, arr in zip(self._views(self._v_flat), arrays, strict=True):
-            view[...] = arr
 
     @classmethod
     def from_config(cls, params: list[Tensor], config: TrainConfig) -> "Adam":

@@ -156,7 +156,7 @@ class TestRejection:
         saved_crc = path.read_bytes()[-4:]
         _edit_header(path, lambda header: header["context_config"].update(n_heads=8))
         # with its checksum renewed, the edit loads as a different model of the same shapes
-        assert load_checkpoint(path).model.context_config.n_heads == 8
+        assert load_checkpoint(path).model.context.config.n_heads == 8
         path.write_bytes(path.read_bytes()[:-4] + saved_crc)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)

@@ -245,6 +245,20 @@ def test_missing_file_is_reported(workspace, capsys):
             for name in ("eps", "learning_rate", "clip_norm")
             for value in (float("inf"), 10**400)
         ),
+        # a null is checked like any other value, not dropped for the default
+        *(
+            (json.dumps({"train": {name: None}}), f"section 'train': {name} must be")
+            for name in ("learning_rate", "beta1", "beta2", "eps", "batch_size", "epochs")
+        ),
+        (json.dumps({"train": {"seed": None}}), "section 'train': the seed is set by --seed"),
+        (
+            json.dumps({"encoder": {"vocab_size": 7}}),
+            "section 'encoder': the vocab_size is set by the vocabulary",
+        ),
+        (
+            json.dumps({"fusion": {"d_model": 8}}),
+            "section 'fusion': the d_model is set by the encoder section",
+        ),
     ],
     ids=[
         "unknown-key", "encoder-type", "train-type", "unknown-section", "section-type", "json",
@@ -259,6 +273,11 @@ def test_missing_file_is_reported(workspace, capsys):
             for name in ("eps", "learning-rate", "clip-norm")
             for value in ("inf", "huge-int")
         ),
+        *(
+            f"{name}-null"
+            for name in ("learning-rate", "beta1", "beta2", "eps", "batch-size", "epochs")
+        ),
+        "seed-null", "vocab-size-in-config", "fusion-d-model-in-config",
     ],
 )
 def test_bad_config_is_a_located_error(workspace, tmp_path, capsys, text, located):
@@ -277,6 +296,25 @@ def test_bad_config_is_a_located_error(workspace, tmp_path, capsys, text, locate
     assert code == 1
     assert err.startswith(f"error: {config}: ") and located in err
     assert not (tmp_path / "never.ckpt").exists()
+
+
+def test_null_clip_norm_means_no_clipping(workspace, tmp_path):
+    """``"clip_norm": null`` trains exactly as a config without the key."""
+    paths = []
+    for name, train_section in (("null", {"clip_norm": None}), ("absent", {})):
+        config, ckpt = tmp_path / f"{name}.json", tmp_path / f"{name}.ckpt"
+        config.write_text(json.dumps({"train": {"epochs": 2, **train_section}}), encoding="utf-8")
+        assert main(
+            [
+                "train",
+                "--corpus", str(workspace / "corpus.jsonl"),
+                "--inventory", str(workspace / "inventory.jsonl"),
+                "--config", str(config),
+                "--out", str(ckpt),
+            ]
+        ) == 0
+        paths.append(ckpt)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def _predict_on_edited_checkpoint(workspace, tmp_path, capsys, edit, body=None):

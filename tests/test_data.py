@@ -243,12 +243,12 @@ class TestVocab:
 
     def test_min_freq_one_counts_and_orders(self):
         vocab = build_vocab(self._corpus(["a", "a", "b"]), SenseInventory(), min_freq=1)
-        assert "a" in vocab and "b" in vocab
+        assert "a" in vocab.token_to_id and "b" in vocab.token_to_id
         assert vocab.id("a") < vocab.id("b")
 
     def test_min_freq_two_excludes_rare(self):
         vocab = build_vocab(self._corpus(["a", "a", "b"]), SenseInventory(), min_freq=2)
-        assert "b" not in vocab
+        assert "b" not in vocab.token_to_id
         assert content_ids(["b"], vocab, capacity=6) == [UNK_ID]
 
     def test_deterministic(self):
@@ -261,7 +261,7 @@ class TestVocab:
         inv = SenseInventory()
         inv.add("bank", "NOUN", [SenseEntry("bank%1", ["riverbed"])])
         vocab = build_vocab([], inv, min_freq=1)
-        assert "riverbed" in vocab
+        assert "riverbed" in vocab.token_to_id
 
     def test_reserved_ids_fixed(self):
         vocab = build_vocab(self._corpus(["a"]), SenseInventory())

@@ -269,7 +269,7 @@ def _per_head_values(model):
         return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
     values = {}
-    for side, config in (("context", model.context_config), ("gloss", model.gloss_config)):
+    for side, config in (("context", model.context.config), ("gloss", model.gloss.config)):
         d, dh, h = config.d_model, config.head_dim, config.n_heads
         for i in range(config.n_layers):
             for proj in ("wq", "wk", "wv"):
@@ -279,7 +279,7 @@ def _per_head_values(model):
             values[f"{side}.layer{i}.w2"] = glorot(config.d_ff, d)
         values[f"{side}.tok_emb"] = rng.uniform(-0.05, 0.05, (config.vocab_size, d))
         values[f"{side}.pos_emb"] = rng.uniform(-0.05, 0.05, (config.max_seq_len, d))
-    config = model.fusion_config
+    config = model.fusion.config
     d, dh = config.d_model, config.head_dim
     heads = [[glorot(d, dh) for _ in range(3)] for _ in range(config.n_heads)]
     for j, proj in enumerate(("wq", "wk", "wv")):

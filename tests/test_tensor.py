@@ -106,6 +106,41 @@ class TestRowSoftmax:
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
+class TestCrossEntropy:
+    def test_terms_are_negative_log_probabilities_of_the_targets(self):
+        rng = np.random.default_rng(8)
+        scores, mask = rng.normal(size=(3, 5)), np.eye(3, 5, k=1, dtype=bool)
+        total, per_row = T.cross_entropy(Tensor(scores), mask, [0, 4, 1])
+        probs = T.row_softmax(Tensor(scores), mask).data
+        np.testing.assert_allclose(per_row, -np.log(probs[[0, 1, 2], [0, 4, 1]]), atol=1e-15)
+        assert total.item() == pytest.approx(per_row.mean(), abs=1e-15)
+
+    def test_masked_cells_get_exactly_zero_gradient(self):
+        mask = np.eye(3, 5, k=1, dtype=bool)
+        p = _leaf(np.random.default_rng(9).normal(size=(3, 5)))
+        tape = Tape()
+        with tape:
+            total, _ = T.cross_entropy(p, mask, [0, 4, 1])
+        backward(total, tape)
+        assert np.all(p.grad[mask] == 0.0) and np.all(p.grad[~mask] != 0.0)
+
+    def test_masked_target_cell_rejected(self):
+        mask = np.zeros((2, 3), dtype=bool)
+        mask[1, 2] = True
+        with pytest.raises(ContractError, match=r"rows \[1\] are masked"):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), mask, [0, 2])
+
+    @pytest.mark.parametrize("targets", [[0, 3], [-1, 0]])
+    def test_out_of_range_target_rejected(self, targets):
+        with pytest.raises(ContractError, match="out of range for 3 columns"):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), None, targets)
+
+    @pytest.mark.parametrize("shape,targets", [((2, 3), [0]), ((2, 3), [[0, 1]]), ((0, 3), [])])
+    def test_one_target_per_row_of_a_rank_2_matrix(self, shape, targets):
+        with pytest.raises(ShapeError):
+            T.cross_entropy(Tensor(np.zeros(shape)), None, targets)
+
+
 class TestBackward:
     def test_linear_sum(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -241,6 +276,18 @@ def _projection(rng, shape):
     return Tensor(rng.normal(size=shape))
 
 
+def _log_prob_sum(p, cells, mask=None):
+    """Sum of w * log P[i, j] over ``cells`` of (i, j, w), where P is the row softmax
+    of rank-2 ``p`` without the ``mask`` cells: one ``cross_entropy`` per cell, over
+    row i alone with target j, whose loss is -log P[i, j]."""
+    k, total = p.shape[1], None
+    for i, j, w in cells:
+        row_mask = None if mask is None else mask[i : i + 1]
+        term = T.scale(T.cross_entropy(T.reshape(T.row(p, i), (1, k)), row_mask, [j])[0], -w)
+        total = term if total is None else T.add(total, term)
+    return total
+
+
 def _bare_layer_norm(x):
     """``layer_norm`` with unit gain and zero bias: the normalization alone."""
     d = x.shape[-1]
@@ -269,11 +316,16 @@ def _bare_layer_norm(x):
             (4,),
         ),
         ("scale", lambda p, rng: T.scale(p, -1.7), (3, 4)),
-        ("neg", lambda p, rng: T.neg(p), (3, 4)),
+        # rows named after ops since folded into cross_entropy keep their ids: neg and
+        # mean_all check the same maps through scale and sum_all, and row_log_softmax
+        # weighs every cell's log-probability, each taken through cross_entropy
+        ("neg", lambda p, rng: T.scale(p, -1.0), (3, 4)),
         ("row_softmax", lambda p, rng: T.mul(T.row_softmax(p), _projection(rng, (3, 4))), (3, 4)),
         (
             "row_log_softmax",
-            lambda p, rng: T.mul(T.row_log_softmax(p), _projection(rng, (3, 4))),
+            lambda p, rng: _log_prob_sum(
+                p, [(i, j, w) for (i, j), w in np.ndenumerate(_projection(rng, (3, 4)).data)]
+            ),
             (3, 4),
         ),
         (
@@ -314,7 +366,7 @@ def _bare_layer_norm(x):
         ("pick", lambda p, rng: T.mul(T.pick(p, [3, 0, 0, 2]), _projection(rng, (4,))), (4, 4)),
         ("mul_reused", lambda p, rng: T.mul(T.mul(p, p), _projection(rng, (3, 4))), (3, 4)),
         ("reshape", lambda p, rng: T.mul(T.reshape(p, (2, 6)), _projection(rng, (2, 6))), (3, 4)),
-        ("mean_all", lambda p, rng: T.scale(T.mean_all(p), 3.3), (3, 4)),
+        ("mean_all", lambda p, rng: T.scale(T.sum_all(p), 3.3 / 12), (3, 4)),
         (
             "matmul_batched_left",
             lambda p, rng: T.matmul(p, _projection(rng, (2, 4, 3))),
@@ -398,6 +450,14 @@ def _bare_layer_norm(x):
             lambda p, rng: T.matmul(_projection(rng, (2, 1, 3)), p),
             (2, 3, 4),
         ),
+        # the training loss: a masked score matrix with one target cell per row
+        (
+            "cross_entropy",
+            lambda p, rng: T.scale(
+                T.cross_entropy(p, np.eye(3, 5, k=1, dtype=bool), [0, 4, 1])[0], 2.3
+            ),
+            (3, 5),
+        ),
     ],
 )
 def test_op_gradients_match_finite_differences(name, fn, shape):
@@ -415,8 +475,7 @@ def test_op_gradients_match_finite_differences(name, fn, shape):
 
 
 def test_masked_log_softmax_gradient():
-    # Masked entries are -inf and must not be consumed; pick one unmasked
-    # target cell per row, matching how the shared loss uses this op.
+    # One unmasked target cell per row, each row's log-probability at its own weight.
     rng = np.random.default_rng(99)
     mask = np.zeros((4, 4), dtype=bool)
     mask[0, 2] = mask[2, 0] = mask[3, 1] = True
@@ -424,7 +483,7 @@ def test_masked_log_softmax_gradient():
     p = _leaf(rng.normal(size=(4, 4)))
 
     def f():
-        return T.sum_all(T.mul(T.pick(T.row_log_softmax(p, mask=mask), [1, 3, 2, 0]), proj))
+        return _log_prob_sum(p, list(zip(range(4), [1, 3, 2, 0], proj.data)), mask)
 
     err = finite_diff_check(f, [p], h=1e-4)
     assert err < 1e-4
@@ -435,12 +494,14 @@ def test_forward_ops_keep_finite_values():
     a = Tensor(rng.normal(scale=50.0, size=(4, 6)))
     for out in (
         T.row_softmax(a),
-        T.row_log_softmax(a),
         _bare_layer_norm(a),
         T.gelu(a),
         T.matmul(a, Tensor(rng.normal(size=(6, 2)))),
     ):
         assert np.all(np.isfinite(out.data))
+    for j in range(6):  # every cell's log-probability, as a target
+        total, per_row = T.cross_entropy(a, None, [j] * 4)
+        assert np.isfinite(total.data) and np.all(np.isfinite(per_row))
 
 
 class TestErf:

@@ -7,10 +7,14 @@ import pytest
 
 from polywsd import tensor as T
 import polywsd.training
-from polywsd.data import PAD_ID, UNK_ID, CorpusInstance, SenseEntry, SenseInventory
-from polywsd.errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
+from polywsd.cli import _load_config, _model_configs
+from polywsd.data import PAD_ID, UNK_ID, CorpusInstance, SenseEntry, SenseInventory, build_vocab
+from polywsd.errors import (
+    BatchError, ConfigError, ContractError, DataError, ShapeError, TrainingError,
+)
 from polywsd.fusion import score_pair
 from polywsd.model import (
+    build_model,
     context_code_rows,
     context_codes,
     gloss_code_rows,
@@ -134,7 +138,7 @@ class TestBclLoss:
     def test_masked_diagonal_is_an_internal_error(self):
         mask = np.zeros((2, 2), dtype=bool)
         mask[0, 0] = True
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ContractError, match=r"rows \[0\] are masked"):
             bcl_loss(_score_matrix(np.zeros((2, 2)), mask=mask))
 
     def test_loss_nonnegative_and_mean_of_terms(self):
@@ -225,14 +229,15 @@ class TestAdam:
     def test_assigned_moments_are_the_ones_stepped(self):
         p, q = Tensor(np.zeros((2, 2)), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
         opt = Adam([p, q], learning_rate=0.1)
-        opt.m = [np.full((2, 2), 2.0), np.full(3, -1.0)]
-        opt.v = [np.full((2, 2), 4.0), np.full(3, 9.0)]
+        # the getters return live views: writing into them sets the moments
+        for view, value in zip(opt.m + opt.v, (2.0, -1.0, 4.0, 9.0)):
+            view[...] = value
         assert [m.shape for m in opt.m] == [(2, 2), (3,)]
         opt.step()  # no grads: m and v only decay
         np.testing.assert_array_equal(opt.m[0], np.full((2, 2), 1.8))
         np.testing.assert_array_equal(opt.v[1], np.full(3, 9.0 * 0.999))
         assert p.data[0, 0] < 0.0 < q.data[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(AttributeError):  # no setter: the moments are never replaced
             opt.m = [np.zeros((2, 2))]
 
 
@@ -551,7 +556,7 @@ class TestBatchedPath:
             s.gloss for inst in batch.instances for s in inventory.candidates(inst.lemma, inst.pos)
         ]
         rows = gloss_code_rows(model, glosses)
-        assert rows.shape == (len(glosses), model.gloss_config.d_model)
+        assert rows.shape == (len(glosses), model.gloss.config.d_model)
         for j, gloss in enumerate(glosses):
             single = gloss_codes(model, gloss)
             np.testing.assert_allclose(rows.data[j : j + 1], single.data, rtol=0, atol=1e-12)
@@ -621,6 +626,24 @@ class TestBatchedPath:
             lambda: all_candidates_forward(batch, inventory, model)
         )
 
+    def test_forward_records_75_ops_at_the_cli_defaults(self):
+        """Each forward records 75 ops at the CLI defaults, the loss one of them."""
+        corpus, inventory = synthetic_corpus(n_lemmas=10, senses_per_lemma=3, n_instances=50, seed=0)
+        config = _load_config(None)
+        vocab = build_vocab(corpus, inventory, min_freq=config["train"]["min_freq"])
+        encoder_config, fusion_config = _model_configs(config, None, vocab.size)
+        model = build_model(encoder_config, encoder_config, fusion_config, vocab, seed=0)
+        batch_size = config["train"]["batch_size"]
+        batch = make_batches(corpus, inventory, batch_size, seed=0, epoch=0)[0]
+        for forward in (
+            lambda: bcl_forward(batch, model),
+            lambda: all_candidates_forward(batch, inventory, model),
+        ):
+            tape = Tape()
+            with tape:
+                forward()
+            assert len(tape) == 75
+
 
 def _candidate_glosses(inventory, instances):
     return [s.gloss for inst in instances for s in inventory.candidates(inst.lemma, inst.pos)]
@@ -663,7 +686,7 @@ class TestTruncatedGlossPass:
         ffn_input = {
             id(inputs[1]): inputs[0].shape for _, inputs, _ in tape._records if len(inputs) == 2
         }
-        n, d = len(_candidate_glosses(inventory, batch.instances)), model.gloss_config.d_model
+        n, d = len(_candidate_glosses(inventory, batch.instances)), model.gloss.config.d_model
         first, last = (ffn_input[id(layer.w1)] for layer in model.gloss.layers)
         assert last == (n, 1, d)
         assert first[0] == n and first[1] > 1
