@@ -90,6 +90,14 @@ def _model_configs(config: dict, source, vocab_size: int) -> tuple[EncoderConfig
     return encoder_config, fusion_config
 
 
+def _train_config(config: dict, source, seed: int) -> tuple[int, TrainConfig]:
+    """The train section's ``min_freq`` and the rest of it as a ``TrainConfig``."""
+    section = dict(config["train"])
+    min_freq = section.pop("min_freq", 1)
+    _section(check_positive_ints, source, "train", {"min_freq": min_freq})
+    return min_freq, _section(TrainConfig, source, "train", section, "--seed", seed=seed)
+
+
 def _file_digest(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -103,14 +111,9 @@ def _build_world(args, config):
         raise ConfigError(f"--device-count must be >= 1, got {args.device_count}")
     corpus = load_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
-    min_freq = config["train"].get("min_freq", 1)
-    _section(check_positive_ints, args.config, "train", {"min_freq": min_freq})
+    min_freq, train_config = _train_config(config, args.config, args.seed)
     vocab = build_vocab(corpus, inventory, min_freq=min_freq)
     encoder_config, fusion_config = _model_configs(config, args.config, vocab.size)
-    train_section = {k: v for k, v in config["train"].items() if k != "min_freq"}
-    train_config = _section(
-        TrainConfig, args.config, "train", train_section, "--seed", seed=args.seed
-    )
     fingerprint = config_fingerprint(
         asdict(encoder_config),
         asdict(fusion_config),
@@ -239,6 +242,7 @@ def _cmd_gradcheck(args) -> int:
     if args.config is None:
         # small default so the check stays quick
         config["encoder"].update({"d_model": 8, "d_ff": 16, "max_seq_len": 12})
+    _train_config(config, args.config, args.seed)  # checked as train checks it, though unused
     corpus, inventory = synthetic_corpus(
         n_lemmas=3, senses_per_lemma=2, n_instances=6, seed=args.seed
     )

@@ -218,19 +218,15 @@ def _encoder_stack(
     first_row_only: bool = False,
 ) -> Tensor:
     """The encoder on marker-wrapped ids: (L,) ids give (L, d) rows, (b, L) ids give
-    (b, L, d); ``key_mask`` (b, L) masks padded keys out of self-attention.
-
-    ``first_row_only`` (batches only) gives (b, 1, d), each item's start-marker
-    row: the last layer projects keys and values from every row, but runs the
-    query, residual, feed-forward and output norm on row 0 alone.
-    """
+    (b, L, d); ``key_mask`` (b, L) masks padded keys out of self-attention. With
+    ``first_row_only`` (batches only) the last layer queries row 0 alone: (b, 1, d)."""
     positions = ids * 0 + np.arange(ids.shape[-1])
     x = T.add(T.embed(params.tok_emb, ids), T.embed(params.pos_emb, positions))
     last = params.layers[-1]
     for layer in params.layers:
         normed = queries = T.layer_norm(x, layer.attn_gain, layer.attn_bias)
         if first_row_only and layer is last:
-            queries, x = T.first_row(normed), T.first_row(x)
+            queries, x = T.gather(normed, np.s_[:, :1]), T.gather(x, np.s_[:, :1])
         attended = multi_head_attention(
             queries, normed, layer.wq, layer.wk, layer.wv, layer.wo, params.config.n_heads, key_mask
         )
@@ -292,7 +288,7 @@ def target_representation(
         n_words = encoded.shape[0] - 2
         if not 0 <= target_index < n_words:
             raise IndexError(f"target index {target_index} out of range for {n_words} words")
-        return T.row(encoded, target_index + 1)
+        return T.gather(encoded, target_index + 1)
     if padding is None:
         padding = np.zeros(encoded.shape[:2], dtype=bool)
     n_words = encoded.shape[1] - 2 - padding.sum(axis=1)
@@ -303,12 +299,10 @@ def target_representation(
         raise IndexError(
             f"item {i}: target index {int(targets[i])} out of range for {int(n_words[i])} words"
         )
-    return T.pick(encoded, targets + 1)
+    return T.gather(encoded, (np.arange(encoded.shape[0]), targets + 1))
 
 
 def cls_representation(encoded: Tensor) -> Tensor:
     """Row 0, the start-marker embedding used as the whole-sequence representation:
     (d,) for one sequence's (n + 2, d) rows, (b, d) for a (b, L, d) batch."""
-    if encoded.data.ndim == 2:
-        return T.row(encoded, 0)
-    return T.pick(encoded, [0] * encoded.shape[0])
+    return T.gather(encoded, np.s_[..., 0, :])

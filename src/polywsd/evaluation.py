@@ -161,7 +161,11 @@ _FIELD_CHECKS = {
     **dict.fromkeys(
         ("step", "epoch", "context_forwards", "gloss_forwards"), (is_count, "an integer >= 0")
     ),
-    **dict.fromkeys(("loss", "elapsed", "wall_seconds"), (is_finite_number, "a finite number")),
+    "loss": (is_finite_number, "a finite number"),
+    **dict.fromkeys(
+        ("elapsed", "wall_seconds"),
+        (lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0"),
+    ),
 }
 
 

@@ -20,7 +20,8 @@ are bit-equal to plain numpy.
 
 The training loss is one op, ``cross_entropy``: each row's masked
 log-softmax at its target cell, averaged over rows and negated, with the
-VJP written out by hand, so the loss takes one tape record.
+VJP written out by hand, so the loss takes one tape record. Rows are read
+out of an encoding by one op, ``gather``, a numpy index checked by its caller.
 
 The first ``backward`` of a process sets two glibc allocator thresholds once
 (``mallopt``): blocks of up to 32 MiB come from the heap rather than from
@@ -420,30 +421,16 @@ def embed(table: Tensor, ids) -> Tensor:
     return _emit(out, (table,), vjp)
 
 
-def _gather(a: Tensor, index) -> Tensor:
-    """``a.data[index]``, whose adjoint is scattered back into zeros shaped like ``a``."""
+def gather(a: Tensor, index) -> Tensor:
+    """``a.data[index]``, its adjoint scattered back into zeros shaped like ``a``. The
+    caller has range-checked ``index``, and it selects each element at most once: the
+    scatter writes, it does not add. Repeated ids go through ``embed``."""
     def vjp(g: np.ndarray):
         da = np.zeros_like(a.data)
         da[index] = g
         return (da,)
 
     return _emit(a.data[index], (a,), vjp)
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    """Extract row ``i`` of a rank-2 tensor as a rank-1 tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"row needs rank 2, got shape {a.shape}")
-    if not 0 <= i < a.shape[0]:
-        raise IndexError(f"row {i} out of range for {a.shape[0]} rows")
-    return _gather(a, i)
-
-
-def first_row(a: Tensor) -> Tensor:
-    """Row 0 of each item of a rank-3 batch, axis kept: (B, L, d) -> (B, 1, d)."""
-    if a.data.ndim != 3:
-        raise ShapeError(f"first_row needs rank 3, got shape {a.shape}")
-    return _gather(a, np.s_[:, :1])
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -453,20 +440,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     splits = np.cumsum([p.shape[0] for p in parts])[:-1]
     out = np.concatenate([p.data for p in parts])
     return _emit(out, tuple(parts), lambda g: tuple(np.split(g, splits)))
-
-
-def pick(m: Tensor, cols: Sequence[int]) -> Tensor:
-    """Entry ``m[i, cols[i]]`` of each item i along the first axis.
-
-    On a rank-2 tensor that is one cell per row, as a rank-1 tensor; on a
-    rank-3 batch (B, L, d) it is one row per item, as a (B, d) tensor.
-    """
-    idx = np.asarray(cols, dtype=np.intp)
-    if m.data.ndim not in (2, 3) or idx.shape != (m.shape[0],):
-        raise ShapeError(f"pick needs one index per item of a rank-2 or 3 tensor, got {m.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= m.shape[1]):
-        raise IndexError(f"pick index out of range for {m.shape[1]} entries")
-    return _gather(m, (np.arange(m.shape[0]), idx))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

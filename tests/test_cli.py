@@ -377,6 +377,32 @@ def test_gradcheck_bad_config_is_a_located_error(tmp_path, capsys):
     assert f"error: {config}: section 'fusion'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "train, message",
+    [
+        ({"learning_rate": "x", "batch_size": 0}, "batch_size must be positive, got 0"),
+        ({"min_freq": 0}, "min_freq must be positive, got 0"),
+    ],
+)
+def test_gradcheck_checks_the_train_section_as_train_does(
+    workspace, tmp_path, capsys, train, message
+):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"train": train}), encoding="utf-8")
+    located = f"error: {config}: section 'train': {message}"
+    assert main(["gradcheck", "--config", str(config)]) == 1
+    assert located in capsys.readouterr().err
+    train_args = [
+        "train",
+        "--corpus", str(workspace / "corpus.jsonl"),
+        "--inventory", str(workspace / "inventory.jsonl"),
+        "--config", str(config),
+        "--out", str(tmp_path / "m.ckpt"),
+    ]
+    assert main(train_args) == 1
+    assert located in capsys.readouterr().err
+
+
 def test_non_integer_target_index_is_a_located_error(workspace, tmp_path, capsys):
     lines = (workspace / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[1])

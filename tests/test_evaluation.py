@@ -215,12 +215,13 @@ class TestMetricsIO:
             ("context_forwards", -1),
             ("step", True),
             ("epoch", [0]),
+            ("elapsed", -3.0),
         ],
     )
     def test_bad_step_value_names_path_line_and_field(self, tmp_path, field, value):
         self._assert_bad_value(tmp_path, 2, field, value)
 
-    @pytest.mark.parametrize("value", ["z", float("inf"), False, {"s": 1}])
+    @pytest.mark.parametrize("value", ["z", float("inf"), False, {"s": 1}, -2.0])
     def test_bad_summary_value_names_path_line_and_field(self, tmp_path, value):
         self._assert_bad_value(tmp_path, 4, "wall_seconds", value)
 

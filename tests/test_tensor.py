@@ -1,6 +1,7 @@
 """Tensor core: forward values, tape gradients, and the finite-difference oracle."""
 
 import ctypes
+import inspect
 import math
 import os
 import platform
@@ -283,7 +284,7 @@ def _log_prob_sum(p, cells, mask=None):
     k, total = p.shape[1], None
     for i, j, w in cells:
         row_mask = None if mask is None else mask[i : i + 1]
-        term = T.scale(T.cross_entropy(T.reshape(T.row(p, i), (1, k)), row_mask, [j])[0], -w)
+        term = T.scale(T.cross_entropy(T.reshape(T.gather(p, i), (1, k)), row_mask, [j])[0], -w)
         total = term if total is None else T.add(total, term)
     return total
 
@@ -294,172 +295,179 @@ def _bare_layer_norm(x):
     return T.layer_norm(x, Tensor(np.ones(d)), Tensor(np.zeros(d)))
 
 
-@pytest.mark.parametrize(
-    "name,fn,shape",
-    [
-        ("matmul_left", lambda p, rng: T.matmul(p, _projection(rng, (4, 3))), (3, 4)),
-        ("matmul_right", lambda p, rng: T.matmul(_projection(rng, (3, 4)), p), (4, 3)),
-        ("transpose", lambda p, rng: T.mul(T.transpose(p), _projection(rng, (4, 3))), (3, 4)),
-        ("add", lambda p, rng: T.add(p, _projection(rng, (3, 4))), (3, 4)),
-        ("add_bias", lambda p, rng: T.add(_projection(rng, (3, 4)), p), (4,)),
-        # the batched encoder's residual add and FFN activation at rank 3, in rows 5 and 6
-        # so that every later row keeps its generated id (shape<N> counts rows)
-        ("add_batched", lambda p, rng: T.add(p, _projection(rng, (2, 3, 4))), (2, 3, 4)),
-        ("gelu_batched", lambda p, rng: T.mul(T.gelu(p), _projection(rng, (2, 3, 4))), (2, 3, 4)),
-        ("mul", lambda p, rng: T.mul(p, _projection(rng, (3, 4))), (3, 4)),
-        # the mul_gain rows pass p as both gain and bias of layer_norm, checking both adjoints
-        (
-            "mul_gain",
-            lambda p, rng: T.mul(
-                T.layer_norm(_projection(rng, (3, 4)), p, p), _projection(rng, (3, 4))
-            ),
-            (4,),
+# one row per tape op: (name, scalar-valued function of the leaf p, shape of p)
+_OP_TABLE = [
+    ("matmul_left", lambda p, rng: T.matmul(p, _projection(rng, (4, 3))), (3, 4)),
+    ("matmul_right", lambda p, rng: T.matmul(_projection(rng, (3, 4)), p), (4, 3)),
+    ("transpose", lambda p, rng: T.mul(T.transpose(p), _projection(rng, (4, 3))), (3, 4)),
+    ("add", lambda p, rng: T.add(p, _projection(rng, (3, 4))), (3, 4)),
+    ("add_bias", lambda p, rng: T.add(_projection(rng, (3, 4)), p), (4,)),
+    # the batched encoder's residual add and FFN activation at rank 3, in rows 5 and 6
+    # so that every later row keeps its generated id (shape<N> counts rows)
+    ("add_batched", lambda p, rng: T.add(p, _projection(rng, (2, 3, 4))), (2, 3, 4)),
+    ("gelu_batched", lambda p, rng: T.mul(T.gelu(p), _projection(rng, (2, 3, 4))), (2, 3, 4)),
+    ("mul", lambda p, rng: T.mul(p, _projection(rng, (3, 4))), (3, 4)),
+    # the mul_gain rows pass p as both gain and bias of layer_norm, checking both adjoints
+    (
+        "mul_gain",
+        lambda p, rng: T.mul(
+            T.layer_norm(_projection(rng, (3, 4)), p, p), _projection(rng, (3, 4))
         ),
-        ("scale", lambda p, rng: T.scale(p, -1.7), (3, 4)),
-        # rows named after ops since folded into cross_entropy keep their ids: neg and
-        # mean_all check the same maps through scale and sum_all, and row_log_softmax
-        # weighs every cell's log-probability, each taken through cross_entropy
-        ("neg", lambda p, rng: T.scale(p, -1.0), (3, 4)),
-        ("row_softmax", lambda p, rng: T.mul(T.row_softmax(p), _projection(rng, (3, 4))), (3, 4)),
-        (
-            "row_log_softmax",
-            lambda p, rng: _log_prob_sum(
-                p, [(i, j, w) for (i, j), w in np.ndenumerate(_projection(rng, (3, 4)).data)]
-            ),
-            (3, 4),
+        (4,),
+    ),
+    ("scale", lambda p, rng: T.scale(p, -1.7), (3, 4)),
+    # rows named after ops since folded into cross_entropy keep their ids: neg and
+    # mean_all check the same maps through scale and sum_all, and row_log_softmax
+    # weighs every cell's log-probability, each taken through cross_entropy
+    ("neg", lambda p, rng: T.scale(p, -1.0), (3, 4)),
+    ("row_softmax", lambda p, rng: T.mul(T.row_softmax(p), _projection(rng, (3, 4))), (3, 4)),
+    (
+        "row_log_softmax",
+        lambda p, rng: _log_prob_sum(
+            p, [(i, j, w) for (i, j), w in np.ndenumerate(_projection(rng, (3, 4)).data)]
         ),
-        (
-            "layer_norm",
-            lambda p, rng: T.mul(
-                T.layer_norm(p, _projection(rng, (4,)), _projection(rng, (4,))),
-                _projection(rng, (3, 4)),
-            ),
-            (3, 4),
+        (3, 4),
+    ),
+    (
+        "layer_norm",
+        lambda p, rng: T.mul(
+            T.layer_norm(p, _projection(rng, (4,)), _projection(rng, (4,))),
+            _projection(rng, (3, 4)),
         ),
-        ("gelu", lambda p, rng: T.mul(T.gelu(p), _projection(rng, (3, 4))), (3, 4)),
-        ("embed", lambda p, rng: T.mul(T.embed(p, [0, 2, 2, 1]), _projection(rng, (4, 3))), (3, 3)),
-        ("row", lambda p, rng: T.mul(T.row(p, 1), _projection(rng, (4,))), (3, 4)),
-        (
-            "concat_rows",
-            lambda p, rng: T.mul(
-                T.concat([p, _projection(rng, (2, 4))]), _projection(rng, (5, 4))
-            ),
-            (3, 4),
+        (3, 4),
+    ),
+    ("gelu", lambda p, rng: T.mul(T.gelu(p), _projection(rng, (3, 4))), (3, 4)),
+    ("embed", lambda p, rng: T.mul(T.embed(p, [0, 2, 2, 1]), _projection(rng, (4, 3))), (3, 3)),
+    # row, pick, pick_rows_batched and first_row are named after the ops that gather
+    # replaced, so each keeps its seed and slot; each takes the index its op took
+    ("row", lambda p, rng: T.mul(T.gather(p, 1), _projection(rng, (4,))), (3, 4)),
+    (
+        "concat_rows",
+        lambda p, rng: T.mul(
+            T.concat([p, _projection(rng, (2, 4))]), _projection(rng, (5, 4))
         ),
-        # the regroup rows fold 2 heads into the batch axis (split) and back (merge),
-        # rank 2 for one sequence and rank 3 for a batch of two; the split rows sit
-        # in the slots of two deleted concat rows, so every later row keeps its id
-        (
-            "regroup_split",
-            lambda p, rng: T.mul(
-                T.regroup(p, (3, 2, 2), (1, 0, 2), (2, 3, 2)), _projection(rng, (2, 3, 2))
-            ),
-            (3, 4),
+        (3, 4),
+    ),
+    # the regroup rows fold 2 heads into the batch axis (split) and back (merge),
+    # rank 2 for one sequence and rank 3 for a batch of two; the split rows sit
+    # in the slots of two deleted concat rows, so every later row keeps its id
+    (
+        "regroup_split",
+        lambda p, rng: T.mul(
+            T.regroup(p, (3, 2, 2), (1, 0, 2), (2, 3, 2)), _projection(rng, (2, 3, 2))
         ),
-        (
-            "row_softmax_masked",
-            lambda p, rng: T.mul(
-                T.row_softmax(p, mask=np.eye(3, 4, k=1, dtype=bool)), _projection(rng, (3, 4))
-            ),
-            (3, 4),
+        (3, 4),
+    ),
+    (
+        "row_softmax_masked",
+        lambda p, rng: T.mul(
+            T.row_softmax(p, mask=np.eye(3, 4, k=1, dtype=bool)), _projection(rng, (3, 4))
         ),
-        ("pick", lambda p, rng: T.mul(T.pick(p, [3, 0, 0, 2]), _projection(rng, (4,))), (4, 4)),
-        ("mul_reused", lambda p, rng: T.mul(T.mul(p, p), _projection(rng, (3, 4))), (3, 4)),
-        ("reshape", lambda p, rng: T.mul(T.reshape(p, (2, 6)), _projection(rng, (2, 6))), (3, 4)),
-        ("mean_all", lambda p, rng: T.scale(T.sum_all(p), 3.3 / 12), (3, 4)),
-        (
-            "matmul_batched_left",
-            lambda p, rng: T.matmul(p, _projection(rng, (2, 4, 3))),
-            (2, 3, 4),
+        (3, 4),
+    ),
+    (
+        "pick",
+        lambda p, rng: T.mul(T.gather(p, (np.arange(4), [3, 0, 0, 2])), _projection(rng, (4,))),
+        (4, 4),
+    ),
+    ("mul_reused", lambda p, rng: T.mul(T.mul(p, p), _projection(rng, (3, 4))), (3, 4)),
+    ("reshape", lambda p, rng: T.mul(T.reshape(p, (2, 6)), _projection(rng, (2, 6))), (3, 4)),
+    ("mean_all", lambda p, rng: T.scale(T.sum_all(p), 3.3 / 12), (3, 4)),
+    (
+        "matmul_batched_left",
+        lambda p, rng: T.matmul(p, _projection(rng, (2, 4, 3))),
+        (2, 3, 4),
+    ),
+    (
+        "matmul_batched_right",
+        lambda p, rng: T.matmul(_projection(rng, (2, 3, 4)), p),
+        (2, 4, 3),
+    ),
+    ("matmul_shared_left", lambda p, rng: T.matmul(p, _projection(rng, (4, 3))), (2, 3, 4)),
+    ("matmul_shared_right", lambda p, rng: T.matmul(_projection(rng, (2, 3, 4)), p), (4, 3)),
+    (
+        "transpose_batched",
+        lambda p, rng: T.mul(T.transpose(p), _projection(rng, (2, 4, 3))),
+        (2, 3, 4),
+    ),
+    ("add_bias_batched", lambda p, rng: T.add(_projection(rng, (2, 3, 4)), p), (4,)),
+    (
+        "mul_gain_batched",
+        lambda p, rng: T.mul(
+            T.layer_norm(_projection(rng, (2, 3, 4)), p, p), _projection(rng, (2, 3, 4))
         ),
-        (
-            "matmul_batched_right",
-            lambda p, rng: T.matmul(_projection(rng, (2, 3, 4)), p),
-            (2, 4, 3),
+        (4,),
+    ),
+    (
+        "row_softmax_masked_batched",
+        lambda p, rng: T.mul(
+            T.row_softmax(p, mask=_KEY_PADDING), _projection(rng, (2, 3, 4))
         ),
-        ("matmul_shared_left", lambda p, rng: T.matmul(p, _projection(rng, (4, 3))), (2, 3, 4)),
-        ("matmul_shared_right", lambda p, rng: T.matmul(_projection(rng, (2, 3, 4)), p), (4, 3)),
-        (
-            "transpose_batched",
-            lambda p, rng: T.mul(T.transpose(p), _projection(rng, (2, 4, 3))),
-            (2, 3, 4),
+        (2, 3, 4),
+    ),
+    (
+        "layer_norm_batched",
+        lambda p, rng: T.mul(
+            T.layer_norm(p, _projection(rng, (4,)), _projection(rng, (4,))),
+            _projection(rng, (2, 3, 4)),
         ),
-        ("add_bias_batched", lambda p, rng: T.add(_projection(rng, (2, 3, 4)), p), (4,)),
-        (
-            "mul_gain_batched",
-            lambda p, rng: T.mul(
-                T.layer_norm(_projection(rng, (2, 3, 4)), p, p), _projection(rng, (2, 3, 4))
-            ),
-            (4,),
+        (2, 3, 4),
+    ),
+    (
+        "embed_batched",
+        lambda p, rng: T.mul(T.embed(p, [[0, 2, 2], [1, 0, 2]]), _projection(rng, (2, 3, 4))),
+        (3, 4),
+    ),
+    (
+        "regroup_split_batched",
+        lambda p, rng: T.mul(
+            T.regroup(p, (2, 3, 2, 2), (0, 2, 1, 3), (4, 3, 2)), _projection(rng, (4, 3, 2))
         ),
-        (
-            "row_softmax_masked_batched",
-            lambda p, rng: T.mul(
-                T.row_softmax(p, mask=_KEY_PADDING), _projection(rng, (2, 3, 4))
-            ),
-            (2, 3, 4),
+        (2, 3, 4),
+    ),
+    (
+        "pick_rows_batched",
+        lambda p, rng: T.mul(T.gather(p, (np.arange(2), [2, 0])), _projection(rng, (2, 4))),
+        (2, 3, 4),
+    ),
+    (
+        "regroup_merge",
+        lambda p, rng: T.mul(
+            T.regroup(p, (2, 3, 2), (1, 0, 2), (3, 4)), _projection(rng, (3, 4))
         ),
-        (
-            "layer_norm_batched",
-            lambda p, rng: T.mul(
-                T.layer_norm(p, _projection(rng, (4,)), _projection(rng, (4,))),
-                _projection(rng, (2, 3, 4)),
-            ),
-            (2, 3, 4),
+        (2, 3, 2),
+    ),
+    (
+        "regroup_merge_batched",
+        lambda p, rng: T.mul(
+            T.regroup(p, (2, 2, 3, 2), (0, 2, 1, 3), (2, 3, 4)), _projection(rng, (2, 3, 4))
         ),
-        (
-            "embed_batched",
-            lambda p, rng: T.mul(T.embed(p, [[0, 2, 2], [1, 0, 2]]), _projection(rng, (2, 3, 4))),
-            (3, 4),
+        (4, 3, 2),
+    ),
+    (
+        "first_row",
+        lambda p, rng: T.mul(T.gather(p, np.s_[:, :1]), _projection(rng, (2, 1, 4))),
+        (2, 3, 4),
+    ),
+    # a one-row left operand makes the right operand's adjoint an outer product
+    ("matmul_one_row_right", lambda p, rng: T.matmul(_projection(rng, (1, 3)), p), (3, 4)),
+    (
+        "matmul_one_row_batched_right",
+        lambda p, rng: T.matmul(_projection(rng, (2, 1, 3)), p),
+        (2, 3, 4),
+    ),
+    # the training loss: a masked score matrix with one target cell per row
+    (
+        "cross_entropy",
+        lambda p, rng: T.scale(
+            T.cross_entropy(p, np.eye(3, 5, k=1, dtype=bool), [0, 4, 1])[0], 2.3
         ),
-        (
-            "regroup_split_batched",
-            lambda p, rng: T.mul(
-                T.regroup(p, (2, 3, 2, 2), (0, 2, 1, 3), (4, 3, 2)), _projection(rng, (4, 3, 2))
-            ),
-            (2, 3, 4),
-        ),
-        (
-            "pick_rows_batched",
-            lambda p, rng: T.mul(T.pick(p, [2, 0]), _projection(rng, (2, 4))),
-            (2, 3, 4),
-        ),
-        (
-            "regroup_merge",
-            lambda p, rng: T.mul(
-                T.regroup(p, (2, 3, 2), (1, 0, 2), (3, 4)), _projection(rng, (3, 4))
-            ),
-            (2, 3, 2),
-        ),
-        (
-            "regroup_merge_batched",
-            lambda p, rng: T.mul(
-                T.regroup(p, (2, 2, 3, 2), (0, 2, 1, 3), (2, 3, 4)), _projection(rng, (2, 3, 4))
-            ),
-            (4, 3, 2),
-        ),
-        (
-            "first_row",
-            lambda p, rng: T.mul(T.first_row(p), _projection(rng, (2, 1, 4))),
-            (2, 3, 4),
-        ),
-        # a one-row left operand makes the right operand's adjoint an outer product
-        ("matmul_one_row_right", lambda p, rng: T.matmul(_projection(rng, (1, 3)), p), (3, 4)),
-        (
-            "matmul_one_row_batched_right",
-            lambda p, rng: T.matmul(_projection(rng, (2, 1, 3)), p),
-            (2, 3, 4),
-        ),
-        # the training loss: a masked score matrix with one target cell per row
-        (
-            "cross_entropy",
-            lambda p, rng: T.scale(
-                T.cross_entropy(p, np.eye(3, 5, k=1, dtype=bool), [0, 4, 1])[0], 2.3
-            ),
-            (3, 5),
-        ),
-    ],
-)
+        (3, 5),
+    ),
+]
+
+
+@pytest.mark.parametrize("name,fn,shape", _OP_TABLE)
 def test_op_gradients_match_finite_differences(name, fn, shape):
     """Every differentiable op passes the central-difference check at h=1e-4."""
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -472,6 +480,26 @@ def test_op_gradients_match_finite_differences(name, fn, shape):
 
     err = finite_diff_check(scalar_f, [params], h=1e-4)
     assert err < 1e-4, f"{name}: rel error {err}"
+
+
+def test_every_tape_op_has_an_op_table_row(monkeypatch):
+    """Each function of the tensor module that emits tape records is run by some
+    row of the op table, so a new op cannot go without a gradient check."""
+    ops = {
+        name for name, fn in vars(T).items()
+        if inspect.isfunction(fn) and "_emit" in fn.__code__.co_names
+    }
+    emitted, real_emit = set(), T._emit
+
+    def spy(*args):
+        emitted.add(sys._getframe(1).f_code.co_name)
+        return real_emit(*args)
+
+    monkeypatch.setattr(T, "_emit", spy)
+    for name, fn, shape in _OP_TABLE:
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        fn(_leaf(rng.normal(size=shape)), np.random.default_rng(1234))
+    assert ops and not ops - emitted, f"ops without an op-table row: {sorted(ops - emitted)}"
 
 
 def test_masked_log_softmax_gradient():
@@ -619,11 +647,9 @@ def test_heap_policy_is_quiet_without_mallopt(monkeypatch, failure):
     assert T._keep_freed_pages.__wrapped__() is None
 
 
-def test_first_row_keeps_the_axis():
+def test_gather_slice_keeps_the_axis():
     a = Tensor(np.arange(24.0).reshape(2, 3, 4))
-    np.testing.assert_array_equal(T.first_row(a).data, a.data[:, :1])
-    with pytest.raises(ShapeError):
-        T.first_row(Tensor(np.zeros((3, 4))))
+    np.testing.assert_array_equal(T.gather(a, np.s_[:, :1]).data, a.data[:, :1])
 
 
 def test_rank_limit_enforced():
