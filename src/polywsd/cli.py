@@ -107,8 +107,6 @@ def _file_digest(path) -> str:
 
 
 def _build_world(args, config):
-    if args.device_count < 1:
-        raise ConfigError(f"--device-count must be >= 1, got {args.device_count}")
     corpus = load_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
     min_freq, train_config = _train_config(config, args.config, args.seed)
@@ -124,20 +122,13 @@ def _build_world(args, config):
     return corpus, inventory, vocab, encoder_config, fusion_config, train_config, fingerprint
 
 
-def _train_and_save(args, world, mode: str, checkpoint_path, metrics_path) -> RunMetrics:
+def _train_and_save(world, mode: str, checkpoint_path, metrics_path) -> RunMetrics:
     """Build a fresh model, train it in ``mode``, and save its checkpoint and metrics log."""
     corpus, inventory, vocab, enc_cfg, fus_cfg, train_cfg, fingerprint = world
     model = build_model(enc_cfg, enc_cfg, fus_cfg, vocab, seed=train_cfg.seed)
     optimizer = Adam.from_config(model.parameters(), train_cfg)
     metrics = train(
-        model,
-        optimizer,
-        corpus,
-        inventory,
-        train_cfg,
-        mode=mode,
-        fingerprint=fingerprint,
-        device_count=args.device_count,
+        model, optimizer, corpus, inventory, train_cfg, mode=mode, fingerprint=fingerprint
     )
     steps = len(metrics.records)
     save_checkpoint(checkpoint_path, model, optimizer, seed=train_cfg.seed, step=steps)
@@ -159,7 +150,7 @@ def _write_predictions(path, pairs) -> int:
 def _cmd_train(args) -> int:
     world = _build_world(args, _load_config(args.config))
     metrics_path = args.metrics if args.metrics else f"{args.out}.metrics.jsonl"
-    metrics = _train_and_save(args, world, args.mode, args.out, metrics_path)
+    metrics = _train_and_save(world, args.mode, args.out, metrics_path)
     steps = len(metrics.records)
     final_loss = metrics.records[-1].loss if metrics.records else float("nan")
     print(
@@ -217,7 +208,6 @@ def _cmd_bench(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     runs = [
         _train_and_save(
-            args,
             world,
             mode,
             os.path.join(args.out_dir, f"model_{mode}.ckpt"),
@@ -312,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_train.add_argument("--mode", choices=MODES, default=MODE_CONTRASTIVE)
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--device-count", type=int, default=1)
     p_train.set_defaults(handler=_cmd_train)
 
     p_predict = sub.add_parser("predict", help="predict senses with a trained checkpoint")
@@ -335,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", default=None)
     p_bench.add_argument("--out-dir", required=True)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--device-count", type=int, default=1)
     p_bench.set_defaults(handler=_cmd_bench)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of the full loss")

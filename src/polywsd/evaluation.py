@@ -3,8 +3,8 @@
 Every prediction must name a gold instance; with full coverage, micro F1
 equals plain accuracy. Cost accounting compares two runs' ``RunMetrics``
 directly: encoder-forward counts are the primary hardware-independent
-metric, next to wall clock and each run's ``device_hours`` (device_count x
-wall-hours).
+metric, next to wall clock. A run trains in one process, so its
+``device_hours`` are its own wall-clock hours.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def config_fingerprint(*parts) -> str:
 # ---------------------------------------------------------------------------
 
 
-_RUN_FIELDS = ("mode", "fingerprint", "device_count")
+_RUN_FIELDS = ("mode", "fingerprint")
 
 
 def save_metrics(path, metrics: RunMetrics) -> None:
@@ -157,7 +157,6 @@ def save_metrics(path, metrics: RunMetrics) -> None:
 _FIELD_CHECKS = {
     "mode": (lambda v: isinstance(v, str) and v in MODES, f"one of {MODES}"),
     "fingerprint": (lambda v: isinstance(v, str), "a string"),
-    "device_count": (lambda v: is_count(v) and v >= 1, "an integer >= 1"),
     **dict.fromkeys(
         ("step", "epoch", "context_forwards", "gloss_forwards"), (is_count, "an integer >= 0")
     ),

@@ -14,7 +14,8 @@ pass, the glosses as another, then the score matrix and the loss, so the tape
 records one op per layer op, not one per sequence, and only ops the loss's
 gradient flows through. A step costs b context encodes either way, and b
 gloss encodes against sum(m_i); ``ForwardCounts`` reports these per-sequence
-counts, and ``RunMetrics`` sums them for cost accounting.
+counts, and ``RunMetrics`` sums them for cost accounting, next to the run's
+wall clock (a run is one process, so its device-hours are its wall-clock hours).
 """
 
 from __future__ import annotations
@@ -137,7 +138,6 @@ class RunMetrics:
 
     mode: str
     fingerprint: str
-    device_count: int = 1
     records: list[StepRecord] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -151,8 +151,8 @@ class RunMetrics:
 
     @property
     def device_hours(self) -> float:
-        """device_count x wall-clock hours of the run."""
-        return self.device_count * self.wall_seconds / 3600.0
+        """Wall-clock hours of the run, which trains in one process on one device."""
+        return self.wall_seconds / 3600.0
 
 
 def duplicate_gloss_mask(gold_glosses: list[list[str]]) -> np.ndarray:
@@ -433,13 +433,12 @@ def train(
     start_step: int = 0,
     max_steps: int | None = None,
     fingerprint: str = "",
-    device_count: int = 1,
 ) -> RunMetrics:
     """Run the training loop; batch order is a pure function of (seed, epoch),
     so a run resumed at ``start_step`` replays the uninterrupted schedule."""
     if mode not in MODES:
         raise ConfigError(f"unknown training mode {mode!r}; expected one of {MODES}")
-    metrics = RunMetrics(mode=mode, fingerprint=fingerprint, device_count=device_count)
+    metrics = RunMetrics(mode=mode, fingerprint=fingerprint)
     run_start = time.perf_counter()
     step = 0
     for epoch in range(config.epochs):

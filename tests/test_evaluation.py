@@ -104,8 +104,7 @@ def _metrics(mode, fingerprint, gloss_per_step, steps, wall, b=4):
         for s in range(steps)
     ]
     return RunMetrics(
-        mode=mode, fingerprint=fingerprint, device_count=1,
-        records=records, wall_seconds=wall,
+        mode=mode, fingerprint=fingerprint, records=records, wall_seconds=wall,
     )
 
 
@@ -133,10 +132,8 @@ class TestCosts:
             compare_costs(run, baseline)
 
     def test_device_hours(self):
-        fp = config_fingerprint("x")
-        metrics = _metrics("bcl", fp, 4, 5, wall=7200.0)
-        metrics.device_count = 2
-        assert metrics.device_hours == pytest.approx(4.0)
+        metrics = _metrics("bcl", config_fingerprint("x"), 4, 5, wall=7200.0)
+        assert metrics.device_hours == 2.0
 
 
 class TestMetricsIO:
@@ -151,6 +148,15 @@ class TestMetricsIO:
         assert loaded.wall_seconds == metrics.wall_seconds
         assert [r.step for r in loaded.records] == [0, 1, 2]
         assert loaded.gloss_forwards == metrics.gloss_forwards
+
+    def test_header_with_a_device_count_still_loads(self, tmp_path):
+        """Logs from releases that declared a device count load; the key is ignored."""
+        path, lines = self._saved_lines(tmp_path)
+        header = json.loads(lines[0])
+        lines[0] = json.dumps({**header, "device_count": 1})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = load_metrics(path)
+        assert (loaded.mode, loaded.wall_seconds, len(loaded.records)) == ("bcl", 0.5, 3)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
@@ -196,9 +202,6 @@ class TestMetricsIO:
             ("mode", "fast"),
             ("mode", ["bcl"]),
             ("fingerprint", 7),
-            ("device_count", "many"),
-            ("device_count", 0),
-            ("device_count", True),
         ],
     )
     def test_bad_run_value_names_path_line_and_field(self, tmp_path, field, value):

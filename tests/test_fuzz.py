@@ -156,7 +156,6 @@ def test_config_value_replaced_by_any_json(tmp_path_factory, valid_dir, field, v
         inventory=valid_dir / "inventory.jsonl",
         config=config,
         seed=0,
-        device_count=1,
     )
     try:
         _build_world(args, _load_config(args.config))
