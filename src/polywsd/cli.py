@@ -106,6 +106,15 @@ def _file_digest(path) -> str:
     return digest.hexdigest()
 
 
+def _check_output_path(flag: str, path) -> None:
+    """Fail before any work if ``path`` cannot be written as a file."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{flag} {path}: directory {parent} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"{flag} {path}: is a directory")
+
+
 def _build_world(args, config):
     corpus = load_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
@@ -148,8 +157,10 @@ def _write_predictions(path, pairs) -> int:
 
 
 def _cmd_train(args) -> int:
-    world = _build_world(args, _load_config(args.config))
     metrics_path = args.metrics if args.metrics else f"{args.out}.metrics.jsonl"
+    _check_output_path("--out", args.out)
+    _check_output_path("--metrics", metrics_path)
+    world = _build_world(args, _load_config(args.config))
     metrics = _train_and_save(world, args.mode, args.out, metrics_path)
     steps = len(metrics.records)
     final_loss = metrics.records[-1].loss if metrics.records else float("nan")

@@ -154,7 +154,9 @@ def save_metrics(path, metrics: RunMetrics) -> None:
         fh.writelines(json.dumps(line) + "\n" for line in lines)
 
 
+_KINDS = ("run", "step", "summary")
 _FIELD_CHECKS = {
+    "kind": (lambda v: isinstance(v, str) and v in _KINDS, f"one of {_KINDS}"),
     "mode": (lambda v: isinstance(v, str) and v in MODES, f"one of {MODES}"),
     "fingerprint": (lambda v: isinstance(v, str), "a string"),
     **dict.fromkeys(
@@ -177,21 +179,32 @@ def _checked(record: dict, name: str):
 
 
 def load_metrics(path) -> RunMetrics:
+    """The run a metrics log records: exactly one ``run`` header first, then its
+    ``step`` records, then exactly one ``summary`` last. A record out of that
+    order, or of another ``kind``, is an error located at its line."""
     runs: list[RunMetrics] = []
+    summaries: list[float] = []
 
     def add(record: dict) -> None:
-        kind = record.get("kind")
-        if kind in ("step", "summary") and not runs:
-            raise ComparisonError(f"{kind} record before run header")
+        kind = _checked(record, "kind")
+        if summaries:
+            raise ComparisonError(f"{kind} record after the summary")
+        if kind == "run" and runs:
+            raise ComparisonError("second run header")
+        if kind != "run" and not runs:
+            raise ComparisonError(f"{kind} record before the run header")
         if kind == "run":
             runs.append(RunMetrics(**{k: _checked(record, k) for k in _RUN_FIELDS}))
         elif kind == "step":
             step = {f.name: _checked(record, f.name) for f in fields(StepRecord)}
-            runs[-1].records.append(StepRecord(**step))
-        elif kind == "summary":
-            runs[-1].wall_seconds = _checked(record, "wall_seconds")
+            runs[0].records.append(StepRecord(**step))
+        else:
+            summaries.append(_checked(record, "wall_seconds"))
 
     read_records(path, ComparisonError, add)
     if not runs:
         raise ComparisonError(f"{path}: no run header found")
-    return runs[-1]
+    if not summaries:
+        raise ComparisonError(f"{path}: the log ends without a summary record")
+    runs[0].wall_seconds = summaries[0]
+    return runs[0]

@@ -116,14 +116,9 @@ def mfs_predictor(
     def predictor(instance: CorpusInstance) -> Prediction:
         senses = inventory.candidates(instance.lemma, instance.pos)
         seen = counts.get((instance.lemma, instance.pos), Counter())
-        best_index = 0
-        best_count = seen.get(senses[0].id, 0)
-        for j, sense in enumerate(senses[1:], start=1):
-            if seen.get(sense.id, 0) > best_count:
-                best_index, best_count = j, seen.get(sense.id, 0)
-        best = senses[best_index]
+        best = max(senses, key=lambda sense: seen[sense.id])  # the first of tied maxima
         return Prediction(
-            instance_id=instance.id, sense_id=best.id, gloss=best.gloss, score=float(best_count)
+            instance_id=instance.id, sense_id=best.id, gloss=best.gloss, score=float(seen[best.id])
         )
 
     return predictor

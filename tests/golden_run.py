@@ -21,7 +21,6 @@ import glob
 import hashlib
 import json
 import os
-import sys
 import tempfile
 
 import numpy as np
@@ -42,6 +41,7 @@ def _blas_core() -> str:
         for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
             if hasattr(lib, symbol):
                 getter = getattr(lib, symbol)
+                getter.argtypes = []
                 getter.restype = ctypes.c_char_p
                 return getter().decode()
     return "unknown"
@@ -103,4 +103,3 @@ if __name__ == "__main__":
         fh.write("\n")
     for mode, run in fixture["runs"].items():
         print(f"{mode}: {len(run['losses'])} steps, checkpoint {run['checkpoint_sha256']}")
-    sys.exit(0)

@@ -196,6 +196,30 @@ def test_device_count_is_not_a_flag(workspace, command, out):
     assert not (workspace / "never").exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--metrics"])
+@pytest.mark.parametrize("bad", ["missing-dir", "a-dir"])
+def test_train_output_path_is_checked_before_training(workspace, tmp_path, capsys, flag, bad):
+    (tmp_path / "a-dir").mkdir()
+    target = tmp_path / "missing-dir" / "file" if bad == "missing-dir" else tmp_path / "a-dir"
+    paths = {"--out": tmp_path / "m.ckpt", "--metrics": tmp_path / "m.jsonl", flag: target}
+    code = main(
+        [
+            "train",
+            "--corpus", str(workspace / "corpus.jsonl"),
+            "--inventory", str(workspace / "inventory.jsonl"),
+            "--out", str(paths["--out"]),
+            "--metrics", str(paths["--metrics"]),
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = f"directory {target.parent} does not exist" if bad == "missing-dir" else "is a directory"
+    assert captured.err == f"error: {flag} {target}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir"]
+    assert not any((tmp_path / "a-dir").iterdir())
+
+
 def test_missing_file_is_reported(workspace, capsys):
     code = main(
         [

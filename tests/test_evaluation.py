@@ -169,7 +169,15 @@ class TestMetricsIO:
         save_metrics(path, _metrics("bcl", config_fingerprint("lines"), 4, 3, wall=0.5))
         return path, path.read_text(encoding="utf-8").splitlines()
 
-    @pytest.mark.parametrize("bad", ["{not json", "[1, 2]"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "{not json",
+            "[1, 2]",
+            '{"kind": "stpe", "step": 1}',
+            '{"step": 1}',
+        ],
+    )
     def test_malformed_line_names_path_and_line(self, tmp_path, bad):
         path, lines = self._saved_lines(tmp_path)
         lines[2] = bad
@@ -177,6 +185,26 @@ class TestMetricsIO:
         with pytest.raises(ComparisonError) as err:
             load_metrics(path)
         assert f"{path}:3: " in str(err.value)
+
+    @pytest.mark.parametrize(
+        "order,line,message",
+        [
+            ([1, 0, 2, 3, 4], 1, "step record before the run header"),
+            ([4, 0, 1, 2, 3], 1, "summary record before the run header"),
+            ([0, 0, 1, 2, 3, 4], 2, "second run header"),
+            ([0, 1, 4, 2, 3], 4, "step record after the summary"),
+            ([0, 1, 2, 3, 4, 4], 6, "summary record after the summary"),
+            ([0, 1, 2, 3], None, "the log ends without a summary record"),
+        ],
+    )
+    def test_records_out_of_order_name_path_and_line(self, tmp_path, order, line, message):
+        """One run header first, then steps, then one summary last; nothing else loads."""
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(lines[i] for i in order) + "\n", encoding="utf-8")
+        with pytest.raises(ComparisonError) as err:
+            load_metrics(path)
+        where = f"{path}:{line}: " if line else f"{path}: "
+        assert str(err.value) == where + message
 
     def test_step_missing_field_names_path_line_and_field(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
