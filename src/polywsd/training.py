@@ -1,21 +1,19 @@
-"""Batch contrastive training and the all-candidates baseline: one loss for both.
+"""Batch contrastive training and the all-candidates baseline: one step for both.
 
-Both minimise one masked cross-entropy (``bcl_loss``, one tape op,
-``tensor.cross_entropy``): each item is a row of scores over gloss columns,
-and the loss is the mean negative log-probability of each row's target cell
-under the masked row softmax. Contrastive (BCL) training scores the b gold
-glosses of the batch, so the other items' gold glosses are each row's
-negatives and the targets lie on the diagonal; off-diagonal cells whose gloss
-text equals the row's own are false negatives and are masked. The
-all-candidates baseline scores the sum(m_i) candidate glosses of all items,
-and row i masks every column but its own candidates. Both regimes run one
-scored forward (``_scored_forward``): the b contexts as one padded encoder
-pass, the glosses as another, then the score matrix and the loss, so the tape
-records one op per layer op, not one per sequence, and only ops the loss's
-gradient flows through. A step costs b context encodes either way, and b
-gloss encodes against sum(m_i); ``ForwardCounts`` reports these per-sequence
-counts, and ``RunMetrics`` sums them for cost accounting, next to the run's
-wall clock (a run is one process, so its device-hours are its wall-clock hours).
+The regimes differ only in a step's gloss columns, which ``step_columns``
+builds from (batch, inventory, mode). BCL scores the batch's b gold glosses:
+the other items' gold glosses are each row's negatives, the targets lie on the
+diagonal, and off-diagonal cells whose gloss text equals the row's own are
+false negatives and are masked. The all-candidates baseline scores the
+sum(m_i) candidate glosses of all items, and row i masks every column but its
+own candidates. ``scored_forward`` is then one path for both: the b contexts
+as one padded encoder pass, the glosses as another, the score matrix, and one
+masked cross-entropy (``bcl_loss``, one tape op), the mean negative
+log-probability of each row's target cell under the masked row softmax. The
+tape records one op per layer op, not per sequence. A step costs b context
+encodes either way, and b gloss encodes against sum(m_i); ``ForwardCounts``
+reports these counts, and ``RunMetrics`` sums them for cost accounting, next
+to the run's wall clock (its device-hours, as a run is one process).
 """
 
 from __future__ import annotations
@@ -299,65 +297,21 @@ def _raise_non_finite(model: WsdModel, what: str, array_of, context: str) -> NoR
     )
 
 
-def _scored_forward(
-    model: WsdModel, batch: Batch, glosses: list[list[str]], mask: np.ndarray, targets=None
-) -> tuple[ScoreMatrix, LossValue, ForwardCounts]:
-    """Encode the batch's contexts, then ``glosses``, one padded pass per side;
-    score every (context, gloss) pair and take the masked loss."""
-    scores = score_rows(context_code_rows(model, batch.instances), gloss_code_rows(model, glosses))
-    sm = ScoreMatrix(scores=scores, mask=mask, targets=targets)
-    loss = bcl_loss(sm)
-    return sm, loss, ForwardCounts(context=len(batch), gloss=len(glosses))
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ConfigError(f"unknown training mode {mode!r}; expected one of {MODES}")
 
 
-def bcl_forward(batch: Batch, model: WsdModel) -> tuple[ScoreMatrix, LossValue, ForwardCounts]:
-    """Contrastive forward pass: b context encodes and b gloss encodes; cell (i, j)
-    scores word i against gloss j, as ``fusion_matrix``."""
-    return _scored_forward(
-        model, batch, batch.gold_glosses, duplicate_gloss_mask(batch.gold_glosses)
-    )
-
-
-def _update(
-    forward, model: WsdModel, optimizer: Adam, clip_norm: float | None, context: str
-) -> tuple[LossValue, ForwardCounts]:
-    """Record ``forward()`` on a fresh tape, then backward, clip and one Adam step.
-
-    A non-finite loss or grad stops the step before any parameter changes; a
-    non-finite parameter value after it stops training. Each raises
-    TrainingError, the last two naming the first parameter at fault.
-    """
-    tape = Tape()
-    with tape:
-        loss, counts = forward()
-    _check_finite(loss, model, context)
-    optimizer.zero_grad()
-    backward(loss.total, tape)
-    _clip_gradients(optimizer.params, clip_norm)
-    if not optimizer.step():
-        _raise_non_finite(model, "gradient", lambda t: 0.0 if t.grad is None else t.grad, context)
-    if not np.isfinite(np.concatenate([p.data.ravel() for p in optimizer.params])).all():
-        _raise_non_finite(model, "value", lambda t: t.data, context)
-    return loss, counts
-
-
-def train_step(
-    batch: Batch,
-    model: WsdModel,
-    optimizer: Adam,
-    clip_norm: float | None = None,
-    context: str = "step",
-) -> tuple[LossValue, ForwardCounts]:
-    """One contrastive step: forward, backward, Adam update (params mutate in place)."""
-    return _update(lambda: bcl_forward(batch, model)[1:], model, optimizer, clip_norm, context)
-
-
-def all_candidates_forward(
-    batch: Batch, inventory: SenseInventory, model: WsdModel
-) -> tuple[LossValue, ForwardCounts]:
-    """Score every candidate sense of every item; row i keeps only its own candidates.
-
-    b context encodes and sum(m_i) gloss encodes."""
+def step_columns(
+    batch: Batch, inventory: SenseInventory | None, mode: str
+) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
+    """A step's gloss columns, mask and row targets. BCL: the b gold glosses, the
+    duplicate-gloss mask, the diagonal. All-candidates: every item's candidates
+    (from ``inventory``), row i masking all but its own, targets at the golds."""
+    _check_mode(mode)
+    if mode == MODE_CONTRASTIVE:
+        glosses = batch.gold_glosses
+        return glosses, duplicate_gloss_mask(glosses), np.arange(len(batch))
     glosses, owners, targets = [], [], []
     for i, inst in enumerate(batch.instances):
         senses = inventory.candidates(inst.lemma, inst.pos)
@@ -370,29 +324,69 @@ def all_candidates_forward(
         owners.extend([i] * len(senses))
         glosses.extend(s.gloss for s in senses)
     mask = np.arange(len(batch))[:, None] != np.array(owners)[None, :]
-    return _scored_forward(model, batch, glosses, mask, np.array(targets))[1:]
+    return glosses, mask, np.array(targets)
+
+
+def scored_forward(
+    batch: Batch, inventory: SenseInventory | None, model: WsdModel, mode: str
+) -> tuple[ScoreMatrix, LossValue, ForwardCounts]:
+    """Encode the batch's contexts, then the step's gloss columns, one padded pass
+    per side; score every (context, gloss) pair and take the masked loss. Cell
+    (i, j) scores word i against gloss j, as ``fusion_matrix``."""
+    glosses, mask, targets = step_columns(batch, inventory, mode)
+    scores = score_rows(context_code_rows(model, batch.instances), gloss_code_rows(model, glosses))
+    sm = ScoreMatrix(scores=scores, mask=mask, targets=targets)
+    return sm, bcl_loss(sm), ForwardCounts(context=len(batch), gloss=len(glosses))
+
+
+def _update(
+    batch: Batch, inventory: SenseInventory | None, model: WsdModel, optimizer: Adam,
+    mode: str, clip_norm: float | None, context: str,
+) -> tuple[LossValue, ForwardCounts]:
+    """Record ``scored_forward`` on a fresh tape, then backward, clip and one Adam step.
+
+    A non-finite loss or grad stops the step before any parameter changes; a
+    non-finite parameter value after it stops training. Each raises
+    TrainingError, the last two naming the first parameter at fault.
+    """
+    tape = Tape()
+    with tape:
+        _, loss, counts = scored_forward(batch, inventory, model, mode)
+    _check_finite(loss, model, context)
+    optimizer.zero_grad()
+    backward(loss.total, tape)
+    _clip_gradients(optimizer.params, clip_norm)
+    if not optimizer.step():
+        _raise_non_finite(model, "gradient", lambda t: 0.0 if t.grad is None else t.grad, context)
+    if not np.isfinite(np.concatenate([p.data.ravel() for p in optimizer.params])).all():
+        _raise_non_finite(model, "value", lambda t: t.data, context)
+    return loss, counts
+
+
+def train_step(
+    batch: Batch, model: WsdModel, optimizer: Adam, clip_norm: float | None = None,
+    context: str = "step",
+) -> tuple[LossValue, ForwardCounts]:
+    """One contrastive step: forward, backward, Adam update (params mutate in place)."""
+    return _update(batch, None, model, optimizer, MODE_CONTRASTIVE, clip_norm, context)
 
 
 def train_all_candidates_step(
-    batch: Batch,
-    inventory: SenseInventory,
-    model: WsdModel,
-    optimizer: Adam,
-    clip_norm: float | None = None,
-    context: str = "step",
+    batch: Batch, inventory: SenseInventory, model: WsdModel, optimizer: Adam,
+    clip_norm: float | None = None, context: str = "step",
 ) -> tuple[LossValue, ForwardCounts]:
     """One all-candidates step: forward, backward, Adam update."""
-    return _update(
-        lambda: all_candidates_forward(batch, inventory, model),
-        model, optimizer, clip_norm, context,
-    )
+    return _update(batch, inventory, model, optimizer, MODE_ALL_CANDIDATES, clip_norm, context)
 
 
 def check_bcl_gradients(batch: Batch, model: WsdModel, h: float = 1e-4) -> float:
     """Max relative error of the full contrastive-loss gradient against central
     differences, taken over every model parameter; each is bumped in place and
     restored, so the model's data and grads are left as they were."""
-    return finite_diff_check(lambda: bcl_forward(batch, model)[1].total, model.parameters(), h=h)
+    def loss() -> Tensor:
+        return scored_forward(batch, None, model, MODE_CONTRASTIVE)[1].total
+
+    return finite_diff_check(loss, model.parameters(), h=h)
 
 
 def make_batches(
@@ -436,8 +430,7 @@ def train(
 ) -> RunMetrics:
     """Run the training loop; batch order is a pure function of (seed, epoch),
     so a run resumed at ``start_step`` replays the uninterrupted schedule."""
-    if mode not in MODES:
-        raise ConfigError(f"unknown training mode {mode!r}; expected one of {MODES}")
+    _check_mode(mode)
     metrics = RunMetrics(mode=mode, fingerprint=fingerprint)
     run_start = time.perf_counter()
     step = 0
@@ -453,22 +446,13 @@ def train(
                 return metrics
             step_start = time.perf_counter()
             where = f"epoch {epoch}, batch {batch_index}"
-            if mode == MODE_CONTRASTIVE:
-                loss, counts = train_step(batch, model, optimizer, config.clip_norm, where)
-            else:
-                loss, counts = train_all_candidates_step(
-                    batch, inventory, model, optimizer, config.clip_norm, where
-                )
-            metrics.records.append(
-                StepRecord(
-                    step=step,
-                    epoch=epoch,
-                    loss=loss.value,
-                    context_forwards=counts.context,
-                    gloss_forwards=counts.gloss,
-                    elapsed=time.perf_counter() - step_start,
-                )
+            loss, counts = _update(
+                batch, inventory, model, optimizer, mode, config.clip_norm, where
             )
+            metrics.records.append(StepRecord(
+                step=step, epoch=epoch, loss=loss.value, context_forwards=counts.context,
+                gloss_forwards=counts.gloss, elapsed=time.perf_counter() - step_start,
+            ))
             step += 1
     metrics.wall_seconds = time.perf_counter() - run_start
     return metrics

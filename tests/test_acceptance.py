@@ -24,14 +24,15 @@ from polywsd.predict import predict_corpus, score_candidates
 from polywsd.synthetic import synthetic_corpus
 from polywsd.tensor import Tensor, row_softmax
 from polywsd.training import (
+    MODE_CONTRASTIVE,
     Adam,
     ScoreMatrix,
     TrainConfig,
-    bcl_forward,
     bcl_loss,
     check_bcl_gradients,
     fusion_matrix,
     make_batches,
+    scored_forward,
     train,
 )
 from polywsd.evaluation import compare_costs, config_fingerprint, score_f1
@@ -97,7 +98,7 @@ def test_loss_calibration():
         model.fusion.w_o.data[...] = 0.0
         for b in (2, 4, 8):
             batches = make_batches(corpus[:b], inventory, batch_size=b, seed=0, epoch=0)
-            sm, loss, _ = bcl_forward(batches[0], model)
+            sm, loss, _ = scored_forward(batches[0], None, model, MODE_CONTRASTIVE)
             assert not sm.mask.any()  # single-sense lemmas: no duplicate glosses
             assert abs(loss.value - math.log(b)) <= 1e-9, f"b={b}: {loss.value}"
 

@@ -26,14 +26,16 @@ from polywsd.training import (
     Adam,
     ScoreMatrix,
     Batch,
+    MODE_ALL_CANDIDATES,
+    MODE_CONTRASTIVE,
     TrainConfig,
-    all_candidates_forward,
-    bcl_forward,
     bcl_loss,
     check_bcl_gradients,
     duplicate_gloss_mask,
     fusion_matrix,
     make_batches,
+    scored_forward,
+    step_columns,
     train,
     train_all_candidates_step,
     train_step,
@@ -359,7 +361,7 @@ class TestClipNorm:
         batch = make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)[0]
         tape = Tape()
         with tape:
-            loss = bcl_forward(batch, model)[1]
+            loss = scored_forward(batch, None, model, MODE_CONTRASTIVE)[1]
         backward(loss.total, tape)
         grads = [p.grad for p in model.parameters()]
         return model, batch, grads, _global_norm(grads)
@@ -420,7 +422,7 @@ class TestAllCandidates:
         ]
         model = tiny_model(instances, inventory, seed=2)
         batch = Batch(instances=instances, gold_glosses=[["only", "sense"], ["first"]])
-        loss, counts = all_candidates_forward(batch, inventory, model)
+        _, loss, counts = scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)
         assert loss.per_example[0] == pytest.approx(0.0, abs=1e-15)
         assert counts.gloss == 3
 
@@ -428,7 +430,7 @@ class TestAllCandidates:
         corpus, inventory = synthetic_corpus(n_lemmas=4, senses_per_lemma=3, n_instances=4, seed=7)
         model = tiny_model(corpus, inventory, seed=1)
         batch = make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)[0]
-        _, counts = all_candidates_forward(batch, inventory, model)
+        *_, counts = scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)
         assert counts.gloss == 12  # 4 instances x 3 candidates
         assert counts.context == 4
 
@@ -454,7 +456,7 @@ class TestAllCandidates:
 
     def test_forward_count_with_mixed_candidate_sets(self):
         inventory, model, batch = self._mixed_world()
-        _, counts = all_candidates_forward(batch, inventory, model)
+        *_, counts = scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)
         assert counts.gloss == 10
         assert counts.context == 4
 
@@ -463,7 +465,7 @@ class TestAllCandidates:
         candidates only: per_example equals a per-item score_pair + log-softmax."""
         inventory, model, batch = self._mixed_world(gold_index=1)
         randomize_parameters(model, seed=8)
-        loss, _ = all_candidates_forward(batch, inventory, model)
+        _, loss, _ = scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)
         expected = []
         for inst in batch.instances:
             word = context_codes(model, inst.tokens, inst.target_index)
@@ -507,10 +509,86 @@ class TestAllCandidates:
             )
         model = tiny_model(instances, inventory, seed=3)
         batch = Batch(instances=instances, gold_glosses=[glosses[i] for i in range(b)])
-        _, bcl, _ = bcl_forward(batch, model)
-        all_cand, _ = all_candidates_forward(batch, inventory, model)
+        _, bcl, _ = scored_forward(batch, None, model, MODE_CONTRASTIVE)
+        _, all_cand, _ = scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)
         assert all_cand.value == pytest.approx(bcl.value, abs=1e-9)
         np.testing.assert_allclose(all_cand.per_example, bcl.per_example, atol=1e-9)
+
+
+    def test_columns_are_every_candidate_with_owner_mask_and_gold_targets(self):
+        inventory, _, batch = self._mixed_world(gold_index=1)
+        glosses, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES)
+        assert glosses == _candidate_glosses(inventory, batch.instances)
+        owners = np.repeat(np.arange(4), [3, 2, 4, 1])
+        np.testing.assert_array_equal(mask, np.arange(4)[:, None] != owners)
+        assert targets.tolist() == [1, 4, 6, 9]  # gold %1, or %0 for the one-sense item
+
+    def test_forward_returns_the_score_matrix_its_loss_was_taken_over(self):
+        inventory, model, batch = self._mixed_world(gold_index=1)
+        randomize_parameters(model, seed=9)
+        sm, loss, _ = scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)
+        _, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES)
+        assert sm.scores.shape == mask.shape == (4, 10)
+        np.testing.assert_array_equal(sm.mask, mask)
+        np.testing.assert_array_equal(sm.targets, targets)
+        rows = np.where(mask, -np.inf, sm.scores.data)
+        log_probs = rows - rows.max(axis=1, keepdims=True)
+        log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+        np.testing.assert_allclose(
+            loss.per_example, -log_probs[np.arange(4), targets], rtol=0, atol=1e-12
+        )
+
+
+class TestStepColumns:
+    """The regimes differ only in the gloss columns; one forward and one step serve both."""
+
+    def test_contrastive_columns_are_the_gold_glosses_with_the_diagonal(self):
+        glosses = [["a", "b"], ["c"], ["a", "b"]]
+        instances = [
+            CorpusInstance(id=f"d{i}", tokens=["x"], target_index=0, lemma="x", pos="NOUN", gold="x%1")
+            for i in range(3)
+        ]
+        batch = Batch(instances=instances, gold_glosses=glosses)
+        columns, mask, targets = step_columns(batch, None, MODE_CONTRASTIVE)
+        assert columns == glosses
+        np.testing.assert_array_equal(mask, duplicate_gloss_mask(glosses))
+        assert mask[0, 2] and mask[2, 0] and mask.sum() == 2
+        assert targets.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("mode", ["BCL", "", "all_candidates", None])
+    def test_unknown_mode_is_a_config_error(self, small_world, mode):
+        corpus, inventory, model = small_world
+        batch = make_batches(corpus[:4], inventory, batch_size=4, seed=0, epoch=0)[0]
+        with pytest.raises(ConfigError, match="unknown training mode"):
+            scored_forward(batch, inventory, model, mode)
+        with pytest.raises(ConfigError, match="unknown training mode"):
+            train(model, Adam(model.parameters()), corpus, inventory,
+                  TrainConfig(batch_size=4, epochs=1), mode=mode)
+
+    @pytest.mark.parametrize("mode", [MODE_CONTRASTIVE, MODE_ALL_CANDIDATES])
+    def test_train_takes_the_same_steps_as_the_step_entry_points(self, mode):
+        corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=3, n_instances=12, seed=4)
+        config = TrainConfig(batch_size=4, epochs=2, seed=2)
+        runs = []
+        for through_train in (True, False):
+            model = tiny_model(corpus, inventory, seed=1)
+            optimizer = Adam.from_config(model.parameters(), config)
+            if through_train:
+                losses = [r.loss for r in train(
+                    model, optimizer, corpus, inventory, config, mode=mode
+                ).records]
+            else:
+                losses = []
+                for epoch in range(config.epochs):
+                    for batch in make_batches(corpus, inventory, 4, config.seed, epoch):
+                        if mode == MODE_CONTRASTIVE:
+                            loss, _ = train_step(batch, model, optimizer)
+                        else:
+                            loss, _ = train_all_candidates_step(batch, inventory, model, optimizer)
+                        losses.append(loss.value)
+            runs.append((losses, b"".join(p.data.tobytes() for p in model.parameters())))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == 6
 
 
 def _ragged_world(b, d_model=8, **model_options):
@@ -565,8 +643,8 @@ class TestBatchedPath:
         inventory, model, batch = _ragged_world(8)
         randomize_parameters(model, seed=4)
         for forward in (
-            lambda: bcl_forward(batch, model)[1],
-            lambda: all_candidates_forward(batch, inventory, model)[0],
+            lambda: scored_forward(batch, None, model, MODE_CONTRASTIVE)[1],
+            lambda: scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)[1],
         ):
             for p in model.parameters():
                 p.grad = None
@@ -588,8 +666,8 @@ class TestBatchedPath:
         loss, every record's output feeds a record that reaches the loss."""
         inventory, model, batch = _ragged_world(8)
         for forward in (
-            lambda: bcl_forward(batch, model)[1],
-            lambda: all_candidates_forward(batch, inventory, model)[0],
+            lambda: scored_forward(batch, None, model, MODE_CONTRASTIVE)[1],
+            lambda: scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)[1],
         ):
             tape = Tape()
             with tape:
@@ -607,24 +685,20 @@ class TestBatchedPath:
         """One record per layer op, not per sequence: a per-item loop would grow the tape."""
         inventory, model, batch = _ragged_world(8)
 
-        def records(forward):
+        def records(b, mode):
             tape = Tape()
             with tape:
-                forward()
+                scored_forward(b, inventory, model, mode)
             return len(tape)
 
         small = Batch(instances=batch.instances[:2], gold_glosses=batch.gold_glosses[:2])
-        assert records(lambda: bcl_forward(small, model)) == records(
-            lambda: bcl_forward(batch, model)
-        )
+        assert records(small, MODE_CONTRASTIVE) == records(batch, MODE_CONTRASTIVE)
         totals = [
             sum(len(inventory.candidates(i.lemma, i.pos)) for i in b.instances)
             for b in (small, batch)
         ]
         assert totals[0] < totals[1]
-        assert records(lambda: all_candidates_forward(small, inventory, model)) == records(
-            lambda: all_candidates_forward(batch, inventory, model)
-        )
+        assert records(small, MODE_ALL_CANDIDATES) == records(batch, MODE_ALL_CANDIDATES)
 
     def test_forward_records_75_ops_at_the_cli_defaults(self):
         """Each forward records 75 ops at the CLI defaults, the loss one of them."""
@@ -636,8 +710,8 @@ class TestBatchedPath:
         batch_size = config["train"]["batch_size"]
         batch = make_batches(corpus, inventory, batch_size, seed=0, epoch=0)[0]
         for forward in (
-            lambda: bcl_forward(batch, model),
-            lambda: all_candidates_forward(batch, inventory, model),
+            lambda: scored_forward(batch, None, model, MODE_CONTRASTIVE),
+            lambda: scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES),
         ):
             tape = Tape()
             with tape:
@@ -670,7 +744,7 @@ class TestTruncatedGlossPass:
         randomize_parameters(model, seed=8)
         assert check_bcl_gradients(batch, model) < 1e-4
         err = T.finite_diff_check(
-            lambda: all_candidates_forward(batch, inventory, model)[0].total,
+            lambda: scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)[1].total,
             [tensor for _, tensor in model.gloss.named_tensors()],
         )
         assert err < 1e-4
@@ -681,7 +755,7 @@ class TestTruncatedGlossPass:
         inventory, model, batch = _ragged_world(8, n_layers=2)
         tape = Tape()
         with tape:
-            all_candidates_forward(batch, inventory, model)
+            scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)
         # the shape of the input that each encoder's first FFN weight w1 multiplies
         ffn_input = {
             id(inputs[1]): inputs[0].shape for _, inputs, _ in tape._records if len(inputs) == 2
