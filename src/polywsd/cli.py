@@ -173,6 +173,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    _check_output_path("--out", args.out)
     loaded = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
@@ -197,6 +198,8 @@ def _format_report(report) -> str:
 
 
 def _cmd_eval(args) -> int:
+    if args.out:
+        _check_output_path("--out", args.out)
     corpus = load_corpus(args.corpus) if args.corpus else None
     report = score_f1(args.predictions, args.gold, corpus)
     print(_format_report(report))
@@ -263,6 +266,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    _check_output_path("--out", args.out)
     corpus = load_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
     if args.method == "mfs":

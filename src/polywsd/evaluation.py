@@ -118,8 +118,9 @@ def compare_costs(run: RunMetrics, baseline: RunMetrics) -> CostComparison:
             f"runs are not comparable: fingerprints {run.fingerprint[:12]}... "
             f"and {baseline.fingerprint[:12]}... differ"
         )
-    if baseline.gloss_forwards == 0 or baseline.wall_seconds == 0.0:
-        raise ComparisonError("baseline run recorded no work")
+    for name, metrics in (("baseline run", baseline), ("run", run)):
+        if metrics.gloss_forwards == 0 or metrics.wall_seconds == 0.0:
+            raise ComparisonError(f"{name} ({metrics.mode}) recorded no work")
     return CostComparison(
         run=run,
         baseline=baseline,

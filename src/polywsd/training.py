@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import CorpusInstance, SenseInventory
-from .errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
+from .errors import BatchError, ConfigError, DataError, InventoryError, ShapeError, TrainingError
 from .errors import check_optimizer_settings, check_positive_ints, is_count
 from .fusion import score_rows
 from .model import WsdModel, context_code_rows, gloss_code_rows
@@ -209,6 +209,7 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
+        check_optimizer_settings(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
         self.params = list(params)
         self.learning_rate = learning_rate
         self.beta1 = beta1
@@ -411,7 +412,7 @@ def make_batches(
         for inst in chunk:
             try:
                 glosses.append(inventory.gloss_of(inst.lemma, inst.pos, inst.gold))
-            except Exception as exc:
+            except InventoryError as exc:
                 raise DataError(f"instance {inst.id!r}: {exc}") from None
         batches.append(Batch(instances=chunk, gold_glosses=glosses))
     return batches

@@ -220,6 +220,34 @@ def test_train_output_path_is_checked_before_training(workspace, tmp_path, capsy
     assert not any((tmp_path / "a-dir").iterdir())
 
 
+@pytest.mark.parametrize("command", ["predict", "baseline", "eval"])
+@pytest.mark.parametrize("bad", ["missing-dir", "a-dir"])
+def test_out_path_is_checked_before_any_input_is_read(workspace, tmp_path, capsys, command, bad):
+    """Each command fails on a bad --out before it reads anything: predict does so
+    even though its checkpoint does not exist."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "a-dir").mkdir()
+    predictions = inputs / "pred.tsv"
+    predictions.write_text(
+        (workspace / "gold.key").read_text(encoding="utf-8").replace(" ", "\t"), encoding="utf-8"
+    )
+    target = tmp_path / "missing-dir" / "out" if bad == "missing-dir" else inputs / "a-dir"
+    world = ["--corpus", str(workspace / "corpus.jsonl")]
+    inventory = ["--inventory", str(workspace / "inventory.jsonl")]
+    argv = {
+        "predict": ["--checkpoint", str(tmp_path / "no-such.ckpt"), *world, *inventory],
+        "baseline": ["--method", "mfs", *world, *inventory],
+        "eval": ["--predictions", str(predictions), "--gold", str(workspace / "gold.key"), *world],
+    }[command]
+    assert main([command, *argv, "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = f"directory {target.parent} does not exist" if bad == "missing-dir" else "is a directory"
+    assert captured.err == f"error: --out {target}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-dir", "inputs", "pred.tsv"]
+
+
 def test_missing_file_is_reported(workspace, capsys):
     code = main(
         [

@@ -131,6 +131,16 @@ class TestCosts:
         with pytest.raises(ComparisonError):
             compare_costs(run, baseline)
 
+    @pytest.mark.parametrize("side", ["baseline run", "run"])
+    @pytest.mark.parametrize("gloss_per_step,wall", [(0, 1.0), (4, 0.0)])
+    def test_a_run_with_no_work_is_rejected(self, side, gloss_per_step, wall):
+        fp = config_fingerprint("idle")
+        idle = _metrics("idle", fp, gloss_per_step=gloss_per_step, steps=5, wall=wall)
+        busy = _metrics("busy", fp, gloss_per_step=12, steps=5, wall=3.0)
+        run, baseline = (busy, idle) if side == "baseline run" else (idle, busy)
+        with pytest.raises(ComparisonError, match=rf"^{side} \(idle\) recorded no work$"):
+            compare_costs(run, baseline)
+
     def test_device_hours(self):
         metrics = _metrics("bcl", config_fingerprint("x"), 4, 5, wall=7200.0)
         assert metrics.device_hours == 2.0

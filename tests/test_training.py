@@ -243,6 +243,24 @@ class TestAdam:
             opt.m = [np.zeros((2, 2))]
 
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("learning_rate", -1e-3),
+            ("learning_rate", 0.0),
+            ("learning_rate", float("nan")),
+            ("learning_rate", True),
+            ("beta1", 1.0),
+            ("beta2", 0.0),
+            ("eps", float("inf")),
+            ("eps", "1e-8"),
+        ],
+    )
+    def test_bad_settings_are_a_config_error(self, name, value):
+        with pytest.raises(ConfigError, match=rf"^{name} must "):
+            Adam([Tensor([1.0], requires_grad=True)], **{name: value})
+
+
 class TestTrainConfig:
     def test_batch_of_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -770,6 +788,25 @@ class TestTruncatedGlossPass:
 
 
 class TestBatching:
+    def test_gold_sense_missing_from_the_inventory_names_the_instance(self):
+        corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=4, seed=0)
+        corpus[2] = CorpusInstance(
+            id="stray", tokens=corpus[2].tokens, target_index=corpus[2].target_index,
+            lemma=corpus[2].lemma, pos=corpus[2].pos, gold=f"{corpus[2].lemma}%99",
+        )
+        with pytest.raises(DataError, match=r"^instance 'stray': sense '\w+%99' not listed for"):
+            make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)
+
+    def test_a_programming_error_is_not_relabelled_as_a_data_error(self):
+        corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=4, seed=0)
+
+        class BrokenInventory:
+            def gloss_of(self, lemma, pos, sense_id):
+                raise TypeError("a bug, not bad data")
+
+        with pytest.raises(TypeError, match="a bug"):
+            make_batches(corpus, BrokenInventory(), batch_size=4, seed=0, epoch=0)
+
     def test_partial_batch_of_one_dropped(self):
         corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=9, seed=0)
         batches = make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)
