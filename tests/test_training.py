@@ -242,7 +242,6 @@ class TestAdam:
         with pytest.raises(AttributeError):  # no setter: the moments are never replaced
             opt.m = [np.zeros((2, 2))]
 
-
     @pytest.mark.parametrize(
         "name,value",
         [
@@ -532,7 +531,6 @@ class TestAllCandidates:
         assert all_cand.value == pytest.approx(bcl.value, abs=1e-9)
         np.testing.assert_allclose(all_cand.per_example, bcl.per_example, atol=1e-9)
 
-
     def test_columns_are_every_candidate_with_owner_mask_and_gold_targets(self):
         inventory, _, batch = self._mixed_world(gold_index=1)
         glosses, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES)
@@ -579,34 +577,33 @@ class TestStepColumns:
         batch = make_batches(corpus[:4], inventory, batch_size=4, seed=0, epoch=0)[0]
         with pytest.raises(ConfigError, match="unknown training mode"):
             scored_forward(batch, inventory, model, mode)
+        config = TrainConfig(batch_size=4, epochs=1)
         with pytest.raises(ConfigError, match="unknown training mode"):
-            train(model, Adam(model.parameters()), corpus, inventory,
-                  TrainConfig(batch_size=4, epochs=1), mode=mode)
+            train(model, Adam(model.parameters()), corpus, inventory, config, mode=mode)
 
     @pytest.mark.parametrize("mode", [MODE_CONTRASTIVE, MODE_ALL_CANDIDATES])
     def test_train_takes_the_same_steps_as_the_step_entry_points(self, mode):
         corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=3, n_instances=12, seed=4)
         config = TrainConfig(batch_size=4, epochs=2, seed=2)
-        runs = []
-        for through_train in (True, False):
+
+        def fresh():
             model = tiny_model(corpus, inventory, seed=1)
-            optimizer = Adam.from_config(model.parameters(), config)
-            if through_train:
-                losses = [r.loss for r in train(
-                    model, optimizer, corpus, inventory, config, mode=mode
-                ).records]
-            else:
-                losses = []
-                for epoch in range(config.epochs):
-                    for batch in make_batches(corpus, inventory, 4, config.seed, epoch):
-                        if mode == MODE_CONTRASTIVE:
-                            loss, _ = train_step(batch, model, optimizer)
-                        else:
-                            loss, _ = train_all_candidates_step(batch, inventory, model, optimizer)
-                        losses.append(loss.value)
-            runs.append((losses, b"".join(p.data.tobytes() for p in model.parameters())))
-        assert runs[0] == runs[1]
-        assert len(runs[0][0]) == 6
+            return model, Adam.from_config(model.parameters(), config)
+
+        model, optimizer = fresh()
+        metrics = train(model, optimizer, corpus, inventory, config, mode=mode)
+        ref_model, ref_optimizer = fresh()
+        ref_losses = []
+        for epoch in range(config.epochs):
+            for batch in make_batches(corpus, inventory, config.batch_size, config.seed, epoch):
+                if mode == MODE_CONTRASTIVE:
+                    loss, _ = train_step(batch, ref_model, ref_optimizer)
+                else:
+                    loss, _ = train_all_candidates_step(batch, inventory, ref_model, ref_optimizer)
+                ref_losses.append(loss.value)
+        assert [r.loss for r in metrics.records] == ref_losses and len(ref_losses) == 6
+        for p, q in zip(model.parameters(), ref_model.parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
 
 
 def _ragged_world(b, d_model=8, **model_options):
