@@ -167,9 +167,9 @@ def load_checkpoint(path) -> Checkpoint:
     if len(body) - start != 8 * sum(sizes):
         raise CheckpointError(f"payload of {len(body) - start} bytes, expected {sum(sizes)} values")
     flat, ends = np.frombuffer(body[start:], dtype="<f8"), np.cumsum(sizes)
-    values = [flat[e - n : e].astype(np.float64).reshape(s) for s, n, e in zip(shapes, sizes, ends)]
+    values = [flat[e - n : e].reshape(s) for s, n, e in zip(shapes, sizes, ends)]
     for (_, tensor), value in zip(named, values):
-        tensor.data = value
+        tensor.data[...] = value
     optimizer = None
     if optimizer_header is not None:
         settings = {name: optimizer_header[name] for name in _OPTIMIZER_SETTINGS}

@@ -142,7 +142,8 @@ def gloss_code_rows(model: WsdModel, glosses: list[list[str]]) -> Tensor:
 
 
 def randomize_parameters(model: WsdModel, seed: int, scale: float = 0.2) -> None:
-    """Overwrite every parameter with seeded normal draws of the given scale.
+    """Overwrite every parameter, in place, with seeded normal draws of the given
+    scale, so an optimizer that already holds the parameters steps the new values.
 
     The training initializer leaves embedding rows nearly collapsed, which
     makes the loss surface extremely curved right at init; gradient checks
@@ -151,4 +152,4 @@ def randomize_parameters(model: WsdModel, seed: int, scale: float = 0.2) -> None
     """
     rng = np.random.default_rng(seed)
     for _, tensor in model.named_parameters():
-        tensor.data = rng.normal(scale=scale, size=tensor.shape)
+        tensor.data[...] = rng.normal(scale=scale, size=tensor.shape)

@@ -10,8 +10,8 @@ sum of both contributions.
 A tape and its tensors belong to one execution; run independent tapes for
 parallel work. The active tape is a context variable, so each thread records
 onto the tape it opened. Tensors are treated as immutable after creation
-except for the ``grad`` slot (the optimizer and the gradient check mutate
-parameter ``data`` between tapes, never during one).
+except for the ``grad`` slot (the optimizer and the gradient check write
+parameter ``data`` in place between tapes, never during one).
 
 Row sums in ``layer_norm``, the softmaxes and ``cross_entropy`` are BLAS
 products with a constant column, equal to ``sum(axis=-1)`` up to a few ulp at
@@ -172,8 +172,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     ``loss`` must be a scalar produced through ``tape``. A leaf is a tensor no
     record of ``tape`` produced, such as a parameter; the intermediate outputs
-    of the tape get no ``grad``. Adjoints accumulate additively; existing
-    ``grad`` values are added to, not replaced.
+    of the tape get no ``grad``. Adjoints accumulate additively, in the order
+    they are produced; a leaf that has a ``grad`` (such as an optimizer's
+    zeroed view) takes each one into it in place, one without gets a new array.
     """
     if loss.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -187,6 +188,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
             continue
         for tensor, adj in zip(inputs, vjp(out_adj)):
             if adj is None:
+                continue
+            if tensor.grad is not None and tensor.requires_grad:
+                tensor.grad += adj
                 continue
             key = id(tensor)
             if key in adjoints:

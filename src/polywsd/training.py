@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .data import CorpusInstance, SenseInventory
 from .errors import BatchError, ConfigError, DataError, InventoryError, ShapeError, TrainingError
-from .errors import check_optimizer_settings, check_positive_ints, is_count
+from .errors import ContractError, check_optimizer_settings, check_positive_ints, is_count
 from .fusion import score_rows
 from .model import WsdModel, context_code_rows, gloss_code_rows
 # unused here, but the benchmark's probes patch polywsd.training.context_codes/gloss_codes
@@ -195,10 +195,12 @@ def bcl_loss(sm: ScoreMatrix) -> LossValue:
 class Adam:
     """Standard Adam with bias correction; deterministic given grads.
 
-    The moments of all parameters live in two flat buffers, so a step is a
-    handful of whole-buffer numpy calls plus one in-place update per
-    parameter. ``m`` and ``v`` read as per-parameter views of those buffers,
-    so writing into a view sets that moment.
+    It owns its parameters' storage: flat buffers hold their values, grads and
+    moments, and each parameter's ``data`` and (after ``zero_grad``) ``grad`` is
+    a view into them, in list order, so a step is a few whole-buffer numpy
+    calls. Write held parameters in place: a rebound ``data`` makes ``step``
+    raise ContractError. ``m`` and ``v`` read as per-parameter views, so writing
+    into a view sets that moment.
     """
 
     def __init__(
@@ -211,19 +213,27 @@ class Adam:
     ):
         check_optimizer_settings(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
         self.params = list(params)
+        if len({id(p) for p in self.params}) < len(self.params):
+            raise ContractError("a parameter is listed twice; each needs its own buffer slot")
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        ends = np.cumsum([p.data.size for p in self.params], dtype=int)
-        self._slices = [slice(end - p.data.size, end) for p, end in zip(self.params, ends)]
+        self._shapes = [p.shape for p in self.params]
+        ends = np.cumsum([p.size for p in self.params], dtype=int)
+        self._slices = [slice(end - p.size, end) for p, end in zip(self.params, ends)]
         size = int(ends[-1]) if len(ends) else 0
-        self._m_flat = np.zeros(size)
-        self._v_flat = np.zeros(size)
+        # one array each, so a model that outlives its optimizer keeps only values and grads alive
+        self._values, self._grads, self._m_flat, self._v_flat = (np.zeros(size) for _ in range(4))
+        self._scratch = np.empty(size), np.empty(size)
+        self._data_views, self._grad_views = self._views(self._values), self._views(self._grads)
+        for p, view in zip(self.params, self._data_views):
+            view[...] = p.data
+            p.data = view
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [flat[sl].reshape(p.data.shape) for p, sl in zip(self.params, self._slices)]
+        return [flat[sl].reshape(shape) for sl, shape in zip(self._slices, self._shapes)]
 
     @property
     def m(self) -> list[np.ndarray]:
@@ -238,31 +248,40 @@ class Adam:
         return cls(params, config.learning_rate, config.beta1, config.beta2, config.eps)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        """Fill the grad buffer with -0.0, the identity of IEEE addition, so the adjoints
+        ``backward`` adds in keep their bits; bind each ``grad`` to its view."""
+        self._grads.fill(-0.0)
+        for p, view in zip(self.params, self._grad_views):
+            p.grad = view
 
     def step(self) -> bool:
         """One update from the current grads; a missing grad counts as zero.
 
+        A grad that is not its view of the gradient buffer is copied in first.
         Returns False, and changes no parameter, moment or step count, if
         any grad is non-finite.
         """
-        g = np.concatenate(
-            [(p.grad if p.grad is not None else np.zeros_like(p.data)).ravel() for p in self.params]
-        )
+        for i, (p, data, grad) in enumerate(zip(self.params, self._data_views, self._grad_views)):
+            if p.data is not data:
+                raise ContractError(f"parameter {i} {data.shape} was rebound, not written in place")
+            if p.grad is not grad:
+                grad[...] = 0.0 if p.grad is None else p.grad
+        g, m, v, (a, b) = self._grads, self._m_flat, self._v_flat, self._scratch
         if not np.isfinite(g).all():
             return False
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        m, v = self._m_flat, self._v_flat
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
         v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        update = self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-        for p, u in zip(self.params, self._views(update)):
-            p.data -= u
+        v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=a), g, out=a)
+        # learning_rate * (m / bias1) / (sqrt(v / bias2) + eps), in that order
+        np.multiply(np.divide(m, bias1, out=a), self.learning_rate, out=a)
+        np.sqrt(np.divide(v, bias2, out=b), out=b)
+        b += self.eps
+        a /= b
+        self._values -= a
         return True
 
 
@@ -276,7 +295,7 @@ def _clip_gradients(params: list[Tensor], clip_norm: float | None) -> None:
         ratio = clip_norm / total
         for p in params:
             if p.grad is not None:
-                p.grad = p.grad * ratio
+                p.grad *= ratio
 
 
 def _check_finite(loss: LossValue, model: WsdModel, context: str) -> None:
@@ -315,7 +334,10 @@ def step_columns(
         return glosses, duplicate_gloss_mask(glosses), np.arange(len(batch))
     glosses, owners, targets = [], [], []
     for i, inst in enumerate(batch.instances):
-        senses = inventory.candidates(inst.lemma, inst.pos)
+        try:
+            senses = inventory.candidates(inst.lemma, inst.pos)
+        except InventoryError as exc:
+            raise DataError(f"instance {inst.id!r}: {exc}") from None
         sense_ids = [s.id for s in senses]
         if inst.gold is None or inst.gold not in sense_ids:
             raise DataError(
@@ -359,7 +381,7 @@ def _update(
     _clip_gradients(optimizer.params, clip_norm)
     if not optimizer.step():
         _raise_non_finite(model, "gradient", lambda t: 0.0 if t.grad is None else t.grad, context)
-    if not np.isfinite(np.concatenate([p.data.ravel() for p in optimizer.params])).all():
+    if not np.isfinite(optimizer._values).all():
         _raise_non_finite(model, "value", lambda t: t.data, context)
     return loss, counts
 

@@ -206,27 +206,33 @@ class TestAdam:
         np.testing.assert_array_equal(p.data, [3.0])
 
     def test_flat_steps_match_per_parameter_reference_bit_for_bit(self):
-        rng = np.random.default_rng(5)
-        shapes = [(3, 4), (4,), (2, 2), (5, 1)]
-        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-        ref_data = [p.data.copy() for p in params]
-        ref_m = [np.zeros(s) for s in shapes]
-        ref_v = [np.zeros(s) for s in shapes]
-        opt = Adam(params, learning_rate=0.01)
-        for t in range(1, 6):
-            grads = [rng.normal(size=s) for s in shapes]
-            for p, g in zip(params, grads):
-                p.grad = None if t == 3 and g.ndim == 1 else g
-            opt.step()
-            b1, b2 = 1.0 - 0.9**t, 1.0 - 0.999**t
-            for i, (p, g) in enumerate(zip(params, grads)):
-                g = np.zeros_like(g) if p.grad is None else g
-                ref_m[i] = ref_m[i] * 0.9 + (1.0 - 0.9) * g
-                ref_v[i] = ref_v[i] * 0.999 + (1.0 - 0.999) * g * g
-                ref_data[i] = ref_data[i] - 0.01 * (ref_m[i] / b1) / (np.sqrt(ref_v[i] / b2) + 1e-8)
-                assert p.data.tobytes() == ref_data[i].tobytes()
-                assert opt.m[i].tobytes() == ref_m[i].tobytes()
-                assert opt.v[i].tobytes() == ref_v[i].tobytes()
+        # grads assigned from outside, and grads backward adds into the zeroed views
+        for source in ("assigned", "backward"):
+            rng = np.random.default_rng(5)
+            shapes = [(3, 4), (4,), (2, 2), (5, 1)]
+            params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+            ref_data = [p.data.copy() for p in params]
+            ref_m = [np.zeros(s) for s in shapes]
+            ref_v = [np.zeros(s) for s in shapes]
+            opt = Adam(params, learning_rate=0.01)
+            for t in range(1, 6):
+                grads = [rng.normal(size=s) for s in shapes]
+                if source == "backward":
+                    opt.zero_grad()
+                    grads = _backward_grads(params, grads)
+                else:
+                    for p, g in zip(params, grads):
+                        p.grad = None if t == 3 and g.ndim == 1 else g
+                opt.step()
+                b1, b2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+                for i, (p, g) in enumerate(zip(params, grads)):
+                    g = np.zeros_like(g) if p.grad is None else g
+                    ref_m[i] = ref_m[i] * 0.9 + (1.0 - 0.9) * g
+                    ref_v[i] = ref_v[i] * 0.999 + (1.0 - 0.999) * g * g
+                    ref_data[i] = ref_data[i] - 0.01 * (ref_m[i] / b1) / (np.sqrt(ref_v[i] / b2) + 1e-8)
+                    assert p.data.tobytes() == ref_data[i].tobytes()
+                    assert opt.m[i].tobytes() == ref_m[i].tobytes()
+                    assert opt.v[i].tobytes() == ref_v[i].tobytes()
 
     def test_assigned_moments_are_the_ones_stepped(self):
         p, q = Tensor(np.zeros((2, 2)), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
@@ -258,6 +264,66 @@ class TestAdam:
     def test_bad_settings_are_a_config_error(self, name, value):
         with pytest.raises(ConfigError, match=rf"^{name} must "):
             Adam([Tensor([1.0], requires_grad=True)], **{name: value})
+
+
+def _backward_grads(params, weights):
+    """Backward of sum(p_0 * p_0) + sum(p_i * w_i) into ``params``, whose grads are set:
+    p_0 is consumed three times, twice by one record. Returns the grads the same
+    backward gives fresh copies of ``params``, which have none."""
+    def run(ps):
+        tape = Tape()
+        with tape:
+            total = T.sum_all(T.mul(ps[0], ps[0]))
+            for p, w in zip(ps, weights):
+                total = T.add(total, T.sum_all(T.mul(p, Tensor(w))))
+        backward(total, tape)
+
+    copies = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+    run(params)
+    run(copies)
+    return [c.grad for c in copies]
+
+
+class TestParameterBuffer:
+    """``Adam`` owns one value and one gradient buffer; parameters are views into them."""
+
+    def test_parameters_become_views_of_the_value_buffer_in_order_bytes_unchanged(self, small_world):
+        params = small_world[2].parameters()
+        before = [p.data.tobytes() for p in params]
+        opt = Adam(params)
+        opt.zero_grad()
+        for buffer, arrays in ((opt._values, [p.data for p in params]),
+                               (opt._grads, [p.grad for p in params])):
+            start = buffer.__array_interface__["data"][0]
+            for array in arrays:
+                assert array.__array_interface__["data"][0] == start and array.flags.c_contiguous
+                start += array.nbytes
+            assert start == buffer.__array_interface__["data"][0] + buffer.nbytes
+        assert [p.data.tobytes() for p in params] == before
+
+    def test_randomize_after_the_optimizer_still_leaves_a_model_a_step_moves(self, small_world):
+        corpus, inventory, model = small_world
+        opt = Adam(model.parameters())
+        randomize_parameters(model, seed=3)
+        randomized = [p.data.copy() for p in model.parameters()]
+        assert opt._values.tobytes() == b"".join(r.tobytes() for r in randomized)
+        batch = make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)[0]
+        train_step(batch, model, opt)
+        assert all(not np.array_equal(r, p.data) for r, p in zip(randomized, model.parameters()))
+
+    def test_rebound_data_makes_step_raise_naming_the_parameter(self):
+        p, q = Tensor([1.0], requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        opt = Adam([p, q])
+        q.data = np.ones(3)
+        rebound = r"^parameter 1 \(3,\) was rebound, not written in place$"
+        with pytest.raises(ContractError, match=rebound):
+            opt.step()
+        assert opt.t == 0 and p.data[0] == 1.0
+
+    def test_a_tensor_listed_twice_is_refused(self):
+        p, q = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
+        with pytest.raises(ContractError, match="a parameter is listed twice"):
+            Adam([p, q, p])
 
 
 class TestTrainConfig:
@@ -506,6 +572,22 @@ class TestAllCandidates:
         with pytest.raises(DataError) as err:
             train_all_candidates_step(batch, inventory, model, opt)
         assert "broken" in str(err.value)
+
+    def test_lemma_missing_from_the_inventory_names_the_instance_and_moves_nothing(
+        self, small_world
+    ):
+        corpus, inventory, model = small_world
+        stray = CorpusInstance(
+            id="stray", tokens=["the", "nolemma", "x"], target_index=1,
+            lemma="nolemma", pos="NOUN", gold="nolemma%1",
+        )
+        batch = Batch(instances=[corpus[0], stray], gold_glosses=[["g"], ["g2"]])
+        opt = Adam(model.parameters())
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(DataError, match=r"^instance 'stray': no senses for lemma 'nolemma'"):
+            train_all_candidates_step(batch, inventory, model, opt)
+        assert opt.t == 0
+        assert all(np.array_equal(a, p.data) for a, p in zip(before, model.parameters()))
 
     def test_coincidence_batch_matches_bcl(self):
         """When each item's candidate set IS the batch's gold glosses (in batch
