@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import Vocab, parse_json
 from .encoder import EncoderConfig
-from .errors import CheckpointError, ConfigError, check_optimizer_settings, is_count
+from .errors import CheckpointError, ConfigError, ContractError, check_optimizer_settings, is_count
 from .fusion import FusionConfig
 from .model import WsdModel, build_model
 from .training import Adam
@@ -57,6 +57,8 @@ def save_checkpoint(
     path, model: WsdModel, optimizer: Adam | None, seed: int, step: int
 ) -> None:
     named = model.named_parameters()
+    if optimizer is not None and [id(p) for p in optimizer.params] != [id(t) for _, t in named]:
+        raise ContractError("the optimizer does not hold exactly this model's parameters, in order")
     header = {
         "context_config": asdict(model.context.config),
         "gloss_config": asdict(model.gloss.config),
@@ -164,8 +166,8 @@ def load_checkpoint(path) -> Checkpoint:
     # the parameters, then (with optimizer state) every first and every second moment
     shapes = [tensor.shape for _, tensor in named] * (1 if optimizer_header is None else 3)
     sizes = [math.prod(shape) for shape in shapes]
-    if len(body) - start != 8 * sum(sizes):
-        raise CheckpointError(f"payload of {len(body) - start} bytes, expected {sum(sizes)} values")
+    if (payload := len(body) - start) != 8 * sum(sizes):
+        raise CheckpointError(f"payload of {payload} bytes, expected {8 * sum(sizes)} bytes")
     flat, ends = np.frombuffer(body[start:], dtype="<f8"), np.cumsum(sizes)
     values = [flat[e - n : e].reshape(s) for s, n, e in zip(shapes, sizes, ends)]
     for (_, tensor), value in zip(named, values):

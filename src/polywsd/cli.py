@@ -106,13 +106,18 @@ def _file_digest(path) -> str:
     return digest.hexdigest()
 
 
-def _check_output_path(flag: str, path) -> None:
-    """Fail before any work if ``path`` cannot be written as a file."""
+def _check_output_path(flag: str, path, args, *others: str) -> None:
+    """Fail before any work if ``path`` cannot be written as a file, or if it names
+    the same file as one of the flags ``others`` of ``args``."""
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"{flag} {path}: directory {parent} does not exist")
     if os.path.isdir(path):
         raise ConfigError(f"{flag} {path}: is a directory")
+    for other in others:
+        given = getattr(args, other[2:].replace("-", "_"))
+        if given is not None and os.path.realpath(given) == os.path.realpath(path):
+            raise ConfigError(f"{flag} {path}: names the same file as {other}")
 
 
 def _build_world(args, config):
@@ -158,8 +163,9 @@ def _write_predictions(path, pairs) -> int:
 
 def _cmd_train(args) -> int:
     metrics_path = args.metrics if args.metrics else f"{args.out}.metrics.jsonl"
-    _check_output_path("--out", args.out)
-    _check_output_path("--metrics", metrics_path)
+    inputs = ("--corpus", "--inventory", "--config")
+    _check_output_path("--out", args.out, args, *inputs)
+    _check_output_path("--metrics", metrics_path, args, *inputs, "--out")
     world = _build_world(args, _load_config(args.config))
     metrics = _train_and_save(world, args.mode, args.out, metrics_path)
     steps = len(metrics.records)
@@ -173,7 +179,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    _check_output_path("--out", args.out)
+    _check_output_path("--out", args.out, args, "--checkpoint", "--corpus", "--inventory")
     loaded = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
@@ -199,7 +205,7 @@ def _format_report(report) -> str:
 
 def _cmd_eval(args) -> int:
     if args.out:
-        _check_output_path("--out", args.out)
+        _check_output_path("--out", args.out, args, "--predictions", "--gold", "--corpus")
     corpus = load_corpus(args.corpus) if args.corpus else None
     report = score_f1(args.predictions, args.gold, corpus)
     print(_format_report(report))
@@ -266,7 +272,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    _check_output_path("--out", args.out)
+    _check_output_path("--out", args.out, args, "--corpus", "--train-corpus", "--inventory")
     corpus = load_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
     if args.method == "mfs":

@@ -3,9 +3,10 @@
 Everything is 64-bit and row-major, ranks 0 through 3. Operations run
 eagerly on numpy and, when a tape is active, append a record holding the
 output, the inputs, and a closure computing the vector-Jacobian product.
-``backward`` walks the records in exact reverse execution order and
-accumulates adjoints additively, so a tensor consumed twice receives the
-sum of both contributions.
+``backward`` takes a loss recorded on the tape, walks the records in exact
+reverse execution order and accumulates adjoints additively, so a tensor
+consumed twice receives the sum of both contributions. A leaf takes each
+adjoint as it arrives: into its ``grad`` in place, or as a copy if it has none.
 
 A tape and its tensors belong to one execution; run independent tapes for
 parallel work. The active tape is a context variable, so each thread records
@@ -170,38 +171,33 @@ def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: _Vjp) -> Tensor
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
-    ``loss`` must be a scalar produced through ``tape``. A leaf is a tensor no
-    record of ``tape`` produced, such as a parameter; the intermediate outputs
-    of the tape get no ``grad``. Adjoints accumulate additively, in the order
-    they are produced; a leaf that has a ``grad`` (such as an optimizer's
-    zeroed view) takes each one into it in place, one without gets a new array.
+    ``loss`` must be a scalar recorded on ``tape``, else ContractError. Leaves
+    (tensors no record of ``tape`` produced, such as parameters) get a ``grad``;
+    the tape's outputs do not. A leaf takes each adjoint as it arrives, in place
+    into its ``grad`` (such as an optimizer's zeroed view) or, if none, as a copy.
     """
     if loss.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    produced = {id(out) for out, _, _ in tape._records}
+    if id(loss) not in produced:
+        raise ContractError("backward needs a loss recorded on this tape")
     _keep_freed_pages()
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones(())}
-    owners: dict[int, Tensor] = {id(loss): loss}
     for out, inputs, vjp in reversed(tape._records):
         # every consumer of ``out`` ran after it, so its adjoint is complete here
         out_adj = adjoints.pop(id(out), None)
         if out_adj is None:
             continue
         for tensor, adj in zip(inputs, vjp(out_adj)):
-            if adj is None:
-                continue
-            if tensor.grad is not None and tensor.requires_grad:
-                tensor.grad += adj
+            if adj is None or not tensor.requires_grad:
                 continue
             key = id(tensor)
-            if key in adjoints:
-                adjoints[key] = adjoints[key] + adj
+            if key in produced:
+                adjoints[key] = adjoints[key] + adj if key in adjoints else adj
+            elif tensor.grad is None:
+                tensor.grad = adj.copy()
             else:
-                adjoints[key] = adj
-                owners[key] = tensor
-    for key, adj in adjoints.items():
-        tensor = owners[key]
-        if tensor.requires_grad:
-            tensor.grad = adj.copy() if tensor.grad is None else tensor.grad + adj
+                tensor.grad += adj
 
 
 # ---------------------------------------------------------------------------

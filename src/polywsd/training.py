@@ -285,17 +285,13 @@ class Adam:
         return True
 
 
-def _clip_gradients(params: list[Tensor], clip_norm: float | None) -> None:
+def _clip_gradients(optimizer: Adam, clip_norm: float | None) -> None:
+    """Scale the gradient buffer down to global norm ``clip_norm`` if it is above it."""
     if clip_norm is None:
         return
-    total = np.sqrt(
-        sum(float((p.grad**2).sum()) for p in params if p.grad is not None)
-    )
+    total = np.sqrt(sum(float((g**2).sum()) for g in optimizer._grad_views))
     if total > clip_norm:
-        ratio = clip_norm / total
-        for p in params:
-            if p.grad is not None:
-                p.grad *= ratio
+        optimizer._grads *= clip_norm / total
 
 
 def _check_finite(loss: LossValue, model: WsdModel, context: str) -> None:
@@ -378,9 +374,9 @@ def _update(
     _check_finite(loss, model, context)
     optimizer.zero_grad()
     backward(loss.total, tape)
-    _clip_gradients(optimizer.params, clip_norm)
+    _clip_gradients(optimizer, clip_norm)
     if not optimizer.step():
-        _raise_non_finite(model, "gradient", lambda t: 0.0 if t.grad is None else t.grad, context)
+        _raise_non_finite(model, "gradient", lambda t: t.grad, context)
     if not np.isfinite(optimizer._values).all():
         _raise_non_finite(model, "value", lambda t: t.data, context)
     return loss, counts

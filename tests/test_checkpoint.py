@@ -12,7 +12,7 @@ from polywsd.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_chec
 from polywsd.cli import DEFAULT_CONFIG
 from polywsd.data import build_vocab
 from polywsd.encoder import EncoderConfig
-from polywsd.errors import CheckpointError, ConfigError
+from polywsd.errors import CheckpointError, ConfigError, ContractError
 from polywsd.fusion import FusionConfig
 from polywsd.model import build_model
 from polywsd.synthetic import synthetic_corpus
@@ -171,6 +171,13 @@ class TestRejection:
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert "truncated" in str(err.value)
+        # one value short, with a checksum that matches: both sizes in bytes
+        path.write_bytes(restamp_checksum(raw[:-12] + raw[-4:]))
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        payload = len(raw) - 4 - 16 - hlen
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"payload of {payload - 8} bytes, expected {payload} bytes"
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
@@ -266,6 +273,18 @@ class TestRejection:
         _edit_header(path, lambda header: header.update(optimizer=[1]))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_optimizer_of_another_model_rejected(self, tmp_path, n_layers):
+        corpus, inventory, model, optimizer, config = _trained_world()
+        other = tiny_model(corpus, inventory, seed=7, n_layers=n_layers)
+        reordered = Adam(model.parameters()[::-1])
+        for model_a, optimizer_b in (
+            (model, Adam(other.parameters())), (other, optimizer), (model, reordered)
+        ):
+            with pytest.raises(ContractError, match="this model's parameters, in order"):
+                save_checkpoint(tmp_path / "model.ckpt", model_a, optimizer_b, seed=0, step=3)
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_temp_files_left_behind(self, tmp_path):
         _, _, model, optimizer, config = _trained_world()

@@ -248,6 +248,44 @@ def test_out_path_is_checked_before_any_input_is_read(workspace, tmp_path, capsy
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-dir", "inputs", "pred.tsv"]
 
 
+_FILE_FLAGS = {
+    "train": ["--corpus", "--inventory", "--config", "--out", "--metrics"],
+    "predict": ["--checkpoint", "--corpus", "--inventory", "--out"],
+    "eval": ["--predictions", "--gold", "--corpus", "--out"],
+    "baseline": ["--corpus", "--train-corpus", "--inventory", "--out"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,output,clash",
+    [
+        *(("train", out, flag) for out in ("--out", "--metrics")
+          for flag in ("--corpus", "--inventory", "--config")),
+        ("train", "--metrics", "--out"),
+        *(("predict", "--out", flag) for flag in ("--checkpoint", "--corpus", "--inventory")),
+        *(("eval", "--out", flag) for flag in ("--predictions", "--gold", "--corpus")),
+        *(("baseline", "--out", flag) for flag in ("--corpus", "--train-corpus", "--inventory")),
+    ],
+)
+def test_output_naming_an_input_is_refused(tmp_path, capsys, command, output, clash):
+    """An output that resolves to another file flag's file fails before anything is
+    read or written, naming both flags; every input keeps its bytes."""
+    paths = {flag: tmp_path / f"{flag[2:]}.file" for flag in _FILE_FLAGS[command]}
+    for flag, path in paths.items():
+        if flag not in ("--out", "--metrics"):
+            path.write_bytes(b"input bytes of " + flag.encode())
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    alias = f"{tmp_path}/./{paths[clash].name}"  # another spelling of the same file
+    argv = [command, *(["--method", "mfs"] if command == "baseline" else [])]
+    for flag, path in paths.items():
+        argv += [flag, alias if flag == output else str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {output} {alias}: names the same file as {clash}\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_missing_file_is_reported(workspace, capsys):
     code = main(
         [

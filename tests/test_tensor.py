@@ -185,6 +185,32 @@ class TestBackward:
         with pytest.raises(ContractError):
             backward(y, tape)
 
+    @pytest.mark.parametrize("where", ["other-tape", "leaf"])
+    def test_loss_not_recorded_on_the_tape_rejected(self, where):
+        w, v = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0], requires_grad=True)
+        leaf = Tensor(2.0, requires_grad=True)
+        v.grad = np.array([5.0, 6.0])
+        tape, other = Tape(), Tape()
+        with tape:
+            T.add(T.sum_all(T.mul(w, v)), leaf)
+        with other:
+            other_loss = T.sum_all(T.mul(w, v))
+        loss = other_loss if where == "other-tape" else leaf
+        with pytest.raises(ContractError, match="backward needs a loss recorded on this tape"):
+            backward(loss, tape)
+        assert w.grad is None and loss.grad is None and v.grad.tolist() == [5.0, 6.0]
+
+    def test_leaves_fed_one_adjoint_array_get_separate_grads(self):
+        # add's VJP hands one array to both leaves; a's earlier mul adds into a's grad after it
+        a, b = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0], requires_grad=True)
+        tape = Tape()
+        with tape:
+            square = T.mul(a, a)
+            loss = T.sum_all(T.add(T.add(a, b), square))
+        backward(loss, tape)
+        assert a.grad.tolist() == [3.0, 5.0] and b.grad.tolist() == [1.0, 1.0]
+        assert not np.shares_memory(a.grad, b.grad)
+
     def test_replay_is_bit_identical(self):
         rng = np.random.default_rng(3)
         a_data = rng.normal(size=(3, 4))

@@ -477,6 +477,25 @@ def _global_norm(grads):
     return float(np.sqrt(sum(float((g**2).sum()) for g in grads if g is not None)))
 
 
+def test_clip_norm_sums_squares_per_parameter_in_list_order():
+    """Clipping scales the grad buffer by clip / norm, bit for bit, where the norm
+    adds each parameter's sum of squares in list order (``_global_norm``)."""
+    rng = np.random.default_rng(4)
+    shapes = [(3, 4), (4,), (2, 2), (5, 1)]
+    params = [Tensor(np.zeros(s), requires_grad=True) for s in shapes]
+    optimizer = Adam(params)
+    for _ in range(20):
+        grads = [rng.normal(size=s) for s in shapes]
+        optimizer.zero_grad()
+        for p, g in zip(params, grads):
+            p.grad += g
+        norm = _global_norm(grads)
+        clip = norm / 2.0
+        polywsd.training._clip_gradients(optimizer, clip)
+        for p, g in zip(params, grads):
+            assert p.grad.tobytes() == (g * (clip / norm)).tobytes()
+
+
 class TestGradientCheck:
     def test_model_data_and_grads_left_bit_identical(self):
         corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=6, seed=0)
