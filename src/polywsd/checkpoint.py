@@ -35,7 +35,7 @@ from .data import Vocab, parse_json
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ConfigError, ContractError, check_optimizer_settings, is_count
 from .fusion import FusionConfig
-from .model import WsdModel, build_model
+from .model import WsdModel, build_model, parameter_count
 from .training import Adam
 
 MAGIC = b"PWCK"
@@ -145,6 +145,11 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError("checkpoint vocab is not a list of strings")
         if optimizer_header is not None:
             _check_optimizer_header(optimizer_header)
+        # parameters, then (with optimizer state) both moments: sized before build_model allocates
+        copies = 1 if optimizer_header is None else 3
+        expected = 8 * copies * parameter_count(context_config, gloss_config, fusion_config)
+        if (payload := len(body) - start) != expected:
+            raise CheckpointError(f"payload of {payload} bytes, expected {expected} bytes")
         model = build_model(
             context_config, gloss_config, fusion_config, Vocab.from_tokens(tokens), seed=seed
         )
@@ -163,11 +168,8 @@ def load_checkpoint(path) -> Checkpoint:
                 f"parameter {name}: stored shape {entry.get('shape')}, "
                 f"model has {list(tensor.shape)}"
             )
-    # the parameters, then (with optimizer state) every first and every second moment
-    shapes = [tensor.shape for _, tensor in named] * (1 if optimizer_header is None else 3)
+    shapes = [tensor.shape for _, tensor in named] * copies
     sizes = [math.prod(shape) for shape in shapes]
-    if (payload := len(body) - start) != 8 * sum(sizes):
-        raise CheckpointError(f"payload of {payload} bytes, expected {8 * sum(sizes)} bytes")
     flat, ends = np.frombuffer(body[start:], dtype="<f8"), np.cumsum(sizes)
     values = [flat[e - n : e].reshape(s) for s, n, e in zip(shapes, sizes, ends)]
     for (_, tensor), value in zip(named, values):

@@ -75,10 +75,6 @@ def glorot(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _param(arr) -> Tensor:
-    return Tensor(arr, requires_grad=True)
-
-
 def tensor_fields(params, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
     """A parameter dataclass's Tensor fields as (prefix + field name, tensor), in
     declaration order, which is the order of the checkpoint manifest."""
@@ -131,30 +127,30 @@ def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderPara
     d, dh, dff = config.d_model, config.head_dim, config.d_ff
     layers = []
     for _ in range(config.n_layers):
-        wq, wk, wv = (_param(np.hstack(w)) for w in glorot(rng, 3, config.n_heads, d, dh))
+        wq, wk, wv = (Tensor(np.hstack(w)) for w in glorot(rng, 3, config.n_heads, d, dh))
         layers.append(
             LayerParams(
-                attn_gain=_param(np.ones(d)),
-                attn_bias=_param(np.zeros(d)),
+                attn_gain=Tensor(np.ones(d)),
+                attn_bias=Tensor(np.zeros(d)),
                 wq=wq,
                 wk=wk,
                 wv=wv,
-                wo=_param(glorot(rng, d, d)),
-                ffn_gain=_param(np.ones(d)),
-                ffn_bias=_param(np.zeros(d)),
-                w1=_param(glorot(rng, d, dff)),
-                b1=_param(np.zeros(dff)),
-                w2=_param(glorot(rng, dff, d)),
-                b2=_param(np.zeros(d)),
+                wo=Tensor(glorot(rng, d, d)),
+                ffn_gain=Tensor(np.ones(d)),
+                ffn_bias=Tensor(np.zeros(d)),
+                w1=Tensor(glorot(rng, d, dff)),
+                b1=Tensor(np.zeros(dff)),
+                w2=Tensor(glorot(rng, dff, d)),
+                b2=Tensor(np.zeros(d)),
             )
         )
     return EncoderParams(
         config=config,
-        tok_emb=_param(rng.uniform(-_EMBED_INIT_BOUND, _EMBED_INIT_BOUND, (config.vocab_size, d))),
-        pos_emb=_param(rng.uniform(-_EMBED_INIT_BOUND, _EMBED_INIT_BOUND, (config.max_seq_len, d))),
+        tok_emb=Tensor(rng.uniform(-_EMBED_INIT_BOUND, _EMBED_INIT_BOUND, (config.vocab_size, d))),
+        pos_emb=Tensor(rng.uniform(-_EMBED_INIT_BOUND, _EMBED_INIT_BOUND, (config.max_seq_len, d))),
         layers=layers,
-        out_gain=_param(np.ones(d)),
-        out_bias=_param(np.zeros(d)),
+        out_gain=Tensor(np.ones(d)),
+        out_bias=Tensor(np.zeros(d)),
     )
 
 
@@ -198,7 +194,8 @@ def multi_head_attention(
     return T.matmul(merged, wo)
 
 
-def _check_ids(config: EncoderConfig, token_ids: Sequence[int]) -> None:
+def _wrapped_ids(config: EncoderConfig, token_ids: Sequence[int]) -> np.ndarray:
+    """``token_ids``, checked, between the start and end markers as an intp array."""
     n = len(token_ids)
     if n < 1:
         raise ContractError("encode needs at least one token")
@@ -207,8 +204,11 @@ def _check_ids(config: EncoderConfig, token_ids: Sequence[int]) -> None:
             f"sequence of {n} tokens exceeds capacity {config.max_seq_len - 2}; "
             "truncate before encoding"
         )
-    if any(i < 0 or i >= config.vocab_size for i in token_ids):
-        raise ContractError(f"token id out of range for vocab of {config.vocab_size}")
+    ids = np.array([CLS_ID, *token_ids, SEP_ID])
+    # a float id, even an integral one, would be truncated; a str, None or 2**70 is no intp
+    if ids.dtype != np.intp or min(token_ids) < 0 or max(token_ids) >= config.vocab_size:
+        raise ContractError(f"token ids must be integers in [0, {config.vocab_size})")
+    return ids
 
 
 def _encoder_stack(
@@ -260,7 +260,7 @@ def encode_batch(
     fits = ids.dtype == np.intp and lengths.min() > 2 and width <= params.config.max_seq_len
     if not (fits and ids.min() >= 0 and ids.max() < params.config.vocab_size):
         for token_ids in sequences:
-            _check_ids(params.config, token_ids)
+            _wrapped_ids(params.config, token_ids)
         ids = np.array(rows, dtype=np.intp)
     padding = np.arange(width) >= lengths[:, None]
     return _encoder_stack(params, ids, padding, first_row_only), padding
@@ -270,8 +270,7 @@ def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:
     """Embed one bare token-id sequence as its (n + 2, d) rows; rows 0 and n+1 are
     the start/end markers. The stack of ``encode_batch``, run without a batch
     axis, which costs a single sequence less than a batch of one."""
-    _check_ids(params.config, token_ids)
-    return _encoder_stack(params, np.array([CLS_ID, *token_ids, SEP_ID], dtype=np.intp), None)
+    return _encoder_stack(params, _wrapped_ids(params.config, token_ids), None)
 
 
 def target_representation(

@@ -68,8 +68,8 @@ def init_fusion(config: FusionConfig, rng: np.random.Generator) -> FusionParams:
     head, each head's query, key and value in turn."""
     d, dh = config.d_model, config.head_dim
     draws = glorot(rng, config.n_heads, 3, d, dh)
-    wq, wk, wv = (Tensor(np.hstack(draws[:, i]), requires_grad=True) for i in range(3))
-    w_o = Tensor(glorot(rng, config.n_heads * dh, d), requires_grad=True)
+    wq, wk, wv = (Tensor(np.hstack(draws[:, i])) for i in range(3))
+    w_o = Tensor(glorot(rng, config.n_heads * dh, d))
     return FusionParams(config=config, wq=wq, wk=wk, wv=wv, w_o=w_o)
 
 

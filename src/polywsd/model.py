@@ -72,6 +72,16 @@ class WsdModel:
         return float(np.sqrt(sum(float((t.data**2).sum()) for t in self.parameters())))
 
 
+def parameter_count(context: EncoderConfig, gloss: EncoderConfig, fusion: FusionConfig) -> int:
+    """How many values ``build_model`` draws for these configs, without drawing them."""
+    total = 4 * fusion.d_model**2  # the fusion's four (d, d) projections
+    for c in (context, gloss):  # embedding tables and output norm, then the layers
+        d, d_ff = c.d_model, c.d_ff
+        total += (c.vocab_size + c.max_seq_len + 2) * d
+        total += c.n_layers * (4 * d * d + 2 * d * d_ff + d_ff + 5 * d)
+    return total
+
+
 def build_model(
     context_config: EncoderConfig,
     gloss_config: EncoderConfig,

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .data import CorpusInstance, SenseEntry, SenseInventory
-from .errors import ContractError
+from .errors import ContractError, InventoryError
 from .model import WsdModel, context_codes, gloss_codes
 
 
@@ -54,6 +54,14 @@ class Prediction:
 Predictor = Callable[[CorpusInstance], Prediction]
 
 
+def _candidates(inventory: SenseInventory, instance: CorpusInstance) -> list[SenseEntry]:
+    """The instance's candidate senses; a missing (lemma, pos) names the instance."""
+    try:
+        return inventory.candidates(instance.lemma, instance.pos)
+    except InventoryError as exc:
+        raise InventoryError(f"instance {instance.id!r}: {exc}") from None
+
+
 def _candidate_rows(model: WsdModel, senses: list[SenseEntry]) -> np.ndarray:
     """The senses' gloss code rows stacked (m, d_model), each gloss encoded by
     ``gloss_codes`` only if the model has no row for it under its current
@@ -73,7 +81,7 @@ def _candidate_rows(model: WsdModel, senses: list[SenseEntry]) -> np.ndarray:
 def score_candidates(
     instance: CorpusInstance, inventory: SenseInventory, model: WsdModel
 ) -> CandidateScores:
-    senses = inventory.candidates(instance.lemma, instance.pos)
+    senses = _candidates(inventory, instance)
     word = context_codes(model, instance.tokens, instance.target_index)
     # products summed row by row are bit-equal to score_pair per sense; a matmul is not
     scores = (_candidate_rows(model, senses) * word.data).sum(axis=1)
@@ -114,7 +122,7 @@ def mfs_predictor(
             counts.setdefault((inst.lemma, inst.pos), Counter())[inst.gold] += 1
 
     def predictor(instance: CorpusInstance) -> Prediction:
-        senses = inventory.candidates(instance.lemma, instance.pos)
+        senses = _candidates(inventory, instance)
         seen = counts.get((instance.lemma, instance.pos), Counter())
         best = max(senses, key=lambda sense: seen[sense.id])  # the first of tied maxima
         return Prediction(
@@ -128,7 +136,7 @@ def first_sense_predictor(inventory: SenseInventory) -> Predictor:
     """Always the first listed sense; inventory order encodes sense priority."""
 
     def predictor(instance: CorpusInstance) -> Prediction:
-        first = inventory.candidates(instance.lemma, instance.pos)[0]
+        first = _candidates(inventory, instance)[0]
         return Prediction(instance_id=instance.id, sense_id=first.id, gloss=first.gloss, score=0.0)
 
     return predictor

@@ -1,12 +1,13 @@
 """Dense float64 tensors with a reverse-mode differentiation tape.
 
-Everything is 64-bit and row-major, ranks 0 through 3. Operations run
-eagerly on numpy and, when a tape is active, append a record holding the
-output, the inputs, and a closure computing the vector-Jacobian product.
+Everything is 64-bit and row-major, ranks 0 through 3. Every tensor is
+differentiable: operations run eagerly on numpy and, when a tape is active,
+each appends a record holding the output, the inputs, and a closure computing
+the vector-Jacobian product. Masks, ids and targets are numpy arrays instead.
 ``backward`` takes a loss recorded on the tape, walks the records in exact
-reverse execution order and accumulates adjoints additively, so a tensor
-consumed twice receives the sum of both contributions. A leaf takes each
-adjoint as it arrives: into its ``grad`` in place, or as a copy if it has none.
+reverse execution order and sums adjoints, so a tensor consumed twice receives
+both contributions. Every leaf it reaches takes each adjoint as it arrives:
+into its ``grad`` in place, or as a copy if it has none.
 
 A tape and its tensors belong to one execution; run independent tapes for
 parallel work. The active tape is a context variable, so each thread records
@@ -88,16 +89,15 @@ _ERFC_Q = (
 class Tensor:
     """A dense float64 array with shape, data, and an optional grad slot."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         # asarray keeps 0-d shapes; ascontiguousarray would promote them to 1-d.
         arr = np.asarray(data, dtype=np.float64, order="C")
         if arr.ndim > _MAX_RANK:
             raise ShapeError(f"rank {arr.ndim} exceeds supported rank {_MAX_RANK}")
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,7 +113,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 # A record is (output, inputs, vjp) where vjp maps the output adjoint to
@@ -162,14 +162,14 @@ def _keep_freed_pages() -> None:
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: _Vjp) -> Tensor:
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    if out.requires_grad and (tape := _ACTIVE.get()) is not None:
+    out = Tensor(out_data)
+    if (tape := _ACTIVE.get()) is not None:
         tape._records.append((out, inputs, vjp))
     return out
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
+    """Populate ``grad`` on every leaf reachable from ``loss``.
 
     ``loss`` must be a scalar recorded on ``tape``, else ContractError. Leaves
     (tensors no record of ``tape`` produced, such as parameters) get a ``grad``;
@@ -189,7 +189,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
         if out_adj is None:
             continue
         for tensor, adj in zip(inputs, vjp(out_adj)):
-            if adj is None or not tensor.requires_grad:
+            if adj is None:
                 continue
             key = id(tensor)
             if key in produced:
@@ -487,8 +487,6 @@ def finite_diff_check(
     """
     if h <= 0:
         raise ContractError(f"finite-difference step must be positive, got {h}")
-    if not all(p.requires_grad for p in params):
-        raise ContractError("finite_diff_check needs leaf tensors with requires_grad")
     probe_a = f().item()
     probe_b = f().item()
     if probe_a != probe_b and not (math.isnan(probe_a) and math.isnan(probe_b)):

@@ -1,6 +1,9 @@
 """Shared model/corpus builders for the test suite."""
 
+import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import pytest
@@ -27,6 +30,18 @@ def restamp_checksum(raw: bytes) -> bytes:
     deliberately edited header reaches the header checks."""
     body = raw[:-4]
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports the package
+    from this checkout; the run must succeed."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def tiny_model(

@@ -14,11 +14,11 @@ from polywsd.data import build_vocab
 from polywsd.encoder import EncoderConfig
 from polywsd.errors import CheckpointError, ConfigError, ContractError
 from polywsd.fusion import FusionConfig
-from polywsd.model import build_model
+from polywsd.model import build_model, parameter_count
 from polywsd.synthetic import synthetic_corpus
 from polywsd.training import Adam, TrainConfig, train
 
-from conftest import JSON_VALUES, restamp_checksum, tiny_model
+from conftest import JSON_VALUES, restamp_checksum, run_fresh, tiny_model
 
 
 def _trained_world(steps=3):
@@ -179,6 +179,34 @@ class TestRejection:
             load_checkpoint(path)
         assert str(err.value) == f"payload of {payload - 8} bytes, expected {payload} bytes"
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: [h[k].update(d_model=65536) for k in h if k.endswith("_config")],
+            lambda h: h["context_config"].update(n_layers=10**6),
+            lambda h: h["gloss_config"].update(max_seq_len=10**8),
+        ],
+        ids=["d_model", "n_layers", "max_seq_len"],
+    )
+    def test_oversized_config_rejected_before_allocating(self, tmp_path, edit):
+        """Each header asks for over 4 GiB of parameters; under a 2 GiB address-space
+        limit the payload check must refuse it before ``build_model`` draws a value."""
+        _, _, model, optimizer, config = _trained_world()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+        _edit_header(path, edit)
+        code = (
+            "import resource\n"
+            "from polywsd.checkpoint import load_checkpoint\n"
+            "from polywsd.errors import CheckpointError\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "try:\n"
+            f"    load_checkpoint({str(path)!r})\n"
+            "except CheckpointError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert run_fresh(code).startswith("payload of ")
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -292,6 +320,27 @@ class TestRejection:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
         assert MAGIC == (tmp_path / "model.ckpt").read_bytes()[:4]
+
+
+@pytest.mark.parametrize(
+    "context, gloss",
+    [
+        ({}, {}),
+        ({"n_layers": 2, "d_ff": 24}, {"max_seq_len": 20}),
+        ({"d_model": 12, "n_heads": 3, "max_seq_len": 5}, {"d_model": 12, "n_layers": 3}),
+    ],
+)
+def test_parameter_count_matches_build_model(context, gloss):
+    corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=10, seed=2)
+    vocab = build_vocab(corpus, inventory, min_freq=1)
+    base = dict(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=12)
+    configs = (
+        EncoderConfig(**{**base, **context}),
+        EncoderConfig(**{**base, **gloss}),
+        FusionConfig(d_model=context.get("d_model", 8), poly_m=1, n_heads=2),
+    )
+    model = build_model(*configs, vocab, seed=0)
+    assert parameter_count(*configs) == sum(t.size for t in model.parameters())
 
 
 class TestResume:

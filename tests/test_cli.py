@@ -529,6 +529,41 @@ def test_duplicate_instance_id_is_an_error(workspace, tmp_path, capsys):
     assert not (tmp_path / "s1.tsv").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["predict"], ["baseline", "--method", "s1"], ["baseline", "--method", "mfs"]],
+    ids=["predict", "s1", "mfs"],
+)
+def test_missing_inventory_key_names_the_instance(workspace, tmp_path, capsys, command):
+    corpus, inventory = workspace / "corpus.jsonl", workspace / "inventory.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[3])
+    record["lemma"] = "nolemma"
+    lines[3] = json.dumps(record)
+    stray = tmp_path / "corpus.jsonl"
+    stray.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if command == ["predict"]:
+        ckpt = tmp_path / "model.ckpt"
+        assert main(
+            [
+                "train",
+                "--corpus", str(corpus),
+                "--inventory", str(inventory),
+                "--config", str(workspace / "config.json"),
+                "--out", str(ckpt),
+            ]
+        ) == 0
+        command = command + ["--checkpoint", str(ckpt)]
+    capsys.readouterr()
+    code = main(
+        command
+        + ["--corpus", str(stray), "--inventory", str(inventory), "--out", str(tmp_path / "p.tsv")]
+    )
+    assert code == 1
+    located = f"error: instance {record['id']!r}: no senses for lemma 'nolemma'"
+    assert located in capsys.readouterr().err
+
+
 def _assert_located_error(capsys, argv, location):
     code = main([str(arg) for arg in argv])
     err = capsys.readouterr().err

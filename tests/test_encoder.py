@@ -164,7 +164,11 @@ class TestEncodeBatch:
                 encode_batch(params, [[4, 5], bad])
 
     @pytest.mark.parametrize(
-        "bad", [[], list(range(4, 4 + CONFIG.max_seq_len - 1)), [4, -1], [4, 2**70], [9, 4.5, -0.5]]
+        "bad",
+        [
+            [], list(range(4, 4 + CONFIG.max_seq_len - 1)), [4, -1], [4, 2**70], [9, 4.5, -0.5],
+            [4.5], [4, 5.0], [4, "x"],
+        ],
     )
     def test_bad_item_fails_as_it_does_alone(self, params, bad):
         """The one check of the padded batch falls back to the per-item check, so a

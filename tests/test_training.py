@@ -178,7 +178,7 @@ class TestBclLoss:
 
 class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
-        p = Tensor([1.0, -2.0], requires_grad=True)
+        p = Tensor([1.0, -2.0])
         opt = Adam([p], learning_rate=0.5)
         p.grad = np.zeros(2)
         opt.step()
@@ -186,21 +186,21 @@ class TestAdam:
 
     def test_first_step_closed_form(self):
         # bias-corrected first step with grad 1 moves by lr / (1 + eps)
-        p = Tensor([0.0], requires_grad=True)
+        p = Tensor([0.0])
         opt = Adam([p], learning_rate=0.1)
         p.grad = np.ones(1)
         opt.step()
         assert p.data[0] == pytest.approx(-0.09999999900000001, abs=1e-12)
 
     def test_non_finite_grad_is_refused_whole(self):
-        p, q = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
+        p, q = Tensor([1.0]), Tensor([2.0])
         opt = Adam([p, q], learning_rate=0.5)
         p.grad, q.grad = np.ones(1), np.array([np.inf])
         assert opt.step() is False
         assert opt.t == 0 and p.data[0] == 1.0 and not opt.m[0].any()
 
     def test_missing_grad_treated_as_zero(self):
-        p = Tensor([3.0], requires_grad=True)
+        p = Tensor([3.0])
         opt = Adam([p])
         opt.step()
         np.testing.assert_array_equal(p.data, [3.0])
@@ -210,7 +210,7 @@ class TestAdam:
         for source in ("assigned", "backward"):
             rng = np.random.default_rng(5)
             shapes = [(3, 4), (4,), (2, 2), (5, 1)]
-            params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+            params = [Tensor(rng.normal(size=s)) for s in shapes]
             ref_data = [p.data.copy() for p in params]
             ref_m = [np.zeros(s) for s in shapes]
             ref_v = [np.zeros(s) for s in shapes]
@@ -235,7 +235,7 @@ class TestAdam:
                     assert opt.v[i].tobytes() == ref_v[i].tobytes()
 
     def test_assigned_moments_are_the_ones_stepped(self):
-        p, q = Tensor(np.zeros((2, 2)), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        p, q = Tensor(np.zeros((2, 2))), Tensor(np.zeros(3))
         opt = Adam([p, q], learning_rate=0.1)
         # the getters return live views: writing into them sets the moments
         for view, value in zip(opt.m + opt.v, (2.0, -1.0, 4.0, 9.0)):
@@ -263,7 +263,7 @@ class TestAdam:
     )
     def test_bad_settings_are_a_config_error(self, name, value):
         with pytest.raises(ConfigError, match=rf"^{name} must "):
-            Adam([Tensor([1.0], requires_grad=True)], **{name: value})
+            Adam([Tensor([1.0])], **{name: value})
 
 
 def _backward_grads(params, weights):
@@ -278,7 +278,7 @@ def _backward_grads(params, weights):
                 total = T.add(total, T.sum_all(T.mul(p, Tensor(w))))
         backward(total, tape)
 
-    copies = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+    copies = [Tensor(p.data.copy()) for p in params]
     run(params)
     run(copies)
     return [c.grad for c in copies]
@@ -312,7 +312,7 @@ class TestParameterBuffer:
         assert all(not np.array_equal(r, p.data) for r, p in zip(randomized, model.parameters()))
 
     def test_rebound_data_makes_step_raise_naming_the_parameter(self):
-        p, q = Tensor([1.0], requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        p, q = Tensor([1.0]), Tensor(np.zeros(3))
         opt = Adam([p, q])
         q.data = np.ones(3)
         rebound = r"^parameter 1 \(3,\) was rebound, not written in place$"
@@ -321,7 +321,7 @@ class TestParameterBuffer:
         assert opt.t == 0 and p.data[0] == 1.0
 
     def test_a_tensor_listed_twice_is_refused(self):
-        p, q = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
+        p, q = Tensor([1.0]), Tensor([2.0])
         with pytest.raises(ContractError, match="a parameter is listed twice"):
             Adam([p, q, p])
 
@@ -453,7 +453,7 @@ class TestClipNorm:
         model, batch, grads, raw_norm = self._world_and_raw_grads()
         clip = raw_norm / 4.0
         params = model.parameters()
-        reference = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+        reference = [Tensor(p.data.copy()) for p in params]
         for r, g in zip(reference, grads):
             r.grad = None if g is None else g * (clip / raw_norm)
         Adam(reference, learning_rate=1e-2).step()
@@ -482,7 +482,7 @@ def test_clip_norm_sums_squares_per_parameter_in_list_order():
     adds each parameter's sum of squares in list order (``_global_norm``)."""
     rng = np.random.default_rng(4)
     shapes = [(3, 4), (4,), (2, 2), (5, 1)]
-    params = [Tensor(np.zeros(s), requires_grad=True) for s in shapes]
+    params = [Tensor(np.zeros(s)) for s in shapes]
     optimizer = Adam(params)
     for _ in range(20):
         grads = [rng.normal(size=s) for s in shapes]
