@@ -22,7 +22,6 @@ never leaves a half-written checkpoint at the final path.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 import tempfile
@@ -35,7 +34,7 @@ from .data import Vocab, parse_json
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ConfigError, ContractError, check_optimizer_settings, is_count
 from .fusion import FusionConfig
-from .model import WsdModel, build_model, parameter_count
+from .model import WsdModel, model_on, parameter_count
 from .training import Adam
 
 MAGIC = b"PWCK"
@@ -57,8 +56,10 @@ def save_checkpoint(
     path, model: WsdModel, optimizer: Adam | None, seed: int, step: int
 ) -> None:
     named = model.named_parameters()
-    if optimizer is not None and [id(p) for p in optimizer.params] != [id(t) for _, t in named]:
+    if optimizer is not None and optimizer.values is not model.values:
         raise ContractError("the optimizer does not hold exactly this model's parameters, in order")
+    if rebound := [name for name, t in named if t.data.base is not model.values]:
+        raise ContractError(f"parameter {rebound[0]} was rebound, not written in place")
     header = {
         "context_config": asdict(model.context.config),
         "gloss_config": asdict(model.gloss.config),
@@ -73,10 +74,9 @@ def save_checkpoint(
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header_bytes)), header_bytes]
-    parts += [np.ascontiguousarray(tensor.data, dtype="<f8") for _, tensor in named]
-    if optimizer is not None:
-        parts += [np.ascontiguousarray(arr, dtype="<f8") for arr in (*optimizer.m, *optimizer.v)]
-    body = b"".join(parts)
+    moments = [] if optimizer is None else [optimizer.m_flat, optimizer.v_flat]
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for a in (model.values, *moments)]
+    body = b"".join(parts + arrays)
 
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
@@ -145,14 +145,14 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError("checkpoint vocab is not a list of strings")
         if optimizer_header is not None:
             _check_optimizer_header(optimizer_header)
-        # parameters, then (with optimizer state) both moments: sized before build_model allocates
+        # parameters, then (with optimizer state) both moments: sized before anything is allocated
         copies = 1 if optimizer_header is None else 3
-        expected = 8 * copies * parameter_count(context_config, gloss_config, fusion_config)
-        if (payload := len(body) - start) != expected:
-            raise CheckpointError(f"payload of {payload} bytes, expected {expected} bytes")
-        model = build_model(
-            context_config, gloss_config, fusion_config, Vocab.from_tokens(tokens), seed=seed
-        )
+        size = parameter_count(context_config, gloss_config, fusion_config)
+        if (payload := len(body) - start) != 8 * copies * size:
+            raise CheckpointError(f"payload of {payload} bytes, expected {8 * copies * size} bytes")
+        flat = np.frombuffer(body[start:], dtype="<f8")
+        vocab = Vocab.from_tokens(tokens)
+        model = model_on(flat[:size].copy(), context_config, gloss_config, fusion_config, vocab)
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"incomplete checkpoint header: {exc}") from None
     except ConfigError as exc:
@@ -168,17 +168,11 @@ def load_checkpoint(path) -> Checkpoint:
                 f"parameter {name}: stored shape {entry.get('shape')}, "
                 f"model has {list(tensor.shape)}"
             )
-    shapes = [tensor.shape for _, tensor in named] * copies
-    sizes = [math.prod(shape) for shape in shapes]
-    flat, ends = np.frombuffer(body[start:], dtype="<f8"), np.cumsum(sizes)
-    values = [flat[e - n : e].reshape(s) for s, n, e in zip(shapes, sizes, ends)]
-    for (_, tensor), value in zip(named, values):
-        tensor.data[...] = value
     optimizer = None
     if optimizer_header is not None:
         settings = {name: optimizer_header[name] for name in _OPTIMIZER_SETTINGS}
         optimizer = Adam(model.parameters(), **settings)
         optimizer.t = optimizer_header["t"]
-        for view, value in zip(optimizer.m + optimizer.v, values[len(named) :]):
-            view[...] = value
+        optimizer.m_flat[...] = flat[size : 2 * size]
+        optimizer.v_flat[...] = flat[2 * size :]
     return Checkpoint(model=model, optimizer=optimizer, seed=seed, step=step)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,38 +120,40 @@ class EncoderParams:
         yield f"{prefix}out_bias", self.out_bias
 
 
-def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
-    """Fresh encoder parameters: Glorot projections, uniform embedding tables. A
-    layer's query, key and value projections are each n_heads (d, d / n_heads)
-    draws side by side, every query head drawn first, then the keys, the values."""
-    d, dh, dff = config.d_model, config.head_dim, config.d_ff
-    layers = []
-    for _ in range(config.n_layers):
-        wq, wk, wv = (Tensor(np.hstack(w)) for w in glorot(rng, 3, config.n_heads, d, dh))
-        layers.append(
-            LayerParams(
-                attn_gain=Tensor(np.ones(d)),
-                attn_bias=Tensor(np.zeros(d)),
-                wq=wq,
-                wk=wk,
-                wv=wv,
-                wo=Tensor(glorot(rng, d, d)),
-                ffn_gain=Tensor(np.ones(d)),
-                ffn_bias=Tensor(np.zeros(d)),
-                w1=Tensor(glorot(rng, d, dff)),
-                b1=Tensor(np.zeros(dff)),
-                w2=Tensor(glorot(rng, dff, d)),
-                b2=Tensor(np.zeros(d)),
-            )
+def encoder_params(config: EncoderConfig, cut: Callable[..., Tensor]) -> EncoderParams:
+    """The encoder's parameters, each ``cut(*shape)`` in manifest order (that of
+    ``named_tensors``), holding whatever values ``cut`` gives them."""
+    d, dff = config.d_model, config.d_ff
+    tok_emb, pos_emb = cut(config.vocab_size, d), cut(config.max_seq_len, d)
+    layers = [
+        LayerParams(
+            cut(d), cut(d), cut(d, d), cut(d, d), cut(d, d), cut(d, d),
+            cut(d), cut(d), cut(d, dff), cut(dff), cut(dff, d), cut(d),
         )
-    return EncoderParams(
-        config=config,
-        tok_emb=Tensor(rng.uniform(-_EMBED_INIT_BOUND, _EMBED_INIT_BOUND, (config.vocab_size, d))),
-        pos_emb=Tensor(rng.uniform(-_EMBED_INIT_BOUND, _EMBED_INIT_BOUND, (config.max_seq_len, d))),
-        layers=layers,
-        out_gain=Tensor(np.ones(d)),
-        out_bias=Tensor(np.zeros(d)),
-    )
+        for _ in range(config.n_layers)
+    ]
+    return EncoderParams(config, tok_emb, pos_emb, layers, cut(d), cut(d))
+
+
+def init_encoder(params: EncoderParams, rng: np.random.Generator) -> None:
+    """Write fresh values into ``params`` in place: Glorot projections, uniform
+    embedding tables (drawn after every layer), gains 1 and biases 0. A layer's
+    query, key and value projections are each n_heads (d, d / n_heads) draws side
+    by side, every query head drawn first, then the keys, the values."""
+    config = params.config
+    d, dh, dff = config.d_model, config.head_dim, config.d_ff
+    for layer in params.layers:
+        for w, draws in zip((layer.wq, layer.wk, layer.wv), glorot(rng, 3, config.n_heads, d, dh)):
+            np.concatenate(draws, axis=1, out=w.data)
+        layer.wo.data[...] = glorot(rng, d, d)
+        layer.w1.data[...] = glorot(rng, d, dff)
+        layer.w2.data[...] = glorot(rng, dff, d)
+        for gain, bias in ((layer.attn_gain, layer.attn_bias), (layer.ffn_gain, layer.ffn_bias)):
+            gain.data[...], bias.data[...] = 1.0, 0.0
+        layer.b1.data[...] = layer.b2.data[...] = 0.0
+    for table in (params.tok_emb, params.pos_emb):
+        table.data[...] = rng.uniform(-_EMBED_INIT_BOUND, _EMBED_INIT_BOUND, table.shape)
+    params.out_gain.data[...], params.out_bias.data[...] = 1.0, 0.0
 
 
 def multi_head_attention(

@@ -20,7 +20,7 @@ codes; adding those would be a model change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -63,14 +63,22 @@ class FusionParams:
         return tensor_fields(self, prefix)
 
 
-def init_fusion(config: FusionConfig, rng: np.random.Generator) -> FusionParams:
-    """Glorot projections; the per-head (d, d / n_heads) blocks are drawn head by
-    head, each head's query, key and value in turn."""
+def fusion_params(config: FusionConfig, cut: Callable[..., Tensor]) -> FusionParams:
+    """The fusion's four (d, d) projections, each ``cut(*shape)`` in manifest order."""
+    d = config.d_model
+    return FusionParams(config, cut(d, d), cut(d, d), cut(d, d), cut(d, d))
+
+
+def init_fusion(params: FusionParams, rng: np.random.Generator) -> None:
+    """Draw Glorot projections into ``params`` in place; the per-head
+    (d, d / n_heads) blocks are drawn head by head, each head's query, key and
+    value in turn, then the output projection."""
+    config = params.config
     d, dh = config.d_model, config.head_dim
     draws = glorot(rng, config.n_heads, 3, d, dh)
-    wq, wk, wv = (Tensor(np.hstack(draws[:, i])) for i in range(3))
-    w_o = Tensor(glorot(rng, config.n_heads * dh, d))
-    return FusionParams(config=config, wq=wq, wk=wk, wv=wv, w_o=w_o)
+    for i, w in enumerate((params.wq, params.wk, params.wv)):
+        np.concatenate(draws[:, i], axis=1, out=w.data)
+    params.w_o.data[...] = glorot(rng, config.n_heads * dh, d)
 
 
 def fuse_context(

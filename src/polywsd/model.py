@@ -15,9 +15,14 @@ that row alone; the context side keeps every row, since fusion attends over
 them. Prediction encodes one sequence per call (``context_codes``,
 ``gloss_codes``, through the full-row ``encode``), and each distinct
 gloss only once per model: ``predict.score_candidates`` keeps the gloss
-code rows in the model's ``_gloss_rows`` until the gloss encoder's
-parameter bytes change. Either way, encoder forwards are counted per
+code rows in the model's ``_gloss_rows`` until the gloss encoder's slice of
+the value buffer changes. Either way, encoder forwards are counted per
 sequence, not per pass.
+
+A model owns one flat float64 buffer, ``values``, of which each parameter is
+a view, in the order ``model_on`` states. ``build_model`` draws initial values
+into a fresh buffer; ``load_checkpoint`` builds the model on the saved values
+and draws nothing. An optimizer adopts the buffer; a checkpoint writes it whole.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .encoder import (
     cls_representation,
     encode,
     encode_batch,
+    encoder_params,
     init_encoder,
     target_representation,
 )
@@ -42,9 +48,10 @@ from .fusion import (
     FusionParams,
     fuse_context,
     fuse_gloss,
+    fusion_params,
     init_fusion,
 )
-from .tensor import Tensor
+from .tensor import Cutter, Tensor
 
 
 @dataclass
@@ -53,6 +60,9 @@ class WsdModel:
     context: EncoderParams
     gloss: EncoderParams
     fusion: FusionParams
+    # every parameter value in manifest order, and the gloss encoder's slice of them
+    values: np.ndarray = field(repr=False, compare=False)
+    gloss_values: np.ndarray = field(repr=False, compare=False)
     # Prediction's gloss-row cache (see ``predict.score_candidates``): not a
     # parameter, so never saved, compared or shown.
     _gloss_rows: tuple[bytes, dict] | None = field(
@@ -73,13 +83,41 @@ class WsdModel:
 
 
 def parameter_count(context: EncoderConfig, gloss: EncoderConfig, fusion: FusionConfig) -> int:
-    """How many values ``build_model`` draws for these configs, without drawing them."""
+    """How many values ``model_on`` cuts for these configs, without allocating them."""
     total = 4 * fusion.d_model**2  # the fusion's four (d, d) projections
     for c in (context, gloss):  # embedding tables and output norm, then the layers
         d, d_ff = c.d_model, c.d_ff
         total += (c.vocab_size + c.max_seq_len + 2) * d
         total += c.n_layers * (4 * d * d + 2 * d * d_ff + d_ff + 5 * d)
     return total
+
+
+def model_on(
+    values: np.ndarray,
+    context_config: EncoderConfig,
+    gloss_config: EncoderConfig,
+    fusion_config: FusionConfig,
+    vocab: Vocab,
+) -> WsdModel:
+    """The model whose parameters are consecutive views of ``values``, an owned
+    float64 array of ``parameter_count`` values, which are left as they are: the
+    context encoder's, then the gloss encoder's, then the fusion's, each in
+    manifest order. This is the one statement of the parameter layout."""
+    if not (context_config.d_model == gloss_config.d_model == fusion_config.d_model):
+        raise ConfigError(
+            f"d_model mismatch: context {context_config.d_model}, "
+            f"gloss {gloss_config.d_model}, fusion {fusion_config.d_model}"
+        )
+    if context_config.vocab_size != vocab.size or gloss_config.vocab_size != vocab.size:
+        raise ConfigError(
+            f"encoder vocab_size must equal the vocabulary size {vocab.size}"
+        )
+    cut = Cutter(values)
+    context = encoder_params(context_config, cut)
+    start = cut.offset
+    gloss = encoder_params(gloss_config, cut)
+    gloss_values = values[start : cut.offset]
+    return WsdModel(vocab, context, gloss, fusion_params(fusion_config, cut), values, gloss_values)
 
 
 def build_model(
@@ -90,22 +128,13 @@ def build_model(
     seed: int,
 ) -> WsdModel:
     """Seeded construction; the two encoders never share parameters."""
-    if not (context_config.d_model == gloss_config.d_model == fusion_config.d_model):
-        raise ConfigError(
-            f"d_model mismatch: context {context_config.d_model}, "
-            f"gloss {gloss_config.d_model}, fusion {fusion_config.d_model}"
-        )
-    if context_config.vocab_size != vocab.size or gloss_config.vocab_size != vocab.size:
-        raise ConfigError(
-            f"encoder vocab_size must equal the vocabulary size {vocab.size}"
-        )
+    values = np.empty(parameter_count(context_config, gloss_config, fusion_config))
+    model = model_on(values, context_config, gloss_config, fusion_config, vocab)
     rng = np.random.default_rng(seed)
-    return WsdModel(
-        vocab=vocab,
-        context=init_encoder(context_config, rng),
-        gloss=init_encoder(gloss_config, rng),
-        fusion=init_fusion(fusion_config, rng),
-    )
+    init_encoder(model.context, rng)
+    init_encoder(model.gloss, rng)
+    init_fusion(model.fusion, rng)
+    return model
 
 
 def _context_window(
@@ -134,8 +163,8 @@ def gloss_codes(model: WsdModel, gloss_tokens: list[str]) -> Tensor:
 
 
 def context_code_rows(model: WsdModel, instances: list[CorpusInstance]) -> Tensor:
-    """b x d_model code rows, row i equal to ``context_codes`` of instance i, from
-    one padded context-encoder pass and one fusion pass."""
+    """b x d_model code rows, row i equal to ``context_codes`` of instance i up to
+    rounding, from one padded context-encoder pass and one fusion pass."""
     windows = [_context_window(model, inst.tokens, inst.target_index) for inst in instances]
     encoded, padding = encode_batch(model.context, [ids for ids, _ in windows])
     targets = target_representation(encoded, [target for _, target in windows], padding)
@@ -160,6 +189,4 @@ def randomize_parameters(model: WsdModel, seed: int, scale: float = 0.2) -> None
     run at these well-scaled random points instead, where central
     differences at h=1e-4 are far from their truncation limit.
     """
-    rng = np.random.default_rng(seed)
-    for _, tensor in model.named_parameters():
-        tensor.data[...] = rng.normal(scale=scale, size=tensor.shape)
+    model.values[...] = np.random.default_rng(seed).normal(scale=scale, size=model.values.size)

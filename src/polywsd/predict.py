@@ -7,13 +7,14 @@ first-sense baselines live here too.
 
 A gloss's code row depends on the gloss encoder alone, never on the
 context, so each distinct gloss is encoded once per model and its row kept
-on the model (``WsdModel._gloss_rows``). The cache is stamped with the
-gloss encoder's parameter bytes and dropped whenever they differ, so an
-optimizer step, ``randomize_parameters`` or an in-place write to a
-parameter never leaves a stale row; a second model, even one loaded from
-the same checkpoint, starts with an empty cache. Threads may share a
-model for prediction (a race at worst encodes a gloss twice), but not
-while it is being trained. Training never reads the cache.
+on the model (``WsdModel._gloss_rows``). The cache is stamped with the bytes
+of ``WsdModel.gloss_values``, the gloss encoder's one slice of the model's
+value buffer, and dropped whenever they differ, so an optimizer step,
+``randomize_parameters`` or an in-place write to a parameter never leaves a
+stale row; a second model, even one loaded from the same checkpoint,
+starts with an empty cache. Threads may share a model for prediction (a
+race at worst encodes a gloss twice), but not while it is being trained.
+Training never reads the cache.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _candidate_rows(model: WsdModel, senses: list[SenseEntry]) -> np.ndarray:
     """The senses' gloss code rows stacked (m, d_model), each gloss encoded by
     ``gloss_codes`` only if the model has no row for it under its current
     gloss-encoder bytes."""
-    stamp = b"".join(t.data.tobytes() for _, t in model.gloss.named_tensors())
+    stamp = model.gloss_values.tobytes()
     cache = model._gloss_rows
     if cache is None or cache[0] != stamp:
         cache = model._gloss_rows = (stamp, {})

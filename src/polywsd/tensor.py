@@ -116,6 +116,19 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
+class Cutter:
+    """Cuts consecutive C-order views of one flat float64 ``buffer``: each call
+    ``cut(*shape)`` returns a Tensor on the next ``shape`` block of values."""
+
+    def __init__(self, buffer: np.ndarray):
+        self.buffer, self.offset = buffer, 0
+
+    def __call__(self, *shape: int) -> Tensor:
+        start = self.offset
+        self.offset += math.prod(shape)
+        return Tensor(self.buffer[start : self.offset].reshape(shape))
+
+
 # A record is (output, inputs, vjp) where vjp maps the output adjoint to
 # one adjoint (or None) per input, in input order.
 _Vjp = Callable[[np.ndarray], tuple]

@@ -18,6 +18,7 @@ to the run's wall clock (its device-hours, as a run is one process).
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 from typing import NoReturn
@@ -192,15 +193,43 @@ def bcl_loss(sm: ScoreMatrix) -> LossValue:
     return LossValue(*T.cross_entropy(sm.scores, sm.mask, sm.targets))
 
 
+def _address(array) -> int | None:
+    """The address of a writable C-contiguous buffer's first byte, else None."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):
+        return None
+
+
+def _value_buffer(params: list[Tensor]) -> tuple[np.ndarray, list[slice]]:
+    """The buffer that ``params`` are consecutive C-order views of, covering it
+    whole in list order, and each one's slice of it; else a ContractError."""
+    buffer = params[0].data.base if params else None
+    address = _address(buffer) if isinstance(buffer, np.ndarray) and buffer.ndim == 1 else None
+    slices, start = [], 0
+    for i, p in enumerate(params):
+        if address is None or p.data.base is not buffer or _address(p.data) != address + 8 * start:
+            raise ContractError(
+                f"parameter {i} {p.shape} is not the next view of the value buffer, in list order"
+            )
+        slices.append(slice(start, start + p.size))
+        start += p.size
+    if address is None or start != buffer.size:
+        raise ContractError("the parameters do not cover one value buffer whole")
+    return buffer, slices
+
+
 class Adam:
     """Standard Adam with bias correction; deterministic given grads.
 
-    It owns its parameters' storage: flat buffers hold their values, grads and
-    moments, and each parameter's ``data`` and (after ``zero_grad``) ``grad`` is
-    a view into them, in list order, so a step is a few whole-buffer numpy
-    calls. Write held parameters in place: a rebound ``data`` makes ``step``
-    raise ContractError. ``m`` and ``v`` read as per-parameter views, so writing
-    into a view sets that moment.
+    Its ``values`` is the model's value buffer, adopted, not copied: the
+    parameters must be consecutive views that cover it in list order, as a
+    model's are, or construction raises ContractError. It owns flat gradient
+    and moment buffers; after ``zero_grad`` each ``grad`` is a view of the first,
+    so a step is a few whole-buffer numpy calls. Write parameter values in place:
+    a rebound ``data`` leaves the buffer and makes ``step`` raise ContractError.
+    ``m`` and ``v`` read as per-parameter views of ``m_flat`` and ``v_flat``, so
+    writing into a view sets that moment.
     """
 
     def __init__(
@@ -213,35 +242,29 @@ class Adam:
     ):
         check_optimizer_settings(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
         self.params = list(params)
-        if len({id(p) for p in self.params}) < len(self.params):
-            raise ContractError("a parameter is listed twice; each needs its own buffer slot")
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._shapes = [p.shape for p in self.params]
-        ends = np.cumsum([p.size for p in self.params], dtype=int)
-        self._slices = [slice(end - p.size, end) for p, end in zip(self.params, ends)]
-        size = int(ends[-1]) if len(ends) else 0
-        # one array each, so a model that outlives its optimizer keeps only values and grads alive
-        self._values, self._grads, self._m_flat, self._v_flat = (np.zeros(size) for _ in range(4))
+        self.values, self._slices = _value_buffer(self.params)
+        size = self.values.size
+        # one array each, so a model that outlives its optimizer keeps only grads alive
+        self._grads, self.m_flat, self.v_flat = (np.zeros(size) for _ in range(3))
         self._scratch = np.empty(size), np.empty(size)
-        self._data_views, self._grad_views = self._views(self._values), self._views(self._grads)
-        for p, view in zip(self.params, self._data_views):
-            view[...] = p.data
-            p.data = view
+        self._data_views = [p.data for p in self.params]
+        self._grad_views = self._views(self._grads)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [flat[sl].reshape(shape) for sl, shape in zip(self._slices, self._shapes)]
+        return [flat[sl].reshape(p.shape) for sl, p in zip(self._slices, self.params)]
 
     @property
     def m(self) -> list[np.ndarray]:
-        return self._views(self._m_flat)
+        return self._views(self.m_flat)
 
     @property
     def v(self) -> list[np.ndarray]:
-        return self._views(self._v_flat)
+        return self._views(self.v_flat)
 
     @classmethod
     def from_config(cls, params: list[Tensor], config: TrainConfig) -> "Adam":
@@ -266,7 +289,7 @@ class Adam:
                 raise ContractError(f"parameter {i} {data.shape} was rebound, not written in place")
             if p.grad is not grad:
                 grad[...] = 0.0 if p.grad is None else p.grad
-        g, m, v, (a, b) = self._grads, self._m_flat, self._v_flat, self._scratch
+        g, m, v, (a, b) = self._grads, self.m_flat, self.v_flat, self._scratch
         if not np.isfinite(g).all():
             return False
         self.t += 1
@@ -281,7 +304,7 @@ class Adam:
         np.sqrt(np.divide(v, bias2, out=b), out=b)
         b += self.eps
         a /= b
-        self._values -= a
+        self.values -= a
         return True
 
 
@@ -377,7 +400,7 @@ def _update(
     _clip_gradients(optimizer, clip_norm)
     if not optimizer.step():
         _raise_non_finite(model, "gradient", lambda t: t.grad, context)
-    if not np.isfinite(optimizer._values).all():
+    if not np.isfinite(optimizer.values).all():
         _raise_non_finite(model, "value", lambda t: t.data, context)
     return loss, counts
 

@@ -6,14 +6,16 @@ import subprocess
 import sys
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from polywsd.data import build_vocab
-from polywsd.encoder import EncoderConfig
-from polywsd.fusion import FusionConfig
+from polywsd.encoder import EncoderConfig, encoder_params, init_encoder
+from polywsd.fusion import FusionConfig, fusion_params, init_fusion
 from polywsd.model import build_model
 from polywsd.synthetic import synthetic_corpus
+from polywsd.tensor import Cutter, Tensor
 
 
 # any JSON value, kept small so fuzz tests stay quick
@@ -42,6 +44,31 @@ def run_fresh(code: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def packed(*arrays):
+    """Tensors holding ``arrays``, cut as consecutive views of one buffer, as a
+    model's parameters are, so that an ``Adam`` can adopt them."""
+    cut = Cutter(np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64))
+    return [cut(*np.shape(a)) for a in arrays]
+
+
+def _loose(*shape):
+    return Tensor(np.empty(shape))
+
+
+def fresh_encoder(config, rng):
+    """An initialised encoder outside any model, each tensor on its own array."""
+    params = encoder_params(config, _loose)
+    init_encoder(params, rng)
+    return params
+
+
+def fresh_fusion(config, rng):
+    """An initialised fusion outside any model, each tensor on its own array."""
+    params = fusion_params(config, _loose)
+    init_fusion(params, rng)
+    return params
 
 
 def tiny_model(

@@ -14,9 +14,10 @@ from polywsd.data import build_vocab
 from polywsd.encoder import EncoderConfig
 from polywsd.errors import CheckpointError, ConfigError, ContractError
 from polywsd.fusion import FusionConfig
-from polywsd.model import build_model, parameter_count
+from polywsd.model import build_model, parameter_count, randomize_parameters
+from polywsd.predict import score_candidates
 from polywsd.synthetic import synthetic_corpus
-from polywsd.training import Adam, TrainConfig, train
+from polywsd.training import Adam, TrainConfig, make_batches, train, train_step
 
 from conftest import JSON_VALUES, restamp_checksum, run_fresh, tiny_model
 
@@ -306,12 +307,18 @@ class TestRejection:
     def test_optimizer_of_another_model_rejected(self, tmp_path, n_layers):
         corpus, inventory, model, optimizer, config = _trained_world()
         other = tiny_model(corpus, inventory, seed=7, n_layers=n_layers)
-        reordered = Adam(model.parameters()[::-1])
-        for model_a, optimizer_b in (
-            (model, Adam(other.parameters())), (other, optimizer), (model, reordered)
-        ):
+        with pytest.raises(ContractError, match="not the next view of the value buffer"):
+            Adam(model.parameters()[::-1])
+        for model_a, optimizer_b in ((model, Adam(other.parameters())), (other, optimizer)):
             with pytest.raises(ContractError, match="this model's parameters, in order"):
                 save_checkpoint(tmp_path / "model.ckpt", model_a, optimizer_b, seed=0, step=3)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rebound_parameter_rejected(self, tmp_path):
+        _, _, model, _, _ = _trained_world()
+        model.gloss.tok_emb.data = model.gloss.tok_emb.data * 3.0
+        with pytest.raises(ContractError, match="parameter gloss.tok_emb was rebound"):
+            save_checkpoint(tmp_path / "model.ckpt", model, None, seed=0, step=3)
         assert list(tmp_path.iterdir()) == []
 
     def test_no_temp_files_left_behind(self, tmp_path):
@@ -341,6 +348,47 @@ def test_parameter_count_matches_build_model(context, gloss):
     )
     model = build_model(*configs, vocab, seed=0)
     assert parameter_count(*configs) == sum(t.size for t in model.parameters())
+    assert parameter_count(*configs) == model.values.size
+
+
+def test_a_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    _, _, model, optimizer, config = _trained_world()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, optimizer, seed=config.seed, step=3)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a load drew random numbers")
+
+    # numpy.random.default_rng, as polywsd.model, .encoder and .fusion see it
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = load_checkpoint(path)
+    for (_, saved), (_, got) in zip(model.named_parameters(), loaded.model.named_parameters()):
+        assert saved.data.tobytes() == got.data.tobytes()
+    assert loaded.optimizer.t == optimizer.t
+    for saved, got in zip(optimizer.m + optimizer.v, loaded.optimizer.m + loaded.optimizer.v):
+        assert saved.tobytes() == got.tobytes()
+
+
+def test_a_loaded_model_owns_a_writable_buffer_and_trains(tmp_path):
+    corpus, inventory, model, _, config = _trained_world()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, None, seed=config.seed, step=3)
+    loaded = load_checkpoint(path).model
+    assert loaded.values.flags.owndata and loaded.values.flags.writeable
+    assert loaded.values.tobytes() == model.values.tobytes()
+
+    def scores():
+        return [score_candidates(inst, inventory, loaded).scores for inst in corpus]
+
+    before, stamp = scores(), loaded._gloss_rows[0]
+    randomize_parameters(loaded, seed=3)
+    assert scores() != before
+    assert loaded._gloss_rows[0] != stamp and loaded._gloss_rows[0] == loaded.gloss_values.tobytes()
+
+    randomized = [p.data.copy() for p in loaded.parameters()]
+    batch = make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)[0]
+    train_step(batch, loaded, Adam(loaded.parameters()))
+    assert all(not np.array_equal(r, p.data) for r, p in zip(randomized, loaded.parameters()))
 
 
 class TestResume:

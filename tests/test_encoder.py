@@ -10,7 +10,6 @@ from polywsd.encoder import (
     cls_representation,
     encode,
     encode_batch,
-    init_encoder,
     target_representation,
 )
 from polywsd.errors import ConfigError, ContractError
@@ -18,7 +17,7 @@ from polywsd.fusion import FusionConfig
 from polywsd.synthetic import synthetic_corpus
 from polywsd.tensor import Tape, Tensor, backward
 
-from conftest import tiny_model
+from conftest import fresh_encoder, tiny_model
 
 
 CONFIG = EncoderConfig(vocab_size=20, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=10)
@@ -26,11 +25,11 @@ CONFIG = EncoderConfig(vocab_size=20, d_model=8, n_layers=1, n_heads=2, d_ff=16,
 
 @pytest.fixture
 def params():
-    return init_encoder(CONFIG, np.random.default_rng(0))
+    return fresh_encoder(CONFIG, np.random.default_rng(0))
 
 
 def _zeroed(config):
-    params = init_encoder(config, np.random.default_rng(0))
+    params = fresh_encoder(config, np.random.default_rng(0))
     for _, tensor in params.named_tensors():
         tensor.data[...] = 0.0
     return params
@@ -132,7 +131,7 @@ class TestEncodeBatch:
         config = EncoderConfig(
             vocab_size=20, d_model=8, n_layers=2, n_heads=2, d_ff=16, max_seq_len=10
         )
-        params = init_encoder(config, np.random.default_rng(1))
+        params = fresh_encoder(config, np.random.default_rng(1))
         full, padding = encode_batch(params, self.SEQUENCES)
         first, first_padding = encode_batch(params, self.SEQUENCES, first_row_only=True)
         assert first.shape == (3, 1, config.d_model)
@@ -213,8 +212,8 @@ class TestRepresentations:
 class TestGradientSeparation:
     def test_gloss_loss_leaves_context_params_untouched(self):
         rng = np.random.default_rng(1)
-        context = init_encoder(CONFIG, rng)
-        gloss = init_encoder(CONFIG, rng)
+        context = fresh_encoder(CONFIG, rng)
+        gloss = fresh_encoder(CONFIG, rng)
         tape = Tape()
         with tape:
             loss = T.sum_all(cls_representation(encode(gloss, [4, 5])))
@@ -225,7 +224,7 @@ class TestGradientSeparation:
 
     def test_encode_gradient_matches_finite_differences(self):
         config = EncoderConfig(vocab_size=8, d_model=4, n_layers=1, n_heads=2, d_ff=6, max_seq_len=6)
-        params = init_encoder(config, np.random.default_rng(2))
+        params = fresh_encoder(config, np.random.default_rng(2))
         proj = np.random.default_rng(3).normal(size=(5, 4))
 
         def f():

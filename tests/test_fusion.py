@@ -6,12 +6,12 @@ import pytest
 from polywsd import tensor as T
 from polywsd.encoder import multi_head_attention
 from polywsd.errors import ShapeError
-from polywsd.fusion import FusionConfig, fuse_context, fuse_gloss, init_fusion, score_pair
+from polywsd.fusion import FusionConfig, fuse_context, fuse_gloss, score_pair
 from polywsd.model import context_codes, gloss_codes
 from polywsd.synthetic import synthetic_corpus
 from polywsd.tensor import Tensor, finite_diff_check
 
-from conftest import tiny_model
+from conftest import fresh_fusion, tiny_model
 
 
 class TestCodeRows:
@@ -21,7 +21,7 @@ class TestCodeRows:
 
     def test_word_and_gloss_sides_share_shape(self):
         config = FusionConfig(d_model=6, poly_m=4, n_heads=2)
-        params = init_fusion(config, np.random.default_rng(0))
+        params = fresh_fusion(config, np.random.default_rng(0))
         word = fuse_context(Tensor(np.ones((3, 6))), Tensor(np.zeros(6)), params)
         gloss = fuse_gloss(Tensor(np.ones(6)))
         assert word.shape == gloss.shape == (1, 6)
@@ -165,7 +165,7 @@ class TestFullFusion:
         """The fusion is single-query attention followed by the output projection."""
         config = FusionConfig(d_model=6, poly_m=1, n_heads=2)
         rng = np.random.default_rng(6)
-        params = init_fusion(config, rng)
+        params = fresh_fusion(config, rng)
         encoded = Tensor(rng.normal(size=(5, 6)))
         target = Tensor(rng.normal(size=6))
 
@@ -192,7 +192,7 @@ class TestFullFusion:
     def test_score_gradient_through_fusion(self):
         config = FusionConfig(d_model=4, poly_m=2, n_heads=2)
         rng = np.random.default_rng(7)
-        params = init_fusion(config, rng)
+        params = fresh_fusion(config, rng)
         encoded = rng.normal(size=(4, 4))
         target = rng.normal(size=4)
         gloss_vec = rng.normal(size=4)

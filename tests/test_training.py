@@ -41,7 +41,7 @@ from polywsd.training import (
     train_step,
 )
 
-from conftest import tiny_model
+from conftest import packed, tiny_model
 from polywsd.synthetic import synthetic_corpus
 
 
@@ -178,7 +178,7 @@ class TestBclLoss:
 
 class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
-        p = Tensor([1.0, -2.0])
+        (p,) = packed([1.0, -2.0])
         opt = Adam([p], learning_rate=0.5)
         p.grad = np.zeros(2)
         opt.step()
@@ -186,21 +186,21 @@ class TestAdam:
 
     def test_first_step_closed_form(self):
         # bias-corrected first step with grad 1 moves by lr / (1 + eps)
-        p = Tensor([0.0])
+        (p,) = packed([0.0])
         opt = Adam([p], learning_rate=0.1)
         p.grad = np.ones(1)
         opt.step()
         assert p.data[0] == pytest.approx(-0.09999999900000001, abs=1e-12)
 
     def test_non_finite_grad_is_refused_whole(self):
-        p, q = Tensor([1.0]), Tensor([2.0])
+        p, q = packed([1.0], [2.0])
         opt = Adam([p, q], learning_rate=0.5)
         p.grad, q.grad = np.ones(1), np.array([np.inf])
         assert opt.step() is False
         assert opt.t == 0 and p.data[0] == 1.0 and not opt.m[0].any()
 
     def test_missing_grad_treated_as_zero(self):
-        p = Tensor([3.0])
+        (p,) = packed([3.0])
         opt = Adam([p])
         opt.step()
         np.testing.assert_array_equal(p.data, [3.0])
@@ -210,7 +210,7 @@ class TestAdam:
         for source in ("assigned", "backward"):
             rng = np.random.default_rng(5)
             shapes = [(3, 4), (4,), (2, 2), (5, 1)]
-            params = [Tensor(rng.normal(size=s)) for s in shapes]
+            params = packed(*(rng.normal(size=s) for s in shapes))
             ref_data = [p.data.copy() for p in params]
             ref_m = [np.zeros(s) for s in shapes]
             ref_v = [np.zeros(s) for s in shapes]
@@ -235,7 +235,7 @@ class TestAdam:
                     assert opt.v[i].tobytes() == ref_v[i].tobytes()
 
     def test_assigned_moments_are_the_ones_stepped(self):
-        p, q = Tensor(np.zeros((2, 2))), Tensor(np.zeros(3))
+        p, q = packed(np.zeros((2, 2)), np.zeros(3))
         opt = Adam([p, q], learning_rate=0.1)
         # the getters return live views: writing into them sets the moments
         for view, value in zip(opt.m + opt.v, (2.0, -1.0, 4.0, 9.0)):
@@ -263,7 +263,7 @@ class TestAdam:
     )
     def test_bad_settings_are_a_config_error(self, name, value):
         with pytest.raises(ConfigError, match=rf"^{name} must "):
-            Adam([Tensor([1.0])], **{name: value})
+            Adam(packed([1.0]), **{name: value})
 
 
 def _backward_grads(params, weights):
@@ -284,35 +284,50 @@ def _backward_grads(params, weights):
     return [c.grad for c in copies]
 
 
+def _assert_consecutive_views(buffer, arrays):
+    start = buffer.__array_interface__["data"][0]
+    for array in arrays:
+        assert array.__array_interface__["data"][0] == start and array.flags.c_contiguous
+        start += array.nbytes
+    assert start == buffer.__array_interface__["data"][0] + buffer.nbytes
+
+
 class TestParameterBuffer:
-    """``Adam`` owns one value and one gradient buffer; parameters are views into them."""
+    """A model's parameters are views of its one value buffer, which ``Adam`` adopts;
+    ``Adam`` owns the gradient buffer, and after ``zero_grad`` each grad is a view of it."""
 
     def test_parameters_become_views_of_the_value_buffer_in_order_bytes_unchanged(self, small_world):
-        params = small_world[2].parameters()
-        before = [p.data.tobytes() for p in params]
+        model = small_world[2]
+        params = model.parameters()
+        arrays = [p.data for p in params]
+        _assert_consecutive_views(model.values, arrays)
+        before = model.values.tobytes()
         opt = Adam(params)
         opt.zero_grad()
-        for buffer, arrays in ((opt._values, [p.data for p in params]),
-                               (opt._grads, [p.grad for p in params])):
-            start = buffer.__array_interface__["data"][0]
-            for array in arrays:
-                assert array.__array_interface__["data"][0] == start and array.flags.c_contiguous
-                start += array.nbytes
-            assert start == buffer.__array_interface__["data"][0] + buffer.nbytes
-        assert [p.data.tobytes() for p in params] == before
+        assert opt.values is model.values and all(p.data is a for p, a in zip(params, arrays))
+        _assert_consecutive_views(opt._grads, [p.grad for p in params])
+        assert model.values.tobytes() == before
+        second = Adam(params)
+        assert second.values is model.values and second.m_flat is not opt.m_flat
+
+    def test_parameters_not_covering_one_buffer_in_order_are_refused(self, small_world):
+        params = small_world[2].parameters()
+        for bad in ([Tensor([1.0])], params[::-1], params[1:], params[:-1], []):
+            with pytest.raises(ContractError, match="value buffer"):
+                Adam(bad)
 
     def test_randomize_after_the_optimizer_still_leaves_a_model_a_step_moves(self, small_world):
         corpus, inventory, model = small_world
         opt = Adam(model.parameters())
         randomize_parameters(model, seed=3)
         randomized = [p.data.copy() for p in model.parameters()]
-        assert opt._values.tobytes() == b"".join(r.tobytes() for r in randomized)
+        assert opt.values.tobytes() == b"".join(r.tobytes() for r in randomized)
         batch = make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)[0]
         train_step(batch, model, opt)
         assert all(not np.array_equal(r, p.data) for r, p in zip(randomized, model.parameters()))
 
     def test_rebound_data_makes_step_raise_naming_the_parameter(self):
-        p, q = Tensor([1.0]), Tensor(np.zeros(3))
+        p, q = packed([1.0], np.zeros(3))
         opt = Adam([p, q])
         q.data = np.ones(3)
         rebound = r"^parameter 1 \(3,\) was rebound, not written in place$"
@@ -321,8 +336,8 @@ class TestParameterBuffer:
         assert opt.t == 0 and p.data[0] == 1.0
 
     def test_a_tensor_listed_twice_is_refused(self):
-        p, q = Tensor([1.0]), Tensor([2.0])
-        with pytest.raises(ContractError, match="a parameter is listed twice"):
+        p, q = packed([1.0], [2.0])
+        with pytest.raises(ContractError, match="not the next view of the value buffer"):
             Adam([p, q, p])
 
 
@@ -453,7 +468,7 @@ class TestClipNorm:
         model, batch, grads, raw_norm = self._world_and_raw_grads()
         clip = raw_norm / 4.0
         params = model.parameters()
-        reference = [Tensor(p.data.copy()) for p in params]
+        reference = packed(*(p.data for p in params))
         for r, g in zip(reference, grads):
             r.grad = None if g is None else g * (clip / raw_norm)
         Adam(reference, learning_rate=1e-2).step()
@@ -482,7 +497,7 @@ def test_clip_norm_sums_squares_per_parameter_in_list_order():
     adds each parameter's sum of squares in list order (``_global_norm``)."""
     rng = np.random.default_rng(4)
     shapes = [(3, 4), (4,), (2, 2), (5, 1)]
-    params = [Tensor(np.zeros(s)) for s in shapes]
+    params = packed(*(np.zeros(s) for s in shapes))
     optimizer = Adam(params)
     for _ in range(20):
         grads = [rng.normal(size=s) for s in shapes]
