@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import DataError, InventoryError, ScoringError
 
@@ -103,6 +104,15 @@ class SenseInventory:
             if sense.id == sense_id:
                 return sense.gloss
         raise InventoryError(f"sense {sense_id!r} not listed for ({lemma!r}, {pos!r})")
+
+
+def look_up(instance: CorpusInstance, lookup: Callable, *args):
+    """``lookup(instance.lemma, instance.pos, *args)``, an inventory method; an
+    InventoryError it raises is raised again naming the instance."""
+    try:
+        return lookup(instance.lemma, instance.pos, *args)
+    except InventoryError as exc:
+        raise InventoryError(f"instance {instance.id!r}: {exc}") from None
 
 
 @dataclass

@@ -61,8 +61,8 @@ class DataError(PolyWsdError):
     """Malformed or inconsistent corpus / inventory / vocabulary data."""
 
 
-class InventoryError(PolyWsdError):
-    """A (lemma, pos) key is missing from the sense inventory."""
+class InventoryError(DataError):
+    """A (lemma, pos) key, or a sense under it, is missing from the sense inventory."""
 
 
 class BatchError(PolyWsdError):

@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .data import CorpusInstance, SenseEntry, SenseInventory
-from .errors import ContractError, InventoryError
+from .data import CorpusInstance, SenseEntry, SenseInventory, look_up
+from .errors import ContractError
 from .model import WsdModel, context_codes, gloss_codes
 
 
@@ -55,14 +55,6 @@ class Prediction:
 Predictor = Callable[[CorpusInstance], Prediction]
 
 
-def _candidates(inventory: SenseInventory, instance: CorpusInstance) -> list[SenseEntry]:
-    """The instance's candidate senses; a missing (lemma, pos) names the instance."""
-    try:
-        return inventory.candidates(instance.lemma, instance.pos)
-    except InventoryError as exc:
-        raise InventoryError(f"instance {instance.id!r}: {exc}") from None
-
-
 def _candidate_rows(model: WsdModel, senses: list[SenseEntry]) -> np.ndarray:
     """The senses' gloss code rows stacked (m, d_model), each gloss encoded by
     ``gloss_codes`` only if the model has no row for it under its current
@@ -82,7 +74,7 @@ def _candidate_rows(model: WsdModel, senses: list[SenseEntry]) -> np.ndarray:
 def score_candidates(
     instance: CorpusInstance, inventory: SenseInventory, model: WsdModel
 ) -> CandidateScores:
-    senses = _candidates(inventory, instance)
+    senses = look_up(instance, inventory.candidates)
     word = context_codes(model, instance.tokens, instance.target_index)
     # products summed row by row are bit-equal to score_pair per sense; a matmul is not
     scores = (_candidate_rows(model, senses) * word.data).sum(axis=1)
@@ -123,7 +115,7 @@ def mfs_predictor(
             counts.setdefault((inst.lemma, inst.pos), Counter())[inst.gold] += 1
 
     def predictor(instance: CorpusInstance) -> Prediction:
-        senses = _candidates(inventory, instance)
+        senses = look_up(instance, inventory.candidates)
         seen = counts.get((instance.lemma, instance.pos), Counter())
         best = max(senses, key=lambda sense: seen[sense.id])  # the first of tied maxima
         return Prediction(
@@ -137,7 +129,7 @@ def first_sense_predictor(inventory: SenseInventory) -> Predictor:
     """Always the first listed sense; inventory order encodes sense priority."""
 
     def predictor(instance: CorpusInstance) -> Prediction:
-        first = _candidates(inventory, instance)[0]
+        first = look_up(instance, inventory.candidates)[0]
         return Prediction(instance_id=instance.id, sense_id=first.id, gloss=first.gloss, score=0.0)
 
     return predictor

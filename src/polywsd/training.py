@@ -26,8 +26,8 @@ from typing import NoReturn
 import numpy as np
 
 from . import tensor as T
-from .data import CorpusInstance, SenseInventory
-from .errors import BatchError, ConfigError, DataError, InventoryError, ShapeError, TrainingError
+from .data import CorpusInstance, SenseInventory, look_up
+from .errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
 from .errors import ContractError, check_optimizer_settings, check_positive_ints, is_count
 from .fusion import score_rows
 from .model import WsdModel, context_code_rows, gloss_code_rows
@@ -353,10 +353,7 @@ def step_columns(
         return glosses, duplicate_gloss_mask(glosses), np.arange(len(batch))
     glosses, owners, targets = [], [], []
     for i, inst in enumerate(batch.instances):
-        try:
-            senses = inventory.candidates(inst.lemma, inst.pos)
-        except InventoryError as exc:
-            raise DataError(f"instance {inst.id!r}: {exc}") from None
+        senses = look_up(inst, inventory.candidates)
         sense_ids = [s.id for s in senses]
         if inst.gold is None or inst.gold not in sense_ids:
             raise DataError(
@@ -449,12 +446,7 @@ def make_batches(
         chunk = shuffled[start : start + batch_size]
         if len(chunk) < 2:
             break
-        glosses = []
-        for inst in chunk:
-            try:
-                glosses.append(inventory.gloss_of(inst.lemma, inst.pos, inst.gold))
-            except InventoryError as exc:
-                raise DataError(f"instance {inst.id!r}: {exc}") from None
+        glosses = [look_up(inst, inventory.gloss_of, inst.gold) for inst in chunk]
         batches.append(Batch(instances=chunk, gold_glosses=glosses))
     return batches
 
