@@ -170,10 +170,15 @@ def multi_head_attention(
     ``n_heads`` heads; head i uses column block i of ``wq``, ``wk`` and ``wv``,
     and the heads' outputs, side by side, are projected by ``wo``.
 
-    Takes one sequence, (n_q, d) over (n, d), or a batch, (b, n_q, d) over
-    (b, n, d). ``key_mask`` (b, n) is True at padded context positions, which
-    get exactly zero attention weight.
+    A padded batch, (b, n_q, d) over (b, n, d) with its (b, n) ``key_mask``,
+    True at padded context positions, which get exactly zero attention weight,
+    is one tape record, ``T.attention``: every training step runs it. Without a
+    mask, one sequence, (n_q, d) over (n, d), or a batch runs as a chain of 13
+    ops with the same bits, the fused op's test oracle; prediction's
+    per-sequence path keeps it until prediction is batched.
     """
+    if key_mask is not None:
+        return T.attention(queries, context, wq, wk, wv, wo, n_heads, key_mask)
     lead, n_q, n = queries.shape[:-2], queries.shape[-2], context.shape[-2]
     width, rows, r = wq.shape[1], math.prod(lead) * n_heads, len(lead)
     dh = width // n_heads
@@ -186,12 +191,8 @@ def multi_head_attention(
     q = split(T.matmul(queries, wq), n_q)
     k = split(T.matmul(context, wk), n)
     v = split(T.matmul(context, wv), n)
-    mask = None
-    if key_mask is not None:
-        per_head = np.repeat(key_mask.reshape(-1, n), n_heads, axis=0)
-        mask = np.broadcast_to(per_head[:, None, :], (rows, n_q, n))
     logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(dh))
-    heads = T.matmul(T.row_softmax(logits, mask=mask), v)
+    heads = T.matmul(T.row_softmax(logits), v)
     merged = T.regroup(heads, lead + (n_heads, n_q, dh), axes, lead + (n_q, width))
     return T.matmul(merged, wo)
 

@@ -27,6 +27,7 @@ and draws nothing. An optimizer adopts the buffer; a checkpoint writes it whole.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,7 @@ class WsdModel:
     gloss_values: np.ndarray = field(repr=False, compare=False)
     # Prediction's gloss-row cache (see ``predict.score_candidates``): not a
     # parameter, so never saved, compared or shown.
-    _gloss_rows: tuple[bytes, dict] | None = field(
+    _gloss_rows: tuple[bytes, dict, list] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -120,6 +121,17 @@ def model_on(
     return WsdModel(vocab, context, gloss, fusion_params(fusion_config, cut), values, gloss_values)
 
 
+def _memory_ceiling() -> float:
+    """Physical memory, or the address-space limit if lower; no ceiling off POSIX."""
+    try:
+        import resource
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ImportError, AttributeError, ValueError):
+        return float("inf")
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return physical if limit == resource.RLIM_INFINITY else min(physical, limit)
+
+
 def build_model(
     context_config: EncoderConfig,
     gloss_config: EncoderConfig,
@@ -127,8 +139,15 @@ def build_model(
     vocab: Vocab,
     seed: int,
 ) -> WsdModel:
-    """Seeded construction; the two encoders never share parameters."""
-    values = np.empty(parameter_count(context_config, gloss_config, fusion_config))
+    """Seeded construction; the two encoders never share parameters. Values past
+    ``_memory_ceiling`` are a ConfigError, raised before allocating them."""
+    count = parameter_count(context_config, gloss_config, fusion_config)
+    if count * 8 > (ceiling := _memory_ceiling()):
+        raise ConfigError(
+            f"{count} parameter values need {count * 8} bytes, more than the {ceiling} bytes "
+            f"of memory, for context {context_config} and gloss {gloss_config}"
+        )
+    values = np.empty(count)
     model = model_on(values, context_config, gloss_config, fusion_config, vocab)
     rng = np.random.default_rng(seed)
     init_encoder(model.context, rng)

@@ -11,10 +11,11 @@ on the model (``WsdModel._gloss_rows``). The cache is stamped with the bytes
 of ``WsdModel.gloss_values``, the gloss encoder's one slice of the model's
 value buffer, and dropped whenever they differ, so an optimizer step,
 ``randomize_parameters`` or an in-place write to a parameter never leaves a
-stale row; a second model, even one loaded from the same checkpoint,
-starts with an empty cache. Threads may share a model for prediction (a
-race at worst encodes a gloss twice), but not while it is being trained.
-Training never reads the cache.
+stale row; a gloss parameter rebound off the buffer, unseen by the stamp, is
+a ContractError, as at a step or a save. A second model, even one loaded
+from the same checkpoint, starts with an empty cache. Threads may share a
+model for prediction (a race at worst encodes a gloss twice), but not while
+it is being trained. Training never reads the cache.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ def _candidate_rows(model: WsdModel, senses: list[SenseEntry]) -> np.ndarray:
     stamp = model.gloss_values.tobytes()
     cache = model._gloss_rows
     if cache is None or cache[0] != stamp:
-        cache = model._gloss_rows = (stamp, {})
+        cache = model._gloss_rows = (stamp, {}, list(model.gloss.named_tensors("gloss.")))
+    if rebound := [name for name, t in cache[2] if t.data.base is not model.values]:
+        raise ContractError(f"parameter {rebound[0]} was rebound, not written in place")
     rows = cache[1]
     keys = [tuple(s.gloss) for s in senses]
     for key, sense in zip(keys, senses):

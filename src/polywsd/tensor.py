@@ -24,6 +24,8 @@ The training loss is one op, ``cross_entropy``: each row's masked
 log-softmax at its target cell, averaged over rows and negated, with the
 VJP written out by hand, so the loss takes one tape record. Rows are read
 out of an encoding by one op, ``gather``, a numpy index checked by its caller.
+Multi-head attention over a padded batch is one op, ``attention``, with
+the bits of the 13-op chain it replaces.
 
 The first ``backward`` of a process sets two glibc allocator thresholds once
 (``mallopt``): blocks of up to 32 MiB come from the heap rather than from
@@ -234,14 +236,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ):
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
-    def vjp(g: np.ndarray):
-        if shared:  # one product over all the batch's rows
-            return g @ y.T, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        if x.shape[-2] == 1:  # a one-term contraction is an outer product, exactly
-            return g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) * g
-        return g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g
+    return _emit(x @ y, (a, b), lambda g: _matmul_vjp(x, y, g))
 
-    return _emit(x @ y, (a, b), vjp)
+
+def _matmul_vjp(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjoints of ``x`` and ``y`` in ``x @ y`` for the output adjoint ``g``."""
+    if x.ndim == 3 and y.ndim == 2:  # a shared matrix: one product over all the batch's rows
+        return g @ y.T, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    if x.shape[-2] == 1:  # a one-term contraction is an outer product, exactly
+        return g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) * g
+    return g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -312,11 +316,12 @@ def row_softmax(m: Tensor, mask: np.ndarray | None = None) -> Tensor:
         raise ShapeError(f"row_softmax needs a non-empty rank-2 or 3 tensor, got shape {m.shape}")
     _, _, e, s = _masked_shift_exp(m.data, mask)
     p = e / s
+    return _emit(p, (m,), lambda g: (_softmax_vjp(p, g),))
 
-    def vjp(g: np.ndarray):
-        return (p * (g - _row_dot(g * p, np.ones((p.shape[-1], 1)))),)
 
-    return _emit(p, (m,), vjp)
+def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The adjoint of the logits of last-axis softmax ``p`` for its adjoint ``g``."""
+    return p * (g - _row_dot(g * p, np.ones((p.shape[-1], 1))))
 
 
 def cross_entropy(scores: Tensor, mask: np.ndarray | None, targets) -> tuple[Tensor, np.ndarray]:
@@ -476,6 +481,52 @@ def regroup(a: Tensor, grouped: Sequence[int], axes: Sequence[int], shape: Seque
     # the inverse permutation, an argsort of a few axes in plain Python
     inverse, old = sorted(range(len(axes)), key=axes.__getitem__), a.shape
     return _emit(out, (a,), lambda g: (g.reshape(permuted.shape).transpose(inverse).reshape(old),))
+
+
+def attention(
+    queries: Tensor, context: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+    n_heads: int, key_mask: np.ndarray,
+) -> Tensor:
+    """``encoder.multi_head_attention`` of (b, n_q, d) queries over a padded batch of
+    (b, n, d) context rows, as one record; keys where ``key_mask`` (b, n) is True
+    get exactly zero weight and gradient. Forward and VJP are that function's op
+    chain, expression by expression on arrays of the same layout: the same bits."""
+    x, c, width = queries.data, context.data, wo.shape[0]
+    if not (
+        x.ndim == 3 and c.shape[::2] == x.shape[::2] and key_mask.shape == c.shape[:2]
+        and wq.shape == wk.shape == wv.shape == (x.shape[2], width) and width % n_heads == 0
+    ):
+        raise ShapeError(
+            f"attention shape mismatch: {queries.shape} over {context.shape}, key mask "
+            f"{key_mask.shape}, {n_heads} heads of {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape}"
+        )
+    b, n_q, n, dh, axes = x.shape[0], x.shape[1], c.shape[1], width // n_heads, (0, 2, 1, 3)
+
+    def split(a: np.ndarray) -> np.ndarray:  # (b, m, width) -> (b * n_heads, m, dh)
+        return a.reshape(b, -1, n_heads, dh).transpose(axes).reshape(b * n_heads, -1, dh)
+
+    def merge(a: np.ndarray) -> np.ndarray:  # and back
+        return a.reshape(b, n_heads, -1, dh).transpose(axes).reshape(b, -1, width)
+
+    # C-order copies where the chain's ops make them: a strided kT moves the scores' bits
+    q, k, v = (np.ascontiguousarray(split(a @ w.data)) for a, w in ((x, wq), (c, wk), (c, wv)))
+    kT, scale = np.ascontiguousarray(k.swapaxes(-1, -2)), float(1.0 / np.sqrt(dh))
+    mask = np.broadcast_to(np.repeat(key_mask, n_heads, axis=0)[:, None, :], (b * n_heads, n_q, n))
+    _, _, e, s = _masked_shift_exp((q @ kT) * scale, mask)
+    p = e / s
+    merged = merge(p @ v)  # C-order already: only n_q == 1 or one head make it a view
+
+    def vjp(g: np.ndarray):
+        d_merged, d_wo = _matmul_vjp(merged, wo.data, g)
+        d_p, d_v = _matmul_vjp(p, v, split(d_merged))
+        d_q, d_kT = _matmul_vjp(q, kT, _softmax_vjp(p, d_p) * scale)
+        d_ctx_v, d_wv = _matmul_vjp(c, wv.data, merge(d_v))
+        d_ctx_k, d_wk = _matmul_vjp(c, wk.data, merge(d_kT.swapaxes(-1, -2)))
+        d_x, d_wq = _matmul_vjp(x, wq.data, merge(d_q))
+        # the chain's sum; if queries is context, backward adds d_x to it: + commutes
+        return d_x, d_ctx_v + d_ctx_k, d_wq, d_wk, d_wv, d_wo
+
+    return _emit(merged @ wo.data, (queries, context, wq, wk, wv, wo), vjp)
 
 
 # ---------------------------------------------------------------------------

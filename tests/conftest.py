@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from polywsd import tensor as T
 from polywsd.data import build_vocab
 from polywsd.encoder import EncoderConfig, encoder_params, init_encoder
 from polywsd.fusion import FusionConfig, fusion_params, init_fusion
@@ -44,6 +45,20 @@ def run_fresh(code: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def recorded_attention_weights(monkeypatch):
+    """A list that collects the weights of every masked softmax from now on, such as
+    the one inside ``tensor.attention``: its e / s, as the ops divide them."""
+    weights, shift_exp = [], T._masked_shift_exp
+
+    def recorded(x, mask):
+        out = shift_exp(x, mask)
+        weights.append(out[2] / out[3])
+        return out
+
+    monkeypatch.setattr(T, "_masked_shift_exp", recorded)
+    return weights
 
 
 def packed(*arrays):

@@ -1,7 +1,11 @@
 """CLI: end-to-end pipeline, bench, gradcheck, baselines, failure modes."""
 
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -382,6 +386,45 @@ def test_bad_config_is_a_located_error(workspace, tmp_path, capsys, text, locate
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {config}: ") and located in err
+    assert not (tmp_path / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("d_model", 10**9), ("d_ff", 4 * 10**9), ("max_seq_len", 10**8), ("n_layers", 10**8),
+        ("max_seq_len", 10**7),  # 2.6 GB: within most hosts' memory, past the limit
+    ],
+)
+def test_model_past_memory_is_refused_before_allocating(workspace, tmp_path, field, value):
+    """Under a 2 GiB address-space limit, a model too large for it exits 1 with the
+    sizes and the bytes, and no traceback, rather than failing in ``np.empty``."""
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"encoder": {field: value}}), encoding="utf-8")
+    argv = [
+        "train",
+        "--corpus", workspace / "corpus.jsonl",
+        "--inventory", workspace / "inventory.jsonl",
+        "--config", config,
+        "--out", tmp_path / "never.ckpt",
+    ]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from polywsd.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert re.match(
+        rf"error: \d+ parameter values need \d+ bytes, more than the \d+ bytes of memory, "
+        rf"for context EncoderConfig\(.*\b{field}={value}\b",
+        proc.stderr,
+    ), proc.stderr
     assert not (tmp_path / "never.ckpt").exists()
 
 

@@ -17,7 +17,7 @@ from polywsd.fusion import FusionConfig
 from polywsd.synthetic import synthetic_corpus
 from polywsd.tensor import Tape, Tensor, backward
 
-from conftest import fresh_encoder, tiny_model
+from conftest import fresh_encoder, recorded_attention_weights, tiny_model
 
 
 CONFIG = EncoderConfig(vocab_size=20, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=10)
@@ -86,15 +86,7 @@ class TestEncodeBatch:
             np.testing.assert_allclose(encoded.data[i, : len(ids) + 2], alone, rtol=0, atol=1e-12)
 
     def test_padded_keys_get_exactly_zero_weight(self, params, monkeypatch):
-        weights = []
-        real_softmax = T.row_softmax
-
-        def recorded(m, mask=None):
-            out = real_softmax(m, mask=mask)
-            weights.append(out.data)
-            return out
-
-        monkeypatch.setattr(T, "row_softmax", recorded)
+        weights = recorded_attention_weights(monkeypatch)
         _, padding = encode_batch(params, self.SEQUENCES)
         # one softmax per layer, the heads of item i in rows i * n_heads onwards
         assert len(weights) == CONFIG.n_layers
@@ -139,15 +131,7 @@ class TestEncodeBatch:
         np.testing.assert_allclose(first.data[:, 0], full.data[:, 0], rtol=0, atol=1e-12)
 
     def test_first_row_only_queries_every_real_key_once(self, params, monkeypatch):
-        weights = []
-        real_softmax = T.row_softmax
-
-        def recorded(m, mask=None):
-            out = real_softmax(m, mask=mask)
-            weights.append(out.data)
-            return out
-
-        monkeypatch.setattr(T, "row_softmax", recorded)
+        weights = recorded_attention_weights(monkeypatch)
         _, padding = encode_batch(params, self.SEQUENCES, first_row_only=True)
         # the last layer's logits are (b * n_heads, 1, L): one start-marker query per head
         (w,) = weights

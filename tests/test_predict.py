@@ -9,7 +9,7 @@ import pytest
 import polywsd.model
 from polywsd.checkpoint import load_checkpoint, save_checkpoint
 from polywsd.data import CorpusInstance, SenseEntry, SenseInventory
-from polywsd.errors import InventoryError
+from polywsd.errors import ContractError, InventoryError
 from polywsd.fusion import score_pair
 from polywsd.predict import (
     CandidateScores,
@@ -264,6 +264,16 @@ class TestGlossRowCache:
         else:
             randomize_parameters(model, seed=7)
         _assert_scores_equal_uncached_reference(corpus, inventory, model)
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["cached", "uncached"])
+    def test_rebound_gloss_parameter_is_refused(self, warm, small_world):
+        """A rebound tensor leaves the buffer the cache stamp reads: its rows would be stale."""
+        corpus, inventory, model = small_world
+        if warm:
+            predict_corpus(corpus, inventory, model)
+        model.gloss.tok_emb.data = model.gloss.tok_emb.data * 2.0
+        with pytest.raises(ContractError, match=r"^parameter gloss\.tok_emb was rebound, not"):
+            score_candidates(corpus[0], inventory, model)
 
     def test_checkpoint_bytes_unchanged_by_prediction(self, tmp_path, small_world):
         corpus, inventory, model = small_world

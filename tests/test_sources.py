@@ -2,8 +2,8 @@
 
 Each of a model's parameters is a view of the model's one value buffer, which
 an optimizer adopts and a checkpoint writes, so a parameter whose ``data`` is
-rebound leaves the buffer: a step or a save refuses it, and prediction's gloss
-cache does not see it. Parameter values are written in place; only
+rebound leaves the buffer: a step, a save or a prediction refuses it.
+Parameter values are written in place; only
 ``Tensor.__init__`` binds ``data``.
 """
 

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from polywsd import tensor as T
+from polywsd.encoder import multi_head_attention
 from polywsd.errors import ContractError, OracleError, ShapeError
 from polywsd.tensor import Tape, Tensor, backward, finite_diff_check
 
-from conftest import run_fresh
+from conftest import recorded_attention_weights, run_fresh
 
 # item 0 pads keys 1 and 3, item 1 keys 0-2, as one mask row per query
 _KEY_PADDING = np.broadcast_to(
@@ -299,6 +300,11 @@ def _projection(rng, shape):
     return Tensor(rng.normal(size=shape))
 
 
+def _projections(rng, d):
+    """The four (d, d) projections of an attention: query, key, value, output."""
+    return [_projection(rng, (d, d)) for _ in range(4)]
+
+
 def _log_prob_sum(p, cells, mask=None):
     """Sum of w * log P[i, j] over ``cells`` of (i, j, w), where P is the row softmax
     of rank-2 ``p`` without the ``mask`` cells: one ``cross_entropy`` per cell, over
@@ -485,6 +491,26 @@ _OP_TABLE = [
             T.cross_entropy(p, np.eye(3, 5, k=1, dtype=bool), [0, 4, 1])[0], 2.3
         ),
         (3, 5),
+    ),
+    # the fused attention of a padded batch: self-attention, where p is queries and
+    # context at once, and one query per item, as the fusion asks, over padded keys
+    (
+        "attention_self",
+        lambda p, rng: T.mul(
+            T.attention(p, p, *_projections(rng, 4), 2, _KEY_PADDING[:, 0, 1:]),
+            _projection(rng, (2, 3, 4)),
+        ),
+        (2, 3, 4),
+    ),
+    (
+        "attention_one_query",
+        lambda p, rng: T.mul(
+            T.attention(
+                p, _projection(rng, (2, 4, 4)), *_projections(rng, 4), 2, _KEY_PADDING[:, 0]
+            ),
+            _projection(rng, (2, 1, 4)),
+        ),
+        (2, 1, 4),
     ),
 ]
 
@@ -845,3 +871,105 @@ class TestRowKernels:
         for offset, (out_k, dx_k) in runs.items():
             assert out_k.tobytes() == out.tobytes(), offset
             assert dx_k.tobytes() == dx.tobytes(), offset
+
+
+# three padded items over five keys: lengths 5, 2 and 3
+_PADDING = np.arange(5) >= np.array([5, 2, 3])[:, None]
+
+
+def _head_mask(key_mask, n_heads, n_q):
+    """``key_mask`` (b, n) as one row per head and query, heads of item i first."""
+    per_head = np.repeat(key_mask, n_heads, axis=0)
+    return np.broadcast_to(per_head[:, None, :], (len(per_head), n_q, key_mask.shape[1]))
+
+
+def _chain_attention(monkeypatch, queries, context, weights, n_heads, key_mask):
+    """The unmasked op chain of ``multi_head_attention`` run on the padded batch, its
+    softmax masked as the fused op masks it: the fused op's bit-level oracle."""
+    mask, softmax = _head_mask(key_mask, n_heads, queries.shape[1]), T.row_softmax
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "row_softmax", lambda m: softmax(m, mask=mask))
+        return multi_head_attention(queries, context, *weights, n_heads)
+
+
+def _attention_inputs(case, rng):
+    """The leaves of one bit-equality case, and a function that builds the queries
+    and the context from them, to be run on the tape."""
+    x = Tensor(rng.normal(size=(3, 5, 4)))
+    if case in ("self", "self_one_item"):  # a batch of one makes the head split a view
+        x = x if case == "self" else Tensor(x.data[1:2])
+        return [x], lambda: (x, x)
+    if case == "first_row":  # the gloss pass's last layer: start-marker queries
+        return [x], lambda: (T.gather(x, np.s_[:, :1]), x)
+    target = Tensor(rng.normal(size=(3, 4)))  # the fusion: one target row per item
+    return [target, x], lambda: (T.reshape(target, (3, 1, 4)), x)
+
+
+class TestAttention:
+    """``attention`` is the padded-batch chain of ``multi_head_attention`` as one op."""
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("case", ["self", "self_one_item", "first_row", "fusion_query"])
+    def test_bit_equal_to_the_op_chain_forward_and_adjoints(self, monkeypatch, case, n_heads):
+        rng = np.random.default_rng(11)
+        leaves, inputs = _attention_inputs(case, rng)
+        weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
+        padding = _PADDING[1:2] if case == "self_one_item" else _PADDING
+        n_q = 5 if case.startswith("self") else 1
+        probe = Tensor(rng.normal(size=(len(padding), n_q, 4)))
+        runs, lengths = [], []
+        for attend in (
+            lambda q, c: _chain_attention(monkeypatch, q, c, weights, n_heads, padding),
+            lambda q, c: T.attention(q, c, *weights, n_heads, padding),
+        ):
+            for leaf in leaves + weights:
+                leaf.grad = None
+            tape = Tape()
+            with tape:
+                out = attend(*inputs())
+                loss = T.sum_all(T.mul(out, probe))
+            backward(loss, tape)
+            runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves + weights])
+            lengths.append(len(tape))
+        chain, fused = runs
+        assert lengths[1] == lengths[0] - 12  # the chain's 13 records are one
+        assert fused == chain
+
+    def test_padded_keys_get_exactly_zero_weight_and_gradient(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        queries, context = Tensor(rng.normal(size=(3, 2, 4))), Tensor(rng.normal(size=(3, 5, 4)))
+        weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
+        recorded = recorded_attention_weights(monkeypatch)
+        tape = Tape()
+        with tape:
+            out = T.attention(queries, context, *weights, 2, _PADDING)
+            loss = T.sum_all(T.mul(out, Tensor(rng.normal(size=out.shape))))
+        backward(loss, tape)
+        (w,) = recorded
+        keys = _head_mask(_PADDING, 2, 2)
+        assert w.shape == keys.shape
+        assert np.all(w[keys] == 0.0) and np.all(w[~keys] > 0.0)
+        assert np.all(context.grad[_PADDING] == 0.0) and np.all(context.grad[~_PADDING] != 0.0)
+        context.data[_PADDING] += 5.0  # what padding holds changes no output
+        again = T.attention(queries, context, *weights, 2, _PADDING)
+        assert again.data.tobytes() == out.data.tobytes()
+
+    def test_gradients_of_all_six_inputs_match_finite_differences(self):
+        rng = np.random.default_rng(13)
+        inputs = [Tensor(rng.normal(size=(3, 2, 4))), Tensor(rng.normal(size=(3, 5, 4)))]
+        inputs += [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
+        probe = Tensor(rng.normal(size=(3, 2, 4)))
+
+        def f():
+            return T.sum_all(T.mul(T.attention(*inputs, 2, _PADDING), probe))
+
+        assert finite_diff_check(f, inputs, h=1e-4) < 1e-4
+
+    def test_mismatched_shapes_rejected(self):
+        x, w = Tensor(np.ones((3, 5, 4))), Tensor(np.eye(4))
+        with pytest.raises(ShapeError):
+            T.attention(x, x, w, w, w, w, 2, _PADDING[:, :4])
+        with pytest.raises(ShapeError):
+            T.attention(x, x, w, w, w, w, 3, _PADDING)
+        with pytest.raises(ShapeError):
+            T.attention(x, Tensor(np.ones((2, 5, 4))), w, w, w, w, 2, _PADDING)

@@ -831,8 +831,9 @@ class TestBatchedPath:
         assert totals[0] < totals[1]
         assert records(small, MODE_ALL_CANDIDATES) == records(batch, MODE_ALL_CANDIDATES)
 
-    def test_forward_records_75_ops_at_the_cli_defaults(self):
-        """Each forward records 75 ops at the CLI defaults, the loss one of them."""
+    def test_forward_records_39_ops_at_the_cli_defaults(self):
+        """Each forward records 39 ops at the CLI defaults, the loss one of them, and
+        each of its three attentions (context, gloss, fusion) one."""
         corpus, inventory = synthetic_corpus(n_lemmas=10, senses_per_lemma=3, n_instances=50, seed=0)
         config = _load_config(None)
         vocab = build_vocab(corpus, inventory, min_freq=config["train"]["min_freq"])
@@ -847,7 +848,7 @@ class TestBatchedPath:
             tape = Tape()
             with tape:
                 forward()
-            assert len(tape) == 75
+            assert len(tape) == 39
 
 
 def _candidate_glosses(inventory, instances):
