@@ -75,15 +75,17 @@ def save_checkpoint(
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header_bytes)), header_bytes]
     moments = [] if optimizer is None else [optimizer.m_flat, optimizer.v_flat]
-    arrays = [np.ascontiguousarray(a, dtype="<f8") for a in (model.values, *moments)]
-    body = b"".join(parts + arrays)
+    parts += [np.ascontiguousarray(a, dtype="<f8") for a in (model.values, *moments)]
 
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(body)
-            fh.write(_CRC.pack(zlib.crc32(body)))
+            crc = 0  # the parts go out one by one, never joined into one copy
+            for part in parts:
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+            fh.write(_CRC.pack(crc))
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

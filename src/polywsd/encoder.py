@@ -11,19 +11,18 @@ real rows equal those of encoding it alone. A gloss's code is its
 start-marker row, so the gloss side asks ``encode_batch`` for that row
 alone: the last layer then runs its query, residual, feed-forward and
 output norm on one row per sequence, and only its keys and values span
-every row. ``encode`` runs the same stack on one sequence, which needs no
-padding, and always returns all its (n + 2, d) rows; prediction encodes
-each gloss through it, and callers that count encoder forwards wrap it by
-name, so it keeps its two-argument form.
+every row. ``encode`` is a batch of one with the batch axis removed, all
+its (n + 2, d) rows; prediction encodes each gloss through it, and callers
+that count encoder forwards wrap it by name, so it keeps its two-argument
+form.
 Blocks are pre-LayerNorm self-attention plus a GELU feed-forward, both
-with residual connections. Each attention projection is one (d, d) matrix
-whose column blocks are the heads (Vaswani et al. 2017, arXiv:1706.03762);
-the heads are folded into the batch axis for the softmax and back out of it.
+with residual connections. Each attention is one ``tensor.attention`` op;
+each of its projections is one (d, d) matrix whose column blocks are the
+heads (Vaswani et al. 2017, arXiv:1706.03762).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
 
@@ -156,49 +155,8 @@ def init_encoder(params: EncoderParams, rng: np.random.Generator) -> None:
     params.out_gain.data[...], params.out_bias.data[...] = 1.0, 0.0
 
 
-def multi_head_attention(
-    queries: Tensor,
-    context: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    wo: Tensor,
-    n_heads: int,
-    key_mask: np.ndarray | None = None,
-) -> Tensor:
-    """Scaled dot-product attention of ``queries`` over ``context`` rows in
-    ``n_heads`` heads; head i uses column block i of ``wq``, ``wk`` and ``wv``,
-    and the heads' outputs, side by side, are projected by ``wo``.
-
-    A padded batch, (b, n_q, d) over (b, n, d) with its (b, n) ``key_mask``,
-    True at padded context positions, which get exactly zero attention weight,
-    is one tape record, ``T.attention``: every training step runs it. Without a
-    mask, one sequence, (n_q, d) over (n, d), or a batch runs as a chain of 13
-    ops with the same bits, the fused op's test oracle; prediction's
-    per-sequence path keeps it until prediction is batched.
-    """
-    if key_mask is not None:
-        return T.attention(queries, context, wq, wk, wv, wo, n_heads, key_mask)
-    lead, n_q, n = queries.shape[:-2], queries.shape[-2], context.shape[-2]
-    width, rows, r = wq.shape[1], math.prod(lead) * n_heads, len(lead)
-    dh = width // n_heads
-    # (..., n, h, dh) <-> (..., h, n, dh): each head of each item is one batch entry
-    axes = tuple(range(r)) + (r + 1, r, r + 2)
-
-    def split(x: Tensor, length: int) -> Tensor:
-        return T.regroup(x, lead + (length, n_heads, dh), axes, (rows, length, dh))
-
-    q = split(T.matmul(queries, wq), n_q)
-    k = split(T.matmul(context, wk), n)
-    v = split(T.matmul(context, wv), n)
-    logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(dh))
-    heads = T.matmul(T.row_softmax(logits), v)
-    merged = T.regroup(heads, lead + (n_heads, n_q, dh), axes, lead + (n_q, width))
-    return T.matmul(merged, wo)
-
-
-def _wrapped_ids(config: EncoderConfig, token_ids: Sequence[int]) -> np.ndarray:
-    """``token_ids``, checked, between the start and end markers as an intp array."""
+def _check_ids(config: EncoderConfig, token_ids: Sequence[int]) -> None:
+    """Raise the ContractError that ``token_ids`` earns as one sequence, if any."""
     n = len(token_ids)
     if n < 1:
         raise ContractError("encode needs at least one token")
@@ -211,26 +169,22 @@ def _wrapped_ids(config: EncoderConfig, token_ids: Sequence[int]) -> np.ndarray:
     # a float id, even an integral one, would be truncated; a str, None or 2**70 is no intp
     if ids.dtype != np.intp or min(token_ids) < 0 or max(token_ids) >= config.vocab_size:
         raise ContractError(f"token ids must be integers in [0, {config.vocab_size})")
-    return ids
 
 
 def _encoder_stack(
-    params: EncoderParams,
-    ids: np.ndarray,
-    key_mask: np.ndarray | None,
-    first_row_only: bool = False,
+    params: EncoderParams, ids: np.ndarray, key_mask: np.ndarray, first_row_only: bool
 ) -> Tensor:
-    """The encoder on marker-wrapped ids: (L,) ids give (L, d) rows, (b, L) ids give
-    (b, L, d); ``key_mask`` (b, L) masks padded keys out of self-attention. With
-    ``first_row_only`` (batches only) the last layer queries row 0 alone: (b, 1, d)."""
-    positions = ids * 0 + np.arange(ids.shape[-1])
+    """The encoder on (b, L) marker-wrapped ids: (b, L, d) rows; ``key_mask`` (b, L)
+    masks padded keys out of self-attention. With ``first_row_only`` the last layer
+    queries row 0 alone: (b, 1, d)."""
+    positions = ids * 0 + np.arange(ids.shape[1])
     x = T.add(T.embed(params.tok_emb, ids), T.embed(params.pos_emb, positions))
     last = params.layers[-1]
     for layer in params.layers:
         normed = queries = T.layer_norm(x, layer.attn_gain, layer.attn_bias)
         if first_row_only and layer is last:
             queries, x = T.gather(normed, np.s_[:, :1]), T.gather(x, np.s_[:, :1])
-        attended = multi_head_attention(
+        attended = T.attention(
             queries, normed, layer.wq, layer.wk, layer.wv, layer.wo, params.config.n_heads, key_mask
         )
         x = T.add(x, attended)
@@ -263,7 +217,7 @@ def encode_batch(
     fits = ids.dtype == np.intp and lengths.min() > 2 and width <= params.config.max_seq_len
     if not (fits and ids.min() >= 0 and ids.max() < params.config.vocab_size):
         for token_ids in sequences:
-            _wrapped_ids(params.config, token_ids)
+            _check_ids(params.config, token_ids)
         ids = np.array(rows, dtype=np.intp)
     padding = np.arange(width) >= lengths[:, None]
     return _encoder_stack(params, ids, padding, first_row_only), padding
@@ -271,28 +225,18 @@ def encode_batch(
 
 def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:
     """Embed one bare token-id sequence as its (n + 2, d) rows; rows 0 and n+1 are
-    the start/end markers. The stack of ``encode_batch``, run without a batch
-    axis, which costs a single sequence less than a batch of one."""
-    return _encoder_stack(params, _wrapped_ids(params.config, token_ids), None)
+    the start/end markers: ``encode_batch`` of a batch of one, its batch axis removed."""
+    encoded, _ = encode_batch(params, [token_ids])
+    return T.reshape(encoded, encoded.shape[1:])
 
 
 def target_representation(
-    encoded: Tensor, target_index: int | Sequence[int], padding: np.ndarray | None = None
+    encoded: Tensor, target_index: Sequence[int], padding: np.ndarray
 ) -> Tensor:
-    """Row for the target word; word index t maps to row t+1 past the start marker.
-
-    One sequence's (n + 2, d) rows and an int give a (d,) row. A batch from
-    ``encode_batch``, its (b, L, d) rows, one word index per item and its
-    (b, L) ``padding`` mask, gives (b, d); each index is checked against its
-    own item's words.
-    """
-    if encoded.data.ndim == 2:
-        n_words = encoded.shape[0] - 2
-        if not 0 <= target_index < n_words:
-            raise IndexError(f"target index {target_index} out of range for {n_words} words")
-        return T.gather(encoded, target_index + 1)
-    if padding is None:
-        padding = np.zeros(encoded.shape[:2], dtype=bool)
+    """Each item's target-word row, (b, d), of a batch from ``encode_batch``: its
+    (b, L, d) rows, one word index per item and its (b, L) ``padding`` mask. Word
+    index t maps to row t + 1, past the start marker; each index is checked against
+    its own item's words."""
     n_words = encoded.shape[1] - 2 - padding.sum(axis=1)
     targets = np.asarray(target_index)
     bad = (targets < 0) | (targets >= n_words)

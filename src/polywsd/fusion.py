@@ -1,14 +1,15 @@
 """Attention fusion of a target word's local and global semantics.
 
 The target-word row is the single query of a multi-head scaled dot-product
-attention over the full context embedding, which yields one
-``1 x d_model`` code row for the word. A gloss is represented by its
-start-marker row in the same shape, so both sides are directly comparable:
-their match score is the inner product of the two code rows. For a padded
-batch of b contexts, the b target rows form one (b, 1, d) query batch for
-the same attention, each masked to its own context's real positions, and
-give b code rows at once. Like the encoders' self-attention, the fusion
-holds one (d, d) matrix per projection, its heads in column blocks.
+attention over the full context embedding, which yields one ``d_model``
+code row for the word. A gloss is represented by its start-marker row in
+the same shape, so both sides are directly comparable: their match score
+is the inner product of the two code rows. The b target rows of a padded
+batch of b contexts (b = 1 in prediction) form one (b, 1, d) query batch
+for one ``tensor.attention`` op, each masked to its own context's real
+positions, and give b code rows at once. Like the encoders' self-attention,
+the fusion holds one (d, d) matrix per projection, its heads in column
+blocks.
 
 ``FusionConfig.poly_m`` is accepted so existing configs load, but it has
 no effect: copies of one query attend identically, so any number of
@@ -25,7 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import tensor as T
-from .encoder import glorot, multi_head_attention, tensor_fields
+from .encoder import glorot, tensor_fields
 from .errors import ConfigError, ShapeError, check_positive_ints
 from .tensor import Tensor
 
@@ -82,20 +83,17 @@ def init_fusion(params: FusionParams, rng: np.random.Generator) -> None:
 
 
 def fuse_context(
-    encoded: Tensor, target: Tensor, params: FusionParams, key_mask: np.ndarray | None = None
+    encoded: Tensor, target: Tensor, params: FusionParams, key_mask: np.ndarray
 ) -> Tensor:
-    """Word-side code rows: each target row, as the only query, attends over its context.
-
-    One context (n, d) with its target row (d,) gives one (1, d) code row; a
-    padded batch (b, L, d) with target rows (b, d) and its (b, L) padding
-    ``key_mask`` gives (b, d).
-    """
-    d = target.shape[-1]
-    query = T.reshape(target, target.shape[:-1] + (1, d))
-    fused = multi_head_attention(
-        query, encoded, params.wq, params.wk, params.wv, params.w_o, params.config.n_heads, key_mask
+    """Word-side code rows: each target row, as the only query, attends over its
+    context. A padded batch (b, L, d) with target rows (b, d) and its (b, L) padding
+    ``key_mask`` gives (b, d)."""
+    b, d = target.shape
+    fused = T.attention(
+        T.reshape(target, (b, 1, d)), encoded, params.wq, params.wk, params.wv, params.w_o,
+        params.config.n_heads, key_mask,
     )
-    return T.reshape(fused, (fused.size // d, d))
+    return T.reshape(fused, (b, d))
 
 
 def fuse_gloss(cls_vector: Tensor) -> Tensor:

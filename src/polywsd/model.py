@@ -6,18 +6,18 @@ takes its start-marker row as its code row. A pair scores the inner product
 of the two rows. Both phases (training and prediction) use the same
 full-context path through the same encoder stack and fusion attention.
 
-Training builds each side of a batch in one padded pass
-(``context_code_rows``, ``gloss_code_rows``), so its tape holds one record
-per layer op however many sequences the batch has; padded positions are
-masked out of attention and change no real row. Only the start-marker row
-of a gloss is read, so ``gloss_code_rows`` has the last encoder layer compute
-that row alone; the context side keeps every row, since fusion attends over
-them. Prediction encodes one sequence per call (``context_codes``,
-``gloss_codes``, through the full-row ``encode``), and each distinct
-gloss only once per model: ``predict.score_candidates`` keeps the gloss
-code rows in the model's ``_gloss_rows`` until the gloss encoder's slice of
-the value buffer changes. Either way, encoder forwards are counted per
-sequence, not per pass.
+Every encode is one padded pass of ``encode_batch``, so a tape holds one
+record per layer op however many sequences the batch has; padded positions
+are masked out of attention and change no real row. Training builds each
+side of a batch in one pass (``context_code_rows``, ``gloss_code_rows``).
+Only the start-marker row of a gloss is read, so ``gloss_code_rows`` has the
+last encoder layer compute that row alone; the context side keeps every
+row, since fusion attends over them. Prediction encodes one sequence per
+call, a batch of one (``context_codes``; ``gloss_codes``, through the
+full-row ``encode``), and each distinct gloss only once per model:
+``predict.score_candidates`` keeps the gloss code rows in the model's
+``_gloss_rows`` until the gloss encoder's slice of the value buffer changes.
+Either way, encoder forwards are counted per sequence, not per pass.
 
 A model owns one flat float64 buffer, ``values``, of which each parameter is
 a view, in the order ``model_on`` states. ``build_model`` draws initial values
@@ -167,12 +167,17 @@ def _gloss_ids(model: WsdModel, gloss_tokens: list[str]) -> list[int]:
     return content_ids(gloss_tokens, model.vocab, model.gloss.config.max_seq_len - 2)
 
 
+def _window_code_rows(model: WsdModel, windows: list[tuple[list[int], int]]) -> Tensor:
+    """One code row per (context ids, target index) window, from one padded
+    context-encoder pass and one fusion pass."""
+    encoded, padding = encode_batch(model.context, [ids for ids, _ in windows])
+    targets = target_representation(encoded, [target for _, target in windows], padding)
+    return fuse_context(encoded, targets, model.fusion, padding)
+
+
 def context_codes(model: WsdModel, tokens: list[str], target_index: int) -> Tensor:
-    """Fused 1 x d_model code row for a target word in its context."""
-    ids, window_target = _context_window(model, tokens, target_index)
-    encoded = encode(model.context, ids)
-    target = target_representation(encoded, window_target)
-    return fuse_context(encoded, target, model.fusion)
+    """Fused 1 x d_model code row for a target word in its context: a batch of one."""
+    return _window_code_rows(model, [_context_window(model, tokens, target_index)])
 
 
 def gloss_codes(model: WsdModel, gloss_tokens: list[str]) -> Tensor:
@@ -183,11 +188,9 @@ def gloss_codes(model: WsdModel, gloss_tokens: list[str]) -> Tensor:
 
 def context_code_rows(model: WsdModel, instances: list[CorpusInstance]) -> Tensor:
     """b x d_model code rows, row i equal to ``context_codes`` of instance i up to
-    rounding, from one padded context-encoder pass and one fusion pass."""
+    rounding, not bit for bit: the padded width and batch size shape the arithmetic."""
     windows = [_context_window(model, inst.tokens, inst.target_index) for inst in instances]
-    encoded, padding = encode_batch(model.context, [ids for ids, _ in windows])
-    targets = target_representation(encoded, [target for _, target in windows], padding)
-    return fuse_context(encoded, targets, model.fusion, key_mask=padding)
+    return _window_code_rows(model, windows)
 
 
 def gloss_code_rows(model: WsdModel, glosses: list[list[str]]) -> Tensor:

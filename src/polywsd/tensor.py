@@ -24,8 +24,8 @@ The training loss is one op, ``cross_entropy``: each row's masked
 log-softmax at its target cell, averaged over rows and negated, with the
 VJP written out by hand, so the loss takes one tape record. Rows are read
 out of an encoding by one op, ``gather``, a numpy index checked by its caller.
-Multi-head attention over a padded batch is one op, ``attention``, with
-the bits of the 13-op chain it replaces.
+Multi-head attention over a padded batch, a batch of one included, is one
+op, ``attention``, with the bits of the 13-op chain its tests check it against.
 
 The first ``backward`` of a process sets two glibc allocator thresholds once
 (``mallopt``): blocks of up to 32 MiB come from the heap rather than from
@@ -243,8 +243,6 @@ def _matmul_vjp(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> tuple[np.ndarray
     """The adjoints of ``x`` and ``y`` in ``x @ y`` for the output adjoint ``g``."""
     if x.ndim == 3 and y.ndim == 2:  # a shared matrix: one product over all the batch's rows
         return g @ y.T, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-    if x.shape[-2] == 1:  # a one-term contraction is an outer product, exactly
-        return g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) * g
     return g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g
 
 
@@ -487,10 +485,13 @@ def attention(
     queries: Tensor, context: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     n_heads: int, key_mask: np.ndarray,
 ) -> Tensor:
-    """``encoder.multi_head_attention`` of (b, n_q, d) queries over a padded batch of
-    (b, n, d) context rows, as one record; keys where ``key_mask`` (b, n) is True
-    get exactly zero weight and gradient. Forward and VJP are that function's op
-    chain, expression by expression on arrays of the same layout: the same bits."""
+    """Scaled dot-product attention of (b, n_q, d) queries over a padded batch of
+    (b, n, d) context rows in ``n_heads`` heads, as one record. Head i uses column
+    block i of ``wq``, ``wk`` and ``wv``; the heads' outputs, side by side, are
+    projected by ``wo``. Keys where ``key_mask`` (b, n) is True get exactly zero
+    weight and gradient. Forward and VJP repeat, expression by expression on arrays
+    of the same layout, a chain of 13 ops (matmul, regroup, transpose, scale and
+    the masked row_softmax), its bit-level test oracle: the same bits."""
     x, c, width = queries.data, context.data, wo.shape[0]
     if not (
         x.ndim == 3 and c.shape[::2] == x.shape[::2] and key_mask.shape == c.shape[:2]
@@ -511,7 +512,9 @@ def attention(
     # C-order copies where the chain's ops make them: a strided kT moves the scores' bits
     q, k, v = (np.ascontiguousarray(split(a @ w.data)) for a, w in ((x, wq), (c, wk), (c, wv)))
     kT, scale = np.ascontiguousarray(k.swapaxes(-1, -2)), float(1.0 / np.sqrt(dh))
-    mask = np.broadcast_to(np.repeat(key_mask, n_heads, axis=0)[:, None, :], (b * n_heads, n_q, n))
+    mask = None  # nothing masked (a batch of one, an unpadded batch): no per-head mask
+    if key_mask.any():
+        mask = np.broadcast_to(np.repeat(key_mask, n_heads, axis=0)[:, None, :], (len(q), n_q, n))
     _, _, e, s = _masked_shift_exp((q @ kT) * scale, mask)
     p = e / s
     merged = merge(p @ v)  # C-order already: only n_q == 1 or one head make it a view

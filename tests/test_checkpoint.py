@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ class TestRoundTrip:
         expected += ["fusion.wq", "fusion.wk", "fusion.wv", "fusion.w_o"]
         assert len(expected) == 36
         assert [entry["name"] for entry in json.loads(raw[16 : 16 + hlen])["params"]] == expected
+
+    def test_save_streams_the_payload_without_a_copy(self, tmp_path):
+        """The parts go to the file one by one: a save allocates less than the value
+        buffer, so a model that fits in memory once can be saved."""
+        corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=10, seed=2)
+        model = tiny_model(corpus, inventory, seed=6, d_model=32)
+        optimizer = Adam.from_config(model.parameters(), TrainConfig(batch_size=4, epochs=1))
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "model.ckpt", model, optimizer, seed=6, step=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.values.nbytes
+        assert load_checkpoint(tmp_path / "model.ckpt").model.values.tobytes() == model.values.tobytes()
 
     def test_without_optimizer(self, tmp_path):
         _, _, model, _, config = _trained_world()

@@ -35,6 +35,12 @@ def _zeroed(config):
     return params
 
 
+def _one_target(params, ids, index):
+    """A batch of one: its (1, n + 2, d) encoding and its target row, (1, d)."""
+    encoded, padding = encode_batch(params, [ids])
+    return encoded, target_representation(encoded, [index], padding)
+
+
 class TestEncode:
     def test_three_tokens_give_five_rows(self, params):
         out = encode(params, [4, 5, 6])
@@ -65,8 +71,8 @@ class TestEncode:
 
     def test_permuting_context_changes_target_representation(self, params):
         # seed-pinned probabilistic check: self-attention mixes context
-        base = target_representation(encode(params, [4, 5, 6, 7, 8]), 0)
-        swapped = target_representation(encode(params, [4, 5, 7, 6, 8]), 0)
+        _, base = _one_target(params, [4, 5, 6, 7, 8], 0)
+        _, swapped = _one_target(params, [4, 5, 7, 6, 8], 0)
         assert np.abs(base.data - swapped.data).max() > 1e-9
 
 
@@ -165,18 +171,17 @@ class TestEncodeBatch:
 
 class TestRepresentations:
     def test_target_offset_first_word(self, params):
-        out = encode(params, [9])
-        assert out.shape[0] == 3
-        np.testing.assert_array_equal(target_representation(out, 0).data, out.data[1])
+        out, target = _one_target(params, [9], 0)
+        assert out.shape[1] == 3
+        np.testing.assert_array_equal(target.data, out.data[:, 1])
 
     def test_target_offset_mid_sequence(self, params):
-        out = encode(params, [4, 5, 6, 7, 8])
-        np.testing.assert_array_equal(target_representation(out, 2).data, out.data[3])
+        out, target = _one_target(params, [4, 5, 6, 7, 8], 2)
+        np.testing.assert_array_equal(target.data, out.data[:, 3])
 
     def test_target_out_of_range_reports_bounds(self, params):
-        out = encode(params, [4, 5, 6])
         with pytest.raises(IndexError) as err:
-            target_representation(out, 3)
+            _one_target(params, [4, 5, 6], 3)
         assert "3" in str(err.value)
 
     def test_cls_is_row_zero(self, params):
@@ -189,8 +194,8 @@ class TestRepresentations:
         assert short.shape == long.shape == (CONFIG.d_model,)
 
     def test_cls_differs_from_target_row_on_random_params(self, params):
-        out = encode(params, [4, 5, 6])
-        assert np.abs(cls_representation(out).data - target_representation(out, 0).data).max() > 1e-9
+        out, target = _one_target(params, [4, 5, 6], 0)
+        assert np.abs(cls_representation(out).data - target.data).max() > 1e-9
 
 
 class TestGradientSeparation:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from polywsd import tensor as T
-from polywsd.encoder import multi_head_attention
 from polywsd.errors import ShapeError
 from polywsd.fusion import FusionConfig, fuse_context, fuse_gloss, score_pair
 from polywsd.model import context_codes, gloss_codes
@@ -22,7 +21,8 @@ class TestCodeRows:
     def test_word_and_gloss_sides_share_shape(self):
         config = FusionConfig(d_model=6, poly_m=4, n_heads=2)
         params = fresh_fusion(config, np.random.default_rng(0))
-        word = fuse_context(Tensor(np.ones((3, 6))), Tensor(np.zeros(6)), params)
+        encoded, target = Tensor(np.ones((1, 3, 6))), Tensor(np.zeros((1, 6)))
+        word = fuse_context(encoded, target, params, _unpadded(3))
         gloss = fuse_gloss(Tensor(np.ones(6)))
         assert word.shape == gloss.shape == (1, 6)
 
@@ -48,9 +48,22 @@ def _projections(d_model, d_k, rng):
     return [Tensor(rng.normal(size=(d_model, d_k))) for _ in range(3)]
 
 
+def _unpadded(n):
+    """The key mask of a batch of one n-row context: nothing masked."""
+    return np.zeros((1, n), dtype=bool)
+
+
+def _attend(queries, context, wq, wk, wv, wo, n_heads):
+    """``T.attention`` of (n_q, d) queries over (n, d) context rows as a batch of one,
+    its batch axis removed: (n_q, width)."""
+    q, c = (T.reshape(t, (1,) + t.shape) for t in (queries, context))
+    out = T.attention(q, c, wq, wk, wv, wo, n_heads, _unpadded(context.shape[0]))
+    return T.reshape(out, out.shape[1:])
+
+
 def _one_head(queries, context, wq, wk, wv):
     """A single head with an identity output projection: the head's own output."""
-    return multi_head_attention(queries, context, wq, wk, wv, Tensor(np.eye(wv.shape[1])), 1)
+    return _attend(queries, context, wq, wk, wv, Tensor(np.eye(wv.shape[1])), 1)
 
 
 class TestAttentionHead:
@@ -105,27 +118,27 @@ class TestFuseHeads:
     def test_identity_projection_single_head(self):
         queries, context = self._single_key([1.0, 2.0])
         eye = Tensor(np.eye(2))
-        out = multi_head_attention(queries, context, eye, eye, eye, eye, 1)
+        out = _attend(queries, context, eye, eye, eye, eye, 1)
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [1.0, 2.0]])
 
     def test_zero_projection(self):
         queries, context = self._single_key([1.0, 2.0])
         eye = Tensor(np.eye(2))
-        out = multi_head_attention(queries, context, eye, eye, eye, Tensor(np.zeros((2, 2))), 1)
+        out = _attend(queries, context, eye, eye, eye, Tensor(np.zeros((2, 2))), 1)
         np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
     def test_hand_concat_two_heads(self):
         queries, context = self._single_key([3.0, 4.0])
         # head 0 reads feature 1 and head 1 feature 0: the value blocks are swapped
         eye, swap = Tensor(np.eye(2)), Tensor([[0.0, 1.0], [1.0, 0.0]])
-        out = multi_head_attention(queries, context, eye, eye, swap, eye, 2)
+        out = _attend(queries, context, eye, eye, swap, eye, 2)
         np.testing.assert_array_equal(out.data, [[4.0, 3.0], [4.0, 3.0]])
 
     def test_wrong_head_count_rejected(self):
         queries, context = self._single_key([1.0, 2.0])
         eye = Tensor(np.eye(2))  # one head of width 2, projection wants 4
         with pytest.raises(ShapeError):
-            multi_head_attention(queries, context, eye, eye, eye, Tensor(np.eye(4)), 1)
+            _attend(queries, context, eye, eye, eye, Tensor(np.eye(4)), 1)
 
 
 class TestScorePair:
@@ -166,18 +179,18 @@ class TestFullFusion:
         config = FusionConfig(d_model=6, poly_m=1, n_heads=2)
         rng = np.random.default_rng(6)
         params = fresh_fusion(config, rng)
-        encoded = Tensor(rng.normal(size=(5, 6)))
-        target = Tensor(rng.normal(size=6))
+        encoded = Tensor(rng.normal(size=(1, 5, 6)))
+        target = Tensor(rng.normal(size=(1, 6)))
 
-        got = fuse_context(encoded, target, params)
+        got = fuse_context(encoded, target, params, _unpadded(5))
 
         # independent single-query oracle in plain numpy
         pieces = []
         for h in range(config.n_heads):
             block = slice(h * config.head_dim, (h + 1) * config.head_dim)
-            q = target.data[None, :] @ params.wq.data[:, block]
-            k = encoded.data @ params.wk.data[:, block]
-            v = encoded.data @ params.wv.data[:, block]
+            q = target.data @ params.wq.data[:, block]
+            k = encoded.data[0] @ params.wk.data[:, block]
+            v = encoded.data[0] @ params.wv.data[:, block]
             logits = (q @ k.T) / np.sqrt(config.head_dim)
             e = np.exp(logits - logits.max())
             pieces.append((e / e.sum()) @ v)
@@ -193,12 +206,12 @@ class TestFullFusion:
         config = FusionConfig(d_model=4, poly_m=2, n_heads=2)
         rng = np.random.default_rng(7)
         params = fresh_fusion(config, rng)
-        encoded = rng.normal(size=(4, 4))
-        target = rng.normal(size=4)
+        encoded = rng.normal(size=(1, 4, 4))
+        target = rng.normal(size=(1, 4))
         gloss_vec = rng.normal(size=4)
 
         def f():
-            codes = fuse_context(Tensor(encoded), Tensor(target), params)
+            codes = fuse_context(Tensor(encoded), Tensor(target), params, _unpadded(4))
             return score_pair(codes, fuse_gloss(Tensor(gloss_vec)))
 
         err = finite_diff_check(f, [t for _, t in params.named_tensors()], h=1e-4)

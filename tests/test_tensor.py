@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from polywsd import tensor as T
-from polywsd.encoder import multi_head_attention
 from polywsd.errors import ContractError, OracleError, ShapeError
 from polywsd.tensor import Tape, Tensor, backward, finite_diff_check
 
@@ -477,7 +476,7 @@ _OP_TABLE = [
         lambda p, rng: T.mul(T.gather(p, np.s_[:, :1]), _projection(rng, (2, 1, 4))),
         (2, 3, 4),
     ),
-    # a one-row left operand makes the right operand's adjoint an outer product
+    # a one-row left operand: the right operand's adjoint is a one-term contraction
     ("matmul_one_row_right", lambda p, rng: T.matmul(_projection(rng, (1, 3)), p), (3, 4)),
     (
         "matmul_one_row_batched_right",
@@ -511,6 +510,15 @@ _OP_TABLE = [
             _projection(rng, (2, 1, 4)),
         ),
         (2, 1, 4),
+    ),
+    # an unpadded batch, as every prediction's batch of one is: no key is masked
+    (
+        "attention_unpadded",
+        lambda p, rng: T.mul(
+            T.attention(p, p, *_projections(rng, 4), 2, np.zeros((2, 3), dtype=bool)),
+            _projection(rng, (2, 3, 4)),
+        ),
+        (2, 3, 4),
     ),
 ]
 
@@ -883,13 +891,26 @@ def _head_mask(key_mask, n_heads, n_q):
     return np.broadcast_to(per_head[:, None, :], (len(per_head), n_q, key_mask.shape[1]))
 
 
-def _chain_attention(monkeypatch, queries, context, weights, n_heads, key_mask):
-    """The unmasked op chain of ``multi_head_attention`` run on the padded batch, its
+def _chain_attention(queries, context, weights, n_heads, key_mask):
+    """The chain of 13 ops that ``attention`` replaced, run on the padded batch, its
     softmax masked as the fused op masks it: the fused op's bit-level oracle."""
-    mask, softmax = _head_mask(key_mask, n_heads, queries.shape[1]), T.row_softmax
-    with monkeypatch.context() as patch:
-        patch.setattr(T, "row_softmax", lambda m: softmax(m, mask=mask))
-        return multi_head_attention(queries, context, *weights, n_heads)
+    wq, wk, wv, wo = weights
+    lead, n_q, n = queries.shape[:-2], queries.shape[-2], context.shape[-2]
+    width, rows, r = wq.shape[1], math.prod(lead) * n_heads, len(lead)
+    dh = width // n_heads
+    # (..., n, h, dh) <-> (..., h, n, dh): each head of each item is one batch entry
+    axes = tuple(range(r)) + (r + 1, r, r + 2)
+
+    def split(x, length):
+        return T.regroup(x, lead + (length, n_heads, dh), axes, (rows, length, dh))
+
+    q = split(T.matmul(queries, wq), n_q)
+    k = split(T.matmul(context, wk), n)
+    v = split(T.matmul(context, wv), n)
+    logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(dh))
+    heads = T.matmul(T.row_softmax(logits, mask=_head_mask(key_mask, n_heads, n_q)), v)
+    merged = T.regroup(heads, lead + (n_heads, n_q, dh), axes, lead + (n_q, width))
+    return T.matmul(merged, wo)
 
 
 def _attention_inputs(case, rng):
@@ -906,20 +927,24 @@ def _attention_inputs(case, rng):
 
 
 class TestAttention:
-    """``attention`` is the padded-batch chain of ``multi_head_attention`` as one op."""
+    """``attention`` is the padded-batch op chain as one op."""
 
     @pytest.mark.parametrize("n_heads", [1, 2])
-    @pytest.mark.parametrize("case", ["self", "self_one_item", "first_row", "fusion_query"])
-    def test_bit_equal_to_the_op_chain_forward_and_adjoints(self, monkeypatch, case, n_heads):
+    @pytest.mark.parametrize(
+        "case", ["self", "self_one_item", "first_row", "fusion_query", "fusion_unpadded"]
+    )
+    def test_bit_equal_to_the_op_chain_forward_and_adjoints(self, case, n_heads):
         rng = np.random.default_rng(11)
         leaves, inputs = _attention_inputs(case, rng)
         weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
         padding = _PADDING[1:2] if case == "self_one_item" else _PADDING
+        if case == "fusion_unpadded":  # nothing masked: the fused op skips its mask
+            padding = np.zeros_like(_PADDING)
         n_q = 5 if case.startswith("self") else 1
         probe = Tensor(rng.normal(size=(len(padding), n_q, 4)))
         runs, lengths = [], []
         for attend in (
-            lambda q, c: _chain_attention(monkeypatch, q, c, weights, n_heads, padding),
+            lambda q, c: _chain_attention(q, c, weights, n_heads, padding),
             lambda q, c: T.attention(q, c, *weights, n_heads, padding),
         ):
             for leaf in leaves + weights:

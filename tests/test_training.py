@@ -770,6 +770,13 @@ class TestBatchedPath:
             single = gloss_codes(model, gloss)
             np.testing.assert_allclose(rows.data[j : j + 1], single.data, rtol=0, atol=1e-12)
 
+    def test_context_codes_is_row_zero_of_a_batch_of_one(self):
+        _, model, batch = _ragged_world(8)
+        randomize_parameters(model, seed=3)
+        for inst in batch.instances:
+            single = context_codes(model, inst.tokens, inst.target_index)
+            assert single.data.tobytes() == context_code_rows(model, [inst]).data[:1].tobytes()
+
     def test_pad_embedding_gets_exactly_zero_gradient(self):
         inventory, model, batch = _ragged_world(8)
         randomize_parameters(model, seed=4)
@@ -849,6 +856,26 @@ class TestBatchedPath:
             with tape:
                 forward()
             assert len(tape) == 39
+
+    def test_prediction_records_18_and_17_ops_at_the_cli_defaults(self):
+        """Prediction's batch of one records 18 ops per ``context_codes`` and 17 per
+        ``gloss_codes`` at the CLI defaults: each attention (context, fusion, gloss) is
+        one record, as in training."""
+        corpus, inventory = synthetic_corpus(n_lemmas=10, senses_per_lemma=3, n_instances=50, seed=0)
+        config = _load_config(None)
+        vocab = build_vocab(corpus, inventory, min_freq=config["train"]["min_freq"])
+        encoder_config, fusion_config = _model_configs(config, None, vocab.size)
+        model = build_model(encoder_config, encoder_config, fusion_config, vocab, seed=0)
+        inst = corpus[0]
+        gloss = inventory.candidates(inst.lemma, inst.pos)[0].gloss
+        for forward, records in (
+            (lambda: context_codes(model, inst.tokens, inst.target_index), 18),
+            (lambda: gloss_codes(model, gloss), 17),
+        ):
+            tape = Tape()
+            with tape:
+                forward()
+            assert len(tape) == records
 
 
 def _candidate_glosses(inventory, instances):
