@@ -16,9 +16,9 @@ its (n + 2, d) rows; prediction encodes each gloss through it, and callers
 that count encoder forwards wrap it by name, so it keeps its two-argument
 form.
 Blocks are pre-LayerNorm self-attention plus a GELU feed-forward, both
-with residual connections. Each attention is one ``tensor.attention`` op;
-each of its projections is one (d, d) matrix whose column blocks are the
-heads (Vaswani et al. 2017, arXiv:1706.03762).
+with residual connections; each attention projection is one (d, d) matrix
+whose column blocks are the heads (Vaswani et al. 2017, arXiv:1706.03762).
+A pass is one tape record, its forward and VJP made of ``tensor``'s kernels.
 """
 
 from __future__ import annotations
@@ -171,27 +171,67 @@ def _check_ids(config: EncoderConfig, token_ids: Sequence[int]) -> None:
         raise ContractError(f"token ids must be integers in [0, {config.vocab_size})")
 
 
+def _block(layer: LayerParams, x: np.ndarray, n_heads: int, key_mask: np.ndarray, row0: bool):
+    """One pre-LN block on (b, L, d) rows ``x`` as ``tensor`` kernels, its queries and
+    residual row 0 alone if ``row0``: its output, and its VJP to x and to the layer's
+    tensors in field order (``vars`` order, the order ``LayerParams`` declares)."""
+    ag, ab, wq, wk, wv, wo, fg, fb, w1, b1, w2, b2 = (t.data for t in vars(layer).values())
+    normed, ln1 = T.layer_norm_kernel(x, ag, ab)
+    queries, residual = normed, x
+    if row0:
+        queries, pick_q = T.gather_kernel(normed, np.s_[:, :1])
+        residual, pick_x = T.gather_kernel(x, np.s_[:, :1])
+    attended, attend = T.attention_kernel(queries, normed, wq, wk, wv, wo, n_heads, key_mask)
+    mid = residual + attended
+    normed2, ln2 = T.layer_norm_kernel(mid, fg, fb)
+    pre, bias1 = T.add_kernel(normed2 @ w1, b1)
+    hidden, act = T.gelu_kernel(pre)
+    ffn, bias2 = T.add_kernel(hidden @ w2, b2)
+
+    def vjp(g: np.ndarray):
+        # the ops' VJPs in reverse; each adjoint sum has two terms, and IEEE addition
+        # commutes, so it has the bits of the sum ``backward`` makes over the ops
+        d_ffn, d_b2 = bias2(g)
+        d_hidden, d_w2 = T.matmul_vjp(hidden, w2, d_ffn)
+        d_pre, d_b1 = bias1(*act(d_hidden))
+        d_normed2, d_w1 = T.matmul_vjp(normed2, w1, d_pre)
+        d_mid, d_fg, d_fb = ln2(d_normed2)
+        d_mid = g + d_mid
+        d_q, d_ctx, *d_attend = attend(d_mid)
+        (d_x,), (d_q,) = (pick_x(d_mid), pick_q(d_q)) if row0 else ((d_mid,), (d_q,))
+        d_x_ln, d_ag, d_ab = ln1(d_q + d_ctx)
+        return d_x + d_x_ln, (d_ag, d_ab, *d_attend, d_fg, d_fb, d_w1, d_b1, d_w2, d_b2)
+
+    return mid + ffn, vjp
+
+
 def _encoder_stack(
     params: EncoderParams, ids: np.ndarray, key_mask: np.ndarray, first_row_only: bool
 ) -> Tensor:
     """The encoder on (b, L) marker-wrapped ids: (b, L, d) rows; ``key_mask`` (b, L)
     masks padded keys out of self-attention. With ``first_row_only`` the last layer
-    queries row 0 alone: (b, 1, d)."""
+    queries row 0 alone: (b, 1, d). One tape record over every parameter: its VJP
+    replays the kernels' VJPs in reverse, with the bits of the op-by-op chain."""
     positions = ids * 0 + np.arange(ids.shape[1])
-    x = T.add(T.embed(params.tok_emb, ids), T.embed(params.pos_emb, positions))
-    last = params.layers[-1]
+    tok, tok_vjp = T.embed_kernel(params.tok_emb.data, ids)
+    pos, pos_vjp = T.embed_kernel(params.pos_emb.data, positions)
+    x, blocks, last, n_heads = tok + pos, [], params.layers[-1], params.config.n_heads
     for layer in params.layers:
-        normed = queries = T.layer_norm(x, layer.attn_gain, layer.attn_bias)
-        if first_row_only and layer is last:
-            queries, x = T.gather(normed, np.s_[:, :1]), T.gather(x, np.s_[:, :1])
-        attended = T.attention(
-            queries, normed, layer.wq, layer.wk, layer.wv, layer.wo, params.config.n_heads, key_mask
-        )
-        x = T.add(x, attended)
-        normed = T.layer_norm(x, layer.ffn_gain, layer.ffn_bias)
-        hidden = T.gelu(T.add(T.matmul(normed, layer.w1), layer.b1))
-        x = T.add(x, T.add(T.matmul(hidden, layer.w2), layer.b2))
-    return T.layer_norm(x, params.out_gain, params.out_bias)
+        x, block_vjp = _block(layer, x, n_heads, key_mask, first_row_only and layer is last)
+        blocks.append(block_vjp)
+    out, out_vjp = T.layer_norm_kernel(x, params.out_gain.data, params.out_bias.data)
+
+    def vjp(g: np.ndarray):
+        d_x, d_gain, d_bias = out_vjp(g)
+        d_layers = []
+        for block_vjp in reversed(blocks):
+            d_x, d_layer = block_vjp(d_x)
+            d_layers[:0] = d_layer
+        return (*tok_vjp(d_x), *pos_vjp(d_x), *d_layers, d_gain, d_bias)
+
+    layers = (t for layer in params.layers for t in vars(layer).values())
+    inputs = (params.tok_emb, params.pos_emb, *layers, params.out_gain, params.out_bias)
+    return T.record(inputs, out, vjp)
 
 
 def encode_batch(

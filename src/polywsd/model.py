@@ -6,10 +6,10 @@ takes its start-marker row as its code row. A pair scores the inner product
 of the two rows. Both phases (training and prediction) use the same
 full-context path through the same encoder stack and fusion attention.
 
-Every encode is one padded pass of ``encode_batch``, so a tape holds one
-record per layer op however many sequences the batch has; padded positions
-are masked out of attention and change no real row. Training builds each
-side of a batch in one pass (``context_code_rows``, ``gloss_code_rows``).
+Every encode is one padded pass of ``encode_batch``, one tape record however
+many layers and sequences it has; padded positions are masked out of
+attention and change no real row. Training builds each side of a batch in
+one pass (``context_code_rows``, ``gloss_code_rows``).
 Only the start-marker row of a gloss is read, so ``gloss_code_rows`` has the
 last encoder layer compute that row alone; the context side keeps every
 row, since fusion attends over them. Prediction encodes one sequence per
@@ -121,15 +121,24 @@ def model_on(
     return WsdModel(vocab, context, gloss, fusion_params(fusion_config, cut), values, gloss_values)
 
 
-def _memory_ceiling() -> float:
-    """Physical memory, or the address-space limit if lower; no ceiling off POSIX."""
+def memory_ceiling() -> float:
+    """The bytes this process may still allocate: physical memory, or if lower the
+    room its address-space limit leaves beside what it maps now (as Linux reports
+    it; elsewhere the whole limit); no ceiling off POSIX."""
     try:
         import resource
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (ImportError, AttributeError, ValueError):
         return float("inf")
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
-    return physical if limit == resource.RLIM_INFINITY else min(physical, limit)
+    if limit == resource.RLIM_INFINITY:
+        return physical
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            limit -= int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        pass
+    return min(physical, limit)
 
 
 def build_model(
@@ -140,9 +149,9 @@ def build_model(
     seed: int,
 ) -> WsdModel:
     """Seeded construction; the two encoders never share parameters. Values past
-    ``_memory_ceiling`` are a ConfigError, raised before allocating them."""
+    ``memory_ceiling`` are a ConfigError, raised before allocating them."""
     count = parameter_count(context_config, gloss_config, fusion_config)
-    if count * 8 > (ceiling := _memory_ceiling()):
+    if count * 8 > (ceiling := memory_ceiling()):
         raise ConfigError(
             f"{count} parameter values need {count * 8} bytes, more than the {ceiling} bytes "
             f"of memory, for context {context_config} and gloss {gloss_config}"

@@ -20,26 +20,19 @@ products with a constant column, equal to ``sum(axis=-1)`` up to a few ulp at
 any buffer alignment; row maxima and the embedding gradient (``np.bincount``)
 are bit-equal to plain numpy.
 
-The training loss is one op, ``cross_entropy``: each row's masked
-log-softmax at its target cell, averaged over rows and negated, with the
-VJP written out by hand, so the loss takes one tape record. Rows are read
-out of an encoding by one op, ``gather``, a numpy index checked by its caller.
-Multi-head attention over a padded batch, a batch of one included, is one
-op, ``attention``, with the bits of the 13-op chain its tests check it against.
+The training loss is one op, ``cross_entropy``, and multi-head attention over
+a padded batch one op, ``attention``, each with its VJP written out by hand.
+``add``, ``gather``, ``gelu``, ``layer_norm``, ``embed`` and ``attention`` each
+record the ``(out, vjp)`` of a kernel on arrays; the encoder pass runs the
+kernels itself and records the whole pass (``record``) as one op.
 
-The first ``backward`` of a process sets two glibc allocator thresholds once
-(``mallopt``): blocks of up to 32 MiB come from the heap rather than from
-their own mappings, and up to 64 MiB of free heap top is kept rather than
-returned to the kernel. glibc's defaults return freed blocks of 128 KB and
-more (the gloss rows and attention logits of an all-candidates step), so
-each such step faulted close to 1 MB of pages back in, about a tenth of its
-time; with the thresholds, the next pass reuses the freed blocks. These
-are the values glibc's own adaptive threshold reaches after one 32 MiB free.
-The cost is resident memory: freed blocks stay mapped, so peak RSS rises by
-what one step holds at once, a few percent on a desk-scale training run.
-Processes that never differentiate, such as prediction, keep the C
-library's defaults, and off Linux, or without ``mallopt``, nothing changes.
-The arithmetic is the same either way.
+The first ``backward`` of a process sets glibc's allocator (``mallopt``) to
+serve blocks of up to 32 MiB from the heap and keep up to 64 MiB of free heap
+top, the values its own adaptive threshold reaches after one 32 MiB free.
+With the defaults, each all-candidates step faulted ~1 MB of freed blocks
+back in, about a tenth of its time; the cost is a few percent of resident
+memory. Prediction, which never differentiates, keeps the defaults; off
+Linux nothing changes. The arithmetic is the same either way.
 
 ``gelu`` needs erf, which numpy lacks; ``erf`` here is the rational
 approximation of Cephes' ``ndtr.c`` (S. Moshier), ``x T(x^2) / U(x^2)``
@@ -131,9 +124,7 @@ class Cutter:
         return Tensor(self.buffer[start : self.offset].reshape(shape))
 
 
-# A record is (output, inputs, vjp) where vjp maps the output adjoint to
-# one adjoint (or None) per input, in input order.
-_Vjp = Callable[[np.ndarray], tuple]
+_Vjp = Callable[[np.ndarray], tuple]  # an output adjoint to one adjoint (or None) per input
 
 
 class Tape:
@@ -176,7 +167,9 @@ def _keep_freed_pages() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: _Vjp) -> Tensor:
+def record(inputs: tuple[Tensor, ...], out_data: np.ndarray, vjp: _Vjp) -> Tensor:
+    """``out_data`` as a Tensor, appended to the active tape, if any, as the output
+    of ``inputs`` whose adjoints ``vjp`` gives, one per input in input order."""
     out = Tensor(out_data)
     if (tape := _ACTIVE.get()) is not None:
         tape._records.append((out, inputs, vjp))
@@ -236,10 +229,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ):
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
-    return _emit(x @ y, (a, b), lambda g: _matmul_vjp(x, y, g))
+    return record((a, b), x @ y, lambda g: matmul_vjp(x, y, g))
 
 
-def _matmul_vjp(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def matmul_vjp(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The adjoints of ``x`` and ``y`` in ``x @ y`` for the output adjoint ``g``."""
     if x.ndim == 3 and y.ndim == 2:  # a shared matrix: one product over all the batch's rows
         return g @ y.T, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
@@ -250,12 +243,7 @@ def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes of a rank-2 or rank-3 tensor."""
     if a.data.ndim not in (2, 3):
         raise ShapeError(f"transpose needs rank 2 or 3, got shape {a.shape}")
-    return _emit(a.data.swapaxes(-1, -2), (a,), lambda g: (g.swapaxes(-1, -2),))
-
-
-def _broadcast_pair(a: Tensor, b: Tensor) -> bool:
-    """True if b (rank 1) broadcasts over the last axis of a (rank 2 or 3)."""
-    return a.data.ndim in (2, 3) and b.data.ndim == 1 and a.shape[-1] == b.shape[0]
+    return record((a,), a.data.swapaxes(-1, -2), lambda g: (g.swapaxes(-1, -2),))
 
 
 def _rows_sum(g: np.ndarray) -> np.ndarray:
@@ -263,25 +251,28 @@ def _rows_sum(g: np.ndarray) -> np.ndarray:
     return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
+def add_kernel(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, _Vjp]:
+    """``x + y`` and its VJP; ``y`` has x's shape or is a rank-1 bias over x's last axis."""
+    return x + y, (lambda g: (g, g)) if x.shape == y.shape else (lambda g: (g, _rows_sum(g)))
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a rank-1 ``b`` broadcasts over the last axis of ``a``."""
-    if a.shape == b.shape:
-        return _emit(a.data + b.data, (a, b), lambda g: (g, g))
-    if _broadcast_pair(a, b):
-        return _emit(a.data + b.data, (a, b), lambda g: (g, _rows_sum(g)))
-    raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
+    """``add_kernel`` as one record, a rank-1 ``b`` over a rank-2 or 3 ``a``'s rows."""
+    if a.shape != b.shape and not (a.data.ndim in (2, 3) and b.shape == a.shape[-1:]):
+        raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
+    return record((a, b), *add_kernel(a.data, b.data))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product of two tensors of one shape."""
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}")
-    return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    return record((a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _emit(a.data * c, (a,), lambda g: (g * c,))
+    return record((a,), a.data * c, lambda g: (g * c,))
 
 
 def _row_dot(x: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -314,7 +305,7 @@ def row_softmax(m: Tensor, mask: np.ndarray | None = None) -> Tensor:
         raise ShapeError(f"row_softmax needs a non-empty rank-2 or 3 tensor, got shape {m.shape}")
     _, _, e, s = _masked_shift_exp(m.data, mask)
     p = e / s
-    return _emit(p, (m,), lambda g: (_softmax_vjp(p, g),))
+    return record((m,), p, lambda g: (_softmax_vjp(p, g),))
 
 
 def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -343,12 +334,12 @@ def cross_entropy(scores: Tensor, mask: np.ndarray | None, targets) -> tuple[Ten
         gu[rows, idx] = float(-g) / n
         return (gu - p * gu.sum(axis=1, keepdims=True),)
 
-    return _emit(-target_log.mean(), (scores,), vjp), -target_log
+    return record((scores,), -target_log.mean(), vjp), -target_log
 
 
 def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
-    return _emit(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
+    return record((a,), a.data.sum(), lambda g: (np.full(shape, float(g)),))
 
 
 def _horner(x: np.ndarray, coeffs: tuple[float, ...], monic: bool) -> np.ndarray:
@@ -382,44 +373,58 @@ def erf(x: np.ndarray) -> np.ndarray:
     return _erf(x, z, np.exp(-z))
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian-error linear unit (exact erf form)."""
-    x = a.data
+def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, _Vjp]:
+    """The Gaussian-error linear unit (exact erf form) of ``x`` and its VJP."""
     u = x * _INV_SQRT2
     z = u * u
     gauss = np.exp(-z)  # the normal density up to 1/sqrt(2 pi); erf's tail uses it too
     cdf = 0.5 * (1.0 + _erf(u, z, gauss))
-    out = x * cdf
+    return x * cdf, lambda g: (g * (cdf + x * gauss * _INV_SQRT_2PI),)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """``gelu_kernel`` as one record."""
+    return record((a,), *gelu_kernel(a.data))
+
+
+def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, _Vjp]:
+    """Each last-axis row of ``x`` at zero mean and unit variance, scaled by ``gain``
+    and shifted by ``bias``, both (d,); and its VJP to x, gain and bias."""
+    w = np.full((x.shape[-1], 1), 1.0 / x.shape[-1])  # row means as BLAS products
+    centred = x - _row_dot(x, w)
+    inv = 1.0 / np.sqrt(_row_dot(centred * centred, w) + _LAYER_NORM_EPS)
+    y = centred * inv
 
     def vjp(g: np.ndarray):
-        return (g * (cdf + x * gauss * _INV_SQRT_2PI),)
+        gy = g * gain
+        dx = inv * (gy - _row_dot(gy, w) - y * _row_dot(gy * y, w))
+        return dx, _rows_sum(g * y), _rows_sum(g)
 
-    return _emit(out, (a,), vjp)
+    return y * gain + bias, vjp
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize each last-axis row to zero mean and unit variance, then scale it
-    by ``gain`` and shift it by ``bias``, both (d,) and shared by every row."""
+    """``layer_norm_kernel`` as one record, for rank-2 or 3 ``a``."""
     if a.data.ndim not in (2, 3) or not gain.shape == bias.shape == a.shape[-1:]:
         raise ShapeError(
             f"layer_norm needs rank 2 or 3 and a (d,) gain and bias, got {a.shape}, "
             f"{gain.shape}, {bias.shape}"
         )
-    w = np.full((a.shape[-1], 1), 1.0 / a.shape[-1])  # row means as BLAS products
-    centred = a.data - _row_dot(a.data, w)
-    inv = 1.0 / np.sqrt(_row_dot(centred * centred, w) + _LAYER_NORM_EPS)
-    y = centred * inv
+    return record((a, gain, bias), *layer_norm_kernel(a.data, gain.data, bias.data))
 
+
+def embed_kernel(table: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, _Vjp]:
+    """The rows ``table[idx]`` for an intp array of in-range ids, and their VJP."""
     def vjp(g: np.ndarray):
-        gy = g * gain.data
-        dx = inv * (gy - _row_dot(gy, w) - y * _row_dot(gy * y, w))
-        return dx, _rows_sum(g * y), _rows_sum(g)
+        rows, d = table.shape  # bincount adds in id order, as np.add.at does
+        cells = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+        return (np.bincount(cells, weights=g.ravel(), minlength=rows * d).reshape(rows, d),)
 
-    return _emit(y * gain.data + bias.data, (a, gain, bias), vjp)
+    return table[idx], vjp
 
 
 def embed(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` by integer id: (n,) ids give (n, d), (B, L) ids give (B, L, d)."""
+    """``embed_kernel`` as one record: (n,) ids give (n, d), (B, L) ids (B, L, d)."""
     if table.data.ndim != 2:
         raise ShapeError(f"embed needs a rank-2 table, got shape {table.shape}")
     idx = np.asarray(ids, dtype=np.intp)
@@ -427,26 +432,23 @@ def embed(table: Tensor, ids) -> Tensor:
         raise ShapeError(f"embed needs a non-empty rank-1 or 2 id array, got shape {idx.shape}")
     if idx.min() < 0 or idx.max() >= table.shape[0]:
         raise ContractError(f"id out of range for table with {table.shape[0]} rows")
-    out = table.data[idx]
+    return record((table,), *embed_kernel(table.data, idx))
 
+
+def gather_kernel(x: np.ndarray, index) -> tuple[np.ndarray, _Vjp]:
+    """``x[index]`` in C order and its VJP, the adjoint written into zeros shaped like
+    ``x``: ``index`` is range-checked by the caller and picks no element twice."""
     def vjp(g: np.ndarray):
-        rows, d = table.shape  # bincount adds in id order, as np.add.at does
-        cells = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
-        return (np.bincount(cells, weights=g.ravel(), minlength=rows * d).reshape(rows, d),)
+        dx = np.zeros_like(x)
+        dx[index] = g
+        return (dx,)
 
-    return _emit(out, (table,), vjp)
+    return np.asarray(x[index], order="C"), vjp
 
 
 def gather(a: Tensor, index) -> Tensor:
-    """``a.data[index]``, its adjoint scattered back into zeros shaped like ``a``. The
-    caller has range-checked ``index``, and it selects each element at most once: the
-    scatter writes, it does not add. Repeated ids go through ``embed``."""
-    def vjp(g: np.ndarray):
-        da = np.zeros_like(a.data)
-        da[index] = g
-        return (da,)
-
-    return _emit(a.data[index], (a,), vjp)
+    """``gather_kernel`` as one record; repeated ids go through ``embed``."""
+    return record((a,), *gather_kernel(a.data, index))
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -455,14 +457,14 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
         raise ShapeError("concat needs at least one tensor, all of rank 2")
     splits = np.cumsum([p.shape[0] for p in parts])[:-1]
     out = np.concatenate([p.data for p in parts])
-    return _emit(out, tuple(parts), lambda g: tuple(np.split(g, splits)))
+    return record(tuple(parts), out, lambda g: tuple(np.split(g, splits)))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     if math.prod(shape) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     old = a.shape
-    return _emit(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+    return record((a,), a.data.reshape(shape), lambda g: (g.reshape(old),))
 
 
 def regroup(a: Tensor, grouped: Sequence[int], axes: Sequence[int], shape: Sequence[int]) -> Tensor:
@@ -478,7 +480,7 @@ def regroup(a: Tensor, grouped: Sequence[int], axes: Sequence[int], shape: Seque
         raise ShapeError(f"cannot regroup {a.shape} as {grouped} by {axes} into {shape}") from None
     # the inverse permutation, an argsort of a few axes in plain Python
     inverse, old = sorted(range(len(axes)), key=axes.__getitem__), a.shape
-    return _emit(out, (a,), lambda g: (g.reshape(permuted.shape).transpose(inverse).reshape(old),))
+    return record((a,), out, lambda g: (g.reshape(permuted.shape).transpose(inverse).reshape(old),))
 
 
 def attention(
@@ -486,12 +488,12 @@ def attention(
     n_heads: int, key_mask: np.ndarray,
 ) -> Tensor:
     """Scaled dot-product attention of (b, n_q, d) queries over a padded batch of
-    (b, n, d) context rows in ``n_heads`` heads, as one record. Head i uses column
-    block i of ``wq``, ``wk`` and ``wv``; the heads' outputs, side by side, are
-    projected by ``wo``. Keys where ``key_mask`` (b, n) is True get exactly zero
-    weight and gradient. Forward and VJP repeat, expression by expression on arrays
-    of the same layout, a chain of 13 ops (matmul, regroup, transpose, scale and
-    the masked row_softmax), its bit-level test oracle: the same bits."""
+    (b, n, d) context rows in ``n_heads`` heads, ``attention_kernel`` as one record.
+    Head i uses column block i of ``wq``, ``wk`` and ``wv``; the heads' outputs, side
+    by side, are projected by ``wo``. Keys where ``key_mask`` (b, n) is True get
+    exactly zero weight and gradient. Forward and VJP repeat, expression by
+    expression on arrays of the same layout, a chain of 13 ops (matmul, regroup,
+    transpose, scale and the masked row_softmax), its bit-level test oracle."""
     x, c, width = queries.data, context.data, wo.shape[0]
     if not (
         x.ndim == 3 and c.shape[::2] == x.shape[::2] and key_mask.shape == c.shape[:2]
@@ -501,7 +503,16 @@ def attention(
             f"attention shape mismatch: {queries.shape} over {context.shape}, key mask "
             f"{key_mask.shape}, {n_heads} heads of {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape}"
         )
-    b, n_q, n, dh, axes = x.shape[0], x.shape[1], c.shape[1], width // n_heads, (0, 2, 1, 3)
+    out = attention_kernel(x, c, wq.data, wk.data, wv.data, wo.data, n_heads, key_mask)
+    return record((queries, context, wq, wk, wv, wo), *out)
+
+
+def attention_kernel(
+    x: np.ndarray, c: np.ndarray, wq, wk, wv, wo, n_heads: int, key_mask: np.ndarray
+) -> tuple[np.ndarray, _Vjp]:
+    """``attention`` on arrays, and its VJP to the queries, context and projections."""
+    b, n_q, n, width, axes = x.shape[0], x.shape[1], c.shape[1], wo.shape[0], (0, 2, 1, 3)
+    dh = width // n_heads
 
     def split(a: np.ndarray) -> np.ndarray:  # (b, m, width) -> (b * n_heads, m, dh)
         return a.reshape(b, -1, n_heads, dh).transpose(axes).reshape(b * n_heads, -1, dh)
@@ -510,7 +521,7 @@ def attention(
         return a.reshape(b, n_heads, -1, dh).transpose(axes).reshape(b, -1, width)
 
     # C-order copies where the chain's ops make them: a strided kT moves the scores' bits
-    q, k, v = (np.ascontiguousarray(split(a @ w.data)) for a, w in ((x, wq), (c, wk), (c, wv)))
+    q, k, v = (np.ascontiguousarray(split(a @ w)) for a, w in ((x, wq), (c, wk), (c, wv)))
     kT, scale = np.ascontiguousarray(k.swapaxes(-1, -2)), float(1.0 / np.sqrt(dh))
     mask = None  # nothing masked (a batch of one, an unpadded batch): no per-head mask
     if key_mask.any():
@@ -520,16 +531,16 @@ def attention(
     merged = merge(p @ v)  # C-order already: only n_q == 1 or one head make it a view
 
     def vjp(g: np.ndarray):
-        d_merged, d_wo = _matmul_vjp(merged, wo.data, g)
-        d_p, d_v = _matmul_vjp(p, v, split(d_merged))
-        d_q, d_kT = _matmul_vjp(q, kT, _softmax_vjp(p, d_p) * scale)
-        d_ctx_v, d_wv = _matmul_vjp(c, wv.data, merge(d_v))
-        d_ctx_k, d_wk = _matmul_vjp(c, wk.data, merge(d_kT.swapaxes(-1, -2)))
-        d_x, d_wq = _matmul_vjp(x, wq.data, merge(d_q))
+        d_merged, d_wo = matmul_vjp(merged, wo, g)
+        d_p, d_v = matmul_vjp(p, v, split(d_merged))
+        d_q, d_kT = matmul_vjp(q, kT, _softmax_vjp(p, d_p) * scale)
+        d_ctx_v, d_wv = matmul_vjp(c, wv, merge(d_v))
+        d_ctx_k, d_wk = matmul_vjp(c, wk, merge(d_kT.swapaxes(-1, -2)))
+        d_x, d_wq = matmul_vjp(x, wq, merge(d_q))
         # the chain's sum; if queries is context, backward adds d_x to it: + commutes
         return d_x, d_ctx_v + d_ctx_k, d_wq, d_wk, d_wv, d_wo
 
-    return _emit(merged @ wo.data, (queries, context, wq, wk, wv, wo), vjp)
+    return merged @ wo, vjp
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ own candidates. ``scored_forward`` is then one path for both: the b contexts
 as one padded encoder pass, the glosses as another, the score matrix, and one
 masked cross-entropy (``bcl_loss``, one tape op), the mean negative
 log-probability of each row's target cell under the masked row softmax. The
-tape records one op per layer op, not per sequence. A step costs b context
+tape records one op per encoder pass, not per sequence. A step costs b context
 encodes either way, and b gloss encodes against sum(m_i); ``ForwardCounts``
 reports these counts, and ``RunMetrics`` sums them for cost accounting, next
 to the run's wall clock (its device-hours, as a run is one process).
@@ -30,7 +30,7 @@ from .data import CorpusInstance, SenseInventory, look_up
 from .errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
 from .errors import ContractError, check_optimizer_settings, check_positive_ints, is_count
 from .fusion import score_rows
-from .model import WsdModel, context_code_rows, gloss_code_rows
+from .model import WsdModel, context_code_rows, gloss_code_rows, memory_ceiling
 # unused here, but the benchmark's probes patch polywsd.training.context_codes/gloss_codes
 from .model import context_codes, gloss_codes  # noqa: F401
 from .tensor import Tape, Tensor, backward, finite_diff_check
@@ -229,7 +229,8 @@ class Adam:
     so a step is a few whole-buffer numpy calls. Write parameter values in place:
     a rebound ``data`` leaves the buffer and makes ``step`` raise ContractError.
     ``m`` and ``v`` read as per-parameter views of ``m_flat`` and ``v_flat``, so
-    writing into a view sets that moment.
+    writing into a view sets that moment. Its five buffers must fit in the memory
+    left (``memory_ceiling``), else ConfigError before any is allocated.
     """
 
     def __init__(
@@ -248,7 +249,12 @@ class Adam:
         self.eps = eps
         self.t = 0
         self.values, self._slices = _value_buffer(self.params)
-        size = self.values.size
+        size, need = self.values.size, 5 * self.values.nbytes
+        if need > (ceiling := memory_ceiling()):
+            raise ConfigError(
+                f"the optimizer's five buffers for {size} parameter values need {need} bytes, "
+                f"more than the {ceiling} bytes of memory left"
+            )
         # one array each, so a model that outlives its optimizer keeps only grads alive
         self._grads, self.m_flat, self.v_flat = (np.zeros(size) for _ in range(3))
         self._scratch = np.empty(size), np.empty(size)

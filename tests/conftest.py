@@ -61,6 +61,19 @@ def recorded_attention_weights(monkeypatch):
     return weights
 
 
+def recorded_feed_forward_inputs(monkeypatch):
+    """A list that collects the shape of every feed-forward activation's input from
+    now on, as the encoder pass hands it to ``tensor.gelu_kernel``."""
+    shapes, gelu_kernel = [], T.gelu_kernel
+
+    def recorded(x):
+        shapes.append(x.shape)
+        return gelu_kernel(x)
+
+    monkeypatch.setattr(T, "gelu_kernel", recorded)
+    return shapes
+
+
 def packed(*arrays):
     """Tensors holding ``arrays``, cut as consecutive views of one buffer, as a
     model's parameters are, so that an ``Adam`` can adopt them."""

@@ -428,6 +428,39 @@ def test_model_past_memory_is_refused_before_allocating(workspace, tmp_path, fie
     assert not (tmp_path / "never.ckpt").exists()
 
 
+def test_optimizer_past_memory_is_refused_before_allocating(workspace, tmp_path):
+    """Under a 1 GiB address-space limit, 320 MB of values pass the model's check, but
+    the optimizer's five buffers of that size do not: exit 1 with the count, the bytes
+    and the ceiling, and no traceback, rather than failing in ``np.zeros``."""
+    config = tmp_path / "long.json"
+    config.write_text(json.dumps({"encoder": {"max_seq_len": 1_250_000}}), encoding="utf-8")
+    argv = [
+        "train",
+        "--corpus", workspace / "corpus.jsonl",
+        "--inventory", workspace / "inventory.jsonl",
+        "--config", config,
+        "--out", tmp_path / "never.ckpt",
+    ]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from polywsd.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert re.fullmatch(
+        r"error: the optimizer's five buffers for \d+ parameter values need \d+ bytes, "
+        r"more than the \d+ bytes of memory left\n",
+        proc.stderr,
+    ), proc.stderr
+    assert not (tmp_path / "never.ckpt").exists()
+
+
 def test_null_clip_norm_means_no_clipping(workspace, tmp_path):
     """``"clip_norm": null`` trains exactly as a config without the key."""
     paths = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polywsd import tensor as T
-from polywsd.data import PAD_ID
+from polywsd.data import CLS_ID, PAD_ID, SEP_ID
 from polywsd.encoder import (
     EncoderConfig,
     cls_representation,
@@ -218,6 +218,95 @@ class TestGradientSeparation:
 
         def f():
             return T.sum_all(T.mul(encode(params, [4, 5, 6]), Tensor(proj)))
+
+        err = T.finite_diff_check(f, [t for _, t in params.named_tensors()], h=1e-4)
+        assert err < 1e-4, f"rel error {err}"
+
+
+def _chain_encoder(params, ids, key_mask, first_row_only):
+    """The encoder pass op by op, one record per layer op, as it ran before the pass
+    became one record: the fused pass's bit-level oracle."""
+    positions = ids * 0 + np.arange(ids.shape[1])
+    x = T.add(T.embed(params.tok_emb, ids), T.embed(params.pos_emb, positions))
+    last = params.layers[-1]
+    for layer in params.layers:
+        normed = queries = T.layer_norm(x, layer.attn_gain, layer.attn_bias)
+        if first_row_only and layer is last:
+            queries, x = T.gather(normed, np.s_[:, :1]), T.gather(x, np.s_[:, :1])
+        attended = T.attention(
+            queries, normed, layer.wq, layer.wk, layer.wv, layer.wo, params.config.n_heads, key_mask
+        )
+        x = T.add(x, attended)
+        normed = T.layer_norm(x, layer.ffn_gain, layer.ffn_bias)
+        hidden = T.gelu(T.add(T.matmul(normed, layer.w1), layer.b1))
+        x = T.add(x, T.add(T.matmul(hidden, layer.w2), layer.b2))
+    return T.layer_norm(x, params.out_gain, params.out_bias)
+
+
+def _marked(sequences):
+    """The (b, L) marker-wrapped, padded ids of ``sequences``, as ``encode_batch``
+    builds them, and their (b, L) padding mask."""
+    width = max(len(seq) for seq in sequences) + 2
+    rows = [[CLS_ID, *seq, SEP_ID] + [PAD_ID] * (width - 2 - len(seq)) for seq in sequences]
+    return np.array(rows), np.array(rows) == PAD_ID
+
+
+class TestFusedPass:
+    """``encode_batch``'s pass is one tape record with the op chain's bits."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("first_row_only", [False, True], ids=["all_rows", "first_row"])
+    @pytest.mark.parametrize(
+        "sequences", [[[4, 5, 6], [7], [8, 9]], [[4, 5, 6], [7, 8, 9]]], ids=["padded", "unpadded"]
+    )
+    def test_bit_equal_to_the_op_chain_forward_and_adjoints(
+        self, n_layers, n_heads, first_row_only, sequences
+    ):
+        config = EncoderConfig(
+            vocab_size=12, d_model=8, n_layers=n_layers, n_heads=n_heads, d_ff=12, max_seq_len=7
+        )
+        params = fresh_encoder(config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for _, tensor in params.named_tensors():  # every gain and bias away from its init
+            tensor.data[...] = rng.normal(scale=0.5, size=tensor.shape)
+        ids, padding = _marked(sequences)
+        probe = Tensor(rng.normal(size=(len(sequences), 1 if first_row_only else ids.shape[1], 8)))
+        runs, lengths = [], []
+        for encoder in (
+            lambda: (_chain_encoder(params, ids, padding, first_row_only), padding),
+            lambda: encode_batch(params, sequences, first_row_only),
+        ):
+            for _, tensor in params.named_tensors():
+                tensor.grad = None
+            tape = Tape()
+            with tape:
+                out, mask = encoder()
+                loss = T.sum_all(T.mul(out, probe))
+            backward(loss, tape)
+            np.testing.assert_array_equal(mask, padding)
+            grads = [tensor.grad.tobytes() for _, tensor in params.named_tensors()]
+            runs.append([out.data.tobytes(), *grads])
+            lengths.append(len(tape))
+        chain, fused = runs
+        assert lengths[1] == 3  # the pass, the probe's product and its sum
+        assert fused == chain
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("first_row_only", [False, True], ids=["all_rows", "first_row"])
+    def test_gradients_of_every_parameter_match_finite_differences(self, n_layers, first_row_only):
+        config = EncoderConfig(
+            vocab_size=8, d_model=4, n_layers=n_layers, n_heads=2, d_ff=6, max_seq_len=5
+        )
+        params = fresh_encoder(config, np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        for _, tensor in params.named_tensors():
+            tensor.data[...] = rng.normal(scale=0.5, size=tensor.shape)
+        sequences = [[4, 5, 6], [7]]
+        probe = Tensor(rng.normal(size=(2, 1 if first_row_only else 5, 4)))
+
+        def f():
+            return T.sum_all(T.mul(encode_batch(params, sequences, first_row_only)[0], probe))
 
         err = T.finite_diff_check(f, [t for _, t in params.named_tensors()], h=1e-4)
         assert err < 1e-4, f"rel error {err}"

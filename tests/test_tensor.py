@@ -1,8 +1,10 @@
 """Tensor core: forward values, tape gradients, and the finite-difference oracle."""
 
 import ctypes
+import importlib
 import inspect
 import math
+import pkgutil
 import platform
 import statistics
 import sys
@@ -12,7 +14,9 @@ import zlib
 import numpy as np
 import pytest
 
+import polywsd
 from polywsd import tensor as T
+from polywsd.encoder import EncoderConfig, encode_batch, encoder_params
 from polywsd.errors import ContractError, OracleError, ShapeError
 from polywsd.tensor import Tape, Tensor, backward, finite_diff_check
 
@@ -316,6 +320,17 @@ def _log_prob_sum(p, cells, mask=None):
     return total
 
 
+def _encoder_pass(p, rng, first_row_only):
+    """The encoder pass, one record, over two padded sequences at d_model 4, L = 5,
+    two layers of two heads, with ``p`` as the token table and every other parameter
+    drawn from ``rng``: p's adjoint runs through every block's VJP."""
+    config = EncoderConfig(vocab_size=8, d_model=4, n_layers=2, n_heads=2, d_ff=6, max_seq_len=5)
+    tables = iter([p])
+    params = encoder_params(config, lambda *shape: next(tables, None) or _projection(rng, shape))
+    encoded, _ = encode_batch(params, [[4, 5, 6], [7]], first_row_only)
+    return T.mul(encoded, _projection(rng, encoded.shape))
+
+
 def _bare_layer_norm(x):
     """``layer_norm`` with unit gain and zero bias: the normalization alone."""
     d = x.shape[-1]
@@ -520,6 +535,9 @@ _OP_TABLE = [
         ),
         (2, 3, 4),
     ),
+    # the encoder pass as one record, all rows and the gloss side's start-marker rows
+    ("encoder_pass", lambda p, rng: _encoder_pass(p, rng, False), (8, 4)),
+    ("encoder_pass_first_row", lambda p, rng: _encoder_pass(p, rng, True), (8, 4)),
 ]
 
 
@@ -539,19 +557,24 @@ def test_op_gradients_match_finite_differences(name, fn, shape):
 
 
 def test_every_tape_op_has_an_op_table_row(monkeypatch):
-    """Each function of the tensor module that emits tape records is run by some
-    row of the op table, so a new op cannot go without a gradient check."""
+    """Each function of the package that records onto the tape (calls ``T.record``)
+    is run by some row of the op table, so a new op cannot go without a gradient
+    check."""
+    names = [m.name for m in pkgutil.iter_modules(polywsd.__path__)]
+    modules = [importlib.import_module(f"polywsd.{name}") for name in names]
     ops = {
-        name for name, fn in vars(T).items()
-        if inspect.isfunction(fn) and "_emit" in fn.__code__.co_names
+        (module.__name__, name) for module in modules for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__
+        and "record" in fn.__code__.co_names
     }
-    emitted, real_emit = set(), T._emit
+    emitted, real_record = set(), T.record
 
     def spy(*args):
-        emitted.add(sys._getframe(1).f_code.co_name)
-        return real_emit(*args)
+        caller = sys._getframe(1)
+        emitted.add((caller.f_globals["__name__"], caller.f_code.co_name))
+        return real_record(*args)
 
-    monkeypatch.setattr(T, "_emit", spy)
+    monkeypatch.setattr(T, "record", spy)
     for name, fn, shape in _OP_TABLE:
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         fn(Tensor(rng.normal(size=shape)), np.random.default_rng(1234))

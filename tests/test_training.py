@@ -41,7 +41,7 @@ from polywsd.training import (
     train_step,
 )
 
-from conftest import packed, tiny_model
+from conftest import packed, recorded_feed_forward_inputs, tiny_model
 from polywsd.synthetic import synthetic_corpus
 
 
@@ -838,9 +838,9 @@ class TestBatchedPath:
         assert totals[0] < totals[1]
         assert records(small, MODE_ALL_CANDIDATES) == records(batch, MODE_ALL_CANDIDATES)
 
-    def test_forward_records_39_ops_at_the_cli_defaults(self):
-        """Each forward records 39 ops at the CLI defaults, the loss one of them, and
-        each of its three attentions (context, gloss, fusion) one."""
+    def test_forward_records_11_ops_at_the_cli_defaults(self):
+        """Each forward records 11 ops at the CLI defaults: each encoder pass (context,
+        gloss) one, the fusion attention one and the loss one."""
         corpus, inventory = synthetic_corpus(n_lemmas=10, senses_per_lemma=3, n_instances=50, seed=0)
         config = _load_config(None)
         vocab = build_vocab(corpus, inventory, min_freq=config["train"]["min_freq"])
@@ -855,12 +855,12 @@ class TestBatchedPath:
             tape = Tape()
             with tape:
                 forward()
-            assert len(tape) == 39
+            assert len(tape) == 11
 
-    def test_prediction_records_18_and_17_ops_at_the_cli_defaults(self):
-        """Prediction's batch of one records 18 ops per ``context_codes`` and 17 per
-        ``gloss_codes`` at the CLI defaults: each attention (context, fusion, gloss) is
-        one record, as in training."""
+    def test_prediction_records_5_and_4_ops_at_the_cli_defaults(self):
+        """Prediction's batch of one records 5 ops per ``context_codes`` and 4 per
+        ``gloss_codes`` at the CLI defaults: each encoder pass and the fusion attention
+        is one record, as in training."""
         corpus, inventory = synthetic_corpus(n_lemmas=10, senses_per_lemma=3, n_instances=50, seed=0)
         config = _load_config(None)
         vocab = build_vocab(corpus, inventory, min_freq=config["train"]["min_freq"])
@@ -869,8 +869,8 @@ class TestBatchedPath:
         inst = corpus[0]
         gloss = inventory.candidates(inst.lemma, inst.pos)[0].gloss
         for forward, records in (
-            (lambda: context_codes(model, inst.tokens, inst.target_index), 18),
-            (lambda: gloss_codes(model, gloss), 17),
+            (lambda: context_codes(model, inst.tokens, inst.target_index), 5),
+            (lambda: gloss_codes(model, gloss), 4),
         ):
             tape = Tape()
             with tape:
@@ -908,24 +908,21 @@ class TestTruncatedGlossPass:
         )
         assert err < 1e-4
 
-    def test_last_layer_feed_forward_sees_one_row_per_gloss(self):
-        """On the tape, the gloss side's last feed-forward input is (n, 1, d), while
-        its earlier layers and every context layer keep all (n, L, d) rows."""
+    def test_last_layer_feed_forward_sees_one_row_per_gloss(self, monkeypatch):
+        """In a recorded step, the gloss side's last feed-forward input is (n, 1, d_ff),
+        while its earlier layers and every context layer keep all (n, L, d_ff) rows."""
         inventory, model, batch = _ragged_world(8, n_layers=2)
-        tape = Tape()
-        with tape:
+        ffn_inputs = recorded_feed_forward_inputs(monkeypatch)
+        with Tape():
             scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)
-        # the shape of the input that each encoder's first FFN weight w1 multiplies
-        ffn_input = {
-            id(inputs[1]): inputs[0].shape for _, inputs, _ in tape._records if len(inputs) == 2
-        }
-        n, d = len(_candidate_glosses(inventory, batch.instances)), model.gloss.config.d_model
-        first, last = (ffn_input[id(layer.w1)] for layer in model.gloss.layers)
-        assert last == (n, 1, d)
+        # one per layer, in the order the passes run them: the context side first
+        k = len(model.context.layers)
+        context, (first, last) = ffn_inputs[:k], ffn_inputs[k:]
+        n, d_ff = len(_candidate_glosses(inventory, batch.instances)), model.gloss.config.d_ff
+        assert last == (n, 1, d_ff)
         assert first[0] == n and first[1] > 1
         width = max(len(inst.tokens) for inst in batch.instances) + 2
-        for layer in model.context.layers:
-            assert ffn_input[id(layer.w1)] == (len(batch), width, d)
+        assert context == [(len(batch), width, d_ff)] * k
 
 
 class TestBatching:
