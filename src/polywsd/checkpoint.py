@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import tempfile
 import zlib
 from dataclasses import asdict, dataclass
@@ -34,13 +35,14 @@ from .data import Vocab, parse_json
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ConfigError, ContractError, check_optimizer_settings, is_count
 from .fusion import FusionConfig
-from .model import WsdModel, model_on, parameter_count
+from .model import WsdModel, memory_ceiling, model_on, parameter_count
 from .training import Adam
 
 MAGIC = b"PWCK"
 FORMAT_VERSION = 3
 _PREAMBLE = struct.Struct("<4sIQ")  # magic, version, header length
 _CRC = struct.Struct("<I")
+_CHUNK_BYTES = 1 << 20  # the read size of a checksum pass over a file of the wrong size
 _OPTIMIZER_SETTINGS = ("learning_rate", "beta1", "beta2", "eps")
 
 
@@ -109,56 +111,99 @@ def _check_optimizer_header(header) -> None:
         raise CheckpointError(f"bad checkpoint optimizer field: {exc}") from None
 
 
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"{path} is not a checkpoint file")
-    if len(raw) < _PREAMBLE.size + _CRC.size:
-        raise CheckpointError(f"truncated checkpoint of {len(raw)} bytes")
-    _, version, hlen = _PREAMBLE.unpack_from(raw)
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format version {version} is incompatible with "
-            f"supported version {FORMAT_VERSION}"
-        )
-    body = memoryview(raw)[: -_CRC.size]
-    start = _PREAMBLE.size + hlen  # the payload's first byte
-    if start > len(body):
-        raise CheckpointError(f"header length {hlen} exceeds the file size of {len(raw)} bytes")
-    if zlib.crc32(body) != _CRC.unpack_from(raw, len(body))[0]:
+def _check_crc(fh, path, crc: int, count: int) -> None:
+    """Raise CheckpointError unless the next ``count`` bytes of ``fh``, read a chunk at
+    a time, continue CRC32 ``crc`` to the value of the trailer that ends the file."""
+    while count > 0 and (chunk := fh.read(min(count, _CHUNK_BYTES))):
+        crc, count = zlib.crc32(chunk, crc), count - len(chunk)
+    if count or fh.read(_CRC.size + 1) != _CRC.pack(crc):
         raise CheckpointError(f"{path}: checksum mismatch, the file is truncated or damaged")
-    header = parse_json(
-        bytes(body[_PREAMBLE.size : start]), path, CheckpointError, "checkpoint header"
-    )
-    try:
-        context_config = EncoderConfig(**header["context_config"])
-        gloss_config = EncoderConfig(**header["gloss_config"])
-        fusion_config = FusionConfig(**header["fusion_config"])
-        tokens = header["vocab"]
-        manifest = header["params"]
-        seed = header["seed"]
-        step = header["step"]
-        optimizer_header = header["optimizer"]
-        for name, value in (("seed", seed), ("step", step)):
-            if not is_count(value):
-                raise CheckpointError(f"bad checkpoint header field {name!r}: {value!r}")
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise CheckpointError("checkpoint vocab is not a list of strings")
+
+
+def _read_values(fh, out: np.ndarray, crc: int) -> int:
+    """Fill float64 ``out`` with the next little-endian values of ``fh``, and return
+    CRC32 ``crc`` continued over their bytes; a short read fails the checksum."""
+    raw = memoryview(out).cast("B")
+    fh.readinto(raw)
+    crc = zlib.crc32(raw, crc)
+    if sys.byteorder == "big":
+        out.byteswap(inplace=True)
+    return crc
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at ``path``. Its header is checked against the file's size, and
+    the payload it implies against the file and the memory left, before any payload
+    byte is read; the payload then goes straight into the model's value buffer and the
+    optimizer's moments, the checksum chained over every part. Damage is named first:
+    a file whose size is wrong fails as damaged unless its checksum holds."""
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(_PREAMBLE.size)
+        if preamble[:4] != MAGIC:
+            raise CheckpointError(f"{path} is not a checkpoint file")
+        if file_size < _PREAMBLE.size + _CRC.size:
+            raise CheckpointError(f"truncated checkpoint of {file_size} bytes")
+        _, version, hlen = _PREAMBLE.unpack(preamble)
+        if version != FORMAT_VERSION:
+            raise CheckpointError(
+                f"checkpoint format version {version} is incompatible with "
+                f"supported version {FORMAT_VERSION}"
+            )
+        payload = file_size - _CRC.size - _PREAMBLE.size - hlen
+        if payload < 0:
+            raise CheckpointError(
+                f"header length {hlen} exceeds the file size of {file_size} bytes"
+            )
+        try:
+            header_bytes = fh.read(hlen)
+            header = parse_json(header_bytes, path, CheckpointError, "checkpoint header")
+        except MemoryError:
+            raise CheckpointError(f"{path}: a {hlen}-byte header does not fit in memory") from None
+        crc = zlib.crc32(header_bytes, zlib.crc32(preamble))
+        try:
+            context_config = EncoderConfig(**header["context_config"])
+            gloss_config = EncoderConfig(**header["gloss_config"])
+            fusion_config = FusionConfig(**header["fusion_config"])
+            tokens = header["vocab"]
+            manifest = header["params"]
+            seed = header["seed"]
+            step = header["step"]
+            optimizer_header = header["optimizer"]
+            for name, value in (("seed", seed), ("step", step)):
+                if not is_count(value):
+                    raise CheckpointError(f"bad checkpoint header field {name!r}: {value!r}")
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise CheckpointError("checkpoint vocab is not a list of strings")
+            if optimizer_header is not None:
+                _check_optimizer_header(optimizer_header)
+            # parameters, then (with optimizer state) both moments: sized before anything is read
+            copies = 1 if optimizer_header is None else 3
+            size = parameter_count(context_config, gloss_config, fusion_config)
+            if payload != (expected := 8 * copies * size):
+                _check_crc(fh, path, crc, payload)  # a damaged file is named as such
+                raise CheckpointError(f"payload of {payload} bytes, expected {expected} bytes")
+            need = 8 * size * (1 if optimizer_header is None else 6)  # the values, Adam's five
+            if need > (ceiling := memory_ceiling()):
+                raise CheckpointError(
+                    f"{path}: loading {size} parameter values needs {need} bytes, more than "
+                    f"the {ceiling} bytes of memory left"
+                )
+            vocab = Vocab.from_tokens(tokens)
+            model = model_on(np.empty(size), context_config, gloss_config, fusion_config, vocab)
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"incomplete checkpoint header: {exc}") from None
+        except ConfigError as exc:
+            raise CheckpointError(f"bad checkpoint config: {exc}") from None
+        optimizer, parts = None, [model.values]
         if optimizer_header is not None:
-            _check_optimizer_header(optimizer_header)
-        # parameters, then (with optimizer state) both moments: sized before anything is allocated
-        copies = 1 if optimizer_header is None else 3
-        size = parameter_count(context_config, gloss_config, fusion_config)
-        if (payload := len(body) - start) != 8 * copies * size:
-            raise CheckpointError(f"payload of {payload} bytes, expected {8 * copies * size} bytes")
-        flat = np.frombuffer(body[start:], dtype="<f8")
-        vocab = Vocab.from_tokens(tokens)
-        model = model_on(flat[:size].copy(), context_config, gloss_config, fusion_config, vocab)
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"incomplete checkpoint header: {exc}") from None
-    except ConfigError as exc:
-        raise CheckpointError(f"bad checkpoint config: {exc}") from None
+            settings = {name: optimizer_header[name] for name in _OPTIMIZER_SETTINGS}
+            optimizer = Adam(model.parameters(), **settings)
+            optimizer.t = optimizer_header["t"]
+            parts += [optimizer.m_flat, optimizer.v_flat]
+        for part in parts:
+            crc = _read_values(fh, part, crc)
+        _check_crc(fh, path, crc, 0)
     named = model.named_parameters()
     if not isinstance(manifest, list) or not all(isinstance(e, dict) for e in manifest):
         raise CheckpointError("checkpoint parameter manifest is not a list of objects")
@@ -170,11 +215,4 @@ def load_checkpoint(path) -> Checkpoint:
                 f"parameter {name}: stored shape {entry.get('shape')}, "
                 f"model has {list(tensor.shape)}"
             )
-    optimizer = None
-    if optimizer_header is not None:
-        settings = {name: optimizer_header[name] for name in _OPTIMIZER_SETTINGS}
-        optimizer = Adam(model.parameters(), **settings)
-        optimizer.t = optimizer_header["t"]
-        optimizer.m_flat[...] = flat[size : 2 * size]
-        optimizer.v_flat[...] = flat[2 * size :]
     return Checkpoint(model=model, optimizer=optimizer, seed=seed, step=step)

@@ -18,7 +18,11 @@ form.
 Blocks are pre-LayerNorm self-attention plus a GELU feed-forward, both
 with residual connections; each attention projection is one (d, d) matrix
 whose column blocks are the heads (Vaswani et al. 2017, arXiv:1706.03762).
-A pass is one tape record, its forward and VJP made of ``tensor``'s kernels.
+The pass on arrays is ``encoder_kernel``, its forward and VJP made of
+``tensor``'s kernels; ``encode_batch`` records it as one tape op, and the
+model's code sides run it inside their own one record. Every row's
+positions are 0..L-1, so the position table's first L rows are added by
+broadcast.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .errors import ConfigError, ContractError, check_positive_ints
 from .tensor import Tensor
 
 _EMBED_INIT_BOUND = 0.05
+_EMBED_DRAW_VALUES = 1 << 16  # values per draw into an embedding table
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,12 @@ def init_encoder(params: EncoderParams, rng: np.random.Generator) -> None:
             gain.data[...], bias.data[...] = 1.0, 0.0
         layer.b1.data[...] = layer.b2.data[...] = 0.0
     for table in (params.tok_emb, params.pos_emb):
-        table.data[...] = rng.uniform(-_EMBED_INIT_BOUND, _EMBED_INIT_BOUND, table.shape)
+        # a block of rows at a time, so no temporary is as large as the table (which the
+        # model's memory check does not count): the draws of one whole-table draw, in order
+        step = max(1, _EMBED_DRAW_VALUES // d)
+        for start in range(0, len(table.data), step):
+            block = table.data[start : start + step]
+            block[...] = rng.uniform(-_EMBED_INIT_BOUND, _EMBED_INIT_BOUND, block.shape)
     params.out_gain.data[...], params.out_bias.data[...] = 1.0, 0.0
 
 
@@ -205,17 +215,16 @@ def _block(layer: LayerParams, x: np.ndarray, n_heads: int, key_mask: np.ndarray
     return mid + ffn, vjp
 
 
-def _encoder_stack(
+def encoder_kernel(
     params: EncoderParams, ids: np.ndarray, key_mask: np.ndarray, first_row_only: bool
-) -> Tensor:
-    """The encoder on (b, L) marker-wrapped ids: (b, L, d) rows; ``key_mask`` (b, L)
-    masks padded keys out of self-attention. With ``first_row_only`` the last layer
-    queries row 0 alone: (b, 1, d). One tape record over every parameter: its VJP
-    replays the kernels' VJPs in reverse, with the bits of the op-by-op chain."""
-    positions = ids * 0 + np.arange(ids.shape[1])
+) -> tuple[np.ndarray, Callable]:
+    """The encoder on (b, L) marker-wrapped ids: (b, L, d) rows, and its VJP to
+    ``pass_inputs(params)``; ``key_mask`` (b, L) masks padded keys out of
+    self-attention. With ``first_row_only`` the last layer queries row 0 alone: (b, 1, d).
+    The VJP replays the kernels' VJPs in reverse, with the bits of the op-by-op chain."""
     tok, tok_vjp = T.embed_kernel(params.tok_emb.data, ids)
-    pos, pos_vjp = T.embed_kernel(params.pos_emb.data, positions)
-    x, blocks, last, n_heads = tok + pos, [], params.layers[-1], params.config.n_heads
+    x = tok + params.pos_emb.data[: ids.shape[1]]  # every row's positions are 0..L-1
+    blocks, last, n_heads = [], params.layers[-1], params.config.n_heads
     for layer in params.layers:
         x, block_vjp = _block(layer, x, n_heads, key_mask, first_row_only and layer is last)
         blocks.append(block_vjp)
@@ -227,26 +236,24 @@ def _encoder_stack(
         for block_vjp in reversed(blocks):
             d_x, d_layer = block_vjp(d_x)
             d_layers[:0] = d_layer
-        return (*tok_vjp(d_x), *pos_vjp(d_x), *d_layers, d_gain, d_bias)
+        d_pos = T.embed_vjp(params.pos_emb.shape, ids * 0 + np.arange(ids.shape[1]), d_x)
+        return (*tok_vjp(d_x), d_pos, *d_layers, d_gain, d_bias)
 
+    return out, vjp
+
+
+def pass_inputs(params: EncoderParams) -> tuple[Tensor, ...]:
+    """Every tensor of the encoder, in manifest order: the inputs of its pass."""
     layers = (t for layer in params.layers for t in vars(layer).values())
-    inputs = (params.tok_emb, params.pos_emb, *layers, params.out_gain, params.out_bias)
-    return T.record(inputs, out, vjp)
+    return (params.tok_emb, params.pos_emb, *layers, params.out_gain, params.out_bias)
 
 
-def encode_batch(
-    params: EncoderParams, sequences: Sequence[Sequence[int]], first_row_only: bool = False
-) -> tuple[Tensor, np.ndarray]:
-    """Embed b bare token-id sequences in one padded pass.
-
-    Returns the (b, L, d) encodings, L = longest sequence + 2, and the (b, L)
-    padding mask, True past each sequence's end marker. Item i's rows 0 and
-    n_i + 1 are its start/end markers; its rows past n_i + 1 are padding and
-    hold no meaning. With ``first_row_only`` the encodings are (b, 1, d), the
-    start-marker rows alone, equal to row 0 of the full pass up to rounding.
-    The caller is responsible for truncation: sequences longer than
-    max_seq_len - 2 are rejected, never silently shortened.
-    """
+def marked_ids(
+    params: EncoderParams, sequences: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (b, L) ids of b bare token-id sequences, each wrapped in the start and end
+    markers and padded with ``PAD_ID`` to L = longest + 2, and the (b, L) padding
+    mask, True past each end marker. A bad batch raises what its first bad item does."""
     if not sequences:
         raise ContractError("encode_batch needs at least one sequence")
     lengths = np.array([len(token_ids) + 2 for token_ids in sequences])
@@ -259,8 +266,25 @@ def encode_batch(
         for token_ids in sequences:
             _check_ids(params.config, token_ids)
         ids = np.array(rows, dtype=np.intp)
-    padding = np.arange(width) >= lengths[:, None]
-    return _encoder_stack(params, ids, padding, first_row_only), padding
+    return ids, np.arange(width) >= lengths[:, None]
+
+
+def encode_batch(
+    params: EncoderParams, sequences: Sequence[Sequence[int]], first_row_only: bool = False
+) -> tuple[Tensor, np.ndarray]:
+    """Embed b bare token-id sequences in one padded pass, one tape record.
+
+    Returns the (b, L, d) encodings, L = longest sequence + 2, and the (b, L)
+    padding mask, True past each sequence's end marker. Item i's rows 0 and
+    n_i + 1 are its start/end markers; its rows past n_i + 1 are padding and
+    hold no meaning. With ``first_row_only`` the encodings are (b, 1, d), the
+    start-marker rows alone, equal to row 0 of the full pass up to rounding.
+    The caller is responsible for truncation: sequences longer than
+    max_seq_len - 2 are rejected, never silently shortened.
+    """
+    ids, padding = marked_ids(params, sequences)
+    out, vjp = encoder_kernel(params, ids, padding, first_row_only)
+    return T.record(pass_inputs(params), out, vjp), padding
 
 
 def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:
@@ -274,10 +298,14 @@ def target_representation(
     encoded: Tensor, target_index: Sequence[int], padding: np.ndarray
 ) -> Tensor:
     """Each item's target-word row, (b, d), of a batch from ``encode_batch``: its
-    (b, L, d) rows, one word index per item and its (b, L) ``padding`` mask. Word
-    index t maps to row t + 1, past the start marker; each index is checked against
-    its own item's words."""
-    n_words = encoded.shape[1] - 2 - padding.sum(axis=1)
+    (b, L, d) rows, one word index per item and its (b, L) ``padding`` mask."""
+    return T.gather(encoded, target_rows(target_index, padding))
+
+
+def target_rows(target_index: Sequence[int], padding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (item, row) index of each item's target-word row in a batch with (b, L)
+    ``padding``: word index t is row t + 1, checked against its own item's words."""
+    n_words = padding.shape[1] - 2 - padding.sum(axis=1)
     targets = np.asarray(target_index)
     bad = (targets < 0) | (targets >= n_words)
     if bad.any():
@@ -285,7 +313,7 @@ def target_representation(
         raise IndexError(
             f"item {i}: target index {int(targets[i])} out of range for {int(n_words[i])} words"
         )
-    return T.gather(encoded, (np.arange(encoded.shape[0]), targets + 1))
+    return np.arange(len(padding)), targets + 1
 
 
 def cls_representation(encoded: Tensor) -> Tensor:

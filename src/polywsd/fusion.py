@@ -6,8 +6,10 @@ code row for the word. A gloss is represented by its start-marker row in
 the same shape, so both sides are directly comparable: their match score
 is the inner product of the two code rows. The b target rows of a padded
 batch of b contexts (b = 1 in prediction) form one (b, 1, d) query batch
-for one ``tensor.attention`` op, each masked to its own context's real
-positions, and give b code rows at once. Like the encoders' self-attention,
+for one attention, each masked to its own context's real positions, and
+give b code rows at once. ``fuse_context`` records it as one
+``tensor.attention`` op; the model's context side runs its kernel inside
+the side's one record, with the same bits. Like the encoders' self-attention,
 the fusion holds one (d, d) matrix per projection, its heads in column
 blocks.
 

@@ -6,15 +6,20 @@ takes its start-marker row as its code row. A pair scores the inner product
 of the two rows. Both phases (training and prediction) use the same
 full-context path through the same encoder stack and fusion attention.
 
-Every encode is one padded pass of ``encode_batch``, one tape record however
-many layers and sequences it has; padded positions are masked out of
-attention and change no real row. Training builds each side of a batch in
-one pass (``context_code_rows``, ``gloss_code_rows``).
-Only the start-marker row of a gloss is read, so ``gloss_code_rows`` has the
-last encoder layer compute that row alone; the context side keeps every
-row, since fusion attends over them. Prediction encodes one sequence per
-call, a batch of one (``context_codes``; ``gloss_codes``, through the
-full-row ``encode``), and each distinct gloss only once per model:
+Every encode is one padded pass of the encoder, however many layers and
+sequences it has; padded positions are masked out of attention and change
+no real row. Training builds each side of a batch in one pass, and each
+side is one tape record: ``context_code_rows`` runs the context pass, the
+target-row pick and the fusion attention as ``tensor`` kernels under one
+VJP, and ``gloss_code_rows`` the gloss pass, whose start-marker rows are
+the codes, so a forward records 5 ops (the sides, the score matrix's
+transpose and product, the loss). Only the start-marker row of a gloss is
+read, so ``gloss_code_rows`` has the last encoder layer compute that row
+alone; the context side keeps every row, since fusion attends over them.
+Prediction encodes one sequence per call, a batch of one: ``context_codes``
+is 1 record, and ``gloss_codes`` 4 (``encode``, the start-marker pick and
+``fuse_gloss``), since callers count gloss encodes by wrapping ``encode``
+by name. Each distinct gloss is encoded only once per model:
 ``predict.score_candidates`` keeps the gloss code rows in the model's
 ``_gloss_rows`` until the gloss encoder's slice of the value buffer changes.
 Either way, encoder forwards are counted per sequence, not per pass.
@@ -32,18 +37,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .data import CorpusInstance, Vocab, content_ids, content_ids_around
 from .encoder import (
     EncoderConfig,
     EncoderParams,
     cls_representation,
     encode,
-    encode_batch,
+    encoder_kernel,
     encoder_params,
     init_encoder,
-    target_representation,
+    marked_ids,
+    pass_inputs,
+    target_rows,
 )
 from .errors import ConfigError
+# fuse_context stays a name here for profilers that wrap it; the context rows run its kernel
 from .fusion import (
     FusionConfig,
     FusionParams,
@@ -177,11 +186,24 @@ def _gloss_ids(model: WsdModel, gloss_tokens: list[str]) -> list[int]:
 
 
 def _window_code_rows(model: WsdModel, windows: list[tuple[list[int], int]]) -> Tensor:
-    """One code row per (context ids, target index) window, from one padded
-    context-encoder pass and one fusion pass."""
-    encoded, padding = encode_batch(model.context, [ids for ids, _ in windows])
-    targets = target_representation(encoded, [target for _, target in windows], padding)
-    return fuse_context(encoded, targets, model.fusion, padding)
+    """One code row per (context ids, target index) window: one record over the
+    context-encoder pass, the target-row pick and the fusion attention, with the
+    bits of their op chain (``encode_batch``, ``target_representation``, ``fuse_context``)."""
+    ids, padding = marked_ids(model.context, [ids for ids, _ in windows])
+    rows = target_rows([target for _, target in windows], padding)
+    encoded, encoder_vjp = encoder_kernel(model.context, ids, padding, False)
+    targets, pick_vjp = T.gather_kernel(encoded, rows)
+    (b, d), fusion = targets.shape, model.fusion
+    weights = (fusion.wq, fusion.wk, fusion.wv, fusion.w_o)
+    arrays = (targets.reshape(b, 1, d), encoded, *(w.data for w in weights))
+    fused, fuse_vjp = T.attention_kernel(*arrays, fusion.config.n_heads, padding)
+
+    def vjp(g: np.ndarray):
+        d_targets, d_encoded, *d_weights = fuse_vjp(g.reshape(b, 1, d))
+        (d_picked,) = pick_vjp(d_targets.reshape(b, d))
+        return (*encoder_vjp(d_encoded + d_picked), *d_weights)
+
+    return T.record((*pass_inputs(model.context), *weights), fused.reshape(b, d), vjp)
 
 
 def context_codes(model: WsdModel, tokens: list[str], target_index: int) -> Tensor:
@@ -203,12 +225,18 @@ def context_code_rows(model: WsdModel, instances: list[CorpusInstance]) -> Tenso
 
 
 def gloss_code_rows(model: WsdModel, glosses: list[list[str]]) -> Tensor:
-    """n x d_model code rows, row j equal to ``gloss_codes`` of gloss j up to
-    rounding, from one padded gloss-encoder pass whose last layer computes only
-    the start-marker rows."""
-    ids = [_gloss_ids(model, g) for g in glosses]
-    encoded, _ = encode_batch(model.gloss, ids, first_row_only=True)
-    return fuse_gloss(cls_representation(encoded))
+    """n x d_model code rows, row j equal to ``gloss_codes`` of gloss j up to rounding:
+    one record of a padded gloss-encoder pass whose last layer computes only the
+    start-marker rows, with the bits of ``encode_batch``, ``cls_representation`` and
+    ``fuse_gloss``."""
+    ids, padding = marked_ids(model.gloss, [_gloss_ids(model, g) for g in glosses])
+    rows, encoder_vjp = encoder_kernel(model.gloss, ids, padding, True)
+    n, _, d = rows.shape
+    # a transposed score matrix hands back a strided adjoint; the chain's pick copied it
+    return T.record(
+        pass_inputs(model.gloss), rows.reshape(n, d),
+        lambda g: encoder_vjp(np.ascontiguousarray(g).reshape(n, 1, d)),
+    )
 
 
 def randomize_parameters(model: WsdModel, seed: int, scale: float = 0.2) -> None:

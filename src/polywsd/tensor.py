@@ -17,14 +17,16 @@ parameter ``data`` in place between tapes, never during one).
 
 Row sums in ``layer_norm``, the softmaxes and ``cross_entropy`` are BLAS
 products with a constant column, equal to ``sum(axis=-1)`` up to a few ulp at
-any buffer alignment; row maxima and the embedding gradient (``np.bincount``)
-are bit-equal to plain numpy.
+any buffer alignment; each column is built once per width and value and
+shared read-only (``_column``). Row maxima and the embedding gradient
+(``np.bincount``) are bit-equal to plain numpy.
 
 The training loss is one op, ``cross_entropy``, and multi-head attention over
 a padded batch one op, ``attention``, each with its VJP written out by hand.
 ``add``, ``gather``, ``gelu``, ``layer_norm``, ``embed`` and ``attention`` each
-record the ``(out, vjp)`` of a kernel on arrays; the encoder pass runs the
-kernels itself and records the whole pass (``record``) as one op.
+record the ``(out, vjp)`` of a kernel on arrays. Callers may run the kernels
+themselves and record what they compose as one op (``record``): the encoder
+pass (``encoder.encode_batch``) and each of the model's two code sides do.
 
 The first ``backward`` of a process sets glibc's allocator (``mallopt``) to
 serve blocks of up to 32 MiB from the heap and keep up to 64 MiB of free heap
@@ -275,6 +277,14 @@ def scale(a: Tensor, c: float) -> Tensor:
     return record((a,), a.data * c, lambda g: (g * c,))
 
 
+@functools.lru_cache(maxsize=256)
+def _column(n: int, value: float) -> np.ndarray:
+    """A read-only (n, 1) column of ``value``, built once per (n, value)."""
+    col = np.full((n, 1), value)
+    col.flags.writeable = False
+    return col
+
+
 def _row_dot(x: np.ndarray, col: np.ndarray) -> np.ndarray:
     """The last-axis rows of ``x`` times an (n, 1) column, in one BLAS call: (..., 1)."""
     if x.ndim == 2:
@@ -291,7 +301,7 @@ def _masked_shift_exp(x: np.ndarray, mask: np.ndarray | None):
     # reducing across contiguous rows vectorizes where a last-axis max does not
     mx = np.maximum.reduce(np.ascontiguousarray(x.swapaxes(-1, -2)), axis=-2)[..., None]
     e = np.exp(x - mx)
-    return x, mx, e, _row_dot(e, np.ones((x.shape[-1], 1)))
+    return x, mx, e, _row_dot(e, _column(x.shape[-1], 1.0))
 
 
 def row_softmax(m: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -310,7 +320,7 @@ def row_softmax(m: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The adjoint of the logits of last-axis softmax ``p`` for its adjoint ``g``."""
-    return p * (g - _row_dot(g * p, np.ones((p.shape[-1], 1))))
+    return p * (g - _row_dot(g * p, _column(p.shape[-1], 1.0)))
 
 
 def cross_entropy(scores: Tensor, mask: np.ndarray | None, targets) -> tuple[Tensor, np.ndarray]:
@@ -390,7 +400,7 @@ def gelu(a: Tensor) -> Tensor:
 def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, _Vjp]:
     """Each last-axis row of ``x`` at zero mean and unit variance, scaled by ``gain``
     and shifted by ``bias``, both (d,); and its VJP to x, gain and bias."""
-    w = np.full((x.shape[-1], 1), 1.0 / x.shape[-1])  # row means as BLAS products
+    w = _column(x.shape[-1], 1.0 / x.shape[-1])  # row means as BLAS products
     centred = x - _row_dot(x, w)
     inv = 1.0 / np.sqrt(_row_dot(centred * centred, w) + _LAYER_NORM_EPS)
     y = centred * inv
@@ -413,14 +423,16 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return record((a, gain, bias), *layer_norm_kernel(a.data, gain.data, bias.data))
 
 
+def embed_vjp(shape: tuple[int, int], idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The adjoint of a ``shape`` table whose rows ``table[idx]`` have adjoint ``g``."""
+    rows, d = shape  # bincount adds in id order, as np.add.at does
+    cells = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+    return np.bincount(cells, weights=g.ravel(), minlength=rows * d).reshape(rows, d)
+
+
 def embed_kernel(table: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, _Vjp]:
     """The rows ``table[idx]`` for an intp array of in-range ids, and their VJP."""
-    def vjp(g: np.ndarray):
-        rows, d = table.shape  # bincount adds in id order, as np.add.at does
-        cells = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
-        return (np.bincount(cells, weights=g.ravel(), minlength=rows * d).reshape(rows, d),)
-
-    return table[idx], vjp
+    return table[idx], lambda g: (embed_vjp(table.shape, idx, g),)
 
 
 def embed(table: Tensor, ids) -> Tensor:
@@ -522,7 +534,7 @@ def attention_kernel(
 
     # C-order copies where the chain's ops make them: a strided kT moves the scores' bits
     q, k, v = (np.ascontiguousarray(split(a @ w)) for a, w in ((x, wq), (c, wk), (c, wv)))
-    kT, scale = np.ascontiguousarray(k.swapaxes(-1, -2)), float(1.0 / np.sqrt(dh))
+    kT, scale = np.ascontiguousarray(k.swapaxes(-1, -2)), 1.0 / math.sqrt(dh)
     mask = None  # nothing masked (a batch of one, an unpadded batch): no per-head mask
     if key_mask.any():
         mask = np.broadcast_to(np.repeat(key_mask, n_heads, axis=0)[:, None, :], (len(q), n_q, n))

@@ -10,7 +10,7 @@ own candidates. ``scored_forward`` is then one path for both: the b contexts
 as one padded encoder pass, the glosses as another, the score matrix, and one
 masked cross-entropy (``bcl_loss``, one tape op), the mean negative
 log-probability of each row's target cell under the masked row softmax. The
-tape records one op per encoder pass, not per sequence. A step costs b context
+tape records one op per code side, not per sequence. A step costs b context
 encodes either way, and b gloss encodes against sum(m_i); ``ForwardCounts``
 reports these counts, and ``RunMetrics`` sums them for cost accounting, next
 to the run's wall clock (its device-hours, as a run is one process).

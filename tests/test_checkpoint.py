@@ -1,7 +1,11 @@
 """Checkpoint format: bit-exact round trips, version gating, resume parity."""
 
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -224,6 +228,55 @@ class TestRejection:
         )
         assert run_fresh(code).startswith("payload of ")
 
+    @pytest.mark.parametrize("implied", [True, False], ids=["header_implies_it", "small_header"])
+    def test_sparse_file_past_the_limit_exits_1_before_reading_it(self, tmp_path, implied):
+        """Under a 1 GiB address-space limit, ``polywsd predict`` on a sparse checkpoint
+        larger than the limit exits 1 with a located message and no traceback. A header
+        that implies the file's 3 GB fails the memory check before a payload byte is
+        read; a small model's header followed by 1.5 GB fails its checksum, read a chunk
+        at a time."""
+        _, _, model, _, config = _trained_world()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, None, seed=config.seed, step=3)
+        size = 3 << 29
+        if implied:  # a ~3 GB gloss encoder, and the file at the exact size it implies
+            header = {}
+
+            def grow(edited):
+                edited["gloss_config"]["max_seq_len"] = 48 * 10**6
+                header.update(edited)
+
+            _edit_header(path, grow)
+            count = parameter_count(
+                EncoderConfig(**header["context_config"]), EncoderConfig(**header["gloss_config"]),
+                FusionConfig(**header["fusion_config"]),
+            )
+            size = path.stat().st_size + 8 * (count - model.values.size)
+            assert size > 3 * 10**9
+        with open(path, "r+b") as fh:
+            fh.truncate(size)
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from polywsd.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = [
+            "predict", "--checkpoint", path, "--corpus", tmp_path / "c.jsonl",
+            "--inventory", tmp_path / "i.jsonl", "--out", tmp_path / "out.tsv",
+        ]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+        want = (
+            r"loading \d+ parameter values needs \d+ bytes, more than the \d+ bytes of memory left"
+            if implied else "checksum mismatch, the file is truncated or damaged"
+        )
+        assert re.fullmatch(rf"error: {re.escape(str(path))}: {want}\n", proc.stderr), proc.stderr
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -383,6 +436,25 @@ def test_a_load_draws_no_random_numbers(tmp_path, monkeypatch):
     assert loaded.optimizer.t == optimizer.t
     for saved, got in zip(optimizer.m + optimizer.v, loaded.optimizer.m + loaded.optimizer.v):
         assert saved.tobytes() == got.tobytes()
+
+
+def test_a_load_peaks_at_the_bytes_it_keeps(tmp_path):
+    """The payload is read into the buffers the load keeps (the values and Adam's five),
+    never held as file bytes beside them: the traced peak is those buffers plus less
+    than a MiB for the header and the model's objects."""
+    corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=10, seed=2)
+    model = tiny_model(corpus, inventory, seed=6, max_seq_len=32768)  # 4 MB of values
+    optimizer = Adam(model.parameters())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, optimizer, seed=6, step=0)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.model.values.tobytes() == model.values.tobytes()
+    assert peak < 6 * model.values.nbytes + (1 << 20)
 
 
 def test_a_loaded_model_owns_a_writable_buffer_and_trains(tmp_path):

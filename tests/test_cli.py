@@ -461,6 +461,47 @@ def test_optimizer_past_memory_is_refused_before_allocating(workspace, tmp_path)
     assert not (tmp_path / "never.ckpt").exists()
 
 
+def test_model_whose_values_fit_draws_no_table_sized_temporary(workspace, tmp_path):
+    """With 384 MiB of address space left, a model whose values take 0.8 of it passes
+    ``build_model``'s check, and drawing a position table (0.4 of it) as one temporary
+    would not fit beside them: the tables are drawn in blocks, so the run gets as far
+    as the optimizer's check and exits 1 with its message, not an ``_ArrayMemoryError``."""
+    config = tmp_path / "long.json"
+    argv = [
+        config,
+        "train",
+        "--corpus", workspace / "corpus.jsonl",
+        "--inventory", workspace / "inventory.jsonl",
+        "--config", config,
+        "--out", tmp_path / "never.ckpt",
+    ]
+    code = (
+        "import json, os, resource, sys\n"
+        "from polywsd.cli import main\n"
+        "from polywsd.model import memory_ceiling\n"
+        "with open('/proc/self/statm', encoding='ascii') as fh:\n"
+        "    mapped = int(fh.read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "limit = mapped + (384 << 20)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "table = memory_ceiling() / 2.5  # bytes of one position table, d_model 16\n"
+        "with open(sys.argv[1], 'w', encoding='utf-8') as fh:\n"
+        "    json.dump({'encoder': {'max_seq_len': int(table / (8 * 16))}}, fh)\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert re.fullmatch(
+        r"error: the optimizer's five buffers for \d+ parameter values need \d+ bytes, "
+        r"more than the \d+ bytes of memory left\n",
+        proc.stderr,
+    ), proc.stderr
+    assert not (tmp_path / "never.ckpt").exists()
+
+
 def test_null_clip_norm_means_no_clipping(workspace, tmp_path):
     """``"clip_norm": null`` trains exactly as a config without the key."""
     paths = []

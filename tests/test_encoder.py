@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import polywsd.encoder
 from polywsd import tensor as T
 from polywsd.data import CLS_ID, PAD_ID, SEP_ID
 from polywsd.encoder import (
@@ -381,6 +382,18 @@ class TestStackedHeads:
         # the rest are the layer-norm gains and the biases, at their constant inits
         for name in named.keys() - expected.keys():
             assert np.all(named[name].data == (1.0 if name.endswith("gain") else 0.0)), name
+
+    def test_embedding_tables_drawn_in_blocks_match_one_whole_draw(self, monkeypatch):
+        """Each table is drawn a block of rows at a time, with the bits of one draw of
+        the whole table; at d_model 4 the 40,000-row position table takes three blocks."""
+        config = EncoderConfig(
+            vocab_size=20, d_model=4, n_layers=1, n_heads=2, d_ff=8, max_seq_len=40_000
+        )
+        blocks = fresh_encoder(config, np.random.default_rng(3))
+        monkeypatch.setattr(polywsd.encoder, "_EMBED_DRAW_VALUES", 10**9)
+        whole = fresh_encoder(config, np.random.default_rng(3))
+        for (name, a), (_, b) in zip(blocks.named_tensors(), whole.named_tensors()):
+            assert a.data.tobytes() == b.data.tobytes(), name
 
     def test_parameter_count_does_not_depend_on_heads(self):
         corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=6, seed=4)

@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 
 from polywsd import tensor as T
+from polywsd.data import Vocab
+from polywsd.encoder import EncoderConfig, cls_representation, encode_batch, target_representation
 from polywsd.errors import ShapeError
-from polywsd.fusion import FusionConfig, fuse_context, fuse_gloss, score_pair
-from polywsd.model import context_codes, gloss_codes
+from polywsd.fusion import FusionConfig, fuse_context, fuse_gloss, score_pair, score_rows
+from polywsd.model import (
+    _gloss_ids,
+    _window_code_rows,
+    build_model,
+    context_codes,
+    gloss_code_rows,
+    gloss_codes,
+    randomize_parameters,
+)
 from polywsd.synthetic import synthetic_corpus
-from polywsd.tensor import Tensor, finite_diff_check
+from polywsd.tensor import Tape, Tensor, backward, finite_diff_check
 
 from conftest import fresh_fusion, tiny_model
 
@@ -216,3 +226,69 @@ class TestFullFusion:
 
         err = finite_diff_check(f, [t for _, t in params.named_tensors()], h=1e-4)
         assert err < 1e-4, f"rel error {err}"
+
+
+def _chain_context_rows(model, windows):
+    """The context code rows as the op chain they are one record of."""
+    encoded, padding = encode_batch(model.context, [ids for ids, _ in windows])
+    targets = target_representation(encoded, [target for _, target in windows], padding)
+    return fuse_context(encoded, targets, model.fusion, padding)
+
+
+def _chain_gloss_rows(model, glosses):
+    """The gloss code rows as the op chain they are one record of."""
+    ids = [_gloss_ids(model, g) for g in glosses]
+    encoded, _ = encode_batch(model.gloss, ids, first_row_only=True)
+    return fuse_gloss(cls_representation(encoded))
+
+
+_WORDS = ["a", "b", "c", "d", "e", "f", "g", "h"]  # ids 4 to 11
+
+
+class TestCodeRowOps:
+    """Each code side is one tape record with the bits of the op chain it replaces:
+    its rows and every parameter's gradient, scored as training scores them (the
+    gloss side through the transposed score matrix, whose adjoint is strided)."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("side", ["context", "gloss"])
+    @pytest.mark.parametrize("padded", [True, False], ids=["padded", "unpadded"])
+    def test_bit_equal_to_the_op_chain_rows_and_gradients(self, n_layers, n_heads, side, padded):
+        encoder = EncoderConfig(
+            vocab_size=12, d_model=8, n_layers=n_layers, n_heads=n_heads, d_ff=12, max_seq_len=7
+        )
+        fusion = FusionConfig(d_model=8, poly_m=1, n_heads=n_heads)
+        model = build_model(encoder, encoder, fusion, Vocab.from_tokens(_WORDS), seed=0)
+        randomize_parameters(model, seed=1, scale=0.5)
+        if side == "context":
+            windows = [([4, 5, 6], 1), ([7], 0), ([8, 9], 1)]
+            items = windows if padded else [([4, 5, 6], 2), ([7, 8, 9], 0)]
+            ops = [_chain_context_rows, _window_code_rows]
+        else:
+            glosses = [["a", "b", "c"], ["d"], ["e", "f"]]
+            items = glosses if padded else [["a", "b", "c"], ["d", "e", "f"]]
+            ops = [_chain_gloss_rows, gloss_code_rows]
+        rng = np.random.default_rng(2)
+        other = Tensor(rng.normal(size=(4, 8)))
+        weights = Tensor(rng.normal(size=(len(items), 4)))
+        runs, lengths = [], []
+        for op in ops:
+            for tensor in model.parameters():
+                tensor.grad = None
+            tape = Tape()
+            with tape:
+                rows = op(model, items)
+                start = len(tape)
+                if side == "context":
+                    scores = score_rows(rows, other)
+                else:
+                    scores = T.transpose(score_rows(other, rows))
+                loss = T.sum_all(T.mul(scores, weights))
+            backward(loss, tape)
+            grads = [None if t.grad is None else t.grad.tobytes() for t in model.parameters()]
+            runs.append([rows.data.tobytes(), *grads])
+            lengths.append(start)
+        chain, fused = runs
+        assert lengths[1] == 1
+        assert fused == chain

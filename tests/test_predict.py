@@ -252,6 +252,33 @@ class TestGlossRowCache:
         predict_corpus(corpus, inventory, loaded)
         assert len(counts) == len(distinct) and set(counts.values()) == {1}
 
+    def test_encode_sees_each_uncached_gloss_once_and_no_context(self, monkeypatch, small_world):
+        """The benchmark counts prediction's gloss forwards by wrapping
+        ``polywsd.model.encode`` and divides by that count. On a fresh model,
+        ``score_candidates`` calls it with the gloss encoder once per distinct candidate
+        gloss not yet cached, on a warm cache not at all, and never for a context."""
+        corpus, inventory, model = small_world
+        calls, original = [], polywsd.model.encode
+
+        def counted(params, token_ids):
+            calls.append(params)
+            return original(params, token_ids)
+
+        monkeypatch.setattr(polywsd.model, "encode", counted)
+        cached: set[tuple] = set()
+        for inst in corpus:
+            calls.clear()
+            score_candidates(inst, inventory, model)
+            glosses = {tuple(s.gloss) for s in inventory.candidates(inst.lemma, inst.pos)}
+            assert len(calls) == len(glosses - cached)
+            assert all(params is model.gloss for params in calls)
+            cached |= glosses
+        assert len(cached) > 0
+        for inst in corpus:
+            calls.clear()
+            score_candidates(inst, inventory, model)
+            assert calls == []
+
     @pytest.mark.parametrize("change", ["in_place_write", "train_step", "randomize"])
     def test_parameter_change_between_predictions_is_seen(self, change, small_world):
         corpus, inventory, model = small_world

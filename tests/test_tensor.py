@@ -16,8 +16,11 @@ import pytest
 
 import polywsd
 from polywsd import tensor as T
+from polywsd.data import Vocab
 from polywsd.encoder import EncoderConfig, encode_batch, encoder_params
 from polywsd.errors import ContractError, OracleError, ShapeError
+from polywsd.fusion import FusionConfig, fusion_params
+from polywsd.model import WsdModel, _window_code_rows, gloss_code_rows
 from polywsd.tensor import Tape, Tensor, backward, finite_diff_check
 
 from conftest import recorded_attention_weights, run_fresh
@@ -331,6 +334,21 @@ def _encoder_pass(p, rng, first_row_only):
     return T.mul(encoded, _projection(rng, encoded.shape))
 
 
+def _side_model(p, rng):
+    """A model of two-layer, two-head encoders and a two-head fusion at d_model 4 over
+    words "w" to "z" (ids 4 to 7), with ``p`` as both token tables and every other
+    parameter drawn from ``rng``: a code-row op's gradient reaches p through its pass."""
+    config = EncoderConfig(vocab_size=8, d_model=4, n_layers=2, n_heads=2, d_ff=6, max_seq_len=5)
+
+    def cut(*shape):
+        return p if shape == p.shape else _projection(rng, shape)
+
+    context, gloss = encoder_params(config, cut), encoder_params(config, cut)
+    fusion = fusion_params(FusionConfig(d_model=4, poly_m=1, n_heads=2), cut)
+    vocab = Vocab.from_tokens(["w", "x", "y", "z"])
+    return WsdModel(vocab, context, gloss, fusion, np.empty(0), np.empty(0))
+
+
 def _bare_layer_norm(x):
     """``layer_norm`` with unit gain and zero bias: the normalization alone."""
     d = x.shape[-1]
@@ -538,6 +556,23 @@ _OP_TABLE = [
     # the encoder pass as one record, all rows and the gloss side's start-marker rows
     ("encoder_pass", lambda p, rng: _encoder_pass(p, rng, False), (8, 4)),
     ("encoder_pass_first_row", lambda p, rng: _encoder_pass(p, rng, True), (8, 4)),
+    # each code side as one record: a padded batch of two windows or two glosses
+    (
+        "context_code_rows",
+        lambda p, rng: T.mul(
+            _window_code_rows(_side_model(p, rng), [([4, 5, 6], 1), ([7], 0)]),
+            _projection(rng, (2, 4)),
+        ),
+        (8, 4),
+    ),
+    (
+        "gloss_code_rows",
+        lambda p, rng: T.mul(
+            gloss_code_rows(_side_model(p, rng), [["w", "x", "y"], ["z"]]),
+            _projection(rng, (2, 4)),
+        ),
+        (8, 4),
+    ),
 ]
 
 

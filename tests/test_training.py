@@ -1,6 +1,8 @@
 """Contrastive trainer: score matrix, loss, Adam, both step regimes."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -838,9 +840,10 @@ class TestBatchedPath:
         assert totals[0] < totals[1]
         assert records(small, MODE_ALL_CANDIDATES) == records(batch, MODE_ALL_CANDIDATES)
 
-    def test_forward_records_11_ops_at_the_cli_defaults(self):
-        """Each forward records 11 ops at the CLI defaults: each encoder pass (context,
-        gloss) one, the fusion attention one and the loss one."""
+    def test_forward_records_5_ops_at_the_cli_defaults(self):
+        """Each forward records 5 ops at the CLI defaults: each code side (context
+        pass, target pick and fusion; gloss pass) one, the score matrix's transpose and
+        product, and the loss."""
         corpus, inventory = synthetic_corpus(n_lemmas=10, senses_per_lemma=3, n_instances=50, seed=0)
         config = _load_config(None)
         vocab = build_vocab(corpus, inventory, min_freq=config["train"]["min_freq"])
@@ -855,12 +858,13 @@ class TestBatchedPath:
             tape = Tape()
             with tape:
                 forward()
-            assert len(tape) == 11
+            assert len(tape) == 5
 
-    def test_prediction_records_5_and_4_ops_at_the_cli_defaults(self):
-        """Prediction's batch of one records 5 ops per ``context_codes`` and 4 per
-        ``gloss_codes`` at the CLI defaults: each encoder pass and the fusion attention
-        is one record, as in training."""
+    def test_prediction_records_1_and_4_ops_at_the_cli_defaults(self):
+        """Prediction's batch of one records 1 op per ``context_codes``, its code side,
+        as in training, and 4 per ``gloss_codes``: the pass, and the reshape, pick and
+        reshape of ``encode``, ``cls_representation`` and ``fuse_gloss``, which keep
+        each gloss encoded through ``encode``."""
         corpus, inventory = synthetic_corpus(n_lemmas=10, senses_per_lemma=3, n_instances=50, seed=0)
         config = _load_config(None)
         vocab = build_vocab(corpus, inventory, min_freq=config["train"]["min_freq"])
@@ -869,7 +873,7 @@ class TestBatchedPath:
         inst = corpus[0]
         gloss = inventory.candidates(inst.lemma, inst.pos)[0].gloss
         for forward, records in (
-            (lambda: context_codes(model, inst.tokens, inst.target_index), 5),
+            (lambda: context_codes(model, inst.tokens, inst.target_index), 1),
             (lambda: gloss_codes(model, gloss), 4),
         ):
             tape = Tape()
@@ -962,3 +966,41 @@ class TestBatching:
         again = [i.id for b in make_batches(corpus, inventory, 4, seed=1, epoch=0) for i in b.instances]
         assert ids0 != ids1
         assert ids0 == again
+
+
+def test_two_training_runs_on_two_threads_match_them_in_sequence():
+    """One BCL run and one all-candidates run, each on its own model and optimizer, on
+    two threads at once end with the losses, parameter bytes and Adam moments of the
+    same runs one after the other: each thread records onto its own tape."""
+    corpus, inventory = synthetic_corpus(n_lemmas=4, senses_per_lemma=3, n_instances=16, seed=1)
+    config = TrainConfig(batch_size=4, epochs=3, learning_rate=2e-3, seed=5)
+    modes = (MODE_CONTRASTIVE, MODE_ALL_CANDIDATES)
+
+    def run(mode):
+        model = tiny_model(corpus, inventory, seed=2, n_layers=2)
+        optimizer = Adam.from_config(model.parameters(), config)
+        metrics = train(model, optimizer, corpus, inventory, config, mode=mode)
+        losses = [r.loss.hex() for r in metrics.records]
+        return losses, model.values.tobytes(), optimizer.m_flat.tobytes(), optimizer.v_flat.tobytes()
+
+    sequential = [run(mode) for mode in modes]
+    barrier = threading.Barrier(2, timeout=30)
+    threaded: dict[str, tuple] = {}
+
+    def worker(mode):
+        barrier.wait()
+        threaded[mode] = run(mode)
+
+    threads = [threading.Thread(target=worker, args=(mode,)) for mode in modes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(sequential[0][0]) == 12 and len(sequential[1][0]) == 12
+    assert [threaded[mode] for mode in modes] == sequential
