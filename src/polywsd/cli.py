@@ -136,10 +136,18 @@ def _build_world(args, config):
     return corpus, inventory, vocab, encoder_config, fusion_config, train_config, fingerprint
 
 
-def _train_and_save(world, mode: str, checkpoint_path, metrics_path) -> RunMetrics:
+def _build_model(source, enc_cfg, fus_cfg, vocab, seed: int):
+    """``build_model`` with both encoders on ``enc_cfg``; its errors name the config."""
+    try:
+        return build_model(enc_cfg, enc_cfg, fus_cfg, vocab, seed=seed)
+    except ConfigError as exc:
+        raise ConfigError(f"{source or 'default config'}: section 'encoder': {exc}") from None
+
+
+def _train_and_save(world, source, mode: str, checkpoint_path, metrics_path) -> RunMetrics:
     """Build a fresh model, train it in ``mode``, and save its checkpoint and metrics log."""
     corpus, inventory, vocab, enc_cfg, fus_cfg, train_cfg, fingerprint = world
-    model = build_model(enc_cfg, enc_cfg, fus_cfg, vocab, seed=train_cfg.seed)
+    model = _build_model(source, enc_cfg, fus_cfg, vocab, train_cfg.seed)
     optimizer = Adam.from_config(model.parameters(), train_cfg)
     metrics = train(
         model, optimizer, corpus, inventory, train_cfg, mode=mode, fingerprint=fingerprint
@@ -167,7 +175,7 @@ def _cmd_train(args) -> int:
     _check_output_path("--out", args.out, args, *inputs)
     _check_output_path("--metrics", metrics_path, args, *inputs, "--out")
     world = _build_world(args, _load_config(args.config))
-    metrics = _train_and_save(world, args.mode, args.out, metrics_path)
+    metrics = _train_and_save(world, args.config, args.mode, args.out, metrics_path)
     steps = len(metrics.records)
     final_loss = metrics.records[-1].loss if metrics.records else float("nan")
     print(
@@ -229,6 +237,7 @@ def _cmd_bench(args) -> int:
     runs = [
         _train_and_save(
             world,
+            args.config,
             mode,
             os.path.join(args.out_dir, f"model_{mode}.ckpt"),
             os.path.join(args.out_dir, f"metrics_{mode}.jsonl"),
@@ -258,7 +267,7 @@ def _cmd_gradcheck(args) -> int:
     )
     vocab = build_vocab(corpus, inventory, min_freq=1)
     enc_cfg, fus_cfg = _model_configs(config, args.config, vocab.size)
-    model = build_model(enc_cfg, enc_cfg, fus_cfg, vocab, seed=args.seed)
+    model = _build_model(args.config, enc_cfg, fus_cfg, vocab, args.seed)
     randomize_parameters(model, seed=args.seed)
     batch = make_batches(corpus, inventory, batch_size=3, seed=args.seed, epoch=0)[0]
     error = check_bcl_gradients(batch, model, h=1e-4)

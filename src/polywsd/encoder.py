@@ -18,6 +18,8 @@ form.
 Blocks are pre-LayerNorm self-attention plus a GELU feed-forward, both
 with residual connections; each attention projection is one (d, d) matrix
 whose column blocks are the heads (Vaswani et al. 2017, arXiv:1706.03762).
+A block's tensors are named and shaped once, in ``block_shapes``: the
+parameter cut, the manifest names and ``model.parameter_count`` read it.
 The pass on arrays is ``encoder_kernel``, its forward and VJP made of
 ``tensor``'s kernels; ``encode_batch`` records it as one tape op, and the
 model's code sides run it inside their own one record. Every row's
@@ -27,7 +29,8 @@ broadcast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -79,31 +82,15 @@ def glorot(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def tensor_fields(params, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-    """A parameter dataclass's Tensor fields as (prefix + field name, tensor), in
-    declaration order, which is the order of the checkpoint manifest."""
-    for field in fields(params):
-        value = getattr(params, field.name)
-        if isinstance(value, Tensor):
-            yield prefix + field.name, value
-
-
-@dataclass
-class LayerParams:
-    """One transformer block: normed self-attention and normed feed-forward."""
-
-    attn_gain: Tensor
-    attn_bias: Tensor
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
-    ffn_gain: Tensor
-    ffn_bias: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
+def block_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """One transformer block's tensors, normed self-attention then normed
+    feed-forward, as {name: shape} in manifest order."""
+    d, dff = config.d_model, config.d_ff
+    return {
+        "attn_gain": (d,), "attn_bias": (d,), "wq": (d, d), "wk": (d, d), "wv": (d, d),
+        "wo": (d, d), "ffn_gain": (d,), "ffn_bias": (d,), "w1": (d, dff), "b1": (dff,),
+        "w2": (dff, d), "b2": (d,),
+    }
 
 
 @dataclass
@@ -111,7 +98,7 @@ class EncoderParams:
     config: EncoderConfig
     tok_emb: Tensor
     pos_emb: Tensor
-    layers: list[LayerParams]
+    layers: list[SimpleNamespace]  # each a block's tensors, in ``block_shapes`` order
     out_gain: Tensor
     out_bias: Tensor
 
@@ -119,7 +106,8 @@ class EncoderParams:
         yield f"{prefix}tok_emb", self.tok_emb
         yield f"{prefix}pos_emb", self.pos_emb
         for i, layer in enumerate(self.layers):
-            yield from tensor_fields(layer, f"{prefix}layer{i}.")
+            for name, tensor in vars(layer).items():
+                yield f"{prefix}layer{i}.{name}", tensor
         yield f"{prefix}out_gain", self.out_gain
         yield f"{prefix}out_bias", self.out_bias
 
@@ -127,13 +115,10 @@ class EncoderParams:
 def encoder_params(config: EncoderConfig, cut: Callable[..., Tensor]) -> EncoderParams:
     """The encoder's parameters, each ``cut(*shape)`` in manifest order (that of
     ``named_tensors``), holding whatever values ``cut`` gives them."""
-    d, dff = config.d_model, config.d_ff
+    d, shapes = config.d_model, block_shapes(config)
     tok_emb, pos_emb = cut(config.vocab_size, d), cut(config.max_seq_len, d)
     layers = [
-        LayerParams(
-            cut(d), cut(d), cut(d, d), cut(d, d), cut(d, d), cut(d, d),
-            cut(d), cut(d), cut(d, dff), cut(dff), cut(dff, d), cut(d),
-        )
+        SimpleNamespace(**{name: cut(*shape) for name, shape in shapes.items()})
         for _ in range(config.n_layers)
     ]
     return EncoderParams(config, tok_emb, pos_emb, layers, cut(d), cut(d))
@@ -181,10 +166,10 @@ def _check_ids(config: EncoderConfig, token_ids: Sequence[int]) -> None:
         raise ContractError(f"token ids must be integers in [0, {config.vocab_size})")
 
 
-def _block(layer: LayerParams, x: np.ndarray, n_heads: int, key_mask: np.ndarray, row0: bool):
+def _block(layer: SimpleNamespace, x: np.ndarray, n_heads: int, key_mask: np.ndarray, row0: bool):
     """One pre-LN block on (b, L, d) rows ``x`` as ``tensor`` kernels, its queries and
     residual row 0 alone if ``row0``: its output, and its VJP to x and to the layer's
-    tensors in field order (``vars`` order, the order ``LayerParams`` declares)."""
+    tensors in ``vars`` order, that of ``block_shapes``."""
     ag, ab, wq, wk, wv, wo, fg, fb, w1, b1, w2, b2 = (t.data for t in vars(layer).values())
     normed, ln1 = T.layer_norm_kernel(x, ag, ab)
     queries, residual = normed, x
@@ -292,14 +277,6 @@ def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:
     the start/end markers: ``encode_batch`` of a batch of one, its batch axis removed."""
     encoded, _ = encode_batch(params, [token_ids])
     return T.reshape(encoded, encoded.shape[1:])
-
-
-def target_representation(
-    encoded: Tensor, target_index: Sequence[int], padding: np.ndarray
-) -> Tensor:
-    """Each item's target-word row, (b, d), of a batch from ``encode_batch``: its
-    (b, L, d) rows, one word index per item and its (b, L) ``padding`` mask."""
-    return T.gather(encoded, target_rows(target_index, padding))
 
 
 def target_rows(target_index: Sequence[int], padding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import tensor as T
-from .encoder import glorot, tensor_fields
+from .encoder import glorot
 from .errors import ConfigError, ShapeError, check_positive_ints
 from .tensor import Tensor
 
@@ -63,7 +63,7 @@ class FusionParams:
     w_o: Tensor
 
     def named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        return tensor_fields(self, prefix)
+        return ((prefix + name, t) for name, t in vars(self).items() if name != "config")
 
 
 def fusion_params(config: FusionConfig, cut: Callable[..., Tensor]) -> FusionParams:

@@ -32,6 +32,7 @@ and draws nothing. An optimizer adopts the buffer; a checkpoint writes it whole.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -42,6 +43,7 @@ from .data import CorpusInstance, Vocab, content_ids, content_ids_around
 from .encoder import (
     EncoderConfig,
     EncoderParams,
+    block_shapes,
     cls_representation,
     encode,
     encoder_kernel,
@@ -96,9 +98,8 @@ def parameter_count(context: EncoderConfig, gloss: EncoderConfig, fusion: Fusion
     """How many values ``model_on`` cuts for these configs, without allocating them."""
     total = 4 * fusion.d_model**2  # the fusion's four (d, d) projections
     for c in (context, gloss):  # embedding tables and output norm, then the layers
-        d, d_ff = c.d_model, c.d_ff
-        total += (c.vocab_size + c.max_seq_len + 2) * d
-        total += c.n_layers * (4 * d * d + 2 * d * d_ff + d_ff + 5 * d)
+        block = sum(math.prod(shape) for shape in block_shapes(c).values())
+        total += (c.vocab_size + c.max_seq_len + 2) * c.d_model + c.n_layers * block
     return total
 
 
@@ -188,7 +189,8 @@ def _gloss_ids(model: WsdModel, gloss_tokens: list[str]) -> list[int]:
 def _window_code_rows(model: WsdModel, windows: list[tuple[list[int], int]]) -> Tensor:
     """One code row per (context ids, target index) window: one record over the
     context-encoder pass, the target-row pick and the fusion attention, with the
-    bits of their op chain (``encode_batch``, ``target_representation``, ``fuse_context``)."""
+    bits of their op chain (``encode_batch``, a ``tensor.gather`` of the
+    ``target_rows``, ``fuse_context``)."""
     ids, padding = marked_ids(model.context, [ids for ids, _ in windows])
     rows = target_rows([target for _, target in windows], padding)
     encoded, encoder_vjp = encoder_kernel(model.context, ids, padding, False)

@@ -15,7 +15,7 @@ onto the tape it opened. Tensors are treated as immutable after creation
 except for the ``grad`` slot (the optimizer and the gradient check write
 parameter ``data`` in place between tapes, never during one).
 
-Row sums in ``layer_norm``, the softmaxes and ``cross_entropy`` are BLAS
+Row sums in the layer norm, the softmaxes and ``cross_entropy`` are BLAS
 products with a constant column, equal to ``sum(axis=-1)`` up to a few ulp at
 any buffer alignment; each column is built once per width and value and
 shared read-only (``_column``). Row maxima and the embedding gradient
@@ -23,10 +23,10 @@ shared read-only (``_column``). Row maxima and the embedding gradient
 
 The training loss is one op, ``cross_entropy``, and multi-head attention over
 a padded batch one op, ``attention``, each with its VJP written out by hand.
-``add``, ``gather``, ``gelu``, ``layer_norm``, ``embed`` and ``attention`` each
-record the ``(out, vjp)`` of a kernel on arrays. Callers may run the kernels
-themselves and record what they compose as one op (``record``): the encoder
-pass (``encoder.encode_batch``) and each of the model's two code sides do.
+The ``*_kernel`` functions (add, GELU, layer norm, embedding, gather and
+attention) return the ``(out, vjp)`` of an op on arrays. Callers run them
+and record what they compose as one op (``record``): the encoder pass
+(``encoder.encode_batch``) and each of the model's two code sides do.
 
 The first ``backward`` of a process sets glibc's allocator (``mallopt``) to
 serve blocks of up to 32 MiB from the heap and keep up to 64 MiB of free heap
@@ -36,7 +36,7 @@ back in, about a tenth of its time; the cost is a few percent of resident
 memory. Prediction, which never differentiates, keeps the defaults; off
 Linux nothing changes. The arithmetic is the same either way.
 
-``gelu`` needs erf, which numpy lacks; ``erf`` here is the rational
+GELU needs erf, which numpy lacks; ``_erf`` here is the rational
 approximation of Cephes' ``ndtr.c`` (S. Moshier), ``x T(x^2) / U(x^2)``
 below |x| = 1 and ``1 - exp(-x^2) P(|x|) / Q(|x|)`` above it, with the
 sign restored by ``copysign`` so that erf(-x) == -erf(x) exactly. Over a
@@ -258,23 +258,11 @@ def add_kernel(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, _Vjp]:
     return x + y, (lambda g: (g, g)) if x.shape == y.shape else (lambda g: (g, _rows_sum(g)))
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """``add_kernel`` as one record, a rank-1 ``b`` over a rank-2 or 3 ``a``'s rows."""
-    if a.shape != b.shape and not (a.data.ndim in (2, 3) and b.shape == a.shape[-1:]):
-        raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
-    return record((a, b), *add_kernel(a.data, b.data))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product of two tensors of one shape."""
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}")
     return record((a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return record((a,), a.data * c, lambda g: (g * c,))
 
 
 @functools.lru_cache(maxsize=256)
@@ -302,20 +290,6 @@ def _masked_shift_exp(x: np.ndarray, mask: np.ndarray | None):
     mx = np.maximum.reduce(np.ascontiguousarray(x.swapaxes(-1, -2)), axis=-2)[..., None]
     e = np.exp(x - mx)
     return x, mx, e, _row_dot(e, _column(x.shape[-1], 1.0))
-
-
-def row_softmax(m: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis, stabilized by per-row max subtraction.
-
-    Entries where ``mask`` (the shape of ``m``) is True are excluded from the
-    distribution and get probability exactly 0, so they also get no gradient;
-    every row must keep at least one unmasked entry.
-    """
-    if m.data.ndim not in (2, 3) or m.data.size == 0:
-        raise ShapeError(f"row_softmax needs a non-empty rank-2 or 3 tensor, got shape {m.shape}")
-    _, _, e, s = _masked_shift_exp(m.data, mask)
-    p = e / s
-    return record((m,), p, lambda g: (_softmax_vjp(p, g),))
 
 
 def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -376,13 +350,6 @@ def _erf(x: np.ndarray, z: np.ndarray, gauss: np.ndarray) -> np.ndarray:
     return np.where(a < 1.0, near, np.copysign(far, x))
 
 
-def erf(x: np.ndarray) -> np.ndarray:
-    """Elementwise error function of a float64 array (see the module docstring)."""
-    x = np.asarray(x, dtype=np.float64)
-    z = x * x
-    return _erf(x, z, np.exp(-z))
-
-
 def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, _Vjp]:
     """The Gaussian-error linear unit (exact erf form) of ``x`` and its VJP."""
     u = x * _INV_SQRT2
@@ -390,11 +357,6 @@ def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, _Vjp]:
     gauss = np.exp(-z)  # the normal density up to 1/sqrt(2 pi); erf's tail uses it too
     cdf = 0.5 * (1.0 + _erf(u, z, gauss))
     return x * cdf, lambda g: (g * (cdf + x * gauss * _INV_SQRT_2PI),)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """``gelu_kernel`` as one record."""
-    return record((a,), *gelu_kernel(a.data))
 
 
 def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, _Vjp]:
@@ -413,16 +375,6 @@ def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tupl
     return y * gain + bias, vjp
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """``layer_norm_kernel`` as one record, for rank-2 or 3 ``a``."""
-    if a.data.ndim not in (2, 3) or not gain.shape == bias.shape == a.shape[-1:]:
-        raise ShapeError(
-            f"layer_norm needs rank 2 or 3 and a (d,) gain and bias, got {a.shape}, "
-            f"{gain.shape}, {bias.shape}"
-        )
-    return record((a, gain, bias), *layer_norm_kernel(a.data, gain.data, bias.data))
-
-
 def embed_vjp(shape: tuple[int, int], idx: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The adjoint of a ``shape`` table whose rows ``table[idx]`` have adjoint ``g``."""
     rows, d = shape  # bincount adds in id order, as np.add.at does
@@ -433,18 +385,6 @@ def embed_vjp(shape: tuple[int, int], idx: np.ndarray, g: np.ndarray) -> np.ndar
 def embed_kernel(table: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, _Vjp]:
     """The rows ``table[idx]`` for an intp array of in-range ids, and their VJP."""
     return table[idx], lambda g: (embed_vjp(table.shape, idx, g),)
-
-
-def embed(table: Tensor, ids) -> Tensor:
-    """``embed_kernel`` as one record: (n,) ids give (n, d), (B, L) ids (B, L, d)."""
-    if table.data.ndim != 2:
-        raise ShapeError(f"embed needs a rank-2 table, got shape {table.shape}")
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim not in (1, 2) or idx.size == 0:
-        raise ShapeError(f"embed needs a non-empty rank-1 or 2 id array, got shape {idx.shape}")
-    if idx.min() < 0 or idx.max() >= table.shape[0]:
-        raise ContractError(f"id out of range for table with {table.shape[0]} rows")
-    return record((table,), *embed_kernel(table.data, idx))
 
 
 def gather_kernel(x: np.ndarray, index) -> tuple[np.ndarray, _Vjp]:
@@ -459,7 +399,7 @@ def gather_kernel(x: np.ndarray, index) -> tuple[np.ndarray, _Vjp]:
 
 
 def gather(a: Tensor, index) -> Tensor:
-    """``gather_kernel`` as one record; repeated ids go through ``embed``."""
+    """``gather_kernel`` as one record."""
     return record((a,), *gather_kernel(a.data, index))
 
 
@@ -479,22 +419,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return record((a,), a.data.reshape(shape), lambda g: (g.reshape(old),))
 
 
-def regroup(a: Tensor, grouped: Sequence[int], axes: Sequence[int], shape: Sequence[int]) -> Tensor:
-    """Reshape ``a`` to ``grouped``, permute its axes by ``axes``, reshape to ``shape``.
-
-    Folds attention heads into the batch axis and back out of it; ``grouped``
-    may be rank 4, as it only shapes an intermediate numpy view.
-    """
-    try:
-        permuted = a.data.reshape(grouped).transpose(axes)
-        out = permuted.reshape(shape)
-    except ValueError:
-        raise ShapeError(f"cannot regroup {a.shape} as {grouped} by {axes} into {shape}") from None
-    # the inverse permutation, an argsort of a few axes in plain Python
-    inverse, old = sorted(range(len(axes)), key=axes.__getitem__), a.shape
-    return record((a,), out, lambda g: (g.reshape(permuted.shape).transpose(inverse).reshape(old),))
-
-
 def attention(
     queries: Tensor, context: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     n_heads: int, key_mask: np.ndarray,
@@ -504,8 +428,8 @@ def attention(
     Head i uses column block i of ``wq``, ``wk`` and ``wv``; the heads' outputs, side
     by side, are projected by ``wo``. Keys where ``key_mask`` (b, n) is True get
     exactly zero weight and gradient. Forward and VJP repeat, expression by
-    expression on arrays of the same layout, a chain of 13 ops (matmul, regroup,
-    transpose, scale and the masked row_softmax), its bit-level test oracle."""
+    expression on arrays of the same layout, a chain of 13 ops (matmuls, head
+    regroups, a transpose, a scale and a masked row softmax), its bit-level test oracle."""
     x, c, width = queries.data, context.data, wo.shape[0]
     if not (
         x.ndim == 3 and c.shape[::2] == x.shape[::2] and key_mask.shape == c.shape[:2]

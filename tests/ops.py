@@ -1,0 +1,80 @@
+"""Tape ops that only the tests run, one record per op: ``add``, ``gelu``,
+``layer_norm`` and ``embed`` record a package kernel; the rest are written out.
+Chained, they are the oracles of the package's fused records (the encoder pass,
+each code side, ``tensor.attention``), and the op table checks each gradient.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+from polywsd import tensor as T
+from polywsd.encoder import target_rows
+from polywsd.errors import ShapeError
+from polywsd.tensor import Tensor, record
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return record((a, b), *T.add_kernel(a.data, b.data))
+
+
+def gelu(a: Tensor) -> Tensor:
+    return record((a,), *T.gelu_kernel(a.data))
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    return record((a, gain, bias), *T.layer_norm_kernel(a.data, gain.data, bias.data))
+
+
+def embed(table: Tensor, ids) -> Tensor:
+    return record((table,), *T.embed_kernel(table.data, np.asarray(ids, dtype=np.intp)))
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    return record((a,), a.data * c, lambda g: (g * c,))
+
+
+def row_softmax(m: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis, stabilized by per-row max subtraction.
+
+    Entries where ``mask`` (the shape of ``m``) is True are excluded from the
+    distribution and get probability exactly 0, so they also get no gradient;
+    every row must keep at least one unmasked entry.
+    """
+    if m.data.ndim not in (2, 3) or m.data.size == 0:
+        raise ShapeError(f"row_softmax needs a non-empty rank-2 or 3 tensor, got shape {m.shape}")
+    _, _, e, s = T._masked_shift_exp(m.data, mask)
+    p = e / s
+    return record((m,), p, lambda g: (T._softmax_vjp(p, g),))
+
+
+def regroup(a: Tensor, grouped: Sequence[int], axes: Sequence[int], shape: Sequence[int]) -> Tensor:
+    """Reshape ``a`` to ``grouped``, permute its axes by ``axes``, reshape to ``shape``.
+
+    Folds attention heads into the batch axis and back out of it; ``grouped``
+    may be rank 4, as it only shapes an intermediate numpy view.
+    """
+    try:
+        permuted = a.data.reshape(grouped).transpose(axes)
+        out = permuted.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"cannot regroup {a.shape} as {grouped} by {axes} into {shape}") from None
+    # the inverse permutation, an argsort of a few axes in plain Python
+    inverse, old = sorted(range(len(axes)), key=axes.__getitem__), a.shape
+    return record((a,), out, lambda g: (g.reshape(permuted.shape).transpose(inverse).reshape(old),))
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """Elementwise error function of a float64 array: the GELU kernel's ``_erf``."""
+    x = np.asarray(x, dtype=np.float64)
+    z = x * x
+    return T._erf(x, z, np.exp(-z))
+
+
+def target_representation(
+    encoded: Tensor, target_index: Sequence[int], padding: np.ndarray
+) -> Tensor:
+    """Each item's target-word row, (b, d), of a batch from ``encode_batch``: its
+    (b, L, d) rows, one word index per item and its (b, L) ``padding`` mask."""
+    return T.gather(encoded, target_rows(target_index, padding))

@@ -22,7 +22,7 @@ from polywsd.fusion import FusionConfig
 from polywsd.model import build_model, context_codes, gloss_codes, randomize_parameters
 from polywsd.predict import predict_corpus, score_candidates
 from polywsd.synthetic import synthetic_corpus
-from polywsd.tensor import Tensor, row_softmax
+from polywsd.tensor import Tensor
 from polywsd.training import (
     MODE_CONTRASTIVE,
     Adam,
@@ -36,6 +36,8 @@ from polywsd.training import (
     train,
 )
 from polywsd.evaluation import compare_costs, config_fingerprint, score_f1
+
+from ops import row_softmax
 
 
 @contextmanager

@@ -206,12 +206,14 @@ class TestRejection:
             lambda h: [h[k].update(d_model=65536) for k in h if k.endswith("_config")],
             lambda h: h["context_config"].update(n_layers=10**6),
             lambda h: h["gloss_config"].update(max_seq_len=10**8),
+            lambda h: h["context_config"].update(n_layers=10**12),
         ],
-        ids=["d_model", "n_layers", "max_seq_len"],
+        ids=["d_model", "n_layers", "max_seq_len", "n_layers_1e12"],
     )
     def test_oversized_config_rejected_before_allocating(self, tmp_path, edit):
         """Each header asks for over 4 GiB of parameters; under a 2 GiB address-space
-        limit the payload check must refuse it before ``build_model`` draws a value."""
+        limit the payload check must refuse it before ``build_model`` draws a value.
+        Sizing takes constant time in the layer count: 10**12 layers are refused at once."""
         _, _, model, optimizer, config = _trained_world()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, optimizer, seed=config.seed, step=3)

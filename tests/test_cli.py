@@ -9,9 +9,12 @@ import sys
 
 import pytest
 
-from polywsd.cli import main
-from polywsd.data import load_predictions
+from polywsd.cli import _build_model, main
+from polywsd.data import Vocab, load_predictions
+from polywsd.encoder import EncoderConfig
+from polywsd.errors import ConfigError
 from polywsd.evaluation import score_f1
+from polywsd.fusion import FusionConfig
 
 from conftest import restamp_checksum
 
@@ -421,11 +424,47 @@ def test_model_past_memory_is_refused_before_allocating(workspace, tmp_path, fie
     )
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     assert re.match(
-        rf"error: \d+ parameter values need \d+ bytes, more than the \d+ bytes of memory, "
+        rf"error: {re.escape(str(config))}: section 'encoder': \d+ parameter values need "
+        rf"\d+ bytes, more than the \d+ bytes of memory, "
         rf"for context EncoderConfig\(.*\b{field}={value}\b",
         proc.stderr,
     ), proc.stderr
     assert not (tmp_path / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "bench", "gradcheck"])
+def test_model_past_memory_names_the_config_file(workspace, tmp_path, capsys, command):
+    """A config that asks for 10**12 encoder layers is sized without a per-layer
+    list, and refused at once with a message that names the file and its section."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"encoder": {"n_layers": 10**12}}), encoding="utf-8")
+    inputs = [
+        "--corpus", str(workspace / "corpus.jsonl"),
+        "--inventory", str(workspace / "inventory.jsonl"),
+    ]
+    flags = {
+        "train": [*inputs, "--out", str(tmp_path / "never.ckpt")],
+        "bench": [*inputs, "--out-dir", str(tmp_path / "bench")],
+        "gradcheck": [],
+    }[command]
+    assert main([command, "--config", str(config), *flags]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        rf"error: {re.escape(str(config))}: section 'encoder': \d+ parameter values need "
+        rf"\d+ bytes, more than the \d+ bytes of memory, for context EncoderConfig\(.*"
+        rf"\bn_layers=1000000000000\b.*\n",
+        err,
+    ), err
+    assert not (tmp_path / "never.ckpt").exists()
+
+
+def test_model_past_memory_without_a_config_names_the_default_config():
+    encoder = EncoderConfig(
+        vocab_size=8, d_model=4, n_layers=10**12, n_heads=2, d_ff=8, max_seq_len=8
+    )
+    vocab = Vocab.from_tokens(["w", "x", "y", "z"])
+    with pytest.raises(ConfigError, match=r"^default config: section 'encoder': \d+ parameter"):
+        _build_model(None, encoder, FusionConfig(d_model=4, poly_m=1, n_heads=2), vocab, 0)
 
 
 def test_optimizer_past_memory_is_refused_before_allocating(workspace, tmp_path):

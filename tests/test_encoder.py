@@ -6,19 +6,15 @@ import pytest
 import polywsd.encoder
 from polywsd import tensor as T
 from polywsd.data import CLS_ID, PAD_ID, SEP_ID
-from polywsd.encoder import (
-    EncoderConfig,
-    cls_representation,
-    encode,
-    encode_batch,
-    target_representation,
-)
+from polywsd.encoder import EncoderConfig, cls_representation, encode, encode_batch
 from polywsd.errors import ConfigError, ContractError
 from polywsd.fusion import FusionConfig
 from polywsd.synthetic import synthetic_corpus
 from polywsd.tensor import Tape, Tensor, backward
 
+import ops
 from conftest import fresh_encoder, recorded_attention_weights, tiny_model
+from ops import target_representation
 
 
 CONFIG = EncoderConfig(vocab_size=20, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=10)
@@ -228,20 +224,20 @@ def _chain_encoder(params, ids, key_mask, first_row_only):
     """The encoder pass op by op, one record per layer op, as it ran before the pass
     became one record: the fused pass's bit-level oracle."""
     positions = ids * 0 + np.arange(ids.shape[1])
-    x = T.add(T.embed(params.tok_emb, ids), T.embed(params.pos_emb, positions))
+    x = ops.add(ops.embed(params.tok_emb, ids), ops.embed(params.pos_emb, positions))
     last = params.layers[-1]
     for layer in params.layers:
-        normed = queries = T.layer_norm(x, layer.attn_gain, layer.attn_bias)
+        normed = queries = ops.layer_norm(x, layer.attn_gain, layer.attn_bias)
         if first_row_only and layer is last:
             queries, x = T.gather(normed, np.s_[:, :1]), T.gather(x, np.s_[:, :1])
         attended = T.attention(
             queries, normed, layer.wq, layer.wk, layer.wv, layer.wo, params.config.n_heads, key_mask
         )
-        x = T.add(x, attended)
-        normed = T.layer_norm(x, layer.ffn_gain, layer.ffn_bias)
-        hidden = T.gelu(T.add(T.matmul(normed, layer.w1), layer.b1))
-        x = T.add(x, T.add(T.matmul(hidden, layer.w2), layer.b2))
-    return T.layer_norm(x, params.out_gain, params.out_bias)
+        x = ops.add(x, attended)
+        normed = ops.layer_norm(x, layer.ffn_gain, layer.ffn_bias)
+        hidden = ops.gelu(ops.add(T.matmul(normed, layer.w1), layer.b1))
+        x = ops.add(x, ops.add(T.matmul(hidden, layer.w2), layer.b2))
+    return ops.layer_norm(x, params.out_gain, params.out_bias)
 
 
 def _marked(sequences):

@@ -5,7 +5,7 @@ import pytest
 
 from polywsd import tensor as T
 from polywsd.data import Vocab
-from polywsd.encoder import EncoderConfig, cls_representation, encode_batch, target_representation
+from polywsd.encoder import EncoderConfig, cls_representation, encode_batch
 from polywsd.errors import ShapeError
 from polywsd.fusion import FusionConfig, fuse_context, fuse_gloss, score_pair, score_rows
 from polywsd.model import (
@@ -20,7 +20,9 @@ from polywsd.model import (
 from polywsd.synthetic import synthetic_corpus
 from polywsd.tensor import Tape, Tensor, backward, finite_diff_check
 
+import ops
 from conftest import fresh_fusion, tiny_model
+from ops import target_representation
 
 
 class TestCodeRows:
@@ -101,12 +103,12 @@ class TestAttentionHead:
         wq, wk, _ = _projections(4, 2, rng)
         context = Tensor(rng.normal(size=(5, 4)))
         queries = Tensor(rng.normal(size=(2, 4)))
-        for q in (queries, T.scale(queries, 2.0)):
-            logits = T.scale(
+        for q in (queries, ops.scale(queries, 2.0)):
+            logits = ops.scale(
                 T.matmul(T.matmul(q, wq), T.transpose(T.matmul(context, wk))),
                 1.0 / np.sqrt(2),
             )
-            sums = T.row_softmax(logits).data.sum(axis=1)
+            sums = ops.row_softmax(logits).data.sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_mismatched_projection_rejected(self):

@@ -23,6 +23,7 @@ from polywsd.fusion import FusionConfig, fusion_params
 from polywsd.model import WsdModel, _window_code_rows, gloss_code_rows
 from polywsd.tensor import Tape, Tensor, backward, finite_diff_check
 
+import ops
 from conftest import recorded_attention_weights, run_fresh
 
 # item 0 pads keys 1 and 3, item 1 keys 0-2, as one mask row per query
@@ -77,18 +78,18 @@ class TestMatmul:
 
 class TestRowSoftmax:
     def test_symmetry(self):
-        out = T.row_softmax(Tensor([[0.0, 0.0]]))
+        out = ops.row_softmax(Tensor([[0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
 
     def test_reference_values(self):
         # scalar softmax of [2, 0], computed with a 30-digit mpmath script
-        out = T.row_softmax(Tensor([[2.0, 0.0]]))
+        out = ops.row_softmax(Tensor([[2.0, 0.0]]))
         np.testing.assert_allclose(
             out.data, [[0.8807970779778824, 0.1192029220221176]], atol=1e-12
         )
 
     def test_large_logits_no_overflow(self):
-        out = T.row_softmax(Tensor([[1000.0, 0.0]]))
+        out = ops.row_softmax(Tensor([[1000.0, 0.0]]))
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-12)
 
@@ -96,20 +97,20 @@ class TestRowSoftmax:
         rng = np.random.default_rng(11)
         for _ in range(100):
             m = Tensor(rng.normal(scale=5.0, size=(4, 6)))
-            sums = T.row_softmax(m).data.sum(axis=1)
+            sums = ops.row_softmax(m).data.sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
-            T.row_softmax(Tensor(np.zeros((0, 3))))
+            ops.row_softmax(Tensor(np.zeros((0, 3))))
 
     def test_mask_excludes_entries(self):
         mask = np.array([[False, True, False]])
-        out = T.row_softmax(Tensor([[1.0, 100.0, 1.0]]), mask=mask)
+        out = ops.row_softmax(Tensor([[1.0, 100.0, 1.0]]), mask=mask)
         np.testing.assert_allclose(out.data, [[0.5, 0.0, 0.5]], atol=1e-12)
 
     def test_batched_mask_gives_exactly_zero(self):
-        out = T.row_softmax(Tensor(np.random.default_rng(4).normal(size=(2, 3, 4))), _KEY_PADDING)
+        out = ops.row_softmax(Tensor(np.random.default_rng(4).normal(size=(2, 3, 4))), _KEY_PADDING)
         assert np.all(out.data[_KEY_PADDING] == 0.0)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -119,7 +120,7 @@ class TestCrossEntropy:
         rng = np.random.default_rng(8)
         scores, mask = rng.normal(size=(3, 5)), np.eye(3, 5, k=1, dtype=bool)
         total, per_row = T.cross_entropy(Tensor(scores), mask, [0, 4, 1])
-        probs = T.row_softmax(Tensor(scores), mask).data
+        probs = ops.row_softmax(Tensor(scores), mask).data
         np.testing.assert_allclose(per_row, -np.log(probs[[0, 1, 2], [0, 4, 1]]), atol=1e-15)
         assert total.item() == pytest.approx(per_row.mean(), abs=1e-15)
 
@@ -170,7 +171,7 @@ class TestBackward:
         x = Tensor([1.0, -2.0, 0.5])
         tape = Tape()
         with tape:
-            loss = T.add(T.sum_all(x), T.sum_all(x))
+            loss = ops.add(T.sum_all(x), T.sum_all(x))
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
@@ -199,7 +200,7 @@ class TestBackward:
         v.grad = np.array([5.0, 6.0])
         tape, other = Tape(), Tape()
         with tape:
-            T.add(T.sum_all(T.mul(w, v)), leaf)
+            ops.add(T.sum_all(T.mul(w, v)), leaf)
         with other:
             other_loss = T.sum_all(T.mul(w, v))
         loss = other_loss if where == "other-tape" else leaf
@@ -213,7 +214,7 @@ class TestBackward:
         tape = Tape()
         with tape:
             square = T.mul(a, a)
-            loss = T.sum_all(T.add(T.add(a, b), square))
+            loss = T.sum_all(ops.add(ops.add(a, b), square))
         backward(loss, tape)
         assert a.grad.tolist() == [3.0, 5.0] and b.grad.tolist() == [1.0, 1.0]
         assert not np.shares_memory(a.grad, b.grad)
@@ -228,7 +229,7 @@ class TestBackward:
             b = Tensor(b_data.copy())
             tape = Tape()
             with tape:
-                loss = T.sum_all(T.row_softmax(T.matmul(a, b)))
+                loss = T.sum_all(ops.row_softmax(T.matmul(a, b)))
             backward(loss, tape)
             return a.grad.tobytes(), b.grad.tobytes()
 
@@ -239,7 +240,7 @@ class TestBackward:
         tape = Tape()
         with tape:
             T.matmul(unused, unused)
-            loss = T.sum_all(T.add(T.matmul(a, b), c))
+            loss = T.sum_all(ops.add(T.matmul(a, b), c))
         assert len(tape) == 4
         backward(loss, tape)
         assert a.grad.tolist() == [[4.0, 4.0]] * 2 and b.grad.tolist() == [[2.0, 2.0]] * 2
@@ -250,12 +251,14 @@ class TestFiniteDiffCheck:
     def test_quadratic_closed_form(self):
         # f = 0.5 * ||theta||^2 has gradient theta
         theta = Tensor([3.0, -1.0])
-        err = finite_diff_check(lambda: T.scale(T.sum_all(T.mul(theta, theta)), 0.5), [theta], h=1e-5)
+        err = finite_diff_check(
+            lambda: ops.scale(T.sum_all(T.mul(theta, theta)), 0.5), [theta], h=1e-5
+        )
         assert err < 1e-7
 
     def test_constant_function(self):
         theta = Tensor([1.0, 2.0])
-        err = finite_diff_check(lambda: T.sum_all(T.scale(theta, 0.0)), [theta], h=1e-4)
+        err = finite_diff_check(lambda: T.sum_all(ops.scale(theta, 0.0)), [theta], h=1e-4)
         assert err == 0.0
 
     def test_nondeterministic_function_rejected(self):
@@ -264,7 +267,7 @@ class TestFiniteDiffCheck:
 
         def noisy():
             state["calls"] += 1
-            return T.scale(T.sum_all(theta), float(state["calls"]))
+            return ops.scale(T.sum_all(theta), float(state["calls"]))
 
         with pytest.raises(OracleError):
             finite_diff_check(noisy, [theta])
@@ -278,7 +281,7 @@ class TestFiniteDiffCheck:
         a, b = Tensor([[1.5, -2.0], [0.25, 3.0]]), Tensor([0.5, -0.75])
         b.grad = np.array([7.0, 8.0])
         before = [(p.data.copy(), None if p.grad is None else p.grad.copy()) for p in (a, b)]
-        finite_diff_check(lambda: T.sum_all(T.mul(T.add(a, b), a)), [a, b])
+        finite_diff_check(lambda: T.sum_all(T.mul(ops.add(a, b), a)), [a, b])
         for p, (data, grad) in zip((a, b), before):
             assert p.data.tobytes() == data.tobytes()
             assert (p.grad is None and grad is None) or p.grad.tobytes() == grad.tobytes()
@@ -318,8 +321,8 @@ def _log_prob_sum(p, cells, mask=None):
     k, total = p.shape[1], None
     for i, j, w in cells:
         row_mask = None if mask is None else mask[i : i + 1]
-        term = T.scale(T.cross_entropy(T.reshape(T.gather(p, i), (1, k)), row_mask, [j])[0], -w)
-        total = term if total is None else T.add(total, term)
+        term = ops.scale(T.cross_entropy(T.reshape(T.gather(p, i), (1, k)), row_mask, [j])[0], -w)
+        total = term if total is None else ops.add(total, term)
     return total
 
 
@@ -352,7 +355,7 @@ def _side_model(p, rng):
 def _bare_layer_norm(x):
     """``layer_norm`` with unit gain and zero bias: the normalization alone."""
     d = x.shape[-1]
-    return T.layer_norm(x, Tensor(np.ones(d)), Tensor(np.zeros(d)))
+    return ops.layer_norm(x, Tensor(np.ones(d)), Tensor(np.zeros(d)))
 
 
 # one row per tape op: (name, scalar-valued function of the leaf p, shape of p)
@@ -360,27 +363,27 @@ _OP_TABLE = [
     ("matmul_left", lambda p, rng: T.matmul(p, _projection(rng, (4, 3))), (3, 4)),
     ("matmul_right", lambda p, rng: T.matmul(_projection(rng, (3, 4)), p), (4, 3)),
     ("transpose", lambda p, rng: T.mul(T.transpose(p), _projection(rng, (4, 3))), (3, 4)),
-    ("add", lambda p, rng: T.add(p, _projection(rng, (3, 4))), (3, 4)),
-    ("add_bias", lambda p, rng: T.add(_projection(rng, (3, 4)), p), (4,)),
+    ("add", lambda p, rng: ops.add(p, _projection(rng, (3, 4))), (3, 4)),
+    ("add_bias", lambda p, rng: ops.add(_projection(rng, (3, 4)), p), (4,)),
     # the batched encoder's residual add and FFN activation at rank 3, in rows 5 and 6
     # so that every later row keeps its generated id (shape<N> counts rows)
-    ("add_batched", lambda p, rng: T.add(p, _projection(rng, (2, 3, 4))), (2, 3, 4)),
-    ("gelu_batched", lambda p, rng: T.mul(T.gelu(p), _projection(rng, (2, 3, 4))), (2, 3, 4)),
+    ("add_batched", lambda p, rng: ops.add(p, _projection(rng, (2, 3, 4))), (2, 3, 4)),
+    ("gelu_batched", lambda p, rng: T.mul(ops.gelu(p), _projection(rng, (2, 3, 4))), (2, 3, 4)),
     ("mul", lambda p, rng: T.mul(p, _projection(rng, (3, 4))), (3, 4)),
     # the mul_gain rows pass p as both gain and bias of layer_norm, checking both adjoints
     (
         "mul_gain",
         lambda p, rng: T.mul(
-            T.layer_norm(_projection(rng, (3, 4)), p, p), _projection(rng, (3, 4))
+            ops.layer_norm(_projection(rng, (3, 4)), p, p), _projection(rng, (3, 4))
         ),
         (4,),
     ),
-    ("scale", lambda p, rng: T.scale(p, -1.7), (3, 4)),
+    ("scale", lambda p, rng: ops.scale(p, -1.7), (3, 4)),
     # rows named after ops since folded into cross_entropy keep their ids: neg and
     # mean_all check the same maps through scale and sum_all, and row_log_softmax
     # weighs every cell's log-probability, each taken through cross_entropy
-    ("neg", lambda p, rng: T.scale(p, -1.0), (3, 4)),
-    ("row_softmax", lambda p, rng: T.mul(T.row_softmax(p), _projection(rng, (3, 4))), (3, 4)),
+    ("neg", lambda p, rng: ops.scale(p, -1.0), (3, 4)),
+    ("row_softmax", lambda p, rng: T.mul(ops.row_softmax(p), _projection(rng, (3, 4))), (3, 4)),
     (
         "row_log_softmax",
         lambda p, rng: _log_prob_sum(
@@ -391,13 +394,13 @@ _OP_TABLE = [
     (
         "layer_norm",
         lambda p, rng: T.mul(
-            T.layer_norm(p, _projection(rng, (4,)), _projection(rng, (4,))),
+            ops.layer_norm(p, _projection(rng, (4,)), _projection(rng, (4,))),
             _projection(rng, (3, 4)),
         ),
         (3, 4),
     ),
-    ("gelu", lambda p, rng: T.mul(T.gelu(p), _projection(rng, (3, 4))), (3, 4)),
-    ("embed", lambda p, rng: T.mul(T.embed(p, [0, 2, 2, 1]), _projection(rng, (4, 3))), (3, 3)),
+    ("gelu", lambda p, rng: T.mul(ops.gelu(p), _projection(rng, (3, 4))), (3, 4)),
+    ("embed", lambda p, rng: T.mul(ops.embed(p, [0, 2, 2, 1]), _projection(rng, (4, 3))), (3, 3)),
     # row, pick, pick_rows_batched and first_row are named after the ops that gather
     # replaced, so each keeps its seed and slot; each takes the index its op took
     ("row", lambda p, rng: T.mul(T.gather(p, 1), _projection(rng, (4,))), (3, 4)),
@@ -414,14 +417,14 @@ _OP_TABLE = [
     (
         "regroup_split",
         lambda p, rng: T.mul(
-            T.regroup(p, (3, 2, 2), (1, 0, 2), (2, 3, 2)), _projection(rng, (2, 3, 2))
+            ops.regroup(p, (3, 2, 2), (1, 0, 2), (2, 3, 2)), _projection(rng, (2, 3, 2))
         ),
         (3, 4),
     ),
     (
         "row_softmax_masked",
         lambda p, rng: T.mul(
-            T.row_softmax(p, mask=np.eye(3, 4, k=1, dtype=bool)), _projection(rng, (3, 4))
+            ops.row_softmax(p, mask=np.eye(3, 4, k=1, dtype=bool)), _projection(rng, (3, 4))
         ),
         (3, 4),
     ),
@@ -432,7 +435,7 @@ _OP_TABLE = [
     ),
     ("mul_reused", lambda p, rng: T.mul(T.mul(p, p), _projection(rng, (3, 4))), (3, 4)),
     ("reshape", lambda p, rng: T.mul(T.reshape(p, (2, 6)), _projection(rng, (2, 6))), (3, 4)),
-    ("mean_all", lambda p, rng: T.scale(T.sum_all(p), 3.3 / 12), (3, 4)),
+    ("mean_all", lambda p, rng: ops.scale(T.sum_all(p), 3.3 / 12), (3, 4)),
     (
         "matmul_batched_left",
         lambda p, rng: T.matmul(p, _projection(rng, (2, 4, 3))),
@@ -450,38 +453,38 @@ _OP_TABLE = [
         lambda p, rng: T.mul(T.transpose(p), _projection(rng, (2, 4, 3))),
         (2, 3, 4),
     ),
-    ("add_bias_batched", lambda p, rng: T.add(_projection(rng, (2, 3, 4)), p), (4,)),
+    ("add_bias_batched", lambda p, rng: ops.add(_projection(rng, (2, 3, 4)), p), (4,)),
     (
         "mul_gain_batched",
         lambda p, rng: T.mul(
-            T.layer_norm(_projection(rng, (2, 3, 4)), p, p), _projection(rng, (2, 3, 4))
+            ops.layer_norm(_projection(rng, (2, 3, 4)), p, p), _projection(rng, (2, 3, 4))
         ),
         (4,),
     ),
     (
         "row_softmax_masked_batched",
         lambda p, rng: T.mul(
-            T.row_softmax(p, mask=_KEY_PADDING), _projection(rng, (2, 3, 4))
+            ops.row_softmax(p, mask=_KEY_PADDING), _projection(rng, (2, 3, 4))
         ),
         (2, 3, 4),
     ),
     (
         "layer_norm_batched",
         lambda p, rng: T.mul(
-            T.layer_norm(p, _projection(rng, (4,)), _projection(rng, (4,))),
+            ops.layer_norm(p, _projection(rng, (4,)), _projection(rng, (4,))),
             _projection(rng, (2, 3, 4)),
         ),
         (2, 3, 4),
     ),
     (
         "embed_batched",
-        lambda p, rng: T.mul(T.embed(p, [[0, 2, 2], [1, 0, 2]]), _projection(rng, (2, 3, 4))),
+        lambda p, rng: T.mul(ops.embed(p, [[0, 2, 2], [1, 0, 2]]), _projection(rng, (2, 3, 4))),
         (3, 4),
     ),
     (
         "regroup_split_batched",
         lambda p, rng: T.mul(
-            T.regroup(p, (2, 3, 2, 2), (0, 2, 1, 3), (4, 3, 2)), _projection(rng, (4, 3, 2))
+            ops.regroup(p, (2, 3, 2, 2), (0, 2, 1, 3), (4, 3, 2)), _projection(rng, (4, 3, 2))
         ),
         (2, 3, 4),
     ),
@@ -493,14 +496,14 @@ _OP_TABLE = [
     (
         "regroup_merge",
         lambda p, rng: T.mul(
-            T.regroup(p, (2, 3, 2), (1, 0, 2), (3, 4)), _projection(rng, (3, 4))
+            ops.regroup(p, (2, 3, 2), (1, 0, 2), (3, 4)), _projection(rng, (3, 4))
         ),
         (2, 3, 2),
     ),
     (
         "regroup_merge_batched",
         lambda p, rng: T.mul(
-            T.regroup(p, (2, 2, 3, 2), (0, 2, 1, 3), (2, 3, 4)), _projection(rng, (2, 3, 4))
+            ops.regroup(p, (2, 2, 3, 2), (0, 2, 1, 3), (2, 3, 4)), _projection(rng, (2, 3, 4))
         ),
         (4, 3, 2),
     ),
@@ -519,7 +522,7 @@ _OP_TABLE = [
     # the training loss: a masked score matrix with one target cell per row
     (
         "cross_entropy",
-        lambda p, rng: T.scale(
+        lambda p, rng: ops.scale(
             T.cross_entropy(p, np.eye(3, 5, k=1, dtype=bool), [0, 4, 1])[0], 2.3
         ),
         (3, 5),
@@ -635,9 +638,9 @@ def test_forward_ops_keep_finite_values():
     rng = np.random.default_rng(5)
     a = Tensor(rng.normal(scale=50.0, size=(4, 6)))
     for out in (
-        T.row_softmax(a),
+        ops.row_softmax(a),
         _bare_layer_norm(a),
-        T.gelu(a),
+        ops.gelu(a),
         T.matmul(a, Tensor(rng.normal(size=(6, 2)))),
     ):
         assert np.all(np.isfinite(out.data))
@@ -652,22 +655,22 @@ class TestErf:
     def test_dense_grid_within_4e16_of_math_erf(self):
         grid = np.linspace(-8.0, 8.0, 200_001)
         reference = np.array([math.erf(x) for x in grid])
-        assert np.abs(T.erf(grid) - reference).max() <= 4e-16
+        assert np.abs(ops.erf(grid) - reference).max() <= 4e-16
 
     @pytest.mark.parametrize(
         "x", [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 0.0), 6.0, -6.0, math.inf, -math.inf]
     )
     def test_special_points(self, x):
-        got = float(T.erf(np.array([x]))[0])
+        got = float(ops.erf(np.array([x]))[0])
         assert abs(got - math.erf(x)) <= 4e-16
         assert math.copysign(1.0, got) == math.copysign(1.0, x)  # erf(-0) is -0
 
     def test_nan_stays_nan(self):
-        assert np.isnan(T.erf(np.array([np.nan, 0.5]))[0])
+        assert np.isnan(ops.erf(np.array([np.nan, 0.5]))[0])
 
     def test_odd_exactly(self):
         x = np.random.default_rng(3).normal(scale=3.0, size=10_000)
-        np.testing.assert_array_equal(T.erf(-x), -T.erf(x))
+        np.testing.assert_array_equal(ops.erf(-x), -ops.erf(x))
 
 
 def test_package_loads_no_scipy():
@@ -771,16 +774,16 @@ def test_grad_matches_data_length_when_present():
 class TestRegroup:
     def test_heads_fold_into_the_batch_axis_and_back(self):
         x = np.arange(24.0).reshape(2, 3, 4)
-        split = T.regroup(Tensor(x), (2, 3, 2, 2), (0, 2, 1, 3), (4, 3, 2))
+        split = ops.regroup(Tensor(x), (2, 3, 2, 2), (0, 2, 1, 3), (4, 3, 2))
         for i in range(2):
             for h in range(2):
                 np.testing.assert_array_equal(split.data[2 * i + h], x[i, :, 2 * h : 2 * h + 2])
-        merged = T.regroup(split, (2, 2, 3, 2), (0, 2, 1, 3), (2, 3, 4))
+        merged = ops.regroup(split, (2, 2, 3, 2), (0, 2, 1, 3), (2, 3, 4))
         np.testing.assert_array_equal(merged.data, x)
 
     def test_one_sequence_splits_by_column_blocks(self):
         x = np.arange(12.0).reshape(3, 4)
-        split = T.regroup(Tensor(x), (3, 2, 2), (1, 0, 2), (2, 3, 2))
+        split = ops.regroup(Tensor(x), (3, 2, 2), (1, 0, 2), (2, 3, 2))
         np.testing.assert_array_equal(split.data, [x[:, :2], x[:, 2:]])
 
     @pytest.mark.parametrize(
@@ -793,7 +796,7 @@ class TestRegroup:
     )
     def test_bad_layout_rejected(self, grouped, axes, shape):
         with pytest.raises(ShapeError):
-            T.regroup(Tensor(np.ones((3, 4))), grouped, axes, shape)
+            ops.regroup(Tensor(np.ones((3, 4))), grouped, axes, shape)
 
 
 def test_tapes_in_two_threads_record_separately():
@@ -886,7 +889,7 @@ class TestRowKernels:
         rng = np.random.default_rng(shape[-1])
         x, g = rng.normal(scale=3.0, size=shape), rng.normal(size=shape)
         mask = _key_mask(rng, shape)
-        p, dx = _forward_and_vjp(T.row_softmax, x, g, mask=mask)
+        p, dx = _forward_and_vjp(ops.row_softmax, x, g, mask=mask)
         p_ref, dx_ref = _softmax_ref(x, g, mask)
         tol = _row_tol(shape[-1])
         np.testing.assert_allclose(p, p_ref, rtol=tol, atol=tol)
@@ -910,13 +913,13 @@ class TestRowKernels:
         idx = np.asarray(ids)
         # terms of mixed magnitudes, so that any other summation order shows in the bits
         g = rng.normal(size=idx.shape + (4,)) * np.exp(rng.uniform(-20, 20, idx.shape + (4,)))
-        _, dt = _forward_and_vjp(T.embed, table, g, ids=ids)
+        _, dt = _forward_and_vjp(ops.embed, table, g, ids=ids)
         ref = np.zeros_like(table)
         np.add.at(ref, idx.ravel(), g.reshape(-1, 4))
         assert dt.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize(
-        "op", [_bare_layer_norm, T.row_softmax], ids=["layer_norm", "row_softmax"]
+        "op", [_bare_layer_norm, ops.row_softmax], ids=["layer_norm", "row_softmax"]
     )
     def test_results_do_not_depend_on_buffer_alignment(self, op):
         """Bit-exact resume needs the same bits wherever numpy puts the operands."""
@@ -960,14 +963,14 @@ def _chain_attention(queries, context, weights, n_heads, key_mask):
     axes = tuple(range(r)) + (r + 1, r, r + 2)
 
     def split(x, length):
-        return T.regroup(x, lead + (length, n_heads, dh), axes, (rows, length, dh))
+        return ops.regroup(x, lead + (length, n_heads, dh), axes, (rows, length, dh))
 
     q = split(T.matmul(queries, wq), n_q)
     k = split(T.matmul(context, wk), n)
     v = split(T.matmul(context, wv), n)
-    logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(dh))
-    heads = T.matmul(T.row_softmax(logits, mask=_head_mask(key_mask, n_heads, n_q)), v)
-    merged = T.regroup(heads, lead + (n_heads, n_q, dh), axes, lead + (n_q, width))
+    logits = ops.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(dh))
+    heads = T.matmul(ops.row_softmax(logits, mask=_head_mask(key_mask, n_heads, n_q)), v)
+    merged = ops.regroup(heads, lead + (n_heads, n_q, dh), axes, lead + (n_q, width))
     return T.matmul(merged, wo)
 
 

@@ -43,6 +43,7 @@ from polywsd.training import (
     train_step,
 )
 
+import ops
 from conftest import packed, recorded_feed_forward_inputs, tiny_model
 from polywsd.synthetic import synthetic_corpus
 
@@ -135,7 +136,7 @@ class TestBclLoss:
             expected_rows.append(-math.log(p[keep.index(i)]))
         np.testing.assert_allclose(loss.per_example, expected_rows, atol=1e-12)
         # row 0 softmax ran over 2 entries only
-        probs = T.row_softmax(sm.scores, mask=sm.mask)
+        probs = ops.row_softmax(sm.scores, mask=sm.mask)
         assert probs.data[0, 2] == 0.0
         np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -277,7 +278,7 @@ def _backward_grads(params, weights):
         with tape:
             total = T.sum_all(T.mul(ps[0], ps[0]))
             for p, w in zip(ps, weights):
-                total = T.add(total, T.sum_all(T.mul(p, Tensor(w))))
+                total = ops.add(total, T.sum_all(T.mul(p, Tensor(w))))
         backward(total, tape)
 
     copies = [Tensor(p.data.copy()) for p in params]
