@@ -60,8 +60,6 @@ def save_checkpoint(
     named = model.named_parameters()
     if optimizer is not None and optimizer.values is not model.values:
         raise ContractError("the optimizer does not hold exactly this model's parameters, in order")
-    if rebound := [name for name, t in named if t.data.base is not model.values]:
-        raise ContractError(f"parameter {rebound[0]} was rebound, not written in place")
     header = {
         "context_config": asdict(model.context.config),
         "gloss_config": asdict(model.gloss.config),
@@ -183,7 +181,7 @@ def load_checkpoint(path) -> Checkpoint:
             if payload != (expected := 8 * copies * size):
                 _check_crc(fh, path, crc, payload)  # a damaged file is named as such
                 raise CheckpointError(f"payload of {payload} bytes, expected {expected} bytes")
-            need = 8 * size * (1 if optimizer_header is None else 6)  # the values, Adam's five
+            need = 8 * size * (1 if optimizer_header is None else 1 + Adam.BUFFERS)
             if need > (ceiling := memory_ceiling()):
                 raise CheckpointError(
                     f"{path}: loading {size} parameter values needs {need} bytes, more than "

@@ -125,9 +125,6 @@ class Vocab:
     def size(self) -> int:
         return len(self.token_to_id) + len(_RESERVED)
 
-    def id(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def tokens_in_id_order(self) -> list[str]:
         return sorted(self.token_to_id, key=self.token_to_id.__getitem__)
 
@@ -327,15 +324,11 @@ def _window(n: int, target_index: int, capacity: int) -> tuple[int, int]:
 
 
 def lookup_ids(words: list[str], vocab: Vocab) -> list[int]:
-    """``vocab.id`` of each word; the dict's bound ``get`` and the unknown id are
-    locals, so no Python-level call or global lookup runs per word."""
+    """The id of each word, ``UNK_ID`` if it is not in ``vocab``; the dict's bound
+    ``get`` and the unknown id are locals, so no Python-level call or global lookup
+    runs per word."""
     get, unk = vocab.token_to_id.get, UNK_ID
     return [get(w, unk) for w in words]
-
-
-def content_ids(words: list[str], vocab: Vocab, capacity: int) -> list[int]:
-    """Map words to ids, tail-truncated to at most ``capacity`` entries."""
-    return lookup_ids(words[:capacity], vocab)
 
 
 def content_ids_around(

@@ -8,7 +8,7 @@ the stack once on the (b, L, d) batch. Self-attention masks padded keys,
 which get exactly zero weight, so a real position never sees padding and a
 padded position passes no gradient back into the real ones: each item's
 real rows equal those of encoding it alone. A gloss's code is its
-start-marker row, so the gloss side asks ``encode_batch`` for that row
+start-marker row, so the gloss side asks ``encoder_kernel`` for that row
 alone: the last layer then runs its query, residual, feed-forward and
 output norm on one row per sequence, and only its keys and values span
 every row. ``encode`` is a batch of one with the batch axis removed, all
@@ -93,12 +93,21 @@ def block_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
-@dataclass
+class Block(SimpleNamespace):
+    """One transformer block's tensors, named in ``block_shapes`` order and bound once."""
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"block tensor {name!r} is bound once; write its values in place")
+
+    __delattr__ = __setattr__
+
+
+@dataclass(frozen=True)
 class EncoderParams:
     config: EncoderConfig
     tok_emb: Tensor
     pos_emb: Tensor
-    layers: list[SimpleNamespace]  # each a block's tensors, in ``block_shapes`` order
+    layers: tuple[Block, ...]
     out_gain: Tensor
     out_bias: Tensor
 
@@ -117,10 +126,10 @@ def encoder_params(config: EncoderConfig, cut: Callable[..., Tensor]) -> Encoder
     ``named_tensors``), holding whatever values ``cut`` gives them."""
     d, shapes = config.d_model, block_shapes(config)
     tok_emb, pos_emb = cut(config.vocab_size, d), cut(config.max_seq_len, d)
-    layers = [
-        SimpleNamespace(**{name: cut(*shape) for name, shape in shapes.items()})
+    layers = tuple(
+        Block(**{name: cut(*shape) for name, shape in shapes.items()})
         for _ in range(config.n_layers)
-    ]
+    )
     return EncoderParams(config, tok_emb, pos_emb, layers, cut(d), cut(d))
 
 
@@ -166,7 +175,7 @@ def _check_ids(config: EncoderConfig, token_ids: Sequence[int]) -> None:
         raise ContractError(f"token ids must be integers in [0, {config.vocab_size})")
 
 
-def _block(layer: SimpleNamespace, x: np.ndarray, n_heads: int, key_mask: np.ndarray, row0: bool):
+def _block(layer: Block, x: np.ndarray, n_heads: int, key_mask: np.ndarray, row0: bool):
     """One pre-LN block on (b, L, d) rows ``x`` as ``tensor`` kernels, its queries and
     residual row 0 alone if ``row0``: its output, and its VJP to x and to the layer's
     tensors in ``vars`` order, that of ``block_shapes``."""
@@ -255,21 +264,18 @@ def marked_ids(
 
 
 def encode_batch(
-    params: EncoderParams, sequences: Sequence[Sequence[int]], first_row_only: bool = False
+    params: EncoderParams, sequences: Sequence[Sequence[int]]
 ) -> tuple[Tensor, np.ndarray]:
     """Embed b bare token-id sequences in one padded pass, one tape record.
 
     Returns the (b, L, d) encodings, L = longest sequence + 2, and the (b, L)
     padding mask, True past each sequence's end marker. Item i's rows 0 and
     n_i + 1 are its start/end markers; its rows past n_i + 1 are padding and
-    hold no meaning. With ``first_row_only`` the encodings are (b, 1, d), the
-    start-marker rows alone, equal to row 0 of the full pass up to rounding.
-    The caller is responsible for truncation: sequences longer than
-    max_seq_len - 2 are rejected, never silently shortened.
+    hold no meaning. The caller is responsible for truncation: sequences
+    longer than max_seq_len - 2 are rejected, never silently shortened.
     """
     ids, padding = marked_ids(params, sequences)
-    out, vjp = encoder_kernel(params, ids, padding, first_row_only)
-    return T.record(pass_inputs(params), out, vjp), padding
+    return T.record(pass_inputs(params), *encoder_kernel(params, ids, padding, False)), padding
 
 
 def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:

@@ -51,7 +51,7 @@ class FusionConfig:
         return self.d_model // self.n_heads
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionParams:
     """The (d, d) query, key and value projections, head i in column block i of
     each, and the output projection; ``config`` gives the head count."""

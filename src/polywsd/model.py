@@ -19,15 +19,14 @@ alone; the context side keeps every row, since fusion attends over them.
 Prediction encodes one sequence per call, a batch of one: ``context_codes``
 is 1 record, and ``gloss_codes`` 4 (``encode``, the start-marker pick and
 ``fuse_gloss``), since callers count gloss encodes by wrapping ``encode``
-by name. Each distinct gloss is encoded only once per model:
-``predict.score_candidates`` keeps the gloss code rows in the model's
-``_gloss_rows`` until the gloss encoder's slice of the value buffer changes.
-Either way, encoder forwards are counted per sequence, not per pass.
+by name. Either way, encoder forwards are counted per sequence, not per pass.
 
 A model owns one flat float64 buffer, ``values``, of which each parameter is
 a view, in the order ``model_on`` states. ``build_model`` draws initial values
 into a fresh buffer; ``load_checkpoint`` builds the model on the saved values
 and draws nothing. An optimizer adopts the buffer; a checkpoint writes it whole.
+A built model cannot be rewired: its fields, its encoders' fields and layers
+and every tensor's ``data`` refuse assignment, so values are written in place.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import CorpusInstance, Vocab, content_ids, content_ids_around
+from .data import CorpusInstance, Vocab, content_ids_around, lookup_ids
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -66,20 +65,15 @@ from .fusion import (
 from .tensor import Cutter, Tensor
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WsdModel:
     vocab: Vocab
     context: EncoderParams
     gloss: EncoderParams
     fusion: FusionParams
     # every parameter value in manifest order, and the gloss encoder's slice of them
-    values: np.ndarray = field(repr=False, compare=False)
-    gloss_values: np.ndarray = field(repr=False, compare=False)
-    # Prediction's gloss-row cache (see ``predict.score_candidates``): not a
-    # parameter, so never saved, compared or shown.
-    _gloss_rows: tuple[bytes, dict, list] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    values: np.ndarray = field(repr=False)
+    gloss_values: np.ndarray = field(repr=False)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         named = list(self.context.named_tensors("context."))
@@ -183,7 +177,7 @@ def _context_window(
 
 
 def _gloss_ids(model: WsdModel, gloss_tokens: list[str]) -> list[int]:
-    return content_ids(gloss_tokens, model.vocab, model.gloss.config.max_seq_len - 2)
+    return lookup_ids(gloss_tokens[: model.gloss.config.max_seq_len - 2], model.vocab)
 
 
 def _window_code_rows(model: WsdModel, windows: list[tuple[list[int], int]]) -> Tensor:

@@ -7,19 +7,19 @@ first-sense baselines live here too.
 
 A gloss's code row depends on the gloss encoder alone, never on the
 context, so each distinct gloss is encoded once per model and its row kept
-on the model (``WsdModel._gloss_rows``). The cache is stamped with the bytes
-of ``WsdModel.gloss_values``, the gloss encoder's one slice of the model's
-value buffer, and dropped whenever they differ, so an optimizer step,
-``randomize_parameters`` or an in-place write to a parameter never leaves a
-stale row; a gloss parameter rebound off the buffer, unseen by the stamp, is
-a ContractError, as at a step or a save. A second model, even one loaded
-from the same checkpoint, starts with an empty cache. Threads may share a
-model for prediction (a race at worst encodes a gloss twice), but not while
-it is being trained. Training never reads the cache.
+in ``_gloss_rows``, which holds each model's rows for as long as the model
+lives. The rows are stamped with the bytes of ``WsdModel.gloss_values``,
+the gloss encoder's one slice of the model's value buffer, and dropped
+whenever they differ, so an optimizer step, ``randomize_parameters`` or an
+in-place write to a parameter never leaves a stale row. A second model, even
+one loaded from the same checkpoint, starts with no rows. Threads may share
+a model for prediction (a race at worst encodes a gloss twice), but not
+while it is being trained. Training never reads the cache.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -55,18 +55,19 @@ class Prediction:
 
 Predictor = Callable[[CorpusInstance], Prediction]
 
+# per model: the gloss-encoder bytes its rows were encoded under, and each gloss's row
+_gloss_rows: weakref.WeakKeyDictionary[WsdModel, tuple[bytes, dict]] = weakref.WeakKeyDictionary()
+
 
 def _candidate_rows(model: WsdModel, senses: list[SenseEntry]) -> np.ndarray:
     """The senses' gloss code rows stacked (m, d_model), each gloss encoded by
     ``gloss_codes`` only if the model has no row for it under its current
     gloss-encoder bytes."""
     stamp = model.gloss_values.tobytes()
-    cache = model._gloss_rows
-    if cache is None or cache[0] != stamp:
-        cache = model._gloss_rows = (stamp, {}, list(model.gloss.named_tensors("gloss.")))
-    if rebound := [name for name, t in cache[2] if t.data.base is not model.values]:
-        raise ContractError(f"parameter {rebound[0]} was rebound, not written in place")
-    rows = cache[1]
+    cached = _gloss_rows.get(model)
+    if cached is None or cached[0] != stamp:
+        cached = _gloss_rows[model] = (stamp, {})
+    rows = cached[1]
     keys = [tuple(s.gloss) for s in senses]
     for key, sense in zip(keys, senses):
         if key not in rows:

@@ -11,9 +11,9 @@ into its ``grad`` in place, or as a copy if it has none.
 
 A tape and its tensors belong to one execution; run independent tapes for
 parallel work. The active tape is a context variable, so each thread records
-onto the tape it opened. Tensors are treated as immutable after creation
-except for the ``grad`` slot (the optimizer and the gradient check write
-parameter ``data`` in place between tapes, never during one).
+onto the tape it opened. A tensor's ``data`` is bound once, at creation; the
+optimizer and the gradient check write parameter values in place between
+tapes, never during one.
 
 Row sums in the layer norm, the softmaxes and ``cross_entropy`` are BLAS
 products with a constant column, equal to ``sum(axis=-1)`` up to a few ulp at
@@ -84,17 +84,21 @@ _ERFC_Q = (
 
 
 class Tensor:
-    """A dense float64 array with shape, data, and an optional grad slot."""
+    """A dense float64 array with shape, read-only ``data``, and an optional grad slot."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("_data", "grad")
 
     def __init__(self, data):
         # asarray keeps 0-d shapes; ascontiguousarray would promote them to 1-d.
         arr = np.asarray(data, dtype=np.float64, order="C")
         if arr.ndim > _MAX_RANK:
             raise ShapeError(f"rank {arr.ndim} exceeds supported rank {_MAX_RANK}")
-        self.data = arr
+        self._data = arr
         self.grad: np.ndarray | None = None
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
 
     @property
     def shape(self) -> tuple[int, ...]:

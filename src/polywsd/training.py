@@ -226,12 +226,13 @@ class Adam:
     parameters must be consecutive views that cover it in list order, as a
     model's are, or construction raises ContractError. It owns flat gradient
     and moment buffers; after ``zero_grad`` each ``grad`` is a view of the first,
-    so a step is a few whole-buffer numpy calls. Write parameter values in place:
-    a rebound ``data`` leaves the buffer and makes ``step`` raise ContractError.
-    ``m`` and ``v`` read as per-parameter views of ``m_flat`` and ``v_flat``, so
-    writing into a view sets that moment. Its five buffers must fit in the memory
-    left (``memory_ceiling``), else ConfigError before any is allocated.
+    so a step is a few whole-buffer numpy calls. ``m`` and ``v`` read as
+    per-parameter views of ``m_flat`` and ``v_flat``, so writing into a view sets
+    that moment. Its ``BUFFERS`` buffers must fit in the memory left
+    (``memory_ceiling``), else ConfigError before any is allocated.
     """
+
+    BUFFERS = 5  # gradients, two moments and two scratch arrays, each as large as the values
 
     def __init__(
         self,
@@ -249,7 +250,7 @@ class Adam:
         self.eps = eps
         self.t = 0
         self.values, self._slices = _value_buffer(self.params)
-        size, need = self.values.size, 5 * self.values.nbytes
+        size, need = self.values.size, self.BUFFERS * self.values.nbytes
         if need > (ceiling := memory_ceiling()):
             raise ConfigError(
                 f"the optimizer's five buffers for {size} parameter values need {need} bytes, "
@@ -258,7 +259,6 @@ class Adam:
         # one array each, so a model that outlives its optimizer keeps only grads alive
         self._grads, self.m_flat, self.v_flat = (np.zeros(size) for _ in range(3))
         self._scratch = np.empty(size), np.empty(size)
-        self._data_views = [p.data for p in self.params]
         self._grad_views = self._views(self._grads)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -290,9 +290,7 @@ class Adam:
         Returns False, and changes no parameter, moment or step count, if
         any grad is non-finite.
         """
-        for i, (p, data, grad) in enumerate(zip(self.params, self._data_views, self._grad_views)):
-            if p.data is not data:
-                raise ContractError(f"parameter {i} {data.shape} was rebound, not written in place")
+        for p, grad in zip(self.params, self._grad_views):
             if p.grad is not grad:
                 grad[...] = 0.0 if p.grad is None else p.grad
         g, m, v, (a, b) = self._grads, self.m_flat, self.v_flat, self._scratch

@@ -1,5 +1,6 @@
 """Tape ops that only the tests run, one record per op: ``add``, ``gelu``,
-``layer_norm`` and ``embed`` record a package kernel; the rest are written out.
+``layer_norm``, ``embed`` and ``encode_first_rows`` record package kernels; the
+rest are written out.
 Chained, they are the oracles of the package's fused records (the encoder pass,
 each code side, ``tensor.attention``), and the op table checks each gradient.
 """
@@ -9,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from polywsd import tensor as T
-from polywsd.encoder import target_rows
+from polywsd.encoder import encoder_kernel, marked_ids, pass_inputs, target_rows
 from polywsd.errors import ShapeError
 from polywsd.tensor import Tensor, record
 
@@ -78,3 +79,10 @@ def target_representation(
     """Each item's target-word row, (b, d), of a batch from ``encode_batch``: its
     (b, L, d) rows, one word index per item and its (b, L) ``padding`` mask."""
     return T.gather(encoded, target_rows(target_index, padding))
+
+
+def encode_first_rows(params, sequences) -> tuple[Tensor, np.ndarray]:
+    """``encode_batch`` with the last layer querying the start-marker rows alone, as the
+    gloss side runs it: the (b, 1, d) rows as one record, and the (b, L) padding mask."""
+    ids, padding = marked_ids(params, sequences)
+    return record(pass_inputs(params), *encoder_kernel(params, ids, padding, True)), padding

@@ -20,7 +20,7 @@ from polywsd.encoder import EncoderConfig
 from polywsd.errors import CheckpointError, ConfigError, ContractError
 from polywsd.fusion import FusionConfig
 from polywsd.model import build_model, parameter_count, randomize_parameters
-from polywsd.predict import score_candidates
+from polywsd.predict import _gloss_rows, score_candidates
 from polywsd.synthetic import synthetic_corpus
 from polywsd.training import Adam, TrainConfig, make_batches, train, train_step
 
@@ -385,13 +385,6 @@ class TestRejection:
                 save_checkpoint(tmp_path / "model.ckpt", model_a, optimizer_b, seed=0, step=3)
         assert list(tmp_path.iterdir()) == []
 
-    def test_rebound_parameter_rejected(self, tmp_path):
-        _, _, model, _, _ = _trained_world()
-        model.gloss.tok_emb.data = model.gloss.tok_emb.data * 3.0
-        with pytest.raises(ContractError, match="parameter gloss.tok_emb was rebound"):
-            save_checkpoint(tmp_path / "model.ckpt", model, None, seed=0, step=3)
-        assert list(tmp_path.iterdir()) == []
-
     def test_no_temp_files_left_behind(self, tmp_path):
         _, _, model, optimizer, config = _trained_world()
         save_checkpoint(tmp_path / "model.ckpt", model, optimizer, seed=config.seed, step=3)
@@ -470,10 +463,11 @@ def test_a_loaded_model_owns_a_writable_buffer_and_trains(tmp_path):
     def scores():
         return [score_candidates(inst, inventory, loaded).scores for inst in corpus]
 
-    before, stamp = scores(), loaded._gloss_rows[0]
+    before, stamp = scores(), _gloss_rows[loaded][0]
     randomize_parameters(loaded, seed=3)
     assert scores() != before
-    assert loaded._gloss_rows[0] != stamp and loaded._gloss_rows[0] == loaded.gloss_values.tobytes()
+    restamped = _gloss_rows[loaded][0]
+    assert restamped != stamp and restamped == loaded.gloss_values.tobytes()
 
     randomized = [p.data.copy() for p in loaded.parameters()]
     batch = make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)[0]

@@ -1,6 +1,7 @@
 """Corpus/inventory/vocab loading and the word-to-id mapping."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,13 +15,14 @@ from polywsd.data import (
     SenseInventory,
     Vocab,
     build_vocab,
-    content_ids,
     content_ids_around,
     load_corpus,
     load_inventory,
+    lookup_ids,
     save_inventory,
 )
 from polywsd.errors import DataError, InventoryError, ScoringError
+from polywsd.model import _gloss_ids
 
 
 def _write_lines(path, records):
@@ -244,12 +246,12 @@ class TestVocab:
     def test_min_freq_one_counts_and_orders(self):
         vocab = build_vocab(self._corpus(["a", "a", "b"]), SenseInventory(), min_freq=1)
         assert "a" in vocab.token_to_id and "b" in vocab.token_to_id
-        assert vocab.id("a") < vocab.id("b")
+        assert vocab.token_to_id["a"] < vocab.token_to_id["b"]
 
     def test_min_freq_two_excludes_rare(self):
         vocab = build_vocab(self._corpus(["a", "a", "b"]), SenseInventory(), min_freq=2)
         assert "b" not in vocab.token_to_id
-        assert content_ids(["b"], vocab, capacity=6) == [UNK_ID]
+        assert lookup_ids(["b"], vocab) == [UNK_ID]
 
     def test_deterministic(self):
         corpus = self._corpus(["c", "a", "b", "a"])
@@ -265,7 +267,7 @@ class TestVocab:
 
     def test_reserved_ids_fixed(self):
         vocab = build_vocab(self._corpus(["a"]), SenseInventory())
-        assert vocab.id("a") >= 4
+        assert vocab.token_to_id["a"] >= 4
         assert vocab.size == 5
 
     def test_round_trip_through_token_list(self):
@@ -280,15 +282,15 @@ class TestTokenize:
         return Vocab.from_tokens(["the", "bank", "w0", "w1", "w2", "w3", "w4", "w5"])
 
     def test_known_words(self, vocab):
-        ids = content_ids(["the", "bank"], vocab, capacity=6)
-        assert ids == [vocab.id("the"), vocab.id("bank")]
+        ids = lookup_ids(["the", "bank"], vocab)
+        assert ids == [vocab.token_to_id["the"], vocab.token_to_id["bank"]]
 
     def test_oov_maps_to_unk(self, vocab):
-        ids = content_ids(["the", "xyzzy"], vocab, capacity=6)
-        assert ids == [vocab.id("the"), UNK_ID]
+        ids = lookup_ids(["the", "xyzzy"], vocab)
+        assert ids == [vocab.token_to_id["the"], UNK_ID]
 
     def test_never_exceeds_max_len_with_single_markers(self, vocab):
-        # content ids fill at most max_len - 2 slots and never hold a marker,
+        # a gloss's ids keep its first max_len - 2 words and never hold a marker,
         # so encode's wrapped sequence has exactly one start and one end marker
         import numpy as np
 
@@ -297,8 +299,10 @@ class TestTokenize:
         for _ in range(100):
             max_len = int(rng.integers(3, 20))
             n = int(rng.integers(1, len(words) + 1))
-            ids = content_ids(words[:n], vocab, capacity=max_len - 2)
+            gloss = SimpleNamespace(config=SimpleNamespace(max_seq_len=max_len))
+            ids = _gloss_ids(SimpleNamespace(vocab=vocab, gloss=gloss), words[:n])
             assert len(ids) == min(n, max_len - 2)
+            assert ids == lookup_ids(words[: len(ids)], vocab)  # the tail is what goes
             assert CLS_ID not in ids and SEP_ID not in ids
 
     def test_central_truncation_keeps_target(self, vocab):
@@ -313,7 +317,7 @@ class TestTokenize:
             words[target] = "bank"
             ids, new_target = content_ids_around(words, target, vocab, capacity=max_len - 2)
             assert len(ids) <= max_len - 2
-            assert ids[new_target] == vocab.id("bank")
+            assert ids[new_target] == vocab.token_to_id["bank"]
 
     def test_windowing_case_from_tail(self, vocab):
         # 60 words, window of 30 content slots, target deep in the tail
@@ -321,7 +325,7 @@ class TestTokenize:
         words[50] = "bank"
         ids, new_target = content_ids_around(words, 50, vocab, capacity=30)
         assert len(ids) == 30
-        assert ids[new_target] == vocab.id("bank")
+        assert ids[new_target] == vocab.token_to_id["bank"]
 
 
 class TestKeyFiles:

@@ -128,14 +128,14 @@ class TestEncodeBatch:
         )
         params = fresh_encoder(config, np.random.default_rng(1))
         full, padding = encode_batch(params, self.SEQUENCES)
-        first, first_padding = encode_batch(params, self.SEQUENCES, first_row_only=True)
+        first, first_padding = ops.encode_first_rows(params, self.SEQUENCES)
         assert first.shape == (3, 1, config.d_model)
         np.testing.assert_array_equal(first_padding, padding)
         np.testing.assert_allclose(first.data[:, 0], full.data[:, 0], rtol=0, atol=1e-12)
 
     def test_first_row_only_queries_every_real_key_once(self, params, monkeypatch):
         weights = recorded_attention_weights(monkeypatch)
-        _, padding = encode_batch(params, self.SEQUENCES, first_row_only=True)
+        _, padding = ops.encode_first_rows(params, self.SEQUENCES)
         # the last layer's logits are (b * n_heads, 1, L): one start-marker query per head
         (w,) = weights
         assert w.shape == (3 * CONFIG.n_heads, 1, 10)
@@ -269,10 +269,11 @@ class TestFusedPass:
             tensor.data[...] = rng.normal(scale=0.5, size=tensor.shape)
         ids, padding = _marked(sequences)
         probe = Tensor(rng.normal(size=(len(sequences), 1 if first_row_only else ids.shape[1], 8)))
+        fused_pass = ops.encode_first_rows if first_row_only else encode_batch
         runs, lengths = [], []
         for encoder in (
             lambda: (_chain_encoder(params, ids, padding, first_row_only), padding),
-            lambda: encode_batch(params, sequences, first_row_only),
+            lambda: fused_pass(params, sequences),
         ):
             for _, tensor in params.named_tensors():
                 tensor.grad = None
@@ -302,8 +303,10 @@ class TestFusedPass:
         sequences = [[4, 5, 6], [7]]
         probe = Tensor(rng.normal(size=(2, 1 if first_row_only else 5, 4)))
 
+        encoder = ops.encode_first_rows if first_row_only else encode_batch
+
         def f():
-            return T.sum_all(T.mul(encode_batch(params, sequences, first_row_only)[0], probe))
+            return T.sum_all(T.mul(encoder(params, sequences)[0], probe))
 
         err = T.finite_diff_check(f, [t for _, t in params.named_tensors()], h=1e-4)
         assert err < 1e-4, f"rel error {err}"

@@ -240,7 +240,7 @@ def _chain_context_rows(model, windows):
 def _chain_gloss_rows(model, glosses):
     """The gloss code rows as the op chain they are one record of."""
     ids = [_gloss_ids(model, g) for g in glosses]
-    encoded, _ = encode_batch(model.gloss, ids, first_row_only=True)
+    encoded, _ = ops.encode_first_rows(model.gloss, ids)
     return fuse_gloss(cls_representation(encoded))
 
 

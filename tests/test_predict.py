@@ -9,10 +9,11 @@ import pytest
 import polywsd.model
 from polywsd.checkpoint import load_checkpoint, save_checkpoint
 from polywsd.data import CorpusInstance, SenseEntry, SenseInventory
-from polywsd.errors import ContractError, InventoryError
+from polywsd.errors import InventoryError
 from polywsd.fusion import score_pair
 from polywsd.predict import (
     CandidateScores,
+    _gloss_rows,
     first_sense_predictor,
     mfs_predictor,
     predict,
@@ -292,16 +293,6 @@ class TestGlossRowCache:
             randomize_parameters(model, seed=7)
         _assert_scores_equal_uncached_reference(corpus, inventory, model)
 
-    @pytest.mark.parametrize("warm", [True, False], ids=["cached", "uncached"])
-    def test_rebound_gloss_parameter_is_refused(self, warm, small_world):
-        """A rebound tensor leaves the buffer the cache stamp reads: its rows would be stale."""
-        corpus, inventory, model = small_world
-        if warm:
-            predict_corpus(corpus, inventory, model)
-        model.gloss.tok_emb.data = model.gloss.tok_emb.data * 2.0
-        with pytest.raises(ContractError, match=r"^parameter gloss\.tok_emb was rebound, not"):
-            score_candidates(corpus[0], inventory, model)
-
     def test_checkpoint_bytes_unchanged_by_prediction(self, tmp_path, small_world):
         corpus, inventory, model = small_world
         save_checkpoint(tmp_path / "before.ckpt", model, None, seed=0, step=0)
@@ -312,7 +303,7 @@ class TestGlossRowCache:
     def test_two_threads_sharing_a_model_match_one_thread(self):
         corpus, inventory, model = _acceptance_world()
         expected = [score_candidates(inst, inventory, model) for inst in corpus]
-        model._gloss_rows = None  # both threads start from an empty cache
+        del _gloss_rows[model]  # both threads start from an empty cache
         barrier = threading.Barrier(2, timeout=30)
         results: dict[int, list] = {}
 

@@ -1,11 +1,5 @@
 """Rules the package's sources keep, checked on their text.
 
-Each of a model's parameters is a view of the model's one value buffer, which
-an optimizer adopts and a checkpoint writes, so a parameter whose ``data`` is
-rebound leaves the buffer: a step, a save or a prediction refuses it.
-Parameter values are written in place; only
-``Tensor.__init__`` binds ``data``.
-
 The package keeps only the tape ops its model runs: a function that records
 onto the tape has a caller elsewhere in the package. Ops that only the tests
 chain live in ``tests/ops.py``.
@@ -14,33 +8,8 @@ chain live in ``tests/ops.py``.
 import ast
 import glob
 import os
-import re
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "polywsd")
-DATA_ASSIGNMENT = re.compile(r"\.data\s*=(?!=)")
-BINDERS = {("Tensor", "__init__")}
-
-
-def _binder_lines(tree: ast.Module) -> set[int]:
-    lines = set()
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef):
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and (cls.name, fn.name) in BINDERS:
-                    lines.update(range(fn.lineno, fn.end_lineno + 1))
-    return lines
-
-
-def test_only_the_tensor_constructor_assigns_a_data_attribute():
-    offenders = []
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        allowed = _binder_lines(ast.parse(text))
-        for number, line in enumerate(text.splitlines(), 1):
-            if DATA_ASSIGNMENT.search(line) and number not in allowed:
-                offenders.append(f"{os.path.basename(path)}:{number}: {line.strip()}")
-    assert not offenders, "write parameter values in place instead:\n" + "\n".join(offenders)
 
 
 def _package_calls(fn: ast.FunctionDef, modules: set[str]) -> set[str]:

@@ -9,6 +9,7 @@ import pytest
 
 from polywsd import tensor as T
 import polywsd.training
+from polywsd.checkpoint import save_checkpoint
 from polywsd.cli import _load_config, _model_configs
 from polywsd.data import PAD_ID, UNK_ID, CorpusInstance, SenseEntry, SenseInventory, build_vocab
 from polywsd.errors import (
@@ -23,6 +24,7 @@ from polywsd.model import (
     gloss_codes,
     randomize_parameters,
 )
+from polywsd.predict import score_candidates
 from polywsd.tensor import Tape, Tensor, backward
 from polywsd.training import (
     Adam,
@@ -329,14 +331,39 @@ class TestParameterBuffer:
         train_step(batch, model, opt)
         assert all(not np.array_equal(r, p.data) for r, p in zip(randomized, model.parameters()))
 
-    def test_rebound_data_makes_step_raise_naming_the_parameter(self):
-        p, q = packed([1.0], np.zeros(3))
-        opt = Adam([p, q])
-        q.data = np.ones(3)
-        rebound = r"^parameter 1 \(3,\) was rebound, not written in place$"
-        with pytest.raises(ContractError, match=rebound):
-            opt.step()
-        assert opt.t == 0 and p.data[0] == 1.0
+    @pytest.mark.parametrize(
+        "target", ["data", "tok_emb", "layer_wq", "fusion_wq", "layers_item", "values"]
+    )
+    def test_rewiring_a_built_model_raises_and_leaves_it_training_as_its_twin(
+        self, target, tmp_path
+    ):
+        """Each assignment raises where it is made, and the model then trains, saves and
+        predicts with the bytes of an untouched twin: nothing was rewired."""
+        corpus, inventory = synthetic_corpus(n_lemmas=4, senses_per_lemma=3, n_instances=12, seed=1)
+        model, twin = (tiny_model(corpus, inventory, seed=0) for _ in range(2))
+        same = Tensor(model.gloss.tok_emb.data.copy())
+        with pytest.raises(TypeError if target == "layers_item" else AttributeError):
+            if target == "data":
+                model.gloss.tok_emb.data = same.data
+            elif target == "tok_emb":
+                model.gloss.tok_emb = same
+            elif target == "layer_wq":
+                model.context.layers[0].wq = Tensor(model.context.layers[0].wq.data.copy())
+            elif target == "fusion_wq":
+                model.fusion.wq = Tensor(model.fusion.wq.data.copy())
+            elif target == "layers_item":
+                model.context.layers[0] = model.context.layers[0]
+            else:
+                model.values = model.values.copy()
+        config = TrainConfig(batch_size=4, epochs=2, seed=3)
+        runs = []
+        for m in (model, twin):
+            optimizer = Adam.from_config(m.parameters(), config)
+            losses = [r.loss for r in train(m, optimizer, corpus, inventory, config).records]
+            save_checkpoint(tmp_path / "model.ckpt", m, optimizer, seed=3, step=len(losses))
+            scores = [score_candidates(inst, inventory, m).scores for inst in corpus]
+            runs.append((losses, (tmp_path / "model.ckpt").read_bytes(), scores))
+        assert runs[0] == runs[1]
 
     def test_a_tensor_listed_twice_is_refused(self):
         p, q = packed([1.0], [2.0])
