@@ -250,17 +250,18 @@ def marked_ids(
     mask, True past each end marker. A bad batch raises what its first bad item does."""
     if not sequences:
         raise ContractError("encode_batch needs at least one sequence")
-    lengths = np.array([len(token_ids) + 2 for token_ids in sequences])
-    width = int(lengths.max())
+    lengths = [len(token_ids) + 2 for token_ids in sequences]
+    width = max(lengths)
     rows = [[CLS_ID, *seq, SEP_ID] + [PAD_ID] * (width - 2 - len(seq)) for seq in sequences]
     ids = np.array(rows)
     # one check of the padded batch; only a batch that fails it is checked item by item
-    fits = ids.dtype == np.intp and lengths.min() > 2 and width <= params.config.max_seq_len
-    if not (fits and ids.min() >= 0 and ids.max() < params.config.vocab_size):
+    fits = ids.dtype == np.intp and min(lengths) > 2 and width <= params.config.max_seq_len
+    fits = fits and np.minimum.reduce(ids, axis=None) >= 0
+    if not (fits and np.maximum.reduce(ids, axis=None) < params.config.vocab_size):
         for token_ids in sequences:
             _check_ids(params.config, token_ids)
         ids = np.array(rows, dtype=np.intp)
-    return ids, np.arange(width) >= lengths[:, None]
+    return ids, np.arange(width) >= np.array(lengths)[:, None]
 
 
 def encode_batch(
@@ -288,12 +289,12 @@ def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:
 def target_rows(target_index: Sequence[int], padding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (item, row) index of each item's target-word row in a batch with (b, L)
     ``padding``: word index t is row t + 1, checked against its own item's words."""
-    n_words = padding.shape[1] - 2 - padding.sum(axis=1)
+    n_words = padding.shape[1] - 2 - np.add.reduce(padding, axis=1)
     targets = np.asarray(target_index)
     bad = (targets < 0) | (targets >= n_words)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise IndexError(
+    if np.logical_or.reduce(bad):
+        i = int(bad.argmax())
+        raise ContractError(
             f"item {i}: target index {int(targets[i])} out of range for {int(n_words[i])} words"
         )
     return np.arange(len(padding)), targets + 1

@@ -8,21 +8,24 @@ first-sense baselines live here too.
 A gloss's code row depends on the gloss encoder alone, never on the
 context, so each distinct gloss is encoded once per model and its row kept
 in ``_gloss_rows``, which holds each model's rows for as long as the model
-lives. The rows are stamped with the bytes of ``WsdModel.gloss_values``,
-the gloss encoder's one slice of the model's value buffer, and dropped
-whenever they differ, so an optimizer step, ``randomize_parameters`` or an
-in-place write to a parameter never leaves a stale row. A second model, even
-one loaded from the same checkpoint, starts with no rows. Threads may share
-a model for prediction (a race at worst encodes a gloss twice), but not
-while it is being trained. Training never reads the cache.
+lives, and beside them each candidate set's rows stacked into one read-only
+(m, d_model) matrix, keyed by the set's gloss texts. Both are stamped with
+the bytes of ``WsdModel.gloss_values``, the gloss encoder's one slice of the
+model's value buffer, and dropped whenever they differ, so an optimizer step,
+``randomize_parameters`` or an in-place write to a parameter never leaves a
+stale row. A second model, even one loaded from the same checkpoint, starts
+with no rows. Threads may share a model for prediction (a race at worst
+encodes a gloss twice), but not while it is being trained. Training never
+reads the cache. Scoring calls ufunc ``.reduce`` and ``ndarray.argmax``, not
+numpy's Python-level wrappers, which cost more than the arithmetic here.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -55,24 +58,30 @@ class Prediction:
 
 Predictor = Callable[[CorpusInstance], Prediction]
 
-# per model: the gloss-encoder bytes its rows were encoded under, and each gloss's row
-_gloss_rows: weakref.WeakKeyDictionary[WsdModel, tuple[bytes, dict]] = weakref.WeakKeyDictionary()
+# per model: the gloss-encoder bytes its rows were encoded under, each gloss's row,
+# and each candidate set's rows stacked, keyed by the set's gloss texts
+_gloss_rows: WeakKeyDictionary[WsdModel, tuple[bytes, dict, dict]] = WeakKeyDictionary()
 
 
 def _candidate_rows(model: WsdModel, senses: list[SenseEntry]) -> np.ndarray:
-    """The senses' gloss code rows stacked (m, d_model), each gloss encoded by
-    ``gloss_codes`` only if the model has no row for it under its current
+    """The senses' gloss code rows stacked (m, d_model), read-only, each gloss encoded
+    by ``gloss_codes`` only if the model has no row for it under its current
     gloss-encoder bytes."""
     stamp = model.gloss_values.tobytes()
     cached = _gloss_rows.get(model)
     if cached is None or cached[0] != stamp:
-        cached = _gloss_rows[model] = (stamp, {})
-    rows = cached[1]
-    keys = [tuple(s.gloss) for s in senses]
-    for key, sense in zip(keys, senses):
-        if key not in rows:
-            rows[key] = gloss_codes(model, sense.gloss).data[0].copy()
-    return np.array([rows[key] for key in keys])
+        cached = _gloss_rows[model] = (stamp, {}, {})
+    _, rows, matrices = cached
+    keys = tuple(tuple(s.gloss) for s in senses)
+    matrix = matrices.get(keys)
+    if matrix is None:
+        for key, sense in zip(keys, senses):
+            if key not in rows:
+                rows[key] = gloss_codes(model, sense.gloss).data[0].copy()
+        matrix = np.array([rows[key] for key in keys])
+        matrix.flags.writeable = False
+        matrices[keys] = matrix
+    return matrix
 
 
 def score_candidates(
@@ -81,10 +90,10 @@ def score_candidates(
     senses = look_up(instance, inventory.candidates)
     word = context_codes(model, instance.tokens, instance.target_index)
     # products summed row by row are bit-equal to score_pair per sense; a matmul is not
-    scores = (_candidate_rows(model, senses) * word.data).sum(axis=1)
-    if not np.isfinite(scores).all():
+    scores = np.add.reduce(_candidate_rows(model, senses) * word.data, axis=1)
+    if not np.logical_and.reduce(np.isfinite(scores)):
         raise ContractError(f"instance {instance.id!r}: non-finite candidate score")
-    chosen = int(np.argmax(scores))  # argmax returns the first maximum
+    chosen = int(scores.argmax())  # argmax returns the first maximum
     return CandidateScores(senses=senses, scores=scores.tolist(), chosen_index=chosen)
 
 

@@ -18,8 +18,11 @@ tapes, never during one.
 Row sums in the layer norm, the softmaxes and ``cross_entropy`` are BLAS
 products with a constant column, equal to ``sum(axis=-1)`` up to a few ulp at
 any buffer alignment; each column is built once per width and value and
-shared read-only (``_column``). Row maxima and the embedding gradient
-(``np.bincount``) are bit-equal to plain numpy.
+shared read-only (``_column``); the layer norm takes them as 2-D dots on its
+(rows, d) view. Row maxima and the embedding gradient (``np.bincount``) are
+bit-equal to plain numpy. Other reductions call ufunc ``.reduce`` directly:
+``ndarray.sum``, ``any``, ``min`` and ``max`` run the same reduction behind
+a Python-level wrapper that costs more than these short rows.
 
 The training loss is one op, ``cross_entropy``, and multi-head attention over
 a padded batch one op, ``attention``, each with its VJP written out by hand.
@@ -254,7 +257,7 @@ def transpose(a: Tensor) -> Tensor:
 
 def _rows_sum(g: np.ndarray) -> np.ndarray:
     """Adjoint of a rank-1 operand broadcast over the last axis: sum over all other axes."""
-    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+    return np.add.reduce(g.reshape(-1, g.shape[-1]), axis=0)
 
 
 def add_kernel(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, _Vjp]:
@@ -366,17 +369,20 @@ def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, _Vjp]:
 def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, _Vjp]:
     """Each last-axis row of ``x`` at zero mean and unit variance, scaled by ``gain``
     and shifted by ``bias``, both (d,); and its VJP to x, gain and bias."""
-    w = _column(x.shape[-1], 1.0 / x.shape[-1])  # row means as BLAS products
-    centred = x - _row_dot(x, w)
-    inv = 1.0 / np.sqrt(_row_dot(centred * centred, w) + _LAYER_NORM_EPS)
+    shape, d = x.shape, x.shape[-1]
+    w = _column(d, 1.0 / d)  # row means as 2-D BLAS products on the (rows, d) view
+    rows = x.reshape(-1, d)
+    centred = rows - rows.dot(w)
+    inv = 1.0 / np.sqrt((centred * centred).dot(w) + _LAYER_NORM_EPS)
     y = centred * inv
 
     def vjp(g: np.ndarray):
+        g = g.reshape(-1, d)
         gy = g * gain
-        dx = inv * (gy - _row_dot(gy, w) - y * _row_dot(gy * y, w))
-        return dx, _rows_sum(g * y), _rows_sum(g)
+        dx = inv * (gy - gy.dot(w) - y * (gy * y).dot(w))
+        return dx.reshape(shape), np.add.reduce(g * y, axis=0), np.add.reduce(g, axis=0)
 
-    return y * gain + bias, vjp
+    return (y * gain + bias).reshape(shape), vjp
 
 
 def embed_vjp(shape: tuple[int, int], idx: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -464,7 +470,7 @@ def attention_kernel(
     q, k, v = (np.ascontiguousarray(split(a @ w)) for a, w in ((x, wq), (c, wk), (c, wv)))
     kT, scale = np.ascontiguousarray(k.swapaxes(-1, -2)), 1.0 / math.sqrt(dh)
     mask = None  # nothing masked (a batch of one, an unpadded batch): no per-head mask
-    if key_mask.any():
+    if np.logical_or.reduce(key_mask, axis=None):
         mask = np.broadcast_to(np.repeat(key_mask, n_heads, axis=0)[:, None, :], (len(q), n_q, n))
     _, _, e, s = _masked_shift_exp((q @ kT) * scale, mask)
     p = e / s

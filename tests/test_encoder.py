@@ -116,10 +116,10 @@ class TestEncodeBatch:
     def test_batch_target_checked_against_its_own_words(self, params):
         encoded, padding = encode_batch(params, self.SEQUENCES)
         # index 1 is inside the padded width but past item 0's single word
-        with pytest.raises(IndexError) as err:
+        with pytest.raises(ContractError) as err:
             target_representation(encoded, [1, 0, 0], padding)
         assert "item 0" in str(err.value)
-        with pytest.raises(IndexError):
+        with pytest.raises(ContractError):
             target_representation(encoded, [0, 0, -1], padding)
 
     def test_first_row_only_matches_row_zero_of_the_full_pass(self):
@@ -177,7 +177,7 @@ class TestRepresentations:
         np.testing.assert_array_equal(target.data, out.data[:, 3])
 
     def test_target_out_of_range_reports_bounds(self, params):
-        with pytest.raises(IndexError) as err:
+        with pytest.raises(ContractError) as err:
             _one_target(params, [4, 5, 6], 3)
         assert "3" in str(err.value)
 

@@ -1,5 +1,8 @@
 """Prediction path: candidate scoring, argmax rules, the gloss-row cache, baselines."""
 
+import cProfile
+import os
+import pstats
 import sys
 import threading
 
@@ -280,6 +283,41 @@ class TestGlossRowCache:
             score_candidates(inst, inventory, model)
             assert calls == []
 
+    def test_candidate_sets_sharing_a_gloss_encode_it_once(self, monkeypatch):
+        inventory = SenseInventory()
+        shared = SenseEntry("bank%2", ["a", "slope"])
+        inventory.add("bank", "NOUN", [SenseEntry("bank%1", ["money", "house"]), shared])
+        inventory.add("hill", "NOUN", [SenseEntry("hill%1", ["high", "ground"]), shared])
+        corpus = [
+            CorpusInstance(id=f"s{k}", tokens=["by", word], target_index=1, lemma=word, pos="NOUN")
+            for k, word in enumerate(["bank", "hill", "bank"])
+        ]
+        model = tiny_model(corpus, inventory, seed=3)
+        counts = _counting_encode(monkeypatch, lambda: model.gloss)
+        predict_corpus(corpus, inventory, model)
+        assert len(counts) == 3 and set(counts.values()) == {1}
+        assert len(_gloss_rows[model][2]) == 2  # one matrix per candidate set
+
+    def test_candidate_matrix_is_its_rows_stacked_and_read_only(self, small_world):
+        corpus, inventory, model = small_world
+        predict_corpus(corpus, inventory, model)
+        _, rows, matrices = _gloss_rows[model]
+        assert len(matrices) > 1
+        for keys, matrix in matrices.items():
+            assert matrix.tobytes() == np.array([rows[key] for key in keys]).tobytes()
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+
+    def test_in_place_gloss_write_re_encodes_on_the_next_prediction(self, monkeypatch, small_world):
+        corpus, inventory, model = small_world
+        before = score_candidates(corpus[0], inventory, model).scores
+        counts = _counting_encode(monkeypatch, lambda: model.gloss)
+        model.gloss.out_bias.data[0] += 0.5
+        after = score_candidates(corpus[0], inventory, model).scores
+        glosses = {tuple(s.gloss) for s in inventory.candidates(corpus[0].lemma, corpus[0].pos)}
+        assert sum(counts.values()) == len(glosses)
+        assert after != before
+
     @pytest.mark.parametrize("change", ["in_place_write", "train_step", "randomize"])
     def test_parameter_change_between_predictions_is_seen(self, change, small_world):
         corpus, inventory, model = small_world
@@ -325,3 +363,23 @@ class TestGlossRowCache:
         for k in range(2):
             assert [r.scores for r in results[k]] == [r.scores for r in expected]
             assert [r.chosen_index for r in results[k]] == [r.chosen_index for r in expected]
+
+
+def test_prediction_calls_no_numpy_python_wrapper(small_world):
+    """The per-instance path reduces through ufuncs and ndarray methods: numpy's
+    Python-level wrappers (``_methods``, ``fromnumeric``) cost more than the work."""
+    corpus, inventory, model = small_world
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        for k in range(20):
+            predict(corpus[k % len(corpus)], inventory, model)
+    finally:
+        profile.disable()
+    wrappers = [
+        (filename, name)
+        for filename, _, name in pstats.Stats(profile).stats
+        if os.path.basename(filename) in ("_methods.py", "fromnumeric.py")
+        and f"numpy{os.sep}" in filename
+    ]
+    assert wrappers == []
