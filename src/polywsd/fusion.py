@@ -113,5 +113,15 @@ def score_pair(word_code: Tensor, gloss_code: Tensor) -> Tensor:
 
 
 def score_rows(word_codes: Tensor, gloss_codes: Tensor) -> Tensor:
-    """All-pairs scores of stacked code rows: cell (i, j) = word row i . gloss row j."""
-    return T.matmul(word_codes, T.transpose(gloss_codes))
+    """All-pairs scores of (b, d) word and (n, d) gloss rows as one record: cell (i, j)
+    = word row i . gloss row j, with the adjoints of ``tensor.matmul_vjp``."""
+    x, y = word_codes.data, gloss_codes.data
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ShapeError(f"score_rows needs rows of one width, got {x.shape} and {y.shape}")
+    y_t = np.ascontiguousarray(y.T)  # a strided operand moves the product's bits
+
+    def vjp(g: np.ndarray):
+        d_x, d_y_t = T.matmul_vjp(x, y_t, g)
+        return d_x, d_y_t.T  # a strided view; gloss_code_rows copies it
+
+    return T.record((word_codes, gloss_codes), x @ y_t, vjp)

@@ -12,8 +12,8 @@ no real row. Training builds each side of a batch in one pass, and each
 side is one tape record: ``context_code_rows`` runs the context pass, the
 target-row pick and the fusion attention as ``tensor`` kernels under one
 VJP, and ``gloss_code_rows`` the gloss pass, whose start-marker rows are
-the codes, so a forward records 5 ops (the sides, the score matrix's
-transpose and product, the loss). Only the start-marker row of a gloss is
+the codes, so a forward records 4 ops (the two sides, the score product
+``fusion.score_rows`` and the loss). Only the start-marker row of a gloss is
 read, so ``gloss_code_rows`` has the last encoder layer compute that row
 alone; the context side keeps every row, since fusion attends over them.
 Prediction encodes one sequence per call, a batch of one: ``context_codes``
@@ -85,7 +85,7 @@ class WsdModel:
         return [tensor for _, tensor in self.named_parameters()]
 
     def parameter_norm(self) -> float:
-        return float(np.sqrt(sum(float((t.data**2).sum()) for t in self.parameters())))
+        return float(np.sqrt(self.values.dot(self.values)))
 
 
 def parameter_count(context: EncoderConfig, gloss: EncoderConfig, fusion: FusionConfig) -> int:
@@ -228,7 +228,7 @@ def gloss_code_rows(model: WsdModel, glosses: list[list[str]]) -> Tensor:
     ids, padding = marked_ids(model.gloss, [_gloss_ids(model, g) for g in glosses])
     rows, encoder_vjp = encoder_kernel(model.gloss, ids, padding, True)
     n, _, d = rows.shape
-    # a transposed score matrix hands back a strided adjoint; the chain's pick copied it
+    # score_rows hands the gloss rows a strided adjoint; the chain's pick copied it
     return T.record(
         pass_inputs(model.gloss), rows.reshape(n, d),
         lambda g: encoder_vjp(np.ascontiguousarray(g).reshape(n, 1, d)),

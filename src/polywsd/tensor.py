@@ -29,7 +29,8 @@ a padded batch one op, ``attention``, each with its VJP written out by hand.
 The ``*_kernel`` functions (add, GELU, layer norm, embedding, gather and
 attention) return the ``(out, vjp)`` of an op on arrays. Callers run them
 and record what they compose as one op (``record``): the encoder pass
-(``encoder.encode_batch``) and each of the model's two code sides do.
+(``encoder.encode_batch``) and each of the model's two code sides do. No op is
+a bare matrix product: the ops that multiply take its adjoints from ``matmul_vjp``.
 
 The first ``backward`` of a process sets glibc's allocator (``mallopt``) to
 serve blocks of up to 32 MiB from the heap and keep up to 64 MiB of free heap
@@ -222,37 +223,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
-
-    Takes (n, k) @ (k, m), a batch (B, n, k) @ (B, k, m), or a batch against
-    one shared matrix, (B, n, k) @ (k, m); the shared matrix's gradient sums
-    over the batch.
-    """
-    x, y = a.data, b.data
-    shared = x.ndim == 3 and y.ndim == 2
-    if (
-        not (shared or (x.ndim == y.ndim and x.ndim in (2, 3)))
-        or x.shape[-1] != y.shape[-2]
-        or (not shared and x.shape[:-2] != y.shape[:-2])
-    ):
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-
-    return record((a, b), x @ y, lambda g: matmul_vjp(x, y, g))
-
-
 def matmul_vjp(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The adjoints of ``x`` and ``y`` in ``x @ y`` for the output adjoint ``g``."""
     if x.ndim == 3 and y.ndim == 2:  # a shared matrix: one product over all the batch's rows
         return g @ y.T, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
     return g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a rank-2 or rank-3 tensor."""
-    if a.data.ndim not in (2, 3):
-        raise ShapeError(f"transpose needs rank 2 or 3, got shape {a.shape}")
-    return record((a,), a.data.swapaxes(-1, -2), lambda g: (g.swapaxes(-1, -2),))
 
 
 def _rows_sum(g: np.ndarray) -> np.ndarray:

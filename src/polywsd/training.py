@@ -18,7 +18,6 @@ to the run's wall clock (its device-hours, as a run is one process).
 
 from __future__ import annotations
 
-import ctypes
 import time
 from dataclasses import dataclass, field
 from typing import NoReturn
@@ -33,7 +32,7 @@ from .fusion import score_rows
 from .model import WsdModel, context_code_rows, gloss_code_rows, memory_ceiling
 # unused here, but the benchmark's probes patch polywsd.training.context_codes/gloss_codes
 from .model import context_codes, gloss_codes  # noqa: F401
-from .tensor import Tape, Tensor, backward, finite_diff_check
+from .tensor import Cutter, Tape, Tensor, backward, finite_diff_check
 
 MODE_CONTRASTIVE = "bcl"
 MODE_ALL_CANDIDATES = "all-candidates"
@@ -193,38 +192,33 @@ def bcl_loss(sm: ScoreMatrix) -> LossValue:
     return LossValue(*T.cross_entropy(sm.scores, sm.mask, sm.targets))
 
 
-def _address(array) -> int | None:
-    """The address of a writable C-contiguous buffer's first byte, else None."""
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(array))
-    except (TypeError, ValueError):
-        return None
-
-
-def _value_buffer(params: list[Tensor]) -> tuple[np.ndarray, list[slice]]:
-    """The buffer that ``params`` are consecutive C-order views of, covering it
-    whole in list order, and each one's slice of it; else a ContractError."""
+def _value_buffer(params: list[Tensor]) -> np.ndarray:
+    """The writable buffer that ``params`` cover whole in list order, as ``tensor.Cutter``
+    cuts it: views each starting, by array-interface address, where the last ended,
+    none read-only; else a ContractError."""
     buffer = params[0].data.base if params else None
-    address = _address(buffer) if isinstance(buffer, np.ndarray) and buffer.ndim == 1 else None
-    slices, start = [], 0
-    for i, p in enumerate(params):
-        if address is None or p.data.base is not buffer or _address(p.data) != address + 8 * start:
+    flat = isinstance(buffer, np.ndarray) and buffer.ndim == 1
+    address = buffer.__array_interface__["data"][0] if flat else None
+    start = 0
+    for i, p in enumerate(params):  # a Tensor's data is C-order, a copy if need be
+        if address is None or p.data.base is not buffer or (
+            p.data.__array_interface__["data"] != (address + 8 * start, False)
+        ):
             raise ContractError(
                 f"parameter {i} {p.shape} is not the next view of the value buffer, in list order"
             )
-        slices.append(slice(start, start + p.size))
         start += p.size
     if address is None or start != buffer.size:
         raise ContractError("the parameters do not cover one value buffer whole")
-    return buffer, slices
+    return buffer
 
 
 class Adam:
     """Standard Adam with bias correction; deterministic given grads.
 
     Its ``values`` is the model's value buffer, adopted, not copied: the
-    parameters must be consecutive views that cover it in list order, as a
-    model's are, or construction raises ContractError. It owns flat gradient
+    parameters must cover it in the layout ``tensor.Cutter`` cuts, as a model's
+    do, or construction raises ContractError. It owns flat gradient
     and moment buffers; after ``zero_grad`` each ``grad`` is a view of the first,
     so a step is a few whole-buffer numpy calls. ``m`` and ``v`` read as
     per-parameter views of ``m_flat`` and ``v_flat``, so writing into a view sets
@@ -249,7 +243,7 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.values, self._slices = _value_buffer(self.params)
+        self.values = _value_buffer(self.params)
         size, need = self.values.size, self.BUFFERS * self.values.nbytes
         if need > (ceiling := memory_ceiling()):
             raise ConfigError(
@@ -262,7 +256,8 @@ class Adam:
         self._grad_views = self._views(self._grads)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [flat[sl].reshape(p.shape) for sl, p in zip(self._slices, self.params)]
+        cut = Cutter(flat)  # the parameters' own layout of the value buffer
+        return [cut(*p.shape).data for p in self.params]
 
     @property
     def m(self) -> list[np.ndarray]:

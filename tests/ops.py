@@ -1,8 +1,10 @@
 """Tape ops that only the tests run, one record per op: ``add``, ``gelu``,
-``layer_norm``, ``embed`` and ``encode_first_rows`` record package kernels; the
-rest are written out.
+``layer_norm``, ``embed`` and ``encode_first_rows`` record package kernels,
+``matmul`` takes its adjoints from ``tensor.matmul_vjp``; the rest are written
+out. None checks its operands' shapes; numpy refuses what it cannot multiply.
 Chained, they are the oracles of the package's fused records (the encoder pass,
-each code side, ``tensor.attention``), and the op table checks each gradient.
+each code side, ``tensor.attention``, ``fusion.score_rows``), and the op table
+checks each gradient.
 """
 
 from typing import Sequence
@@ -29,6 +31,16 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def embed(table: Tensor, ids) -> Tensor:
     return record((table,), *T.embed_kernel(table.data, np.asarray(ids, dtype=np.intp)))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(n, k) @ (k, m), a batch (B, n, k) @ (B, k, m), or (B, n, k) @ a shared (k, m)."""
+    return record((a, b), a.data @ b.data, lambda g: T.matmul_vjp(a.data, b.data, g))
+
+
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes; the record stores a C-order copy."""
+    return record((a,), a.data.swapaxes(-1, -2), lambda g: (g.swapaxes(-1, -2),))
 
 
 def scale(a: Tensor, c: float) -> Tensor:

@@ -235,8 +235,8 @@ def _chain_encoder(params, ids, key_mask, first_row_only):
         )
         x = ops.add(x, attended)
         normed = ops.layer_norm(x, layer.ffn_gain, layer.ffn_bias)
-        hidden = ops.gelu(ops.add(T.matmul(normed, layer.w1), layer.b1))
-        x = ops.add(x, ops.add(T.matmul(hidden, layer.w2), layer.b2))
+        hidden = ops.gelu(ops.add(ops.matmul(normed, layer.w1), layer.b1))
+        x = ops.add(x, ops.add(ops.matmul(hidden, layer.w2), layer.b2))
     return ops.layer_norm(x, params.out_gain, params.out_bias)
 
 

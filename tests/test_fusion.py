@@ -105,7 +105,7 @@ class TestAttentionHead:
         queries = Tensor(rng.normal(size=(2, 4)))
         for q in (queries, ops.scale(queries, 2.0)):
             logits = ops.scale(
-                T.matmul(T.matmul(q, wq), T.transpose(T.matmul(context, wk))),
+                ops.matmul(ops.matmul(q, wq), ops.transpose(ops.matmul(context, wk))),
                 1.0 / np.sqrt(2),
             )
             sums = ops.row_softmax(logits).data.sum(axis=1)
@@ -183,6 +183,35 @@ class TestScorePair:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             score_pair(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))))
+
+
+class TestScoreRows:
+    """The all-pairs score product is one record with the bits of the chain it
+    replaced, ``matmul(word, transpose(gloss))``: its scores and both adjoints."""
+
+    # at width 16, multiplying by the strided transpose moves the scores' bits at
+    # (3, 10) and both sides' at (1, 8) on OpenBLAS; (5, 1) is a one-gloss column
+    @pytest.mark.parametrize("b,n", [(3, 10), (1, 8), (5, 1)])
+    def test_bit_equal_to_the_matmul_of_the_transpose(self, b, n):
+        rng = np.random.default_rng(b * 100 + n)
+        word, gloss, weights = (rng.normal(size=shape) for shape in ((b, 16), (n, 16), (b, n)))
+        runs = []
+        for product in (score_rows, lambda w, g: ops.matmul(w, ops.transpose(g))):
+            w, g = Tensor(word), Tensor(gloss)
+            tape = Tape()
+            with tape:
+                scores = product(w, g)
+                loss = T.sum_all(T.mul(scores, Tensor(weights)))
+            backward(loss, tape)
+            runs.append([scores.data.tobytes(), w.grad.tobytes(), g.grad.tobytes()])
+        fused, chain = runs
+        assert fused == chain
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (2, 4)), ((3,), (2, 3))])
+    def test_shape_mismatch_names_both_shapes(self, shapes):
+        with pytest.raises(ShapeError) as err:
+            score_rows(*(Tensor(np.ones(shape)) for shape in shapes))
+        assert all(str(shape) in str(err.value) for shape in shapes)
 
 
 class TestFullFusion:
@@ -266,26 +295,26 @@ class TestCodeRowOps:
         if side == "context":
             windows = [([4, 5, 6], 1), ([7], 0), ([8, 9], 1)]
             items = windows if padded else [([4, 5, 6], 2), ([7, 8, 9], 0)]
-            ops = [_chain_context_rows, _window_code_rows]
+            code_rows = [_chain_context_rows, _window_code_rows]
         else:
             glosses = [["a", "b", "c"], ["d"], ["e", "f"]]
             items = glosses if padded else [["a", "b", "c"], ["d", "e", "f"]]
-            ops = [_chain_gloss_rows, gloss_code_rows]
+            code_rows = [_chain_gloss_rows, gloss_code_rows]
         rng = np.random.default_rng(2)
         other = Tensor(rng.normal(size=(4, 8)))
         weights = Tensor(rng.normal(size=(len(items), 4)))
         runs, lengths = [], []
-        for op in ops:
+        for make_rows in code_rows:
             for tensor in model.parameters():
                 tensor.grad = None
             tape = Tape()
             with tape:
-                rows = op(model, items)
+                rows = make_rows(model, items)
                 start = len(tape)
                 if side == "context":
                     scores = score_rows(rows, other)
                 else:
-                    scores = T.transpose(score_rows(other, rows))
+                    scores = ops.transpose(score_rows(other, rows))
                 loss = T.sum_all(T.mul(scores, weights))
             backward(loss, tape)
             grads = [None if t.grad is None else t.grad.tobytes() for t in model.parameters()]
