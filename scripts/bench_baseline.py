@@ -1,7 +1,9 @@
 """Write ``BENCH_baseline.json``: the benchmark's end-to-end metrics, as medians
-and interquartile ranges over repeated runs of the unedited harness.
+and interquartile ranges over repeated runs of the unedited harness; or, with
+``--against``, compare two checkouts in alternating pairs.
 
     python3 scripts/bench_baseline.py [--checkout DIR]
+    python3 scripts/bench_baseline.py --against PARENT [--checkout DIR]
 
 Each of 5 rounds runs ``perfbench/run.py --workload W --seed S --seconds 20
 --trace 0`` in ``--checkout`` (default: this repository) once per seed (1 and
@@ -11,6 +13,15 @@ end-to-end metric's median and IQR and the attempted and failed op counts of
 each run, with the checkout's commit and the harness's machine note.
 Traced (``--trace 1``) metrics are left out: several read 0 on workloads that
 exercise them, since the probes they need are not in the harness yet.
+
+``--against PARENT`` runs 10 pairs per workload and seed instead, each pair one
+run in ``PARENT`` and one in ``--checkout``, alternating which side runs first.
+It prints, per workload, seed and end-to-end metric, each side's median and
+quartiles, how many pairs the checkout won (ties count for neither side, and
+"better" is the direction ``BENCHMARK.json`` gives), and the ratio of the
+medians. A gain may be claimed where the checkout wins at least 9 of 10 pairs
+and the medians differ by more than the parent's interquartile range. Every
+run goes to ``BENCH_pairs.json`` in this repository with that summary.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("bcl-desk", "allcand-polysemous", "predict-polysemous")
 MACHINE_KEYS = ("cores", "python", "numpy", "scipy", "threads", "device_note")
 ROUNDS, SEEDS, SECONDS = 5, (1, 2), 20
+PAIRS = 10
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
@@ -69,19 +81,84 @@ def summarize(runs: list[dict], commit: str) -> dict:
     }
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def compare_pairs(pairs: list[dict], better: dict[str, str]) -> list[dict]:
+    """Per workload, seed and metric: both sides' quartiles, the checkout's wins
+    and the ratio of the medians (checkout / parent)."""
+    cells = {}
+    for pair in pairs:
+        cells.setdefault((pair["workload"], pair["seed"]), []).append(pair)
+    rows = []
+    for (workload, seed), group in cells.items():
+        for name, first in group[0]["parent"]["metrics"].items():
+            parent = [p["parent"]["metrics"][name]["value"] for p in group]
+            change = [p["change"]["metrics"][name]["value"] for p in group]
+            sign = -1.0 if better.get(name) == "lower" else 1.0
+            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+            rows.append({
+                "workload": workload, "seed": seed, "metric": name, "unit": first["unit"],
+                "parent": [p1, pm, p3], "change": [c1, cm, c3], "pairs": len(group),
+                "change_won": wins, "ratio": cm / pm if pm else None,
+                "claimable": wins * 10 >= 9 * len(group) and abs(cm - pm) > p3 - p1,
+            })
+    return rows
+
+
+def run_pairs(parent: str, checkout: str) -> dict:
+    """``PAIRS`` alternating pairs per workload and seed, and their comparison."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    pairs = []
+    for i in range(PAIRS):
+        for seed in SEEDS:
+            for workload in WORKLOADS:
+                sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                dirs = {"parent": parent, "change": checkout}
+                runs = {side: run_once(dirs[side], workload, seed)["result"] for side in sides}
+                pairs.append({"workload": workload, "seed": seed, "first": sides[0], **runs})
+    commits = {side: head(path) for side, path in (("parent", parent), ("change", checkout))}
+    return {"commits": commits, "command": f"python3 perfbench/run.py --workload W --seed S "
+            f"--seconds {SECONDS} --trace 0", "summary": compare_pairs(pairs, better),
+            "pairs": pairs}
+
+
+def head(checkout: str) -> str:
+    """The checkout's commit, suffixed ``-dirty`` if its tracked files differ from it."""
+    return subprocess.run(
+        ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", default=ROOT, help="the checkout whose harness runs")
+    parser.add_argument("--against", help="compare --checkout with this parent checkout")
     args = parser.parse_args(argv)
-    commit = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=args.checkout, capture_output=True, text=True, check=True
-    ).stdout.strip()
+    if args.against:
+        result = run_pairs(args.against, args.checkout)
+        with open(os.path.join(ROOT, "BENCH_pairs.json"), "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=1)
+            fh.write("\n")
+        for row in result["summary"]:
+            (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
+            ratio = "-" if row["ratio"] is None else f"{row['ratio']:.4f}"
+            print(f"{row['workload']:<20} seed {row['seed']} {row['metric']:<24} "
+                  f"parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
+                  f"won {row['change_won']}/{row['pairs']}  ratio {ratio}"
+                  f"{'  claimable' if row['claimable'] else ''}")
+        return 0
     runs = [
         run_once(args.checkout, workload, seed)
         for _ in range(ROUNDS) for seed in SEEDS for workload in WORKLOADS
     ]
     with open(os.path.join(ROOT, "BENCH_baseline.json"), "w", encoding="utf-8") as fh:
-        json.dump(summarize(runs, commit), fh, indent=1)
+        json.dump(summarize(runs, head(args.checkout)), fh, indent=1)
         fh.write("\n")
     return 0
 

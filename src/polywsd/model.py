@@ -21,6 +21,13 @@ is 1 record, and ``gloss_codes`` 4 (``encode``, the start-marker pick and
 ``fuse_gloss``), since callers count gloss encodes by wrapping ``encode``
 by name. Either way, encoder forwards are counted per sequence, not per pass.
 
+Training tokenizes each distinct text once per model: ``id_index(model)``,
+which lives as long as the model does, keeps one ``IdTable`` row of checked,
+marker-wrapped ids per distinct gloss text and per distinct (context tokens,
+target index), keyed by the word tuples, so an in-place edit is a new key. A
+step takes its (b, L) ids by row number. The index assumes the vocabulary is
+not edited, as the embedding tables are sized to it. Prediction does not read it.
+
 A model owns one flat float64 buffer, ``values``, of which each parameter is
 a view, in the order ``model_on`` states. ``build_model`` draws initial values
 into a fresh buffer; ``load_checkpoint`` builds the model on the saved values
@@ -33,12 +40,15 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from . import tensor as T
-from .data import CorpusInstance, Vocab, content_ids_around, lookup_ids
+from .data import PAD_ID, CorpusInstance, SenseEntry, Vocab, content_ids_around, lookup_ids
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -170,23 +180,157 @@ def build_model(
 
 
 def _context_window(
-    model: WsdModel, tokens: list[str], target_index: int
+    model: WsdModel, tokens: Sequence[str], target_index: int
 ) -> tuple[list[int], int]:
     limit = model.context.config.max_seq_len - 2
     return content_ids_around(tokens, target_index, model.vocab, limit)
 
 
-def _gloss_ids(model: WsdModel, gloss_tokens: list[str]) -> list[int]:
+def _gloss_ids(model: WsdModel, gloss_tokens: Sequence[str]) -> list[int]:
     return lookup_ids(gloss_tokens[: model.gloss.config.max_seq_len - 2], model.vocab)
 
 
-def _window_code_rows(model: WsdModel, windows: list[tuple[list[int], int]]) -> Tensor:
-    """One code row per (context ids, target index) window: one record over the
-    context-encoder pass, the target-row pick and the fusion attention, with the
-    bits of their op chain (``encode_batch``, a ``tensor.gather`` of the
-    ``target_rows``, ``fuse_context``)."""
+_PAGE_ROWS = 1024  # rows per page of an id table
+
+
+class IdTable:
+    """One encoder side's ids: ``row`` numbers each distinct key in fill order. Row r
+    is at ``r % _PAGE_ROWS`` of page ``r // _PAGE_ROWS``: its ids and padding mask
+    over ``max_seq_len`` positions, its length with both markers and its target row
+    (0 for a gloss). A fill writes into the last page or a new one, never copying
+    the table, under the lock, and publishes its keys after their rows, so a
+    lookup, which takes no lock, sees only whole rows."""
+
+    def __init__(self, max_seq_len: int):
+        self.row: dict[tuple, int] = {}
+        self._pages: list[tuple[np.ndarray, ...]] = []  # (ids, padding, lengths, targets)
+        self._max_seq_len = max_seq_len
+        self._lock = threading.Lock()
+
+    def rows(self, keys: list[tuple], build: Callable) -> np.ndarray:
+        """The row number of each key. The keys it has no row for are filled from
+        ``build(new_keys)``, which returns their ids, padding and target rows as
+        ``marked_ids`` and ``target_rows`` do, or raises what the first bad key earns."""
+        if not keys:
+            build(keys)  # raises marked_ids' error for an empty batch
+        get = self.row.get
+        rows = [get(key) for key in keys]
+        if None in rows:
+            self._fill(keys, build)
+            rows = [self.row[key] for key in keys]
+        return np.array(rows, dtype=np.intp)
+
+    def _fill(self, keys: list[tuple], build: Callable) -> None:
+        with self._lock:
+            new = [key for key in dict.fromkeys(keys) if key not in self.row]
+            if not new:
+                return  # another thread filled them
+            ids, padding, targets = build(new)
+            (n, width), start, full = ids.shape, len(self.row), self._max_seq_len
+            columns = (
+                np.full((n, full), PAD_ID, dtype=np.intp), np.ones((n, full), dtype=bool),
+                width - np.add.reduce(padding, axis=1), targets,
+            )
+            columns[0][:, :width], columns[1][:, :width] = ids, padding
+            done = 0
+            while done < n:  # to the end of the last page, then into a new one
+                page, at = divmod(start + done, _PAGE_ROWS)
+                if page == len(self._pages):
+                    self._pages.append(
+                        tuple(np.empty((_PAGE_ROWS, *c.shape[1:]), dtype=c.dtype) for c in columns)
+                    )
+                k = min(n - done, _PAGE_ROWS - at)
+                for stored, column in zip(self._pages[page], columns):
+                    stored[at : at + k] = column[done : done + k]
+                done += k
+            self.row.update(zip(new, range(start, start + n)))
+
+    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (n, L) ids and padding of ``rows`` as ``marked_ids`` gives them for
+        their sequences, L the longest length, and their target rows."""
+        page, at = np.divmod(rows, _PAGE_ROWS)
+        pages = set(page.tolist())
+        if len(pages) == 1:
+            ids, padding, lengths, targets = (a.take(at, axis=0) for a in self._pages[pages.pop()])
+        else:
+            ids, padding, lengths, targets = (
+                np.empty((len(rows), *a.shape[1:]), dtype=a.dtype) for a in self._pages[0]
+            )
+            for p in pages:
+                hit = page == p
+                for out, stored in zip((ids, padding, lengths, targets), self._pages[p]):
+                    out[hit] = stored.take(at[hit], axis=0)
+        width = np.maximum.reduce(lengths)
+        return ids[:, :width], padding[:, :width], targets
+
+
+@dataclass
+class IdIndex:
+    """A model's id tables, one per encoder side, and each candidate set's gloss rows
+    keyed by the set's gloss texts. It holds no reference to its model."""
+
+    contexts: IdTable
+    glosses: IdTable
+    candidate_sets: dict[tuple, np.ndarray] = field(default_factory=dict)
+
+
+# per model, for as long as it lives: keys are word tuples, so an edited text is a new key
+_id_indexes: WeakKeyDictionary[WsdModel, IdIndex] = WeakKeyDictionary()
+
+
+def id_index(model: WsdModel) -> IdIndex:
+    index = _id_indexes.get(model)
+    if index is None:  # setdefault keeps one index if two threads get here
+        sides = (IdTable(side.config.max_seq_len) for side in (model.context, model.gloss))
+        index = _id_indexes.setdefault(model, IdIndex(*sides))
+    return index
+
+
+def _marked_windows(model: WsdModel, keys: list[tuple]) -> tuple[np.ndarray, ...]:
+    windows = [_context_window(model, tokens, target) for tokens, target in keys]
     ids, padding = marked_ids(model.context, [ids for ids, _ in windows])
-    rows = target_rows([target for _, target in windows], padding)
+    return ids, padding, target_rows([target for _, target in windows], padding)[1]
+
+
+def _marked_glosses(model: WsdModel, keys: list[tuple]) -> tuple[np.ndarray, ...]:
+    ids = [_gloss_ids(model, gloss) for gloss in keys]
+    return *marked_ids(model.gloss, ids), np.zeros(len(keys), dtype=np.intp)
+
+
+def context_index_rows(model: WsdModel, instances: list[CorpusInstance]) -> np.ndarray:
+    """The model's context-index row of each instance's (tokens, target index), new
+    ones checked and filled."""
+    keys = [(tuple(inst.tokens), inst.target_index) for inst in instances]
+    return id_index(model).contexts.rows(keys, lambda new: _marked_windows(model, new))
+
+
+def gloss_index_rows(model: WsdModel, glosses: Sequence[Sequence[str]]) -> np.ndarray:
+    """The model's gloss-index row of each gloss text, new texts checked and filled."""
+    keys = [tuple(gloss) for gloss in glosses]
+    return id_index(model).glosses.rows(keys, lambda new: _marked_glosses(model, new))
+
+
+def candidate_index_rows(
+    model: WsdModel, candidate_sets: list[list[SenseEntry]]
+) -> list[np.ndarray]:
+    """Per candidate set, the gloss-index rows of its glosses, kept per set of texts."""
+    sets, blocks = id_index(model).candidate_sets, []
+    for senses in candidate_sets:
+        key = tuple([tuple(sense.gloss) for sense in senses])
+        rows = sets.get(key)
+        if rows is None:
+            rows = sets[key] = gloss_index_rows(model, key)
+        blocks.append(rows)
+    return blocks
+
+
+def _fused_rows(
+    model: WsdModel, ids: np.ndarray, padding: np.ndarray, rows: tuple[np.ndarray, np.ndarray]
+) -> Tensor:
+    """One code row per context in (b, L) ``ids`` whose target rows are ``rows``: one
+    record over the context-encoder pass, the target-row pick and the fusion
+    attention, with the bits of their op chain (``encode_batch``, a
+    ``tensor.gather`` of the ``target_rows``, ``fuse_context``)."""
     encoded, encoder_vjp = encoder_kernel(model.context, ids, padding, False)
     targets, pick_vjp = T.gather_kernel(encoded, rows)
     (b, d), fusion = targets.shape, model.fusion
@@ -202,6 +346,12 @@ def _window_code_rows(model: WsdModel, windows: list[tuple[list[int], int]]) -> 
     return T.record((*pass_inputs(model.context), *weights), fused.reshape(b, d), vjp)
 
 
+def _window_code_rows(model: WsdModel, windows: list[tuple[list[int], int]]) -> Tensor:
+    """One code row per (context ids, target index) window, as ``_fused_rows``."""
+    ids, padding = marked_ids(model.context, [ids for ids, _ in windows])
+    return _fused_rows(model, ids, padding, target_rows([t for _, t in windows], padding))
+
+
 def context_codes(model: WsdModel, tokens: list[str], target_index: int) -> Tensor:
     """Fused 1 x d_model code row for a target word in its context: a batch of one."""
     return _window_code_rows(model, [_context_window(model, tokens, target_index)])
@@ -215,22 +365,28 @@ def gloss_codes(model: WsdModel, gloss_tokens: list[str]) -> Tensor:
 
 def context_code_rows(model: WsdModel, instances: list[CorpusInstance]) -> Tensor:
     """b x d_model code rows, row i equal to ``context_codes`` of instance i up to
-    rounding, not bit for bit: the padded width and batch size shape the arithmetic."""
-    windows = [_context_window(model, inst.tokens, inst.target_index) for inst in instances]
-    return _window_code_rows(model, windows)
+    rounding, not bit for bit: the padded width and batch size shape the arithmetic.
+    Their ids come from the model's id index."""
+    ids, padding, targets = id_index(model).contexts.take(context_index_rows(model, instances))
+    return _fused_rows(model, ids, padding, (np.arange(len(instances)), targets))
 
 
 def gloss_code_rows(model: WsdModel, glosses: list[list[str]]) -> Tensor:
-    """n x d_model code rows, row j equal to ``gloss_codes`` of gloss j up to rounding:
-    one record of a padded gloss-encoder pass whose last layer computes only the
-    start-marker rows, with the bits of ``encode_batch``, ``cls_representation`` and
-    ``fuse_gloss``."""
-    ids, padding = marked_ids(model.gloss, [_gloss_ids(model, g) for g in glosses])
-    rows, encoder_vjp = encoder_kernel(model.gloss, ids, padding, True)
-    n, _, d = rows.shape
+    """n x d_model code rows, row j equal to ``gloss_codes`` of gloss j up to rounding,
+    as ``gloss_code_rows_at`` of their gloss-index rows."""
+    return gloss_code_rows_at(model, gloss_index_rows(model, glosses))
+
+
+def gloss_code_rows_at(model: WsdModel, rows: np.ndarray) -> Tensor:
+    """The code rows of the glosses at ``rows`` of the model's gloss index: one record
+    of a padded gloss-encoder pass whose last layer computes only the start-marker
+    rows, with the bits of ``encode_batch``, ``cls_representation`` and ``fuse_gloss``."""
+    ids, padding, _ = id_index(model).glosses.take(rows)
+    codes, encoder_vjp = encoder_kernel(model.gloss, ids, padding, True)
+    n, _, d = codes.shape
     # score_rows hands the gloss rows a strided adjoint; the chain's pick copied it
     return T.record(
-        pass_inputs(model.gloss), rows.reshape(n, d),
+        pass_inputs(model.gloss), codes.reshape(n, d),
         lambda g: encoder_vjp(np.ascontiguousarray(g).reshape(n, 1, d)),
     )
 

@@ -286,11 +286,11 @@ def cross_entropy(scores: Tensor, mask: np.ndarray | None, targets) -> tuple[Ten
     idx = np.asarray(targets, dtype=np.intp)
     if scores.data.ndim != 2 or scores.data.size == 0 or idx.shape != scores.shape[:1]:
         raise ShapeError(f"cross_entropy needs one target per row, got {idx.shape}, {scores.shape}")
-    if idx.min() < 0 or idx.max() >= scores.shape[1]:
+    if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= scores.shape[1]:
         raise ContractError(f"target column out of range for {scores.shape[1]} columns")
     x, mx, e, s = _masked_shift_exp(scores.data, mask)
     rows, n = np.arange(len(idx)), len(idx)
-    if mask is not None and (masked := np.flatnonzero(mask[rows, idx])).size:
+    if mask is not None and (masked := mask[rows, idx].nonzero()[0]).size:
         raise ContractError(f"the target cells of rows {masked.tolist()} are masked")
     target_log = (x[rows, idx] - mx[:, 0]) - np.log(s[:, 0])
     p = e / s
@@ -298,9 +298,10 @@ def cross_entropy(scores: Tensor, mask: np.ndarray | None, targets) -> tuple[Ten
     def vjp(g: np.ndarray):
         gu = np.zeros_like(p)
         gu[rows, idx] = float(-g) / n
-        return (gu - p * gu.sum(axis=1, keepdims=True),)
+        return (gu - p * np.add.reduce(gu, axis=1, keepdims=True),)
 
-    return record((scores,), -target_log.mean(), vjp), -target_log
+    # the ufunc reductions ndarray.mean and .sum run, without their Python wrappers
+    return record((scores,), -(np.add.reduce(target_log) / n), vjp), -target_log
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -446,7 +447,7 @@ def attention_kernel(
     kT, scale = np.ascontiguousarray(k.swapaxes(-1, -2)), 1.0 / math.sqrt(dh)
     mask = None  # nothing masked (a batch of one, an unpadded batch): no per-head mask
     if np.logical_or.reduce(key_mask, axis=None):
-        mask = np.broadcast_to(np.repeat(key_mask, n_heads, axis=0)[:, None, :], (len(q), n_q, n))
+        mask = np.broadcast_to(key_mask.repeat(n_heads, axis=0)[:, None, :], (len(q), n_q, n))
     _, _, e, s = _masked_shift_exp((q @ kT) * scale, mask)
     p = e / s
     merged = merge(p @ v)  # C-order already: only n_q == 1 or one head make it a view

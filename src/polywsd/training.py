@@ -1,7 +1,10 @@
 """Batch contrastive training and the all-candidates baseline: one step for both.
 
 The regimes differ only in a step's gloss columns, which ``step_columns``
-builds from (batch, inventory, mode). BCL scores the batch's b gold glosses:
+builds from (batch, inventory, mode, model) as rows of the model's gloss id
+index (``model.id_index``), so no step re-tokenizes a text it has seen: an
+all-candidates step joins one kept row block per candidate set and computes
+its owners, mask and targets on arrays. BCL scores the batch's b gold glosses:
 the other items' gold glosses are each row's negatives, the targets lie on the
 diagonal, and off-diagonal cells whose gloss text equals the row's own are
 false negatives and are masked. The all-candidates baseline scores the
@@ -13,7 +16,9 @@ log-probability of each row's target cell under the masked row softmax. The
 tape records one op per code side, not per sequence. A step costs b context
 encodes either way, and b gloss encodes against sum(m_i); ``ForwardCounts``
 reports these counts, and ``RunMetrics`` sums them for cost accounting, next
-to the run's wall clock (its device-hours, as a run is one process).
+to the run's wall clock (its device-hours, as a run is one process). A step's
+checks reduce through ufuncs, not numpy's Python-level wrappers, which cost
+more than the arithmetic at these sizes.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from .data import CorpusInstance, SenseInventory, look_up
 from .errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
 from .errors import ContractError, check_optimizer_settings, check_positive_ints, is_count
 from .fusion import score_rows
-from .model import WsdModel, context_code_rows, gloss_code_rows, memory_ceiling
+from .model import WsdModel, candidate_index_rows, context_code_rows, gloss_code_rows_at
+from .model import gloss_index_rows, memory_ceiling
 # unused here, but the benchmark's probes patch polywsd.training.context_codes/gloss_codes
 from .model import context_codes, gloss_codes  # noqa: F401
 from .tensor import Cutter, Tape, Tensor, backward, finite_diff_check
@@ -289,7 +295,7 @@ class Adam:
             if p.grad is not grad:
                 grad[...] = 0.0 if p.grad is None else p.grad
         g, m, v, (a, b) = self._grads, self.m_flat, self.v_flat, self._scratch
-        if not np.isfinite(g).all():
+        if not np.logical_and.reduce(np.isfinite(g)):
             return False
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
@@ -311,13 +317,13 @@ def _clip_gradients(optimizer: Adam, clip_norm: float | None) -> None:
     """Scale the gradient buffer down to global norm ``clip_norm`` if it is above it."""
     if clip_norm is None:
         return
-    total = np.sqrt(sum(float((g**2).sum()) for g in optimizer._grad_views))
+    total = np.sqrt(sum(float(np.add.reduce(g**2, axis=None)) for g in optimizer._grad_views))
     if total > clip_norm:
         optimizer._grads *= clip_norm / total
 
 
 def _check_finite(loss: LossValue, model: WsdModel, context: str) -> None:
-    if not np.isfinite(loss.per_example).all():
+    if not np.logical_and.reduce(np.isfinite(loss.per_example)):
         raise TrainingError(
             f"non-finite loss at {context}: per-example terms {loss.per_example.tolist()}, "
             f"parameter norm {model.parameter_norm():.6g}"
@@ -341,28 +347,33 @@ def _check_mode(mode: str) -> None:
 
 
 def step_columns(
-    batch: Batch, inventory: SenseInventory | None, mode: str
-) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
-    """A step's gloss columns, mask and row targets. BCL: the b gold glosses, the
-    duplicate-gloss mask, the diagonal. All-candidates: every item's candidates
-    (from ``inventory``), row i masking all but its own, targets at the golds."""
+    batch: Batch, inventory: SenseInventory | None, mode: str, model: WsdModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A step's gloss columns as rows of the model's gloss index, their mask and the
+    row targets. BCL: the b gold glosses, the duplicate-gloss mask, the diagonal.
+    All-candidates: every item's candidates (from ``inventory``), one row block per
+    candidate set, row i masking all but its own, targets at the golds."""
     _check_mode(mode)
     if mode == MODE_CONTRASTIVE:
         glosses = batch.gold_glosses
-        return glosses, duplicate_gloss_mask(glosses), np.arange(len(batch))
-    glosses, owners, targets = [], [], []
-    for i, inst in enumerate(batch.instances):
+        mask = duplicate_gloss_mask(glosses)
+        return gloss_index_rows(model, glosses), mask, np.arange(len(batch))
+    candidate_sets, golds = [], []
+    for inst in batch.instances:
         senses = look_up(inst, inventory.candidates)
-        sense_ids = [s.id for s in senses]
-        if inst.gold is None or inst.gold not in sense_ids:
+        for gold, sense in enumerate(senses):
+            if sense.id == inst.gold:
+                break
+        else:
             raise DataError(
                 f"instance {inst.id!r}: gold sense {inst.gold!r} not in its candidate set"
             )
-        targets.append(len(glosses) + sense_ids.index(inst.gold))
-        owners.extend([i] * len(senses))
-        glosses.extend(s.gloss for s in senses)
-    mask = np.arange(len(batch))[:, None] != np.array(owners)[None, :]
-    return glosses, mask, np.array(targets)
+        candidate_sets.append(senses)
+        golds.append(gold)
+    blocks = candidate_index_rows(model, candidate_sets)
+    sizes, items = np.array([len(rows) for rows in blocks]), np.arange(len(batch))
+    mask = items[:, None] != items.repeat(sizes)
+    return np.concatenate(blocks), mask, np.add.accumulate(sizes) - sizes + golds
 
 
 def scored_forward(
@@ -371,10 +382,11 @@ def scored_forward(
     """Encode the batch's contexts, then the step's gloss columns, one padded pass
     per side; score every (context, gloss) pair and take the masked loss. Cell
     (i, j) scores word i against gloss j, as ``fusion_matrix``."""
-    glosses, mask, targets = step_columns(batch, inventory, mode)
-    scores = score_rows(context_code_rows(model, batch.instances), gloss_code_rows(model, glosses))
+    rows, mask, targets = step_columns(batch, inventory, mode, model)
+    words = context_code_rows(model, batch.instances)
+    scores = score_rows(words, gloss_code_rows_at(model, rows))
     sm = ScoreMatrix(scores=scores, mask=mask, targets=targets)
-    return sm, bcl_loss(sm), ForwardCounts(context=len(batch), gloss=len(glosses))
+    return sm, bcl_loss(sm), ForwardCounts(context=len(batch), gloss=len(rows))
 
 
 def _update(
@@ -396,7 +408,7 @@ def _update(
     _clip_gradients(optimizer, clip_norm)
     if not optimizer.step():
         _raise_non_finite(model, "gradient", lambda t: t.grad, context)
-    if not np.isfinite(optimizer.values).all():
+    if not np.logical_and.reduce(np.isfinite(optimizer.values)):
         _raise_non_finite(model, "value", lambda t: t.data, context)
     return loss, counts
 

@@ -172,6 +172,39 @@ def test_cost_reduction():
         assert statistics.median(ratios) < 1.0, sorted(ratios)
 
 
+# At 8 candidates a lemma and a batch of 8, an all-candidates step encodes 64
+# glosses for BCL's 8, and BCL's lead is about a quarter of the run, not a
+# tenth. In 22 isolated replays of this test on a shared 2-core host, the median
+# ratio ran 0.70-0.76 (interquartile range 0.03), so the bound of 0.85 sits more
+# than three times that range above the worst replay and fails only if BCL loses
+# most of its lead.
+_GLOSS_HEAVY_BOUND = 0.85
+
+
+def test_cost_reduction_gloss_heavy():
+    """Eight candidates everywhere: gloss-forward reduction exactly 7/8 and, in the
+    median of interleaved repeats, the contrastive run's wall clock below 0.85 of the
+    all-candidates run's."""
+    with criterion("gloss-heavy cost reduction (exactly 7/8 gloss forwards; median wall "
+                   f"clock ratio < {_GLOSS_HEAVY_BOUND})"):
+        sizes = dict(d_model=16, n_heads=2, d_ff=32, max_seq_len=16, poly_m=2, fusion_heads=2)
+        corpus, inventory, _ = _world(4, 8, 32, seed=3, model_seed=3, **sizes)
+        config = TrainConfig(batch_size=8, epochs=4, learning_rate=1e-3, seed=3)
+        ratios = []
+        for repeat in range(_COST_REPEATS):
+            runs = {}
+            order = ("bcl", "all-candidates") if repeat % 2 == 0 else ("all-candidates", "bcl")
+            for mode in order:
+                _, _, model = _world(4, 8, 32, seed=3, model_seed=3, **sizes)
+                optimizer = Adam.from_config(model.parameters(), config)
+                runs[mode] = train(model, optimizer, corpus, inventory, config, mode=mode)
+            comparison = compare_costs(runs["bcl"], runs["all-candidates"])
+            assert comparison.baseline.gloss_forwards == 8 * comparison.run.gloss_forwards
+            assert abs(comparison.gloss_forward_reduction - 7.0 / 8.0) < 1e-15
+            ratios.append(comparison.run.wall_seconds / comparison.baseline.wall_seconds)
+        assert statistics.median(ratios) < _GLOSS_HEAVY_BOUND, sorted(ratios)
+
+
 def test_scoring_oracle(tmp_path):
     """score_f1 reproduces the three hand-computed fixtures exactly."""
     with criterion("scoring oracle (0.75, 2/3, and 0 fixtures exact)"):

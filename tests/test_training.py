@@ -1,27 +1,42 @@
 """Contrastive trainer: score matrix, loss, Adam, both step regimes."""
 
+import cProfile
+import gc
 import math
+import os
+import pstats
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from polywsd import tensor as T
+import polywsd.model
 import polywsd.training
 from polywsd.checkpoint import save_checkpoint
 from polywsd.cli import _load_config, _model_configs
-from polywsd.data import PAD_ID, UNK_ID, CorpusInstance, SenseEntry, SenseInventory, build_vocab
+from polywsd.data import (
+    PAD_ID, UNK_ID, CorpusInstance, SenseEntry, SenseInventory, Vocab, build_vocab,
+)
+from polywsd.encoder import EncoderConfig, marked_ids, target_rows
 from polywsd.errors import (
     BatchError, ConfigError, ContractError, DataError, ShapeError, TrainingError,
 )
-from polywsd.fusion import score_pair
+from polywsd.fusion import FusionConfig, score_pair
 from polywsd.model import (
+    _context_window,
+    _gloss_ids,
     build_model,
     context_code_rows,
     context_codes,
+    context_index_rows,
     gloss_code_rows,
     gloss_codes,
+    gloss_index_rows,
+    id_index,
+    model_on,
     randomize_parameters,
 )
 from polywsd.predict import score_candidates
@@ -32,6 +47,7 @@ from polywsd.training import (
     Batch,
     MODE_ALL_CANDIDATES,
     MODE_CONTRASTIVE,
+    MODES,
     TrainConfig,
     bcl_loss,
     check_bcl_gradients,
@@ -683,9 +699,9 @@ class TestAllCandidates:
         np.testing.assert_allclose(all_cand.per_example, bcl.per_example, atol=1e-9)
 
     def test_columns_are_every_candidate_with_owner_mask_and_gold_targets(self):
-        inventory, _, batch = self._mixed_world(gold_index=1)
-        glosses, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES)
-        assert glosses == _candidate_glosses(inventory, batch.instances)
+        inventory, model, batch = self._mixed_world(gold_index=1)
+        rows, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES, model)
+        assert _index_texts(model, rows) == _candidate_glosses(inventory, batch.instances)
         owners = np.repeat(np.arange(4), [3, 2, 4, 1])
         np.testing.assert_array_equal(mask, np.arange(4)[:, None] != owners)
         assert targets.tolist() == [1, 4, 6, 9]  # gold %1, or %0 for the one-sense item
@@ -694,7 +710,7 @@ class TestAllCandidates:
         inventory, model, batch = self._mixed_world(gold_index=1)
         randomize_parameters(model, seed=9)
         sm, loss, _ = scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)
-        _, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES)
+        _, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES, model)
         assert sm.scores.shape == mask.shape == (4, 10)
         np.testing.assert_array_equal(sm.mask, mask)
         np.testing.assert_array_equal(sm.targets, targets)
@@ -716,8 +732,12 @@ class TestStepColumns:
             for i in range(3)
         ]
         batch = Batch(instances=instances, gold_glosses=glosses)
-        columns, mask, targets = step_columns(batch, None, MODE_CONTRASTIVE)
-        assert columns == glosses
+        inventory = SenseInventory()
+        inventory.add("x", "NOUN", [SenseEntry("x%1", ["a", "b"]), SenseEntry("x%2", ["c"])])
+        model = tiny_model(instances, inventory)
+        columns, mask, targets = step_columns(batch, None, MODE_CONTRASTIVE, model)
+        assert _index_texts(model, columns) == glosses
+        assert columns[0] == columns[2]  # one index row per distinct text
         np.testing.assert_array_equal(mask, duplicate_gloss_mask(glosses))
         assert mask[0, 2] and mask[2, 0] and mask.sum() == 2
         assert targets.tolist() == [0, 1, 2]
@@ -918,6 +938,12 @@ def _candidate_glosses(inventory, instances):
     return [s.gloss for inst in instances for s in inventory.candidates(inst.lemma, inst.pos)]
 
 
+def _index_texts(model, rows):
+    """The gloss texts at ``rows`` of the model's gloss index, as word lists."""
+    keys = list(id_index(model).glosses.row)  # row numbers run in fill order
+    return [list(keys[r]) for r in rows]
+
+
 class TestTruncatedGlossPass:
     """The gloss pass's last layer computes only the start-marker rows, the code
     rows; every other row of that layer is read by nothing."""
@@ -1036,3 +1062,245 @@ def test_two_training_runs_on_two_threads_match_them_in_sequence():
     assert not any(thread.is_alive() for thread in threads)
     assert len(sequential[0][0]) == 12 and len(sequential[1][0]) == 12
     assert [threaded[mode] for mode in modes] == sequential
+
+
+def _unindexed_copy(model):
+    """A model with a copy of ``model``'s values and configs, and an empty id index."""
+    return model_on(
+        model.values.copy(), model.context.config, model.gloss.config, model.fusion.config,
+        model.vocab,
+    )
+
+
+def _random_world(rng, n_lemmas=4, senses=3, n_instances=24):
+    """Instances and glosses of mixed lengths, some past a capacity of 6 content words,
+    over 12 words of which the vocabulary holds 8: the rest are unknown."""
+    words = [f"w{i}" for i in range(12)]
+    vocab = Vocab.from_tokens(words[:8])
+    inventory, instances = SenseInventory(), []
+    for i in range(n_lemmas):
+        lemma = f"lemma{i}"
+        inventory.add(lemma, "NOUN", [
+            SenseEntry(f"{lemma}%{k}", rng.choice(words, rng.integers(1, 12)).tolist())
+            for k in range(senses)
+        ])
+    for j in range(n_instances):
+        lemma, n = f"lemma{j % n_lemmas}", int(rng.integers(1, 15))
+        instances.append(CorpusInstance(
+            id=f"r{j}", tokens=rng.choice(words, n).tolist(), target_index=int(rng.integers(n)),
+            lemma=lemma, pos="NOUN", gold=f"{lemma}%{int(rng.integers(senses))}",
+        ))
+    encoder = EncoderConfig(
+        vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8
+    )
+    fusion = FusionConfig(d_model=8, poly_m=2, n_heads=2)
+    model = build_model(encoder, encoder, fusion, vocab, seed=1)
+    return instances, inventory, model
+
+
+class TestIdIndex:
+    """Training reads each sequence's ids from a per-model index, built once per distinct
+    text: it must hand a step the ids, padding and target rows that tokenizing gives."""
+
+    @pytest.mark.parametrize("page_rows", [1024, 5])
+    def test_rows_equal_marked_ids_on_random_batches(self, monkeypatch, page_rows):
+        """Across fills, repeats and (at 5 rows a page) page boundaries, a batch's ids,
+        padding and targets equal ``marked_ids`` and ``target_rows`` of its windows."""
+        monkeypatch.setattr(polywsd.model, "_PAGE_ROWS", page_rows)
+        rng = np.random.default_rng(0)
+        instances, inventory, model = _random_world(rng)
+        glosses = [s.gloss for _, senses in inventory.items() for s in senses]
+        index, seen = id_index(model), set()
+        for _ in range(12):
+            batch = [instances[i] for i in rng.choice(len(instances), rng.integers(1, 9))]
+            seen.update((tuple(i.tokens), i.target_index) for i in batch)
+            ids, padding, targets = index.contexts.take(context_index_rows(model, batch))
+            windows = [_context_window(model, i.tokens, i.target_index) for i in batch]
+            want_ids, want_padding = marked_ids(model.context, [w for w, _ in windows])
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(padding, want_padding)
+            _, want_targets = target_rows([t for _, t in windows], want_padding)
+            np.testing.assert_array_equal(targets, want_targets)
+            picked = [glosses[j] for j in rng.choice(len(glosses), rng.integers(1, 9))]
+            ids, padding, _ = index.glosses.take(gloss_index_rows(model, picked))
+            want_ids, want_padding = marked_ids(model.gloss, [_gloss_ids(model, g) for g in picked])
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(padding, want_padding)
+        assert ids.dtype == want_ids.dtype and padding.dtype == bool
+        assert any(len(i.tokens) > 6 for i in instances) and any(len(g) > 6 for g in glosses)
+        assert any(w not in model.vocab.token_to_id for g in glosses for w in g)
+        assert index.contexts.row.keys() == seen  # one row per distinct (tokens, target)
+
+    @pytest.mark.parametrize("mode", [MODE_CONTRASTIVE, MODE_ALL_CANDIDATES])
+    def test_steps_equal_those_of_a_model_with_no_index(self, mode):
+        """Loss bits, value buffer and Adam's moments after 3 epochs equal a copy's that
+        starts each step from an empty index."""
+        instances, inventory, model = _random_world(np.random.default_rng(1))
+        copy = _unindexed_copy(model)
+        optimizers = Adam(model.parameters()), Adam(copy.parameters())
+        for epoch in range(3):
+            for batch in make_batches(instances, inventory, 6, seed=0, epoch=epoch):
+                losses = []
+                for m, optimizer in zip((model, copy), optimizers):
+                    polywsd.model._id_indexes.pop(copy, None)
+                    step = polywsd.training._update(
+                        batch, inventory, m, optimizer, mode, None, "step"
+                    )
+                    losses.append(step[0].per_example.tobytes())
+                assert losses[0] == losses[1]
+        assert model.values.tobytes() == copy.values.tobytes()
+        assert optimizers[0].m_flat.tobytes() == optimizers[1].m_flat.tobytes()
+        assert optimizers[0].v_flat.tobytes() == optimizers[1].v_flat.tobytes()
+
+    @pytest.mark.parametrize("mode", [MODE_CONTRASTIVE, MODE_ALL_CANDIDATES])
+    def test_in_place_edits_are_seen_by_the_next_step(self, mode):
+        instances, inventory, model = _random_world(np.random.default_rng(2))
+        batch = make_batches(instances, inventory, 6, seed=0, epoch=0)[0]
+        before = scored_forward(batch, inventory, model, mode)[1].per_example
+        batch.gold_glosses[0][0] = "w1" if batch.gold_glosses[0][0] == "w0" else "w0"
+        batch.instances[1].tokens[batch.instances[1].target_index] = "w3"
+        batch.instances[1].tokens.append("w5")
+        after = scored_forward(batch, inventory, model, mode)[1].per_example
+        fresh = scored_forward(batch, inventory, _unindexed_copy(model), mode)[1].per_example
+        assert after.tobytes() == fresh.tobytes()
+        assert after.tobytes() != before.tobytes()
+
+    @pytest.mark.parametrize("mode", [MODE_CONTRASTIVE, MODE_ALL_CANDIDATES])
+    def test_malformed_sequences_raise_the_tokenizers_errors_at_the_step(self, mode):
+        """An emptied gloss or context fails the step as tokenizing it fails, and is never
+        indexed: restored, the step runs as before."""
+        instances, inventory, model = _random_world(np.random.default_rng(3))
+        batch = make_batches(instances, inventory, 6, seed=0, epoch=0)[0]
+        optimizer = Adam(model.parameters())
+        expected = scored_forward(batch, inventory, _unindexed_copy(model), mode)[1].per_example
+        target = batch.instances[2].target_index
+        for emptied, error, message in (
+            (batch.gold_glosses[2], ContractError, "encode needs at least one token"),
+            (batch.instances[2].tokens, DataError,
+             f"target_index {target} out of range for 0 words"),
+        ):
+            saved = list(emptied)
+            emptied.clear()
+            with pytest.raises(error) as err:
+                polywsd.training._update(batch, inventory, model, optimizer, mode, None, "step")
+            emptied[:] = saved
+            assert str(err.value) == message
+        index = id_index(model)
+        assert () not in index.glosses.row and ((), target) not in index.contexts.row
+        assert optimizer.t == 0
+        got = scored_forward(batch, inventory, model, mode)[1].per_example
+        assert got.tobytes() == expected.tobytes()
+
+    def test_threads_filling_a_cold_index_get_the_single_thread_ids(self):
+        """Four threads run every step's forward, in rotated orders, on one model whose
+        index starts empty: each gets the losses of one thread alone, and the index
+        holds each distinct text once, with the ids one thread fills."""
+        instances, inventory, model = _random_world(np.random.default_rng(4), n_instances=40)
+        work = [
+            (batch, mode)
+            for batch in make_batches(instances, inventory, 4, seed=0, epoch=0)
+            for mode in MODES
+        ]
+        alone = _unindexed_copy(model)
+        expected = [
+            scored_forward(b, inventory, alone, m)[1].per_example.tobytes() for b, m in work
+        ]
+        barrier = threading.Barrier(4, timeout=30)
+        results: dict[int, list] = {}
+
+        def run(k):
+            barrier.wait()
+            results[k] = {}
+            for i in list(range(k, len(work))) + list(range(k)):
+                batch, mode = work[i]
+                loss = scored_forward(batch, inventory, model, mode)[1]
+                results[k][i] = loss.per_example.tobytes()
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(4):
+            assert [results[k][i] for i in range(len(work))] == expected
+        for side in ("contexts", "glosses"):
+            shared, single = getattr(id_index(model), side), getattr(id_index(alone), side)
+            assert sorted(shared.row.values()) == list(range(len(shared.row)))
+            assert shared.row.keys() == single.row.keys()
+            for got, want in zip(
+                shared.take(np.array(list(shared.row.values()))),
+                single.take(np.array([single.row[key] for key in shared.row])),
+            ):
+                np.testing.assert_array_equal(got, want)
+
+    def test_a_fill_publishes_its_keys_after_their_rows(self, monkeypatch):
+        """Lookups read without the lock, so a key must appear only once its row is in
+        its page: at each publication, the rows published already take as tokenized."""
+        monkeypatch.setattr(polywsd.model, "_PAGE_ROWS", 5)
+        instances, inventory, model = _random_world(np.random.default_rng(7))
+        table, published = id_index(model).contexts, []
+
+        class CheckedRows(dict):
+            def update(self, pairs):
+                pairs = list(pairs)
+                ids, padding, targets = table.take(np.array([row for _, row in pairs]))
+                windows = [_context_window(model, tokens, t) for (tokens, t), _ in pairs]
+                want_ids, want_padding = marked_ids(model.context, [w for w, _ in windows])
+                np.testing.assert_array_equal(ids, want_ids)
+                np.testing.assert_array_equal(padding, want_padding)
+                np.testing.assert_array_equal(targets, [t + 1 for _, t in windows])
+                published.append(len(pairs))
+                super().update(pairs)
+
+        table.row = CheckedRows()
+        for batch in make_batches(instances, inventory, 6, seed=0, epoch=0):
+            context_code_rows(model, batch.instances)
+        assert len(published) > 1 and sum(published) == len(table.row) > 5
+
+    def test_an_empty_batch_raises_the_tokenizers_error(self):
+        _, _, model = _random_world(np.random.default_rng(8))
+        for code_rows in (context_code_rows, gloss_code_rows):
+            with pytest.raises(ContractError, match="^encode_batch needs at least one sequence$"):
+                code_rows(model, [])
+
+    def test_the_index_is_freed_with_its_model(self):
+        instances, inventory, model = _random_world(np.random.default_rng(5))
+        for mode in MODES:
+            scored_forward(make_batches(instances, inventory, 6, 0, 0)[0], inventory, model, mode)
+        index, owner = weakref.ref(id_index(model)), weakref.ref(model)
+        assert len(index().contexts.row) > 0 and len(index().candidate_sets) > 0
+        del model
+        gc.collect()
+        assert owner() is None and index() is None
+
+
+def test_training_steps_call_no_numpy_python_wrapper():
+    """A step, from a cold index on, reduces through ufuncs and ndarray methods: numpy's
+    Python-level wrappers (``_methods``, ``fromnumeric``) cost more than the work."""
+    corpus, inventory, model = _random_world(np.random.default_rng(6))
+    optimizer = Adam(model.parameters())
+    batches = [  # padded batches, so the attention masks padded keys
+        batch for batch in make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)
+        if len({min(len(i.tokens), 6) for i in batch.instances}) > 1
+    ]
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        train_step(batches[0], model, optimizer, clip_norm=1e-3)
+        train_all_candidates_step(batches[1], inventory, model, optimizer)
+    finally:
+        profile.disable()
+    wrappers = [
+        (filename, name)
+        for filename, _, name in pstats.Stats(profile).stats
+        if os.path.basename(filename) in ("_methods.py", "fromnumeric.py")
+        and f"numpy{os.sep}" in filename
+    ]
+    assert optimizer.t == 2
+    assert wrappers == []
