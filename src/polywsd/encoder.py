@@ -230,7 +230,7 @@ def encoder_kernel(
         for block_vjp in reversed(blocks):
             d_x, d_layer = block_vjp(d_x)
             d_layers[:0] = d_layer
-        d_pos = T.embed_vjp(params.pos_emb.shape, ids * 0 + np.arange(ids.shape[1]), d_x)
+        d_pos = T.position_vjp(len(params.pos_emb.data), d_x)
         return (*tok_vjp(d_x), d_pos, *d_layers, d_gain, d_bias)
 
     return out, vjp

@@ -32,6 +32,16 @@ and record what they compose as one op (``record``): the encoder pass
 (``encoder.encode_batch``) and each of the model's two code sides do. No op is
 a bare matrix product: the ops that multiply take its adjoints from ``matmul_vjp``.
 
+Every scalar that GELU, erf, the layer norm and attention pass to a ufunc is a
+module-level, read-only 0-d float64 array (``_const``; the attention scale is
+cached per head width).
+numpy 2 converts a Python float operand on every call (NEP 50), which costs
+more than the arithmetic at these sizes: ~640 ns a call against ~410 ns, and
+GELU's erf makes ~55 calls. Each holds its float literal's value, so no bit
+changes; ``tests/ops.py`` keeps the literal forms as oracles. The
+position table's adjoint (``position_vjp``) is one sum over the batch axis
+from +0.0, item by item: ``embed_vjp``'s bits without its cell ids.
+
 The first ``backward`` of a process sets glibc's allocator (``mallopt``) to
 serve blocks of up to 32 MiB from the heap and keep up to 64 MiB of free heap
 top, the values its own adaptive threshold reaches after one 32 MiB free.
@@ -62,29 +72,39 @@ import numpy as np
 from .errors import ContractError, OracleError, ShapeError
 
 _MAX_RANK = 3
-_LAYER_NORM_EPS = 1e-5
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _const(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, a kernel's ufunc operand."""
+    c = np.array(value)
+    c.flags.writeable = False
+    return c
+
+
+_HALF, _ONE, _SIX = map(_const, (0.5, 1.0, 6.0))
+_LAYER_NORM_EPS = _const(1e-5)
+_INV_SQRT2 = _const(1.0 / math.sqrt(2.0))
+_INV_SQRT_2PI = _const(1.0 / math.sqrt(2.0 * math.pi))
 
 # Cephes ndtr.c erf coefficients, highest degree first; U and Q are monic.
-_ERF_T = (
+_ERF_T = tuple(map(_const, (
     9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
     7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
+)))
+_ERF_U = tuple(map(_const, (
     3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
     2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-_ERFC_P = (
+)))
+_ERFC_P = tuple(map(_const, (
     2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
+)))
+_ERFC_Q = tuple(map(_const, (
     1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
     1.65666309194161350182e3, 5.57535340817727675546e2,
-)
+)))
 
 
 class Tensor:
@@ -309,7 +329,7 @@ def sum_all(a: Tensor) -> Tensor:
     return record((a,), a.data.sum(), lambda g: (np.full(shape, float(g)),))
 
 
-def _horner(x: np.ndarray, coeffs: tuple[float, ...], monic: bool) -> np.ndarray:
+def _horner(x: np.ndarray, coeffs: tuple[np.ndarray, ...], monic: bool) -> np.ndarray:
     """The polynomial with ``coeffs`` (highest degree first, after an implicit
     leading 1 if ``monic``) at ``x``, in Horner's order."""
     p = x + coeffs[0] if monic else x * coeffs[0] + coeffs[1]
@@ -327,10 +347,10 @@ def _erf(x: np.ndarray, z: np.ndarray, gauss: np.ndarray) -> np.ndarray:
     result is exactly +-1. NaN propagates.
     """
     a = np.abs(x)
-    zc, ac = np.minimum(z, 1.0), np.minimum(a, 6.0)
+    zc, ac = np.minimum(z, _ONE), np.minimum(a, _SIX)
     near = x * _horner(zc, _ERF_T, False) / _horner(zc, _ERF_U, True)
-    far = 1.0 - gauss * _horner(ac, _ERFC_P, False) / _horner(ac, _ERFC_Q, True)
-    return np.where(a < 1.0, near, np.copysign(far, x))
+    far = _ONE - gauss * _horner(ac, _ERFC_P, False) / _horner(ac, _ERFC_Q, True)
+    return np.where(a < _ONE, near, np.copysign(far, x))
 
 
 def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, _Vjp]:
@@ -338,7 +358,7 @@ def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, _Vjp]:
     u = x * _INV_SQRT2
     z = u * u
     gauss = np.exp(-z)  # the normal density up to 1/sqrt(2 pi); erf's tail uses it too
-    cdf = 0.5 * (1.0 + _erf(u, z, gauss))
+    cdf = _HALF * (_ONE + _erf(u, z, gauss))
     return x * cdf, lambda g: (g * (cdf + x * gauss * _INV_SQRT_2PI),)
 
 
@@ -349,7 +369,7 @@ def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tupl
     w = _column(d, 1.0 / d)  # row means as 2-D BLAS products on the (rows, d) view
     rows = x.reshape(-1, d)
     centred = rows - rows.dot(w)
-    inv = 1.0 / np.sqrt((centred * centred).dot(w) + _LAYER_NORM_EPS)
+    inv = _ONE / np.sqrt((centred * centred).dot(w) + _LAYER_NORM_EPS)
     y = centred * inv
 
     def vjp(g: np.ndarray):
@@ -366,6 +386,15 @@ def embed_vjp(shape: tuple[int, int], idx: np.ndarray, g: np.ndarray) -> np.ndar
     rows, d = shape  # bincount adds in id order, as np.add.at does
     cells = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
     return np.bincount(cells, weights=g.ravel(), minlength=rows * d).reshape(rows, d)
+
+
+def position_vjp(rows: int, g: np.ndarray) -> np.ndarray:
+    """``embed_vjp`` of a ``rows``-row table for position ids 0..L-1 in every item of a
+    (b, L, d) adjoint ``g``: each sum starts from +0.0 and adds the items in order,
+    and the rows past L stay +0.0."""
+    table = np.zeros((rows, g.shape[-1]))
+    np.add.reduce(g, axis=0, initial=0.0, out=table[: g.shape[1]])
+    return table
 
 
 def embed_kernel(table: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, _Vjp]:
@@ -429,6 +458,12 @@ def attention(
     return record((queries, context, wq, wk, wv, wo), *out)
 
 
+@functools.cache
+def _attention_scale(dh: int) -> np.ndarray:
+    """1 / sqrt(dh), the scores' scale for heads of width ``dh``, as a 0-d constant."""
+    return _const(1.0 / math.sqrt(dh))
+
+
 def attention_kernel(
     x: np.ndarray, c: np.ndarray, wq, wk, wv, wo, n_heads: int, key_mask: np.ndarray
 ) -> tuple[np.ndarray, _Vjp]:
@@ -442,9 +477,11 @@ def attention_kernel(
     def merge(a: np.ndarray) -> np.ndarray:  # and back
         return a.reshape(b, n_heads, -1, dh).transpose(axes).reshape(b, -1, width)
 
-    # C-order copies where the chain's ops make them: a strided kT moves the scores' bits
-    q, k, v = (np.ascontiguousarray(split(a @ w)) for a, w in ((x, wq), (c, wk), (c, wv)))
-    kT, scale = np.ascontiguousarray(k.swapaxes(-1, -2)), 1.0 / math.sqrt(dh)
+    # C-order copies where the chain's ops make them: a strided kT moves the scores' bits;
+    # kT's is one transpose-and-copy of c @ wk, (b, n, heads, dh) to (b, heads, dh, n)
+    q, v = (np.ascontiguousarray(split(a @ w)) for a, w in ((x, wq), (c, wv)))
+    k4 = (c @ wk).reshape(b, n, n_heads, dh).transpose(0, 2, 3, 1)
+    kT, scale = np.ascontiguousarray(k4).reshape(b * n_heads, dh, n), _attention_scale(dh)
     mask = None  # nothing masked (a batch of one, an unpadded batch): no per-head mask
     if np.logical_or.reduce(key_mask, axis=None):
         mask = np.broadcast_to(key_mask.repeat(n_heads, axis=0)[:, None, :], (len(q), n_q, n))

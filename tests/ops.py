@@ -4,9 +4,11 @@
 out. None checks its operands' shapes; numpy refuses what it cannot multiply.
 Chained, they are the oracles of the package's fused records (the encoder pass,
 each code side, ``tensor.attention``, ``fusion.score_rows``), and the op table
-checks each gradient.
+checks each gradient. The ``literal_*`` kernels are GELU, its erf and the layer
+norm with every constant a Python float: the oracles of the package's 0-d ones.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +78,51 @@ def regroup(a: Tensor, grouped: Sequence[int], axes: Sequence[int], shape: Seque
     # the inverse permutation, an argsort of a few axes in plain Python
     inverse, old = sorted(range(len(axes)), key=axes.__getitem__), a.shape
     return record((a,), out, lambda g: (g.reshape(permuted.shape).transpose(inverse).reshape(old),))
+
+
+def _literal_horner(x: np.ndarray, coeffs: tuple[float, ...], monic: bool) -> np.ndarray:
+    p = x + coeffs[0] if monic else x * coeffs[0] + coeffs[1]
+    for c in coeffs[1 if monic else 2:]:
+        p *= x
+        p += c
+    return p
+
+
+def literal_erf(x: np.ndarray, z: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    """``tensor._erf`` with every constant a Python float, expression by expression."""
+    t, u, p, q = (tuple(map(float, c)) for c in (T._ERF_T, T._ERF_U, T._ERFC_P, T._ERFC_Q))
+    a = np.abs(x)
+    zc, ac = np.minimum(z, 1.0), np.minimum(a, 6.0)
+    near = x * _literal_horner(zc, t, False) / _literal_horner(zc, u, True)
+    far = 1.0 - gauss * _literal_horner(ac, p, False) / _literal_horner(ac, q, True)
+    return np.where(a < 1.0, near, np.copysign(far, x))
+
+
+def literal_gelu_kernel(x: np.ndarray):
+    """``tensor.gelu_kernel`` with Python float constants."""
+    u = x * (1.0 / math.sqrt(2.0))
+    z = u * u
+    gauss = np.exp(-z)
+    cdf = 0.5 * (1.0 + literal_erf(u, z, gauss))
+    return x * cdf, lambda g: (g * (cdf + x * gauss * (1.0 / math.sqrt(2.0 * math.pi))),)
+
+
+def literal_layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """``tensor.layer_norm_kernel`` with Python float constants."""
+    shape, d = x.shape, x.shape[-1]
+    w = T._column(d, 1.0 / d)
+    rows = x.reshape(-1, d)
+    centred = rows - rows.dot(w)
+    inv = 1.0 / np.sqrt((centred * centred).dot(w) + 1e-5)
+    y = centred * inv
+
+    def vjp(g: np.ndarray):
+        g = g.reshape(-1, d)
+        gy = g * gain
+        dx = inv * (gy - gy.dot(w) - y * (gy * y).dot(w))
+        return dx.reshape(shape), np.add.reduce(g * y, axis=0), np.add.reduce(g, axis=0)
+
+    return (y * gain + bias).reshape(shape), vjp
 
 
 def erf(x: np.ndarray) -> np.ndarray:

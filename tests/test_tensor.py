@@ -1060,3 +1060,114 @@ class TestAttention:
             T.attention(x, x, w, w, w, w, 3, _PADDING)
         with pytest.raises(ShapeError):
             T.attention(x, Tensor(np.ones((2, 5, 4))), w, w, w, w, 2, _PADDING)
+
+
+# signed zeros, subnormals, both sides of erf's |x| = 1 and 6 switches, values whose
+# squares overflow, infinities and NaN
+_SPECIAL = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-200, -1e-8, 0.5,
+    -0.9999999999999999, 1.0, -1.0, 1.0000000000000002, 3.7, -5.999999999999999, 6.0,
+    -6.000000000000001, 8.5, -40.0, 1e154, -1e160, 1e300, -1.7976931348623157e308,
+    np.inf, -np.inf, np.nan,
+])
+_GRID = np.concatenate([_SPECIAL, np.linspace(-9.0, 9.0, 1801)])
+
+
+def _bits(*arrays) -> list[bytes]:
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+class TestConstantOperandsAndPositionAdjoint:
+    """The kernels' 0-d constants and the position adjoint have the bits of the
+    expressions they replace."""
+
+    def test_gelu_is_bit_equal_to_its_float_literal_form(self):
+        x = _GRID.reshape(1, -1, 1)
+        g = np.random.default_rng(15).permutation(_GRID).reshape(x.shape)
+        with np.errstate(all="ignore"):
+            out, vjp = T.gelu_kernel(x)
+            want, want_vjp = ops.literal_gelu_kernel(x)
+            assert _bits(out, *vjp(g)) == _bits(want, *want_vjp(g))
+            assert _bits(T._erf(x, x * x, np.exp(-x * x))) == _bits(
+                ops.literal_erf(x, x * x, np.exp(-x * x))
+            )
+
+    @pytest.mark.parametrize("d", [1, 8, 13])
+    def test_layer_norm_is_bit_equal_to_its_float_literal_form(self, d):
+        rng = np.random.default_rng(d)
+        grid = np.concatenate([rng.permutation(_GRID), rng.normal(size=-len(_GRID) % (2 * d))])
+        # rows that hold grid values, then rows of finite draws alone
+        x = np.concatenate([grid, rng.normal(scale=3.0, size=16 * d)]).reshape(-1, 2, d)
+        g = rng.permutation(x.ravel()).reshape(x.shape)
+        gain, bias = rng.choice(_SPECIAL, size=d), rng.choice(_SPECIAL, size=d)
+        with np.errstate(all="ignore"):
+            out, vjp = T.layer_norm_kernel(x, gain, bias)
+            want, want_vjp = ops.literal_layer_norm_kernel(x, gain, bias)
+            assert _bits(out, *vjp(g)) == _bits(want, *want_vjp(g))
+
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("rows", [5, 9])
+    def test_position_adjoint_is_bit_equal_to_embed_vjp(self, b, rows):
+        rng = np.random.default_rng(17)
+        g = rng.normal(size=(b, 5, 4)) * np.exp(rng.uniform(-20, 20, (b, 5, 4)))
+        g[:, 0] = -0.0  # every term -0.0: the sum from +0.0 is +0.0
+        g[0, 1, :2] = -0.0  # one -0.0 term among others
+        g[b - 1, 3:] = 0.0  # the last item padded past its third position
+        positions = np.broadcast_to(np.arange(5), (b, 5))
+        got = T.position_vjp(rows, g)
+        assert got.tobytes() == T.embed_vjp((rows, 4), positions, g).tobytes()
+        assert not np.signbit(got[0]).any() and not np.signbit(got[5:]).any()
+        assert not got[5:].any()
+
+
+class _OperandSpy(np.ndarray):
+    """An array that records the type of every input of each ufunc call it takes part
+    in; what those calls and numpy's functions return from it are spies too."""
+
+    seen: list[type] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _OperandSpy.seen += [type(i) for i in inputs]
+
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, _OperandSpy) else a
+
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(plain, kwargs["out"]))
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        return result.view(_OperandSpy) if isinstance(result, np.ndarray) else result
+
+    def __array_function__(self, func, types, args, kwargs):
+        result = super().__array_function__(func, types, args, kwargs)
+        return result.view(_OperandSpy) if type(result) is np.ndarray else result
+
+
+def _spied_kernels(rng):
+    def spy(*shape):
+        return rng.normal(scale=2.0, size=shape).view(_OperandSpy)
+
+    def gelu():
+        _, vjp = T.gelu_kernel(spy(2, 3, 4))
+        vjp(spy(2, 3, 4))
+
+    def layer_norm():
+        _, vjp = T.layer_norm_kernel(spy(2, 3, 4), spy(4), spy(4))
+        vjp(spy(2, 3, 4))
+
+    def erf():
+        x = spy(2, 3, 4)
+        T._erf(x, x * x, np.exp(-x * x))
+
+    return {"gelu": gelu, "layer_norm": layer_norm, "erf": erf}
+
+
+@pytest.mark.parametrize("kernel", ["gelu", "layer_norm", "erf"])
+def test_kernels_pass_numpy_no_python_float(kernel):
+    """numpy 2 converts a Python float operand on every ufunc call (NEP 50); a 0-d
+    float64 array costs less. Every operand is an array, forward and VJP."""
+    run = _spied_kernels(np.random.default_rng(18))[kernel]
+    _OperandSpy.seen = []
+    run()
+    seen, _OperandSpy.seen = _OperandSpy.seen, []
+    assert len(seen) > 10
+    assert [t for t in seen if not issubclass(t, np.ndarray)] == []
