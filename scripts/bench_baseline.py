@@ -20,8 +20,11 @@ It prints, per workload, seed and end-to-end metric, each side's median and
 quartiles, how many pairs the checkout won (ties count for neither side, and
 "better" is the direction ``BENCHMARK.json`` gives), and the ratio of the
 medians. A gain may be claimed where the checkout wins at least 9 of 10 pairs
-and the medians differ by more than the parent's interquartile range. Every
-run goes to ``BENCH_pairs.json`` in this repository with that summary.
+and the medians differ by more than the parent's interquartile range. Beside
+``peak_rss_mb`` it gives the ratio of the median attempted op counts
+(checkout / parent): the harness keeps bookkeeping per op, so a faster op
+raises peak RSS. Every run goes to ``BENCH_pairs.json`` in this repository
+with that summary.
 """
 
 from __future__ import annotations
@@ -86,14 +89,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def _ratio(change: float, parent: float) -> float | None:
+    return change / parent if parent else None
+
+
+def _shown(ratio: float | None) -> str:
+    return "-" if ratio is None else f"{ratio:.4f}"
+
+
 def compare_pairs(pairs: list[dict], better: dict[str, str]) -> list[dict]:
     """Per workload, seed and metric: both sides' quartiles, the checkout's wins
-    and the ratio of the medians (checkout / parent)."""
+    and the ratio of the medians (checkout / parent); the ``peak_rss_mb`` row also
+    has ``attempted_ratio``, that of the median attempted op counts."""
     cells = {}
     for pair in pairs:
         cells.setdefault((pair["workload"], pair["seed"]), []).append(pair)
     rows = []
     for (workload, seed), group in cells.items():
+        attempted = [statistics.median(p[side]["attempted"] for p in group)
+                     for side in ("change", "parent")]
         for name, first in group[0]["parent"]["metrics"].items():
             parent = [p["parent"]["metrics"][name]["value"] for p in group]
             change = [p["change"]["metrics"][name]["value"] for p in group]
@@ -103,9 +117,11 @@ def compare_pairs(pairs: list[dict], better: dict[str, str]) -> list[dict]:
             rows.append({
                 "workload": workload, "seed": seed, "metric": name, "unit": first["unit"],
                 "parent": [p1, pm, p3], "change": [c1, cm, c3], "pairs": len(group),
-                "change_won": wins, "ratio": cm / pm if pm else None,
+                "change_won": wins, "ratio": _ratio(cm, pm),
                 "claimable": wins * 10 >= 9 * len(group) and abs(cm - pm) > p3 - p1,
             })
+            if name == "peak_rss_mb":
+                rows[-1]["attempted_ratio"] = _ratio(*attempted)
     return rows
 
 
@@ -147,11 +163,12 @@ def main(argv=None) -> int:
             fh.write("\n")
         for row in result["summary"]:
             (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
-            ratio = "-" if row["ratio"] is None else f"{row['ratio']:.4f}"
-            print(f"{row['workload']:<20} seed {row['seed']} {row['metric']:<24} "
-                  f"parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
-                  f"won {row['change_won']}/{row['pairs']}  ratio {ratio}"
-                  f"{'  claimable' if row['claimable'] else ''}")
+            line = (f"{row['workload']:<20} seed {row['seed']} {row['metric']:<24} "
+                    f"parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
+                    f"won {row['change_won']}/{row['pairs']}  ratio {_shown(row['ratio'])}")
+            if "attempted_ratio" in row:
+                line += f"  attempted ratio {_shown(row['attempted_ratio'])}"
+            print(line + ("  claimable" if row["claimable"] else ""))
         return 0
     runs = [
         run_once(args.checkout, workload, seed)

@@ -158,15 +158,14 @@ def _train_and_save(world, source, mode: str, checkpoint_path, metrics_path) -> 
     return metrics
 
 
-def _write_predictions(path, pairs) -> int:
-    """Save (instance id, sense id) pairs; a repeated instance id is a DataError."""
-    out = {}
-    for instance_id, sense_id in pairs:
-        if instance_id in out:
-            raise DataError(f"duplicate instance id {instance_id!r} in corpus")
-        out[instance_id] = sense_id
-    save_predictions(path, out)
-    return len(out)
+def _load_corpus_to_predict(path) -> list:
+    """``load_corpus``, and a DataError for a repeated instance id, before any prediction."""
+    corpus, seen = load_corpus(path), set()
+    for inst in corpus:
+        if inst.id in seen:
+            raise DataError(f"duplicate instance id {inst.id!r} in corpus")
+        seen.add(inst.id)
+    return corpus
 
 
 def _cmd_train(args) -> int:
@@ -189,11 +188,11 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     _check_output_path("--out", args.out, args, "--checkpoint", "--corpus", "--inventory")
     loaded = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.corpus)
+    corpus = _load_corpus_to_predict(args.corpus)
     inventory = load_inventory(args.inventory)
     predictions = predict_corpus(corpus, inventory, loaded.model)
-    n = _write_predictions(args.out, ((p.instance_id, p.sense_id) for p in predictions))
-    print(f"wrote {n} predictions -> {args.out}")
+    save_predictions(args.out, {p.instance_id: p.sense_id for p in predictions})
+    print(f"wrote {len(predictions)} predictions -> {args.out}")
     return 0
 
 
@@ -282,15 +281,15 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_baseline(args) -> int:
     _check_output_path("--out", args.out, args, "--corpus", "--train-corpus", "--inventory")
-    corpus = load_corpus(args.corpus)
+    corpus = _load_corpus_to_predict(args.corpus)
     inventory = load_inventory(args.inventory)
     if args.method == "mfs":
         train_path = args.train_corpus if args.train_corpus else args.corpus
         predictor = mfs_predictor(load_corpus(train_path), inventory)
     else:
         predictor = first_sense_predictor(inventory)
-    n = _write_predictions(args.out, ((inst.id, predictor(inst).sense_id) for inst in corpus))
-    print(f"wrote {n} {args.method} predictions -> {args.out}")
+    save_predictions(args.out, {inst.id: predictor(inst).sense_id for inst in corpus})
+    print(f"wrote {len(corpus)} {args.method} predictions -> {args.out}")
     return 0
 
 

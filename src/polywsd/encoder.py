@@ -11,10 +11,12 @@ real rows equal those of encoding it alone. A gloss's code is its
 start-marker row, so the gloss side asks ``encoder_kernel`` for that row
 alone: the last layer then runs its query, residual, feed-forward and
 output norm on one row per sequence, and only its keys and values span
-every row. ``encode`` is a batch of one with the batch axis removed, all
-its (n + 2, d) rows; prediction encodes each gloss through it, and callers
-that count encoder forwards wrap it by name, so it keeps its two-argument
-form.
+every row. ``marked_ids`` is the one builder of marked, padded ids:
+``encode_batch``, the model's id-index fills and prediction's context rows
+take their ids, padding mask and target rows from it. ``encode`` is a batch
+of one with the batch axis removed, all its (n + 2, d) rows; prediction
+encodes each gloss through it, and callers that count encoder forwards wrap
+it by name, so it keeps its two-argument form.
 Blocks are pre-LayerNorm self-attention plus a GELU feed-forward, both
 with residual connections; each attention projection is one (d, d) matrix
 whose column blocks are the heads (Vaswani et al. 2017, arXiv:1706.03762).
@@ -243,25 +245,42 @@ def pass_inputs(params: EncoderParams) -> tuple[Tensor, ...]:
 
 
 def marked_ids(
-    params: EncoderParams, sequences: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray]:
+    params: EncoderParams,
+    sequences: Sequence[Sequence[int]],
+    target_index: Sequence[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The (b, L) ids of b bare token-id sequences, each wrapped in the start and end
-    markers and padded with ``PAD_ID`` to L = longest + 2, and the (b, L) padding
-    mask, True past each end marker. A bad batch raises what its first bad item does."""
+    markers and padded with ``PAD_ID`` to L = longest + 2, the (b, L) padding mask,
+    True past each end marker, and, given each item's target word index, the (b,)
+    rows of those words (word t is row t + 1), else None. The one builder of marked
+    ids: lengths and targets are checked on the lists, the ids by one array check, and
+    a batch with no item padded gets its mask from one ``np.zeros``. A bad batch raises
+    what its first bad item does, a bad id or length before any bad target."""
     if not sequences:
         raise ContractError("encode_batch needs at least one sequence")
-    lengths = [len(token_ids) + 2 for token_ids in sequences]
-    width = max(lengths)
-    rows = [[CLS_ID, *seq, SEP_ID] + [PAD_ID] * (width - 2 - len(seq)) for seq in sequences]
+    rows = [[CLS_ID, *token_ids, SEP_ID] for token_ids in sequences]
+    lengths = [len(row) for row in rows]
+    width, config = max(lengths), params.config
+    if min(lengths) < width:
+        for row in rows:
+            row += [PAD_ID] * (width - len(row))
+        padding = np.arange(width) >= np.array(lengths)[:, None]
+    else:  # no item padded, as in any batch of one
+        padding = np.zeros((len(rows), width), dtype=bool)
     ids = np.array(rows)
-    # one check of the padded batch; only a batch that fails it is checked item by item
-    fits = ids.dtype == np.intp and min(lengths) > 2 and width <= params.config.max_seq_len
+    # one check of the whole batch; only a batch that fails it is checked item by item
+    fits = ids.dtype == np.intp and min(lengths) > 2 and width <= config.max_seq_len
     fits = fits and np.minimum.reduce(ids, axis=None) >= 0
-    if not (fits and np.maximum.reduce(ids, axis=None) < params.config.vocab_size):
+    if not (fits and np.maximum.reduce(ids, axis=None) < config.vocab_size):
         for token_ids in sequences:
-            _check_ids(params.config, token_ids)
+            _check_ids(config, token_ids)
         ids = np.array(rows, dtype=np.intp)
-    return ids, np.arange(width) >= np.array(lengths)[:, None]
+    if target_index is None:
+        return ids, padding, None
+    for i, (t, n) in enumerate(zip(target_index, lengths)):
+        if not 0 <= t < n - 2:
+            raise ContractError(f"item {i}: target index {t} out of range for {n - 2} words")
+    return ids, padding, np.array([t + 1 for t in target_index])
 
 
 def encode_batch(
@@ -275,7 +294,7 @@ def encode_batch(
     hold no meaning. The caller is responsible for truncation: sequences
     longer than max_seq_len - 2 are rejected, never silently shortened.
     """
-    ids, padding = marked_ids(params, sequences)
+    ids, padding, _ = marked_ids(params, sequences)
     return T.record(pass_inputs(params), *encoder_kernel(params, ids, padding, False)), padding
 
 
@@ -284,20 +303,6 @@ def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:
     the start/end markers: ``encode_batch`` of a batch of one, its batch axis removed."""
     encoded, _ = encode_batch(params, [token_ids])
     return T.reshape(encoded, encoded.shape[1:])
-
-
-def target_rows(target_index: Sequence[int], padding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (item, row) index of each item's target-word row in a batch with (b, L)
-    ``padding``: word index t is row t + 1, checked against its own item's words."""
-    n_words = padding.shape[1] - 2 - np.add.reduce(padding, axis=1)
-    targets = np.asarray(target_index)
-    bad = (targets < 0) | (targets >= n_words)
-    if np.logical_or.reduce(bad):
-        i = int(bad.argmax())
-        raise ContractError(
-            f"item {i}: target index {int(targets[i])} out of range for {int(n_words[i])} words"
-        )
-    return np.arange(len(padding)), targets + 1
 
 
 def cls_representation(encoded: Tensor) -> Tensor:

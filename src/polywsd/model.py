@@ -27,6 +27,8 @@ marker-wrapped ids per distinct gloss text and per distinct (context tokens,
 target index), keyed by the word tuples, so an in-place edit is a new key. A
 step takes its (b, L) ids by row number. The index assumes the vocabulary is
 not edited, as the embedding tables are sized to it. Prediction does not read it.
+Both fills and prediction's context rows build their ids, padding and target rows
+with ``encoder.marked_ids``, the one builder.
 
 A model owns one flat float64 buffer, ``values``, of which each parameter is
 a view, in the order ``model_on`` states. ``build_model`` draws initial values
@@ -60,7 +62,6 @@ from .encoder import (
     init_encoder,
     marked_ids,
     pass_inputs,
-    target_rows,
 )
 from .errors import ConfigError
 # fuse_context stays a name here for profilers that wrap it; the context rows run its kernel
@@ -210,7 +211,7 @@ class IdTable:
     def rows(self, keys: list[tuple], build: Callable) -> np.ndarray:
         """The row number of each key. The keys it has no row for are filled from
         ``build(new_keys)``, which returns their ids, padding and target rows as
-        ``marked_ids`` and ``target_rows`` do, or raises what the first bad key earns."""
+        ``marked_ids`` does, or raises what the first bad key earns."""
         if not keys:
             build(keys)  # raises marked_ids' error for an empty batch
         get = self.row.get
@@ -286,22 +287,23 @@ def id_index(model: WsdModel) -> IdIndex:
     return index
 
 
-def _marked_windows(model: WsdModel, keys: list[tuple]) -> tuple[np.ndarray, ...]:
-    windows = [_context_window(model, tokens, target) for tokens, target in keys]
-    ids, padding = marked_ids(model.context, [ids for ids, _ in windows])
-    return ids, padding, target_rows([target for _, target in windows], padding)[1]
+def _marked_windows(model: WsdModel, windows: list[tuple[list[int], int]]) -> tuple:
+    """``marked_ids`` of (context ids, target index) windows, with their target rows."""
+    return marked_ids(model.context, [ids for ids, _ in windows], [t for _, t in windows])
 
 
 def _marked_glosses(model: WsdModel, keys: list[tuple]) -> tuple[np.ndarray, ...]:
-    ids = [_gloss_ids(model, gloss) for gloss in keys]
-    return *marked_ids(model.gloss, ids), np.zeros(len(keys), dtype=np.intp)
+    ids, padding, _ = marked_ids(model.gloss, [_gloss_ids(model, gloss) for gloss in keys])
+    return ids, padding, np.zeros(len(keys), dtype=np.intp)
 
 
 def context_index_rows(model: WsdModel, instances: list[CorpusInstance]) -> np.ndarray:
     """The model's context-index row of each instance's (tokens, target index), new
     ones checked and filled."""
     keys = [(tuple(inst.tokens), inst.target_index) for inst in instances]
-    return id_index(model).contexts.rows(keys, lambda new: _marked_windows(model, new))
+    return id_index(model).contexts.rows(
+        keys, lambda new: _marked_windows(model, [_context_window(model, *key) for key in new])
+    )
 
 
 def gloss_index_rows(model: WsdModel, glosses: Sequence[Sequence[str]]) -> np.ndarray:
@@ -330,7 +332,7 @@ def _fused_rows(
     """One code row per context in (b, L) ``ids`` whose target rows are ``rows``: one
     record over the context-encoder pass, the target-row pick and the fusion
     attention, with the bits of their op chain (``encode_batch``, a
-    ``tensor.gather`` of the ``target_rows``, ``fuse_context``)."""
+    ``tensor.gather`` of the target rows, ``fuse_context``)."""
     encoded, encoder_vjp = encoder_kernel(model.context, ids, padding, False)
     targets, pick_vjp = T.gather_kernel(encoded, rows)
     (b, d), fusion = targets.shape, model.fusion
@@ -348,8 +350,8 @@ def _fused_rows(
 
 def _window_code_rows(model: WsdModel, windows: list[tuple[list[int], int]]) -> Tensor:
     """One code row per (context ids, target index) window, as ``_fused_rows``."""
-    ids, padding = marked_ids(model.context, [ids for ids, _ in windows])
-    return _fused_rows(model, ids, padding, target_rows([t for _, t in windows], padding))
+    ids, padding, targets = _marked_windows(model, windows)
+    return _fused_rows(model, ids, padding, (np.arange(len(windows)), targets))
 
 
 def context_codes(model: WsdModel, tokens: list[str], target_index: int) -> Tensor:

@@ -477,9 +477,10 @@ def attention_kernel(
     def merge(a: np.ndarray) -> np.ndarray:  # and back
         return a.reshape(b, n_heads, -1, dh).transpose(axes).reshape(b, -1, width)
 
-    # C-order copies where the chain's ops make them: a strided kT moves the scores' bits;
-    # kT's is one transpose-and-copy of c @ wk, (b, n, heads, dh) to (b, heads, dh, n)
-    q, v = (np.ascontiguousarray(split(a @ w)) for a, w in ((x, wq), (c, wv)))
+    # split copies into C order or returns a view that is C-order already (one head, one
+    # row). A strided kT moves the scores' bits, so it is one transpose-and-copy of
+    # c @ wk, (b, n, heads, dh) to (b, heads, dh, n)
+    q, v = split(x @ wq), split(c @ wv)
     k4 = (c @ wk).reshape(b, n, n_heads, dh).transpose(0, 2, 3, 1)
     kT, scale = np.ascontiguousarray(k4).reshape(b * n_heads, dh, n), _attention_scale(dh)
     mask = None  # nothing masked (a batch of one, an unpadded batch): no per-head mask

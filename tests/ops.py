@@ -14,8 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from polywsd import tensor as T
-from polywsd.encoder import encoder_kernel, marked_ids, pass_inputs, target_rows
-from polywsd.errors import ShapeError
+from polywsd.data import CLS_ID, PAD_ID, SEP_ID
+from polywsd.encoder import encoder_kernel, marked_ids, pass_inputs
+from polywsd.errors import ContractError, ShapeError
 from polywsd.tensor import Tensor, record
 
 
@@ -132,6 +133,54 @@ def erf(x: np.ndarray) -> np.ndarray:
     return T._erf(x, z, np.exp(-z))
 
 
+def _check_ids(config, token_ids: Sequence[int]) -> None:
+    """Raise the ContractError that ``token_ids`` earns as one sequence, if any."""
+    n = len(token_ids)
+    if n < 1:
+        raise ContractError("encode needs at least one token")
+    if n > config.max_seq_len - 2:
+        raise ContractError(
+            f"sequence of {n} tokens exceeds capacity {config.max_seq_len - 2}; "
+            "truncate before encoding"
+        )
+    ids = np.array([CLS_ID, *token_ids, SEP_ID])
+    if ids.dtype != np.intp or min(token_ids) < 0 or max(token_ids) >= config.vocab_size:
+        raise ContractError(f"token ids must be integers in [0, {config.vocab_size})")
+
+
+def padded_ids(params, sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``encoder.marked_ids``' oracle without targets: every row padded as a Python list,
+    the mask an arange compared with the lengths, a bad batch checked item by item."""
+    if not sequences:
+        raise ContractError("encode_batch needs at least one sequence")
+    lengths = [len(token_ids) + 2 for token_ids in sequences]
+    width = max(lengths)
+    rows = [[CLS_ID, *seq, SEP_ID] + [PAD_ID] * (width - 2 - len(seq)) for seq in sequences]
+    ids = np.array(rows)
+    fits = ids.dtype == np.intp and min(lengths) > 2 and width <= params.config.max_seq_len
+    fits = fits and np.minimum.reduce(ids, axis=None) >= 0
+    if not (fits and np.maximum.reduce(ids, axis=None) < params.config.vocab_size):
+        for token_ids in sequences:
+            _check_ids(params.config, token_ids)
+        ids = np.array(rows, dtype=np.intp)
+    return ids, np.arange(width) >= np.array(lengths)[:, None]
+
+
+def target_rows(target_index: Sequence[int], padding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``encoder.marked_ids``' oracle for targets: the (item, row) index of each item's
+    target-word row, word index t row t + 1, checked against the words its item's
+    ``padding`` row leaves."""
+    n_words = padding.shape[1] - 2 - np.add.reduce(padding, axis=1)
+    targets = np.asarray(target_index)
+    bad = (targets < 0) | (targets >= n_words)
+    if np.logical_or.reduce(bad):
+        i = int(bad.argmax())
+        raise ContractError(
+            f"item {i}: target index {int(targets[i])} out of range for {int(n_words[i])} words"
+        )
+    return np.arange(len(padding)), targets + 1
+
+
 def target_representation(
     encoded: Tensor, target_index: Sequence[int], padding: np.ndarray
 ) -> Tensor:
@@ -143,5 +192,5 @@ def target_representation(
 def encode_first_rows(params, sequences) -> tuple[Tensor, np.ndarray]:
     """``encode_batch`` with the last layer querying the start-marker rows alone, as the
     gloss side runs it: the (b, 1, d) rows as one record, and the (b, L) padding mask."""
-    ids, padding = marked_ids(params, sequences)
+    ids, padding, _ = marked_ids(params, sequences)
     return record(pass_inputs(params), *encoder_kernel(params, ids, padding, True)), padding

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import polywsd.cli
 from polywsd.cli import _build_model, main
 from polywsd.data import Vocab, load_predictions
 from polywsd.encoder import EncoderConfig
@@ -666,23 +667,43 @@ def test_non_integer_target_index_is_a_located_error(workspace, tmp_path, capsys
     assert f"error: {corpus}:2: target_index" in capsys.readouterr().err
 
 
-def test_duplicate_instance_id_is_an_error(workspace, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command", [["predict"], ["baseline", "--method", "s1"]], ids=["predict", "s1"]
+)
+def test_duplicate_instance_id_is_an_error(
+    workspace, tmp_path, capsys, monkeypatch, command
+):
+    """A repeated instance id fails the command before anything is predicted."""
     lines = (workspace / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+    if command == ["predict"]:
+        ckpt = tmp_path / "model.ckpt"
+        assert main(
+            [
+                "train",
+                "--corpus", str(workspace / "corpus.jsonl"),
+                "--inventory", str(workspace / "inventory.jsonl"),
+                "--config", str(workspace / "config.json"),
+                "--out", str(ckpt),
+            ]
+        ) == 0
+        command = command + ["--checkpoint", str(ckpt)]
+    predicted = []
+    monkeypatch.setattr(polywsd.cli, "predict_corpus", lambda *args: predicted.append(args))
+    capsys.readouterr()
     code = main(
-        [
-            "baseline",
-            "--method", "s1",
+        command
+        + [
             "--corpus", str(corpus),
             "--inventory", str(workspace / "inventory.jsonl"),
-            "--out", str(tmp_path / "s1.tsv"),
+            "--out", str(tmp_path / "p.tsv"),
         ]
     )
     assert code == 1
     first_id = json.loads(lines[0])["id"]
     assert f"error: duplicate instance id {first_id!r} in corpus" in capsys.readouterr().err
-    assert not (tmp_path / "s1.tsv").exists()
+    assert predicted == [] and not (tmp_path / "p.tsv").exists()
 
 
 @pytest.mark.parametrize(

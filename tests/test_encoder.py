@@ -1,9 +1,14 @@
 """Miniature encoder: marker convention, determinism, gradient separation."""
 
+import cProfile
+import os
+import pstats
+
 import numpy as np
 import pytest
 
 import polywsd.encoder
+import polywsd.model
 from polywsd import tensor as T
 from polywsd.data import CLS_ID, PAD_ID, SEP_ID
 from polywsd.encoder import EncoderConfig, cls_representation, encode, encode_batch
@@ -164,6 +169,105 @@ class TestEncodeBatch:
         with pytest.raises(ContractError) as batched:
             encode_batch(params, [[4, 5], bad, [6]])
         assert str(batched.value) == str(alone.value)
+
+
+def _numpy_calls(run) -> dict[str, int]:
+    """How many times ``run()`` calls each numpy function or method, as cProfile names
+    them: numpy's C entry points (``np.array``, ufunc ``reduce``) and its Python code."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        run()
+    finally:
+        profile.disable()
+    return {
+        name: stats[1]
+        for (filename, _, name), stats in pstats.Stats(profile).stats.items()
+        if "numpy" in name or f"numpy{os.sep}" in filename
+    }
+
+
+class TestMarkedIds:
+    """``marked_ids`` builds every marked batch, its target rows too: it must give the
+    ids, padding and targets of the padded-rows builder (``ops.padded_ids``, then
+    ``ops.target_rows``) bit for bit, raise what that builder raises, and build an
+    unpadded batch in a fixed number of numpy calls."""
+
+    @pytest.mark.parametrize(
+        "b, padded",
+        [(1, False), (2, False), (2, True), (8, False), (8, True), (73, False), (73, True)],
+    )
+    def test_equals_the_padded_rows_builder(self, params, b, padded):
+        rng, cap = np.random.default_rng(b + padded), CONFIG.max_seq_len - 2
+        for _ in range(10):
+            lengths = np.full(b, rng.integers(1, cap + 1))
+            if padded:
+                lengths = rng.integers(1, cap + 1, size=b)
+                lengths[rng.choice(b, 2, replace=False)] = 1, cap
+            sequences = [rng.integers(0, CONFIG.vocab_size, size=n).tolist() for n in lengths]
+            targets = [int(rng.integers(n)) for n in lengths]
+            ids, padding, rows = polywsd.encoder.marked_ids(params, sequences, targets)
+            want_ids, want_padding = ops.padded_ids(params, sequences)
+            _, want_rows = ops.target_rows(targets, want_padding)
+            for got, want in ((ids, want_ids), (padding, want_padding), (rows, want_rows)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert padding.any() == padded
+            assert polywsd.encoder.marked_ids(params, sequences)[2] is None
+
+    @pytest.mark.parametrize(
+        "sequences, targets",
+        [
+            ([], []),
+            ([[4, 5], [], [6]], [0, 0, 0]),
+            ([[4, 5], list(range(4, 4 + CONFIG.max_seq_len - 1))], [0, 0]),
+            ([[4, 5], [6, -1]], [0, 0]),
+            ([[4, 5], [6, CONFIG.vocab_size]], [0, 0]),
+            ([[4, 5], [6, 7.0]], [0, 0]),
+            ([[4, 5], [6]], [0, 1]),
+            ([[4, 5], [6]], [-1, 0]),
+            ([[4], [5, -1]], [3, 0]),
+        ],
+        ids=[
+            "empty_batch", "empty_sequence", "over_capacity", "negative_id", "large_id",
+            "float_id", "target_past_its_words", "negative_target", "bad_id_before_bad_target",
+        ],
+    )
+    def test_raises_the_padded_rows_builders_errors(self, params, sequences, targets):
+        with pytest.raises(ContractError) as want:
+            _, padding = ops.padded_ids(params, sequences)
+            ops.target_rows(targets, padding)
+        with pytest.raises(ContractError) as got:
+            polywsd.encoder.marked_ids(params, sequences, targets)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("b", [1, 8])
+    def test_an_unpadded_batch_costs_five_numpy_calls(self, params, b):
+        """One array of ids, two reductions to check them, one ``np.zeros`` mask and
+        one array of target rows, whatever the batch size: no per-item padding, no
+        mask derived from the lengths. The padded-rows builder and its target check
+        took 16 numpy calls and array operators for one."""
+        sequences = [[4, 5, 6, 7]] * b
+        calls = _numpy_calls(lambda: polywsd.encoder.marked_ids(params, sequences, [2] * b))
+        assert calls == {
+            "<built-in method numpy.array>": 2,
+            "<method 'reduce' of 'numpy.ufunc' objects>": 2,
+            "<built-in method numpy.zeros>": 1,
+        }
+
+    def test_a_prediction_builds_its_ids_in_six_numpy_calls(self, monkeypatch):
+        """A prediction's context is a batch of one: its ids, padding and target row
+        cost ``marked_ids``' five calls and the item axis of the row pick."""
+        corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=6, seed=4)
+        model, built = tiny_model(corpus, inventory), []
+        monkeypatch.setattr(polywsd.model, "_fused_rows", lambda *args: built.append(args[1:]))
+        window = polywsd.model._context_window(model, corpus[0].tokens, corpus[0].target_index)
+        calls = _numpy_calls(lambda: polywsd.model._window_code_rows(model, [window]))
+        assert sum(calls.values()) <= 6
+        ((ids, padding, (items, rows)),) = built
+        assert ids.tolist() == [[CLS_ID, *window[0], SEP_ID]] and not padding.any()
+        assert items.tolist() == [0] and rows.tolist() == [window[1] + 1]
 
 
 class TestRepresentations:

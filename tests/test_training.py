@@ -20,7 +20,7 @@ from polywsd.cli import _load_config, _model_configs
 from polywsd.data import (
     PAD_ID, UNK_ID, CorpusInstance, SenseEntry, SenseInventory, Vocab, build_vocab,
 )
-from polywsd.encoder import EncoderConfig, marked_ids, target_rows
+from polywsd.encoder import EncoderConfig
 from polywsd.errors import (
     BatchError, ConfigError, ContractError, DataError, ShapeError, TrainingError,
 )
@@ -1105,7 +1105,8 @@ class TestIdIndex:
     @pytest.mark.parametrize("page_rows", [1024, 5])
     def test_rows_equal_marked_ids_on_random_batches(self, monkeypatch, page_rows):
         """Across fills, repeats and (at 5 rows a page) page boundaries, a batch's ids,
-        padding and targets equal ``marked_ids`` and ``target_rows`` of its windows."""
+        padding and targets equal the oracle's ``padded_ids`` and ``target_rows`` of its
+        windows."""
         monkeypatch.setattr(polywsd.model, "_PAGE_ROWS", page_rows)
         rng = np.random.default_rng(0)
         instances, inventory, model = _random_world(rng)
@@ -1116,14 +1117,15 @@ class TestIdIndex:
             seen.update((tuple(i.tokens), i.target_index) for i in batch)
             ids, padding, targets = index.contexts.take(context_index_rows(model, batch))
             windows = [_context_window(model, i.tokens, i.target_index) for i in batch]
-            want_ids, want_padding = marked_ids(model.context, [w for w, _ in windows])
+            want_ids, want_padding = ops.padded_ids(model.context, [w for w, _ in windows])
             np.testing.assert_array_equal(ids, want_ids)
             np.testing.assert_array_equal(padding, want_padding)
-            _, want_targets = target_rows([t for _, t in windows], want_padding)
+            _, want_targets = ops.target_rows([t for _, t in windows], want_padding)
             np.testing.assert_array_equal(targets, want_targets)
             picked = [glosses[j] for j in rng.choice(len(glosses), rng.integers(1, 9))]
             ids, padding, _ = index.glosses.take(gloss_index_rows(model, picked))
-            want_ids, want_padding = marked_ids(model.gloss, [_gloss_ids(model, g) for g in picked])
+            gloss_ids = [_gloss_ids(model, g) for g in picked]
+            want_ids, want_padding = ops.padded_ids(model.gloss, gloss_ids)
             np.testing.assert_array_equal(ids, want_ids)
             np.testing.assert_array_equal(padding, want_padding)
         assert ids.dtype == want_ids.dtype and padding.dtype == bool
@@ -1251,7 +1253,7 @@ class TestIdIndex:
                 pairs = list(pairs)
                 ids, padding, targets = table.take(np.array([row for _, row in pairs]))
                 windows = [_context_window(model, tokens, t) for (tokens, t), _ in pairs]
-                want_ids, want_padding = marked_ids(model.context, [w for w, _ in windows])
+                want_ids, want_padding = ops.padded_ids(model.context, [w for w, _ in windows])
                 np.testing.assert_array_equal(ids, want_ids)
                 np.testing.assert_array_equal(padding, want_padding)
                 np.testing.assert_array_equal(targets, [t + 1 for _, t in windows])
