@@ -6,6 +6,8 @@ Chained, they are the oracles of the package's fused records (the encoder pass,
 each code side, ``tensor.attention``, ``fusion.score_rows``), and the op table
 checks each gradient. The ``literal_*`` kernels are GELU, its erf and the layer
 norm with every constant a Python float: the oracles of the package's 0-d ones.
+``padded_ids`` and ``target_rows`` build a batch's ids as the package did before
+``encoder.marked_ids`` built them in one pass: that builder's oracles.
 """
 
 import math
