@@ -23,8 +23,12 @@ medians. A gain may be claimed where the checkout wins at least 9 of 10 pairs
 and the medians differ by more than the parent's interquartile range. Beside
 ``peak_rss_mb`` it gives the ratio of the median attempted op counts
 (checkout / parent): the harness keeps bookkeeping per op, so a faster op
-raises peak RSS. Every run goes to ``BENCH_pairs.json`` in this repository
-with that summary.
+raises peak RSS. Each row is also marked ``worse_past_bound`` where the
+checkout's median is worse than the parent's by more than that metric's
+``BENCHMARK.json`` bound, as a share of the parent's median, and ``noisy``
+where the parent's interquartile range alone is wider than that share: there
+the bound cannot tell a regression from the spread of one commit's runs.
+Every run goes to ``BENCH_pairs.json`` in this repository with that summary.
 """
 
 from __future__ import annotations
@@ -97,10 +101,12 @@ def _shown(ratio: float | None) -> str:
     return "-" if ratio is None else f"{ratio:.4f}"
 
 
-def compare_pairs(pairs: list[dict], better: dict[str, str]) -> list[dict]:
-    """Per workload, seed and metric: both sides' quartiles, the checkout's wins
-    and the ratio of the medians (checkout / parent); the ``peak_rss_mb`` row also
-    has ``attempted_ratio``, that of the median attempted op counts."""
+def compare_pairs(pairs: list[dict], metrics: dict[str, dict]) -> list[dict]:
+    """Per workload, seed and metric: both sides' quartiles, the checkout's wins,
+    the ratio of the medians (checkout / parent) and the two bound marks, from
+    ``metrics``' entries (``BENCHMARK.json``'s end-to-end ones, by name); the
+    ``peak_rss_mb`` row also has ``attempted_ratio``, that of the median attempted
+    op counts."""
     cells = {}
     for pair in pairs:
         cells.setdefault((pair["workload"], pair["seed"]), []).append(pair)
@@ -111,14 +117,18 @@ def compare_pairs(pairs: list[dict], better: dict[str, str]) -> list[dict]:
         for name, first in group[0]["parent"]["metrics"].items():
             parent = [p["parent"]["metrics"][name]["value"] for p in group]
             change = [p["change"]["metrics"][name]["value"] for p in group]
-            sign = -1.0 if better.get(name) == "lower" else 1.0
+            spec = metrics.get(name, {})
+            sign = -1.0 if spec.get("better") == "lower" else 1.0
             wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
             (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+            # the bound, as a share of the parent's median, in the metric's unit
+            share = spec["bound"] * abs(pm) if "bound" in spec else float("inf")
             rows.append({
                 "workload": workload, "seed": seed, "metric": name, "unit": first["unit"],
                 "parent": [p1, pm, p3], "change": [c1, cm, c3], "pairs": len(group),
                 "change_won": wins, "ratio": _ratio(cm, pm),
                 "claimable": wins * 10 >= 9 * len(group) and abs(cm - pm) > p3 - p1,
+                "worse_past_bound": sign * (pm - cm) > share, "noisy": p3 - p1 > share,
             })
             if name == "peak_rss_mb":
                 rows[-1]["attempted_ratio"] = _ratio(*attempted)
@@ -128,7 +138,7 @@ def compare_pairs(pairs: list[dict], better: dict[str, str]) -> list[dict]:
 def run_pairs(parent: str, checkout: str) -> dict:
     """``PAIRS`` alternating pairs per workload and seed, and their comparison."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     pairs = []
     for i in range(PAIRS):
         for seed in SEEDS:
@@ -139,7 +149,7 @@ def run_pairs(parent: str, checkout: str) -> dict:
                 pairs.append({"workload": workload, "seed": seed, "first": sides[0], **runs})
     commits = {side: head(path) for side, path in (("parent", parent), ("change", checkout))}
     return {"commits": commits, "command": f"python3 perfbench/run.py --workload W --seed S "
-            f"--seconds {SECONDS} --trace 0", "summary": compare_pairs(pairs, better),
+            f"--seconds {SECONDS} --trace 0", "summary": compare_pairs(pairs, metrics),
             "pairs": pairs}
 
 
@@ -168,7 +178,8 @@ def main(argv=None) -> int:
                     f"won {row['change_won']}/{row['pairs']}  ratio {_shown(row['ratio'])}")
             if "attempted_ratio" in row:
                 line += f"  attempted ratio {_shown(row['attempted_ratio'])}"
-            print(line + ("  claimable" if row["claimable"] else ""))
+            marks = [mark for mark in ("claimable", "worse_past_bound", "noisy") if row[mark]]
+            print("  ".join([line, *marks]))
         return 0
     runs = [
         run_once(args.checkout, workload, seed)

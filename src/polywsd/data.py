@@ -87,14 +87,18 @@ class SenseInventory:
                 raise DataError(f"duplicate sense id {sense.id!r} under {key}")
             seen.add(sense.id)
         if not senses:
-            raise DataError(f"inventory entry {key} lists no senses")
+            raise InventoryError(f"inventory entry {key} lists no senses")
         self._entries[key] = senses
 
     def candidates(self, lemma: str, pos: str) -> list[SenseEntry]:
-        try:
-            return self._entries[(lemma, pos)]
-        except KeyError:
-            raise InventoryError(f"no senses for lemma {lemma!r} with pos {pos!r}") from None
+        """The senses of (lemma, pos); an InventoryError for a missing key, or for an
+        entry whose list was emptied in place after ``add``."""
+        senses = self._entries.get((lemma, pos))
+        if not senses:
+            if senses is None:
+                raise InventoryError(f"no senses for lemma {lemma!r} with pos {pos!r}")
+            raise InventoryError(f"inventory entry {(lemma, pos)} lists no senses")
+        return senses
 
     def items(self):
         return self._entries.items()

@@ -27,11 +27,18 @@ The pass on arrays is ``encoder_kernel``, its forward and VJP made of
 model's code sides run it inside their own one record. Every row's
 positions are 0..L-1, so the position table's first L rows are added by
 broadcast.
+An ``EncoderParams`` binds its pass's arguments once, when it is built:
+``inputs``, every tensor in manifest order (the inputs its records name), and
+``block_arrays``, each block's 12 arrays in ``block_shapes`` order, which
+``encoder_kernel`` reads, so a pass rebuilds no tuple. They are the tensors
+themselves and their own ``data``, not copies, and neither can be rebound, so
+an in-place write (an optimizer step, a checkpoint load, ``randomize_parameters``,
+a gradient check) is seen by the next pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
@@ -112,6 +119,19 @@ class EncoderParams:
     layers: tuple[Block, ...]
     out_gain: Tensor
     out_bias: Tensor
+    # bound once, here: the pass's input tensors in manifest order, and each block's
+    # arrays in ``block_shapes`` order (the ``data`` of its tensors, not copies)
+    inputs: tuple[Tensor, ...] = field(init=False, repr=False, compare=False)
+    block_arrays: tuple[tuple[np.ndarray, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        blocks = [tuple(vars(layer).values()) for layer in self.layers]
+        layers = [t for block in blocks for t in block]
+        inputs = (self.tok_emb, self.pos_emb, *layers, self.out_gain, self.out_bias)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "block_arrays", tuple(tuple(t.data for t in b) for b in blocks))
 
     def named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}tok_emb", self.tok_emb
@@ -177,11 +197,11 @@ def _check_ids(config: EncoderConfig, token_ids: Sequence[int]) -> None:
         raise ContractError(f"token ids must be integers in [0, {config.vocab_size})")
 
 
-def _block(layer: Block, x: np.ndarray, n_heads: int, key_mask: np.ndarray, row0: bool):
-    """One pre-LN block on (b, L, d) rows ``x`` as ``tensor`` kernels, its queries and
-    residual row 0 alone if ``row0``: its output, and its VJP to x and to the layer's
-    tensors in ``vars`` order, that of ``block_shapes``."""
-    ag, ab, wq, wk, wv, wo, fg, fb, w1, b1, w2, b2 = (t.data for t in vars(layer).values())
+def _block(arrays: tuple, x: np.ndarray, n_heads: int, key_mask: np.ndarray, row0: bool):
+    """One pre-LN block, its tensors' ``arrays`` in ``block_shapes`` order, on (b, L, d)
+    rows ``x`` as ``tensor`` kernels, its queries and residual row 0 alone if ``row0``:
+    its output, and its VJP to x and to the block's tensors in that order."""
+    ag, ab, wq, wk, wv, wo, fg, fb, w1, b1, w2, b2 = arrays
     normed, ln1 = T.layer_norm_kernel(x, ag, ab)
     queries, residual = normed, x
     if row0:
@@ -215,14 +235,14 @@ def encoder_kernel(
     params: EncoderParams, ids: np.ndarray, key_mask: np.ndarray, first_row_only: bool
 ) -> tuple[np.ndarray, Callable]:
     """The encoder on (b, L) marker-wrapped ids: (b, L, d) rows, and its VJP to
-    ``pass_inputs(params)``; ``key_mask`` (b, L) masks padded keys out of
-    self-attention. With ``first_row_only`` the last layer queries row 0 alone: (b, 1, d).
+    ``params.inputs``; ``key_mask`` (b, L) masks padded keys out of self-attention.
+    With ``first_row_only`` the last layer queries row 0 alone: (b, 1, d).
     The VJP replays the kernels' VJPs in reverse, with the bits of the op-by-op chain."""
     tok, tok_vjp = T.embed_kernel(params.tok_emb.data, ids)
     x = tok + params.pos_emb.data[: ids.shape[1]]  # every row's positions are 0..L-1
-    blocks, last, n_heads = [], params.layers[-1], params.config.n_heads
-    for layer in params.layers:
-        x, block_vjp = _block(layer, x, n_heads, key_mask, first_row_only and layer is last)
+    blocks, last, n_heads = [], params.block_arrays[-1], params.config.n_heads
+    for arrays in params.block_arrays:
+        x, block_vjp = _block(arrays, x, n_heads, key_mask, first_row_only and arrays is last)
         blocks.append(block_vjp)
     out, out_vjp = T.layer_norm_kernel(x, params.out_gain.data, params.out_bias.data)
 
@@ -236,12 +256,6 @@ def encoder_kernel(
         return (*tok_vjp(d_x), d_pos, *d_layers, d_gain, d_bias)
 
     return out, vjp
-
-
-def pass_inputs(params: EncoderParams) -> tuple[Tensor, ...]:
-    """Every tensor of the encoder, in manifest order: the inputs of its pass."""
-    layers = (t for layer in params.layers for t in vars(layer).values())
-    return (params.tok_emb, params.pos_emb, *layers, params.out_gain, params.out_bias)
 
 
 def marked_ids(
@@ -295,7 +309,7 @@ def encode_batch(
     longer than max_seq_len - 2 are rejected, never silently shortened.
     """
     ids, padding, _ = marked_ids(params, sequences)
-    return T.record(pass_inputs(params), *encoder_kernel(params, ids, padding, False)), padding
+    return T.record(params.inputs, *encoder_kernel(params, ids, padding, False)), padding
 
 
 def encode(params: EncoderParams, token_ids: Sequence[int]) -> Tensor:

@@ -11,7 +11,10 @@ give b code rows at once. ``fuse_context`` records it as one
 ``tensor.attention`` op; the model's context side runs its kernel inside
 the side's one record, with the same bits. Like the encoders' self-attention,
 the fusion holds one (d, d) matrix per projection, its heads in column
-blocks.
+blocks. ``FusionParams`` binds the four once, when it is built: ``weights``
+in manifest order and their ``data`` as ``arrays``, which the context side
+hands the attention kernel. They are the tensors' own arrays, not copies, so
+an in-place write to a projection is seen by the next pass.
 
 ``FusionConfig.poly_m`` is accepted so existing configs load, but it has
 no effect: copies of one query attend identically, so any number of
@@ -22,7 +25,7 @@ codes; adding those would be a model change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -61,9 +64,17 @@ class FusionParams:
     wk: Tensor
     wv: Tensor
     w_o: Tensor
+    # bound once, here: the four projections in manifest order, and their ``data``
+    weights: tuple[Tensor, ...] = field(init=False, repr=False, compare=False)
+    arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        weights = (self.wq, self.wk, self.wv, self.w_o)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "arrays", tuple(w.data for w in weights))
 
     def named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        return ((prefix + name, t) for name, t in vars(self).items() if name != "config")
+        return zip((prefix + name for name in ("wq", "wk", "wv", "w_o")), self.weights)
 
 
 def fusion_params(config: FusionConfig, cut: Callable[..., Tensor]) -> FusionParams:

@@ -36,6 +36,11 @@ into a fresh buffer; ``load_checkpoint`` builds the model on the saved values
 and draws nothing. An optimizer adopts the buffer; a checkpoint writes it whole.
 A built model cannot be rewired: its fields, its encoders' fields and layers
 and every tensor's ``data`` refuse assignment, so values are written in place.
+So each part binds its kernel arguments once, when it is built: the encoders'
+``inputs`` and ``block_arrays``, the fusion's ``weights`` and ``arrays``, and
+the model's ``context_inputs``, the context side's record inputs (the context
+encoder's, then the fusion's). A pass rebuilds none of them, and since they
+hold the parameters' own arrays, every in-place write is seen by the next pass.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ from .encoder import (
     encoder_params,
     init_encoder,
     marked_ids,
-    pass_inputs,
 )
 from .errors import ConfigError
 # fuse_context stays a name here for profilers that wrap it; the context rows run its kernel
@@ -85,6 +89,11 @@ class WsdModel:
     # every parameter value in manifest order, and the gloss encoder's slice of them
     values: np.ndarray = field(repr=False)
     gloss_values: np.ndarray = field(repr=False)
+    # bound once, here: the context side's record inputs, its encoder's then the fusion's
+    context_inputs: tuple[Tensor, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "context_inputs", self.context.inputs + self.fusion.weights)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         named = list(self.context.named_tensors("context."))
@@ -336,16 +345,16 @@ def _fused_rows(
     encoded, encoder_vjp = encoder_kernel(model.context, ids, padding, False)
     targets, pick_vjp = T.gather_kernel(encoded, rows)
     (b, d), fusion = targets.shape, model.fusion
-    weights = (fusion.wq, fusion.wk, fusion.wv, fusion.w_o)
-    arrays = (targets.reshape(b, 1, d), encoded, *(w.data for w in weights))
-    fused, fuse_vjp = T.attention_kernel(*arrays, fusion.config.n_heads, padding)
+    fused, fuse_vjp = T.attention_kernel(
+        targets.reshape(b, 1, d), encoded, *fusion.arrays, fusion.config.n_heads, padding
+    )
 
     def vjp(g: np.ndarray):
         d_targets, d_encoded, *d_weights = fuse_vjp(g.reshape(b, 1, d))
         (d_picked,) = pick_vjp(d_targets.reshape(b, d))
         return (*encoder_vjp(d_encoded + d_picked), *d_weights)
 
-    return T.record((*pass_inputs(model.context), *weights), fused.reshape(b, d), vjp)
+    return T.record(model.context_inputs, fused.reshape(b, d), vjp)
 
 
 def _window_code_rows(model: WsdModel, windows: list[tuple[list[int], int]]) -> Tensor:
@@ -388,7 +397,7 @@ def gloss_code_rows_at(model: WsdModel, rows: np.ndarray) -> Tensor:
     n, _, d = codes.shape
     # score_rows hands the gloss rows a strided adjoint; the chain's pick copied it
     return T.record(
-        pass_inputs(model.gloss), codes.reshape(n, d),
+        model.gloss.inputs, codes.reshape(n, d),
         lambda g: encoder_vjp(np.ascontiguousarray(g).reshape(n, 1, d)),
     )
 

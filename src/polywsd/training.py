@@ -38,7 +38,7 @@ from .model import WsdModel, candidate_index_rows, context_code_rows, gloss_code
 from .model import gloss_index_rows, memory_ceiling
 # unused here, but the benchmark's probes patch polywsd.training.context_codes/gloss_codes
 from .model import context_codes, gloss_codes  # noqa: F401
-from .tensor import Cutter, Tape, Tensor, backward, finite_diff_check
+from .tensor import Tape, Tensor, backward, finite_diff_check
 
 MODE_CONTRASTIVE = "bcl"
 MODE_ALL_CANDIDATES = "all-candidates"
@@ -262,8 +262,14 @@ class Adam:
         self._grad_views = self._views(self._grads)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        cut = Cutter(flat)  # the parameters' own layout of the value buffer
-        return [cut(*p.shape).data for p in self.params]
+        """Bare reshaped slices of ``flat`` in the parameters' own layout of the value
+        buffer, that which ``tensor.Cutter`` cuts."""
+        views, start = [], 0
+        for p in self.params:
+            data = p.data
+            views.append(flat[start : start + data.size].reshape(data.shape))
+            start += data.size
+        return views
 
     @property
     def m(self) -> list[np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from polywsd import tensor as T
 from polywsd.data import CLS_ID, PAD_ID, SEP_ID
-from polywsd.encoder import encoder_kernel, marked_ids, pass_inputs
+from polywsd.encoder import encoder_kernel, marked_ids
 from polywsd.errors import ContractError, ShapeError
 from polywsd.tensor import Tensor, record
 
@@ -195,4 +195,4 @@ def encode_first_rows(params, sequences) -> tuple[Tensor, np.ndarray]:
     """``encode_batch`` with the last layer querying the start-marker rows alone, as the
     gloss side runs it: the (b, 1, d) rows as one record, and the (b, L) padding mask."""
     ids, padding, _ = marked_ids(params, sequences)
-    return record(pass_inputs(params), *encoder_kernel(params, ids, padding, True)), padding
+    return record(params.inputs, *encoder_kernel(params, ids, padding, True)), padding

@@ -229,6 +229,19 @@ class TestInventory:
         with pytest.raises(InventoryError):
             inv.candidates("ghost", "NOUN")
 
+    def test_empty_sense_list_raises_inventory_error_on_add_and_on_lookup(self):
+        """An entry emptied in place after ``add`` is refused on lookup as ``add``
+        refuses an empty list: the same InventoryError, not a failure further on."""
+        inv = SenseInventory()
+        with pytest.raises(InventoryError, match=r"entry \('bank', 'NOUN'\) lists no senses"):
+            inv.add("bank", "NOUN", [])
+        inv.add("bank", "NOUN", [SenseEntry("bank%1", ["river", "side"])])
+        inv.candidates("bank", "NOUN").clear()
+        with pytest.raises(InventoryError, match=r"entry \('bank', 'NOUN'\) lists no senses"):
+            inv.candidates("bank", "NOUN")
+        with pytest.raises(InventoryError, match="lists no senses"):
+            inv.gloss_of("bank", "NOUN", "bank%1")
+
     def test_gloss_lookup(self):
         inv = SenseInventory()
         inv.add("bank", "NOUN", [SenseEntry("bank%1", ["river", "side"])])

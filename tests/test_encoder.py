@@ -270,6 +270,34 @@ class TestMarkedIds:
         assert items.tolist() == [0] and rows.tolist() == [window[1] + 1]
 
 
+class TestBoundInputs:
+    """Each frozen side binds its pass's arguments once, when it is built: the
+    tensors of ``named_tensors`` and their own ``data``, never copies."""
+
+    def test_bound_inputs_are_the_named_tensors_in_manifest_order(self):
+        corpus, inventory = synthetic_corpus(n_lemmas=2, senses_per_lemma=2, n_instances=4)
+        model = tiny_model(corpus, inventory, n_layers=2)
+        for side in (model.context, model.gloss):
+            assert len(side.inputs) == 4 + 12 * 2
+            assert all(a is b for a, (_, b) in zip(side.inputs, side.named_tensors(), strict=True))
+        fusion = [t for _, t in model.fusion.named_tensors()]
+        assert all(a is b for a, b in zip(model.fusion.weights, fusion, strict=True))
+        context = [t for name, t in model.named_parameters() if not name.startswith("gloss.")]
+        assert all(a is b for a, b in zip(model.context_inputs, context, strict=True))
+
+    def test_each_block_binds_its_tensors_own_arrays(self):
+        corpus, inventory = synthetic_corpus(n_lemmas=2, senses_per_lemma=2, n_instances=4)
+        model = tiny_model(corpus, inventory, n_layers=2)
+        for side in (model.context, model.gloss):
+            names = list(polywsd.encoder.block_shapes(side.config))
+            assert len(side.block_arrays) == len(side.layers) == 2
+            for arrays, layer in zip(side.block_arrays, side.layers):
+                tensors = [getattr(layer, name) for name in names]
+                assert all(a is t.data for a, t in zip(arrays, tensors, strict=True))
+        weights = model.fusion.weights
+        assert all(a is w.data for a, w in zip(model.fusion.arrays, weights, strict=True))
+
+
 class TestRepresentations:
     def test_target_offset_first_word(self, params):
         out, target = _one_target(params, [9], 0)

@@ -25,7 +25,7 @@ from polywsd.predict import (
 )
 from polywsd.synthetic import synthetic_corpus
 from polywsd.training import Adam, fusion_matrix, make_batches, train_step
-from polywsd.model import context_codes, gloss_codes, randomize_parameters
+from polywsd.model import context_codes, gloss_codes, model_on, randomize_parameters
 
 from conftest import tiny_model
 
@@ -383,3 +383,73 @@ def test_prediction_calls_no_numpy_python_wrapper(small_world):
         and f"numpy{os.sep}" in filename
     ]
     assert wrappers == []
+
+
+@pytest.mark.parametrize("predictor", ["model", "first_sense", "mfs"])
+def test_entry_emptied_in_place_raises_inventory_error_naming_the_instance(predictor):
+    corpus, inventory = synthetic_corpus(2, 3, 6, 0)
+    inst = corpus[0]
+    run = {
+        "model": lambda: predict(inst, inventory, tiny_model(corpus, inventory)),
+        "first_sense": lambda: first_sense_predictor(inventory)(inst),
+        "mfs": lambda: mfs_predictor(corpus, inventory)(inst),
+    }[predictor]
+    inventory.candidates(inst.lemma, inst.pos).clear()
+    with pytest.raises(InventoryError, match=rf"^instance {inst.id!r}: .* lists no senses$"):
+        run()
+
+
+class TestBoundKernelArguments:
+    """A model binds its kernels' arguments once, when it is built: the tensors and
+    arrays it binds are its parameters' own, so an in-place write is seen."""
+
+    @pytest.mark.parametrize("write", ["values", "randomize", "one_tensor"])
+    def test_in_place_write_reaches_the_next_prediction_and_step(self, write, small_world):
+        corpus, inventory, model = small_world
+        predict_corpus(corpus, inventory, model)  # warm: the model's arguments are in use
+        if write == "values":
+            model.values[...] = np.random.default_rng(3).normal(scale=0.3, size=model.values.size)
+        elif write == "randomize":
+            randomize_parameters(model, seed=5)
+        else:  # every block array and fusion weight of the context side, one at a time
+            for t in (*model.context.inputs[2:-2], *model.fusion.weights):
+                t.data[...] *= 1.5
+        fresh = model_on(
+            model.values.copy(), model.context.config, model.gloss.config, model.fusion.config,
+            model.vocab,
+        )
+        for inst in corpus:
+            assert (
+                score_candidates(inst, inventory, model).scores
+                == score_candidates(inst, inventory, fresh).scores
+            )
+        batch = make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)[0]
+        losses = [
+            train_step(batch, m, Adam(m.parameters(), learning_rate=1e-2))[0].per_example
+            for m in (model, fresh)
+        ]
+        assert losses[0].tobytes() == losses[1].tobytes()
+        assert model.values.tobytes() == fresh.values.tobytes()
+
+    def test_warm_prediction_rebuilds_no_kernel_arguments(self, small_world):
+        """A warm prediction calls ``vars`` nowhere and enters no generator expression of
+        the encoder, the model or the fusion: their arguments are bound tuples."""
+        corpus, inventory, model = small_world
+        predict_corpus(corpus, inventory, model)
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            for k in range(20):
+                predict(corpus[k % len(corpus)], inventory, model)
+        finally:
+            profile.disable()
+        stats = pstats.Stats(profile).stats
+        package = os.path.dirname(polywsd.model.__file__)
+        rebuilt = [
+            (os.path.basename(filename), name)
+            for filename, _, name in stats
+            if name == "<built-in function vars>"
+            or name == "<genexpr>" and os.path.dirname(filename) == package
+            and os.path.basename(filename) in ("encoder.py", "model.py", "fusion.py")
+        ]
+        assert rebuilt == []

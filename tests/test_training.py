@@ -22,7 +22,7 @@ from polywsd.data import (
 )
 from polywsd.encoder import EncoderConfig
 from polywsd.errors import (
-    BatchError, ConfigError, ContractError, DataError, ShapeError, TrainingError,
+    BatchError, ConfigError, ContractError, DataError, InventoryError, ShapeError, TrainingError,
 )
 from polywsd.fusion import FusionConfig, score_pair
 from polywsd.model import (
@@ -673,6 +673,17 @@ class TestAllCandidates:
             train_all_candidates_step(batch, inventory, model, opt)
         assert opt.t == 0
         assert all(np.array_equal(a, p.data) for a, p in zip(before, model.parameters()))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_entry_emptied_in_place_raises_inventory_error_and_moves_nothing(self, mode):
+        corpus, inventory = synthetic_corpus(2, 3, 6, 0)
+        model = tiny_model(corpus, inventory)
+        before = model.values.copy()
+        inventory.candidates(corpus[0].lemma, corpus[0].pos).clear()
+        config = TrainConfig(batch_size=2, epochs=1)
+        with pytest.raises(InventoryError, match=r"^instance '\w+': .* lists no senses$"):
+            train(model, Adam(model.parameters()), corpus, inventory, config, mode=mode)
+        assert model.values.tobytes() == before.tobytes()
 
     def test_coincidence_batch_matches_bcl(self):
         """When each item's candidate set IS the batch's gold glosses (in batch
