@@ -27,13 +27,10 @@ The pass on arrays is ``encoder_kernel``, its forward and VJP made of
 model's code sides run it inside their own one record. Every row's
 positions are 0..L-1, so the position table's first L rows are added by
 broadcast.
-An ``EncoderParams`` binds its pass's arguments once, when it is built:
-``inputs``, every tensor in manifest order (the inputs its records name), and
-``block_arrays``, each block's 12 arrays in ``block_shapes`` order, which
-``encoder_kernel`` reads, so a pass rebuilds no tuple. They are the tensors
-themselves and their own ``data``, not copies, and neither can be rebound, so
-an in-place write (an optimizer step, a checkpoint load, ``randomize_parameters``,
-a gradient check) is seen by the next pass.
+``EncoderParams`` binds its pass's arguments once, when it is built: its
+records' ``inputs`` and the ``block_arrays`` that ``encoder_kernel`` reads. They
+are the tensors and their own ``data``, which cannot be rebound, so an in-place
+write (Adam, a checkpoint load, a gradient check) is seen by the next pass.
 """
 
 from __future__ import annotations
@@ -119,12 +116,9 @@ class EncoderParams:
     layers: tuple[Block, ...]
     out_gain: Tensor
     out_bias: Tensor
-    # bound once, here: the pass's input tensors in manifest order, and each block's
-    # arrays in ``block_shapes`` order (the ``data`` of its tensors, not copies)
+    # every tensor in manifest order, and each block's arrays in ``block_shapes`` order
     inputs: tuple[Tensor, ...] = field(init=False, repr=False, compare=False)
-    block_arrays: tuple[tuple[np.ndarray, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    block_arrays: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = [tuple(vars(layer).values()) for layer in self.layers]

@@ -11,10 +11,8 @@ give b code rows at once. ``fuse_context`` records it as one
 ``tensor.attention`` op; the model's context side runs its kernel inside
 the side's one record, with the same bits. Like the encoders' self-attention,
 the fusion holds one (d, d) matrix per projection, its heads in column
-blocks. ``FusionParams`` binds the four once, when it is built: ``weights``
-in manifest order and their ``data`` as ``arrays``, which the context side
-hands the attention kernel. They are the tensors' own arrays, not copies, so
-an in-place write to a projection is seen by the next pass.
+blocks. ``FusionParams`` binds the four once, as ``weights`` and their own
+``data`` as ``arrays``, so an in-place write to one is seen by the next pass.
 
 ``FusionConfig.poly_m`` is accepted so existing configs load, but it has
 no effect: copies of one query attend identically, so any number of
@@ -64,7 +62,7 @@ class FusionParams:
     wk: Tensor
     wv: Tensor
     w_o: Tensor
-    # bound once, here: the four projections in manifest order, and their ``data``
+    # the four projections in manifest order, and their ``data``
     weights: tuple[Tensor, ...] = field(init=False, repr=False, compare=False)
     arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 

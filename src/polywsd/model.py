@@ -36,11 +36,9 @@ into a fresh buffer; ``load_checkpoint`` builds the model on the saved values
 and draws nothing. An optimizer adopts the buffer; a checkpoint writes it whole.
 A built model cannot be rewired: its fields, its encoders' fields and layers
 and every tensor's ``data`` refuse assignment, so values are written in place.
-So each part binds its kernel arguments once, when it is built: the encoders'
-``inputs`` and ``block_arrays``, the fusion's ``weights`` and ``arrays``, and
-the model's ``context_inputs``, the context side's record inputs (the context
-encoder's, then the fusion's). A pass rebuilds none of them, and since they
-hold the parameters' own arrays, every in-place write is seen by the next pass.
+So each part binds its kernel arguments when it is built (the model binds the
+context side's record inputs, ``context_inputs``): a pass rebuilds no tuple,
+and an in-place write lands in the arrays they hold.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ class WsdModel:
     # every parameter value in manifest order, and the gloss encoder's slice of them
     values: np.ndarray = field(repr=False)
     gloss_values: np.ndarray = field(repr=False)
-    # bound once, here: the context side's record inputs, its encoder's then the fusion's
+    # the context encoder's inputs, then the fusion's weights
     context_inputs: tuple[Tensor, ...] = field(init=False, repr=False)
 
     def __post_init__(self):

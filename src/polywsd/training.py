@@ -262,9 +262,7 @@ class Adam:
         self._grad_views = self._views(self._grads)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Bare reshaped slices of ``flat`` in the parameters' own layout of the value
-        buffer, that which ``tensor.Cutter`` cuts."""
-        views, start = [], 0
+        views, start = [], 0  # bare slices in the parameters' layout, as tensor.Cutter cuts
         for p in self.params:
             data = p.data
             views.append(flat[start : start + data.size].reshape(data.shape))

@@ -448,7 +448,7 @@ class TestBoundKernelArguments:
         rebuilt = [
             (os.path.basename(filename), name)
             for filename, _, name in stats
-            if name == "<built-in function vars>"
+            if name == "<built-in method builtins.vars>"
             or name == "<genexpr>" and os.path.dirname(filename) == package
             and os.path.basename(filename) in ("encoder.py", "model.py", "fusion.py")
         ]
