@@ -28,12 +28,16 @@ checkout's median is worse than the parent's by more than that metric's
 ``BENCHMARK.json`` bound, as a share of the parent's median, and ``noisy``
 where the parent's interquartile range alone is wider than that share: there
 the bound cannot tell a regression from the spread of one commit's runs.
-Every run goes to ``BENCH_pairs.json`` in this repository with that summary.
+Every run goes to ``BENCH_pairs.json`` in this repository with that summary,
+and with each checkout's count of ``src/polywsd/*.py`` lines, which it prints
+last with their difference, so a change quotes its size from the run that
+times it.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -135,6 +139,15 @@ def compare_pairs(pairs: list[dict], metrics: dict[str, dict]) -> list[dict]:
     return rows
 
 
+def source_lines(checkout: str) -> int:
+    """How many lines the checkout's ``src/polywsd/*.py`` hold."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "polywsd", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def run_pairs(parent: str, checkout: str) -> dict:
     """``PAIRS`` alternating pairs per workload and seed, and their comparison."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -147,10 +160,13 @@ def run_pairs(parent: str, checkout: str) -> dict:
                 dirs = {"parent": parent, "change": checkout}
                 runs = {side: run_once(dirs[side], workload, seed)["result"] for side in sides}
                 pairs.append({"workload": workload, "seed": seed, "first": sides[0], **runs})
-    commits = {side: head(path) for side, path in (("parent", parent), ("change", checkout))}
-    return {"commits": commits, "command": f"python3 perfbench/run.py --workload W --seed S "
-            f"--seconds {SECONDS} --trace 0", "summary": compare_pairs(pairs, metrics),
-            "pairs": pairs}
+    dirs = {"parent": parent, "change": checkout}
+    return {
+        "commits": {side: head(path) for side, path in dirs.items()},
+        "source_lines": {side: source_lines(path) for side, path in dirs.items()},
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
+        "summary": compare_pairs(pairs, metrics), "pairs": pairs,
+    }
 
 
 def head(checkout: str) -> str:
@@ -180,6 +196,9 @@ def main(argv=None) -> int:
                 line += f"  attempted ratio {_shown(row['attempted_ratio'])}"
             marks = [mark for mark in ("claimable", "worse_past_bound", "noisy") if row[mark]]
             print("  ".join([line, *marks]))
+        lines = result["source_lines"]
+        print(f"src/polywsd/*.py lines: parent {lines['parent']}  change {lines['change']}  "
+              f"difference {lines['change'] - lines['parent']:+d}")
         return 0
     runs = [
         run_once(args.checkout, workload, seed)

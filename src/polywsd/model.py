@@ -53,7 +53,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from . import tensor as T
-from .data import PAD_ID, CorpusInstance, SenseEntry, Vocab, content_ids_around, lookup_ids
+from .data import PAD_ID, CorpusInstance, Vocab, content_ids_around, lookup_ids
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -198,21 +198,20 @@ def _gloss_ids(model: WsdModel, gloss_tokens: Sequence[str]) -> list[int]:
     return lookup_ids(gloss_tokens[: model.gloss.config.max_seq_len - 2], model.vocab)
 
 
-_PAGE_ROWS = 1024  # rows per page of an id table
-
-
 class IdTable:
-    """One encoder side's ids: ``row`` numbers each distinct key in fill order. Row r
-    is at ``r % _PAGE_ROWS`` of page ``r // _PAGE_ROWS``: its ids and padding mask
-    over ``max_seq_len`` positions, its length with both markers and its target row
-    (0 for a gloss). A fill writes into the last page or a new one, never copying
-    the table, under the lock, and publishes its keys after their rows, so a
-    lookup, which takes no lock, sees only whole rows."""
+    """One encoder side's ids: ``row`` numbers each distinct key in fill order, and row
+    r of each column holds its ids and padding mask over ``max_seq_len`` positions, its
+    length with both markers and its target row (0 for a gloss). A fill, under the
+    lock, writes its rows after the last one, first swapping in a copy of at least
+    twice the capacity if they do not fit, and publishes its keys after their rows, so
+    a lookup, which takes no lock and reads the columns once, sees only whole rows."""
 
     def __init__(self, max_seq_len: int):
         self.row: dict[tuple, int] = {}
-        self._pages: list[tuple[np.ndarray, ...]] = []  # (ids, padding, lengths, targets)
-        self._max_seq_len = max_seq_len
+        self._columns = (  # ids, padding, lengths, targets
+            np.empty((0, max_seq_len), dtype=np.intp), np.empty((0, max_seq_len), dtype=bool),
+            np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+        )
         self._lock = threading.Lock()
 
     def rows(self, keys: list[tuple], build: Callable) -> np.ndarray:
@@ -234,52 +233,35 @@ class IdTable:
             if not new:
                 return  # another thread filled them
             ids, padding, targets = build(new)
-            (n, width), start, full = ids.shape, len(self.row), self._max_seq_len
-            columns = (
-                np.full((n, full), PAD_ID, dtype=np.intp), np.ones((n, full), dtype=bool),
-                width - np.add.reduce(padding, axis=1), targets,
-            )
-            columns[0][:, :width], columns[1][:, :width] = ids, padding
-            done = 0
-            while done < n:  # to the end of the last page, then into a new one
-                page, at = divmod(start + done, _PAGE_ROWS)
-                if page == len(self._pages):
-                    self._pages.append(
-                        tuple(np.empty((_PAGE_ROWS, *c.shape[1:]), dtype=c.dtype) for c in columns)
-                    )
-                k = min(n - done, _PAGE_ROWS - at)
-                for stored, column in zip(self._pages[page], columns):
-                    stored[at : at + k] = column[done : done + k]
-                done += k
+            (n, width), start, columns = ids.shape, len(self.row), self._columns
+            if start + n > len(columns[2]):  # copy: a lookup may hold the old columns
+                grown = tuple(
+                    np.empty((max(2 * len(c), start + n), *c.shape[1:]), dtype=c.dtype)
+                    for c in columns
+                )
+                for copy, column in zip(grown, columns):
+                    copy[:start] = column[:start]
+                self._columns = columns = grown
+            at = slice(start, start + n)
+            columns[0][at, :width], columns[0][at, width:] = ids, PAD_ID
+            columns[1][at, :width], columns[1][at, width:] = padding, True
+            columns[2][at], columns[3][at] = width - np.add.reduce(padding, axis=1), targets
             self.row.update(zip(new, range(start, start + n)))
 
     def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (n, L) ids and padding of ``rows`` as ``marked_ids`` gives them for
         their sequences, L the longest length, and their target rows."""
-        page, at = np.divmod(rows, _PAGE_ROWS)
-        pages = set(page.tolist())
-        if len(pages) == 1:
-            ids, padding, lengths, targets = (a.take(at, axis=0) for a in self._pages[pages.pop()])
-        else:
-            ids, padding, lengths, targets = (
-                np.empty((len(rows), *a.shape[1:]), dtype=a.dtype) for a in self._pages[0]
-            )
-            for p in pages:
-                hit = page == p
-                for out, stored in zip((ids, padding, lengths, targets), self._pages[p]):
-                    out[hit] = stored.take(at[hit], axis=0)
+        ids, padding, lengths, targets = (c.take(rows, axis=0) for c in self._columns)
         width = np.maximum.reduce(lengths)
         return ids[:, :width], padding[:, :width], targets
 
 
 @dataclass
 class IdIndex:
-    """A model's id tables, one per encoder side, and each candidate set's gloss rows
-    keyed by the set's gloss texts. It holds no reference to its model."""
+    """A model's id tables, one per encoder side. It holds no reference to its model."""
 
     contexts: IdTable
     glosses: IdTable
-    candidate_sets: dict[tuple, np.ndarray] = field(default_factory=dict)
 
 
 # per model, for as long as it lives: keys are word tuples, so an edited text is a new key
@@ -317,20 +299,6 @@ def gloss_index_rows(model: WsdModel, glosses: Sequence[Sequence[str]]) -> np.nd
     """The model's gloss-index row of each gloss text, new texts checked and filled."""
     keys = [tuple(gloss) for gloss in glosses]
     return id_index(model).glosses.rows(keys, lambda new: _marked_glosses(model, new))
-
-
-def candidate_index_rows(
-    model: WsdModel, candidate_sets: list[list[SenseEntry]]
-) -> list[np.ndarray]:
-    """Per candidate set, the gloss-index rows of its glosses, kept per set of texts."""
-    sets, blocks = id_index(model).candidate_sets, []
-    for senses in candidate_sets:
-        key = tuple([tuple(sense.gloss) for sense in senses])
-        rows = sets.get(key)
-        if rows is None:
-            rows = sets[key] = gloss_index_rows(model, key)
-        blocks.append(rows)
-    return blocks
 
 
 def _fused_rows(

@@ -3,22 +3,23 @@
 The regimes differ only in a step's gloss columns, which ``step_columns``
 builds from (batch, inventory, mode, model) as rows of the model's gloss id
 index (``model.id_index``), so no step re-tokenizes a text it has seen: an
-all-candidates step joins one kept row block per candidate set and computes
-its owners, mask and targets on arrays. BCL scores the batch's b gold glosses:
-the other items' gold glosses are each row's negatives, the targets lie on the
-diagonal, and off-diagonal cells whose gloss text equals the row's own are
-false negatives and are masked. The all-candidates baseline scores the
-sum(m_i) candidate glosses of all items, and row i masks every column but its
-own candidates. ``scored_forward`` is then one path for both: the b contexts
-as one padded encoder pass, the glosses as another, the score matrix, and one
-masked cross-entropy (``bcl_loss``, one tape op), the mean negative
-log-probability of each row's target cell under the masked row softmax. The
-tape records one op per code side, not per sequence. A step costs b context
-encodes either way, and b gloss encodes against sum(m_i); ``ForwardCounts``
-reports these counts, and ``RunMetrics`` sums them for cost accounting, next
-to the run's wall clock (its device-hours, as a run is one process). A step's
-checks reduce through ufuncs, not numpy's Python-level wrappers, which cost
-more than the arithmetic at these sizes.
+all-candidates step looks up every item's candidate glosses at once and
+computes its owners, mask and targets on arrays from the candidate sets'
+sizes. BCL scores the batch's b gold glosses: the other items' gold glosses
+are each row's negatives, the targets lie on the diagonal, and off-diagonal
+cells whose gloss text equals the row's own are false negatives and are
+masked. The all-candidates baseline scores the sum(m_i) candidate glosses of
+all items, and row i masks every column but its own candidates.
+``scored_forward`` is then one path for both: the b contexts as one padded
+encoder pass, the glosses as another, the score matrix, and one masked
+cross-entropy (``bcl_loss``, one tape op), the mean negative log-probability
+of each row's target cell under the masked row softmax. The tape records one
+op per code side, not per sequence. A step costs b context encodes either
+way, and b gloss encodes against sum(m_i); ``ForwardCounts`` reports these
+counts, and ``RunMetrics`` sums them for cost accounting, next to the run's
+wall clock (its device-hours, as a run is one process). A step's checks
+reduce through ufuncs, not numpy's Python-level wrappers, which cost more
+than the arithmetic at these sizes.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .data import CorpusInstance, SenseInventory, look_up
 from .errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
 from .errors import ContractError, check_optimizer_settings, check_positive_ints, is_count
 from .fusion import score_rows
-from .model import WsdModel, candidate_index_rows, context_code_rows, gloss_code_rows_at
-from .model import gloss_index_rows, memory_ceiling
+from .model import WsdModel, context_code_rows, gloss_code_rows_at, gloss_index_rows
+from .model import memory_ceiling
 # unused here, but the benchmark's probes patch polywsd.training.context_codes/gloss_codes
 from .model import context_codes, gloss_codes  # noqa: F401
 from .tensor import Tape, Tensor, backward, finite_diff_check
@@ -355,14 +356,14 @@ def step_columns(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A step's gloss columns as rows of the model's gloss index, their mask and the
     row targets. BCL: the b gold glosses, the duplicate-gloss mask, the diagonal.
-    All-candidates: every item's candidates (from ``inventory``), one row block per
-    candidate set, row i masking all but its own, targets at the golds."""
+    All-candidates: every item's candidates (from ``inventory``) in one lookup, a
+    block per item, row i masking all but its own block, targets at the golds."""
     _check_mode(mode)
     if mode == MODE_CONTRASTIVE:
         glosses = batch.gold_glosses
         mask = duplicate_gloss_mask(glosses)
         return gloss_index_rows(model, glosses), mask, np.arange(len(batch))
-    candidate_sets, golds = [], []
+    glosses, sizes, golds = [], [], []
     for inst in batch.instances:
         senses = look_up(inst, inventory.candidates)
         for gold, sense in enumerate(senses):
@@ -372,12 +373,12 @@ def step_columns(
             raise DataError(
                 f"instance {inst.id!r}: gold sense {inst.gold!r} not in its candidate set"
             )
-        candidate_sets.append(senses)
+        glosses += [sense.gloss for sense in senses]
+        sizes.append(len(senses))
         golds.append(gold)
-    blocks = candidate_index_rows(model, candidate_sets)
-    sizes, items = np.array([len(rows) for rows in blocks]), np.arange(len(batch))
+    sizes, items = np.array(sizes), np.arange(len(batch))
     mask = items[:, None] != items.repeat(sizes)
-    return np.concatenate(blocks), mask, np.add.accumulate(sizes) - sizes + golds
+    return gloss_index_rows(model, glosses), mask, np.add.accumulate(sizes) - sizes + golds
 
 
 def scored_forward(

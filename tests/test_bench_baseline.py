@@ -163,3 +163,30 @@ def test_marks_are_stored_and_printed(tmp_path, monkeypatch, capsys):
     assert not any(r["worse_past_bound"] or r["noisy"] for r in cu)
     printed = capsys.readouterr().out.splitlines()
     assert sum(line.endswith("worse_past_bound  noisy") for line in printed) == 6
+
+
+def test_line_counts_of_both_checkouts_are_stored_and_printed(tmp_path, monkeypatch, capsys):
+    """``--against`` stores each checkout's ``src/polywsd/*.py`` line count beside the
+    summary and prints both with their difference; other files do not count."""
+    for side, files in (("parent", {"a.py": 5, "b.py": 3}), ("change", {"a.py": 2})):
+        package = tmp_path / side / "src" / "polywsd"
+        package.mkdir(parents=True)
+        for name, n in files.items():
+            (package / name).write_text("x = 1\n" * n)
+        (package / "notes.txt").write_text("not code\n" * 50)
+        (tmp_path / side / "setup.py").write_text("y = 2\n" * 50)
+
+    def run_once(checkout, workload, seed):
+        metrics = {"op_p50_cu": {"value": 1.0, "unit": "cu"}}
+        return {"result": {"attempted": 100, "failed": 0, "metrics": metrics}}
+
+    monkeypatch.setattr(bench_baseline, "run_once", run_once)
+    monkeypatch.setattr(bench_baseline, "head", lambda checkout: checkout)
+    monkeypatch.setattr(bench_baseline, "ROOT", str(tmp_path))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(METRICS.values())}))
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    assert bench_baseline.main(["--against", parent, "--checkout", change]) == 0
+    stored = json.loads((tmp_path / "BENCH_pairs.json").read_text())
+    assert stored["source_lines"] == {"parent": 8, "change": 2}
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == "src/polywsd/*.py lines: parent 8  change 2  difference -6"

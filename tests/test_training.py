@@ -733,6 +733,56 @@ class TestAllCandidates:
         )
 
 
+class TestCandidateOrder:
+    """Permuting every candidate set is a relation any correct model keeps: it only
+    reorders each item's columns and scores."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_permuted_candidate_sets_permute_columns_scores_and_choices(self, n_layers):
+        """In an all-candidates step each row's columns permute within its block, its
+        target moves with its gold and ``per_example`` agrees within 1e-12;
+        ``score_candidates`` gives the permuted scores bit for bit, and the same sense
+        wherever no two scores tie."""
+        rng = np.random.default_rng(n_layers)
+        instances, inventory, model = _random_world(rng, n_layers=n_layers)
+        randomize_parameters(model, seed=n_layers)
+        permuted, orders = SenseInventory(), {}
+        for key, senses in inventory.items():
+            order = orders[key] = rng.permutation(len(senses))
+            permuted.add(*key, [senses[k] for k in order])
+        assert any((order != np.arange(len(order))).any() for order in orders.values())
+        for batch in make_batches(instances, inventory, 6, seed=0, epoch=0):
+            rows, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES, model)
+            moved, moved_mask, moved_targets = step_columns(
+                batch, permuted, MODE_ALL_CANDIDATES, model
+            )
+            np.testing.assert_array_equal(moved_mask, mask)
+            start = 0
+            for i, inst in enumerate(batch.instances):
+                order = orders[inst.lemma, inst.pos]
+                block = slice(start, start + len(order))
+                np.testing.assert_array_equal(moved[block], rows[block][order])
+                assert order[moved_targets[i] - start] == targets[i] - start
+                start += len(order)
+            assert start == len(rows) == len(moved)
+            losses = [
+                scored_forward(batch, inv, model, MODE_ALL_CANDIDATES)[1].per_example
+                for inv in (inventory, permuted)
+            ]
+            np.testing.assert_allclose(losses[1], losses[0], rtol=0, atol=1e-12)
+        untied = 0
+        for inst in instances:
+            ranked, reordered = (score_candidates(inst, inv, model) for inv in (inventory, permuted))
+            order = orders[inst.lemma, inst.pos]
+            scores = np.array(ranked.scores)[order]
+            assert np.array(reordered.scores).tobytes() == scores.tobytes()
+            if len(set(ranked.scores)) == len(ranked.scores):
+                untied += 1
+                chosen = reordered.senses[reordered.chosen_index]
+                assert chosen is ranked.senses[ranked.chosen_index]
+        assert untied > 0
+
+
 class TestStepColumns:
     """The regimes differ only in the gloss columns; one forward and one step serve both."""
 
@@ -1083,7 +1133,7 @@ def _unindexed_copy(model):
     )
 
 
-def _random_world(rng, n_lemmas=4, senses=3, n_instances=24):
+def _random_world(rng, n_lemmas=4, senses=3, n_instances=24, n_layers=1):
     """Instances and glosses of mixed lengths, some past a capacity of 6 content words,
     over 12 words of which the vocabulary holds 8: the rest are unknown."""
     words = [f"w{i}" for i in range(12)]
@@ -1102,29 +1152,38 @@ def _random_world(rng, n_lemmas=4, senses=3, n_instances=24):
             lemma=lemma, pos="NOUN", gold=f"{lemma}%{int(rng.integers(senses))}",
         ))
     encoder = EncoderConfig(
-        vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8
+        vocab_size=vocab.size, d_model=8, n_layers=n_layers, n_heads=2, d_ff=16, max_seq_len=8
     )
     fusion = FusionConfig(d_model=8, poly_m=2, n_heads=2)
     model = build_model(encoder, encoder, fusion, vocab, seed=1)
     return instances, inventory, model
 
 
+def _capacity(table):
+    """How many rows the id table's columns hold, filled or not."""
+    return len(table._columns[2])
+
+
 class TestIdIndex:
     """Training reads each sequence's ids from a per-model index, built once per distinct
     text: it must hand a step the ids, padding and target rows that tokenizing gives."""
 
-    @pytest.mark.parametrize("page_rows", [1024, 5])
-    def test_rows_equal_marked_ids_on_random_batches(self, monkeypatch, page_rows):
-        """Across fills, repeats and (at 5 rows a page) page boundaries, a batch's ids,
-        padding and targets equal the oracle's ``padded_ids`` and ``target_rows`` of its
-        windows."""
-        monkeypatch.setattr(polywsd.model, "_PAGE_ROWS", page_rows)
+    def test_rows_equal_marked_ids_on_random_batches(self):
+        """Across a first fill of one row, a fill larger than twice the capacity, then
+        many small fills and repeats, a batch's ids, padding and targets equal the
+        oracle's ``padded_ids`` and ``target_rows`` of its windows, whichever copy of
+        the table holds them."""
         rng = np.random.default_rng(0)
         instances, inventory, model = _random_world(rng)
         glosses = [s.gloss for _, senses in inventory.items() for s in senses]
         index, seen = id_index(model), set()
-        for _ in range(12):
-            batch = [instances[i] for i in rng.choice(len(instances), rng.integers(1, 9))]
+        filled = {"contexts": [], "glosses": []}  # (rows, capacity) after each batch
+
+        def pick(n, span):
+            return range(*span) if span else rng.choice(n, rng.integers(1, 4))
+
+        for span in [(0, 1), (1, 10)] + [None] * 12:
+            batch = [instances[i] for i in pick(len(instances), span)]
             seen.update((tuple(i.tokens), i.target_index) for i in batch)
             ids, padding, targets = index.contexts.take(context_index_rows(model, batch))
             windows = [_context_window(model, i.tokens, i.target_index) for i in batch]
@@ -1133,16 +1192,23 @@ class TestIdIndex:
             np.testing.assert_array_equal(padding, want_padding)
             _, want_targets = ops.target_rows([t for _, t in windows], want_padding)
             np.testing.assert_array_equal(targets, want_targets)
-            picked = [glosses[j] for j in rng.choice(len(glosses), rng.integers(1, 9))]
+            picked = [glosses[j] for j in pick(len(glosses), span)]
             ids, padding, _ = index.glosses.take(gloss_index_rows(model, picked))
             gloss_ids = [_gloss_ids(model, g) for g in picked]
             want_ids, want_padding = ops.padded_ids(model.gloss, gloss_ids)
             np.testing.assert_array_equal(ids, want_ids)
             np.testing.assert_array_equal(padding, want_padding)
+            for side, sizes in filled.items():
+                table = getattr(index, side)
+                sizes.append((len(table.row), _capacity(table)))
         assert ids.dtype == want_ids.dtype and padding.dtype == bool
         assert any(len(i.tokens) > 6 for i in instances) and any(len(g) > 6 for g in glosses)
         assert any(w not in model.vocab.token_to_id for g in glosses for w in g)
         assert index.contexts.row.keys() == seen  # one row per distinct (tokens, target)
+        for sizes in filled.values():
+            (first, capacity), (second, _) = sizes[:2]
+            assert first == 1 and second - first > 2 * capacity
+            assert len({capacity for _, capacity in sizes[1:]}) > 1  # grown by a small fill
 
     @pytest.mark.parametrize("mode", [MODE_CONTRASTIVE, MODE_ALL_CANDIDATES])
     def test_steps_equal_those_of_a_model_with_no_index(self, mode):
@@ -1207,8 +1273,12 @@ class TestIdIndex:
     def test_threads_filling_a_cold_index_get_the_single_thread_ids(self):
         """Four threads run every step's forward, in rotated orders, on one model whose
         index starts empty: each gets the losses of one thread alone, and the index
-        holds each distinct text once, with the ids one thread fills."""
-        instances, inventory, model = _random_world(np.random.default_rng(4), n_instances=40)
+        holds each distinct text once, with the ids one thread fills. Its 29 distinct
+        glosses outgrow any first fill (at most 12) twice, so both tables are copied to
+        larger ones while other threads look rows up."""
+        instances, inventory, model = _random_world(
+            np.random.default_rng(4), n_lemmas=10, n_instances=40
+        )
         work = [
             (batch, mode)
             for batch in make_batches(instances, inventory, 4, seed=0, epoch=0)
@@ -1218,6 +1288,15 @@ class TestIdIndex:
         expected = [
             scored_forward(b, inventory, alone, m)[1].per_example.tobytes() for b, m in work
         ]
+        index, capacities = id_index(model), {"contexts": [], "glosses": []}
+        for side, seen in capacities.items():
+            table = getattr(index, side)
+
+            def fill(keys, build, table=table, seen=seen, fill=table._fill):
+                fill(keys, build)
+                seen.append(_capacity(table))
+
+            table._fill = fill
         barrier = threading.Barrier(4, timeout=30)
         results: dict[int, list] = {}
 
@@ -1242,6 +1321,8 @@ class TestIdIndex:
         assert not any(thread.is_alive() for thread in threads)
         for k in range(4):
             assert [results[k][i] for i in range(len(work))] == expected
+        # copied to a larger table at least twice after its first fill, lookups running
+        assert all(len(set(seen)) >= 3 for seen in capacities.values())
         for side in ("contexts", "glosses"):
             shared, single = getattr(id_index(model), side), getattr(id_index(alone), side)
             assert sorted(shared.row.values()) == list(range(len(shared.row)))
@@ -1252,12 +1333,12 @@ class TestIdIndex:
             ):
                 np.testing.assert_array_equal(got, want)
 
-    def test_a_fill_publishes_its_keys_after_their_rows(self, monkeypatch):
+    def test_a_fill_publishes_its_keys_after_their_rows(self):
         """Lookups read without the lock, so a key must appear only once its row is in
-        its page: at each publication, the rows published already take as tokenized."""
-        monkeypatch.setattr(polywsd.model, "_PAGE_ROWS", 5)
+        the copy of the table they read: at each publication, before and after the
+        table grows, the rows published take as tokenized."""
         instances, inventory, model = _random_world(np.random.default_rng(7))
-        table, published = id_index(model).contexts, []
+        table, published, capacities = id_index(model).contexts, [], []
 
         class CheckedRows(dict):
             def update(self, pairs):
@@ -1269,12 +1350,14 @@ class TestIdIndex:
                 np.testing.assert_array_equal(padding, want_padding)
                 np.testing.assert_array_equal(targets, [t + 1 for _, t in windows])
                 published.append(len(pairs))
+                capacities.append(_capacity(table))
                 super().update(pairs)
 
         table.row = CheckedRows()
         for batch in make_batches(instances, inventory, 6, seed=0, epoch=0):
             context_code_rows(model, batch.instances)
-        assert len(published) > 1 and sum(published) == len(table.row) > 5
+        assert len(published) > 1 and sum(published) == len(table.row)
+        assert len(set(capacities)) > 1  # a publication came after a growth
 
     def test_an_empty_batch_raises_the_tokenizers_error(self):
         _, _, model = _random_world(np.random.default_rng(8))
@@ -1287,7 +1370,7 @@ class TestIdIndex:
         for mode in MODES:
             scored_forward(make_batches(instances, inventory, 6, 0, 0)[0], inventory, model, mode)
         index, owner = weakref.ref(id_index(model)), weakref.ref(model)
-        assert len(index().contexts.row) > 0 and len(index().candidate_sets) > 0
+        assert len(index().contexts.row) > 0 and len(index().glosses.row) > 0
         del model
         gc.collect()
         assert owner() is None and index() is None
