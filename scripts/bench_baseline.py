@@ -29,20 +29,24 @@ checkout's median is worse than the parent's by more than that metric's
 where the parent's interquartile range alone is wider than that share: there
 the bound cannot tell a regression from the spread of one commit's runs.
 Every run goes to ``BENCH_pairs.json`` in this repository with that summary,
-and with each checkout's count of ``src/polywsd/*.py`` lines, which it prints
-last with their difference, so a change quotes its size from the run that
-times it.
+and with each checkout's counts of ``src/polywsd/*.py`` lines: all of them
+(``source_lines``) and those that hold code (``code_lines``: no docstring,
+comment or blank line). It prints both last, with their differences, so a
+change quotes its size from the run that times it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("bcl-desk", "allcand-polysemous", "predict-polysemous")
@@ -148,6 +152,36 @@ def source_lines(checkout: str) -> int:
     return total
 
 
+# tokens that hold no code: a line of only these is blank or a comment
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(checkout: str) -> int:
+    """How many lines of the checkout's ``src/polywsd/*.py`` hold a token that is not
+    a comment, a line break or a docstring (found with ``ast``)."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "polywsd", "*.py")):
+        with open(path, "rb") as fh:
+            source = fh.read()
+        docstrings = [
+            ((node.lineno, node.col_offset), (node.end_lineno, node.end_col_offset))
+            for owner in ast.walk(ast.parse(source))
+            if isinstance(owner, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and owner.body and isinstance(node := owner.body[0], ast.Expr)
+            and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+        ]
+        lines = set()
+        for token in tokenize.tokenize(io.BytesIO(source).readline):
+            if token.type in _NOT_CODE or any(
+                start <= token.start and token.end <= end for start, end in docstrings
+            ):
+                continue
+            lines.update(range(token.start[0], token.end[0] + 1))
+        total += len(lines)
+    return total
+
+
 def run_pairs(parent: str, checkout: str) -> dict:
     """``PAIRS`` alternating pairs per workload and seed, and their comparison."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -164,6 +198,7 @@ def run_pairs(parent: str, checkout: str) -> dict:
     return {
         "commits": {side: head(path) for side, path in dirs.items()},
         "source_lines": {side: source_lines(path) for side, path in dirs.items()},
+        "code_lines": {side: code_lines(path) for side, path in dirs.items()},
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "summary": compare_pairs(pairs, metrics), "pairs": pairs,
     }
@@ -196,9 +231,10 @@ def main(argv=None) -> int:
                 line += f"  attempted ratio {_shown(row['attempted_ratio'])}"
             marks = [mark for mark in ("claimable", "worse_past_bound", "noisy") if row[mark]]
             print("  ".join([line, *marks]))
-        lines = result["source_lines"]
-        print(f"src/polywsd/*.py lines: parent {lines['parent']}  change {lines['change']}  "
-              f"difference {lines['change'] - lines['parent']:+d}")
+        for key, label in (("code_lines", "code lines"), ("source_lines", "lines")):
+            lines = result[key]
+            print(f"src/polywsd/*.py {label}: parent {lines['parent']}  change {lines['change']}  "
+                  f"difference {lines['change'] - lines['parent']:+d}")
         return 0
     runs = [
         run_once(args.checkout, workload, seed)

@@ -21,12 +21,13 @@ is 1 record, and ``gloss_codes`` 4 (``encode``, the start-marker pick and
 ``fuse_gloss``), since callers count gloss encodes by wrapping ``encode``
 by name. Either way, encoder forwards are counted per sequence, not per pass.
 
-Training tokenizes each distinct text once per model: ``id_index(model)``,
-which lives as long as the model does, keeps one ``IdTable`` row of checked,
-marker-wrapped ids per distinct gloss text and per distinct (context tokens,
-target index), keyed by the word tuples, so an in-place edit is a new key. A
-step takes its (b, L) ids by row number. The index assumes the vocabulary is
-not edited, as the embedding tables are sized to it. Prediction does not read it.
+Training tokenizes each distinct text once per model: two ``IdTable`` fields,
+``context_index`` and ``gloss_index``, built with the model and freed with it,
+keep one row of checked, marker-wrapped ids per distinct (context tokens,
+target index) and per distinct gloss text, keyed by the word tuples, so an
+in-place edit is a new key. A step takes its (b, L) ids by row number. The
+tables assume the vocabulary is not edited, as the embedding tables are sized
+to it. Prediction does not read them.
 Both fills and prediction's context rows build their ids, padding and target rows
 with ``encoder.marked_ids``, the one builder.
 
@@ -48,7 +49,6 @@ import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -89,9 +89,14 @@ class WsdModel:
     gloss_values: np.ndarray = field(repr=False)
     # the context encoder's inputs, then the fusion's weights
     context_inputs: tuple[Tensor, ...] = field(init=False, repr=False)
+    # each side's ids, one row per distinct text a step has met
+    context_index: IdTable = field(init=False, repr=False)
+    gloss_index: IdTable = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "context_inputs", self.context.inputs + self.fusion.weights)
+        object.__setattr__(self, "context_index", IdTable(self.context.config.max_seq_len))
+        object.__setattr__(self, "gloss_index", IdTable(self.gloss.config.max_seq_len))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         named = list(self.context.named_tensors("context."))
@@ -256,26 +261,6 @@ class IdTable:
         return ids[:, :width], padding[:, :width], targets
 
 
-@dataclass
-class IdIndex:
-    """A model's id tables, one per encoder side. It holds no reference to its model."""
-
-    contexts: IdTable
-    glosses: IdTable
-
-
-# per model, for as long as it lives: keys are word tuples, so an edited text is a new key
-_id_indexes: WeakKeyDictionary[WsdModel, IdIndex] = WeakKeyDictionary()
-
-
-def id_index(model: WsdModel) -> IdIndex:
-    index = _id_indexes.get(model)
-    if index is None:  # setdefault keeps one index if two threads get here
-        sides = (IdTable(side.config.max_seq_len) for side in (model.context, model.gloss))
-        index = _id_indexes.setdefault(model, IdIndex(*sides))
-    return index
-
-
 def _marked_windows(model: WsdModel, windows: list[tuple[list[int], int]]) -> tuple:
     """``marked_ids`` of (context ids, target index) windows, with their target rows."""
     return marked_ids(model.context, [ids for ids, _ in windows], [t for _, t in windows])
@@ -290,7 +275,7 @@ def context_index_rows(model: WsdModel, instances: list[CorpusInstance]) -> np.n
     """The model's context-index row of each instance's (tokens, target index), new
     ones checked and filled."""
     keys = [(tuple(inst.tokens), inst.target_index) for inst in instances]
-    return id_index(model).contexts.rows(
+    return model.context_index.rows(
         keys, lambda new: _marked_windows(model, [_context_window(model, *key) for key in new])
     )
 
@@ -298,7 +283,7 @@ def context_index_rows(model: WsdModel, instances: list[CorpusInstance]) -> np.n
 def gloss_index_rows(model: WsdModel, glosses: Sequence[Sequence[str]]) -> np.ndarray:
     """The model's gloss-index row of each gloss text, new texts checked and filled."""
     keys = [tuple(gloss) for gloss in glosses]
-    return id_index(model).glosses.rows(keys, lambda new: _marked_glosses(model, new))
+    return model.gloss_index.rows(keys, lambda new: _marked_glosses(model, new))
 
 
 def _fused_rows(
@@ -343,8 +328,8 @@ def gloss_codes(model: WsdModel, gloss_tokens: list[str]) -> Tensor:
 def context_code_rows(model: WsdModel, instances: list[CorpusInstance]) -> Tensor:
     """b x d_model code rows, row i equal to ``context_codes`` of instance i up to
     rounding, not bit for bit: the padded width and batch size shape the arithmetic.
-    Their ids come from the model's id index."""
-    ids, padding, targets = id_index(model).contexts.take(context_index_rows(model, instances))
+    Their ids come from the model's ``context_index``."""
+    ids, padding, targets = model.context_index.take(context_index_rows(model, instances))
     return _fused_rows(model, ids, padding, (np.arange(len(instances)), targets))
 
 
@@ -355,10 +340,10 @@ def gloss_code_rows(model: WsdModel, glosses: list[list[str]]) -> Tensor:
 
 
 def gloss_code_rows_at(model: WsdModel, rows: np.ndarray) -> Tensor:
-    """The code rows of the glosses at ``rows`` of the model's gloss index: one record
+    """The code rows of the glosses at ``rows`` of the model's ``gloss_index``: one record
     of a padded gloss-encoder pass whose last layer computes only the start-marker
     rows, with the bits of ``encode_batch``, ``cls_representation`` and ``fuse_gloss``."""
-    ids, padding, _ = id_index(model).glosses.take(rows)
+    ids, padding, _ = model.gloss_index.take(rows)
     codes, encoder_vjp = encoder_kernel(model.gloss, ids, padding, True)
     n, _, d = codes.shape
     # score_rows hands the gloss rows a strided adjoint; the chain's pick copied it

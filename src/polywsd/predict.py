@@ -43,10 +43,6 @@ class CandidateScores:
     scores: list[float]
     chosen_index: int
 
-    @property
-    def sense_ids(self) -> list[str]:
-        return [s.id for s in self.senses]
-
 
 @dataclass
 class Prediction:

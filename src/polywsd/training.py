@@ -2,7 +2,7 @@
 
 The regimes differ only in a step's gloss columns, which ``step_columns``
 builds from (batch, inventory, mode, model) as rows of the model's gloss id
-index (``model.id_index``), so no step re-tokenizes a text it has seen: an
+table (``model.gloss_index``), so no step re-tokenizes a text it has seen: an
 all-candidates step looks up every item's candidate glosses at once and
 computes its owners, mask and targets on arrays from the candidate sets'
 sizes. BCL scores the batch's b gold glosses: the other items' gold glosses

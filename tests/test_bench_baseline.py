@@ -190,3 +190,61 @@ def test_line_counts_of_both_checkouts_are_stored_and_printed(tmp_path, monkeypa
     assert stored["source_lines"] == {"parent": 8, "change": 2}
     printed = capsys.readouterr().out.splitlines()
     assert printed[-1] == "src/polywsd/*.py lines: parent 8  change 2  difference -6"
+
+
+_CODE = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+
+class Kept:
+    """A class docstring."""
+
+    # a comment line
+    name = """a string that is not
+a docstring"""
+
+    def method(self):
+        """A method docstring."""
+        return (1 +
+                2)
+
+
+async def waiting():
+    """An async docstring."""
+    "a second string statement, not a docstring"
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path, monkeypatch, capsys):
+    """``--against`` also stores and prints each checkout's count of lines that hold
+    code: docstrings, comment lines and blank lines are not, while a string that is
+    not a docstring, a line with a trailing comment and continued lines are."""
+    for side, files in (("parent", {"a.py": _CODE, "b.py": "x = 1\n\n# done\n"}),
+                        ("change", {"a.py": _CODE})):
+        package = tmp_path / side / "src" / "polywsd"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+        (package / "notes.txt").write_text("not code\n" * 50)
+
+    def run_once(checkout, workload, seed):
+        metrics = {"op_p50_cu": {"value": 1.0, "unit": "cu"}}
+        return {"result": {"attempted": 100, "failed": 0, "metrics": metrics}}
+
+    monkeypatch.setattr(bench_baseline, "run_once", run_once)
+    monkeypatch.setattr(bench_baseline, "head", lambda checkout: checkout)
+    monkeypatch.setattr(bench_baseline, "ROOT", str(tmp_path))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(METRICS.values())}))
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    assert bench_baseline.main(["--against", parent, "--checkout", change]) == 0
+    stored = json.loads((tmp_path / "BENCH_pairs.json").read_text())
+    # import, class, the two lines of name, def, both return lines, async def, the string
+    assert stored["code_lines"] == {"parent": 10, "change": 9}
+    assert stored["source_lines"] == {"parent": 25, "change": 22}
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-2:] == [
+        "src/polywsd/*.py code lines: parent 10  change 9  difference -1",
+        "src/polywsd/*.py lines: parent 25  change 22  difference -3",
+    ]

@@ -45,7 +45,7 @@ class TestScoreCandidates:
         instance, inventory, model = _monosemous_world()
         ranked = score_candidates(instance, inventory, model)
         assert ranked.chosen_index == 0
-        assert ranked.sense_ids == ["rock%1"]
+        assert [s.id for s in ranked.senses] == ["rock%1"]
 
     def test_zero_output_projection_ties_to_first_sense(self, small_world):
         corpus, inventory, model = small_world

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from polywsd import tensor as T
-import polywsd.model
 import polywsd.training
-from polywsd.checkpoint import save_checkpoint
+from polywsd.checkpoint import load_checkpoint, save_checkpoint
 from polywsd.cli import _load_config, _model_configs
 from polywsd.data import (
     PAD_ID, UNK_ID, CorpusInstance, SenseEntry, SenseInventory, Vocab, build_vocab,
@@ -35,9 +34,9 @@ from polywsd.model import (
     gloss_code_rows,
     gloss_codes,
     gloss_index_rows,
-    id_index,
     model_on,
     randomize_parameters,
+    WsdModel,
 )
 from polywsd.predict import score_candidates
 from polywsd.tensor import Cutter, Tape, Tensor, backward
@@ -783,6 +782,88 @@ class TestCandidateOrder:
         assert untied > 0
 
 
+class TestBatchOrder:
+    """Permuting a BCL batch is a relation any correct model keeps: it permutes the
+    score matrix's rows and columns and the per-example losses. Only up to rounding,
+    since a row's bits depend on its place in the padded pass."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_permuted_batch_permutes_scores_and_losses(self, n_layers):
+        rng = np.random.default_rng(10 + n_layers)
+        instances, inventory, model = _random_world(rng, n_layers=n_layers)
+        randomize_parameters(model, seed=n_layers)
+        for batch in make_batches(instances, inventory, 6, seed=0, epoch=0):
+            order = rng.permutation(len(batch))
+            assert (order != np.arange(len(batch))).any()
+            moved = Batch(
+                [batch.instances[k] for k in order], [batch.gold_glosses[k] for k in order]
+            )
+            sm, loss, _ = scored_forward(batch, inventory, model, MODE_CONTRASTIVE)
+            moved_sm, moved_loss, _ = scored_forward(moved, inventory, model, MODE_CONTRASTIVE)
+            cells = np.ix_(order, order)
+            np.testing.assert_array_equal(moved_sm.mask, sm.mask[cells])
+            np.testing.assert_array_equal(moved_sm.targets, np.arange(len(batch)))
+            np.testing.assert_allclose(
+                moved_sm.scores.data, sm.scores.data[cells], rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                moved_loss.per_example, loss.per_example[order], rtol=0, atol=1e-12
+            )
+            assert abs(moved_loss.value - loss.value) <= 1e-12
+
+
+def _outside_the_window_twin(inst, model):
+    """``inst`` with every word that ``content_ids_around`` drops replaced by one with
+    another id (``w0`` and ``w1`` are known words of ``_random_world``); ``None`` if it
+    drops none."""
+    kept, target = _context_window(model, inst.tokens, inst.target_index)
+    start = inst.target_index - target
+    if len(kept) == len(inst.tokens):
+        return None
+    tokens = [
+        word if start <= k < start + len(kept) else "w1" if word == "w0" else "w0"
+        for k, word in enumerate(inst.tokens)
+    ]
+    return CorpusInstance(
+        id=inst.id + "-twin", tokens=tokens, target_index=inst.target_index,
+        lemma=inst.lemma, pos=inst.pos, gold=inst.gold,
+    )
+
+
+class TestTextOutsideTheWindow:
+    """Words that ``content_ids_around`` drops are a relation any correct model keeps:
+    an instance and its twin that differs only in them are two keys of the context
+    table, but get the same ids and the same code row, bit for bit."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_dropped_words_change_the_key_but_not_the_ids_or_the_row(self, n_layers):
+        instances, inventory, model = _random_world(
+            np.random.default_rng(20 + n_layers), n_layers=n_layers
+        )
+        randomize_parameters(model, seed=n_layers)
+        pairs = [(i, t) for i in instances if (t := _outside_the_window_twin(i, model))]
+        assert len(pairs) >= 4
+        originals, twins = [i for i, _ in pairs], [t for _, t in pairs]
+        assert all(i.tokens != t.tokens for i, t in pairs)
+        rows = context_index_rows(model, originals)
+        twin_rows = context_index_rows(model, twins)
+        assert len(set(rows) | set(twin_rows)) == len(model.context_index.row) == 2 * len(pairs)
+        for got, want in zip(model.context_index.take(twin_rows), model.context_index.take(rows)):
+            assert got.tobytes() == want.tobytes()
+        codes = context_code_rows(model, originals).data
+        assert context_code_rows(model, twins).data.tobytes() == codes.tobytes()
+        for inst, twin in pairs:
+            single = context_codes(model, inst.tokens, inst.target_index).data
+            assert context_codes(model, twin.tokens, twin.target_index).data.tobytes() == (
+                single.tobytes()
+            )
+        batch = Batch(originals, [inventory.gloss_of(i.lemma, i.pos, i.gold) for i in originals])
+        twin_batch = Batch(twins, batch.gold_glosses)
+        for mode in MODES:
+            losses = [scored_forward(b, inventory, model, mode)[1] for b in (batch, twin_batch)]
+            assert losses[1].per_example.tobytes() == losses[0].per_example.tobytes()
+
+
 class TestStepColumns:
     """The regimes differ only in the gloss columns; one forward and one step serve both."""
 
@@ -1000,8 +1081,8 @@ def _candidate_glosses(inventory, instances):
 
 
 def _index_texts(model, rows):
-    """The gloss texts at ``rows`` of the model's gloss index, as word lists."""
-    keys = list(id_index(model).glosses.row)  # row numbers run in fill order
+    """The gloss texts at ``rows`` of ``model.gloss_index``, as word lists."""
+    keys = list(model.gloss_index.row)  # row numbers run in fill order
     return [list(keys[r]) for r in rows]
 
 
@@ -1126,7 +1207,7 @@ def test_two_training_runs_on_two_threads_match_them_in_sequence():
 
 
 def _unindexed_copy(model):
-    """A model with a copy of ``model``'s values and configs, and an empty id index."""
+    """A model with a copy of ``model``'s values and configs, and empty id tables."""
     return model_on(
         model.values.copy(), model.context.config, model.gloss.config, model.fusion.config,
         model.vocab,
@@ -1165,8 +1246,9 @@ def _capacity(table):
 
 
 class TestIdIndex:
-    """Training reads each sequence's ids from a per-model index, built once per distinct
-    text: it must hand a step the ids, padding and target rows that tokenizing gives."""
+    """Training reads each sequence's ids from the model's id tables, filled once per
+    distinct text: they must hand a step the ids, padding and target rows that
+    tokenizing gives."""
 
     def test_rows_equal_marked_ids_on_random_batches(self):
         """Across a first fill of one row, a fill larger than twice the capacity, then
@@ -1176,8 +1258,8 @@ class TestIdIndex:
         rng = np.random.default_rng(0)
         instances, inventory, model = _random_world(rng)
         glosses = [s.gloss for _, senses in inventory.items() for s in senses]
-        index, seen = id_index(model), set()
-        filled = {"contexts": [], "glosses": []}  # (rows, capacity) after each batch
+        seen = set()
+        filled = {"context_index": [], "gloss_index": []}  # (rows, capacity) after each batch
 
         def pick(n, span):
             return range(*span) if span else rng.choice(n, rng.integers(1, 4))
@@ -1185,7 +1267,7 @@ class TestIdIndex:
         for span in [(0, 1), (1, 10)] + [None] * 12:
             batch = [instances[i] for i in pick(len(instances), span)]
             seen.update((tuple(i.tokens), i.target_index) for i in batch)
-            ids, padding, targets = index.contexts.take(context_index_rows(model, batch))
+            ids, padding, targets = model.context_index.take(context_index_rows(model, batch))
             windows = [_context_window(model, i.tokens, i.target_index) for i in batch]
             want_ids, want_padding = ops.padded_ids(model.context, [w for w, _ in windows])
             np.testing.assert_array_equal(ids, want_ids)
@@ -1193,18 +1275,18 @@ class TestIdIndex:
             _, want_targets = ops.target_rows([t for _, t in windows], want_padding)
             np.testing.assert_array_equal(targets, want_targets)
             picked = [glosses[j] for j in pick(len(glosses), span)]
-            ids, padding, _ = index.glosses.take(gloss_index_rows(model, picked))
+            ids, padding, _ = model.gloss_index.take(gloss_index_rows(model, picked))
             gloss_ids = [_gloss_ids(model, g) for g in picked]
             want_ids, want_padding = ops.padded_ids(model.gloss, gloss_ids)
             np.testing.assert_array_equal(ids, want_ids)
             np.testing.assert_array_equal(padding, want_padding)
             for side, sizes in filled.items():
-                table = getattr(index, side)
+                table = getattr(model, side)
                 sizes.append((len(table.row), _capacity(table)))
         assert ids.dtype == want_ids.dtype and padding.dtype == bool
         assert any(len(i.tokens) > 6 for i in instances) and any(len(g) > 6 for g in glosses)
         assert any(w not in model.vocab.token_to_id for g in glosses for w in g)
-        assert index.contexts.row.keys() == seen  # one row per distinct (tokens, target)
+        assert model.context_index.row.keys() == seen  # one row per distinct (tokens, target)
         for sizes in filled.values():
             (first, capacity), (second, _) = sizes[:2]
             assert first == 1 and second - first > 2 * capacity
@@ -1213,15 +1295,20 @@ class TestIdIndex:
     @pytest.mark.parametrize("mode", [MODE_CONTRASTIVE, MODE_ALL_CANDIDATES])
     def test_steps_equal_those_of_a_model_with_no_index(self, mode):
         """Loss bits, value buffer and Adam's moments after 3 epochs equal a copy's that
-        starts each step from an empty index."""
+        takes each step as a fresh model, with empty id tables, over the copy's own
+        tensors and buffers, which its Adam keeps stepping."""
         instances, inventory, model = _random_world(np.random.default_rng(1))
         copy = _unindexed_copy(model)
         optimizers = Adam(model.parameters()), Adam(copy.parameters())
         for epoch in range(3):
             for batch in make_batches(instances, inventory, 6, seed=0, epoch=epoch):
+                fresh = WsdModel(
+                    copy.vocab, copy.context, copy.gloss, copy.fusion, copy.values,
+                    copy.gloss_values,
+                )
+                assert not fresh.context_index.row and not fresh.gloss_index.row
                 losses = []
-                for m, optimizer in zip((model, copy), optimizers):
-                    polywsd.model._id_indexes.pop(copy, None)
+                for m, optimizer in zip((model, fresh), optimizers):
                     step = polywsd.training._update(
                         batch, inventory, m, optimizer, mode, None, "step"
                     )
@@ -1264,8 +1351,7 @@ class TestIdIndex:
                 polywsd.training._update(batch, inventory, model, optimizer, mode, None, "step")
             emptied[:] = saved
             assert str(err.value) == message
-        index = id_index(model)
-        assert () not in index.glosses.row and ((), target) not in index.contexts.row
+        assert () not in model.gloss_index.row and ((), target) not in model.context_index.row
         assert optimizer.t == 0
         got = scored_forward(batch, inventory, model, mode)[1].per_example
         assert got.tobytes() == expected.tobytes()
@@ -1288,9 +1374,9 @@ class TestIdIndex:
         expected = [
             scored_forward(b, inventory, alone, m)[1].per_example.tobytes() for b, m in work
         ]
-        index, capacities = id_index(model), {"contexts": [], "glosses": []}
+        capacities = {"context_index": [], "gloss_index": []}
         for side, seen in capacities.items():
-            table = getattr(index, side)
+            table = getattr(model, side)
 
             def fill(keys, build, table=table, seen=seen, fill=table._fill):
                 fill(keys, build)
@@ -1323,8 +1409,8 @@ class TestIdIndex:
             assert [results[k][i] for i in range(len(work))] == expected
         # copied to a larger table at least twice after its first fill, lookups running
         assert all(len(set(seen)) >= 3 for seen in capacities.values())
-        for side in ("contexts", "glosses"):
-            shared, single = getattr(id_index(model), side), getattr(id_index(alone), side)
+        for side in capacities:
+            shared, single = getattr(model, side), getattr(alone, side)
             assert sorted(shared.row.values()) == list(range(len(shared.row)))
             assert shared.row.keys() == single.row.keys()
             for got, want in zip(
@@ -1338,7 +1424,7 @@ class TestIdIndex:
         the copy of the table they read: at each publication, before and after the
         table grows, the rows published take as tokenized."""
         instances, inventory, model = _random_world(np.random.default_rng(7))
-        table, published, capacities = id_index(model).contexts, [], []
+        table, published, capacities = model.context_index, [], []
 
         class CheckedRows(dict):
             def update(self, pairs):
@@ -1366,14 +1452,47 @@ class TestIdIndex:
                 code_rows(model, [])
 
     def test_the_index_is_freed_with_its_model(self):
+        """The tables are the model's fields: dropping the last reference to the model
+        frees it and both tables at once, with no cycle for the collector to find."""
         instances, inventory, model = _random_world(np.random.default_rng(5))
         for mode in MODES:
             scored_forward(make_batches(instances, inventory, 6, 0, 0)[0], inventory, model, mode)
-        index, owner = weakref.ref(id_index(model)), weakref.ref(model)
-        assert len(index().contexts.row) > 0 and len(index().glosses.row) > 0
-        del model
-        gc.collect()
-        assert owner() is None and index() is None
+        tables = [weakref.ref(model.context_index), weakref.ref(model.gloss_index)]
+        owner = weakref.ref(model)
+        assert all(len(table().row) > 0 for table in tables)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del model
+            assert owner() is None and all(table() is None for table in tables)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_every_model_starts_with_empty_tables_of_its_own(self, tmp_path):
+        """Two models built alike, a model loaded from a checkpoint and one constructed
+        directly each get their own empty tables, sized to their own encoders, and a
+        step on one fills none of the others'."""
+        instances, inventory, model = _random_world(np.random.default_rng(9))
+        _, _, twin = _random_world(np.random.default_rng(9))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, Adam(model.parameters()), seed=0, step=0)
+        loaded = load_checkpoint(path).model
+        direct = WsdModel(
+            model.vocab, model.context, model.gloss, model.fusion, model.values,
+            model.gloss_values,
+        )
+        models = [model, twin, loaded, direct]
+        scored_forward(
+            make_batches(instances, inventory, 6, 0, 0)[0], inventory, model, MODE_CONTRASTIVE
+        )
+        assert model.context_index.row and model.gloss_index.row
+        tables = [table for m in models for table in (m.context_index, m.gloss_index)]
+        assert len({id(table) for table in tables}) == len(tables)
+        for m in models[1:]:
+            for table, side in ((m.context_index, m.context), (m.gloss_index, m.gloss)):
+                assert not table.row and _capacity(table) == 0
+                assert table._columns[0].shape[1] == side.config.max_seq_len
 
 
 def test_training_steps_call_no_numpy_python_wrapper():
