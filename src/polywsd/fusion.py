@@ -131,6 +131,6 @@ def score_rows(word_codes: Tensor, gloss_codes: Tensor) -> Tensor:
 
     def vjp(g: np.ndarray):
         d_x, d_y_t = T.matmul_vjp(x, y_t, g)
-        return d_x, d_y_t.T  # a strided view; gloss_code_rows_at copies it
+        return d_x, d_y_t.T  # a strided view; gloss_code_rows copies it
 
     return T.record((word_codes, gloss_codes), x @ y_t, vjp)

@@ -25,11 +25,12 @@ Training tokenizes each distinct text once per model: two ``IdTable`` fields,
 ``context_index`` and ``gloss_index``, built with the model and freed with it,
 keep one row of checked, marker-wrapped ids per distinct (context tokens,
 target index) and per distinct gloss text, keyed by the word tuples, so an
-in-place edit is a new key. A step takes its (b, L) ids by row number. The
-tables assume the vocabulary is not edited, as the embedding tables are sized
-to it. Prediction does not read them.
-Both fills and prediction's context rows build their ids, padding and target rows
-with ``encoder.marked_ids``, the one builder.
+in-place edit is a new key. ``context_code_rows`` and ``gloss_code_rows``, one
+batched entry per side, look texts up and take their (b, L) ids by row number;
+row numbers never leave this module. The tables assume the vocabulary is not
+edited, as the embedding tables are sized to it. Prediction does not read them.
+Both fills and ``context_codes`` build ids, padding and target rows with
+``encoder.marked_ids``, the one builder.
 
 A model owns one flat float64 buffer, ``values``, of which each parameter is
 a view, in the order ``model_on`` states. ``build_model`` draws initial values
@@ -221,8 +222,8 @@ class IdTable:
 
     def rows(self, keys: list[tuple], build: Callable) -> np.ndarray:
         """The row number of each key. The keys it has no row for are filled from
-        ``build(new_keys)``, which returns their ids, padding and target rows as
-        ``marked_ids`` does, or raises what the first bad key earns."""
+        ``build(new_keys)``, which returns their ids, padding and target rows (None for
+        row 0) as ``marked_ids`` does, or raises what the first bad key earns."""
         if not keys:
             build(keys)  # raises marked_ids' error for an empty batch
         get = self.row.get
@@ -250,7 +251,8 @@ class IdTable:
             at = slice(start, start + n)
             columns[0][at, :width], columns[0][at, width:] = ids, PAD_ID
             columns[1][at, :width], columns[1][at, width:] = padding, True
-            columns[2][at], columns[3][at] = width - np.add.reduce(padding, axis=1), targets
+            columns[2][at] = width - np.add.reduce(padding, axis=1)
+            columns[3][at] = 0 if targets is None else targets
             self.row.update(zip(new, range(start, start + n)))
 
     def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,38 +268,18 @@ def _marked_windows(model: WsdModel, windows: list[tuple[list[int], int]]) -> tu
     return marked_ids(model.context, [ids for ids, _ in windows], [t for _, t in windows])
 
 
-def _marked_glosses(model: WsdModel, keys: list[tuple]) -> tuple[np.ndarray, ...]:
-    ids, padding, _ = marked_ids(model.gloss, [_gloss_ids(model, gloss) for gloss in keys])
-    return ids, padding, np.zeros(len(keys), dtype=np.intp)
-
-
-def context_index_rows(model: WsdModel, instances: list[CorpusInstance]) -> np.ndarray:
-    """The model's context-index row of each instance's (tokens, target index), new
-    ones checked and filled."""
-    keys = [(tuple(inst.tokens), inst.target_index) for inst in instances]
-    return model.context_index.rows(
-        keys, lambda new: _marked_windows(model, [_context_window(model, *key) for key in new])
-    )
-
-
-def gloss_index_rows(model: WsdModel, glosses: Sequence[Sequence[str]]) -> np.ndarray:
-    """The model's gloss-index row of each gloss text, new texts checked and filled."""
-    keys = [tuple(gloss) for gloss in glosses]
-    return model.gloss_index.rows(keys, lambda new: _marked_glosses(model, new))
-
-
 def _fused_rows(
-    model: WsdModel, ids: np.ndarray, padding: np.ndarray, rows: tuple[np.ndarray, np.ndarray]
+    model: WsdModel, ids: np.ndarray, padding: np.ndarray, targets: np.ndarray
 ) -> Tensor:
-    """One code row per context in (b, L) ``ids`` whose target rows are ``rows``: one
+    """One code row per context in (b, L) ``ids`` whose target rows are ``targets``: one
     record over the context-encoder pass, the target-row pick and the fusion
     attention, with the bits of their op chain (``encode_batch``, a
     ``tensor.gather`` of the target rows, ``fuse_context``)."""
     encoded, encoder_vjp = encoder_kernel(model.context, ids, padding, False)
-    targets, pick_vjp = T.gather_kernel(encoded, rows)
-    (b, d), fusion = targets.shape, model.fusion
+    picked, pick_vjp = T.gather_kernel(encoded, (np.arange(len(targets)), targets))
+    (b, d), fusion = picked.shape, model.fusion
     fused, fuse_vjp = T.attention_kernel(
-        targets.reshape(b, 1, d), encoded, *fusion.arrays, fusion.config.n_heads, padding
+        picked.reshape(b, 1, d), encoded, *fusion.arrays, fusion.config.n_heads, padding
     )
 
     def vjp(g: np.ndarray):
@@ -308,15 +290,10 @@ def _fused_rows(
     return T.record(model.context_inputs, fused.reshape(b, d), vjp)
 
 
-def _window_code_rows(model: WsdModel, windows: list[tuple[list[int], int]]) -> Tensor:
-    """One code row per (context ids, target index) window, as ``_fused_rows``."""
-    ids, padding, targets = _marked_windows(model, windows)
-    return _fused_rows(model, ids, padding, (np.arange(len(windows)), targets))
-
-
 def context_codes(model: WsdModel, tokens: list[str], target_index: int) -> Tensor:
     """Fused 1 x d_model code row for a target word in its context: a batch of one."""
-    return _window_code_rows(model, [_context_window(model, tokens, target_index)])
+    window = _context_window(model, tokens, target_index)
+    return _fused_rows(model, *_marked_windows(model, [window]))
 
 
 def gloss_codes(model: WsdModel, gloss_tokens: list[str]) -> Tensor:
@@ -328,23 +305,28 @@ def gloss_codes(model: WsdModel, gloss_tokens: list[str]) -> Tensor:
 def context_code_rows(model: WsdModel, instances: list[CorpusInstance]) -> Tensor:
     """b x d_model code rows, row i equal to ``context_codes`` of instance i up to
     rounding, not bit for bit: the padded width and batch size shape the arithmetic.
-    Their ids come from the model's ``context_index``."""
-    ids, padding, targets = model.context_index.take(context_index_rows(model, instances))
-    return _fused_rows(model, ids, padding, (np.arange(len(instances)), targets))
+    Their ids are rows of the model's ``context_index``, new (tokens, target index)
+    keys checked and filled."""
+    table = model.context_index
+    rows = table.rows(
+        [(tuple(inst.tokens), inst.target_index) for inst in instances],
+        lambda new: _marked_windows(model, [_context_window(model, *key) for key in new]),
+    )
+    return _fused_rows(model, *table.take(rows))
 
 
-def gloss_code_rows(model: WsdModel, glosses: list[list[str]]) -> Tensor:
-    """n x d_model code rows, row j equal to ``gloss_codes`` of gloss j up to rounding,
-    as ``gloss_code_rows_at`` of their gloss-index rows."""
-    return gloss_code_rows_at(model, gloss_index_rows(model, glosses))
-
-
-def gloss_code_rows_at(model: WsdModel, rows: np.ndarray) -> Tensor:
-    """The code rows of the glosses at ``rows`` of the model's ``gloss_index``: one record
-    of a padded gloss-encoder pass whose last layer computes only the start-marker
-    rows, with the bits of ``encode_batch``, ``cls_representation`` and ``fuse_gloss``."""
-    ids, padding, _ = model.gloss_index.take(rows)
-    codes, encoder_vjp = encoder_kernel(model.gloss, ids, padding, True)
+def gloss_code_rows(model: WsdModel, glosses: Sequence[Sequence[str]]) -> Tensor:
+    """n x d_model code rows, row j equal to ``gloss_codes`` of gloss j up to rounding:
+    one record of a padded gloss-encoder pass whose last layer computes only the
+    start-marker rows, with the bits of ``encode_batch``, ``cls_representation`` and
+    ``fuse_gloss``. Their ids are rows of the model's ``gloss_index``, new texts
+    checked and filled."""
+    table = model.gloss_index
+    rows = table.rows(
+        [tuple(gloss) for gloss in glosses],
+        lambda new: marked_ids(model.gloss, [_gloss_ids(model, gloss) for gloss in new]),
+    )
+    codes, encoder_vjp = encoder_kernel(model.gloss, *table.take(rows)[:2], True)
     n, _, d = codes.shape
     # score_rows hands the gloss rows a strided adjoint; the chain's pick copied it
     return T.record(

@@ -1,17 +1,17 @@
 """Batch contrastive training and the all-candidates baseline: one step for both.
 
 The regimes differ only in a step's gloss columns, which ``step_columns``
-builds from (batch, inventory, mode, model) as rows of the model's gloss id
-table (``model.gloss_index``), so no step re-tokenizes a text it has seen: an
-all-candidates step looks up every item's candidate glosses at once and
-computes its owners, mask and targets on arrays from the candidate sets'
-sizes. BCL scores the batch's b gold glosses: the other items' gold glosses
-are each row's negatives, the targets lie on the diagonal, and off-diagonal
-cells whose gloss text equals the row's own are false negatives and are
-masked. The all-candidates baseline scores the sum(m_i) candidate glosses of
-all items, and row i masks every column but its own candidates.
-``scored_forward`` is then one path for both: the b contexts as one padded
-encoder pass, the glosses as another, the score matrix, and one masked
+builds from (batch, inventory, mode) as gloss texts: an all-candidates step
+looks up every item's candidate glosses at once and computes its owners, mask
+and targets on arrays from the candidate sets' sizes. BCL scores the batch's b
+gold glosses: the other items' gold glosses are each row's negatives, the
+targets lie on the diagonal, and off-diagonal cells whose gloss text equals
+the row's own are false negatives and are masked. The all-candidates baseline
+scores the sum(m_i) candidate glosses of all items, and row i masks every
+column but its own candidates. ``scored_forward`` is then one path for both:
+the glosses as one padded encoder pass, the b contexts as another, each
+through its side's batched entry in ``model``, which tokenizes a text only
+the first time the model meets it, the score matrix, and one masked
 cross-entropy (``bcl_loss``, one tape op), the mean negative log-probability
 of each row's target cell under the masked row softmax. The tape records one
 op per code side, not per sequence. A step costs b context encodes either
@@ -35,8 +35,7 @@ from .data import CorpusInstance, SenseInventory, look_up
 from .errors import BatchError, ConfigError, DataError, ShapeError, TrainingError
 from .errors import ContractError, check_optimizer_settings, check_positive_ints, is_count
 from .fusion import score_rows
-from .model import WsdModel, context_code_rows, gloss_code_rows_at, gloss_index_rows
-from .model import memory_ceiling
+from .model import WsdModel, context_code_rows, gloss_code_rows, memory_ceiling
 # unused here, but the benchmark's probes patch polywsd.training.context_codes/gloss_codes
 from .model import context_codes, gloss_codes  # noqa: F401
 from .tensor import Tape, Tensor, backward, finite_diff_check
@@ -352,17 +351,16 @@ def _check_mode(mode: str) -> None:
 
 
 def step_columns(
-    batch: Batch, inventory: SenseInventory | None, mode: str, model: WsdModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A step's gloss columns as rows of the model's gloss index, their mask and the
-    row targets. BCL: the b gold glosses, the duplicate-gloss mask, the diagonal.
-    All-candidates: every item's candidates (from ``inventory``) in one lookup, a
-    block per item, row i masking all but its own block, targets at the golds."""
+    batch: Batch, inventory: SenseInventory | None, mode: str
+) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
+    """A step's gloss columns as texts, their mask and the row targets. BCL: the b
+    gold glosses, the duplicate-gloss mask, the diagonal. All-candidates: every
+    item's candidates (from ``inventory``), a block per item, row i masking all but
+    its own block, targets at the golds."""
     _check_mode(mode)
     if mode == MODE_CONTRASTIVE:
         glosses = batch.gold_glosses
-        mask = duplicate_gloss_mask(glosses)
-        return gloss_index_rows(model, glosses), mask, np.arange(len(batch))
+        return glosses, duplicate_gloss_mask(glosses), np.arange(len(batch))
     glosses, sizes, golds = [], [], []
     for inst in batch.instances:
         senses = look_up(inst, inventory.candidates)
@@ -378,20 +376,20 @@ def step_columns(
         golds.append(gold)
     sizes, items = np.array(sizes), np.arange(len(batch))
     mask = items[:, None] != items.repeat(sizes)
-    return gloss_index_rows(model, glosses), mask, np.add.accumulate(sizes) - sizes + golds
+    return glosses, mask, np.add.accumulate(sizes) - sizes + golds
 
 
 def scored_forward(
     batch: Batch, inventory: SenseInventory | None, model: WsdModel, mode: str
 ) -> tuple[ScoreMatrix, LossValue, ForwardCounts]:
-    """Encode the batch's contexts, then the step's gloss columns, one padded pass
+    """Encode the step's gloss columns, then the batch's contexts, one padded pass
     per side; score every (context, gloss) pair and take the masked loss. Cell
     (i, j) scores word i against gloss j, as ``fusion_matrix``."""
-    rows, mask, targets = step_columns(batch, inventory, mode, model)
-    words = context_code_rows(model, batch.instances)
-    scores = score_rows(words, gloss_code_rows_at(model, rows))
+    glosses, mask, targets = step_columns(batch, inventory, mode)
+    gloss_rows = gloss_code_rows(model, glosses)
+    scores = score_rows(context_code_rows(model, batch.instances), gloss_rows)
     sm = ScoreMatrix(scores=scores, mask=mask, targets=targets)
-    return sm, bcl_loss(sm), ForwardCounts(context=len(batch), gloss=len(rows))
+    return sm, bcl_loss(sm), ForwardCounts(context=len(batch), gloss=len(glosses))
 
 
 def _update(

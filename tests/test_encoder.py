@@ -256,18 +256,19 @@ class TestMarkedIds:
             "<built-in method numpy.zeros>": 1,
         }
 
-    def test_a_prediction_builds_its_ids_in_six_numpy_calls(self, monkeypatch):
-        """A prediction's context is a batch of one: its ids, padding and target row
-        cost ``marked_ids``' five calls and the item axis of the row pick."""
+    def test_a_prediction_builds_its_ids_in_five_numpy_calls(self, monkeypatch):
+        """A prediction's context is a batch of one: ``context_codes`` builds its ids,
+        padding and target row in ``marked_ids``' five calls before the fused pass."""
         corpus, inventory = synthetic_corpus(n_lemmas=3, senses_per_lemma=2, n_instances=6, seed=4)
         model, built = tiny_model(corpus, inventory), []
         monkeypatch.setattr(polywsd.model, "_fused_rows", lambda *args: built.append(args[1:]))
-        window = polywsd.model._context_window(model, corpus[0].tokens, corpus[0].target_index)
-        calls = _numpy_calls(lambda: polywsd.model._window_code_rows(model, [window]))
-        assert sum(calls.values()) <= 6
-        ((ids, padding, (items, rows)),) = built
+        tokens, target = corpus[0].tokens, corpus[0].target_index
+        window = polywsd.model._context_window(model, tokens, target)
+        calls = _numpy_calls(lambda: polywsd.model.context_codes(model, tokens, target))
+        assert sum(calls.values()) <= 5
+        ((ids, padding, rows),) = built
         assert ids.tolist() == [[CLS_ID, *window[0], SEP_ID]] and not padding.any()
-        assert items.tolist() == [0] and rows.tolist() == [window[1] + 1]
+        assert rows.tolist() == [window[1] + 1]
 
 
 class TestBoundInputs:

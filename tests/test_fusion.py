@@ -9,8 +9,9 @@ from polywsd.encoder import EncoderConfig, cls_representation, encode_batch
 from polywsd.errors import ShapeError
 from polywsd.fusion import FusionConfig, fuse_context, fuse_gloss, score_pair, score_rows
 from polywsd.model import (
+    _fused_rows,
     _gloss_ids,
-    _window_code_rows,
+    _marked_windows,
     build_model,
     context_codes,
     gloss_code_rows,
@@ -264,6 +265,12 @@ def _chain_context_rows(model, windows):
     encoded, padding = encode_batch(model.context, [ids for ids, _ in windows])
     targets = target_representation(encoded, [target for _, target in windows], padding)
     return fuse_context(encoded, targets, model.fusion, padding)
+
+
+def _window_code_rows(model, windows):
+    """The context code rows of (context ids, target index) windows, as
+    ``context_codes`` builds its one."""
+    return _fused_rows(model, *_marked_windows(model, windows))
 
 
 def _chain_gloss_rows(model, glosses):

@@ -16,11 +16,11 @@ import pytest
 
 import polywsd
 from polywsd import tensor as T
-from polywsd.data import Vocab
+from polywsd.data import CorpusInstance, Vocab
 from polywsd.encoder import EncoderConfig, encode_batch, encoder_params
 from polywsd.errors import ContractError, OracleError, ShapeError
 from polywsd.fusion import FusionConfig, fusion_params, score_rows
-from polywsd.model import WsdModel, _window_code_rows, gloss_code_rows
+from polywsd.model import WsdModel, context_code_rows, gloss_code_rows
 from polywsd.tensor import Tape, Tensor, backward, finite_diff_check
 
 import ops
@@ -342,6 +342,13 @@ def _side_model(p, rng):
     return WsdModel(vocab, context, gloss, fusion, np.empty(0), np.empty(0))
 
 
+# ids [4, 5, 6] with target 1 and [7] with target 0 in _side_model's vocabulary
+_SIDE_CONTEXTS = [
+    CorpusInstance(id="a", tokens=["w", "x", "y"], target_index=1, lemma="x", pos="NOUN"),
+    CorpusInstance(id="b", tokens=["z"], target_index=0, lemma="z", pos="NOUN"),
+]
+
+
 def _bare_layer_norm(x):
     """``layer_norm`` with unit gain and zero bias: the normalization alone."""
     d = x.shape[-1]
@@ -549,11 +556,11 @@ _OP_TABLE = [
     # the encoder pass as one record, all rows and the gloss side's start-marker rows
     ("encoder_pass", lambda p, rng: _encoder_pass(p, rng, False), (8, 4)),
     ("encoder_pass_first_row", lambda p, rng: _encoder_pass(p, rng, True), (8, 4)),
-    # each code side as one record: a padded batch of two windows or two glosses
+    # each code side as one record: a padded batch of two contexts or two glosses
     (
         "context_code_rows",
         lambda p, rng: T.mul(
-            _window_code_rows(_side_model(p, rng), [([4, 5, 6], 1), ([7], 0)]),
+            context_code_rows(_side_model(p, rng), _SIDE_CONTEXTS),
             _projection(rng, (2, 4)),
         ),
         (8, 4),

@@ -30,10 +30,8 @@ from polywsd.model import (
     build_model,
     context_code_rows,
     context_codes,
-    context_index_rows,
     gloss_code_rows,
     gloss_codes,
-    gloss_index_rows,
     model_on,
     randomize_parameters,
     WsdModel,
@@ -710,8 +708,8 @@ class TestAllCandidates:
 
     def test_columns_are_every_candidate_with_owner_mask_and_gold_targets(self):
         inventory, model, batch = self._mixed_world(gold_index=1)
-        rows, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES, model)
-        assert _index_texts(model, rows) == _candidate_glosses(inventory, batch.instances)
+        glosses, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES)
+        assert glosses == _candidate_glosses(inventory, batch.instances)
         owners = np.repeat(np.arange(4), [3, 2, 4, 1])
         np.testing.assert_array_equal(mask, np.arange(4)[:, None] != owners)
         assert targets.tolist() == [1, 4, 6, 9]  # gold %1, or %0 for the one-sense item
@@ -720,7 +718,7 @@ class TestAllCandidates:
         inventory, model, batch = self._mixed_world(gold_index=1)
         randomize_parameters(model, seed=9)
         sm, loss, _ = scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)
-        _, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES, model)
+        _, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES)
         assert sm.scores.shape == mask.shape == (4, 10)
         np.testing.assert_array_equal(sm.mask, mask)
         np.testing.assert_array_equal(sm.targets, targets)
@@ -751,19 +749,17 @@ class TestCandidateOrder:
             permuted.add(*key, [senses[k] for k in order])
         assert any((order != np.arange(len(order))).any() for order in orders.values())
         for batch in make_batches(instances, inventory, 6, seed=0, epoch=0):
-            rows, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES, model)
-            moved, moved_mask, moved_targets = step_columns(
-                batch, permuted, MODE_ALL_CANDIDATES, model
-            )
+            glosses, mask, targets = step_columns(batch, inventory, MODE_ALL_CANDIDATES)
+            moved, moved_mask, moved_targets = step_columns(batch, permuted, MODE_ALL_CANDIDATES)
             np.testing.assert_array_equal(moved_mask, mask)
             start = 0
             for i, inst in enumerate(batch.instances):
                 order = orders[inst.lemma, inst.pos]
                 block = slice(start, start + len(order))
-                np.testing.assert_array_equal(moved[block], rows[block][order])
+                assert moved[block] == [glosses[block][k] for k in order]
                 assert order[moved_targets[i] - start] == targets[i] - start
                 start += len(order)
-            assert start == len(rows) == len(moved)
+            assert start == len(glosses) == len(moved)
             losses = [
                 scored_forward(batch, inv, model, MODE_ALL_CANDIDATES)[1].per_example
                 for inv in (inventory, permuted)
@@ -845,13 +841,12 @@ class TestTextOutsideTheWindow:
         assert len(pairs) >= 4
         originals, twins = [i for i, _ in pairs], [t for _, t in pairs]
         assert all(i.tokens != t.tokens for i, t in pairs)
-        rows = context_index_rows(model, originals)
-        twin_rows = context_index_rows(model, twins)
+        codes = context_code_rows(model, originals).data
+        assert context_code_rows(model, twins).data.tobytes() == codes.tobytes()
+        rows, twin_rows = _context_rows(model, originals), _context_rows(model, twins)
         assert len(set(rows) | set(twin_rows)) == len(model.context_index.row) == 2 * len(pairs)
         for got, want in zip(model.context_index.take(twin_rows), model.context_index.take(rows)):
             assert got.tobytes() == want.tobytes()
-        codes = context_code_rows(model, originals).data
-        assert context_code_rows(model, twins).data.tobytes() == codes.tobytes()
         for inst, twin in pairs:
             single = context_codes(model, inst.tokens, inst.target_index).data
             assert context_codes(model, twin.tokens, twin.target_index).data.tobytes() == (
@@ -877,12 +872,13 @@ class TestStepColumns:
         inventory = SenseInventory()
         inventory.add("x", "NOUN", [SenseEntry("x%1", ["a", "b"]), SenseEntry("x%2", ["c"])])
         model = tiny_model(instances, inventory)
-        columns, mask, targets = step_columns(batch, None, MODE_CONTRASTIVE, model)
-        assert _index_texts(model, columns) == glosses
-        assert columns[0] == columns[2]  # one index row per distinct text
+        columns, mask, targets = step_columns(batch, None, MODE_CONTRASTIVE)
+        assert columns == glosses
         np.testing.assert_array_equal(mask, duplicate_gloss_mask(glosses))
         assert mask[0, 2] and mask[2, 0] and mask.sum() == 2
         assert targets.tolist() == [0, 1, 2]
+        scored_forward(batch, None, model, MODE_CONTRASTIVE)
+        assert len(model.gloss_index.row) == 2  # one table row per distinct text
 
     @pytest.mark.parametrize("mode", ["BCL", "", "all_candidates", None])
     def test_unknown_mode_is_a_config_error(self, small_world, mode):
@@ -1080,10 +1076,16 @@ def _candidate_glosses(inventory, instances):
     return [s.gloss for inst in instances for s in inventory.candidates(inst.lemma, inst.pos)]
 
 
-def _index_texts(model, rows):
-    """The gloss texts at ``rows`` of ``model.gloss_index``, as word lists."""
-    keys = list(model.gloss_index.row)  # row numbers run in fill order
-    return [list(keys[r]) for r in rows]
+def _context_rows(model, instances):
+    """The rows of ``model.context_index`` that hold ``instances``' ids, once
+    ``context_code_rows`` has filled them."""
+    return np.array([model.context_index.row[tuple(i.tokens), i.target_index] for i in instances])
+
+
+def _gloss_rows(model, glosses):
+    """The rows of ``model.gloss_index`` that hold ``glosses``' ids, once
+    ``gloss_code_rows`` has filled them."""
+    return np.array([model.gloss_index.row[tuple(g)] for g in glosses])
 
 
 class TestTruncatedGlossPass:
@@ -1119,14 +1121,13 @@ class TestTruncatedGlossPass:
         ffn_inputs = recorded_feed_forward_inputs(monkeypatch)
         with Tape():
             scored_forward(batch, inventory, model, MODE_ALL_CANDIDATES)
-        # one per layer, in the order the passes run them: the context side first
-        k = len(model.context.layers)
-        context, (first, last) = ffn_inputs[:k], ffn_inputs[k:]
+        # one per layer, in the order the passes run them: the gloss side first
+        (first, last), context = ffn_inputs[:2], ffn_inputs[2:]
         n, d_ff = len(_candidate_glosses(inventory, batch.instances)), model.gloss.config.d_ff
         assert last == (n, 1, d_ff)
         assert first[0] == n and first[1] > 1
         width = max(len(inst.tokens) for inst in batch.instances) + 2
-        assert context == [(len(batch), width, d_ff)] * k
+        assert context == [(len(batch), width, d_ff)] * len(model.context.layers)
 
 
 class TestBatching:
@@ -1267,7 +1268,8 @@ class TestIdIndex:
         for span in [(0, 1), (1, 10)] + [None] * 12:
             batch = [instances[i] for i in pick(len(instances), span)]
             seen.update((tuple(i.tokens), i.target_index) for i in batch)
-            ids, padding, targets = model.context_index.take(context_index_rows(model, batch))
+            context_code_rows(model, batch)
+            ids, padding, targets = model.context_index.take(_context_rows(model, batch))
             windows = [_context_window(model, i.tokens, i.target_index) for i in batch]
             want_ids, want_padding = ops.padded_ids(model.context, [w for w, _ in windows])
             np.testing.assert_array_equal(ids, want_ids)
@@ -1275,7 +1277,8 @@ class TestIdIndex:
             _, want_targets = ops.target_rows([t for _, t in windows], want_padding)
             np.testing.assert_array_equal(targets, want_targets)
             picked = [glosses[j] for j in pick(len(glosses), span)]
-            ids, padding, _ = model.gloss_index.take(gloss_index_rows(model, picked))
+            gloss_code_rows(model, picked)
+            ids, padding, _ = model.gloss_index.take(_gloss_rows(model, picked))
             gloss_ids = [_gloss_ids(model, g) for g in picked]
             want_ids, want_padding = ops.padded_ids(model.gloss, gloss_ids)
             np.testing.assert_array_equal(ids, want_ids)
