@@ -28,8 +28,12 @@ checkout's median is worse than the parent's by more than that metric's
 ``BENCHMARK.json`` bound, as a share of the parent's median, and ``noisy``
 where the parent's interquartile range alone is wider than that share: there
 the bound cannot tell a regression from the spread of one commit's runs.
-Every run goes to ``BENCH_pairs.json`` in this repository with that summary,
-and with each checkout's counts of ``src/polywsd/*.py`` lines: all of them
+Per workload and metric, ``claimable_on_both_seeds`` holds where every seed's
+row is claimable and their ratios lie on one side of 1, since one seed's 10
+pairs alone can clear the rule by chance on a change within noise; it is
+printed after the rows, naming each such workload and metric. Every run goes
+to ``BENCH_pairs.json`` in this repository with that summary, those flags,
+and each checkout's counts of ``src/polywsd/*.py`` lines: all of them
 (``source_lines``) and those that hold code (``code_lines``: no docstring,
 comment or blank line). It prints both last, with their differences, so a
 change quotes its size from the run that times it.
@@ -143,6 +147,26 @@ def compare_pairs(pairs: list[dict], metrics: dict[str, dict]) -> list[dict]:
     return rows
 
 
+def _claimable_together(rows: list[dict]) -> bool:
+    """Whether ``rows``, one per seed and at least two, are all claimable with their
+    ratios all above 1 or all below it."""
+    if len(rows) < 2 or not all(r["claimable"] and r["ratio"] is not None for r in rows):
+        return False
+    return len({r["ratio"] > 1 for r in rows}) == 1
+
+
+def claimable_on_both_seeds(rows: list[dict]) -> dict[str, dict[str, bool]]:
+    """Per workload and metric of ``compare_pairs``' rows: whether a claim holds on
+    every seed together (``_claimable_together``)."""
+    cells: dict[str, dict[str, list[dict]]] = {}
+    for row in rows:
+        cells.setdefault(row["workload"], {}).setdefault(row["metric"], []).append(row)
+    return {
+        workload: {metric: _claimable_together(group) for metric, group in metrics.items()}
+        for workload, metrics in cells.items()
+    }
+
+
 def source_lines(checkout: str) -> int:
     """How many lines the checkout's ``src/polywsd/*.py`` hold."""
     total = 0
@@ -194,13 +218,14 @@ def run_pairs(parent: str, checkout: str) -> dict:
                 dirs = {"parent": parent, "change": checkout}
                 runs = {side: run_once(dirs[side], workload, seed)["result"] for side in sides}
                 pairs.append({"workload": workload, "seed": seed, "first": sides[0], **runs})
-    dirs = {"parent": parent, "change": checkout}
+    dirs, summary = {"parent": parent, "change": checkout}, compare_pairs(pairs, metrics)
     return {
         "commits": {side: head(path) for side, path in dirs.items()},
         "source_lines": {side: source_lines(path) for side, path in dirs.items()},
         "code_lines": {side: code_lines(path) for side, path in dirs.items()},
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
-        "summary": compare_pairs(pairs, metrics), "pairs": pairs,
+        "summary": summary, "claimable_on_both_seeds": claimable_on_both_seeds(summary),
+        "pairs": pairs,
     }
 
 
@@ -231,6 +256,10 @@ def main(argv=None) -> int:
                 line += f"  attempted ratio {_shown(row['attempted_ratio'])}"
             marks = [mark for mark in ("claimable", "worse_past_bound", "noisy") if row[mark]]
             print("  ".join([line, *marks]))
+        both = [f"{workload} {metric}"
+                for workload, metrics in result["claimable_on_both_seeds"].items()
+                for metric, claimable in metrics.items() if claimable]
+        print(f"claimable on both seeds: {', '.join(both) or 'none'}")
         for key, label in (("code_lines", "code lines"), ("source_lines", "lines")):
             lines = result[key]
             print(f"src/polywsd/*.py {label}: parent {lines['parent']}  change {lines['change']}  "

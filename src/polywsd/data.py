@@ -167,7 +167,8 @@ def parse_json(text, where, error, what: str = "JSON"):
 
 def read_records(path, error, build) -> list:
     """``build`` applied to each object of a JSON-lines file, one per non-blank line;
-    a field it finds missing, or an ``error`` it raises, is located at ``path:line``."""
+    a field it finds missing, or an ``error`` it raises, is located at ``path:line``:
+    the latter keeps its own class, such as ``InventoryError`` under ``DataError``."""
     built = []
     for lineno, line in read_lines(path, error):
         record = parse_json(line, f"{path}:{lineno}", error, "record")
@@ -178,7 +179,7 @@ def read_records(path, error, build) -> list:
         except KeyError as exc:
             raise error(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
         except error as exc:
-            raise error(f"{path}:{lineno}: {exc}") from None
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
     return built
 
 

@@ -24,7 +24,10 @@ than the arithmetic at these sizes.
 
 from __future__ import annotations
 
+import os
 import time
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -345,6 +348,24 @@ def _raise_non_finite(model: WsdModel, what: str, array_of, context: str) -> NoR
     )
 
 
+@contextmanager
+def _float_errors_raise(phase: str, context: str):
+    """Run the block with numpy's overflow, invalid and divide-by-zero errors raised
+    (underflow stays quiet): a FloatingPointError becomes a TrainingError naming
+    ``phase``, the innermost package function it rose in, by qualified name (so a
+    VJP names its kernel), and the step ``context``."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        package, where = os.path.dirname(__file__), "?"
+        for frame, _ in traceback.walk_tb(exc.__traceback__):
+            code = frame.f_code
+            if os.path.dirname(code.co_filename) == package:
+                where = getattr(code, "co_qualname", code.co_name)  # co_qualname: 3.11+
+        raise TrainingError(f"{exc} in the {phase}, in {where}, at {context}") from exc
+
+
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ConfigError(f"unknown training mode {mode!r}; expected one of {MODES}")
@@ -398,16 +419,19 @@ def _update(
 ) -> tuple[LossValue, ForwardCounts]:
     """Record ``scored_forward`` on a fresh tape, then backward, clip and one Adam step.
 
-    A non-finite loss or grad stops the step before any parameter changes; a
-    non-finite parameter value after it stops training. Each raises
-    TrainingError, the last two naming the first parameter at fault.
+    An overflow, invalid operation or division by zero in the forward or the
+    backward (``_float_errors_raise``), a non-finite loss or a non-finite grad
+    stops the step before any parameter changes; a non-finite parameter value
+    after it stops training. Each raises TrainingError, the last two naming the
+    first parameter at fault.
     """
     tape = Tape()
-    with tape:
+    with _float_errors_raise("forward", context), tape:
         _, loss, counts = scored_forward(batch, inventory, model, mode)
     _check_finite(loss, model, context)
     optimizer.zero_grad()
-    backward(loss.total, tape)
+    with _float_errors_raise("backward", context):
+        backward(loss.total, tape)
     _clip_gradients(optimizer, clip_norm)
     if not optimizer.step():
         _raise_non_finite(model, "gradient", lambda t: t.grad, context)

@@ -81,6 +81,78 @@ def test_claimable_needs_nine_tenths_of_wins_and_a_gap_above_the_parent_iqr(chan
     assert row["claimable"] is claimable
 
 
+def _seed_rows(per_seed: dict[int, list[float]]) -> list[dict]:
+    """``compare_pairs``' rows over ``PARENT_CU`` against each seed's change values."""
+    pairs = []
+    for seed, change in per_seed.items():
+        pairs += _pairs({"attempted": [100] * 10, "op_p50_cu": PARENT_CU},
+                        {"attempted": [100] * 10, "op_p50_cu": change}, seed=seed)
+    return bench_baseline.compare_pairs(pairs, METRICS)
+
+
+FASTER = [0.5] * 9 + [2.0]  # claimable alone, ratio 0.5
+IN_NOISE = [p - 0.01 for p in PARENT_CU]  # 10 of 10 pairs, but inside the parent's IQR
+
+
+@pytest.mark.parametrize(
+    "per_seed, claimable",
+    [
+        ({1: FASTER, 2: FASTER}, True),
+        ({1: IN_NOISE, 2: FASTER}, False),
+        ({1: FASTER}, False),
+    ],
+    ids=["both_seeds", "one_seed_in_noise", "one_seed_run"],
+)
+def test_claimable_on_both_seeds_needs_every_seed(per_seed, claimable):
+    rows = _seed_rows(per_seed)
+    assert [r["claimable"] for r in rows] == [v is FASTER for v in per_seed.values()]
+    both = bench_baseline.claimable_on_both_seeds(rows)
+    assert both == {"predict-polysemous": {"op_p50_cu": claimable}}
+
+
+def test_claimable_on_both_seeds_needs_their_ratios_on_one_side_of_one():
+    """Wins count pair by pair, so a seed can clear the rule with its median on the
+    other side of the parent's; made-up rows stand for such a seed."""
+    rows = _seed_rows({1: FASTER, 2: FASTER})
+    assert all(r["claimable"] and r["ratio"] == 0.5 for r in rows)
+    rows[1]["ratio"] = 2.0
+    assert bench_baseline.claimable_on_both_seeds(rows) == {
+        "predict-polysemous": {"op_p50_cu": False}
+    }
+    rows[1]["ratio"] = None  # a parent median of 0 has no ratio, so no side
+    assert bench_baseline.claimable_on_both_seeds(rows) == {
+        "predict-polysemous": {"op_p50_cu": False}
+    }
+
+
+def test_claimable_on_both_seeds_is_stored_and_printed(tmp_path, monkeypatch, capsys):
+    """``--against`` stores the flag per workload and metric beside the per-seed rows,
+    which keep their own ``claimable``, and prints the workloads and metrics it holds for."""
+    calls: dict[tuple, int] = {}
+
+    def run_once(checkout, workload, seed):  # op_p50_cu wins on both seeds of one workload
+        i = calls[checkout, workload, seed] = calls.get((checkout, workload, seed), -1) + 1
+        faster = checkout == "change" and workload == "bcl-desk"
+        metrics = {"op_p50_cu": {"value": FASTER[i] if faster else PARENT_CU[i], "unit": "cu"},
+                   "items_per_cu": {"value": 1.0, "unit": "1/cu"}}
+        return {"result": {"attempted": 100, "failed": 0, "metrics": metrics}}
+
+    monkeypatch.setattr(bench_baseline, "run_once", run_once)
+    monkeypatch.setattr(bench_baseline, "head", lambda checkout: checkout)
+    monkeypatch.setattr(bench_baseline, "ROOT", str(tmp_path))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(METRICS.values())}))
+    assert bench_baseline.main(["--against", "parent", "--checkout", "change"]) == 0
+    stored = json.loads((tmp_path / "BENCH_pairs.json").read_text())
+    assert stored["claimable_on_both_seeds"] == {
+        workload: {"op_p50_cu": workload == "bcl-desk", "items_per_cu": False}
+        for workload in bench_baseline.WORKLOADS
+    }
+    claimable = [(r["workload"], r["seed"]) for r in stored["summary"] if r["claimable"]]
+    assert claimable == [("bcl-desk", 1), ("bcl-desk", 2)]
+    printed = capsys.readouterr().out.splitlines()
+    assert "claimable on both seeds: bcl-desk op_p50_cu" in printed
+
+
 def test_ratio_is_none_when_the_parent_median_is_zero():
     parent = {"attempted": [100] * 10, "op_p50_cu": [0.0] * 10, "success_rate": [1.0] * 10}
     change = {"attempted": [100] * 10, "op_p50_cu": [0.5] * 10, "success_rate": [0.5] * 10}

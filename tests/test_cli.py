@@ -561,6 +561,31 @@ def test_null_clip_norm_means_no_clipping(workspace, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_an_overflowing_step_names_its_phase_and_kernel(workspace, tmp_path, capsys):
+    """At learning rate 1e150 the first update overflows the next step's attention
+    scores: training stops there, naming the phase, the kernel and the step, before
+    the loss turns NaN, and writes no checkpoint."""
+    config, ckpt = tmp_path / "config.json", tmp_path / "model.ckpt"
+    config.write_text(
+        json.dumps({"train": {"batch_size": 4, "epochs": 8, "learning_rate": 1e150}}),
+        encoding="utf-8",
+    )
+    code = main(
+        [
+            "train",
+            "--corpus", str(workspace / "corpus.jsonl"),
+            "--inventory", str(workspace / "inventory.jsonl"),
+            "--config", str(config),
+            "--out", str(ckpt),
+        ]
+    )
+    assert code == 1 and not ckpt.exists()
+    assert capsys.readouterr().err == (
+        "error: overflow encountered in matmul in the forward, in attention_kernel, "
+        "at epoch 0, batch 1\n"
+    )
+
+
 def _predict_on_edited_checkpoint(workspace, tmp_path, capsys, edit, body=None):
     """Train, rewrite the checkpoint's JSON header through ``edit`` (or replace it by
     ``body``), then predict; returns the exit code and stderr, and checks no

@@ -156,6 +156,21 @@ class TestInventory:
         with pytest.raises(DataError):
             load_inventory(path)
 
+    def test_a_located_error_keeps_its_class(self, tmp_path):
+        """An entry that lists no senses is the InventoryError ``SenseInventory.add``
+        raises, located at its line; a duplicate key stays a plain DataError."""
+        path = tmp_path / "inventory.jsonl"
+        rec = self._record()
+        rec["senses"] = []
+        _write_lines(path, [rec])
+        with pytest.raises(InventoryError) as err:
+            load_inventory(path)
+        assert str(err.value) == f"{path}:1: inventory entry ('bank', 'NOUN') lists no senses"
+        _write_lines(path, [self._record(), self._record()])
+        with pytest.raises(DataError) as err:
+            load_inventory(path)
+        assert type(err.value) is DataError and str(err.value).startswith(f"{path}:2: ")
+
     def test_duplicate_sense_id_rejected(self, tmp_path):
         path = tmp_path / "inventory.jsonl"
         rec = self._record()

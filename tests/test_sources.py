@@ -2,12 +2,14 @@
 
 The package keeps only the tape ops its model runs: a function that records
 onto the tape has a caller elsewhere in the package. Ops that only the tests
-chain live in ``tests/ops.py``.
+chain live in ``tests/ops.py``. The id tables and their row numbers stay inside
+``model.py``: the rest of the package passes texts to the code-row functions.
 """
 
 import ast
 import glob
 import os
+import re
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "polywsd")
 
@@ -43,3 +45,13 @@ def test_every_recording_function_has_a_caller_in_the_package():
                     callers.setdefault(name, set()).add(fn.name)
     unused = sorted(name for name in recorders if not callers.get(name, set()) - {name})
     assert recorders and not unused, f"tape ops no package function calls: {unused}"
+
+
+def test_only_the_model_names_its_id_tables():
+    named = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            found = set(re.findall(r"IdTable|context_index|gloss_index", fh.read()))
+        if found and os.path.basename(path) != "model.py":
+            named[os.path.basename(path)] = sorted(found)
+    assert not named, f"id-table names outside model.py: {named}"

@@ -497,6 +497,77 @@ class TestTrainStep:
         assert "value of parameter context.tok_emb" in str(err.value)
 
 
+class TestFloatingPointErrors:
+    """A step's forward and backward raise numpy's overflow, invalid and divide-by-zero
+    errors where they start, as a TrainingError naming the phase, the package function
+    and the step; the step changes nothing and the raising state stays inside it."""
+
+    def _train_until_it_fails(self, model, corpus, inventory, mode=MODE_CONTRASTIVE):
+        optimizer, before, errors = Adam(model.parameters()), model.values.copy(), np.geterr()
+        with pytest.raises(TrainingError) as err:
+            train(model, optimizer, corpus, inventory, TrainConfig(batch_size=4, epochs=2), mode)
+        assert np.geterr() == errors
+        assert optimizer.t == 0 and model.values.tobytes() == before.tobytes()
+        assert not optimizer.m_flat.any() and not optimizer.v_flat.any()
+        return str(err.value)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_an_overflow_in_the_forward_names_its_kernel(self, small_world, mode):
+        """Scaled by 1e306, the gloss encoder's first feed-forward overflows GELU's
+        square; unraised, every loss of such a run stays finite and the run trains on."""
+        corpus, inventory, model = small_world
+        model.gloss.layers[0].w1.data[...] *= 1e306
+        message = self._train_until_it_fails(model, corpus, inventory, mode)
+        assert message.startswith("overflow encountered in multiply")
+        assert message.endswith(" in the forward, in gelu_kernel, at epoch 0, batch 0")
+
+    def test_an_invalid_operation_in_a_vjp_names_the_backward(self, monkeypatch, small_world):
+        corpus, inventory, model = small_world
+        gelu_kernel = T.gelu_kernel
+
+        def poisoned(x):
+            out, vjp = gelu_kernel(x)
+
+            def infinite_difference_vjp(g):
+                infinite = np.full_like(g, np.inf)
+                return vjp(g + (infinite - infinite))
+
+            return out, infinite_difference_vjp
+
+        monkeypatch.setattr(T, "gelu_kernel", poisoned)
+        message = self._train_until_it_fails(model, corpus, inventory)
+        # the encoder block's VJP, which called the poisoned one; qualified from Python 3.11
+        where = "_block.<locals>.vjp" if sys.version_info >= (3, 11) else "vjp"
+        assert message == (
+            f"invalid value encountered in subtract in the backward, in {where}, at epoch 0, batch 0"
+        )
+
+    def test_the_raising_state_stays_inside_the_step(self, monkeypatch, small_world):
+        """Raising holds in the step's forward and backward, on the stepping thread
+        only, and the caller's state is back once the step returns."""
+        corpus, inventory, model = small_world
+        batch = make_batches(corpus, inventory, batch_size=4, seed=0, epoch=0)[0]
+        seen, forward, backward_ = [], polywsd.training.scored_forward, polywsd.training.backward
+
+        def observed(run):
+            def call(*args):
+                other = threading.Thread(target=lambda: seen.append(("other", np.geterr())))
+                other.start()
+                other.join()
+                seen.append(("step", np.geterr()))
+                return run(*args)
+            return call
+
+        monkeypatch.setattr(polywsd.training, "scored_forward", observed(forward))
+        monkeypatch.setattr(polywsd.training, "backward", observed(backward_))
+        with np.errstate(over="ignore", invalid="warn", divide="print"):
+            caller = np.geterr()
+            train_step(batch, model, Adam(model.parameters()))
+            assert np.geterr() == caller
+        raising = {**caller, "over": "raise", "invalid": "raise", "divide": "raise"}
+        assert seen == [("other", np.geterr()), ("step", raising)] * 2
+
+
 class TestClipNorm:
     """``clip_norm`` rescales the whole gradient to that global norm when it is above it."""
 
@@ -857,6 +928,98 @@ class TestTextOutsideTheWindow:
         for mode in MODES:
             losses = [scored_forward(b, inventory, model, mode)[1] for b in (batch, twin_batch)]
             assert losses[1].per_example.tobytes() == losses[0].per_example.tobytes()
+
+
+def _relabelled_copy(model, rng):
+    """A copy of ``model`` whose content ids (4 and up) are permuted, both token tables'
+    rows with them; markers, padding and the unknown id keep theirs. Returns the copy
+    and the old id of each new content row."""
+    tokens = model.vocab.tokens_in_id_order()
+    order = rng.permutation(len(tokens))
+    assert (order != np.arange(len(tokens))).any()
+    copy = model_on(
+        model.values.copy(), model.context.config, model.gloss.config, model.fusion.config,
+        Vocab.from_tokens([tokens[k] for k in order]),
+    )
+    old_ids = order + 4  # ids 0 to 3 are reserved
+    for side in (copy.context, copy.gloss):
+        side.tok_emb.data[4:] = side.tok_emb.data[old_ids]
+    return copy, old_ids
+
+
+def _recorded_step(batch, inventory, model, mode):
+    """The scores, per-example losses and parameter gradients of one recorded forward."""
+    for tensor in model.parameters():
+        tensor.grad = None
+    tape = Tape()
+    with tape:
+        sm, loss, _ = scored_forward(batch, inventory, model, mode)
+    backward(loss.total, tape)
+    return sm.scores.data, loss.per_example, {n: t.grad for n, t in model.named_parameters()}
+
+
+class TestVocabularyRelabelling:
+    """Renaming the content ids, with the token tables' rows, is a relation any correct
+    model keeps: the id rows of both tables change, and nothing else does. Scores and
+    losses are bit-equal and each token-table gradient is the permuted one."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_relabelled_ids_give_the_same_bits(self, n_layers):
+        rng = np.random.default_rng(30 + n_layers)
+        instances, inventory, model = _random_world(rng, n_layers=n_layers)
+        randomize_parameters(model, seed=n_layers)
+        copy, old_ids = _relabelled_copy(model, rng)
+        for mode in MODES:
+            for batch in make_batches(instances, inventory, 6, seed=0, epoch=0):
+                scores, per_example, grads = _recorded_step(batch, inventory, model, mode)
+                got_scores, got_per_example, got = _recorded_step(batch, inventory, copy, mode)
+                assert got_scores.tobytes() == scores.tobytes()
+                assert got_per_example.tobytes() == per_example.tobytes()
+                for name, grad in grads.items():
+                    if name.endswith(".tok_emb"):
+                        grad = np.concatenate([grad[:4], grad[old_ids]])
+                    assert got[name].tobytes() == grad.tobytes(), name
+        for side in ("context_index", "gloss_index"):
+            table, relabelled = getattr(model, side), getattr(copy, side)
+            assert table.row.keys() == relabelled.row.keys()
+            rows = np.array([relabelled.row[key] for key in table.row])
+            ids, relabelled_ids = table.take(np.arange(len(rows)))[0], relabelled.take(rows)[0]
+            assert (relabelled_ids != ids).any(axis=1).sum() > len(rows) // 2  # most moved
+            content = ids >= 4
+            np.testing.assert_array_equal(relabelled_ids[~content], ids[~content])
+            np.testing.assert_array_equal(old_ids[relabelled_ids[content] - 4], ids[content])
+
+
+class TestRowIndependence:
+    """Adding an unrelated instance to a batch is a relation any correct model keeps:
+    the other cells' scores stay, up to rounding only, since a row's bits depend on the
+    padded pass around it (ROADMAP item 17)."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_an_added_instance_leaves_the_other_cells(self, n_layers):
+        rng = np.random.default_rng(40 + n_layers)
+        instances, inventory, model = _random_world(rng, n_layers=n_layers)
+        randomize_parameters(model, seed=n_layers)
+        batches = make_batches(instances, inventory, 6, seed=0, epoch=0)
+        for batch, other in zip(batches, batches[1:]):  # other: a batch not yet seen
+            for mode in MODES:
+                sm = scored_forward(batch, inventory, model, mode)[0]
+                table = model.context_index
+                extra = next(
+                    i for i in other.instances if (tuple(i.tokens), i.target_index) not in table.row
+                )
+                grown = Batch(
+                    batch.instances + [extra],
+                    batch.gold_glosses + [inventory.gloss_of(extra.lemma, extra.pos, extra.gold)],
+                )
+                keys = len(table.row)
+                grown_sm = scored_forward(grown, inventory, model, mode)[0]
+                assert len(table.row) == keys + 1  # the warm table gained the one key
+                b, n = sm.scores.shape
+                assert grown_sm.scores.shape[0] == b + 1 and grown_sm.scores.shape[1] > n
+                np.testing.assert_allclose(
+                    grown_sm.scores.data[:b, :n], sm.scores.data, rtol=0, atol=1e-12
+                )
 
 
 class TestStepColumns:
