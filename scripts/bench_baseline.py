@@ -218,7 +218,8 @@ def run_pairs(parent: str, checkout: str) -> dict:
                 dirs = {"parent": parent, "change": checkout}
                 runs = {side: run_once(dirs[side], workload, seed)["result"] for side in sides}
                 pairs.append({"workload": workload, "seed": seed, "first": sides[0], **runs})
-    dirs, summary = {"parent": parent, "change": checkout}, compare_pairs(pairs, metrics)
+    dirs = {"parent": parent, "change": checkout}
+    summary = compare_pairs(pairs, metrics)
     return {
         "commits": {side: head(path) for side, path in dirs.items()},
         "source_lines": {side: source_lines(path) for side, path in dirs.items()},

@@ -222,8 +222,8 @@ class IdTable:
 
     def rows(self, keys: list[tuple], build: Callable) -> np.ndarray:
         """The row number of each key. The keys it has no row for are filled from
-        ``build(new_keys)``, which returns their ids, padding and target rows (None for
-        row 0) as ``marked_ids`` does, or raises what the first bad key earns."""
+        ``build(new_keys)``, which returns their ids, padding and target rows (or None,
+        stored as row 0) as ``marked_ids`` does, or raises what the first bad key earns."""
         if not keys:
             build(keys)  # raises marked_ids' error for an empty batch
         get = self.row.get

@@ -997,17 +997,21 @@ class TestRowIndependence:
 
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_an_added_instance_leaves_the_other_cells(self, n_layers):
+        """Each batch holds contexts of at most 3 words and the added one has more than
+        6, so the padded context pass around the other rows gets wider."""
         rng = np.random.default_rng(40 + n_layers)
-        instances, inventory, model = _random_world(rng, n_layers=n_layers)
+        instances, inventory, model = _random_world(rng, n_instances=48, n_layers=n_layers)
         randomize_parameters(model, seed=n_layers)
-        batches = make_batches(instances, inventory, 6, seed=0, epoch=0)
-        for batch, other in zip(batches, batches[1:]):  # other: a batch not yet seen
-            for mode in MODES:
+        short = [i for i in instances if len(i.tokens) <= 3]
+        extras = iter([i for i in instances if len(i.tokens) > 6])
+        table = model.context_index
+        for mode in MODES:
+            for start in range(0, len(short) - 2, 3):
+                chunk = short[start : start + 3]
+                batch = Batch(chunk, [inventory.gloss_of(i.lemma, i.pos, i.gold) for i in chunk])
                 sm = scored_forward(batch, inventory, model, mode)[0]
-                table = model.context_index
-                extra = next(
-                    i for i in other.instances if (tuple(i.tokens), i.target_index) not in table.row
-                )
+                extra = next(extras)
+                assert (tuple(extra.tokens), extra.target_index) not in table.row
                 grown = Batch(
                     batch.instances + [extra],
                     batch.gold_glosses + [inventory.gloss_of(extra.lemma, extra.pos, extra.gold)],
